@@ -5,7 +5,7 @@
 //! shared between the analysis pipeline and the synthetic video substrate.
 
 use crate::error::{CoreError, Result};
-use crate::pixel::Rgb;
+use crate::pixel::{rgb_as_bytes, rgb_as_bytes_mut, Rgb};
 
 /// An owned, row-major RGB frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,7 +50,7 @@ impl FrameBuf {
     /// pixel. This is the payload format streaming-ingest clients push
     /// over the wire.
     pub fn to_rgb24(&self) -> Vec<u8> {
-        crate::pixel::rgb_as_bytes(&self.data).to_vec()
+        rgb_as_bytes(&self.data).to_vec()
     }
 
     /// Rebuild a frame from raw RGB24 bytes (the inverse of
@@ -64,11 +64,13 @@ impl FrameBuf {
                 actual: data.len(),
             });
         }
-        let pixels = data
-            .chunks_exact(3)
-            .map(|c| Rgb([c[0], c[1], c[2]]))
-            .collect();
-        FrameBuf::from_pixels(width, height, pixels)
+        let mut pixels = vec![Rgb::BLACK; expected / 3];
+        rgb_as_bytes_mut(&mut pixels).copy_from_slice(data);
+        Ok(FrameBuf {
+            width,
+            height,
+            data: pixels,
+        })
     }
 
     /// Create a frame by evaluating `f(x, y)` at every pixel.
@@ -419,6 +421,41 @@ mod tests {
             FrameBuf::from_rgb24(5, 4, &bytes[..bytes.len() - 1]),
             Err(CoreError::FrameDataMismatch { .. })
         ));
+    }
+
+    proptest::proptest! {
+        /// `from_rgb24` is the exact inverse of `to_rgb24` at any (odd)
+        /// size, and rejects every other byte length.
+        #[test]
+        fn prop_rgb24_roundtrip(
+            half_w in 0u32..40,
+            half_h in 0u32..40,
+            seed in proptest::prelude::any::<u8>(),
+            off_by in 1usize..7,
+        ) {
+            let (w, h) = (2 * half_w + 1, 2 * half_h + 1);
+            let frame = FrameBuf::from_fn(w, h, |x, y| {
+                Rgb::new(
+                    ((x * 7 + y * 3) as u8).wrapping_add(seed),
+                    ((x + y * 13) as u8).wrapping_mul(31),
+                    ((x * 5 + y * 11) as u8) ^ seed,
+                )
+            });
+            let bytes = frame.to_rgb24();
+            proptest::prop_assert_eq!(bytes.len(), (w * h * 3) as usize);
+            proptest::prop_assert_eq!(&FrameBuf::from_rgb24(w, h, &bytes).unwrap(), &frame);
+            let mut long = bytes.clone();
+            long.resize(bytes.len() + off_by, 0);
+            for wrong in [&bytes[..bytes.len() - off_by.min(bytes.len())], &long[..]] {
+                proptest::prop_assert_eq!(
+                    FrameBuf::from_rgb24(w, h, wrong).unwrap_err(),
+                    CoreError::FrameDataMismatch {
+                        expected: bytes.len(),
+                        actual: wrong.len(),
+                    }
+                );
+            }
+        }
     }
 
     #[test]

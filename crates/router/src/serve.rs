@@ -14,7 +14,6 @@ use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -24,7 +23,8 @@ use vdb_server::protocol::{
     decode_stream_request, encode_response, encode_stream_request, is_stream_request, write_frame,
     StreamRequest, DEFAULT_MAX_FRAME,
 };
-use vdb_server::server::{try_read_frame, FrameRead};
+use vdb_server::queue::WorkQueue;
+use vdb_server::server::{accept_loop, FrameRead, FrameReader};
 
 use crate::catalog::RouterCatalog;
 use crate::exec::{call_shard, scatter, RouterObs, ScatterOptions, ShardOutcome};
@@ -61,7 +61,8 @@ pub struct RouterConfig {
     pub shard_socket_timeout: Duration,
     /// Reject client frames larger than this.
     pub max_frame: usize,
-    /// Socket poll granularity (shutdown/idle checks).
+    /// Socket poll granularity: the acceptor's accept poll and an idle
+    /// connection's read timeout (shutdown/idle checks).
     pub poll_interval: Duration,
     /// Close a client connection with no traffic for this long.
     pub idle_timeout: Duration,
@@ -151,7 +152,7 @@ pub(crate) struct RouterCtx {
     pub metrics: Arc<ServerMetrics>,
     pub shutdown: Arc<AtomicBool>,
     pub config: RouterConfig,
-    rx: Arc<Mutex<Receiver<TcpStream>>>,
+    queue: Arc<WorkQueue<TcpStream>>,
     next_sid: Arc<AtomicU32>,
 }
 
@@ -222,16 +223,16 @@ impl Router {
         )));
         let metrics = Arc::new(ServerMetrics::new());
         let shutdown = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = std::sync::mpsc::channel::<TcpStream>();
-        let rx = Arc::new(Mutex::new(rx));
+        let queue = Arc::new(WorkQueue::<TcpStream>::new());
         let mut threads = Vec::with_capacity(config.workers + 1);
         {
             let shutdown = Arc::clone(&shutdown);
+            let queue = Arc::clone(&queue);
             let poll = config.poll_interval;
             threads.push(
                 std::thread::Builder::new()
                     .name("vdb-router-accept".into())
-                    .spawn(move || accept_loop(listener, tx, shutdown, poll))
+                    .spawn(move || accept_loop(listener, "vdb-router", &queue, &shutdown, poll))
                     .expect("spawn acceptor"),
             );
         }
@@ -245,7 +246,7 @@ impl Router {
                 metrics: Arc::clone(&metrics),
                 shutdown: Arc::clone(&shutdown),
                 config: config.clone(),
-                rx: Arc::clone(&rx),
+                queue: Arc::clone(&queue),
                 next_sid: Arc::clone(&next_sid),
             };
             threads.push(
@@ -323,50 +324,9 @@ impl RouterHandle {
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    tx: Sender<TcpStream>,
-    shutdown: Arc<AtomicBool>,
-    poll: Duration,
-) {
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if tx.send(stream).is_err() {
-                    break;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(poll),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => {
-                eprintln!("vdb-router: accept error: {e}");
-                std::thread::sleep(poll);
-            }
-        }
-    }
-    // Same late-backlog drain as vdbd: connections accepted by the OS
-    // before shutdown still get served.
-    loop {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if tx.send(stream).is_err() {
-                    break;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => break,
-        }
-    }
-}
-
 fn worker_loop(ctx: RouterCtx) {
-    loop {
-        let next = ctx.rx.lock().unwrap_or_else(|e| e.into_inner()).try_recv();
-        match next {
-            Ok(stream) => handle_connection(stream, &ctx),
-            Err(TryRecvError::Disconnected) => break,
-            Err(TryRecvError::Empty) => std::thread::sleep(ctx.config.poll_interval),
-        }
+    while let Some(stream) = ctx.queue.pop() {
+        handle_connection(stream, &ctx);
     }
 }
 
@@ -389,13 +349,14 @@ fn handle_connection(mut stream: TcpStream, ctx: &RouterCtx) {
     let _ = stream.set_nodelay(true);
     ctx.metrics.connection_opened();
     let mut proxies: HashMap<u32, ProxySession> = HashMap::new();
+    let mut reader = FrameReader::default();
     let mut idle_deadline = Instant::now() + cfg.idle_timeout;
     let mut drain_deadline: Option<Instant> = None;
     loop {
         if drain_deadline.is_none() && ctx.shutdown.load(Ordering::SeqCst) {
             drain_deadline = Some(Instant::now() + cfg.drain_grace);
         }
-        match try_read_frame(&mut stream, cfg.max_frame, cfg.frame_timeout) {
+        match reader.try_read(&mut stream, cfg.max_frame, cfg.frame_timeout) {
             Ok(FrameRead::Idle) => {
                 let now = Instant::now();
                 if let Some(d) = drain_deadline {
@@ -411,10 +372,10 @@ fn handle_connection(mut stream: TcpStream, ctx: &RouterCtx) {
                 idle_deadline = Instant::now() + cfg.idle_timeout;
                 let started = Instant::now();
                 let bytes_in = 4 + payload.len() as u64;
-                let (kind, result) = if is_stream_request(&payload) {
-                    stream_proxy(ctx, &mut proxies, &payload)
+                let (kind, result) = if is_stream_request(payload) {
+                    stream_proxy(ctx, &mut proxies, payload)
                 } else {
-                    match std::str::from_utf8(&payload) {
+                    match std::str::from_utf8(payload) {
                         Ok(line) => dispatch(ctx, line),
                         Err(_) => (
                             CommandKind::Other,

@@ -6,13 +6,14 @@
 //! and the `loadgen` benchmark driver.
 
 use crate::protocol::{
-    decode_response, encode_stream_request, read_frame, write_frame, FrameError, Response,
-    StreamRequest, DEFAULT_MAX_FRAME,
+    decode_response, encode_stream_request, read_frame, write_frame, write_stream_frame,
+    FrameError, Response, StreamRequest, DEFAULT_MAX_FRAME,
 };
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 use vdb_core::frame::FrameBuf;
+use vdb_core::pixel::rgb_as_bytes;
 
 /// Why a request failed.
 #[derive(Debug)]
@@ -311,9 +312,10 @@ impl FrameStream<'_> {
         self.next_seq
     }
 
-    /// Push one frame (converted to raw RGB24 on the wire).
+    /// Push one frame. Its pixels already are the wire's raw RGB24, so
+    /// they go out as they lie, without a copy.
     pub fn push(&mut self, frame: &FrameBuf) -> Result<(), ClientError> {
-        self.push_rgb24(&frame.to_rgb24())
+        self.push_rgb24(rgb_as_bytes(frame.pixels()))
     }
 
     /// Push one raw RGB24 frame (`width*height*3` bytes).
@@ -326,14 +328,7 @@ impl FrameStream<'_> {
         if self.inflight >= self.window {
             self.await_ack()?;
         }
-        write_frame(
-            &mut self.client.stream,
-            &encode_stream_request(&StreamRequest::Frame {
-                session: self.session,
-                seq: self.next_seq,
-                data,
-            }),
-        )?;
+        write_stream_frame(&mut self.client.stream, self.session, self.next_seq, data)?;
         self.next_seq += 1;
         self.inflight += 1;
         Ok(())

@@ -12,6 +12,8 @@
 //! * [`session`] — [`session::SessionTable`]: server-side streaming-ingest
 //!   sessions with credit-based flow control, admission control, idle
 //!   reaping, and per-session failure isolation;
+//! * [`queue`] — [`queue::WorkQueue`]: the blocking acceptor → worker
+//!   connection hand-off (shared with the router front end);
 //! * [`metrics`] — [`metrics::ServerMetrics`]: lock-free per-command
 //!   counters and latency histograms (p50/p99), surfaced by the `metrics`
 //!   wire command and a periodic log line;
@@ -34,11 +36,13 @@
 pub mod client;
 pub mod metrics;
 pub mod protocol;
+pub mod queue;
 pub mod server;
 pub mod session;
 
 pub use client::{Client, ClientError, ConnectOptions, FrameStream, StreamCommit};
 pub use metrics::{CommandKind, MetricsSnapshot, ServerMetrics};
 pub use protocol::{Response, StreamRequest, DEFAULT_MAX_FRAME};
+pub use queue::WorkQueue;
 pub use server::{Server, ServerConfig, ServerHandle, ServerStore};
 pub use session::{SessionTable, StreamStats};

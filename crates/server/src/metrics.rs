@@ -170,6 +170,8 @@ struct StreamHandles {
     session_errors: Counter,
     frames: Counter,
     frame_bytes: Counter,
+    credit_waits: Counter,
+    credit_wait_us: Histogram,
 }
 
 impl Default for ServerMetrics {
@@ -213,6 +215,8 @@ impl ServerMetrics {
                 session_errors: registry.counter("server.stream.session_errors"),
                 frames: registry.counter("server.stream.frames"),
                 frame_bytes: registry.counter("server.stream.frame_bytes"),
+                credit_waits: registry.counter("server.stream.credit_waits"),
+                credit_wait_us: registry.histogram("server.stream.credit_wait_us"),
             },
             commands,
             registry,
@@ -311,6 +315,19 @@ impl ServerMetrics {
         self.stream.frame_bytes.add(bytes);
     }
 
+    /// Record a worker about to block for a free credit (the pump is
+    /// `credit_window` frames behind). Frames that find a credit free
+    /// record nothing. Counted when the wait *starts*, so a worker stuck
+    /// behind a stalled pump shows as a wait with no duration yet.
+    pub fn stream_credit_wait_begin(&self) {
+        self.stream.credit_waits.incr();
+    }
+
+    /// Record how long a finished credit wait took.
+    pub fn stream_credit_wait_end(&self, waited: Duration) {
+        self.stream.credit_wait_us.record(waited);
+    }
+
     /// A point-in-time copy of every counter.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let commands = CommandKind::ALL
@@ -331,6 +348,7 @@ impl ServerMetrics {
                 }
             })
             .collect();
+        let credit_wait = self.stream.credit_wait_us.snapshot();
         MetricsSnapshot {
             commands,
             connections_opened: self.connections_opened.get(),
@@ -346,6 +364,9 @@ impl ServerMetrics {
                 session_errors: self.stream.session_errors.get(),
                 frames: self.stream.frames.get(),
                 frame_bytes: self.stream.frame_bytes.get(),
+                credit_waits: self.stream.credit_waits.get(),
+                credit_wait_p50_us: credit_wait.p50_us(),
+                credit_wait_p99_us: credit_wait.p99_us(),
             },
         }
     }
@@ -370,6 +391,12 @@ pub struct StreamSnapshot {
     pub frames: u64,
     /// Stream frame payload bytes accepted.
     pub frame_bytes: u64,
+    /// Frames whose worker had to wait for the pump to free a credit.
+    pub credit_waits: u64,
+    /// Median such wait, µs (bucket upper bound; 0 with no waits).
+    pub credit_wait_p50_us: u64,
+    /// 99th-percentile such wait, µs (bucket upper bound).
+    pub credit_wait_p99_us: u64,
 }
 
 /// Counters for one command kind at snapshot time.
@@ -482,6 +509,13 @@ impl MetricsSnapshot {
                 s.frames,
                 s.frame_bytes
             );
+            if s.credit_waits > 0 {
+                let _ = writeln!(
+                    out,
+                    "  stream credit waits: {} (p50 {}us, p99 {}us)",
+                    s.credit_waits, s.credit_wait_p50_us, s.credit_wait_p99_us
+                );
+            }
         }
         let (bytes_in, bytes_out) = self.total_bytes();
         let _ = writeln!(
@@ -588,6 +622,25 @@ mod tests {
             "{}",
             snap.render()
         );
+        assert!(
+            !snap.render().contains("credit waits"),
+            "no credit line until a worker has waited"
+        );
+        for waited in [40, 3_000] {
+            m.stream_credit_wait_begin();
+            m.stream_credit_wait_end(Duration::from_micros(waited));
+        }
+        let snap = m.snapshot();
+        assert_eq!(snap.stream.credit_waits, 2);
+        assert_eq!(snap.stream.credit_wait_p50_us, 64);
+        assert_eq!(snap.stream.credit_wait_p99_us, 4096);
+        assert!(
+            snap.render()
+                .contains("stream credit waits: 2 (p50 64us, p99 4096us)"),
+            "{}",
+            snap.render()
+        );
+        assert!(m.to_json().contains("\"server.stream.credit_waits\":2"));
     }
 
     #[test]

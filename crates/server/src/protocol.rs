@@ -41,7 +41,7 @@
 //! ordinary `-` responses that *poison the session*, not the connection —
 //! the same TCP connection can keep serving commands and other sessions.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Default upper bound on a frame payload (1 MiB). Command lines and
 /// rendered scene trees are orders of magnitude smaller; anything bigger
@@ -233,10 +233,51 @@ impl From<io::Error> for FrameError {
     }
 }
 
-/// Write one frame (length prefix + payload).
+/// Write `head` then `body` with one vectored write, looping only on a
+/// short write. On a `TCP_NODELAY` socket two `write`s are two segments
+/// and two wake-ups of the peer; one `writev` is one of each.
+fn write_all_pair<W: Write>(w: &mut W, head: &[u8], body: &[u8]) -> io::Result<()> {
+    let total = head.len() + body.len();
+    let mut sent = 0;
+    while sent < total {
+        let wrote = if sent < head.len() {
+            w.write_vectored(&[IoSlice::new(&head[sent..]), IoSlice::new(body)])
+        } else {
+            w.write(&body[sent - head.len()..])
+        };
+        match wrote {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// Write one frame (length prefix + payload) in a single write.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    write_all_pair(w, &(payload.len() as u32).to_le_bytes(), payload)?;
+    w.flush()
+}
+
+/// Write one `FRAME` stream message — length prefix, stream header, then
+/// `data` straight from the caller's buffer — in a single write. The
+/// bytes are exactly `write_frame(encode_stream_request(Frame { .. }))`
+/// without assembling the payload first.
+pub fn write_stream_frame<W: Write>(
+    w: &mut W,
+    session: u32,
+    seq: u32,
+    data: &[u8],
+) -> io::Result<()> {
+    let mut head = [0u8; 4 + STREAM_HEADER];
+    head[0..4].copy_from_slice(&((STREAM_HEADER + data.len()) as u32).to_le_bytes());
+    head[4] = STREAM_MAGIC;
+    head[5] = OP_FRAME;
+    head[6..10].copy_from_slice(&session.to_le_bytes());
+    head[10..14].copy_from_slice(&seq.to_le_bytes());
+    write_all_pair(w, &head, data)?;
     w.flush()
 }
 
@@ -315,6 +356,84 @@ mod tests {
         assert_eq!(read_frame(&mut r, 64).unwrap().unwrap(), b"stats");
         assert_eq!(read_frame(&mut r, 64).unwrap().unwrap(), b"");
         assert!(read_frame(&mut r, 64).unwrap().is_none(), "clean EOF");
+    }
+
+    /// A sink that takes at most `per_call` bytes per `write*` call and
+    /// counts the calls, to force (and count) short writes.
+    struct Trickle {
+        per_call: usize,
+        out: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Trickle {
+        fn new(per_call: usize) -> Self {
+            Trickle {
+                per_call,
+                out: Vec::new(),
+                calls: 0,
+            }
+        }
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let mut room = self.per_call;
+            for buf in bufs {
+                let n = room.min(buf.len());
+                self.out.extend_from_slice(&buf[..n]);
+                room -= n;
+            }
+            Ok(self.per_call - room)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The vectored writers emit exactly `len ‖ payload` however short
+    /// the sink's writes are, and a sink that takes everything sees one
+    /// call per message.
+    #[test]
+    fn vectored_writes_survive_short_writes_byte_identically() {
+        let data: Vec<u8> = (0..9_000u32).map(|i| (i * 31 % 251) as u8).collect();
+        let payload = encode_stream_request(&StreamRequest::Frame {
+            session: 0x0102_0304,
+            seq: 0x0a0b_0c0d,
+            data: &data,
+        });
+        let mut expected = (payload.len() as u32).to_le_bytes().to_vec();
+        expected.extend_from_slice(&payload);
+
+        for per_call in [1, 7, 4096, usize::MAX] {
+            let mut plain = Trickle::new(per_call);
+            write_frame(&mut plain, &payload).unwrap();
+            assert_eq!(plain.out, expected, "write_frame at {per_call} bytes/call");
+
+            let mut streamed = Trickle::new(per_call);
+            write_stream_frame(&mut streamed, 0x0102_0304, 0x0a0b_0c0d, &data).unwrap();
+            assert_eq!(
+                streamed.out, expected,
+                "write_stream_frame at {per_call} bytes/call"
+            );
+
+            let min_calls = expected.len().div_ceil(per_call);
+            assert_eq!(plain.calls, min_calls, "write_frame calls at {per_call}");
+            assert_eq!(streamed.calls, min_calls, "stream calls at {per_call}");
+        }
+        // An empty payload is still one call, and a sink that accepts
+        // nothing is an error rather than a spin.
+        let mut empty = Trickle::new(usize::MAX);
+        write_frame(&mut empty, b"").unwrap();
+        assert_eq!((empty.out.as_slice(), empty.calls), (&[0u8; 4][..], 1));
+        let err = write_frame(&mut Trickle::new(0), b"ping").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! The serving core: a fixed-size worker pool over blocking sockets.
 //!
 //! One acceptor thread hands connections to `workers` handler threads
-//! through a queue; each worker owns one connection at a time and runs its
-//! requests to completion (so the pool size bounds concurrent
-//! connections — excess connections queue until a worker frees up).
-//! Blocking reads use short socket timeouts as a poll interval, which is
-//! what makes idle timeouts and prompt graceful shutdown possible without
-//! an async runtime:
+//! through a blocking [`WorkQueue`]; each worker owns one connection at a
+//! time and runs its requests to completion (so the pool size bounds
+//! concurrent connections — excess connections queue until a worker frees
+//! up). Blocking reads use short socket timeouts as a poll interval, which
+//! is what makes idle timeouts and prompt graceful shutdown possible
+//! without an async runtime:
 //!
 //! * a connection silent longer than `idle_timeout` is closed;
 //! * a frame that starts but does not complete within `frame_timeout` is
@@ -26,14 +26,14 @@ use crate::protocol::{
     decode_stream_request, encode_response, is_stream_request, write_frame, FrameError,
     StreamRequest, DEFAULT_MAX_FRAME,
 };
+use crate::queue::WorkQueue;
 use crate::session::{SessionTable, StreamLimits, StreamStats};
 use parking_lot::RwLock;
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use vdb_core::analyzer::AnalyzerConfig;
@@ -59,7 +59,11 @@ pub struct ServerConfig {
     pub write_timeout: Duration,
     /// Reject request frames larger than this.
     pub max_frame: usize,
-    /// Socket poll granularity (shutdown/idle checks happen this often).
+    /// Socket poll granularity: how often the acceptor looks for a new
+    /// connection and how often an idle connection's read times out to
+    /// check the shutdown flag and its idle/drain deadlines. Nothing on a
+    /// request's path waits on it — the connection hand-off to workers
+    /// and streaming backpressure are condvar hand-offs.
     pub poll_interval: Duration,
     /// After shutdown, keep reading already-sent requests for this long.
     pub drain_grace: Duration,
@@ -289,29 +293,28 @@ impl Server {
                 credit_window: config.stream_credits.max(1),
                 idle_timeout: config.session_idle_timeout,
                 stall_timeout: config.stream_stall_timeout,
-                poll_interval: config.poll_interval,
                 max_frame: config.max_frame,
             },
             store.clone(),
             Arc::clone(&metrics),
         ));
-        let (tx, rx) = std::sync::mpsc::channel::<TcpStream>();
-        let rx = Arc::new(Mutex::new(rx));
+        let queue = Arc::new(WorkQueue::<TcpStream>::new());
         let mut threads = Vec::with_capacity(config.workers + 3);
 
         {
             let shutdown = Arc::clone(&shutdown);
+            let queue = Arc::clone(&queue);
             let poll = config.poll_interval;
             threads.push(
                 std::thread::Builder::new()
                     .name("vdbd-accept".into())
-                    .spawn(move || accept_loop(listener, tx, shutdown, poll))
+                    .spawn(move || accept_loop(listener, "vdbd", &queue, &shutdown, poll))
                     .expect("spawn acceptor"),
             );
         }
         for i in 0..config.workers.max(1) {
             let ctx = WorkerCtx {
-                rx: Arc::clone(&rx),
+                queue: Arc::clone(&queue),
                 store: store.clone(),
                 metrics: Arc::clone(&metrics),
                 sessions: Arc::clone(&sessions),
@@ -327,19 +330,16 @@ impl Server {
         }
         {
             // The session reaper: aborts streams idle past their timeout
-            // so abandoned sessions release admission slots.
+            // so abandoned sessions release admission slots, and whatever
+            // the drain leaves open at shutdown.
             let sessions = Arc::clone(&sessions);
             let shutdown = Arc::clone(&shutdown);
-            let poll = config.poll_interval.max(Duration::from_millis(20));
+            let tick = config.poll_interval.max(Duration::from_millis(20));
+            let drain_grace = config.drain_grace;
             threads.push(
                 std::thread::Builder::new()
                     .name("vdbd-reaper".into())
-                    .spawn(move || {
-                        while !shutdown.load(Ordering::SeqCst) {
-                            std::thread::sleep(poll);
-                            sessions.reap_idle();
-                        }
-                    })
+                    .spawn(move || sessions.run_reaper(&shutdown, tick, drain_grace))
                     .expect("spawn session reaper"),
             );
         }
@@ -416,7 +416,14 @@ impl ServerHandle {
 
     /// Begin graceful shutdown: stop accepting, drain in-flight requests.
     pub fn trigger_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        begin_shutdown(&self.shutdown, &self.sessions);
+    }
+
+    /// Move the streaming sessions' idle clock forward by `by` and wake
+    /// the reaper — for tests that need a session to outlive a long
+    /// `session_idle_timeout` without sleeping through it.
+    pub fn advance_session_clock(&self, by: Duration) {
+        self.sessions.advance_clock(by);
     }
 
     /// Wait for the server to finish (after a wire `shutdown`, a
@@ -441,23 +448,32 @@ impl ServerHandle {
     }
 }
 
-fn accept_loop(
+/// Set the shutdown flag and wake the reaper, which otherwise sees the
+/// flag only at its next tick (as it does when `vdbd`'s signal handler
+/// sets the bare flag).
+fn begin_shutdown(shutdown: &AtomicBool, sessions: &SessionTable) {
+    shutdown.store(true, Ordering::SeqCst);
+    sessions.kick_reaper();
+}
+
+/// The acceptor thread's body: poll the non-blocking `listener` every
+/// `poll` until `shutdown`, queueing each connection for the workers,
+/// then close the queue. Public so the router's front end runs the same
+/// loop as `vdbd`; `who` prefixes the error log line.
+pub fn accept_loop(
     listener: TcpListener,
-    tx: Sender<TcpStream>,
-    shutdown: Arc<AtomicBool>,
+    who: &str,
+    queue: &WorkQueue<TcpStream>,
+    shutdown: &AtomicBool,
     poll: Duration,
 ) {
     while !shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
-            Ok((stream, _peer)) => {
-                if tx.send(stream).is_err() {
-                    break;
-                }
-            }
+            Ok((stream, _peer)) => queue.push(stream),
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(poll),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => {
-                eprintln!("vdbd: accept error: {e}");
+                eprintln!("{who}: accept error: {e}");
                 std::thread::sleep(poll);
             }
         }
@@ -465,22 +481,19 @@ fn accept_loop(
     // A client that finished its TCP handshake before shutdown may already
     // have sent a request, even if we have not accept()ed it yet. Drain
     // the backlog into the worker queue so those requests get their
-    // replies too; only then drop `tx` (disconnecting the queue).
+    // replies too; only then close the queue (workers drain it and exit).
     loop {
         match listener.accept() {
-            Ok((stream, _peer)) => {
-                if tx.send(stream).is_err() {
-                    break;
-                }
-            }
+            Ok((stream, _peer)) => queue.push(stream),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(_) => break,
         }
     }
+    queue.close();
 }
 
 struct WorkerCtx {
-    rx: Arc<Mutex<Receiver<TcpStream>>>,
+    queue: Arc<WorkQueue<TcpStream>>,
     store: ServerStore,
     metrics: Arc<ServerMetrics>,
     sessions: Arc<SessionTable>,
@@ -489,90 +502,99 @@ struct WorkerCtx {
 }
 
 fn worker_loop(ctx: WorkerCtx) {
-    loop {
-        // Take the queue lock only to poll, never while handling a
-        // connection. recv_timeout would hold the lock and starve the
-        // other workers; try_recv + sleep keeps dispatch fair at
-        // poll-interval granularity.
-        let next = ctx.rx.lock().unwrap_or_else(|e| e.into_inner()).try_recv();
-        match next {
-            Ok(stream) => handle_connection(stream, &ctx),
-            Err(TryRecvError::Disconnected) => break,
-            Err(TryRecvError::Empty) => std::thread::sleep(ctx.config.poll_interval),
-        }
+    while let Some(stream) = ctx.queue.pop() {
+        handle_connection(stream, &ctx);
     }
 }
 
-/// Outcome of one deadline-aware frame read (see [`try_read_frame`]).
-pub enum FrameRead {
-    /// A complete frame.
-    Frame(Vec<u8>),
+/// Outcome of one deadline-aware frame read (see [`FrameReader`]).
+pub enum FrameRead<'a> {
+    /// A complete frame's payload, valid until the next read.
+    Frame(&'a [u8]),
     /// No bytes arrived within one poll interval.
     Idle,
     /// Clean end-of-stream at a frame boundary.
     Eof,
 }
 
-/// Read one frame with the stream's poll-interval read timeout. Returns
-/// `Idle` if no byte arrived; once a frame has started it must complete
-/// within `frame_timeout` or the frame counts as torn. Public so the
-/// router's front end can run the same connection loop as `vdbd`.
-pub fn try_read_frame(
-    stream: &mut TcpStream,
-    max: usize,
-    frame_timeout: Duration,
-) -> Result<FrameRead, FrameError> {
-    let mut header = [0u8; 4];
-    let mut deadline: Option<Instant> = None;
-    let mut fill = |buf: &mut [u8], deadline: &mut Option<Instant>| -> Result<bool, FrameError> {
-        let mut got = 0;
-        while got < buf.len() {
-            match stream.read(&mut buf[got..]) {
-                Ok(0) => {
-                    return if got == 0 && deadline.is_none() {
-                        Ok(false) // clean EOF before any frame byte
-                    } else {
-                        Err(FrameError::Torn)
-                    };
-                }
-                Ok(n) => {
-                    got += n;
-                    if deadline.is_none() {
-                        *deadline = Some(Instant::now() + frame_timeout);
-                    }
-                }
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    match *deadline {
-                        None => return Ok(true), // still idle, caller re-polls
-                        Some(d) if Instant::now() >= d => return Err(FrameError::Torn),
-                        Some(_) => {}
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(FrameError::Io(e)),
-            }
-        }
-        Ok(true)
-    };
+/// A connection's deadline-aware frame reader. It owns one payload
+/// buffer for the connection's lifetime — grown to the largest frame
+/// seen (at most the frame cap), never shrunk and never re-zeroed — so a
+/// stream of 57.6 kB frames costs one socket read each, not an
+/// allocation and a zero-fill besides. Public so the router's front end
+/// can run the same connection loop as `vdbd`.
+#[derive(Default)]
+pub struct FrameReader {
+    buf: Vec<u8>,
+}
 
-    if !fill(&mut header, &mut deadline)? {
-        return Ok(FrameRead::Eof);
+impl FrameReader {
+    /// Read one frame with the stream's poll-interval read timeout.
+    /// Returns `Idle` if no byte arrived; once a frame has started it
+    /// must complete within `frame_timeout` or the frame counts as torn.
+    pub fn try_read(
+        &mut self,
+        stream: &mut TcpStream,
+        max: usize,
+        frame_timeout: Duration,
+    ) -> Result<FrameRead<'_>, FrameError> {
+        let mut header = [0u8; 4];
+        let mut deadline: Option<Instant> = None;
+        let mut fill =
+            |buf: &mut [u8], deadline: &mut Option<Instant>| -> Result<bool, FrameError> {
+                let mut got = 0;
+                while got < buf.len() {
+                    match stream.read(&mut buf[got..]) {
+                        Ok(0) => {
+                            return if got == 0 && deadline.is_none() {
+                                Ok(false) // clean EOF before any frame byte
+                            } else {
+                                Err(FrameError::Torn)
+                            };
+                        }
+                        Ok(n) => {
+                            got += n;
+                            if deadline.is_none() {
+                                *deadline = Some(Instant::now() + frame_timeout);
+                            }
+                        }
+                        Err(e)
+                            if e.kind() == io::ErrorKind::WouldBlock
+                                || e.kind() == io::ErrorKind::TimedOut =>
+                        {
+                            match *deadline {
+                                None => return Ok(true), // still idle, caller re-polls
+                                Some(d) if Instant::now() >= d => return Err(FrameError::Torn),
+                                Some(_) => {}
+                            }
+                        }
+                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                        Err(e) => return Err(FrameError::Io(e)),
+                    }
+                }
+                Ok(true)
+            };
+
+        if !fill(&mut header, &mut deadline)? {
+            return Ok(FrameRead::Eof);
+        }
+        if deadline.is_none() {
+            return Ok(FrameRead::Idle);
+        }
+        let declared = u32::from_le_bytes(header);
+        if declared as usize > max {
+            return Err(FrameError::TooLarge { declared, max });
+        }
+        let declared = declared as usize;
+        if self.buf.len() < declared {
+            self.buf.resize(declared, 0);
+        }
+        let payload = &mut self.buf[..declared];
+        if !payload.is_empty() && !fill(payload, &mut deadline)? {
+            return Err(FrameError::Torn);
+        }
+        Ok(FrameRead::Frame(payload))
     }
-    if deadline.is_none() {
-        return Ok(FrameRead::Idle);
-    }
-    let declared = u32::from_le_bytes(header);
-    if declared as usize > max {
-        return Err(FrameError::TooLarge { declared, max });
-    }
-    let mut payload = vec![0u8; declared as usize];
-    if !payload.is_empty() && !fill(&mut payload, &mut deadline)? {
-        return Err(FrameError::Torn);
-    }
-    Ok(FrameRead::Frame(payload))
 }
 
 fn handle_connection(mut stream: TcpStream, ctx: &WorkerCtx) {
@@ -587,13 +609,14 @@ fn handle_connection(mut stream: TcpStream, ctx: &WorkerCtx) {
     // Scopes streaming-session ownership; on any exit from this function
     // the connection's sessions are aborted (torn-disconnect cleanup).
     let conn_id = ctx.sessions.register_conn();
+    let mut reader = FrameReader::default();
     let mut idle_deadline = Instant::now() + cfg.idle_timeout;
     let mut drain_deadline: Option<Instant> = None;
     loop {
         if drain_deadline.is_none() && ctx.shutdown.load(Ordering::SeqCst) {
             drain_deadline = Some(Instant::now() + cfg.drain_grace);
         }
-        match try_read_frame(&mut stream, cfg.max_frame, cfg.frame_timeout) {
+        match reader.try_read(&mut stream, cfg.max_frame, cfg.frame_timeout) {
             Ok(FrameRead::Idle) => {
                 let now = Instant::now();
                 if let Some(d) = drain_deadline {
@@ -616,10 +639,10 @@ fn handle_connection(mut stream: TcpStream, ctx: &WorkerCtx) {
                 let root = tracer.trace_root();
                 let mut rspan = tracer.span(&root, "server.request");
                 let tctx = rspan.context();
-                let (kind, result) = if is_stream_request(&payload) {
-                    stream_dispatch(ctx, conn_id, &payload)
+                let (kind, result) = if is_stream_request(payload) {
+                    stream_dispatch(ctx, conn_id, payload)
                 } else {
-                    match std::str::from_utf8(&payload) {
+                    match std::str::from_utf8(payload) {
                         Ok(line) => dispatch(ctx, line, &tctx),
                         Err(_) => (
                             CommandKind::Other,
@@ -743,7 +766,7 @@ fn dispatch(
             return (CommandKind::Metrics, Ok(text));
         }
         "shutdown" => {
-            ctx.shutdown.store(true, Ordering::SeqCst);
+            begin_shutdown(&ctx.shutdown, &ctx.sessions);
             return (
                 CommandKind::Shutdown,
                 Ok("shutting down: draining connections".to_string()),

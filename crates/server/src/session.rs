@@ -11,6 +11,13 @@
 //! buffer past the window — so a slow disk or an expensive analysis stage
 //! pushes back on the client instead of growing an unbounded queue.
 //!
+//! The hold is a condvar hand-off, not a timer: a worker whose session has
+//! no free credit waits on the session's [`Condvar`]; the pump signals it
+//! after every frame it consumes, and so does anything that poisons or
+//! tears down the session (abort, reaper, shutdown), so the worker resumes
+//! the moment a slot frees and never outlives its session. Only
+//! `stall_timeout` bounds the wait.
+//!
 //! Lifecycle and failure handling:
 //!
 //! * **admission** — at most `max_sessions` sessions exist at once; opens
@@ -38,7 +45,7 @@ use crate::server::ServerStore;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use vdb_core::frame::FrameBuf;
@@ -56,8 +63,6 @@ pub struct StreamLimits {
     pub idle_timeout: Duration,
     /// Give up enqueueing a frame if the pump stays saturated this long.
     pub stall_timeout: Duration,
-    /// Retry granularity for a saturated pump queue.
-    pub poll_interval: Duration,
     /// The wire frame cap — opens whose frames could not fit are rejected.
     pub max_frame: usize,
 }
@@ -75,6 +80,32 @@ enum PumpMsg {
     Commit(mpsc::Sender<Result<CommitOutcome, String>>),
 }
 
+/// A session's flow-control state: everything a worker waiting for a
+/// credit must re-check when it wakes. Guarded by [`StreamSession::flow`];
+/// every change that can end a wait is followed by a signal on
+/// [`StreamSession::credit`].
+struct Flow {
+    /// Frames buffered (enqueued, not yet analyzed).
+    queued: u32,
+    /// Set on teardown: the pump drains without analyzing, a waiting
+    /// worker gives up.
+    aborting: bool,
+    /// Sticky session error; set once, reported on every later message.
+    poisoned: Option<String>,
+}
+
+impl Flow {
+    /// Record a session-scoped failure: sticky error + counters, first
+    /// error wins. The caller signals `credit` after releasing the lock.
+    fn poison(&mut self, metrics: &ServerMetrics, msg: String) {
+        if self.poisoned.is_none() {
+            self.poisoned = Some(msg);
+            metrics.protocol_error();
+            metrics.stream_session_error();
+        }
+    }
+}
+
 /// One live streaming session.
 struct StreamSession {
     id: u32,
@@ -84,14 +115,12 @@ struct StreamSession {
     window: u32,
     /// Next expected frame sequence number.
     next_seq: AtomicU32,
-    /// Frames buffered (enqueued, not yet analyzed).
-    queued: AtomicU32,
-    /// Last traffic, in ms since the table's epoch (for the reaper).
+    /// Last traffic, on the table's clock (for the reaper).
     last_active_ms: AtomicU64,
-    /// Set on abort so the pump drains without analyzing.
-    aborting: AtomicBool,
-    /// Sticky session error; set once, reported on every later message.
-    poisoned: Mutex<Option<String>>,
+    flow: Mutex<Flow>,
+    /// Signalled whenever `flow` changes in a way a waiting worker cares
+    /// about: a credit freed, the session poisoned, the session torn down.
+    credit: Condvar,
     /// Frame sender; `take`n on commit/abort, which closes the pump's
     /// channel.
     tx: Mutex<Option<SyncSender<PumpMsg>>>,
@@ -99,17 +128,31 @@ struct StreamSession {
 }
 
 impl StreamSession {
-    fn poison_message(&self) -> Option<String> {
-        self.poisoned
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+    fn lock_flow(&self) -> MutexGuard<'_, Flow> {
+        // Every update leaves `Flow` valid at every step, so a panic on
+        // another thread while it held the lock leaves nothing to repair.
+        self.flow.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn touch(&self, epoch: Instant) {
-        self.last_active_ms
-            .store(epoch.elapsed().as_millis() as u64, Ordering::Relaxed);
+    fn poison_message(&self) -> Option<String> {
+        self.lock_flow().poisoned.clone()
     }
+
+    /// Poison the session and wake its worker if it is waiting for a
+    /// credit. The connection stays open; only this session is lost.
+    fn poison(&self, metrics: &ServerMetrics, msg: String) {
+        self.lock_flow().poison(metrics, msg);
+        self.credit.notify_all();
+    }
+
+    /// Give back a credit taken for a frame that was never enqueued.
+    fn return_credit(&self) {
+        self.lock_flow().queued -= 1;
+    }
+}
+
+fn failed(msg: impl std::fmt::Display) -> String {
+    format!("session failed: {msg}")
 }
 
 /// Point-in-time streaming statistics (see [`SessionTable::stats`]).
@@ -135,6 +178,12 @@ pub struct SessionTable {
     store: ServerStore,
     metrics: Arc<ServerMetrics>,
     epoch: Instant,
+    /// Added to the real time since `epoch`: lets a test age sessions past
+    /// a long idle timeout without sleeping through it.
+    clock_skew_ms: AtomicU64,
+    /// The reaper thread's wake-up flag and its condvar.
+    reaper_kick: Mutex<bool>,
+    reaper_wake: Condvar,
 }
 
 impl SessionTable {
@@ -152,6 +201,9 @@ impl SessionTable {
             store,
             metrics,
             epoch: Instant::now(),
+            clock_skew_ms: AtomicU64::new(0),
+            reaper_kick: Mutex::new(false),
+            reaper_wake: Condvar::new(),
         }
     }
 
@@ -160,34 +212,61 @@ impl SessionTable {
         self.next_conn.fetch_add(1, Ordering::Relaxed)
     }
 
-    fn lock_map(&self) -> std::sync::MutexGuard<'_, HashMap<u32, Arc<StreamSession>>> {
+    fn lock_map(&self) -> MutexGuard<'_, HashMap<u32, Arc<StreamSession>>> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn get(&self, id: u32) -> Option<Arc<StreamSession>> {
-        self.lock_map().get(&id).cloned()
+    /// The table's clock: ms since it was built, plus any test skew.
+    fn now_ms(&self) -> u64 {
+        self.epoch.elapsed().as_millis() as u64 + self.clock_skew_ms.load(Ordering::Relaxed)
     }
 
-    /// Record a session-scoped failure: sticky error + counters. The
-    /// connection stays open; only this session is lost.
-    fn poison(&self, sess: &StreamSession, msg: String) {
-        let mut slot = sess.poisoned.lock().unwrap_or_else(|e| e.into_inner());
-        if slot.is_none() {
-            *slot = Some(msg);
-            self.metrics.protocol_error();
-            self.metrics.stream_session_error();
+    fn touch(&self, sess: &StreamSession) {
+        sess.last_active_ms.store(self.now_ms(), Ordering::Relaxed);
+    }
+
+    /// Look up a session on behalf of the connection that must own it.
+    fn owned(&self, conn: u64, session: u32) -> Result<Arc<StreamSession>, String> {
+        let sess = self
+            .lock_map()
+            .get(&session)
+            .cloned()
+            .ok_or_else(|| format!("unknown session {session}"))?;
+        if sess.conn != conn {
+            return Err(format!("session {session} belongs to another connection"));
         }
+        Ok(sess)
     }
 
-    /// Stop the pump and drop the session from the table. Blocks until
-    /// the pump thread exits (bounded: it only drains its channel).
-    fn teardown(&self, sess: &Arc<StreamSession>) {
-        self.lock_map().remove(&sess.id);
-        sess.aborting.store(true, Ordering::SeqCst);
+    /// Take the session out of the table. Exactly one caller gets `true`
+    /// and with it the duty to stop the pump and count the outcome, so a
+    /// session torn down from two sides (say the reaper and its own
+    /// connection closing) is still counted once.
+    fn claim(&self, sess: &StreamSession) -> bool {
+        self.lock_map().remove(&sess.id).is_some()
+    }
+
+    /// Stop a claimed session's pump. Wakes the session's worker if it is
+    /// waiting for a credit, then blocks until the pump thread exits
+    /// (bounded: it only drains its channel).
+    fn stop_pump(&self, sess: &StreamSession) {
+        sess.lock_flow().aborting = true;
+        sess.credit.notify_all();
         drop(sess.tx.lock().unwrap_or_else(|e| e.into_inner()).take());
         let pump = sess.pump.lock().unwrap_or_else(|e| e.into_inner()).take();
         if let Some(handle) = pump {
             let _ = handle.join();
+        }
+    }
+
+    /// Claim and stop every session in `doomed`, counting each through
+    /// `count` — once, by whoever claimed it.
+    fn teardown_all(&self, doomed: Vec<Arc<StreamSession>>, count: impl Fn(&ServerMetrics)) {
+        for sess in doomed {
+            if self.claim(&sess) {
+                self.stop_pump(&sess);
+                count(&self.metrics);
+            }
         }
     }
 
@@ -230,8 +309,8 @@ impl SessionTable {
             ));
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        // Frames (<= window) plus the commit message always fit, so the
-        // worker's try_send only stalls if accounting is violated.
+        // Frames (<= window, enforced by the credit gate) plus the commit
+        // message always fit, so a send never finds the channel full.
         let (tx, rx) = mpsc::sync_channel::<PumpMsg>(window as usize + 1);
         let sess = Arc::new(StreamSession {
             id,
@@ -239,14 +318,17 @@ impl SessionTable {
             dims: (width, height),
             window,
             next_seq: AtomicU32::new(0),
-            queued: AtomicU32::new(0),
             last_active_ms: AtomicU64::new(0),
-            aborting: AtomicBool::new(false),
-            poisoned: Mutex::new(None),
+            flow: Mutex::new(Flow {
+                queued: 0,
+                aborting: false,
+                poisoned: None,
+            }),
+            credit: Condvar::new(),
             tx: Mutex::new(Some(tx)),
             pump: Mutex::new(None),
         });
-        sess.touch(self.epoch);
+        self.touch(&sess);
         let ingest = StreamIngest::new(name, (width, height), fps, config);
         let pump = {
             let sess = Arc::clone(&sess);
@@ -264,6 +346,54 @@ impl SessionTable {
         Ok(format!("session={id} credits={window}"))
     }
 
+    /// Take one credit for a frame about to be enqueued, waiting for the
+    /// pump to free one if the window is full. Returns the credits left.
+    ///
+    /// The client releases a credit when it reads our ack, which happens
+    /// before the pump has analyzed the frame — so a full-window pipeline
+    /// can legitimately arrive while `queued` is still at the window.
+    /// Backpressure here is blocking, not fatal: hold the frame until the
+    /// pump frees a slot, and only poison if it makes no progress for the
+    /// whole stall budget.
+    fn take_credit(&self, sess: &StreamSession) -> Result<u32, String> {
+        let mut flow = sess.lock_flow();
+        if flow.queued >= sess.window {
+            self.metrics.stream_credit_wait_begin();
+            let started = Instant::now();
+            while flow.queued >= sess.window && flow.poisoned.is_none() && !flow.aborting {
+                let Some(left) = self
+                    .limits
+                    .stall_timeout
+                    .checked_sub(started.elapsed())
+                    .filter(|left| !left.is_zero())
+                else {
+                    let msg = format!(
+                        "session stalled: {} frames buffered against a window of {} and the \
+                         analyzer made no progress",
+                        flow.queued, sess.window
+                    );
+                    flow.poison(&self.metrics, msg);
+                    break;
+                };
+                flow = sess
+                    .credit
+                    .wait_timeout(flow, left)
+                    .unwrap_or_else(|e| e.into_inner())
+                    .0;
+            }
+            self.metrics.stream_credit_wait_end(started.elapsed());
+        }
+        if let Some(msg) = &flow.poisoned {
+            return Err(failed(msg));
+        }
+        if flow.aborting {
+            return Err(format!("session {} was aborted", sess.id));
+        }
+        flow.queued += 1;
+        self.buffered_peak.fetch_max(flow.queued, Ordering::AcqRel);
+        Ok(sess.window - flow.queued)
+    }
+
     /// Handle a frame-push message: validate, buffer, ack with the free
     /// credit count.
     pub(crate) fn frame(
@@ -273,136 +403,94 @@ impl SessionTable {
         seq: u32,
         data: &[u8],
     ) -> Result<String, String> {
-        let sess = self
-            .get(session)
-            .ok_or_else(|| format!("unknown session {session}"))?;
-        if sess.conn != conn {
-            return Err(format!("session {session} belongs to another connection"));
-        }
+        let sess = self.owned(conn, session)?;
         if let Some(msg) = sess.poison_message() {
-            return Err(format!("session failed: {msg}"));
+            return Err(failed(msg));
         }
-        sess.touch(self.epoch);
+        self.touch(&sess);
+        let poisoned = |msg: String| {
+            sess.poison(&self.metrics, msg.clone());
+            Err(failed(msg))
+        };
         let expected = sess.next_seq.load(Ordering::Acquire);
         if seq != expected {
-            let msg = format!("out-of-order frame: expected seq {expected}, got {seq}");
-            self.poison(&sess, msg.clone());
-            return Err(format!("session failed: {msg}"));
+            return poisoned(format!(
+                "out-of-order frame: expected seq {expected}, got {seq}"
+            ));
         }
         let need = (sess.dims.0 as usize) * (sess.dims.1 as usize) * 3;
         if data.len() != need {
-            let msg = format!(
+            return poisoned(format!(
                 "frame {} has {} bytes, expected {} for {}x{}",
                 seq,
                 data.len(),
                 need,
                 sess.dims.0,
                 sess.dims.1
-            );
-            self.poison(&sess, msg.clone());
-            return Err(format!("session failed: {msg}"));
-        }
-        // Credit enforcement: never let more than `window` frames sit in
-        // the pump queue. The client releases a credit when it reads our
-        // ack, which happens before the pump has actually analyzed the
-        // frame — so a full-window pipeline can legitimately arrive while
-        // `queued` is still at the window. Backpressure here is blocking,
-        // not fatal: hold the frame until the pump drains a slot, and only
-        // poison if the pump makes no progress for the whole stall budget.
-        let stall_deadline = Instant::now() + self.limits.stall_timeout;
-        while sess.queued.load(Ordering::Acquire) >= sess.window {
-            if let Some(msg) = sess.poison_message() {
-                return Err(format!("session failed: {msg}"));
-            }
-            if Instant::now() >= stall_deadline {
-                let msg = format!(
-                    "session stalled: {} frames buffered against a window of {} and the \
-                     analyzer made no progress",
-                    sess.queued.load(Ordering::Acquire),
-                    sess.window
-                );
-                self.poison(&sess, msg.clone());
-                return Err(format!("session failed: {msg}"));
-            }
-            std::thread::sleep(self.limits.poll_interval);
+            ));
         }
         let frame = match FrameBuf::from_rgb24(sess.dims.0, sess.dims.1, data) {
             Ok(frame) => frame,
-            Err(e) => {
-                let msg = e.to_string();
-                self.poison(&sess, msg.clone());
-                return Err(format!("session failed: {msg}"));
+            Err(e) => return poisoned(e.to_string()),
+        };
+        let free = self.take_credit(&sess)?;
+        // `try_send` never blocks, so holding the sender's lock across it
+        // is fine — and a full channel is not backpressure (the credit
+        // just taken proves a slot is free) but broken accounting.
+        let sent = match &*sess.tx.lock().unwrap_or_else(|e| e.into_inner()) {
+            Some(tx) => tx.try_send(PumpMsg::Frame(frame)),
+            None => {
+                sess.return_credit();
+                return Err("session is closing".to_string());
             }
         };
-        let tx = sess
-            .tx
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
-            .ok_or_else(|| "session is committing".to_string())?;
-        let buffered = sess.queued.fetch_add(1, Ordering::AcqRel) + 1;
-        self.buffered_peak.fetch_max(buffered, Ordering::AcqRel);
-        let mut msg = PumpMsg::Frame(frame);
-        loop {
-            match tx.try_send(msg) {
-                Ok(()) => break,
-                Err(TrySendError::Full(back)) => {
-                    if Instant::now() >= stall_deadline {
-                        sess.queued.fetch_sub(1, Ordering::AcqRel);
-                        let text = "session stalled: pump queue saturated".to_string();
-                        self.poison(&sess, text.clone());
-                        return Err(format!("session failed: {text}"));
-                    }
-                    msg = back;
-                    std::thread::sleep(self.limits.poll_interval);
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    sess.queued.fetch_sub(1, Ordering::AcqRel);
-                    let text = sess
-                        .poison_message()
-                        .unwrap_or_else(|| "session pump stopped".to_string());
-                    self.poison(&sess, text.clone());
-                    return Err(format!("session failed: {text}"));
-                }
+        match sent {
+            Ok(()) => {}
+            Err(TrySendError::Full(_)) => {
+                sess.return_credit();
+                return poisoned("pump queue full with a credit in hand".to_string());
+            }
+            Err(TrySendError::Disconnected(_)) => {
+                sess.return_credit();
+                return poisoned(
+                    sess.poison_message()
+                        .unwrap_or_else(|| "session pump stopped".to_string()),
+                );
             }
         }
         sess.next_seq.store(seq + 1, Ordering::Release);
         self.metrics.stream_frame(data.len() as u64);
-        let free = sess.window - sess.queued.load(Ordering::Acquire).min(sess.window);
         Ok(format!("seq={seq} credits={free}"))
     }
 
     /// Handle a commit message: drain, finalize, register, wait durable.
     pub(crate) fn commit(&self, conn: u64, session: u32) -> Result<String, String> {
-        let sess = self
-            .get(session)
-            .ok_or_else(|| format!("unknown session {session}"))?;
-        if sess.conn != conn {
-            return Err(format!("session {session} belongs to another connection"));
+        let sess = self.owned(conn, session)?;
+        // From here the session is ours alone: the reaper and a shutdown
+        // can no longer find it, so whatever happens below is counted once.
+        // (Its admission slot frees now rather than when the commit ends;
+        // a worker runs one commit at a time, so that overshoot is bounded
+        // by the pool size.)
+        if !self.claim(&sess) {
+            return Err(format!("unknown session {session}"));
         }
         if let Some(msg) = sess.poison_message() {
-            self.teardown(&sess);
+            self.stop_pump(&sess);
             self.metrics.stream_aborted();
-            return Err(format!("session failed: {msg}"));
+            return Err(failed(msg));
         }
-        sess.touch(self.epoch);
-        let tx = sess
-            .tx
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-            .ok_or_else(|| "commit already in progress".to_string())?;
         let (reply_tx, reply_rx) = mpsc::channel();
         // The channel holds at most `window` frames, so the commit slot
         // (capacity window+1) is always free — but if the pump died this
         // send fails, which the recv below reports.
-        let _ = tx.send(PumpMsg::Commit(reply_tx));
-        drop(tx);
+        if let Some(tx) = sess.tx.lock().unwrap_or_else(|e| e.into_inner()).take() {
+            let _ = tx.send(PumpMsg::Commit(reply_tx));
+        }
         let outcome = reply_rx
             .recv_timeout(Duration::from_secs(120))
             .map_err(|_| "session pump stopped before the commit finished".to_string())
             .and_then(|r| r);
-        self.teardown(&sess);
+        self.stop_pump(&sess);
         match outcome {
             Ok(done) => {
                 self.metrics.stream_committed();
@@ -414,66 +502,94 @@ impl SessionTable {
             Err(msg) => {
                 // Failures first surfacing at commit (empty stream, write
                 // error) have not been counted yet; poisoned sessions were.
-                if sess.poison_message().is_none() {
-                    self.poison(&sess, msg.clone());
-                }
+                sess.poison(&self.metrics, msg.clone());
                 self.metrics.stream_aborted();
-                Err(format!("session failed: {msg}"))
+                Err(failed(msg))
             }
         }
     }
 
     /// Handle an abort message: discard the session, commit nothing.
     pub(crate) fn abort(&self, conn: u64, session: u32) -> Result<String, String> {
-        let sess = self
-            .get(session)
-            .ok_or_else(|| format!("unknown session {session}"))?;
-        if sess.conn != conn {
-            return Err(format!("session {session} belongs to another connection"));
-        }
-        self.teardown(&sess);
-        self.metrics.stream_aborted();
+        let sess = self.owned(conn, session)?;
+        self.teardown_all(vec![sess], ServerMetrics::stream_aborted);
         Ok("aborted".to_string())
     }
 
     /// Abort every session owned by a connection (torn-disconnect
     /// cleanup; also runs after a clean `quit`/EOF with sessions open).
     pub(crate) fn close_conn(&self, conn: u64) {
-        let owned: Vec<Arc<StreamSession>> = self
+        let owned = self
             .lock_map()
             .values()
             .filter(|s| s.conn == conn)
             .cloned()
             .collect();
-        for sess in owned {
-            self.teardown(&sess);
-            self.metrics.stream_aborted();
-        }
+        self.teardown_all(owned, ServerMetrics::stream_aborted);
     }
 
     /// Abort sessions idle longer than the limit (reaper thread).
     pub(crate) fn reap_idle(&self) {
-        let now_ms = self.epoch.elapsed().as_millis() as u64;
+        let now_ms = self.now_ms();
         let idle_ms = self.limits.idle_timeout.as_millis() as u64;
-        let stale: Vec<Arc<StreamSession>> = self
+        let stale = self
             .lock_map()
             .values()
             .filter(|s| now_ms.saturating_sub(s.last_active_ms.load(Ordering::Relaxed)) > idle_ms)
             .cloned()
             .collect();
-        for sess in stale {
-            self.teardown(&sess);
-            self.metrics.stream_reaped();
-        }
+        self.teardown_all(stale, ServerMetrics::stream_reaped);
     }
 
     /// Abort everything (shutdown drain).
     pub(crate) fn abort_all(&self) {
-        let all: Vec<Arc<StreamSession>> = self.lock_map().values().cloned().collect();
-        for sess in all {
-            self.teardown(&sess);
-            self.metrics.stream_aborted();
+        let all = self.lock_map().values().cloned().collect();
+        self.teardown_all(all, ServerMetrics::stream_aborted);
+    }
+
+    /// The reaper thread's body. Until `shutdown` is set: reap idle
+    /// sessions every `tick`, or at once when kicked. After it: sessions
+    /// whose connections have not closed them within `drain_grace` are
+    /// aborted, which also releases any worker still waiting for a credit
+    /// from a pump that stopped making progress.
+    pub(crate) fn run_reaper(&self, shutdown: &AtomicBool, tick: Duration, drain_grace: Duration) {
+        while !shutdown.load(Ordering::SeqCst) {
+            self.reap_idle();
+            self.reaper_nap(tick);
         }
+        let drained = Instant::now() + drain_grace;
+        while !self.lock_map().is_empty() {
+            let left = drained.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            self.reaper_nap(left.min(tick));
+        }
+        self.abort_all();
+    }
+
+    /// Wait for a kick, at most `limit`.
+    fn reaper_nap(&self, limit: Duration) {
+        let kicked = self.reaper_kick.lock().unwrap_or_else(|e| e.into_inner());
+        let (mut kicked, _) = self
+            .reaper_wake
+            .wait_timeout_while(kicked, limit, |kicked| !*kicked)
+            .unwrap_or_else(|e| e.into_inner());
+        *kicked = false;
+    }
+
+    /// Wake the reaper thread now (shutdown, or the clock was advanced).
+    pub(crate) fn kick_reaper(&self) {
+        *self.reaper_kick.lock().unwrap_or_else(|e| e.into_inner()) = true;
+        self.reaper_wake.notify_all();
+    }
+
+    /// Move the table's idle clock forward and wake the reaper, so a test
+    /// can age sessions past a long idle timeout without sleeping.
+    pub(crate) fn advance_clock(&self, by: Duration) {
+        self.clock_skew_ms
+            .fetch_add(by.as_millis() as u64, Ordering::Relaxed);
+        self.kick_reaper();
     }
 
     /// Current table statistics.
@@ -489,43 +605,40 @@ impl SessionTable {
 /// The per-session pump: drains buffered frames into the analyzer and,
 /// on commit, finalizes and registers the video. Analysis runs here — on
 /// the session's own thread — never on a worker and never under the
-/// database lock.
+/// database lock. Every frame consumed frees a credit and signals the
+/// session's worker.
 fn pump_loop(
     sess: Arc<StreamSession>,
-    ingest: StreamIngest,
+    mut ingest: StreamIngest,
     rx: Receiver<PumpMsg>,
     store: ServerStore,
     metrics: Arc<ServerMetrics>,
 ) {
-    let mut ingest = Some(ingest);
     while let Ok(msg) = rx.recv() {
         match msg {
             PumpMsg::Frame(frame) => {
-                if sess.aborting.load(Ordering::SeqCst) {
-                    sess.queued.fetch_sub(1, Ordering::AcqRel);
-                    continue;
-                }
-                let outcome = match ingest.as_mut() {
-                    Some(ingest) => ingest.push(&frame),
-                    None => break,
+                let outcome = if sess.lock_flow().aborting {
+                    Ok(()) // torn down: drain without analyzing
+                } else {
+                    ingest.push(&frame).map(|_| ())
                 };
-                sess.queued.fetch_sub(1, Ordering::AcqRel);
+                drop(frame);
+                let mut flow = sess.lock_flow();
+                flow.queued -= 1;
+                let stop = outcome.is_err();
                 if let Err(e) = outcome {
-                    let mut slot = sess.poisoned.lock().unwrap_or_else(|p| p.into_inner());
-                    if slot.is_none() {
-                        *slot = Some(e.to_string());
-                        metrics.protocol_error();
-                        metrics.stream_session_error();
-                    }
-                    drop(slot);
+                    flow.poison(&metrics, e.to_string());
+                }
+                drop(flow);
+                sess.credit.notify_all();
+                if stop {
                     // Closing the channel makes the worker's next send
                     // fail fast with the sticky error.
                     break;
                 }
             }
             PumpMsg::Commit(reply) => {
-                let result = commit_now(&sess, ingest.take(), &store);
-                let _ = reply.send(result);
+                let _ = reply.send(commit_now(&sess, ingest, &store));
                 break;
             }
         }
@@ -534,13 +647,12 @@ fn pump_loop(
 
 fn commit_now(
     sess: &StreamSession,
-    ingest: Option<StreamIngest>,
+    ingest: StreamIngest,
     store: &ServerStore,
 ) -> Result<CommitOutcome, String> {
     if let Some(msg) = sess.poison_message() {
         return Err(msg);
     }
-    let ingest = ingest.ok_or_else(|| "session already finished".to_string())?;
     let tracer = global_tracer();
     let root = tracer.trace_root();
     let mut span = tracer.span(&root, "server.stream.commit");
@@ -567,4 +679,146 @@ fn commit_now(
         frames,
         durable,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const WINDOW: u32 = 2;
+    const LONG: Duration = Duration::from_secs(60);
+
+    fn table(stall_timeout: Duration) -> SessionTable {
+        SessionTable::new(
+            StreamLimits {
+                max_sessions: 4,
+                credit_window: WINDOW,
+                idle_timeout: LONG,
+                stall_timeout,
+                max_frame: crate::protocol::DEFAULT_MAX_FRAME,
+            },
+            ServerStore::memory(),
+            Arc::new(ServerMetrics::new()),
+        )
+    }
+
+    /// Open an 8×6 session whose pump looks `WINDOW` frames behind and
+    /// never catches up, so the next frame must wait for a credit.
+    fn saturated_session(table: &SessionTable) -> (u64, u32) {
+        let conn = table.register_conn();
+        let reply = table.open(conn, "stuck", 8, 6, 30_000).unwrap();
+        assert_eq!(reply, format!("session=1 credits={WINDOW}"));
+        table.owned(conn, 1).unwrap().lock_flow().queued = WINDOW;
+        (conn, 1)
+    }
+
+    /// Push frame 0 from a "worker" thread, wait until it is parked on the
+    /// credit condvar, run `release`, and return the worker's reply.
+    fn release_blocked_worker(
+        table: &SessionTable,
+        (conn, session): (u64, u32),
+        release: impl FnOnce(),
+    ) -> String {
+        let frame = [7u8; 8 * 6 * 3];
+        std::thread::scope(|s| {
+            let worker = s.spawn(|| table.frame(conn, session, 0, &frame));
+            // The counter moves under the flow lock just before the wait
+            // gives that lock up, and every releaser takes the same lock:
+            // once it reads 1, a release can only land on a parked worker.
+            let deadline = Instant::now() + LONG;
+            while table.metrics.snapshot().stream.credit_waits == 0 {
+                assert!(Instant::now() < deadline, "worker never reached the wait");
+                std::thread::yield_now();
+            }
+            let started = Instant::now();
+            release();
+            let reply = worker
+                .join()
+                .unwrap()
+                .expect_err("no credit was ever freed");
+            assert!(
+                started.elapsed() < LONG / 2,
+                "worker sat out the stall timeout instead of being woken"
+            );
+            reply
+        })
+    }
+
+    #[test]
+    fn reaper_releases_a_worker_blocked_on_a_credit() {
+        let table = table(LONG);
+        let owner = saturated_session(&table);
+        let reply = release_blocked_worker(&table, owner, || {
+            table.advance_clock(LONG + Duration::from_secs(1));
+            table.reap_idle();
+        });
+        assert_eq!(reply, "session 1 was aborted");
+        // Its connection closing afterwards finds nothing left to count.
+        table.close_conn(owner.0);
+        table.abort_all();
+        let snap = table.metrics.snapshot().stream;
+        assert_eq!((snap.sessions_reaped, snap.sessions_aborted), (1, 0));
+        assert_eq!((snap.credit_waits, snap.session_errors), (1, 0));
+        assert_eq!(table.stats().open_sessions, 0);
+    }
+
+    #[test]
+    fn shutdown_releases_a_worker_blocked_on_a_credit() {
+        let table = table(LONG);
+        let owner = saturated_session(&table);
+        let shutdown = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            // A tick this long means only the kick can wake the reaper.
+            let reaper = s.spawn(|| table.run_reaper(&shutdown, LONG, Duration::from_millis(30)));
+            let reply = release_blocked_worker(&table, owner, || {
+                shutdown.store(true, Ordering::SeqCst);
+                table.kick_reaper();
+                reaper.join().unwrap();
+            });
+            assert_eq!(reply, "session 1 was aborted");
+        });
+        table.close_conn(owner.0);
+        let snap = table.metrics.snapshot().stream;
+        assert_eq!((snap.sessions_reaped, snap.sessions_aborted), (0, 1));
+        assert_eq!(table.stats().open_sessions, 0);
+    }
+
+    #[test]
+    fn a_pump_that_never_frees_a_credit_poisons_after_the_stall_timeout() {
+        let table = table(Duration::from_millis(40));
+        let (conn, session) = saturated_session(&table);
+        let frame = [7u8; 8 * 6 * 3];
+        let first = table.frame(conn, session, 0, &frame).unwrap_err();
+        assert!(
+            first.starts_with("session failed: session stalled"),
+            "{first}"
+        );
+        // Sticky: the retry fails at once with the same text, uncounted.
+        assert_eq!(table.frame(conn, session, 0, &frame).unwrap_err(), first);
+        let snap = table.metrics.snapshot().stream;
+        assert_eq!((snap.credit_waits, snap.session_errors), (1, 1));
+        assert!(snap.credit_wait_p50_us >= 32_768, "{snap:?}");
+        assert_eq!(table.abort(conn, session).unwrap(), "aborted");
+    }
+
+    /// With the pump alive, a full window is a pause, not an error: the
+    /// worker is handed each credit as the pump frees it, every frame is
+    /// accepted in order, and the buffer never exceeds the window.
+    #[test]
+    fn pump_hands_credits_to_a_waiting_worker() {
+        let table = table(LONG);
+        let conn = table.register_conn();
+        table.open(conn, "live", 32, 24, 30_000).unwrap();
+        let frame = vec![90u8; 32 * 24 * 3];
+        for seq in 0..200 {
+            let ack = table.frame(conn, 1, seq, &frame).unwrap();
+            assert!(ack.starts_with(&format!("seq={seq} credits=")), "{ack}");
+        }
+        let reply = table.commit(conn, 1).unwrap();
+        assert!(reply.contains("frames=200"), "{reply}");
+        assert!(table.stats().buffered_peak <= WINDOW);
+        let snap = table.metrics.snapshot().stream;
+        assert_eq!((snap.sessions_committed, snap.sessions_aborted), (1, 0));
+        assert_eq!(snap.frames, 200);
+    }
 }

@@ -7,7 +7,7 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
 use std::time::Duration;
-use vdb_core::frame::Video;
+use vdb_core::frame::{FrameBuf, Video};
 use vdb_server::client::Client;
 use vdb_server::protocol::{
     decode_response, encode_stream_request, read_frame, write_frame, StreamRequest,
@@ -722,6 +722,26 @@ fn stream_clip(seed: u64) -> Video {
     vdb_synth::generate(&script).video
 }
 
+/// A committed stream must be bit-identical to running the in-process
+/// [`vdb_core::streaming::StreamingAnalyzer`] on the same frames (the
+/// server's memory store uses the default config).
+fn assert_matches_local_analysis(handle: &ServerHandle, video: u64, frames: &[FrameBuf]) {
+    let mut local =
+        vdb_core::streaming::StreamingAnalyzer::new(vdb_core::analyzer::AnalyzerConfig::default());
+    for frame in frames {
+        local.push(frame).expect("local push");
+    }
+    let expected = local.finish().expect("local finish");
+    let stored = handle
+        .store()
+        .read(|db| db.analysis(video).cloned())
+        .expect("committed video must be queryable");
+    assert_eq!(stored.shots, expected.segmentation.shots, "shots diverged");
+    assert_eq!(stored.features, expected.features, "features diverged");
+    assert_eq!(stored.signs_ba, expected.signs_ba, "BA signs diverged");
+    assert_eq!(stored.signs_oa, expected.signs_oa, "OA signs diverged");
+}
+
 /// Pull `key=<value>` out of a response text.
 fn reply_field(text: &str, key: &str) -> String {
     text.split_whitespace()
@@ -767,25 +787,8 @@ fn eight_concurrent_wire_streams_commit_bit_identical() {
         joins.into_iter().map(|j| j.join().unwrap()).collect()
     });
 
-    // Bit-identical to the in-process streaming analyzer on the same
-    // frames (the server's memory store uses the default config).
     for (seed, video) in committed {
-        let clip = stream_clip(seed);
-        let mut local = vdb_core::streaming::StreamingAnalyzer::new(
-            vdb_core::analyzer::AnalyzerConfig::default(),
-        );
-        for frame in clip.frames() {
-            local.push(frame).expect("local push");
-        }
-        let expected = local.finish().expect("local finish");
-        let stored = handle
-            .store()
-            .read(|db| db.analysis(video).cloned())
-            .expect("committed video must be queryable");
-        assert_eq!(stored.shots, expected.segmentation.shots, "shots diverged");
-        assert_eq!(stored.features, expected.features, "features diverged");
-        assert_eq!(stored.signs_ba, expected.signs_ba, "BA signs diverged");
-        assert_eq!(stored.signs_oa, expected.signs_oa, "OA signs diverged");
+        assert_matches_local_analysis(&handle, video, stream_clip(seed).frames());
     }
 
     // Flow control held: nobody ever buffered past the credit window.
@@ -1026,11 +1029,13 @@ fn session_cap_rejects_then_reclaims_slots() {
 }
 
 /// The reaper aborts sessions with no traffic past the idle timeout, so
-/// abandoned streams cannot hold admission slots.
+/// abandoned streams cannot hold admission slots. The timeout is far
+/// longer than the test; the session is aged by advancing the table's
+/// clock, which also wakes the reaper thread.
 #[test]
 fn idle_streaming_sessions_are_reaped() {
     let config = ServerConfig {
-        session_idle_timeout: Duration::from_millis(100),
+        session_idle_timeout: Duration::from_secs(3600),
         ..test_config(2)
     };
     let handle = Server::bind(ServerStore::memory(), config).unwrap().serve();
@@ -1038,19 +1043,80 @@ fn idle_streaming_sessions_are_reaped() {
     let stream = client.open_stream("sleeper", 32, 24, 30.0).unwrap();
     assert_eq!(handle.stream_stats().open_sessions, 1);
 
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    // Not idle long enough yet: a reaper pass leaves it alone.
+    handle.advance_session_clock(Duration::from_secs(3599));
+    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(handle.stream_stats().open_sessions, 1);
+
+    handle.advance_session_clock(Duration::from_secs(2));
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
     while handle.stream_stats().open_sessions > 0 {
         assert!(
             std::time::Instant::now() < deadline,
             "idle session never reaped"
         );
-        std::thread::sleep(Duration::from_millis(20));
+        std::thread::sleep(Duration::from_millis(5));
     }
     assert_eq!(handle.metrics().stream.sessions_reaped, 1);
     // The session id is gone; a commit attempt reports that cleanly.
     let err = stream.commit().expect_err("reaped session cannot commit");
     assert!(err.to_string().contains("unknown session"), "{err}");
     assert_eq!(handle.store().read(|db| db.len()), 0);
+    drop(client);
+    let snap = handle.shutdown().unwrap();
+    assert_eq!(
+        (snap.stream.sessions_reaped, snap.stream.sessions_aborted),
+        (1, 0),
+        "a reaped session is counted once"
+    );
+}
+
+/// Backpressure is event-driven: with a poll interval far longer than the
+/// whole stream may take, a two-credit window still moves 64 paper-sized
+/// frames promptly, because the worker is handed each credit by the pump
+/// instead of sleeping for it. The commit is bit-identical to the
+/// in-process analyzer and the buffer never exceeded the window.
+#[test]
+fn backpressure_hands_off_credits_without_polling() {
+    const FRAMES: usize = 64;
+    let config = ServerConfig {
+        poll_interval: Duration::from_secs(5),
+        stream_credits: 2,
+        ..test_config(2)
+    };
+    let handle = Server::bind(ServerStore::memory(), config).unwrap().serve();
+    let script = vdb_synth::build_script(vdb_synth::Genre::Drama, 3, Some(22.0), (160, 120), 7);
+    let clip = vdb_synth::generate(&script).video;
+    let frames = &clip.frames()[..FRAMES];
+
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let mut stream = client.open_stream("paced", 160, 120, clip.fps()).unwrap();
+    assert_eq!(stream.credits(), 2);
+    let started = std::time::Instant::now();
+    for frame in frames {
+        stream.push(frame).unwrap();
+    }
+    let commit = stream.commit().unwrap();
+    let took = started.elapsed();
+    assert_eq!(commit.frames, FRAMES);
+    assert!(
+        took < Duration::from_secs(2),
+        "{FRAMES} frames took {took:?}: something on the path waits for a timer"
+    );
+
+    assert_matches_local_analysis(&handle, commit.video, frames);
+
+    let stats = handle.stream_stats();
+    assert!(stats.buffered_peak <= 2, "{stats:?}");
+    // The window did fill (else this test exercised nothing), and the
+    // waits are visible to an operator.
+    let waits = handle.metrics().stream.credit_waits;
+    assert!(waits > 0, "the two-frame window never filled");
+    let metrics = client.expect_ok("metrics").unwrap();
+    assert!(
+        metrics.contains(&format!("stream credit waits: {waits} (p50 ")),
+        "{metrics}"
+    );
     drop(client);
     handle.shutdown().unwrap();
 }
