@@ -202,9 +202,10 @@ impl Client {
 
     /// Open a live streaming-ingest session. The returned [`FrameStream`]
     /// pushes raw frames under the server's credit window (the server
-    /// grants `credits()` in-flight frames; `push` blocks on an ack once
-    /// the window is full) and finishes with [`FrameStream::commit`] or
-    /// [`FrameStream::abort`].
+    /// grants `credits()` in-flight frames and every ack reports how many
+    /// of its buffer slots are free; `push` blocks on an ack once the
+    /// frames in flight reach [`in_flight_cap`]) and finishes with
+    /// [`FrameStream::commit`] or [`FrameStream::abort`].
     pub fn open_stream(
         &mut self,
         name: &str,
@@ -232,6 +233,7 @@ impl Client {
             client: self,
             session,
             window: window.max(1),
+            free: window.max(1),
             inflight: 0,
             next_seq: 0,
             width,
@@ -257,9 +259,9 @@ impl Client {
     }
 }
 
-fn field(text: &str, key: &str) -> Option<String> {
+fn field<'a>(text: &'a str, key: &str) -> Option<&'a str> {
     text.split_whitespace()
-        .find_map(|tok| tok.strip_prefix(key)?.strip_prefix('=').map(str::to_string))
+        .find_map(|tok| tok.strip_prefix(key)?.strip_prefix('='))
 }
 
 fn bad_open_reply() -> ClientError {
@@ -280,15 +282,30 @@ pub struct StreamCommit {
     pub durable: bool,
 }
 
+/// How many unacknowledged frames a client may have on the wire: the free
+/// buffer slots the server last advertised, but never fewer than half the
+/// granted window (and never more than all of it).
+///
+/// A frame sent past the advertised credits is not buffered on arrival —
+/// the server holds it until its analyzer frees a slot — so it only adds
+/// to what a later `commit` must wait out. Half a window stays in flight
+/// regardless, so a server that was briefly held up refills its buffer
+/// from the socket rather than from an ack round trip per frame.
+pub fn in_flight_cap(window: u32, advertised: u32) -> u32 {
+    advertised.clamp((window / 2).max(1), window.max(1))
+}
+
 /// A live streaming-ingest session over one [`Client`] connection.
 ///
-/// Frames go out strictly in sequence; the client keeps at most the
-/// server-granted credit window in flight and blocks on acks past it, so
+/// Frames go out strictly in sequence; the client keeps at most
+/// [`in_flight_cap`] of them in flight and blocks on acks past it, so
 /// server-side backpressure propagates here as `push` latency.
 pub struct FrameStream<'a> {
     client: &'a mut Client,
     session: u32,
     window: u32,
+    /// Free buffer slots the server advertised in its latest ack.
+    free: u32,
     inflight: u32,
     next_seq: u32,
     width: u32,
@@ -325,7 +342,7 @@ impl FrameStream<'_> {
                 "frame bytes do not match the declared dimensions",
             )));
         }
-        if self.inflight >= self.window {
+        while self.inflight >= in_flight_cap(self.window, self.free) {
             self.await_ack()?;
         }
         write_stream_frame(&mut self.client.stream, self.session, self.next_seq, data)?;
@@ -344,6 +361,11 @@ impl FrameStream<'_> {
         let resp = self.client.read_response()?;
         self.inflight -= 1;
         if resp.ok {
+            // An ack without the field (not this server's) leaves the cap
+            // where it was.
+            if let Some(free) = field(&resp.text, "credits").and_then(|v| v.parse().ok()) {
+                self.free = free;
+            }
             Ok(())
         } else {
             Err(ClientError::Server(resp.text))
@@ -391,5 +413,122 @@ impl FrameStream<'_> {
             session: self.session,
         })?;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::{decode_stream_request, encode_response};
+    use std::net::TcpListener;
+
+    #[test]
+    fn in_flight_cap_follows_the_advertised_credits_down_to_half_a_window() {
+        assert_eq!(in_flight_cap(8, 8), 8);
+        assert_eq!(in_flight_cap(8, 5), 5);
+        assert_eq!(in_flight_cap(8, 4), 4);
+        assert_eq!(in_flight_cap(8, 0), 4);
+        // Never above the grant, whatever an ack claims.
+        assert_eq!(in_flight_cap(8, 100), 8);
+        // Small windows always leave room for one frame.
+        assert_eq!(in_flight_cap(2, 0), 1);
+        assert_eq!(in_flight_cap(1, 0), 1);
+        assert_eq!(in_flight_cap(0, 0), 1);
+    }
+
+    /// A scripted server that buffers nothing (`credits=0` in every ack):
+    /// the client fills the granted window before the first ack, then
+    /// holds at half of it — and follows the credits back up.
+    #[test]
+    fn push_holds_frames_back_when_the_server_reports_no_free_credit() {
+        const WINDOW: u32 = 4;
+        const QUIET: Duration = Duration::from_millis(150);
+        const PATIENT: Duration = Duration::from_secs(30);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let frame = [9u8; 2 * 2 * 3];
+
+        let server = std::thread::spawn(move || {
+            let (mut sock, _) = listener.accept().unwrap();
+            let mut next_seq = 0u32;
+            // Read exactly `want` frames, then require the socket to stay
+            // quiet for `QUIET`: a slow client can make this pass late,
+            // never fail.
+            let mut expect_frames = |sock: &mut TcpStream, want: u32| {
+                sock.set_read_timeout(Some(PATIENT)).unwrap();
+                for _ in 0..want {
+                    let payload = read_frame(sock, DEFAULT_MAX_FRAME).unwrap().unwrap();
+                    match decode_stream_request(&payload).unwrap() {
+                        StreamRequest::Frame { seq, .. } => {
+                            assert_eq!(seq, next_seq, "frames arrive in order");
+                            next_seq += 1;
+                        }
+                        other => panic!("unexpected message {other:?}"),
+                    }
+                }
+                sock.set_read_timeout(Some(QUIET)).unwrap();
+                match read_frame(sock, DEFAULT_MAX_FRAME) {
+                    Err(FrameError::Io(e))
+                        if matches!(
+                            e.kind(),
+                            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                        ) => {}
+                    other => panic!("expected silence after {want} frames, got {other:?}"),
+                }
+            };
+            let ack = |sock: &mut TcpStream, seq: u32, credits: u32| {
+                let text = format!("seq={seq} credits={credits}");
+                write_frame(sock, &encode_response(true, &text)).unwrap();
+            };
+
+            let open = read_frame(&mut sock, DEFAULT_MAX_FRAME).unwrap().unwrap();
+            assert!(matches!(
+                decode_stream_request(&open).unwrap(),
+                StreamRequest::Open { .. }
+            ));
+            let granted = format!("session=7 credits={WINDOW}");
+            write_frame(&mut sock, &encode_response(true, &granted)).unwrap();
+
+            // Nothing acked yet: the whole grant goes out, and no more.
+            expect_frames(&mut sock, 4);
+            // Two acks with no credit leave 2 in flight = the cap: silence.
+            ack(&mut sock, 0, 0);
+            ack(&mut sock, 1, 0);
+            expect_frames(&mut sock, 0);
+            // Each further ack lets exactly one frame through.
+            ack(&mut sock, 2, 0);
+            expect_frames(&mut sock, 1);
+            // Credits back: the client follows them up to 3 in flight.
+            ack(&mut sock, 3, 3);
+            expect_frames(&mut sock, 2);
+            // Let the rest through and acknowledge the commit.
+            sock.set_read_timeout(Some(PATIENT)).unwrap();
+            for seq in 4..10 {
+                ack(&mut sock, seq, WINDOW);
+            }
+            loop {
+                let payload = read_frame(&mut sock, DEFAULT_MAX_FRAME).unwrap().unwrap();
+                match decode_stream_request(&payload).unwrap() {
+                    StreamRequest::Frame { .. } => {}
+                    StreamRequest::Commit { session } => {
+                        assert_eq!(session, 7);
+                        break;
+                    }
+                    other => panic!("unexpected message {other:?}"),
+                }
+            }
+            let done = "video=1 shots=1 frames=10 durable=false";
+            write_frame(&mut sock, &encode_response(true, done)).unwrap();
+        });
+
+        let mut client = Client::connect(addr).unwrap();
+        let mut stream = client.open_stream("scripted", 2, 2, 25.0).unwrap();
+        assert_eq!(stream.credits(), WINDOW);
+        for _ in 0..10 {
+            stream.push_rgb24(&frame).unwrap();
+        }
+        let commit = stream.commit().unwrap();
+        assert_eq!(commit.frames, 10);
+        server.join().unwrap();
     }
 }

@@ -13,10 +13,11 @@
 //!
 //! The hold is a condvar hand-off, not a timer: a worker whose session has
 //! no free credit waits on the session's [`Condvar`]; the pump signals it
-//! after every frame it consumes, and so does anything that poisons or
-//! tears down the session (abort, reaper, shutdown), so the worker resumes
-//! the moment a slot frees and never outlives its session. Only
-//! `stall_timeout` bounds the wait.
+//! after the next frame it consumes (a frame nobody waits for costs the
+//! pump no wake-up call), and so does anything that poisons or tears down
+//! the session (abort, reaper, shutdown), so the worker resumes the moment
+//! a slot frees and never outlives its session. Only `stall_timeout`
+//! bounds the wait.
 //!
 //! Lifecycle and failure handling:
 //!
@@ -87,6 +88,10 @@ enum PumpMsg {
 struct Flow {
     /// Frames buffered (enqueued, not yet analyzed).
     queued: u32,
+    /// A worker is parked on `credit` until a slot frees; the pump
+    /// signals only then, so a frame that found a credit free costs the
+    /// pump no wake-up call.
+    waiting: bool,
     /// Set on teardown: the pump drains without analyzing, a waiting
     /// worker gives up.
     aborting: bool,
@@ -184,6 +189,10 @@ pub struct SessionTable {
     /// The reaper thread's wake-up flag and its condvar.
     reaper_kick: Mutex<bool>,
     reaper_wake: Condvar,
+    /// Pumps that have answered their commit and are exiting on their
+    /// own; joined by the next open or teardown instead of by the commit,
+    /// which would otherwise sit out a thread exit before replying.
+    retired: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl SessionTable {
@@ -204,6 +213,7 @@ impl SessionTable {
             clock_skew_ms: AtomicU64::new(0),
             reaper_kick: Mutex::new(false),
             reaper_wake: Condvar::new(),
+            retired: Mutex::new(Vec::new()),
         }
     }
 
@@ -259,9 +269,19 @@ impl SessionTable {
         }
     }
 
+    /// Join the pumps of committed sessions. They were past their last
+    /// instruction when they were retired, so this does not wait.
+    fn join_retired(&self) {
+        let retired = std::mem::take(&mut *self.retired.lock().unwrap_or_else(|e| e.into_inner()));
+        for pump in retired {
+            let _ = pump.join();
+        }
+    }
+
     /// Claim and stop every session in `doomed`, counting each through
     /// `count` — once, by whoever claimed it.
     fn teardown_all(&self, doomed: Vec<Arc<StreamSession>>, count: impl Fn(&ServerMetrics)) {
+        self.join_retired();
         for sess in doomed {
             if self.claim(&sess) {
                 self.stop_pump(&sess);
@@ -297,6 +317,7 @@ impl SessionTable {
             return Err("frame rate must be positive".to_string());
         }
         let fps = f64::from(fps_milli) / 1000.0;
+        self.join_retired();
         let config = self.store.read(|db| db.config());
         let window = self.limits.credit_window.max(1);
         let mut map = self.lock_map();
@@ -321,6 +342,7 @@ impl SessionTable {
             last_active_ms: AtomicU64::new(0),
             flow: Mutex::new(Flow {
                 queued: 0,
+                waiting: false,
                 aborting: false,
                 poisoned: None,
             }),
@@ -360,6 +382,7 @@ impl SessionTable {
         if flow.queued >= sess.window {
             self.metrics.stream_credit_wait_begin();
             let started = Instant::now();
+            flow.waiting = true;
             while flow.queued >= sess.window && flow.poisoned.is_none() && !flow.aborting {
                 let Some(left) = self
                     .limits
@@ -381,6 +404,7 @@ impl SessionTable {
                     .unwrap_or_else(|e| e.into_inner())
                     .0;
             }
+            flow.waiting = false;
             self.metrics.stream_credit_wait_end(started.elapsed());
         }
         if let Some(msg) = &flow.poisoned {
@@ -490,9 +514,15 @@ impl SessionTable {
             .recv_timeout(Duration::from_secs(120))
             .map_err(|_| "session pump stopped before the commit finished".to_string())
             .and_then(|r| r);
-        self.stop_pump(&sess);
         match outcome {
             Ok(done) => {
+                // The pump replied with its last breath: leave the join to
+                // a later call rather than hold the client's reply for it.
+                let pump = sess.pump.lock().unwrap_or_else(|e| e.into_inner()).take();
+                self.retired
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .extend(pump);
                 self.metrics.stream_committed();
                 Ok(format!(
                     "video={} shots={} frames={} durable={}",
@@ -500,6 +530,7 @@ impl SessionTable {
                 ))
             }
             Err(msg) => {
+                self.stop_pump(&sess);
                 // Failures first surfacing at commit (empty stream, write
                 // error) have not been counted yet; poisoned sessions were.
                 sess.poison(&self.metrics, msg.clone());
@@ -605,8 +636,8 @@ impl SessionTable {
 /// The per-session pump: drains buffered frames into the analyzer and,
 /// on commit, finalizes and registers the video. Analysis runs here — on
 /// the session's own thread — never on a worker and never under the
-/// database lock. Every frame consumed frees a credit and signals the
-/// session's worker.
+/// database lock. Every frame consumed frees a credit, and wakes the
+/// session's worker if it is parked waiting for one.
 fn pump_loop(
     sess: Arc<StreamSession>,
     mut ingest: StreamIngest,
@@ -629,8 +660,11 @@ fn pump_loop(
                 if let Err(e) = outcome {
                     flow.poison(&metrics, e.to_string());
                 }
+                let wake = flow.waiting;
                 drop(flow);
-                sess.credit.notify_all();
+                if wake {
+                    sess.credit.notify_all();
+                }
                 if stop {
                     // Closing the channel makes the worker's next send
                     // fail fast with the sticky error.
