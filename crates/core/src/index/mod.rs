@@ -32,10 +32,7 @@
 //! * [`planner`] — [`ShotIndex`], the maintained
 //!   index used by the database layer: it plans every query (scan vs.
 //!   buckets) from the cost estimate and records probe metrics into
-//!   `vdb-obs`;
-//! * [`graph`] — [`SigGraph`], a small navigable graph
-//!   over extended (per-channel) signature vectors for approximate
-//!   nearest-neighbor exploration of the §6 model.
+//!   `vdb-obs`.
 //!
 //! **Tie-break contract:** every query in this family orders results by
 //! ascending `(distance, ShotKey)` — equal-distance matches come back in
@@ -44,12 +41,10 @@
 
 pub mod bucket;
 pub mod cost;
-pub mod graph;
 pub mod planner;
 
 pub use bucket::{BucketIndex, BucketParams, ProbeStats};
 pub use cost::{CorpusStats, CostEstimate, CostModel};
-pub use graph::{GraphParams, SigGraph};
 pub use planner::{Explain, IndexRuntime, Plan, PlanChoice, ShotIndex};
 
 use crate::variance::ShotFeature;

@@ -1,11 +1,10 @@
 //! Building and analyzing the Table 5 corpus.
 //!
 //! Expands every [`ClipSpec`] into a generated clip at the requested scale
-//! and (optionally, in parallel via crossbeam scoped threads) runs a
+//! and (optionally, in parallel on scoped threads) runs a
 //! detector over each. Generation and analysis dominate experiment time at
 //! full scale, so the corpus builder is the crate's one parallel component.
 
-use crossbeam::thread;
 use vdb_core::frame::Video;
 use vdb_synth::clips::{table5_clips, ClipSpec, Scale};
 use vdb_synth::script::{generate, GroundTruth};
@@ -55,9 +54,9 @@ pub fn build_corpus_parallel(
     slots.resize_with(n, || None);
     let next = std::sync::atomic::AtomicUsize::new(0);
     let slots_mutex = parking_slots(slots);
-    thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..workers.max(1) {
-            s.spawn(|_| loop {
+            s.spawn(|| loop {
                 let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 if i >= n {
                     break;
@@ -73,8 +72,7 @@ pub fn build_corpus_parallel(
                 slots_mutex[i].lock().unwrap().replace(clip);
             });
         }
-    })
-    .expect("corpus worker panicked");
+    });
     slots_mutex
         .into_iter()
         .map(|m| m.into_inner().unwrap().expect("every slot filled"))
@@ -96,9 +94,9 @@ pub fn map_corpus<R: Send>(
     let mut slots: Vec<std::sync::Mutex<Option<R>>> = Vec::with_capacity(n);
     slots.resize_with(n, || std::sync::Mutex::new(None));
     let next = std::sync::atomic::AtomicUsize::new(0);
-    thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..workers.max(1) {
-            s.spawn(|_| loop {
+            s.spawn(|| loop {
                 let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 if i >= n {
                     break;
@@ -107,8 +105,7 @@ pub fn map_corpus<R: Send>(
                 slots[i].lock().unwrap().replace(r);
             });
         }
-    })
-    .expect("map worker panicked");
+    });
     slots
         .into_iter()
         .map(|m| m.into_inner().unwrap().expect("every slot filled"))

@@ -33,3 +33,57 @@ pub mod retrieval;
 
 pub use corpus::{build_corpus, build_corpus_parallel, CorpusClip, CORPUS_DIMS};
 pub use metrics::{evaluate_boundaries, recall_precision, DetectionEval};
+
+#[cfg(test)]
+mod tests {
+    use crate::corpus::map_corpus;
+    use crate::{build_corpus, CORPUS_DIMS};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use vdb_core::analyzer::{AnalyzerConfig, VideoAnalyzer};
+    use vdb_core::parallel::Parallelism;
+    use vdb_synth::clips::Scale;
+
+    #[test]
+    fn scope_joins_all_children() {
+        let clips = build_corpus(Scale::Fraction(0.02), CORPUS_DIMS, 5);
+        // More workers than clips, and a zero worker count: either way
+        // every clip is visited once and every worker is joined before
+        // the results come back.
+        for workers in [0, 4, clips.len() + 3] {
+            let visits = AtomicUsize::new(0);
+            let out = map_corpus(&clips, workers, |c| {
+                visits.fetch_add(1, Ordering::Relaxed);
+                c.video.len()
+            });
+            assert_eq!(
+                visits.load(Ordering::Relaxed),
+                clips.len(),
+                "workers={workers}"
+            );
+            let expected: Vec<usize> = clips.iter().map(|c| c.video.len()).collect();
+            assert_eq!(out, expected, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn children_can_spawn_grandchildren() {
+        let clips = build_corpus(Scale::Fraction(0.02), CORPUS_DIMS, 5);
+        let clips = &clips[..3];
+        let serial = VideoAnalyzer::new();
+        let threaded = VideoAnalyzer::with_config(AnalyzerConfig {
+            parallelism: Parallelism::Threads(2),
+            ..AnalyzerConfig::default()
+        });
+        // Each corpus worker runs an analyzer that fans frame extraction
+        // out on scoped threads of its own.
+        let nested = map_corpus(clips, 2, |c| threaded.analyze(&c.video).unwrap());
+        for (clip, analysis) in clips.iter().zip(&nested) {
+            assert_eq!(
+                analysis,
+                &serial.analyze(&clip.video).unwrap(),
+                "{}",
+                clip.spec.name
+            );
+        }
+    }
+}

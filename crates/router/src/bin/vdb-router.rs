@@ -14,43 +14,7 @@
 use std::process::exit;
 use std::time::Duration;
 use vdb_router::{Router, RouterConfig};
-use vdb_server::ConnectOptions;
-
-#[cfg(unix)]
-mod sig {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    pub static SIGNALED: AtomicBool = AtomicBool::new(false);
-
-    extern "C" fn on_signal(_signum: i32) {
-        // Async-signal-safe: a single atomic store.
-        SIGNALED.store(true, Ordering::SeqCst);
-    }
-
-    pub fn install() {
-        const SIGINT: i32 = 2;
-        const SIGTERM: i32 = 15;
-        extern "C" {
-            fn signal(signum: i32, handler: extern "C" fn(i32)) -> isize;
-        }
-        unsafe {
-            signal(SIGINT, on_signal);
-            signal(SIGTERM, on_signal);
-        }
-    }
-
-    pub fn pending() -> bool {
-        SIGNALED.load(Ordering::SeqCst)
-    }
-}
-
-#[cfg(not(unix))]
-mod sig {
-    pub fn install() {}
-    pub fn pending() -> bool {
-        false
-    }
-}
+use vdb_server::{shutdown_on_signal, ConnectOptions};
 
 fn usage() -> ! {
     eprintln!(
@@ -128,19 +92,8 @@ fn main() {
         eprintln!("vdb-router: shard {slot} at {addr}");
     }
 
-    sig::install();
     let handle = router.serve();
-    let flag = handle.shutdown_flag();
-    std::thread::spawn(move || loop {
-        if sig::pending() {
-            flag.store(true, std::sync::atomic::Ordering::SeqCst);
-            break;
-        }
-        if flag.load(std::sync::atomic::Ordering::SeqCst) {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(100));
-    });
+    shutdown_on_signal(handle.shutdown_flag());
 
     let snapshot = handle.join();
     eprintln!("vdb-router: clean shutdown — {}", snapshot.one_line());

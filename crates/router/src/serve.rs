@@ -1,6 +1,9 @@
 //! The router daemon: the same wire protocol as `vdbd` on the front,
 //! N shards on the back.
 //!
+//! The front end is `vdbd`'s own [`FrontEnd`], running `RouterCtx` as
+//! its [`Handler`].
+//!
 //! Single-video commands (`board`, `tree`, `remove`, streaming ingest)
 //! are routed to the owning shard; `query`, `list`, and `stats` are
 //! scattered to every active shard and the replies merged *exactly* —
@@ -12,19 +15,18 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+use vdb_obs::TraceContext;
 use vdb_server::client::{Client, ConnectOptions};
 use vdb_server::metrics::{CommandKind, MetricsSnapshot, ServerMetrics};
 use vdb_server::protocol::{
-    decode_stream_request, encode_response, encode_stream_request, is_stream_request, write_frame,
-    StreamRequest, DEFAULT_MAX_FRAME,
+    decode_stream_request, encode_stream_request, StreamRequest, DEFAULT_MAX_FRAME,
 };
-use vdb_server::queue::WorkQueue;
-use vdb_server::server::{accept_loop, FrameRead, FrameReader};
+use vdb_server::server::{FrontEnd, FrontEndConfig, Handler, Reply};
 
 use crate::catalog::RouterCatalog;
 use crate::exec::{call_shard, scatter, RouterObs, ScatterOptions, ShardOutcome};
@@ -143,7 +145,8 @@ impl ActiveRing {
     }
 }
 
-/// Everything a router worker needs to serve one request.
+/// Everything the router needs to serve one request: the front end's
+/// [`Handler`].
 pub(crate) struct RouterCtx {
     pub pool: Arc<ShardPool>,
     pub obs: Arc<RouterObs>,
@@ -152,8 +155,7 @@ pub(crate) struct RouterCtx {
     pub metrics: Arc<ServerMetrics>,
     pub shutdown: Arc<AtomicBool>,
     pub config: RouterConfig,
-    queue: Arc<WorkQueue<TcpStream>>,
-    next_sid: Arc<AtomicU32>,
+    next_sid: AtomicU32,
 }
 
 impl RouterCtx {
@@ -171,8 +173,7 @@ impl RouterCtx {
 
 /// A bound-but-not-yet-serving router.
 pub struct Router {
-    listener: TcpListener,
-    addr: SocketAddr,
+    front: FrontEnd,
     config: RouterConfig,
 }
 
@@ -186,28 +187,21 @@ impl Router {
                 "a router needs at least one --shard",
             ));
         }
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         Ok(Router {
-            listener,
-            addr,
+            front: FrontEnd::bind(&config.addr)?,
             config,
         })
     }
 
     /// The bound address.
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.front.local_addr()
     }
 
     /// Start the acceptor and worker pool. Returns immediately.
     pub fn serve(self) -> RouterHandle {
-        let Router {
-            listener,
-            addr,
-            config,
-        } = self;
+        let Router { front, config } = self;
+        let addr = front.local_addr();
         let pool = Arc::new(ShardPool::new(
             config.shards.clone(),
             config.connect,
@@ -223,39 +217,33 @@ impl Router {
         )));
         let metrics = Arc::new(ServerMetrics::new());
         let shutdown = Arc::new(AtomicBool::new(false));
-        let queue = Arc::new(WorkQueue::<TcpStream>::new());
-        let mut threads = Vec::with_capacity(config.workers + 1);
-        {
-            let shutdown = Arc::clone(&shutdown);
-            let queue = Arc::clone(&queue);
-            let poll = config.poll_interval;
-            threads.push(
-                std::thread::Builder::new()
-                    .name("vdb-router-accept".into())
-                    .spawn(move || accept_loop(listener, "vdb-router", &queue, &shutdown, poll))
-                    .expect("spawn acceptor"),
-            );
-        }
-        let next_sid = Arc::new(AtomicU32::new(1));
-        for i in 0..config.workers.max(1) {
-            let ctx = RouterCtx {
-                pool: Arc::clone(&pool),
-                obs: Arc::clone(&obs),
-                catalog: Arc::clone(&catalog),
-                ring: Arc::clone(&ring),
-                metrics: Arc::clone(&metrics),
-                shutdown: Arc::clone(&shutdown),
-                config: config.clone(),
-                queue: Arc::clone(&queue),
-                next_sid: Arc::clone(&next_sid),
-            };
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("vdb-router-worker-{i}"))
-                    .spawn(move || worker_loop(ctx))
-                    .expect("spawn worker"),
-            );
-        }
+        let front_config = FrontEndConfig {
+            name: "vdb-router",
+            workers: config.workers,
+            poll_interval: config.poll_interval,
+            idle_timeout: config.idle_timeout,
+            frame_timeout: config.frame_timeout,
+            write_timeout: config.write_timeout,
+            max_frame: config.max_frame,
+            drain_grace: config.drain_grace,
+            slow_query_log: None,
+        };
+        let ctx = RouterCtx {
+            pool,
+            obs: Arc::clone(&obs),
+            catalog: Arc::clone(&catalog),
+            ring,
+            metrics: Arc::clone(&metrics),
+            shutdown: Arc::clone(&shutdown),
+            config,
+            next_sid: AtomicU32::new(1),
+        };
+        let threads = front.serve(
+            front_config,
+            ctx,
+            Arc::clone(&metrics),
+            Arc::clone(&shutdown),
+        );
         RouterHandle {
             addr,
             shutdown,
@@ -324,100 +312,47 @@ impl RouterHandle {
     }
 }
 
-fn worker_loop(ctx: RouterCtx) {
-    while let Some(stream) = ctx.queue.pop() {
-        handle_connection(stream, &ctx);
-    }
-}
-
 /// One proxied streaming-ingest session: the dedicated downstream
 /// connection and the shard-side session id.
-struct ProxySession {
+pub(crate) struct ProxySession {
     slot: usize,
     conn: Client,
     ds_session: u32,
     name: String,
 }
 
-fn handle_connection(mut stream: TcpStream, ctx: &RouterCtx) {
-    let cfg = &ctx.config;
-    if stream.set_read_timeout(Some(cfg.poll_interval)).is_err()
-        || stream.set_write_timeout(Some(cfg.write_timeout)).is_err()
-    {
-        return;
+impl Handler for RouterCtx {
+    /// The streaming sessions this connection has open, by the
+    /// router-side session id.
+    type Conn = HashMap<u32, ProxySession>;
+
+    fn open(&self) -> Self::Conn {
+        HashMap::new()
     }
-    let _ = stream.set_nodelay(true);
-    ctx.metrics.connection_opened();
-    let mut proxies: HashMap<u32, ProxySession> = HashMap::new();
-    let mut reader = FrameReader::default();
-    let mut idle_deadline = Instant::now() + cfg.idle_timeout;
-    let mut drain_deadline: Option<Instant> = None;
-    loop {
-        if drain_deadline.is_none() && ctx.shutdown.load(Ordering::SeqCst) {
-            drain_deadline = Some(Instant::now() + cfg.drain_grace);
-        }
-        match reader.try_read(&mut stream, cfg.max_frame, cfg.frame_timeout) {
-            Ok(FrameRead::Idle) => {
-                let now = Instant::now();
-                if let Some(d) = drain_deadline {
-                    if now >= d {
-                        break;
-                    }
-                } else if now >= idle_deadline {
-                    break;
-                }
-            }
-            Ok(FrameRead::Eof) => break,
-            Ok(FrameRead::Frame(payload)) => {
-                idle_deadline = Instant::now() + cfg.idle_timeout;
-                let started = Instant::now();
-                let bytes_in = 4 + payload.len() as u64;
-                let (kind, result) = if is_stream_request(payload) {
-                    stream_proxy(ctx, &mut proxies, payload)
-                } else {
-                    match std::str::from_utf8(payload) {
-                        Ok(line) => dispatch(ctx, line),
-                        Err(_) => (
-                            CommandKind::Other,
-                            Err("request is not valid UTF-8".to_string()),
-                        ),
-                    }
-                };
-                let (ok, text) = match result {
-                    Ok(text) => (true, text),
-                    Err(text) => (false, text),
-                };
-                let response = encode_response(ok, &text);
-                let bytes_out = 4 + response.len() as u64;
-                ctx.metrics
-                    .record_request(kind, ok, bytes_in, bytes_out, started.elapsed());
-                if write_frame(&mut stream, &response).is_err() || kind == CommandKind::Quit {
-                    break;
-                }
-            }
-            Err(e) => {
-                ctx.metrics.protocol_error();
-                if matches!(e, vdb_server::protocol::FrameError::TooLarge { .. }) {
-                    let _ = write_frame(&mut stream, &encode_response(false, &e.to_string()));
-                }
-                break;
-            }
+
+    fn line(&self, _proxies: &mut Self::Conn, line: &str, _tctx: &TraceContext) -> Reply {
+        dispatch(self, line)
+    }
+
+    fn stream(&self, proxies: &mut Self::Conn, payload: &[u8]) -> Reply {
+        stream_proxy(self, proxies, payload)
+    }
+
+    /// Torn-disconnect cleanup: abort every proxied session downstream so
+    /// no shard keeps an admission slot for a client that vanished.
+    fn close(&self, proxies: Self::Conn) {
+        for (_, mut p) in proxies {
+            let _ = p
+                .conn
+                .raw_request(&encode_stream_request(&StreamRequest::Abort {
+                    session: p.ds_session,
+                }));
         }
     }
-    // Torn-disconnect cleanup: abort every proxied session downstream so
-    // no shard keeps an admission slot for a client that vanished.
-    for (_, mut p) in proxies.drain() {
-        let _ = p
-            .conn
-            .raw_request(&encode_stream_request(&StreamRequest::Abort {
-                session: p.ds_session,
-            }));
-    }
-    ctx.metrics.connection_closed();
 }
 
 /// Execute one text command against the cluster.
-fn dispatch(ctx: &RouterCtx, line: &str) -> (CommandKind, Result<String, String>) {
+fn dispatch(ctx: &RouterCtx, line: &str) -> Reply {
     let trimmed = line.trim();
     match trimmed {
         "" => return (CommandKind::Other, Ok(String::new())),
@@ -761,7 +696,7 @@ fn stream_proxy(
     ctx: &RouterCtx,
     proxies: &mut HashMap<u32, ProxySession>,
     payload: &[u8],
-) -> (CommandKind, Result<String, String>) {
+) -> Reply {
     let req = match decode_stream_request(payload) {
         Ok(req) => req,
         Err(e) => {

@@ -4,11 +4,13 @@
 //! byte-identical when every shard is healthy, and degrade to explicit
 //! `partial=` answers (never hangs, never errors) when one is not.
 
-use std::net::TcpListener;
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 use vdb_core::frame::FrameBuf;
 use vdb_router::{Router, RouterConfig};
 use vdb_server::client::ConnectOptions;
+use vdb_server::protocol::{decode_response, read_frame, write_frame, Response};
 use vdb_server::{Client, Server, ServerConfig, ServerHandle, ServerStore};
 
 /// One streamable clip: name, frames, dims, fps.
@@ -320,6 +322,83 @@ fn oversized_k_is_rejected_upfront() {
         .expect("response");
     assert!(!resp.ok);
     assert!(resp.text.contains("too large"), "{}", resp.text);
+    router.shutdown();
+    healthy.shutdown().expect("shard shutdown");
+}
+
+/// The router's front end contains a misbehaving client the way `vdbd`'s
+/// does: an oversized length prefix gets a parting `-` reply and closes
+/// only that connection, a non-UTF-8 request gets a `-` reply on a
+/// connection that keeps serving, a torn frame closes its connection, and
+/// a second client is answered normally throughout.
+#[test]
+fn router_contains_malformed_frames_per_connection() {
+    let healthy = shard(0);
+    let router = router_over(
+        &[&healthy],
+        RouterConfig {
+            frame_timeout: Duration::from_millis(200),
+            ..RouterConfig::default()
+        },
+    );
+    let addr = router.addr();
+    let connect = || {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream
+    };
+    let reply = |stream: &mut TcpStream| -> Response {
+        decode_response(&read_frame(stream, 1 << 20).unwrap().expect("a reply frame")).unwrap()
+    };
+    let closed = |mut stream: TcpStream| {
+        let mut rest = Vec::new();
+        stream.read_to_end(&mut rest).unwrap() == 0
+    };
+    let mut bystander = Client::connect(addr).expect("connect bystander");
+    let mut bystander_ok = || {
+        assert_eq!(bystander.expect_ok("ping").unwrap(), "pong");
+        bystander.expect_ok("list").unwrap();
+    };
+    bystander_ok();
+
+    // Oversized declared length: a parting error reply, then EOF.
+    let mut oversized = connect();
+    oversized.write_all(&(64u32 << 20).to_le_bytes()).unwrap();
+    let resp = reply(&mut oversized);
+    assert!(!resp.ok && resp.text.contains("exceeds"), "{}", resp.text);
+    assert!(
+        closed(oversized),
+        "router must close after an oversized frame"
+    );
+    bystander_ok();
+
+    // Non-UTF-8 request: an error reply, and the connection keeps working.
+    let mut garbled = connect();
+    write_frame(&mut garbled, &[0xff, 0xfe, 0x00]).unwrap();
+    let resp = reply(&mut garbled);
+    assert!(!resp.ok && resp.text.contains("UTF-8"), "{}", resp.text);
+    write_frame(&mut garbled, b"ping").unwrap();
+    let resp = reply(&mut garbled);
+    assert!(resp.ok && resp.text == "pong", "{}", resp.text);
+    bystander_ok();
+
+    // Torn frame (declared 100 bytes, sent 10, then silence): closed
+    // without a reply once `frame_timeout` runs out.
+    let mut torn = connect();
+    torn.write_all(&100u32.to_le_bytes()).unwrap();
+    torn.write_all(&[7u8; 10]).unwrap();
+    assert!(closed(torn), "router must close a torn frame's connection");
+    bystander_ok();
+
+    // The oversized and torn frames were protocol errors; the non-UTF-8
+    // request was an ordinary failed request.
+    let metrics = bystander.expect_ok("metrics").unwrap();
+    assert!(metrics.contains(", 2 protocol errors"), "{metrics}");
+    assert_eq!(router.metrics().protocol_errors, 2);
+    drop(garbled);
+    drop(bystander);
     router.shutdown();
     healthy.shutdown().expect("shard shutdown");
 }

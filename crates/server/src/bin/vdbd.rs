@@ -16,45 +16,9 @@ use std::process::exit;
 use std::time::Duration;
 use vdb_core::analyzer::AnalyzerConfig;
 use vdb_core::simd::SimdLevel;
-use vdb_server::server::{Server, ServerConfig, ServerStore};
+use vdb_server::server::{shutdown_on_signal, Server, ServerConfig, ServerStore};
 use vdb_store::shell::{self, Command};
 use vdb_store::SharedDatabase;
-
-#[cfg(unix)]
-mod sig {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    pub static SIGNALED: AtomicBool = AtomicBool::new(false);
-
-    extern "C" fn on_signal(_signum: i32) {
-        // Async-signal-safe: a single atomic store.
-        SIGNALED.store(true, Ordering::SeqCst);
-    }
-
-    pub fn install() {
-        const SIGINT: i32 = 2;
-        const SIGTERM: i32 = 15;
-        extern "C" {
-            fn signal(signum: i32, handler: extern "C" fn(i32)) -> isize;
-        }
-        unsafe {
-            signal(SIGINT, on_signal);
-            signal(SIGTERM, on_signal);
-        }
-    }
-
-    pub fn pending() -> bool {
-        SIGNALED.load(Ordering::SeqCst)
-    }
-}
-
-#[cfg(not(unix))]
-mod sig {
-    pub fn install() {}
-    pub fn pending() -> bool {
-        false
-    }
-}
 
 fn usage() -> ! {
     eprintln!(
@@ -192,19 +156,8 @@ fn main() {
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
 
-    sig::install();
     let handle = server.serve();
-    let flag = handle.shutdown_flag();
-    std::thread::spawn(move || loop {
-        if sig::pending() {
-            flag.store(true, std::sync::atomic::Ordering::SeqCst);
-            break;
-        }
-        if flag.load(std::sync::atomic::Ordering::SeqCst) {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(100));
-    });
+    shutdown_on_signal(handle.shutdown_flag());
 
     match handle.join() {
         Ok(snapshot) => {

@@ -7,7 +7,8 @@
 //! idle workers all wait on the condvar (which releases the lock), and a
 //! pushed item wakes exactly one of them at once — no poll interval
 //! between a connection being accepted and a worker picking it up.
-//! `vdbd` and the router front end share this type.
+//! The front end ([`crate::server::FrontEnd`]) that `vdbd` and the
+//! router share is its one user.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
@@ -21,20 +22,14 @@ struct State<T> {
 /// consumers. [`WorkQueue::pop`] blocks until an item is queued or the
 /// queue is closed *and* drained, so items pushed before
 /// [`WorkQueue::close`] are never lost.
-pub struct WorkQueue<T> {
+pub(crate) struct WorkQueue<T> {
     state: Mutex<State<T>>,
     ready: Condvar,
 }
 
-impl<T> Default for WorkQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<T> WorkQueue<T> {
     /// An empty, open queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         WorkQueue {
             state: Mutex::new(State {
                 items: VecDeque::new(),
@@ -51,20 +46,20 @@ impl<T> WorkQueue<T> {
     }
 
     /// Queue an item and wake one waiting consumer.
-    pub fn push(&self, item: T) {
+    pub(crate) fn push(&self, item: T) {
         self.lock().items.push_back(item);
         self.ready.notify_one();
     }
 
     /// Stop the queue: consumers drain what is queued, then see `None`.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         self.lock().closed = true;
         self.ready.notify_all();
     }
 
     /// Take the oldest item, blocking while the queue is empty and open.
     /// `None` means closed and drained.
-    pub fn pop(&self) -> Option<T> {
+    pub(crate) fn pop(&self) -> Option<T> {
         let mut state = self.lock();
         loop {
             if let Some(item) = state.items.pop_front() {

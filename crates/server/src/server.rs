@@ -1,10 +1,12 @@
 //! The serving core: a fixed-size worker pool over blocking sockets.
 //!
-//! One acceptor thread hands connections to `workers` handler threads
-//! through a blocking [`WorkQueue`]; each worker owns one connection at a
-//! time and runs its requests to completion (so the pool size bounds
-//! concurrent connections — excess connections queue until a worker frees
-//! up). Blocking reads use short socket timeouts as a poll interval, which
+//! One acceptor thread hands connections to `workers` threads through a
+//! blocking `WorkQueue`; each worker owns one connection at a time and
+//! runs its requests to completion (so the pool size bounds concurrent
+//! connections — excess connections queue until a worker frees up).
+//! [`FrontEnd`] runs this for any [`Handler`], monomorphised: `vdbd`'s
+//! store-backed handler and the router's shard proxy share one loop.
+//! Blocking reads use short socket timeouts as a poll interval, which
 //! is what makes idle timeouts and prompt graceful shutdown possible
 //! without an async runtime:
 //!
@@ -12,10 +14,10 @@
 //! * a frame that starts but does not complete within `frame_timeout` is
 //!   treated as torn and costs the client its connection;
 //! * on shutdown (wire `shutdown` command, [`ServerHandle::trigger_shutdown`],
-//!   or a signal forwarded by `vdbd`) the acceptor stops accepting and
-//!   every worker *drains*: requests already sent by clients are still
-//!   read, executed, and answered for `drain_grace` before the connection
-//!   closes — no in-flight request loses its reply.
+//!   or a signal forwarded by [`shutdown_on_signal`]) the acceptor stops
+//!   accepting and every worker *drains*: requests already sent by clients
+//!   are still read, executed, and answered for `drain_grace` before the
+//!   connection closes — no in-flight request loses its reply.
 //!
 //! Protocol violations (oversized length prefix, torn frame) close only
 //! the offending connection and are counted in [`ServerMetrics`]; they can
@@ -28,12 +30,11 @@ use crate::protocol::{
 };
 use crate::queue::WorkQueue;
 use crate::session::{SessionTable, StreamLimits, StreamStats};
-use parking_lot::RwLock;
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use vdb_core::analyzer::AnalyzerConfig;
@@ -149,15 +150,16 @@ impl ServerStore {
     pub fn read<R>(&self, f: impl FnOnce(&VideoDatabase) -> R) -> R {
         match self {
             ServerStore::Memory(shared) => shared.read(f),
-            ServerStore::Journaled(j) => f(j.read().db()),
+            ServerStore::Journaled(j) => f(j.read().unwrap_or_else(PoisonError::into_inner).db()),
         }
     }
 
-    /// Run a closure under the exclusive write lock.
+    /// Run a closure under the exclusive write lock. A request that
+    /// panicked while holding it does not poison the store for the rest.
     pub fn write<R>(&self, f: impl FnOnce(&mut dyn DbBackend) -> R) -> R {
         match self {
             ServerStore::Memory(shared) => shared.write(|db| f(db)),
-            ServerStore::Journaled(j) => f(&mut *j.write()),
+            ServerStore::Journaled(j) => f(&mut *j.write().unwrap_or_else(PoisonError::into_inner)),
         }
     }
 
@@ -165,7 +167,7 @@ impl ServerStore {
     pub fn sync(&self) -> Result<(), DbError> {
         match self {
             ServerStore::Memory(_) => Ok(()),
-            ServerStore::Journaled(j) => j.write().sync(),
+            ServerStore::Journaled(j) => j.write().unwrap_or_else(PoisonError::into_inner).sync(),
         }
     }
 }
@@ -248,10 +250,120 @@ fn bind_reuseaddr(addr: &str) -> io::Result<TcpListener> {
     TcpListener::bind(addr)
 }
 
-/// A bound-but-not-yet-serving server.
-pub struct Server {
+/// One request's outcome: its metrics kind and `+` (`Ok`) or `-` text.
+pub type Reply = (CommandKind, Result<String, String>);
+
+/// What a [`FrontEnd`] does with one connection's requests. The front
+/// end owns the socket, framing and deadlines; the handler owns what a
+/// request means and per-connection state. One value serves all workers.
+pub trait Handler: Send + Sync + 'static {
+    /// State kept from [`Handler::open`] to [`Handler::close`].
+    type Conn;
+    /// A connection was accepted and its socket configured.
+    fn open(&self) -> Self::Conn;
+    /// Execute one UTF-8 request line under `tctx` (its `server.request` span).
+    fn line(&self, conn: &mut Self::Conn, line: &str, tctx: &TraceContext) -> Reply;
+    /// Execute one binary streaming message (a `0xF5` frame).
+    fn stream(&self, conn: &mut Self::Conn, payload: &[u8]) -> Reply;
+    /// The connection ended, however it ended.
+    fn close(&self, conn: Self::Conn);
+}
+
+/// The connection-level settings of a [`FrontEnd`]; each daemon fills
+/// them from its own config.
+#[derive(Debug, Clone, Copy)]
+pub struct FrontEndConfig {
+    /// Log-line prefix and thread-name stem (`vdbd`, `vdb-router`).
+    pub name: &'static str,
+    /// Worker threads (== max concurrent connections).
+    pub workers: usize,
+    /// Accept poll and idle read timeout (see [`ServerConfig`]).
+    pub poll_interval: Duration,
+    /// Close a connection with no traffic for this long.
+    pub idle_timeout: Duration,
+    /// A started frame must complete within this.
+    pub frame_timeout: Duration,
+    /// Socket write timeout for responses.
+    pub write_timeout: Duration,
+    /// Reject request frames larger than this.
+    pub max_frame: usize,
+    /// After shutdown, keep serving already-sent requests for this long.
+    pub drain_grace: Duration,
+    /// Log requests at least this slow, with their span tree.
+    pub slow_query_log: Option<Duration>,
+}
+
+/// A bound front-end socket whose address is known before any thread
+/// starts; [`FrontEnd::serve`] runs it.
+pub struct FrontEnd {
     listener: TcpListener,
     addr: SocketAddr,
+}
+
+impl FrontEnd {
+    /// Bind with `SO_REUSEADDR` (a restarted daemon reclaims its port at
+    /// once) in non-blocking mode (the acceptor polls).
+    pub fn bind(addr: &str) -> io::Result<FrontEnd> {
+        let listener = bind_reuseaddr(addr)?;
+        let addr = listener.local_addr()?;
+        listener.set_nonblocking(true)?;
+        Ok(FrontEnd { listener, addr })
+    }
+
+    /// The bound address.
+    pub fn local_addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Spawn the acceptor and `config.workers` workers over `handler`,
+    /// counting into `metrics`; they drain and exit once `shutdown` is set.
+    pub fn serve<H: Handler>(
+        self,
+        config: FrontEndConfig,
+        handler: H,
+        metrics: Arc<ServerMetrics>,
+        shutdown: Arc<AtomicBool>,
+    ) -> Vec<JoinHandle<()>> {
+        let name = config.name;
+        let queue = Arc::new(WorkQueue::<TcpStream>::new());
+        let handler = Arc::new(handler);
+        let mut threads = Vec::with_capacity(config.workers + 1);
+        {
+            let listener = self.listener;
+            let queue = Arc::clone(&queue);
+            let shutdown = Arc::clone(&shutdown);
+            threads.push(
+                std::thread::Builder::new()
+                    .name(format!("{name}-accept"))
+                    .spawn(move || {
+                        accept_loop(listener, name, &queue, &shutdown, config.poll_interval)
+                    })
+                    .expect("spawn acceptor"),
+            );
+        }
+        for i in 0..config.workers.max(1) {
+            let queue = Arc::clone(&queue);
+            let handler = Arc::clone(&handler);
+            let metrics = Arc::clone(&metrics);
+            let shutdown = Arc::clone(&shutdown);
+            threads.push(
+                std::thread::Builder::new()
+                    .name(format!("{name}-worker-{i}"))
+                    .spawn(move || {
+                        while let Some(stream) = queue.pop() {
+                            handle_connection(stream, &config, &*handler, &metrics, &shutdown);
+                        }
+                    })
+                    .expect("spawn worker"),
+            );
+        }
+        threads
+    }
+}
+
+/// A bound-but-not-yet-serving server.
+pub struct Server {
+    front: FrontEnd,
     store: ServerStore,
     config: ServerConfig,
 }
@@ -260,12 +372,8 @@ impl Server {
     /// Bind the listening socket (so the ephemeral port is known before
     /// any thread starts).
     pub fn bind(store: ServerStore, config: ServerConfig) -> io::Result<Server> {
-        let listener = bind_reuseaddr(&config.addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         Ok(Server {
-            listener,
-            addr,
+            front: FrontEnd::bind(&config.addr)?,
             store,
             config,
         })
@@ -273,18 +381,18 @@ impl Server {
 
     /// The bound address.
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.front.local_addr()
     }
 
     /// Start the acceptor, worker pool, and (if configured) the metrics
     /// logger. Returns immediately.
     pub fn serve(self) -> ServerHandle {
         let Server {
-            listener,
-            addr,
+            front,
             store,
             config,
         } = self;
+        let addr = front.local_addr();
         let shutdown = Arc::new(AtomicBool::new(false));
         let metrics = Arc::new(ServerMetrics::new());
         let sessions = Arc::new(SessionTable::new(
@@ -298,36 +406,30 @@ impl Server {
             store.clone(),
             Arc::clone(&metrics),
         ));
-        let queue = Arc::new(WorkQueue::<TcpStream>::new());
-        let mut threads = Vec::with_capacity(config.workers + 3);
-
-        {
-            let shutdown = Arc::clone(&shutdown);
-            let queue = Arc::clone(&queue);
-            let poll = config.poll_interval;
-            threads.push(
-                std::thread::Builder::new()
-                    .name("vdbd-accept".into())
-                    .spawn(move || accept_loop(listener, "vdbd", &queue, &shutdown, poll))
-                    .expect("spawn acceptor"),
-            );
-        }
-        for i in 0..config.workers.max(1) {
-            let ctx = WorkerCtx {
-                queue: Arc::clone(&queue),
-                store: store.clone(),
-                metrics: Arc::clone(&metrics),
-                sessions: Arc::clone(&sessions),
-                shutdown: Arc::clone(&shutdown),
-                config: config.clone(),
-            };
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("vdbd-worker-{i}"))
-                    .spawn(move || worker_loop(ctx))
-                    .expect("spawn worker"),
-            );
-        }
+        let front_config = FrontEndConfig {
+            name: "vdbd",
+            workers: config.workers,
+            poll_interval: config.poll_interval,
+            idle_timeout: config.idle_timeout,
+            frame_timeout: config.frame_timeout,
+            write_timeout: config.write_timeout,
+            max_frame: config.max_frame,
+            drain_grace: config.drain_grace,
+            slow_query_log: config.slow_query_log,
+        };
+        let ctx = WorkerCtx {
+            store: store.clone(),
+            metrics: Arc::clone(&metrics),
+            sessions: Arc::clone(&sessions),
+            shutdown: Arc::clone(&shutdown),
+            config: config.clone(),
+        };
+        let mut threads = front.serve(
+            front_config,
+            ctx,
+            Arc::clone(&metrics),
+            Arc::clone(&shutdown),
+        );
         {
             // The session reaper: aborts streams idle past their timeout
             // so abandoned sessions release admission slots, and whatever
@@ -449,18 +551,54 @@ impl ServerHandle {
 }
 
 /// Set the shutdown flag and wake the reaper, which otherwise sees the
-/// flag only at its next tick (as it does when `vdbd`'s signal handler
-/// sets the bare flag).
+/// flag only at its next tick (as it does when a signal sets the bare
+/// flag).
 fn begin_shutdown(shutdown: &AtomicBool, sessions: &SessionTable) {
     shutdown.store(true, Ordering::SeqCst);
     sessions.kick_reaper();
 }
 
+/// Make SIGINT and SIGTERM set `flag` (a daemon's shutdown flag), so a
+/// signal drains and exits like the wire `shutdown`. The signal handler
+/// does one async-signal-safe atomic store; a watcher thread forwards it
+/// to `flag` within 100 ms. On non-unix targets this does nothing.
+pub fn shutdown_on_signal(flag: Arc<AtomicBool>) {
+    #[cfg(unix)]
+    {
+        static SIGNALED: AtomicBool = AtomicBool::new(false);
+        extern "C" fn on_signal(_signum: i32) {
+            SIGNALED.store(true, Ordering::SeqCst);
+        }
+        extern "C" {
+            fn signal(signum: i32, handler: extern "C" fn(i32)) -> isize;
+        }
+        const SIGINT: i32 = 2;
+        const SIGTERM: i32 = 15;
+        // SAFETY: `signal` is the C library's, called with valid signal
+        // numbers and an `extern "C" fn(i32)` handler whose only action is
+        // an atomic store to a static, which is async-signal-safe.
+        unsafe {
+            signal(SIGINT, on_signal);
+            signal(SIGTERM, on_signal);
+        }
+        std::thread::spawn(move || {
+            while !flag.load(Ordering::SeqCst) {
+                if SIGNALED.load(Ordering::SeqCst) {
+                    flag.store(true, Ordering::SeqCst);
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(100));
+            }
+        });
+    }
+    #[cfg(not(unix))]
+    drop(flag);
+}
+
 /// The acceptor thread's body: poll the non-blocking `listener` every
 /// `poll` until `shutdown`, queueing each connection for the workers,
-/// then close the queue. Public so the router's front end runs the same
-/// loop as `vdbd`; `who` prefixes the error log line.
-pub fn accept_loop(
+/// then close the queue. `who` prefixes the error log line.
+fn accept_loop(
     listener: TcpListener,
     who: &str,
     queue: &WorkQueue<TcpStream>,
@@ -492,23 +630,8 @@ pub fn accept_loop(
     queue.close();
 }
 
-struct WorkerCtx {
-    queue: Arc<WorkQueue<TcpStream>>,
-    store: ServerStore,
-    metrics: Arc<ServerMetrics>,
-    sessions: Arc<SessionTable>,
-    shutdown: Arc<AtomicBool>,
-    config: ServerConfig,
-}
-
-fn worker_loop(ctx: WorkerCtx) {
-    while let Some(stream) = ctx.queue.pop() {
-        handle_connection(stream, &ctx);
-    }
-}
-
 /// Outcome of one deadline-aware frame read (see [`FrameReader`]).
-pub enum FrameRead<'a> {
+enum FrameRead<'a> {
     /// A complete frame's payload, valid until the next read.
     Frame(&'a [u8]),
     /// No bytes arrived within one poll interval.
@@ -521,10 +644,9 @@ pub enum FrameRead<'a> {
 /// buffer for the connection's lifetime — grown to the largest frame
 /// seen (at most the frame cap), never shrunk and never re-zeroed — so a
 /// stream of 57.6 kB frames costs one socket read each, not an
-/// allocation and a zero-fill besides. Public so the router's front end
-/// can run the same connection loop as `vdbd`.
+/// allocation and a zero-fill besides.
 #[derive(Default)]
-pub struct FrameReader {
+struct FrameReader {
     buf: Vec<u8>,
 }
 
@@ -532,7 +654,7 @@ impl FrameReader {
     /// Read one frame with the stream's poll-interval read timeout.
     /// Returns `Idle` if no byte arrived; once a frame has started it
     /// must complete within `frame_timeout` or the frame counts as torn.
-    pub fn try_read(
+    fn try_read(
         &mut self,
         stream: &mut TcpStream,
         max: usize,
@@ -597,23 +719,28 @@ impl FrameReader {
     }
 }
 
-fn handle_connection(mut stream: TcpStream, ctx: &WorkerCtx) {
-    let cfg = &ctx.config;
+/// One connection, start to finish: each request runs through `handler`
+/// under its own `server.request` root span; `close` runs on every exit.
+fn handle_connection<H: Handler>(
+    mut stream: TcpStream,
+    cfg: &FrontEndConfig,
+    handler: &H,
+    metrics: &ServerMetrics,
+    shutdown: &AtomicBool,
+) {
     if stream.set_read_timeout(Some(cfg.poll_interval)).is_err()
         || stream.set_write_timeout(Some(cfg.write_timeout)).is_err()
     {
         return;
     }
     let _ = stream.set_nodelay(true);
-    ctx.metrics.connection_opened();
-    // Scopes streaming-session ownership; on any exit from this function
-    // the connection's sessions are aborted (torn-disconnect cleanup).
-    let conn_id = ctx.sessions.register_conn();
+    metrics.connection_opened();
+    let mut conn = handler.open();
     let mut reader = FrameReader::default();
     let mut idle_deadline = Instant::now() + cfg.idle_timeout;
     let mut drain_deadline: Option<Instant> = None;
     loop {
-        if drain_deadline.is_none() && ctx.shutdown.load(Ordering::SeqCst) {
+        if drain_deadline.is_none() && shutdown.load(Ordering::SeqCst) {
             drain_deadline = Some(Instant::now() + cfg.drain_grace);
         }
         match reader.try_read(&mut stream, cfg.max_frame, cfg.frame_timeout) {
@@ -640,10 +767,10 @@ fn handle_connection(mut stream: TcpStream, ctx: &WorkerCtx) {
                 let mut rspan = tracer.span(&root, "server.request");
                 let tctx = rspan.context();
                 let (kind, result) = if is_stream_request(payload) {
-                    stream_dispatch(ctx, conn_id, payload)
+                    handler.stream(&mut conn, payload)
                 } else {
                     match std::str::from_utf8(payload) {
-                        Ok(line) => dispatch(ctx, line, &tctx),
+                        Ok(line) => handler.line(&mut conn, line, &tctx),
                         Err(_) => (
                             CommandKind::Other,
                             Err("request is not valid UTF-8".to_string()),
@@ -664,13 +791,13 @@ fn handle_connection(mut stream: TcpStream, ctx: &WorkerCtx) {
                 let elapsed = started.elapsed();
                 // Count before replying, so a client that has its reply is
                 // guaranteed to be visible in the metrics.
-                ctx.metrics
-                    .record_request(kind, ok, bytes_in, bytes_out, elapsed);
+                metrics.record_request(kind, ok, bytes_in, bytes_out, elapsed);
                 if let Some(threshold) = cfg.slow_query_log {
                     if elapsed >= threshold {
-                        ctx.metrics.slow_request();
+                        metrics.slow_request();
                         eprintln!(
-                            "vdbd: slow request: {} took {}us (threshold {}us)\n{}",
+                            "{}: slow request: {} took {}us (threshold {}us)\n{}",
+                            cfg.name,
                             kind.label(),
                             elapsed.as_micros(),
                             threshold.as_micros(),
@@ -687,7 +814,7 @@ fn handle_connection(mut stream: TcpStream, ctx: &WorkerCtx) {
                 // done, the server is not. Oversized frames get a parting
                 // error response (the declared length was read cleanly);
                 // after a torn frame there is nothing sane to say.
-                ctx.metrics.protocol_error();
+                metrics.protocol_error();
                 if matches!(e, FrameError::TooLarge { .. }) {
                     let _ = write_frame(&mut stream, &encode_response(false, &e.to_string()));
                 }
@@ -695,18 +822,48 @@ fn handle_connection(mut stream: TcpStream, ctx: &WorkerCtx) {
             }
         }
     }
-    ctx.sessions.close_conn(conn_id);
-    ctx.metrics.connection_closed();
+    handler.close(conn);
+    metrics.connection_closed();
+}
+
+/// `vdbd`'s [`Handler`]: requests run against the store and the
+/// streaming-session table.
+struct WorkerCtx {
+    store: ServerStore,
+    metrics: Arc<ServerMetrics>,
+    sessions: Arc<SessionTable>,
+    shutdown: Arc<AtomicBool>,
+    config: ServerConfig,
+}
+
+impl Handler for WorkerCtx {
+    /// The connection's id in the session table, which scopes the
+    /// streaming sessions it owns.
+    type Conn = u64;
+
+    fn open(&self) -> u64 {
+        self.sessions.register_conn()
+    }
+
+    fn line(&self, _conn: &mut u64, line: &str, tctx: &TraceContext) -> Reply {
+        dispatch(self, line, tctx)
+    }
+
+    fn stream(&self, conn: &mut u64, payload: &[u8]) -> Reply {
+        stream_dispatch(self, *conn, payload)
+    }
+
+    /// Torn-disconnect cleanup: abort whatever sessions the connection
+    /// left open.
+    fn close(&self, conn: u64) {
+        self.sessions.close_conn(conn);
+    }
 }
 
 /// Execute one binary stream message against the session table. Session
 /// failures come back as `-` responses on this connection; they never
 /// close it and never touch other sessions.
-fn stream_dispatch(
-    ctx: &WorkerCtx,
-    conn: u64,
-    payload: &[u8],
-) -> (CommandKind, Result<String, String>) {
+fn stream_dispatch(ctx: &WorkerCtx, conn: u64, payload: &[u8]) -> Reply {
     match decode_stream_request(payload) {
         Err(e) => {
             ctx.metrics.protocol_error();
@@ -738,11 +895,7 @@ fn stream_dispatch(
 /// Execute one request line, opening any store/core trace spans under
 /// `tctx` (the per-request `server.request` span). The error side of the
 /// result becomes a `-` status response.
-fn dispatch(
-    ctx: &WorkerCtx,
-    line: &str,
-    tctx: &TraceContext,
-) -> (CommandKind, Result<String, String>) {
+fn dispatch(ctx: &WorkerCtx, line: &str, tctx: &TraceContext) -> Reply {
     let trimmed = line.trim();
     match trimmed {
         "ping" => return (CommandKind::Ping, Ok("pong".to_string())),

@@ -1,12 +1,11 @@
 //! Compact binary encoding of the database's record types.
 //!
-//! A small hand-rolled codec over [`bytes`]: little-endian fixed-width
-//! scalars, length-prefixed containers. Used by the segment store
+//! A small hand-rolled codec: little-endian fixed-width scalars,
+//! length-prefixed containers. Used by the segment store
 //! ([`crate::pages`]) for everything except the scene tree, which is stored
 //! as a JSON blob (its recursive structure changes most often during
 //! development, and JSON keeps old store files inspectable).
 
-use bytes::{Buf, BufMut};
 use vdb_core::index::{IndexEntry, ShotKey};
 use vdb_core::pixel::Rgb;
 use vdb_core::shot::Shot;
@@ -40,34 +39,32 @@ pub trait Codec: Sized {
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError>;
 }
 
+/// Split the next `n` bytes off the front of `buf`.
 #[inline]
-fn need(buf: &&[u8], n: usize) -> Result<(), CodecError> {
-    if buf.remaining() < n {
-        Err(CodecError::UnexpectedEof)
-    } else {
-        Ok(())
+fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], CodecError> {
+    if buf.len() < n {
+        return Err(CodecError::UnexpectedEof);
     }
+    let (head, rest) = buf.split_at(n);
+    *buf = rest;
+    Ok(head)
 }
 
 macro_rules! scalar_codec {
-    ($ty:ty, $put:ident, $get:ident, $size:expr) => {
+    ($($ty:ty),*) => {$(
         impl Codec for $ty {
             fn encode(&self, buf: &mut Vec<u8>) {
-                buf.$put(*self);
+                buf.extend_from_slice(&self.to_le_bytes());
             }
             fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-                need(buf, $size)?;
-                Ok(buf.$get())
+                let bytes = take(buf, std::mem::size_of::<$ty>())?;
+                Ok(<$ty>::from_le_bytes(bytes.try_into().expect("sized by take")))
             }
         }
-    };
+    )*};
 }
 
-scalar_codec!(u8, put_u8, get_u8, 1);
-scalar_codec!(u16, put_u16_le, get_u16_le, 2);
-scalar_codec!(u32, put_u32_le, get_u32_le, 4);
-scalar_codec!(u64, put_u64_le, get_u64_le, 8);
-scalar_codec!(f64, put_f64_le, get_f64_le, 8);
+scalar_codec!(u8, u16, u32, u64, f64);
 
 impl Codec for usize {
     fn encode(&self, buf: &mut Vec<u8>) {
@@ -81,7 +78,7 @@ impl Codec for usize {
 
 impl Codec for bool {
     fn encode(&self, buf: &mut Vec<u8>) {
-        buf.put_u8(u8::from(*self));
+        buf.push(u8::from(*self));
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         match u8::decode(buf)? {
@@ -95,14 +92,12 @@ impl Codec for bool {
 impl Codec for String {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.len().encode(buf);
-        buf.put_slice(self.as_bytes());
+        buf.extend_from_slice(self.as_bytes());
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         let len = usize::decode(buf)?;
-        need(buf, len)?;
-        let bytes = buf[..len].to_vec();
-        buf.advance(len);
-        String::from_utf8(bytes).map_err(|_| CodecError::Invalid("utf8"))
+        let bytes = take(buf, len)?;
+        String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::Invalid("utf8"))
     }
 }
 
@@ -127,9 +122,9 @@ impl<T: Codec> Codec for Vec<T> {
 impl<T: Codec> Codec for Option<T> {
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {
-            None => buf.put_u8(0),
+            None => buf.push(0),
             Some(v) => {
-                buf.put_u8(1);
+                buf.push(1);
                 v.encode(buf);
             }
         }
@@ -145,13 +140,11 @@ impl<T: Codec> Codec for Option<T> {
 
 impl Codec for Rgb {
     fn encode(&self, buf: &mut Vec<u8>) {
-        buf.put_slice(&self.0);
+        buf.extend_from_slice(&self.0);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        need(buf, 3)?;
-        let p = Rgb([buf[0], buf[1], buf[2]]);
-        buf.advance(3);
-        Ok(p)
+        let p = take(buf, 3)?;
+        Ok(Rgb([p[0], p[1], p[2]]))
     }
 }
 

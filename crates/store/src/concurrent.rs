@@ -2,13 +2,14 @@
 //!
 //! A browsing workload is read-heavy — many users exploring scene trees and
 //! issuing variance queries while new clips are occasionally ingested.
-//! [`SharedDatabase`] wraps [`VideoDatabase`] in a `parking_lot::RwLock`
+//! [`SharedDatabase`] wraps [`VideoDatabase`] in a `std::sync::RwLock`
 //! behind an `Arc`, exposing the same operations with interior locking.
+//! The lock does not poison: a panic under the write lock (a failed
+//! request on a server worker) leaves the database usable for the rest.
 
 use crate::catalog::{FormId, GenreId};
 use crate::db::{DbError, QueryAnswer, VideoDatabase};
-use parking_lot::RwLock;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use vdb_core::frame::Video;
 use vdb_core::index::VarianceQuery;
 
@@ -19,6 +20,14 @@ pub struct SharedDatabase {
 }
 
 impl SharedDatabase {
+    fn read_lock(&self) -> RwLockReadGuard<'_, VideoDatabase> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write_lock(&self) -> RwLockWriteGuard<'_, VideoDatabase> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Wrap an empty database.
     pub fn new() -> Self {
         Self::default()
@@ -39,7 +48,7 @@ impl SharedDatabase {
         genres: Vec<GenreId>,
         forms: Vec<FormId>,
     ) -> Result<u64, DbError> {
-        self.inner.write().ingest(name, video, genres, forms)
+        self.write_lock().ingest(name, video, genres, forms)
     }
 
     /// Ingest many videos: analyses run on `workers` threads *outside* the
@@ -55,7 +64,7 @@ impl SharedDatabase {
         items: Vec<(String, Video)>,
         workers: usize,
     ) -> Vec<Result<u64, DbError>> {
-        let config = self.inner.read().config();
+        let config = self.read_lock().config();
         let n = items.len();
         let mut slots: Vec<
             std::sync::Mutex<Option<Result<vdb_core::analyzer::VideoAnalysis, DbError>>>,
@@ -77,7 +86,7 @@ impl SharedDatabase {
                 });
             }
         });
-        let mut db = self.inner.write();
+        let mut db = self.write_lock();
         items
             .into_iter()
             .zip(slots)
@@ -99,40 +108,40 @@ impl SharedDatabase {
 
     /// Query under a read lock (concurrent with other readers).
     pub fn query(&self, q: &VarianceQuery) -> Vec<QueryAnswer> {
-        self.inner.read().query(q)
+        self.read_lock().query(q)
     }
 
     /// Set ingest-time extraction parallelism (takes the write lock
     /// briefly; applies to subsequent ingests).
     pub fn set_parallelism(&self, parallelism: vdb_core::parallel::Parallelism) {
-        self.inner.write().set_parallelism(parallelism);
+        self.write_lock().set_parallelism(parallelism);
     }
 
     /// Set the ingest-time extraction SIMD level (takes the write lock
     /// briefly; applies to subsequent ingests).
     pub fn set_simd(&self, simd: vdb_core::simd::SimdLevel) {
-        self.inner.write().set_simd(simd);
+        self.write_lock().set_simd(simd);
     }
 
     /// Number of videos.
     pub fn len(&self) -> usize {
-        self.inner.read().len()
+        self.read_lock().len()
     }
 
     /// Whether the database is empty.
     pub fn is_empty(&self) -> bool {
-        self.inner.read().is_empty()
+        self.read_lock().is_empty()
     }
 
     /// Run a closure with read access to the full database (for browsing
     /// sessions and inspection).
     pub fn read<R>(&self, f: impl FnOnce(&VideoDatabase) -> R) -> R {
-        f(&self.inner.read())
+        f(&self.read_lock())
     }
 
     /// Run a closure with exclusive access.
     pub fn write<R>(&self, f: impl FnOnce(&mut VideoDatabase) -> R) -> R {
-        f(&mut self.inner.write())
+        f(&mut self.write_lock())
     }
 }
 

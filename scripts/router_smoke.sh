@@ -2,7 +2,8 @@
 # End-to-end smoke test for the sharded serving layer: boot two journaled
 # vdbd shards plus a vdb-router in front, stream a clip in through the
 # router, query it back, restart one shard on its same port, and verify
-# the cluster answers whole again. CI runs this after server_smoke.sh;
+# the cluster answers whole again, then SIGTERM the router and restart it
+# on its own port. CI runs this after server_smoke.sh;
 # locally:
 #
 #   cargo build --bins && scripts/router_smoke.sh [target/debug]
@@ -79,29 +80,53 @@ expect_contains() { # <needle> <label> <<< haystack
     esac
 }
 
+# start_router <run> <addr>: boots vdb-router over both shards, sets
+# ROUTER_PID and RADDR once it reports its bound address.
+start_router() {
+    local run="$1" addr="$2"
+    "$ROUTER" --addr "$addr" --shard "$SHARD0_ADDR" --shard "$SHARD1_ADDR" \
+        >"$WORKDIR/router$run.out" 2>"$WORKDIR/router$run.err" &
+    ROUTER_PID=$!
+    PIDS+=("$ROUTER_PID")
+    RADDR=""
+    for _ in $(seq 1 100); do
+        RADDR="$(sed -n 's/^vdb-router listening on //p' "$WORKDIR/router$run.out")"
+        [ -n "$RADDR" ] && break
+        kill -0 "$ROUTER_PID" 2>/dev/null || {
+            echo "router_smoke: vdb-router died before binding:" >&2
+            cat "$WORKDIR/router$run.err" >&2
+            exit 1
+        }
+        sleep 0.1
+    done
+    [ -n "$RADDR" ] || { echo "router_smoke: vdb-router never bound" >&2; exit 1; }
+    echo "router_smoke: router up on $RADDR over 2 shards"
+}
+
+# stop_by_signal <pid> <label> <stderr file>: SIGTERM, wait, and require a
+# zero exit with a "clean shutdown" line.
+stop_by_signal() {
+    local pid="$1" label="$2" err="$3"
+    kill "$pid"
+    for _ in $(seq 1 100); do
+        kill -0 "$pid" 2>/dev/null || break
+        sleep 0.1
+    done
+    kill -0 "$pid" 2>/dev/null && { echo "router_smoke: $label ignored SIGTERM" >&2; exit 1; }
+    wait "$pid" || { echo "router_smoke: $label exited non-zero after SIGTERM" >&2; exit 1; }
+    grep -q "clean shutdown" "$err" || {
+        echo "router_smoke: $label did not shut down cleanly:" >&2
+        cat "$err" >&2
+        exit 1
+    }
+}
+
 start_shard 0
 SHARD0_PID=$SHARD_PID
 SHARD0_ADDR=$SHARD_ADDR
 start_shard 1
 SHARD1_ADDR=$SHARD_ADDR
-
-"$ROUTER" --addr 127.0.0.1:0 --shard "$SHARD0_ADDR" --shard "$SHARD1_ADDR" \
-    >"$WORKDIR/router.out" 2>"$WORKDIR/router.err" &
-ROUTER_PID=$!
-PIDS+=("$ROUTER_PID")
-RADDR=""
-for _ in $(seq 1 100); do
-    RADDR="$(sed -n 's/^vdb-router listening on //p' "$WORKDIR/router.out")"
-    [ -n "$RADDR" ] && break
-    kill -0 "$ROUTER_PID" 2>/dev/null || {
-        echo "router_smoke: vdb-router died before binding:" >&2
-        cat "$WORKDIR/router.err" >&2
-        exit 1
-    }
-    sleep 0.1
-done
-[ -n "$RADDR" ] || { echo "router_smoke: vdb-router never bound" >&2; exit 1; }
-echo "router_smoke: router up on $RADDR over 2 shards"
+start_router 1 127.0.0.1:0
 
 "$VDBC" "$RADDR" ping | expect_contains "pong" "ping"
 "$VDBC" "$RADDR" ring | expect_contains "vnodes" "ring"
@@ -130,18 +155,7 @@ CLIP="$WORKDIR/clip.y4m"
 
 # Restart shard 0: SIGTERM it, rebind the same port (SO_REUSEADDR), and
 # the cluster must answer whole again — same journal, no partial marker.
-kill "$SHARD0_PID"
-for _ in $(seq 1 100); do
-    kill -0 "$SHARD0_PID" 2>/dev/null || break
-    sleep 0.1
-done
-kill -0 "$SHARD0_PID" 2>/dev/null && { echo "router_smoke: shard 0 ignored SIGTERM" >&2; exit 1; }
-wait "$SHARD0_PID" 2>/dev/null || true
-grep -q "clean shutdown" "$WORKDIR/shard0.err" || {
-    echo "router_smoke: shard 0 did not shut down cleanly:" >&2
-    cat "$WORKDIR/shard0.err" >&2
-    exit 1
-}
+stop_by_signal "$SHARD0_PID" "shard 0" "$WORKDIR/shard0.err"
 start_shard 0 "$SHARD0_ADDR"
 [ "$SHARD_ADDR" = "$SHARD0_ADDR" ] || {
     echo "router_smoke: restarted shard 0 on $SHARD_ADDR, wanted $SHARD0_ADDR" >&2
@@ -155,6 +169,22 @@ start_shard 0 "$SHARD0_ADDR"
     exit 1
 }
 
+# Restart the router: SIGTERM it (the shared signal hook drains and exits
+# 0), rebind its same port (the shared SO_REUSEADDR bind), rebuild the id
+# catalog from the shards, and the cluster must answer as before.
+ROUTER1_ADDR=$RADDR
+stop_by_signal "$ROUTER_PID" "router" "$WORKDIR/router1.err"
+start_router 2 "$ROUTER1_ADDR"
+[ "$RADDR" = "$ROUTER1_ADDR" ] || {
+    echo "router_smoke: restarted router on $RADDR, wanted $ROUTER1_ADDR" >&2
+    exit 1
+}
+"$VDBC" "$RADDR" refresh | expect_contains "catalog rebuilt: 2 videos from 2 shards" "refresh"
+"$VDBC" "$RADDR" list | expect_contains "routed alpha" "list-after-router-restart"
+"$VDBC" "$RADDR" list | expect_contains "routed beta" "list-after-router-restart"
+"$VDBC" "$RADDR" stats | expect_contains "videos 2" "stats-after-router-restart"
+"$VDBC" "$RADDR" stats | expect_contains "router.videos 2" "stats-after-router-restart"
+
 # Wire shutdown: the router drains and exits 0 on its own; the shards
 # are then shut down over their own wire.
 "$VDBC" "$RADDR" shutdown | expect_contains "shutting down" "router-shutdown"
@@ -165,12 +195,12 @@ done
 kill -0 "$ROUTER_PID" 2>/dev/null && { echo "router_smoke: router did not exit" >&2; exit 1; }
 wait "$ROUTER_PID" || {
     echo "router_smoke: vdb-router exited non-zero:" >&2
-    cat "$WORKDIR/router.err" >&2
+    cat "$WORKDIR/router2.err" >&2
     exit 1
 }
-grep -q "clean shutdown" "$WORKDIR/router.err" || {
+grep -q "clean shutdown" "$WORKDIR/router2.err" || {
     echo "router_smoke: router did not report a clean shutdown:" >&2
-    cat "$WORKDIR/router.err" >&2
+    cat "$WORKDIR/router2.err" >&2
     exit 1
 }
 "$VDBC" "$SHARD0_ADDR" shutdown | expect_contains "shutting down" "shard0-shutdown"
