@@ -1,7 +1,7 @@
 //! Regenerate the paper's tables on the synthetic corpus.
 //!
 //! ```text
-//! cargo run -p vdb-bench --release --bin tables [--scale F] [--seed N] [table1|table3|table4|table5|baseline-compare|sensitivity|crossover|all]
+//! cargo run -p vdb-bench --release --bin tables [--scale F] [--seed N] [table1|table3|table4|table5|baseline-compare|sensitivity|complexity|crossover|all]
 //! ```
 //!
 //! `--scale` is the fraction of each Table 5 clip's published shot-change
@@ -13,6 +13,7 @@ use vdb_eval::ablation::{
     foreground_heavy_corpus, render_fba_ablation, render_model_ablation, run_fba_ablation,
     run_model_ablation, run_thickness_ablation, run_tree_threshold_ablation, run_zoom_ablation,
 };
+use vdb_eval::complexity::{render_sweep, run_pyramid_sweep, run_scenetree_sweep, FRAMES_PER_SHOT};
 use vdb_eval::corpus::{build_corpus_parallel, CorpusClip, CORPUS_DIMS};
 use vdb_eval::experiments::{
     render_baseline_comparison, render_sensitivity, run_baseline_comparison, run_sensitivity_sweep,
@@ -166,6 +167,12 @@ fn main() {
     if wants(&args, "ablation-zoom") {
         println!("== Zoom-robustness ablation (shift-only vs multiscale) ==\n");
         println!("{}", run_zoom_ablation(args.seed, 6));
+    }
+    if wants(&args, "complexity") {
+        println!("== §2.1: O(m) pyramid, one size-set line to its sign ==\n");
+        println!("{}", render_sweep("m (pixels)", &run_pyramid_sweep()));
+        println!("== §3.1: scene-tree construction, {FRAMES_PER_SHOT} frames per shot ==\n");
+        println!("{}", render_sweep("n (shots)", &run_scenetree_sweep()));
     }
     if wants(&args, "crossover") {
         println!("== Scan-vs-index crossover (bucketed shot index) ==\n");

@@ -1,5 +1,5 @@
 //! The 1M-shot pin on the sublinear index (run with `--ignored` in the
-//! CI bench-snapshot job, release profile):
+//! CI index-scale job, release profile):
 //!
 //! * the bucket index over one million synthetic shots builds inside a
 //!   wall-clock budget;
@@ -107,7 +107,7 @@ fn baseline_probe_p99(path: &PathBuf) -> Option<f64> {
 }
 
 #[test]
-#[ignore = "1M-shot scale pin: run in release via the CI bench-snapshot job"]
+#[ignore = "1M-shot scale pin: run in release via the CI index-scale job"]
 fn one_million_shots_index_vs_scan() {
     let entries = corpus();
     let queries = probe_set(&entries);

@@ -5,7 +5,7 @@
 //!   and extract the per-frame signs;
 //! * **Step 2** — build the scene tree from the shots;
 //! * **Step 3** — compute each shot's `(Var^BA, Var^OA)` feature vector,
-//!   ready to be inserted into a [`crate::index::VarianceIndex`].
+//!   ready to be inserted into a [`crate::index::ShotIndex`].
 
 use crate::error::Result;
 use crate::frame::Video;

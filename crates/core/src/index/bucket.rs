@@ -15,7 +15,8 @@
 //! brute-force linear scan by the equivalence property suite):
 //!
 //! * **range** — the paper's Eqs. 7–8 window, identical semantics to
-//!   [`VarianceIndex::query`](super::VarianceIndex::query);
+//!   [`VarianceQuery::matches`](super::VarianceQuery::matches) applied
+//!   row by row;
 //! * **top-k** — the `k` nearest entries to the query point in
 //!   `(D^v, √Var^BA)` space, found by expanding outward from the query's
 //!   bucket and stopping once the next bucket's best possible distance

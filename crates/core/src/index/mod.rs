@@ -14,14 +14,10 @@
 //!
 //! with tolerances α = β = 1.0 in the paper's system.
 //!
-//! [`VarianceIndex`] keeps entries sorted by `D^v` so Eq. 7 is a binary-
-//! search range scan; Eq. 8 filters the survivors. A [`QuantizedIndex`]
-//! variant ("another common way to handle inexact queries is to do matching
-//! on quantized data") is provided for the ablation benchmarks.
-//!
-//! At the scale ROADMAP targets ("millions of users / millions of shots")
-//! the paper's flat table stops being enough, so the module grew into a
-//! family:
+//! The one index table is [`ShotIndex`]: rows sorted by `D^v` under a
+//! bucket directory, so Eq. 7 touches only the buckets overlapping the
+//! α-window and Eq. 8 filters the survivors. It is built from three
+//! pieces, sized for the "millions of shots" scale ROADMAP targets:
 //!
 //! * [`bucket`] — [`BucketIndex`], a sorted bucket
 //!   array over `D^v` answering range *and* top-k queries in sublinear
@@ -29,10 +25,13 @@
 //! * [`cost`] — [`CostModel`], which predicts that work
 //!   (buckets touched, candidates scored) from the index parameters and
 //!   corpus statistics alone;
-//! * [`planner`] — [`ShotIndex`], the maintained
-//!   index used by the database layer: it plans every query (scan vs.
+//! * [`planner`] — [`ShotIndex`] itself, the maintained index used by the
+//!   database layer and the experiments: it plans every query (scan vs.
 //!   buckets) from the cost estimate and records probe metrics into
 //!   `vdb-obs`.
+//!
+//! [`ExtendedIndex`] is the §6 per-channel model, kept for the
+//! basic-vs-extended ablation.
 //!
 //! **Tie-break contract:** every query in this family orders results by
 //! ascending `(distance, ShotKey)` — equal-distance matches come back in
@@ -170,176 +169,6 @@ pub struct Match {
     /// to order equally-valid matches for display (the paper shows "the
     /// three most similar shots").
     pub distance: f64,
-}
-
-/// The sorted index table.
-///
-/// Entries are kept ordered by `D^v`; Eq. 7 becomes one `partition_point`
-/// range and Eq. 8 a filter over it. Build is O(n log n), queries are
-/// O(log n + answer).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct VarianceIndex {
-    /// Sorted by `d_v` ascending.
-    entries: Vec<IndexEntry>,
-}
-
-impl VarianceIndex {
-    /// Empty index.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Build from unsorted rows.
-    pub fn build(mut entries: Vec<IndexEntry>) -> Self {
-        entries.sort_by(|a, b| a.d_v().total_cmp(&b.d_v()));
-        VarianceIndex { entries }
-    }
-
-    /// Insert one row (keeps order; O(n) shift).
-    pub fn insert(&mut self, entry: IndexEntry) {
-        let pos = self.entries.partition_point(|e| e.d_v() < entry.d_v());
-        self.entries.insert(pos, entry);
-    }
-
-    /// Remove every row of a video (when a video is deleted from the
-    /// database). Returns how many rows were removed.
-    pub fn remove_video(&mut self, video: u64) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|e| e.key.video != video);
-        before - self.entries.len()
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the index has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// All rows, sorted by `D^v`.
-    pub fn entries(&self) -> &[IndexEntry] {
-        &self.entries
-    }
-
-    /// Eq. 7 + Eq. 8 range query, results sorted by distance to the query
-    /// (nearest first; ties by key for determinism).
-    pub fn query(&self, q: &VarianceQuery) -> Vec<Match> {
-        let dq = q.d_v();
-        let lo = self.entries.partition_point(|e| e.d_v() < dq - q.alpha);
-        let hi = self.entries.partition_point(|e| e.d_v() <= dq + q.alpha);
-        let sq = q.var_ba.sqrt();
-        let mut out: Vec<Match> = self.entries[lo..hi]
-            .iter()
-            .filter(|e| {
-                let si = e.sqrt_ba();
-                si >= sq - q.beta && si <= sq + q.beta
-            })
-            .map(|e| Match {
-                entry: *e,
-                distance: ((e.d_v() - dq).powi(2) + (e.sqrt_ba() - sq).powi(2)).sqrt(),
-            })
-            .collect();
-        out.sort_by(|a, b| {
-            a.distance
-                .total_cmp(&b.distance)
-                .then(a.entry.key.cmp(&b.entry.key))
-        });
-        out
-    }
-
-    /// Reference implementation: linear scan with the same predicate.
-    /// Exists to validate the sorted index and to benchmark against it.
-    pub fn query_scan(&self, q: &VarianceQuery) -> Vec<Match> {
-        let dq = q.d_v();
-        let sq = q.var_ba.sqrt();
-        let mut out: Vec<Match> = self
-            .entries
-            .iter()
-            .filter(|e| q.matches(e))
-            .map(|e| Match {
-                entry: *e,
-                distance: ((e.d_v() - dq).powi(2) + (e.sqrt_ba() - sq).powi(2)).sqrt(),
-            })
-            .collect();
-        out.sort_by(|a, b| {
-            a.distance
-                .total_cmp(&b.distance)
-                .then(a.entry.key.cmp(&b.entry.key))
-        });
-        out
-    }
-}
-
-/// The quantization-based alternative the paper mentions in passing:
-/// `D^v` and `√Var^BA` are quantized to a grid of cell size α (resp. β)
-/// and matching shots are looked up in the query's cell and its neighbors.
-///
-/// Exact with respect to Eqs. 7–8 (a candidate superset is range-checked),
-/// but with O(1) expected lookup. Used by the ablation bench.
-#[derive(Debug, Clone, Default)]
-pub struct QuantizedIndex {
-    cell_alpha: f64,
-    cell_beta: f64,
-    cells: std::collections::HashMap<(i64, i64), Vec<IndexEntry>>,
-}
-
-impl QuantizedIndex {
-    /// Build with the given cell sizes (use the α/β you will query with).
-    pub fn build(entries: &[IndexEntry], cell_alpha: f64, cell_beta: f64) -> Self {
-        assert!(
-            cell_alpha > 0.0 && cell_beta > 0.0,
-            "cell sizes must be positive"
-        );
-        let mut cells: std::collections::HashMap<(i64, i64), Vec<IndexEntry>> =
-            std::collections::HashMap::new();
-        for e in entries {
-            let cx = (e.d_v() / cell_alpha).floor() as i64;
-            let cy = (e.sqrt_ba() / cell_beta).floor() as i64;
-            cells.entry((cx, cy)).or_default().push(*e);
-        }
-        QuantizedIndex {
-            cell_alpha,
-            cell_beta,
-            cells,
-        }
-    }
-
-    /// Same semantics as [`VarianceIndex::query`].
-    pub fn query(&self, q: &VarianceQuery) -> Vec<Match> {
-        let dq = q.d_v();
-        let sq = q.var_ba.sqrt();
-        // The query window spans alpha/cell_alpha cells; visit all cells
-        // overlapping it.
-        let cx_lo = ((dq - q.alpha) / self.cell_alpha).floor() as i64;
-        let cx_hi = ((dq + q.alpha) / self.cell_alpha).floor() as i64;
-        let cy_lo = ((sq - q.beta) / self.cell_beta).floor() as i64;
-        let cy_hi = ((sq + q.beta) / self.cell_beta).floor() as i64;
-        let mut out = Vec::new();
-        for cx in cx_lo..=cx_hi {
-            for cy in cy_lo..=cy_hi {
-                if let Some(v) = self.cells.get(&(cx, cy)) {
-                    for e in v {
-                        if q.matches(e) {
-                            out.push(Match {
-                                entry: *e,
-                                distance: ((e.d_v() - dq).powi(2) + (e.sqrt_ba() - sq).powi(2))
-                                    .sqrt(),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        out.sort_by(|a, b| {
-            a.distance
-                .total_cmp(&b.distance)
-                .then(a.entry.key.cmp(&b.entry.key))
-        });
-        out
-    }
 }
 
 /// One row of the *extended* index (§6's more discriminating model):
@@ -493,6 +322,14 @@ mod tests {
         }
     }
 
+    fn build(entries: Vec<IndexEntry>) -> ShotIndex {
+        ShotIndex::from_entries(entries, BucketParams::default())
+    }
+
+    fn keys(matches: &[Match]) -> Vec<ShotKey> {
+        matches.iter().map(|m| m.entry.key).collect()
+    }
+
     #[test]
     fn dv_arithmetic() {
         // D^v = sqrt(Var^BA) - sqrt(Var^OA). (The paper's Table 4(b) quotes
@@ -508,7 +345,7 @@ mod tests {
     #[test]
     fn query_window_inclusive_bounds() {
         // Entry exactly on the α edge is included (Eq. 7 uses ≤).
-        let idx = VarianceIndex::build(vec![
+        let idx = build(vec![
             entry(1, 0, 16.0, 9.0), // d_v = 1, sqrt_ba = 4
             entry(1, 1, 25.0, 9.0), // d_v = 2, sqrt_ba = 5
             entry(1, 2, 36.0, 9.0), // d_v = 3, sqrt_ba = 6
@@ -525,7 +362,7 @@ mod tests {
     fn eq8_filters_background_variance() {
         // Two shots with the same d_v but very different sqrt_ba: only the
         // near one matches.
-        let idx = VarianceIndex::build(vec![
+        let idx = build(vec![
             entry(1, 0, 16.0, 16.0),   // d_v = 0, sqrt_ba = 4
             entry(1, 1, 100.0, 100.0), // d_v = 0, sqrt_ba = 10
         ]);
@@ -543,16 +380,14 @@ mod tests {
                 entry(i as u64 % 3, i, (v * 0.37) % 40.0, (v * 0.71) % 30.0)
             })
             .collect();
-        let idx = VarianceIndex::build(entries);
+        let idx = build(entries);
         for i in 0..40 {
             let q =
                 VarianceQuery::new(f64::from(i), f64::from(40 - i) * 0.5).with_tolerances(1.0, 2.0);
             let a = idx.query(&q);
             let b = idx.query_scan(&q);
-            assert_eq!(a.len(), b.len(), "query {i}");
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.entry.key, y.entry.key);
-            }
+            assert_eq!(keys(&a), keys(&b), "query {i}");
+            assert_eq!(keys(&idx.probe_range(&q).0), keys(&b), "query {i}");
         }
     }
 
@@ -564,23 +399,21 @@ mod tests {
                 entry(7, i, (v * 1.31) % 55.0, (v * 0.47) % 25.0)
             })
             .collect();
-        let idx = VarianceIndex::build(entries.clone());
-        let qidx = QuantizedIndex::build(&entries, 1.0, 1.0);
+        // Coarse and fine bucket directories probe different slices of the
+        // table but must return the scan's answer exactly.
+        let fine = ShotIndex::from_entries(entries.clone(), BucketParams::with_bucket_width(0.05));
+        let coarse = ShotIndex::from_entries(entries, BucketParams::with_bucket_width(4.0));
         for i in 0..30 {
             let q = VarianceQuery::new(f64::from(i * 2), f64::from(i));
-            let a = idx.query(&q);
-            let b = qidx.query(&q);
-            assert_eq!(
-                a.iter().map(|m| m.entry.key).collect::<Vec<_>>(),
-                b.iter().map(|m| m.entry.key).collect::<Vec<_>>(),
-                "query {i}"
-            );
+            let want = keys(&fine.query_scan(&q));
+            assert_eq!(keys(&fine.probe_range(&q).0), want, "fine, query {i}");
+            assert_eq!(keys(&coarse.probe_range(&q).0), want, "coarse, query {i}");
         }
     }
 
     #[test]
     fn insert_maintains_order() {
-        let mut idx = VarianceIndex::new();
+        let mut idx = ShotIndex::new();
         for (ba, oa) in [(9.0, 1.0), (1.0, 9.0), (25.0, 25.0), (49.0, 0.0)] {
             idx.insert(entry(1, idx.len() as u32, ba, oa));
         }
@@ -590,7 +423,7 @@ mod tests {
 
     #[test]
     fn remove_video_drops_only_that_video() {
-        let mut idx = VarianceIndex::build(vec![
+        let mut idx = build(vec![
             entry(1, 0, 1.0, 1.0),
             entry(2, 0, 2.0, 2.0),
             entry(1, 1, 3.0, 3.0),
@@ -602,7 +435,7 @@ mod tests {
 
     #[test]
     fn empty_index_empty_answers() {
-        let idx = VarianceIndex::new();
+        let idx = ShotIndex::new();
         assert!(idx.query(&VarianceQuery::new(5.0, 5.0)).is_empty());
         assert!(idx.is_empty());
     }
@@ -612,7 +445,7 @@ mod tests {
         let entries: Vec<IndexEntry> = (0..50)
             .map(|i| entry(1, i, f64::from(i) * 2.0, f64::from(i)))
             .collect();
-        let idx = VarianceIndex::build(entries.clone());
+        let idx = build(entries.clone());
         let q = VarianceQuery::by_example(crate::variance::ShotFeature {
             var_ba: entries[20].var_ba,
             var_oa: entries[20].var_oa,
@@ -732,7 +565,7 @@ mod tests {
                 .enumerate()
                 .map(|(i, &(ba, oa))| entry(1, i as u32, ba, oa))
                 .collect();
-            let idx = VarianceIndex::build(entries.clone());
+            let idx = build(entries.clone());
             let q = VarianceQuery::new(qba, qoa).with_tolerances(alpha, beta);
             let got: std::collections::HashSet<u32> =
                 idx.query(&q).iter().map(|m| m.entry.key.shot).collect();
@@ -742,7 +575,8 @@ mod tests {
             }
         }
 
-        /// Sorted, scan, and quantized implementations agree on arbitrary data.
+        /// The bucket path, the forced scan, and the Eq. 7–8 predicate
+        /// applied row by row agree on arbitrary data, order included.
         #[test]
         fn prop_three_implementations_agree(
             vars in prop::collection::vec((0.0f64..60.0, 0.0f64..60.0), 0..48),
@@ -754,12 +588,18 @@ mod tests {
                 .enumerate()
                 .map(|(i, &(ba, oa))| entry(3, i as u32, ba, oa))
                 .collect();
-            let idx = VarianceIndex::build(entries.clone());
-            let qidx = QuantizedIndex::build(&entries, 1.0, 1.0);
+            let idx = build(entries.clone());
             let q = VarianceQuery::new(qba, qoa);
-            let a: Vec<u32> = idx.query(&q).iter().map(|m| m.entry.key.shot).collect();
-            let b: Vec<u32> = idx.query_scan(&q).iter().map(|m| m.entry.key.shot).collect();
-            let c: Vec<u32> = qidx.query(&q).iter().map(|m| m.entry.key.shot).collect();
+            let (dq, sq) = (q.d_v(), q.var_ba.sqrt());
+            let mut filtered: Vec<(f64, ShotKey)> = entries
+                .iter()
+                .filter(|e| q.matches(e))
+                .map(|e| (((e.d_v() - dq).powi(2) + (e.sqrt_ba() - sq).powi(2)).sqrt(), e.key))
+                .collect();
+            filtered.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let c: Vec<ShotKey> = filtered.into_iter().map(|(_, k)| k).collect();
+            let a = keys(&idx.probe_range(&q).0);
+            let b = keys(&idx.query_scan(&q));
             prop_assert_eq!(&a, &b);
             prop_assert_eq!(&a, &c);
         }
@@ -776,7 +616,7 @@ mod tests {
                 .enumerate()
                 .map(|(i, &(ba, oa))| entry(1, i as u32, ba, oa))
                 .collect();
-            let idx = VarianceIndex::build(entries);
+            let idx = build(entries);
             let m = idx.query(&VarianceQuery::new(qba, qoa));
             prop_assert!(m.windows(2).all(|w| w[0].distance <= w[1].distance));
         }

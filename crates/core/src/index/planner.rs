@@ -405,12 +405,6 @@ impl ShotIndex {
         self.run_range(q, &TraceContext::disabled()).0
     }
 
-    /// [`Self::query`] with a `core.index.probe` span (carrying the
-    /// explain payload as attributes) opened under `ctx`.
-    pub fn query_traced(&self, q: &VarianceQuery, ctx: &TraceContext) -> Vec<Match> {
-        self.run_range(q, ctx).0
-    }
-
     /// [`Self::query`] plus the planner's full [`Explain`] decision
     /// trail. The probe itself is byte-identical to `query` — explain
     /// never changes what executes.
@@ -471,12 +465,6 @@ impl ShotIndex {
     /// (α/β ignored), routed through the planner. Ties by ascending key.
     pub fn query_topk(&self, q: &VarianceQuery, k: usize) -> Vec<Match> {
         self.run_topk(q, k, &TraceContext::disabled()).0
-    }
-
-    /// [`Self::query_topk`] with a `core.index.probe` span (carrying the
-    /// explain payload as attributes) opened under `ctx`.
-    pub fn query_topk_traced(&self, q: &VarianceQuery, k: usize, ctx: &TraceContext) -> Vec<Match> {
-        self.run_topk(q, k, ctx).0
     }
 
     /// [`Self::query_topk`] plus the planner's [`Explain`] decision
@@ -768,8 +756,11 @@ mod tests {
         let before = tracer.recorder().total_recorded();
         let root = tracer.trace_root_forced();
         let q = VarianceQuery::new(10.0, 5.0);
-        assert_eq!(idx.query_traced(&q, &root), idx.query(&q));
-        assert_eq!(idx.query_topk_traced(&q, 3, &root), idx.query_topk(&q, 3));
+        assert_eq!(idx.query_explain_traced(&q, &root).0, idx.query(&q));
+        assert_eq!(
+            idx.query_topk_explain_traced(&q, 3, &root).0,
+            idx.query_topk(&q, 3)
+        );
         let events = tracer.recorder().events_for(root.trace_id);
         assert_eq!(events.len(), 2, "two probes recorded");
         assert!(events.iter().all(|e| e.name == "core.index.probe"));
@@ -777,7 +768,7 @@ mod tests {
         assert!(tracer.recorder().total_recorded() >= before + 2);
         // Unsampled context: nothing recorded.
         let after = tracer.recorder().total_recorded();
-        idx.query_traced(&q, &TraceContext::disabled());
+        idx.query_explain_traced(&q, &TraceContext::disabled());
         assert_eq!(tracer.recorder().total_recorded(), after);
     }
 

@@ -65,7 +65,7 @@ pub use error::{CoreError, Result};
 pub use frame::{FrameBuf, Video};
 pub use index::{
     BucketIndex, BucketParams, CorpusStats, CostEstimate, CostModel, IndexEntry, IndexRuntime,
-    Match, Plan, PlanChoice, ProbeStats, ShotIndex, ShotKey, VarianceIndex, VarianceQuery,
+    Match, Plan, PlanChoice, ProbeStats, ShotIndex, ShotKey, VarianceQuery,
 };
 pub use parallel::Parallelism;
 pub use pipeline::{AnalysisEngine, PipelineMetrics, PushOutcome};

@@ -560,7 +560,7 @@ mod tests {
 
     #[test]
     fn warm_engine_batch_path_reduces_without_allocating() {
-        // The acceptance criterion for the scratch arena: after the first
+        // The acceptance test for the scratch arena: after the first
         // clip has warmed the buffers, an entire batch analysis performs
         // zero heap allocations inside the pyramid reductions.
         let video = Video::new(clip((160, 120), &[(1, 4), (2, 4)]), 3.0).unwrap();

@@ -15,6 +15,8 @@
 //!   basic-vs-extended similarity-model comparison;
 //! * [`indexperf`] — the scan-vs-index crossover sweep for the bucketed
 //!   shot index and its cost model;
+//! * [`complexity`] — timed sweeps behind §2.1's `O(m)` pyramid and
+//!   §3.1's scene-tree construction claims;
 //! * [`report`] — fixed-width table rendering shared by all runners.
 //!
 //! The `vdb-bench` crate's `tables` and `figures` binaries are thin CLI
@@ -24,6 +26,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod ablation;
+pub mod complexity;
 pub mod corpus;
 pub mod experiments;
 pub mod indexperf;
@@ -36,12 +39,31 @@ pub use metrics::{evaluate_boundaries, recall_precision, DetectionEval};
 
 #[cfg(test)]
 mod tests {
+    use crate::complexity;
     use crate::corpus::map_corpus;
     use crate::{build_corpus, CORPUS_DIMS};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use vdb_core::analyzer::{AnalyzerConfig, VideoAnalyzer};
     use vdb_core::parallel::Parallelism;
     use vdb_synth::clips::Scale;
+
+    #[test]
+    fn bencher_measures_something() {
+        let ns = complexity::ns_per_iter(|| std::hint::black_box(3u64).wrapping_mul(7));
+        assert!(ns > 0.0 && ns.is_finite(), "{ns}");
+    }
+
+    #[test]
+    fn group_api_shape() {
+        let inputs: Vec<(usize, Vec<u8>)> = [5, 1, 3].iter().map(|&n| (n, vec![7; n])).collect();
+        let rows = complexity::sweep(&inputs, |v| v.iter().map(|&b| u64::from(b)).sum::<u64>());
+        let sizes: Vec<usize> = rows.iter().map(|r| r.size).collect();
+        assert_eq!(sizes, [5, 1, 3], "one row per size, in order");
+        assert!(rows
+            .iter()
+            .all(|r| r.ns_per_iter > 0.0 && r.ns_per_unit().is_finite()));
+        assert!(complexity::render_sweep("n", &rows).contains("vs first"));
+    }
 
     #[test]
     fn scope_joins_all_children() {

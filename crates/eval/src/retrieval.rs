@@ -6,7 +6,7 @@
 use crate::report::{ratio, Table};
 use vdb_baselines::BrowseTree;
 use vdb_core::analyzer::{VideoAnalysis, VideoAnalyzer};
-use vdb_core::index::VarianceQuery;
+use vdb_core::index::{BucketParams, IndexEntry, ShotIndex, ShotKey, VarianceQuery};
 use vdb_core::shot::Shot;
 use vdb_synth::rng::Srng;
 use vdb_synth::script::{generate, GeneratedVideo, GroundTruth, ShotSpec, VideoScript};
@@ -323,18 +323,27 @@ impl RetrievalExperiment {
     /// across both movies.
     pub fn retrieve(&self, archetype: ShotArchetype, k: usize) -> Option<RetrievalOutcome> {
         // Build a pooled index over both movies.
-        let mut index = vdb_core::index::VarianceIndex::new();
-        for (m, (_, analysis)) in self.movies.iter().enumerate() {
-            for (shot, f) in analysis.shots().iter().zip(&analysis.features) {
-                index.insert(vdb_core::index::IndexEntry::new(
-                    vdb_core::index::ShotKey {
-                        video: m as u64,
-                        shot: shot.id as u32,
-                    },
-                    *f,
-                ));
-            }
-        }
+        let rows: Vec<IndexEntry> = self
+            .movies
+            .iter()
+            .enumerate()
+            .flat_map(|(m, (_, analysis))| {
+                analysis
+                    .shots()
+                    .iter()
+                    .zip(&analysis.features)
+                    .map(move |(shot, f)| {
+                        IndexEntry::new(
+                            ShotKey {
+                                video: m as u64,
+                                shot: shot.id as u32,
+                            },
+                            *f,
+                        )
+                    })
+            })
+            .collect();
+        let index = ShotIndex::from_entries(rows, BucketParams::default());
         // Find the query shot: among movie 1's shots of this archetype, the
         // one nearest the archetype's median in (D^v, √Var^BA) space — a
         // representative exemplar (the paper picks its query shots

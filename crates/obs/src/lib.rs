@@ -343,7 +343,7 @@ impl fmt::Debug for Registry {
 }
 
 /// The process-wide registry. Core's [`AnalysisEngine`] and the store's
-/// journal register here by default, so a daemon (or `perfsnap`) sees the
+/// journal register here by default, so a daemon (or a benchmark run) sees the
 /// whole stack in one snapshot. Enabled from the start; tests that need
 /// count-exact isolation use a private [`Registry`] instead.
 ///

@@ -63,11 +63,6 @@ impl HistogramSnapshot {
         self.quantile_us(0.99)
     }
 
-    /// Total recorded time in seconds (for throughput math).
-    pub fn seconds(&self) -> f64 {
-        self.sum_us as f64 / 1e6
-    }
-
     /// Fold another histogram into this one bucket-by-bucket (used to
     /// aggregate latency across commands).
     pub fn merge(&mut self, other: &HistogramSnapshot) {

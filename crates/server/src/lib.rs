@@ -53,6 +53,7 @@ mod tests {
     use std::sync::atomic::{AtomicBool, Ordering};
     use vdb_core::analyzer::AnalyzerConfig;
     use vdb_core::frame::Video;
+    use vdb_obs::TraceContext;
     use vdb_synth::script::{generate, ShotSpec, VideoScript};
 
     fn clip(seed: u64) -> Video {
@@ -96,7 +97,15 @@ mod tests {
             // The store stays usable for every later request.
             assert_eq!(store.read(|db| db.len()), 0);
             store
-                .write(|b| b.ingest_clip("after".into(), &clip(3), vec![], vec![]))
+                .write(|b| {
+                    b.ingest_clip(
+                        "after".into(),
+                        &clip(3),
+                        vec![],
+                        vec![],
+                        &TraceContext::disabled(),
+                    )
+                })
                 .unwrap();
             store.sync().unwrap();
             assert_eq!(store.read(|db| db.len()), 1);
@@ -127,7 +136,13 @@ mod tests {
                 for i in 0..INGESTS {
                     store
                         .write(|b| {
-                            b.ingest_clip(format!("clip{i}"), &clip(i as u64), vec![], vec![])
+                            b.ingest_clip(
+                                format!("clip{i}"),
+                                &clip(i as u64),
+                                vec![],
+                                vec![],
+                                &TraceContext::disabled(),
+                            )
                         })
                         .unwrap();
                 }

@@ -72,29 +72,17 @@ pub trait DbBackend: Send {
     /// Read access to the underlying in-memory database.
     fn db(&self) -> &VideoDatabase;
 
-    /// Ingest one clip (analysis runs inline). Durable backends persist
-    /// the clip before returning.
+    /// Ingest one clip (analysis runs inline), with its trace spans opened
+    /// under `ctx` (pass [`TraceContext::disabled`] for none). Durable
+    /// backends persist the clip before returning.
     fn ingest_clip(
         &mut self,
         name: String,
         video: &Video,
         genres: Vec<GenreId>,
         forms: Vec<FormId>,
+        ctx: &TraceContext,
     ) -> Result<u64, DbError>;
-
-    /// [`Self::ingest_clip`] with trace spans opened under `ctx`.
-    /// Defaults to the untraced path; both workspace backends override
-    /// with their fully traced ingest.
-    fn ingest_clip_traced(
-        &mut self,
-        name: String,
-        video: &Video,
-        genres: Vec<GenreId>,
-        forms: Vec<FormId>,
-        _ctx: &TraceContext,
-    ) -> Result<u64, DbError> {
-        self.ingest_clip(name, video, genres, forms)
-    }
 
     /// Register a streaming session's finished analysis (computed outside
     /// any lock — see [`crate::session::StreamIngest`]). Durable backends
@@ -137,16 +125,6 @@ impl DbBackend for VideoDatabase {
         video: &Video,
         genres: Vec<GenreId>,
         forms: Vec<FormId>,
-    ) -> Result<u64, DbError> {
-        self.ingest(name, video, genres, forms)
-    }
-
-    fn ingest_clip_traced(
-        &mut self,
-        name: String,
-        video: &Video,
-        genres: Vec<GenreId>,
-        forms: Vec<FormId>,
         ctx: &TraceContext,
     ) -> Result<u64, DbError> {
         self.ingest_traced(name, video, genres, forms, ctx)
@@ -176,16 +154,6 @@ impl DbBackend for JournaledDatabase {
     }
 
     fn ingest_clip(
-        &mut self,
-        name: String,
-        video: &Video,
-        genres: Vec<GenreId>,
-        forms: Vec<FormId>,
-    ) -> Result<u64, DbError> {
-        self.ingest(name, video, genres, forms)
-    }
-
-    fn ingest_clip_traced(
         &mut self,
         name: String,
         video: &Video,
@@ -235,7 +203,13 @@ mod tests {
 
     fn roundtrip(backend: &mut dyn DbBackend) -> u64 {
         let id = backend
-            .ingest_clip("clip".into(), &clip(1), vec![], vec![])
+            .ingest_clip(
+                "clip".into(),
+                &clip(1),
+                vec![],
+                vec![],
+                &TraceContext::disabled(),
+            )
             .unwrap();
         assert_eq!(backend.db().len(), 1);
         backend.sync().unwrap();

@@ -542,13 +542,6 @@ impl VideoDatabase {
         self.query_filtered(q, |_| true)
     }
 
-    /// [`Self::query`] with the index probe's trace span opened under
-    /// `ctx` (used by `perfsnap` to emit a trace artifact of the real
-    /// query workload).
-    pub fn query_traced(&self, q: &VarianceQuery, ctx: &TraceContext) -> Vec<QueryAnswer> {
-        self.answers_from(self.index.query_traced(q, ctx), |_| true)
-    }
-
     /// Run a textual query (see [`crate::query`] for the syntax), e.g.
     /// `"ba=0.5 oa=15 genre=comedy form=feature limit=5"`.
     pub fn query_str(&self, text: &str) -> Result<Vec<QueryAnswer>, DbError> {
@@ -686,29 +679,6 @@ impl VideoDatabase {
     /// [`Self::query`].
     pub fn query_topk(&self, q: &VarianceQuery, k: usize) -> Vec<QueryAnswer> {
         self.answers_from(self.index.query_topk(q, k), |_| true)
-    }
-
-    /// [`Self::query_topk`] with the index probe's trace span opened
-    /// under `ctx`.
-    pub fn query_topk_traced(
-        &self,
-        q: &VarianceQuery,
-        k: usize,
-        ctx: &TraceContext,
-    ) -> Vec<QueryAnswer> {
-        self.answers_from(self.index.query_topk_traced(q, k, ctx), |_| true)
-    }
-
-    /// [`Self::query_topk`] restricted by a metadata predicate. The
-    /// filter runs *after* ranking, so fewer than `k` answers may come
-    /// back when nearby shots belong to filtered-out videos.
-    pub fn query_topk_filtered(
-        &self,
-        q: &VarianceQuery,
-        k: usize,
-        keep: impl Fn(&VideoMeta) -> bool,
-    ) -> Vec<QueryAnswer> {
-        self.answers_from(self.index.query_topk(q, k), keep)
     }
 
     fn query_filtered(

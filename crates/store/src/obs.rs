@@ -2,8 +2,8 @@
 //!
 //! All three persistence layers record here: the segment/page layer
 //! (records and bytes moved), the binary codec (encode/decode latency and
-//! volume), and the journal (append and fsync-boundary latency — the
-//! metric `perfsnap` turns into the BENCH_5 `journal` section). Handles
+//! volume), and the journal (append and fsync-boundary latency, reported
+//! by `metrics` and `stats`). Handles
 //! are registered once per process into [`vdb_obs::global`] and shared by
 //! every database instance, so they aggregate across the whole workload;
 //! recording is lock-free (see `vdb-obs`).

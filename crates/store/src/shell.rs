@@ -104,7 +104,11 @@ impl Command {
         match cmd {
             "quit" | "exit" => Command::Quit,
             "help" => Command::Help,
-            "demo" => Command::Demo(parts.next().and_then(|v| v.parse().ok()).unwrap_or(2)),
+            "demo" => match parts.next().map(str::parse) {
+                None => Command::Demo(2),
+                Some(Ok(n)) => Command::Demo(n),
+                Some(Err(_)) => Command::Usage("  usage: demo [n]\n"),
+            },
             "list" => Command::List,
             "stats" => Command::Stats,
             "query" => Command::Query(parts.collect::<Vec<_>>().join(" ")),
@@ -366,7 +370,7 @@ pub fn execute_mutation_traced(
                     (80, 60),
                     seed,
                 ));
-                match backend.ingest_clip_traced(
+                match backend.ingest_clip(
                     format!("demo-movie-{seed}"),
                     &clip.video,
                     vec![],
@@ -742,6 +746,19 @@ mod tests {
     }
 
     #[test]
+    fn demo_with_a_bad_count_is_usage_not_a_mutation() {
+        for line in ["demo 1O", "demo two", "demo -1", "trace demo x"] {
+            let cmd = Command::parse(line);
+            assert!(!cmd.is_mutation(), "{line:?} parsed as {cmd:?}");
+        }
+        assert!(matches!(Command::parse("demo 1O"), Command::Usage(_)));
+        let mut sh = Shell::new();
+        let out = exec(&mut sh, "demo 1O");
+        assert!(out.contains("usage: demo"), "{out}");
+        assert_eq!(sh.db().len(), 0, "a typo must ingest nothing");
+    }
+
+    #[test]
     fn command_classification() {
         assert!(Command::parse("list").is_readonly());
         assert!(Command::parse("query ba=1 oa=1").is_readonly());
@@ -754,6 +771,8 @@ mod tests {
         assert!(!Command::parse("trace demo 1").is_readonly());
         let save = Command::parse("save x.vdbs");
         assert!(!save.is_readonly() && !save.is_mutation());
+        assert_eq!(Command::parse("demo"), Command::Demo(2));
+        assert_eq!(Command::parse("demo 3"), Command::Demo(3));
         assert_eq!(
             Command::parse("load! x.vdbs"),
             Command::Load {

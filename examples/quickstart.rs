@@ -6,7 +6,7 @@
 //! ```
 
 use vdb_core::analyzer::VideoAnalyzer;
-use vdb_core::index::{IndexEntry, ShotKey, VarianceIndex, VarianceQuery};
+use vdb_core::index::{BucketParams, IndexEntry, ShotIndex, ShotKey, VarianceQuery};
 use vdb_synth::script::{generate, ShotSpec, VideoScript};
 
 fn main() {
@@ -61,16 +61,21 @@ fn main() {
     println!("\nscene tree:\n{}", analysis.scene_tree.render_ascii());
 
     // 4. A variance query, answered with shots.
-    let mut index = VarianceIndex::new();
-    for (shot, f) in analysis.shots().iter().zip(&analysis.features) {
-        index.insert(IndexEntry::new(
-            ShotKey {
-                video: 0,
-                shot: shot.id as u32,
-            },
-            *f,
-        ));
-    }
+    let rows = analysis
+        .shots()
+        .iter()
+        .zip(&analysis.features)
+        .map(|(shot, f)| {
+            IndexEntry::new(
+                ShotKey {
+                    video: 0,
+                    shot: shot.id as u32,
+                },
+                *f,
+            )
+        })
+        .collect();
+    let index = ShotIndex::from_entries(rows, BucketParams::default());
     let q = VarianceQuery::by_example(analysis.features[0]);
     let matches = index.query(&q);
     println!(
