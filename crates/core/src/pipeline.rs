@@ -267,14 +267,6 @@ impl AnalysisEngine {
         &self.config
     }
 
-    /// Replace the configuration. Applies to frames pushed from now on;
-    /// call between clips (typically right after [`AnalysisEngine::finish`])
-    /// so one clip is analyzed under one set of thresholds.
-    pub fn set_config(&mut self, config: AnalyzerConfig) {
-        self.detector = CameraTrackingDetector::with_config(config.sbd);
-        self.config = config;
-    }
-
     /// Frames consumed since the last `finish`.
     pub fn frame_count(&self) -> usize {
         self.state.signs_ba.len()

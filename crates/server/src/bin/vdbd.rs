@@ -18,7 +18,7 @@ use vdb_core::analyzer::AnalyzerConfig;
 use vdb_core::simd::SimdLevel;
 use vdb_server::server::{shutdown_on_signal, Server, ServerConfig, ServerStore};
 use vdb_store::shell::{self, Command};
-use vdb_store::SharedDatabase;
+use vdb_store::VideoDatabase;
 
 fn usage() -> ! {
     eprintln!(
@@ -130,12 +130,7 @@ fn main() {
                 exit(1);
             }
         },
-        None => {
-            let shared = SharedDatabase::new();
-            shared.set_simd(analyzer.simd);
-            shared.set_parallelism(analyzer.parallelism);
-            ServerStore::from_shared(shared)
-        }
+        None => ServerStore::new(VideoDatabase::with_config(analyzer)),
     };
     if demo > 0 {
         let out = store.write(|backend| {

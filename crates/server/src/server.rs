@@ -32,18 +32,14 @@ use crate::queue::WorkQueue;
 use crate::session::{SessionTable, StreamLimits, StreamStats};
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use vdb_core::analyzer::AnalyzerConfig;
 use vdb_obs::{global_tracer, TraceContext};
-use vdb_store::backend::DbBackend;
-use vdb_store::db::{DbError, VideoDatabase};
-use vdb_store::journal::JournaledDatabase;
+pub use vdb_store::concurrent::ServerStore;
+use vdb_store::db::DbError;
 use vdb_store::shell::{self, Command};
-use vdb_store::SharedDatabase;
 
 /// Tunables for a [`Server`].
 #[derive(Debug, Clone)]
@@ -113,61 +109,6 @@ impl Default for ServerConfig {
             session_idle_timeout: Duration::from_secs(60),
             stream_stall_timeout: Duration::from_secs(10),
             shard_id: None,
-        }
-    }
-}
-
-/// The database a server serves: ephemeral in-memory, or durable behind a
-/// journal (every `demo` ingest and `remove` tombstone is flushed before
-/// its response goes out).
-#[derive(Clone)]
-pub enum ServerStore {
-    /// Shared in-memory database.
-    Memory(SharedDatabase),
-    /// Journal-backed database.
-    Journaled(Arc<RwLock<JournaledDatabase>>),
-}
-
-impl ServerStore {
-    /// An empty in-memory store.
-    pub fn memory() -> Self {
-        ServerStore::Memory(SharedDatabase::new())
-    }
-
-    /// Wrap an existing shared database.
-    pub fn from_shared(db: SharedDatabase) -> Self {
-        ServerStore::Memory(db)
-    }
-
-    /// Open (or create) a journal-backed store.
-    pub fn open_journal(path: impl Into<PathBuf>, config: AnalyzerConfig) -> Result<Self, DbError> {
-        Ok(ServerStore::Journaled(Arc::new(RwLock::new(
-            JournaledDatabase::open(path, config)?,
-        ))))
-    }
-
-    /// Run a closure under a shared read lock.
-    pub fn read<R>(&self, f: impl FnOnce(&VideoDatabase) -> R) -> R {
-        match self {
-            ServerStore::Memory(shared) => shared.read(f),
-            ServerStore::Journaled(j) => f(j.read().unwrap_or_else(PoisonError::into_inner).db()),
-        }
-    }
-
-    /// Run a closure under the exclusive write lock. A request that
-    /// panicked while holding it does not poison the store for the rest.
-    pub fn write<R>(&self, f: impl FnOnce(&mut dyn DbBackend) -> R) -> R {
-        match self {
-            ServerStore::Memory(shared) => shared.write(|db| f(db)),
-            ServerStore::Journaled(j) => f(&mut *j.write().unwrap_or_else(PoisonError::into_inner)),
-        }
-    }
-
-    /// Flush any buffered journal bytes (no-op for the in-memory store).
-    pub fn sync(&self) -> Result<(), DbError> {
-        match self {
-            ServerStore::Memory(_) => Ok(()),
-            ServerStore::Journaled(j) => j.write().unwrap_or_else(PoisonError::into_inner).sync(),
         }
     }
 }

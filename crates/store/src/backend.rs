@@ -1,16 +1,18 @@
 //! A common mutation surface over the two database flavours.
 //!
-//! The REPL ([`crate::shell`]) and the network server (`vdb-server`) both
-//! run the same commands against either a plain in-memory
-//! [`VideoDatabase`] or a durable [`JournaledDatabase`]. [`DbBackend`]
-//! abstracts exactly the mutations those command surfaces need — ingest,
-//! remove, sync — so command execution is written once and the journal's
-//! append-on-write semantics (including `TAG_REMOVE` tombstones) come for
-//! free wherever a journal is plugged in.
+//! The REPL ([`crate::shell`]) and the network server (`vdb-server`, via
+//! [`crate::concurrent::ServerStore`]) both run the same commands against
+//! either a plain in-memory [`VideoDatabase`] or a durable
+//! [`JournaledDatabase`](crate::journal::JournaledDatabase). Both hold a
+//! `dyn DbBackend`, so the memory/journal choice is made once, where the
+//! backend is built. [`DbBackend`] abstracts exactly the mutations those
+//! command surfaces need — ingest, remove, sync — so command execution is
+//! written once and the journal's append-on-write semantics (including
+//! `TAG_REMOVE` tombstones) come for free wherever a journal is plugged in.
 
 use crate::catalog::{FormId, GenreId};
 use crate::db::{DbError, VideoDatabase};
-use crate::journal::{JournalTicket, JournalWriter, JournaledDatabase};
+use crate::journal::{JournalTicket, JournalWriter};
 use std::sync::Arc;
 use vdb_core::analyzer::VideoAnalysis;
 use vdb_core::frame::Video;
@@ -68,7 +70,7 @@ impl CommitTicket {
 
 /// The mutation surface shared by the REPL and the server: a database that
 /// can ingest clips, remove them, and (if durable) sync to disk.
-pub trait DbBackend: Send {
+pub trait DbBackend: Send + Sync {
     /// Read access to the underlying in-memory database.
     fn db(&self) -> &VideoDatabase;
 
@@ -114,84 +116,10 @@ pub trait DbBackend: Send {
     }
 }
 
-impl DbBackend for VideoDatabase {
-    fn db(&self) -> &VideoDatabase {
-        self
-    }
-
-    fn ingest_clip(
-        &mut self,
-        name: String,
-        video: &Video,
-        genres: Vec<GenreId>,
-        forms: Vec<FormId>,
-        ctx: &TraceContext,
-    ) -> Result<u64, DbError> {
-        self.ingest_traced(name, video, genres, forms, ctx)
-    }
-
-    fn commit_stream(
-        &mut self,
-        name: String,
-        dims: (u32, u32),
-        fps: f64,
-        analysis: VideoAnalysis,
-        genres: Vec<GenreId>,
-        forms: Vec<FormId>,
-    ) -> Result<(u64, CommitTicket), DbError> {
-        let id = self.ingest_precomputed(name, dims, fps, analysis, genres, forms);
-        Ok((id, CommitTicket::already_durable()))
-    }
-
-    fn remove_video(&mut self, id: u64) -> Result<(), DbError> {
-        self.remove(id)
-    }
-}
-
-impl DbBackend for JournaledDatabase {
-    fn db(&self) -> &VideoDatabase {
-        JournaledDatabase::db(self)
-    }
-
-    fn ingest_clip(
-        &mut self,
-        name: String,
-        video: &Video,
-        genres: Vec<GenreId>,
-        forms: Vec<FormId>,
-        ctx: &TraceContext,
-    ) -> Result<u64, DbError> {
-        self.ingest_traced(name, video, genres, forms, ctx)
-    }
-
-    fn commit_stream(
-        &mut self,
-        name: String,
-        dims: (u32, u32),
-        fps: f64,
-        analysis: VideoAnalysis,
-        genres: Vec<GenreId>,
-        forms: Vec<FormId>,
-    ) -> Result<(u64, CommitTicket), DbError> {
-        JournaledDatabase::commit_stream(self, name, dims, fps, analysis, genres, forms)
-    }
-
-    fn remove_video(&mut self, id: u64) -> Result<(), DbError> {
-        self.remove(id)
-    }
-
-    fn is_durable(&self) -> bool {
-        true
-    }
-
-    fn sync(&mut self) -> Result<(), DbError> {
-        self.flush()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::JournaledDatabase;
     use vdb_synth::script::{generate, ShotSpec, VideoScript};
 
     fn clip(seed: u64) -> Video {

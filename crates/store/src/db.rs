@@ -7,6 +7,7 @@
 //! representative frame with a matching shot* — the scene-tree nodes where
 //! browsing should start.
 
+use crate::backend::{CommitTicket, DbBackend};
 use crate::catalog::{Catalog, FormId, GenreId, Taxonomy, VideoMeta};
 use crate::codec::{self, Codec};
 use crate::pages::{read_segment_file, SegmentError, SegmentWriter};
@@ -16,13 +17,11 @@ use vdb_core::analyzer::{AnalyzerConfig, VideoAnalysis};
 use vdb_core::frame::Video;
 use vdb_core::index::planner::fingerprint_entries;
 use vdb_core::index::{Explain, IndexEntry, Match, ShotIndex, ShotKey, VarianceQuery};
-use vdb_core::parallel::Parallelism;
 use vdb_core::pipeline::AnalysisEngine;
 use vdb_core::pixel::Rgb;
 use vdb_core::sbd::SbdStats;
 use vdb_core::scenetree::{NodeId, SceneTree};
 use vdb_core::shot::Shot;
-use vdb_core::simd::SimdLevel;
 use vdb_core::variance::ShotFeature;
 use vdb_obs::{global_tracer, TraceContext};
 
@@ -332,22 +331,6 @@ impl VideoDatabase {
         self.config
     }
 
-    /// Set the worker-thread policy for ingest-time feature extraction.
-    /// The analysis is identical for every setting (the parallel path is
-    /// bit-equivalent to serial); only ingest latency changes.
-    pub fn set_parallelism(&mut self, parallelism: Parallelism) {
-        self.config.parallelism = parallelism;
-        self.engine.set_config(self.config);
-    }
-
-    /// Set the SIMD level for ingest-time feature extraction. Like
-    /// [`VideoDatabase::set_parallelism`], every level produces
-    /// bit-identical analyses; only ingest latency changes.
-    pub fn set_simd(&mut self, simd: SimdLevel) {
-        self.config.simd = simd;
-        self.engine.set_config(self.config);
-    }
-
     /// The taxonomy (for resolving genre/form names).
     pub fn taxonomy(&self) -> &Taxonomy {
         &self.taxonomy
@@ -413,35 +396,12 @@ impl VideoDatabase {
         genres: Vec<GenreId>,
         forms: Vec<FormId>,
     ) -> Result<u64, DbError> {
-        self.ingest_traced(name, video, genres, forms, &TraceContext::disabled())
+        self.ingest_clip(name.into(), video, genres, forms, &TraceContext::disabled())
     }
 
-    /// [`Self::ingest`] under a `store.ingest` trace span: the pipeline's
-    /// stage spans (extract → cascade → assembly → tree) become children,
-    /// so one traced ingest shows the whole Step 1–3 cost breakdown.
-    pub fn ingest_traced(
-        &mut self,
-        name: impl Into<String>,
-        video: &Video,
-        genres: Vec<GenreId>,
-        forms: Vec<FormId>,
-        ctx: &TraceContext,
-    ) -> Result<u64, DbError> {
-        let mut tspan = global_tracer().span(ctx, "store.ingest");
-        let analysis = self.engine.analyze_traced(video, &tspan.context())?;
-        let id = self
-            .catalog
-            .register(name, genres, forms, video.len(), video.fps(), video.dims());
-        self.store_analysis(id, analysis);
-        if tspan.is_recording() {
-            tspan.attr("video", id);
-        }
-        Ok(id)
-    }
-
-    /// Ingest a video whose analysis was already computed (e.g. on a worker
-    /// thread, outside any lock — see
-    /// [`crate::concurrent::SharedDatabase::ingest_batch`]).
+    /// Ingest a video whose analysis was already computed (e.g. by a
+    /// streaming session, outside any lock — see
+    /// [`crate::session::StreamIngest`]).
     ///
     /// The analysis must have been produced by a pipeline with this
     /// database's configuration for query behaviour to stay uniform.
@@ -767,6 +727,52 @@ impl VideoDatabase {
         db.drop_unanalyzed();
         db.finalize_index(persisted);
         Ok(db)
+    }
+}
+
+impl DbBackend for VideoDatabase {
+    fn db(&self) -> &VideoDatabase {
+        self
+    }
+
+    /// Runs under a `store.ingest` trace span: the pipeline's stage spans
+    /// (extract → cascade → assembly → tree) become children, so one
+    /// traced ingest shows the whole Step 1–3 cost breakdown.
+    fn ingest_clip(
+        &mut self,
+        name: String,
+        video: &Video,
+        genres: Vec<GenreId>,
+        forms: Vec<FormId>,
+        ctx: &TraceContext,
+    ) -> Result<u64, DbError> {
+        let mut tspan = global_tracer().span(ctx, "store.ingest");
+        let analysis = self.engine.analyze_traced(video, &tspan.context())?;
+        let id = self
+            .catalog
+            .register(name, genres, forms, video.len(), video.fps(), video.dims());
+        self.store_analysis(id, analysis);
+        if tspan.is_recording() {
+            tspan.attr("video", id);
+        }
+        Ok(id)
+    }
+
+    fn commit_stream(
+        &mut self,
+        name: String,
+        dims: (u32, u32),
+        fps: f64,
+        analysis: VideoAnalysis,
+        genres: Vec<GenreId>,
+        forms: Vec<FormId>,
+    ) -> Result<(u64, CommitTicket), DbError> {
+        let id = self.ingest_precomputed(name, dims, fps, analysis, genres, forms);
+        Ok((id, CommitTicket::already_durable()))
+    }
+
+    fn remove_video(&mut self, id: u64) -> Result<(), DbError> {
+        self.remove(id)
     }
 }
 

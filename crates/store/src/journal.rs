@@ -22,7 +22,7 @@
 //! unchanged from the single-writer design (write-to-OS, no `fdatasync`),
 //! matching the crash model the truncation tests exercise.
 
-use crate::backend::CommitTicket;
+use crate::backend::{CommitTicket, DbBackend};
 use crate::catalog::{FormId, GenreId};
 use crate::db::{
     DbError, PersistedIndex, StoredAnalysis, VideoDatabase, TAG_ANALYSIS, TAG_INDEX, TAG_META,
@@ -324,11 +324,7 @@ impl JournaledDatabase {
         self.writer.flush_all()
     }
 
-    fn stage_record(&self, tag: u8, payload: &[u8]) -> Result<JournalTicket, DbError> {
-        self.stage_record_traced(tag, payload, &TraceContext::disabled())
-    }
-
-    fn stage_record_traced(
+    fn stage_record(
         &self,
         tag: u8,
         payload: &[u8],
@@ -359,24 +355,7 @@ impl JournaledDatabase {
         genres: Vec<GenreId>,
         forms: Vec<FormId>,
     ) -> Result<u64, DbError> {
-        self.ingest_traced(name, video, genres, forms, &TraceContext::disabled())
-    }
-
-    /// [`Self::ingest`] with trace spans under `ctx`: the analysis
-    /// (`store.ingest` and the pipeline stages beneath it), both journal
-    /// appends, and the shared fsync barrier land in the same trace.
-    pub fn ingest_traced(
-        &mut self,
-        name: impl Into<String>,
-        video: &Video,
-        genres: Vec<GenreId>,
-        forms: Vec<FormId>,
-        ctx: &TraceContext,
-    ) -> Result<u64, DbError> {
-        let id = self.db.ingest_traced(name, video, genres, forms, ctx)?;
-        let ticket = self.stage_clip_records(id, ctx)?;
-        self.writer.wait_durable(ticket, ctx)?;
-        Ok(id)
+        self.ingest_clip(name.into(), video, genres, forms, &TraceContext::disabled())
     }
 
     /// Stage the META + ANALYSIS records for an already-ingested video;
@@ -384,8 +363,8 @@ impl JournaledDatabase {
     fn stage_clip_records(&self, id: u64, ctx: &TraceContext) -> Result<JournalTicket, DbError> {
         let meta = self.db.catalog().get(id).expect("just ingested").clone();
         let analysis_payload = self.db.analysis(id).expect("just ingested").encode()?;
-        self.stage_record_traced(TAG_META, &serde_json::to_vec(&meta)?, ctx)?;
-        self.stage_record_traced(TAG_ANALYSIS, &analysis_payload, ctx)
+        self.stage_record(TAG_META, &serde_json::to_vec(&meta)?, ctx)?;
+        self.stage_record(TAG_ANALYSIS, &analysis_payload, ctx)
     }
 
     /// Register a streaming session's finished analysis and stage its
@@ -419,7 +398,7 @@ impl JournaledDatabase {
     /// [`JournaledDatabase::compact`] rewrites the file.
     pub fn remove(&mut self, id: u64) -> Result<(), DbError> {
         self.db.remove(id)?;
-        let ticket = self.stage_record(TAG_REMOVE, &id.to_le_bytes())?;
+        let ticket = self.stage_record(TAG_REMOVE, &id.to_le_bytes(), &TraceContext::disabled())?;
         self.writer
             .wait_durable(ticket, &TraceContext::disabled())?;
         Ok(())
@@ -439,6 +418,53 @@ impl JournaledDatabase {
         file.seek(SeekFrom::End(0))?;
         self.writer.replace_file(file);
         Ok(())
+    }
+}
+
+impl DbBackend for JournaledDatabase {
+    fn db(&self) -> &VideoDatabase {
+        JournaledDatabase::db(self)
+    }
+
+    /// [`JournaledDatabase::ingest`] with trace spans under `ctx`: the
+    /// analysis (`store.ingest` and the pipeline stages beneath it), both
+    /// journal appends, and the shared fsync barrier land in one trace.
+    fn ingest_clip(
+        &mut self,
+        name: String,
+        video: &Video,
+        genres: Vec<GenreId>,
+        forms: Vec<FormId>,
+        ctx: &TraceContext,
+    ) -> Result<u64, DbError> {
+        let id = self.db.ingest_clip(name, video, genres, forms, ctx)?;
+        let ticket = self.stage_clip_records(id, ctx)?;
+        self.writer.wait_durable(ticket, ctx)?;
+        Ok(id)
+    }
+
+    fn commit_stream(
+        &mut self,
+        name: String,
+        dims: (u32, u32),
+        fps: f64,
+        analysis: VideoAnalysis,
+        genres: Vec<GenreId>,
+        forms: Vec<FormId>,
+    ) -> Result<(u64, CommitTicket), DbError> {
+        JournaledDatabase::commit_stream(self, name, dims, fps, analysis, genres, forms)
+    }
+
+    fn remove_video(&mut self, id: u64) -> Result<(), DbError> {
+        self.remove(id)
+    }
+
+    fn is_durable(&self) -> bool {
+        true
+    }
+
+    fn sync(&mut self) -> Result<(), DbError> {
+        self.flush()
     }
 }
 

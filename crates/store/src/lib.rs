@@ -13,7 +13,8 @@
 //! * [`query`] — a small textual query language (`"ba=0.5 oa=15
 //!   genre=comedy limit=5"`) over the variance index;
 //! * [`session`] — non-linear browsing cursors over scene trees;
-//! * [`concurrent`] — a read-mostly shared wrapper;
+//! * [`concurrent`] — [`concurrent::ServerStore`], the one lock-wrapped
+//!   handle over either backend, shared by many readers and one writer;
 //! * [`shell`] / [`backend`] — the command surface shared by the `vdbsh`
 //!   REPL and the `vdb-server` network daemon, over either an in-memory
 //!   or a journal-backed database.
@@ -36,7 +37,7 @@ pub mod transfer;
 
 pub use backend::{CommitTicket, DbBackend};
 pub use catalog::{Catalog, FormId, GenreId, Taxonomy, VideoMeta};
-pub use concurrent::SharedDatabase;
+pub use concurrent::ServerStore;
 pub use db::{
     DbError, QueryAnswer, ShardQueryAnswers, ShardQueryRow, StoredAnalysis, VideoDatabase,
     SHARD_QUERY_ROW_CAP,

@@ -619,9 +619,11 @@ mod tests {
         let mut reference_db = crate::db::VideoDatabase::new();
         let ref_id = reference_db.ingest("clip", &video, vec![], vec![]).unwrap();
         for simd in vdb_core::simd::SimdLevel::all_available() {
-            let mut db = crate::db::VideoDatabase::new();
-            db.set_simd(simd);
-            assert_eq!(db.config().simd, simd, "set_simd must stick");
+            let mut db = crate::db::VideoDatabase::with_config(AnalyzerConfig {
+                simd,
+                ..AnalyzerConfig::default()
+            });
+            assert_eq!(db.config().simd, simd, "the configured level must stick");
             let mut s = StreamIngest::new("clip", video.dims(), video.fps(), db.config());
             for f in video.frames() {
                 s.push(f).unwrap();

@@ -417,13 +417,8 @@ pub fn execute_mutation_traced(
 /// on return, so the shell is never dirty (and `load`, which would detach
 /// the database from its journal, is rejected).
 pub struct Shell {
-    backend: ShellBackend,
+    backend: Box<dyn DbBackend>,
     dirty: bool,
-}
-
-enum ShellBackend {
-    Memory(VideoDatabase),
-    Journaled(JournaledDatabase),
 }
 
 impl Default for Shell {
@@ -441,7 +436,7 @@ impl Shell {
     /// A shell over an existing in-memory database.
     pub fn with_db(db: VideoDatabase) -> Self {
         Shell {
-            backend: ShellBackend::Memory(db),
+            backend: Box::new(db),
             dirty: false,
         }
     }
@@ -453,17 +448,14 @@ impl Shell {
         config: AnalyzerConfig,
     ) -> Result<Self, crate::db::DbError> {
         Ok(Shell {
-            backend: ShellBackend::Journaled(JournaledDatabase::open(path, config)?),
+            backend: Box::new(JournaledDatabase::open(path, config)?),
             dirty: false,
         })
     }
 
     /// Read access to the database.
     pub fn db(&self) -> &VideoDatabase {
-        match &self.backend {
-            ShellBackend::Memory(db) => db,
-            ShellBackend::Journaled(j) => j.db(),
-        }
+        self.backend.db()
     }
 
     /// Whether there are in-memory changes not yet saved to disk.
@@ -471,16 +463,9 @@ impl Shell {
         self.dirty
     }
 
-    /// Whether this shell writes through to a journal.
-    pub fn is_journaled(&self) -> bool {
-        matches!(self.backend, ShellBackend::Journaled(_))
-    }
-
-    fn backend_mut(&mut self) -> &mut dyn DbBackend {
-        match &mut self.backend {
-            ShellBackend::Memory(db) => db,
-            ShellBackend::Journaled(j) => j,
-        }
+    /// Whether every mutation is durable on return (journal mode).
+    pub fn is_durable(&self) -> bool {
+        self.backend.is_durable()
     }
 
     /// Interpret one command line.
@@ -493,10 +478,9 @@ impl Shell {
             return ShellOutcome::Continue(out);
         }
         if cmd.is_mutation() {
-            let durable = self.backend_mut().is_durable();
             let before = self.db().len();
-            let out = execute_mutation(self.backend_mut(), &cmd).expect("mutation command");
-            if !durable && self.db().len() != before {
+            let out = execute_mutation(&mut *self.backend, &cmd).expect("mutation command");
+            if !self.is_durable() && self.db().len() != before {
                 self.dirty = true;
             }
             return ShellOutcome::Continue(out);
@@ -513,7 +497,7 @@ impl Shell {
                 }
             },
             Command::Load { path, force } => {
-                if self.is_journaled() {
+                if self.is_durable() {
                     let _ = writeln!(
                         out,
                         "  load is not available in journal mode (the journal is the database)"
@@ -526,7 +510,7 @@ impl Shell {
                 } else {
                     match VideoDatabase::load(Path::new(&path), AnalyzerConfig::default()) {
                         Ok(loaded) => {
-                            self.backend = ShellBackend::Memory(loaded);
+                            self.backend = Box::new(loaded);
                             self.dirty = false;
                             let _ = writeln!(out, "  loaded {} videos", self.db().len());
                         }
@@ -659,7 +643,7 @@ mod tests {
         let path = dir.join("shell.vdbj");
         {
             let mut sh = Shell::open_journal(&path, AnalyzerConfig::default()).unwrap();
-            assert!(sh.is_journaled());
+            assert!(sh.is_durable());
             exec(&mut sh, "demo 2");
             assert!(!sh.dirty(), "journal mode is never dirty");
             let out = exec(&mut sh, "remove 0");

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end smoke test for the serving layer: start vdbd on an ephemeral
 # port, run a scripted client session through vdbc, shut the server down
-# over the wire, and check that both sides exit clean. CI runs this after
-# the test suite; it is also handy locally:
+# over the wire, and check that both sides exit clean. The daemon runs
+# journal-backed (then restarts on the journal) and in memory. CI runs
+# this after the test suite; it is also handy locally:
 #
 #   cargo build --bins && scripts/server_smoke.sh [target/debug]
 set -euo pipefail
@@ -148,5 +149,16 @@ start_daemon --journal "$JOURNAL"
 "$VDBC" "$ADDR" stats | expect_contains "videos 3" "stats-after-restart"
 "$VDBC" "$ADDR" list | expect_contains "smoke stream" "list-after-restart"
 "$VDBC" "$ADDR" shutdown | expect_contains "shutting down" "shutdown-after-restart"
+await_clean_exit
+
+# In-memory leg: no --journal, so vdbd serves a plain VideoDatabase.
+start_daemon --demo 2
+listed="$("$VDBC" "$ADDR" list | grep -c 'demo-movie-')" || true
+[ "$listed" = 2 ] || {
+    echo "server_smoke: in-memory list shows $listed videos, expected 2" >&2
+    exit 1
+}
+"$VDBC" "$ADDR" query "ba=0.4 oa=14 alpha=4 beta=4 limit=5" | expect_contains "answers" "memory-query"
+"$VDBC" "$ADDR" shutdown | expect_contains "shutting down" "memory-shutdown"
 await_clean_exit
 echo "server_smoke: OK"

@@ -11,7 +11,8 @@ use vdb_core::frame::{FrameBuf, Video};
 use vdb_core::parallel::{extract_features_parallel, Parallelism};
 use vdb_core::pixel::Rgb;
 use vdb_core::streaming::StreamingAnalyzer;
-use vdb_store::{SharedDatabase, VideoDatabase};
+use vdb_obs::TraceContext;
+use vdb_store::{ServerStore, VideoDatabase};
 
 fn parallel_cfg(threads: usize) -> AnalyzerConfig {
     AnalyzerConfig {
@@ -101,10 +102,12 @@ fn below_minimum_dims_error_never_panic() {
     let mut db = VideoDatabase::new();
     assert!(db.ingest("tiny", &tiny, vec![], vec![]).is_err());
     assert!(db.is_empty());
-    let shared = SharedDatabase::new();
-    shared.set_parallelism(Parallelism::Threads(2));
-    assert!(shared.ingest("tiny", &tiny, vec![], vec![]).is_err());
-    assert!(shared.is_empty());
+    let shared = ServerStore::new(VideoDatabase::with_config(parallel_cfg(2)));
+    let disabled = TraceContext::disabled();
+    assert!(shared
+        .write(|b| b.ingest_clip("tiny".into(), &tiny, vec![], vec![], &disabled))
+        .is_err());
+    assert!(shared.read(|d| d.is_empty()));
 }
 
 #[test]
