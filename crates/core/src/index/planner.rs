@@ -402,45 +402,55 @@ impl ShotIndex {
     /// Eqs. 7–8 range query, routed through the planner. Results sorted
     /// by ascending `(distance, key)` — identical to [`Self::query_scan`].
     pub fn query(&self, q: &VarianceQuery) -> Vec<Match> {
-        self.run_range(q, &TraceContext::disabled()).0
+        self.search(q, None, &TraceContext::disabled()).0
     }
 
-    /// [`Self::query`] plus the planner's full [`Explain`] decision
-    /// trail. The probe itself is byte-identical to `query` — explain
-    /// never changes what executes.
-    pub fn query_explain(&self, q: &VarianceQuery) -> (Vec<Match>, Explain) {
-        self.run_range(q, &TraceContext::disabled())
+    /// The `k` nearest rows to the query point in `(D^v, √Var^BA)` space
+    /// (α/β ignored), routed through the planner. Ties by ascending key.
+    pub fn query_topk(&self, q: &VarianceQuery, k: usize) -> Vec<Match> {
+        self.search(q, Some(k), &TraceContext::disabled()).0
     }
 
-    /// [`Self::query_explain`] with the probe span opened under `ctx`.
-    pub fn query_explain_traced(
+    /// The one planned probe behind every query: `k: None` runs the
+    /// Eqs. 7–8 range, `Some(k)` the `k` nearest rows. Prices the plan,
+    /// runs the chosen executor, merges staged rows, and returns the
+    /// matches with the planner's full [`Explain`] decision trail — the
+    /// same matches [`Self::query`] / [`Self::query_topk`] return, since
+    /// explaining never changes what executes. The `core.index.probe`
+    /// span opens under `ctx` and carries the explain summary.
+    pub fn search(
         &self,
         q: &VarianceQuery,
+        k: Option<usize>,
         ctx: &TraceContext,
     ) -> (Vec<Match>, Explain) {
-        self.run_range(q, ctx)
-    }
-
-    fn run_range(&self, q: &VarianceQuery, ctx: &TraceContext) -> (Vec<Match>, Explain) {
-        let plan = self.plan_range(q);
-        let (lo, hi, _) = self.model.probe_window(q.d_v(), q.alpha);
+        let (plan, (lo, hi, _)) = match k {
+            None => (
+                self.plan_range(q),
+                self.model.probe_window(q.d_v(), q.alpha),
+            ),
+            Some(k) => (self.plan_topk(q, k), self.model.topk_window(q.d_v(), k)),
+        };
         let o = obs();
         let mut tspan = global_tracer().span(ctx, "core.index.probe");
         let _span = o.probe_us.start();
-        let (matches, stats) = match plan.choice {
-            PlanChoice::Buckets => {
-                o.plan_bucket.incr();
-                self.bucket.range_with_stats(q)
-            }
-            PlanChoice::Scan => {
-                o.plan_scan.incr();
-                self.bucket.range_scan_with_stats(q)
-            }
+        match plan.choice {
+            PlanChoice::Buckets => o.plan_bucket.incr(),
+            PlanChoice::Scan => o.plan_scan.incr(),
+        }
+        let (matches, stats) = match (k, plan.choice) {
+            (None, PlanChoice::Buckets) => self.bucket.range_with_stats(q),
+            (None, PlanChoice::Scan) => self.bucket.range_scan_with_stats(q),
+            (Some(k), PlanChoice::Buckets) => self.bucket.topk_with_stats(q, k),
+            (Some(k), PlanChoice::Scan) => self.bucket.topk_scan_with_stats(q, k),
         };
         o.buckets_touched.add(stats.buckets_touched as u64);
         o.candidates_scored
             .add((stats.candidates + self.staged.len()) as u64);
-        let matches = self.merge_staged_range(q, matches);
+        let matches = match k {
+            None => self.merge_staged_range(q, matches),
+            Some(k) => self.merge_staged_topk(q, k, matches),
+        };
         let explain = Explain {
             plan,
             probe_window: (lo, hi),
@@ -459,63 +469,6 @@ impl ShotIndex {
     pub fn query_scan(&self, q: &VarianceQuery) -> Vec<Match> {
         let (matches, _) = self.bucket.range_scan_with_stats(q);
         self.merge_staged_range(q, matches)
-    }
-
-    /// The `k` nearest rows to the query point in `(D^v, √Var^BA)` space
-    /// (α/β ignored), routed through the planner. Ties by ascending key.
-    pub fn query_topk(&self, q: &VarianceQuery, k: usize) -> Vec<Match> {
-        self.run_topk(q, k, &TraceContext::disabled()).0
-    }
-
-    /// [`Self::query_topk`] plus the planner's [`Explain`] decision
-    /// trail (execution unchanged).
-    pub fn query_topk_explain(&self, q: &VarianceQuery, k: usize) -> (Vec<Match>, Explain) {
-        self.run_topk(q, k, &TraceContext::disabled())
-    }
-
-    /// [`Self::query_topk_explain`] with the probe span opened under
-    /// `ctx`.
-    pub fn query_topk_explain_traced(
-        &self,
-        q: &VarianceQuery,
-        k: usize,
-        ctx: &TraceContext,
-    ) -> (Vec<Match>, Explain) {
-        self.run_topk(q, k, ctx)
-    }
-
-    fn run_topk(&self, q: &VarianceQuery, k: usize, ctx: &TraceContext) -> (Vec<Match>, Explain) {
-        let plan = self.plan_topk(q, k);
-        let (lo, hi, _) = self.model.topk_window(q.d_v(), k);
-        let o = obs();
-        let mut tspan = global_tracer().span(ctx, "core.index.probe");
-        let _span = o.probe_us.start();
-        let (matches, stats) = match plan.choice {
-            PlanChoice::Buckets => {
-                o.plan_bucket.incr();
-                self.bucket.topk_with_stats(q, k)
-            }
-            PlanChoice::Scan => {
-                o.plan_scan.incr();
-                self.bucket.topk_scan_with_stats(q, k)
-            }
-        };
-        o.buckets_touched.add(stats.buckets_touched as u64);
-        o.candidates_scored
-            .add((stats.candidates + self.staged.len()) as u64);
-        let matches = self.merge_staged_topk(q, k, matches);
-        let explain = Explain {
-            plan,
-            probe_window: (lo, hi),
-            probe: stats,
-            staged_rows: self.staged.len(),
-            rows: self.bucket.len(),
-            matches: matches.len(),
-        };
-        if tspan.is_recording() {
-            tspan.attr("explain", explain.summary());
-        }
-        (matches, explain)
     }
 
     /// Forced linear-scan top-k (the pinning reference).
@@ -719,7 +672,7 @@ mod tests {
         let mut idx = ShotIndex::from_entries(corpus(20_000), BucketParams::default());
         idx.stage([entry(999, 0, 20.0, 5.0)]);
         let q = VarianceQuery::new(20.0, 5.0).with_tolerances(1.0, 1.0);
-        let (matches, ex) = idx.query_explain(&q);
+        let (matches, ex) = idx.search(&q, None, &TraceContext::disabled());
         assert_eq!(matches, idx.query(&q), "explain must not change the query");
         assert_eq!(ex.plan, idx.plan_range(&q));
         assert_eq!(ex.matches, matches.len());
@@ -744,7 +697,7 @@ mod tests {
             assert!(s.contains(key), "summary missing {key}: {s}");
         }
 
-        let (_, tex) = idx.query_topk_explain(&q, 5);
+        let (_, tex) = idx.search(&q, Some(5), &TraceContext::disabled());
         assert_eq!(tex.plan, idx.plan_topk(&q, 5));
         assert_eq!(tex.matches, 5);
     }
@@ -756,11 +709,8 @@ mod tests {
         let before = tracer.recorder().total_recorded();
         let root = tracer.trace_root_forced();
         let q = VarianceQuery::new(10.0, 5.0);
-        assert_eq!(idx.query_explain_traced(&q, &root).0, idx.query(&q));
-        assert_eq!(
-            idx.query_topk_explain_traced(&q, 3, &root).0,
-            idx.query_topk(&q, 3)
-        );
+        assert_eq!(idx.search(&q, None, &root).0, idx.query(&q));
+        assert_eq!(idx.search(&q, Some(3), &root).0, idx.query_topk(&q, 3));
         let events = tracer.recorder().events_for(root.trace_id);
         assert_eq!(events.len(), 2, "two probes recorded");
         assert!(events.iter().all(|e| e.name == "core.index.probe"));
@@ -768,7 +718,7 @@ mod tests {
         assert!(tracer.recorder().total_recorded() >= before + 2);
         // Unsampled context: nothing recorded.
         let after = tracer.recorder().total_recorded();
-        idx.query_explain_traced(&q, &TraceContext::disabled());
+        idx.search(&q, None, &TraceContext::disabled());
         assert_eq!(tracer.recorder().total_recorded(), after);
     }
 

@@ -318,7 +318,7 @@ impl AnalysisEngine {
     /// [`Self::push_frames`] with `core.pipeline.extract` /
     /// `core.pipeline.cascade` trace spans opened under `ctx` (inert —
     /// one branch per stage — when `ctx` is unsampled).
-    pub fn push_frames_traced(
+    fn push_frames_traced(
         &mut self,
         frames: &[FrameBuf],
         ctx: &TraceContext,
@@ -365,7 +365,7 @@ impl AnalysisEngine {
 
     /// [`Self::finish`] with `core.pipeline.assemble` / `.scenetree` /
     /// `.index` trace spans opened under `ctx`.
-    pub fn finish_traced(&mut self, ctx: &TraceContext) -> Result<VideoAnalysis> {
+    fn finish_traced(&mut self, ctx: &TraceContext) -> Result<VideoAnalysis> {
         if self.state.signs_ba.is_empty() {
             return Err(CoreError::EmptyVideo);
         }

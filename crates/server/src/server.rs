@@ -869,7 +869,7 @@ fn dispatch(ctx: &WorkerCtx, line: &str, tctx: &TraceContext) -> Reply {
         _ => {}
     }
     if let Some(rest) = trimmed.strip_prefix("xquery ") {
-        return (CommandKind::Xquery, xquery(ctx, rest));
+        return (CommandKind::Xquery, xquery(ctx, rest, tctx));
     }
     if let Some(rest) = trimmed.strip_prefix("export ") {
         return (CommandKind::Export, export(ctx, rest));
@@ -985,11 +985,12 @@ fn xlist(ctx: &WorkerCtx) -> String {
 /// `xquery <text>`: one shard's contribution to a distributed query —
 /// a `mode=… kept=… k=… limit=…` header, then full-precision rows
 /// (`d=`/`ba=`/`oa=` are f64 bit patterns) the router re-merges with the
-/// exact `(distance, ShotKey)` tie-break the index uses.
-fn xquery(ctx: &WorkerCtx, text: &str) -> Result<String, String> {
+/// exact `(distance, ShotKey)` tie-break the index uses. The shard's
+/// index probe is traced under the request's span `tctx`.
+fn xquery(ctx: &WorkerCtx, text: &str, tctx: &TraceContext) -> Result<String, String> {
     let sharded = ctx
         .store
-        .read(|db| db.query_str_sharded(text))
+        .read(|db| db.query_str_sharded(text, tctx))
         .map_err(|e| e.to_string())?;
     use std::fmt::Write as _;
     let dash = || "-".to_string();

@@ -11,12 +11,13 @@ use crate::backend::{CommitTicket, DbBackend};
 use crate::catalog::{Catalog, FormId, GenreId, Taxonomy, VideoMeta};
 use crate::codec::{self, Codec};
 use crate::pages::{read_segment_file, SegmentError, SegmentWriter};
+use crate::query::QuerySpec;
 use std::collections::HashMap;
 use std::path::Path;
 use vdb_core::analyzer::{AnalyzerConfig, VideoAnalysis};
 use vdb_core::frame::Video;
 use vdb_core::index::planner::fingerprint_entries;
-use vdb_core::index::{Explain, IndexEntry, Match, ShotIndex, ShotKey, VarianceQuery};
+use vdb_core::index::{Explain, IndexEntry, ShotIndex, ShotKey, VarianceQuery};
 use vdb_core::pipeline::AnalysisEngine;
 use vdb_core::pixel::Rgb;
 use vdb_core::sbd::SbdStats;
@@ -499,71 +500,73 @@ impl VideoDatabase {
     /// §4.2 query: matching shots mapped to the largest scenes that share
     /// their representative frames, nearest first.
     pub fn query(&self, q: &VarianceQuery) -> Vec<QueryAnswer> {
-        self.query_filtered(q, |_| true)
+        self.answers(q, None, |_| true, &TraceContext::disabled()).0
     }
 
     /// Run a textual query (see [`crate::query`] for the syntax), e.g.
     /// `"ba=0.5 oa=15 genre=comedy form=feature limit=5"`.
     pub fn query_str(&self, text: &str) -> Result<Vec<QueryAnswer>, DbError> {
-        self.run_query_str(text, &TraceContext::disabled())
+        self.query_text(text, &TraceContext::disabled())
             .map(|(answers, _)| answers)
     }
 
-    /// [`Self::query_str`] under a `store.query` trace span (the index
-    /// probe becomes a child span carrying the explain payload).
-    pub fn query_str_traced(
+    /// The textual query entry behind the shell's `query` and `explain`:
+    /// parse, run the answer walk with the spec's genre/form predicate
+    /// ([`QuerySpec::keeps`]), truncate to its `limit`. Runs under a
+    /// `store.query` span opened under `ctx` (the index probe is a child
+    /// span carrying the explain payload) and returns the planner's
+    /// [`Explain`] decision trail beside the answers — explaining never
+    /// changes what runs.
+    pub fn query_text(
         &self,
         text: &str,
         ctx: &TraceContext,
-    ) -> Result<Vec<QueryAnswer>, DbError> {
-        self.run_query_str(text, ctx).map(|(answers, _)| answers)
-    }
-
-    /// [`Self::query_str`] plus the planner's [`Explain`] decision trail
-    /// — what the shell's `explain` command prints. Execution is
-    /// identical to `query_str`: explain never changes what runs.
-    pub fn query_str_explain(&self, text: &str) -> Result<(Vec<QueryAnswer>, Explain), DbError> {
-        self.run_query_str(text, &TraceContext::disabled())
+    ) -> Result<(Vec<QueryAnswer>, Explain), DbError> {
+        let mut tspan = global_tracer().span(ctx, "store.query");
+        let spec = QuerySpec::parse(text, &self.taxonomy)?;
+        let (mut answers, explain) = self.answers(
+            &spec.variance,
+            spec.k,
+            |meta| spec.keeps(meta),
+            &tspan.context(),
+        );
+        if let Some(limit) = spec.limit {
+            answers.truncate(limit);
+        }
+        if tspan.is_recording() {
+            tspan.attr("answers", answers.len());
+        }
+        Ok((answers, explain))
     }
 
     /// One shard's contribution to a distributed query (the `xquery` wire
-    /// extra). Unlike [`Self::query_str`], the genre/form filter and the
-    /// `limit` are *not* applied here — they must run globally, after the
-    /// coordinator has re-merged rows from every shard:
+    /// extra): the same parse and answer walk as [`Self::query_text`],
+    /// probe span opened under `ctx`, but the genre/form predicate and
+    /// the `limit` are *not* applied to the walk — they must run
+    /// globally, after the coordinator has re-merged rows from every
+    /// shard. Instead every answer is tagged with [`QuerySpec::keeps`]:
     ///
-    /// - **range mode**: rows that pass the filter, nearest first,
-    ///   truncated to [`SHARD_QUERY_ROW_CAP`] (a render shows at most
-    ///   that many, and the global top rows are a subset of the per-shard
-    ///   top rows). `kept_total` carries the exact pre-limit count.
+    /// - **range mode**: kept rows, nearest first, truncated to
+    ///   [`SHARD_QUERY_ROW_CAP`] (a render shows at most that many, and
+    ///   the global top rows are a subset of the per-shard top rows).
+    ///   `kept_total` carries the exact pre-limit count.
     /// - **top-k mode**: the full pre-filter top-k with per-row `keep`
     ///   flags, because single-node semantics take the *global* k nearest
     ///   first and filter second — the coordinator must do the same.
-    pub fn query_str_sharded(&self, text: &str) -> Result<ShardQueryAnswers, DbError> {
-        let spec = crate::query::QuerySpec::parse(text, &self.taxonomy)?;
-        let keep_meta = |meta: &VideoMeta| {
-            let genre_ok = match spec.genre {
-                Some(g) => meta.genres.contains(&g),
-                None => true,
-            };
-            let form_ok = match spec.form {
-                Some(f) => meta.forms.contains(&f),
-                None => true,
-            };
-            genre_ok && form_ok
-        };
-        let matches = match spec.k {
-            Some(k) => self.index.query_topk(&spec.variance, k),
-            None => self.index.query(&spec.variance),
-        };
-        let answers = self.answers_from(matches, |_| true);
+    pub fn query_str_sharded(
+        &self,
+        text: &str,
+        ctx: &TraceContext,
+    ) -> Result<ShardQueryAnswers, DbError> {
+        let spec = QuerySpec::parse(text, &self.taxonomy)?;
+        let (answers, _) = self.answers(&spec.variance, spec.k, |_| true, ctx);
         let mut rows = Vec::new();
         let mut kept_total = 0usize;
         for answer in answers {
             let keep = self
                 .catalog
                 .get(answer.key.video)
-                .map(keep_meta)
-                .unwrap_or(false);
+                .is_some_and(|meta| spec.keeps(meta));
             if keep {
                 kept_total += 1;
             }
@@ -581,48 +584,6 @@ impl VideoDatabase {
         })
     }
 
-    /// One routing for `query_str` / `query_str_traced` /
-    /// `query_str_explain`: parse, route to the planner (top-k or range),
-    /// map matches to scene answers, truncate to the spec's limit.
-    ///
-    /// The metadata predicate is equivalent to the class-restricted
-    /// entry points ([`Self::query_in_class`] is `genres ∋ g ∧ forms ∋
-    /// f`), so all three textual paths answer identically.
-    fn run_query_str(
-        &self,
-        text: &str,
-        ctx: &TraceContext,
-    ) -> Result<(Vec<QueryAnswer>, Explain), DbError> {
-        let mut tspan = global_tracer().span(ctx, "store.query");
-        let qctx = tspan.context();
-        let spec = crate::query::QuerySpec::parse(text, &self.taxonomy)?;
-        let keep = |meta: &VideoMeta| {
-            let genre_ok = match spec.genre {
-                Some(g) => meta.genres.contains(&g),
-                None => true,
-            };
-            let form_ok = match spec.form {
-                Some(f) => meta.forms.contains(&f),
-                None => true,
-            };
-            genre_ok && form_ok
-        };
-        let (matches, explain) = match spec.k {
-            Some(k) => self
-                .index
-                .query_topk_explain_traced(&spec.variance, k, &qctx),
-            None => self.index.query_explain_traced(&spec.variance, &qctx),
-        };
-        let mut answers = self.answers_from(matches, keep);
-        if let Some(limit) = spec.limit {
-            answers.truncate(limit);
-        }
-        if tspan.is_recording() {
-            tspan.attr("answers", answers.len());
-        }
-        Ok((answers, explain))
-    }
-
     /// Query restricted to one `(genre, form)` class — the paper's argument
     /// for why two feature values suffice (§4.1).
     pub fn query_in_class(
@@ -631,30 +592,39 @@ impl VideoDatabase {
         genre: GenreId,
         form: FormId,
     ) -> Vec<QueryAnswer> {
-        self.query_filtered(q, |meta| meta.in_class(genre, form))
+        let spec = QuerySpec {
+            variance: *q,
+            genre: Some(genre),
+            form: Some(form),
+            limit: None,
+            k: None,
+        };
+        self.answers(q, None, |meta| spec.keeps(meta), &TraceContext::disabled())
+            .0
     }
 
     /// The `k` shots nearest to the query point (α/β ignored), mapped to
     /// their browsing scene nodes. Routed through the planner like
     /// [`Self::query`].
     pub fn query_topk(&self, q: &VarianceQuery, k: usize) -> Vec<QueryAnswer> {
-        self.answers_from(self.index.query_topk(q, k), |_| true)
+        self.answers(q, Some(k), |_| true, &TraceContext::disabled())
+            .0
     }
 
-    fn query_filtered(
+    /// The one §4.2 answer walk behind every variance query: the index's
+    /// planned [`ShotIndex::search`] (`k: None` is the Eqs. 7–8 range,
+    /// `Some(k)` the k nearest), then every match whose video `keep`
+    /// accepts, nearest first, mapped to the largest scene that shares
+    /// its representative frame.
+    fn answers(
         &self,
         q: &VarianceQuery,
+        k: Option<usize>,
         keep: impl Fn(&VideoMeta) -> bool,
-    ) -> Vec<QueryAnswer> {
-        self.answers_from(self.index.query(q), keep)
-    }
-
-    fn answers_from(
-        &self,
-        matches: Vec<Match>,
-        keep: impl Fn(&VideoMeta) -> bool,
-    ) -> Vec<QueryAnswer> {
-        matches
+        ctx: &TraceContext,
+    ) -> (Vec<QueryAnswer>, Explain) {
+        let (matches, explain) = self.index.search(q, k, ctx);
+        let answers = matches
             .into_iter()
             .filter_map(|m| {
                 let meta = self.catalog.get(m.entry.key.video)?;
@@ -675,7 +645,8 @@ impl VideoDatabase {
                     rep_frame: node.rep_frame,
                 })
             })
-            .collect()
+            .collect();
+        (answers, explain)
     }
 
     /// Persist the database to a segment file.
@@ -888,6 +859,82 @@ mod tests {
             db.query_str("ba=1 oa=1 bogus=1"),
             Err(DbError::Query(_))
         ));
+    }
+
+    #[test]
+    fn sharded_rows_agree_with_query_str() {
+        let mut db = VideoDatabase::new();
+        let t = db.taxonomy().clone();
+        let classes = [
+            ("comedy", "feature"),
+            ("horror", "feature"),
+            ("comedy", "short"),
+            ("western", "short"),
+            ("comedy", "feature"),
+            ("horror", "short"),
+        ];
+        for (seed, (genre, form)) in classes.iter().enumerate() {
+            db.ingest(
+                format!("clip-{seed}"),
+                &sample_video(40 + seed as u64),
+                vec![t.genre(genre).unwrap()],
+                vec![t.form(form).unwrap()],
+            )
+            .unwrap();
+        }
+        let ctx = TraceContext::disabled();
+        let wide = "ba=0 oa=0 alpha=1000 beta=1000";
+        let kept = |sharded: &ShardQueryAnswers| -> Vec<QueryAnswer> {
+            let limit = sharded.limit.unwrap_or(usize::MAX);
+            let rows = sharded.rows.iter().filter(|r| r.keep);
+            rows.take(limit).map(|r| r.answer.clone()).collect()
+        };
+
+        // (a) Range with a genre/form filter and a limit: the kept rows,
+        // limited, are the single-node answers; `kept_total` is the
+        // pre-limit kept count.
+        let filter = "genre=comedy form=feature";
+        let sharded = db
+            .query_str_sharded(&format!("{wide} {filter} limit=2"), &ctx)
+            .unwrap();
+        let all_kept = db.query_str(&format!("{wide} {filter}")).unwrap();
+        assert!(all_kept.len() > 2, "the limit must bite");
+        assert_eq!(sharded.limit, Some(2));
+        assert!(sharded.rows.iter().all(|r| r.keep));
+        assert_eq!(
+            kept(&sharded),
+            db.query_str(&format!("{wide} {filter} limit=2")).unwrap()
+        );
+        assert_eq!(sharded.kept_total, all_kept.len());
+
+        // (b) Range with no filter: every row is kept, capped at
+        // SHARD_QUERY_ROW_CAP, and the count is exact.
+        let sharded = db.query_str_sharded(wide, &ctx).unwrap();
+        let all = db.query_str(wide).unwrap();
+        assert!(all.len() > SHARD_QUERY_ROW_CAP, "the row cap must bite");
+        assert_eq!(kept(&sharded), all[..SHARD_QUERY_ROW_CAP]);
+        assert_eq!(sharded.kept_total, all.len());
+
+        // (c) Top-k with a filter: the unfiltered top-k, with `keep` set
+        // exactly where the spec's predicate holds.
+        let text = format!("{wide} k=9 genre=comedy limit=4");
+        let spec = QuerySpec::parse(&text, &t).unwrap();
+        let sharded = db.query_str_sharded(&text, &ctx).unwrap();
+        let unfiltered = db.query_str(&format!("{wide} k=9")).unwrap();
+        assert_eq!(sharded.k, Some(9));
+        let rows: Vec<QueryAnswer> = sharded.rows.iter().map(|r| r.answer.clone()).collect();
+        assert_eq!(rows, unfiltered);
+        for row in &sharded.rows {
+            let meta = db.catalog().get(row.answer.key.video).unwrap();
+            assert_eq!(row.keep, spec.keeps(meta), "{:?}", row.answer.key);
+        }
+        assert!(sharded.rows.iter().any(|r| r.keep));
+        assert!(sharded.rows.iter().any(|r| !r.keep));
+        assert_eq!(kept(&sharded), db.query_str(&text).unwrap());
+        assert_eq!(
+            sharded.kept_total,
+            sharded.rows.iter().filter(|r| r.keep).count()
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! Tokens are whitespace-separated `key=value` pairs; `ba` and `oa` are
 //! required, everything else optional.
 
-use crate::catalog::{FormId, GenreId, Taxonomy};
+use crate::catalog::{FormId, GenreId, Taxonomy, VideoMeta};
 use vdb_core::index::VarianceQuery;
 
 /// A parsed query.
@@ -165,6 +165,14 @@ impl QuerySpec {
             limit,
             k,
         })
+    }
+
+    /// The genre/form predicate: whether this spec keeps a video with
+    /// `meta` (an absent `genre`/`form` keeps every video). The one
+    /// copy every single-node and sharded query path applies.
+    pub fn keeps(&self, meta: &VideoMeta) -> bool {
+        self.genre.iter().all(|g| meta.genres.contains(g))
+            && self.form.iter().all(|f| meta.forms.contains(f))
     }
 }
 

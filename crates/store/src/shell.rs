@@ -278,13 +278,13 @@ pub fn execute_readonly_traced(
                 s.videos, s.shots, s.frames, s.scene_nodes, s.max_tree_height, s.index_rows
             );
         }
-        Command::Query(text) => match db.query_str_traced(text, ctx) {
-            Ok(answers) => push_answers(&mut out, &answers),
+        Command::Query(text) => match db.query_text(text, ctx) {
+            Ok((answers, _)) => push_answers(&mut out, &answers),
             Err(e) => {
                 let _ = writeln!(out, "  {e}");
             }
         },
-        Command::Explain(text) => match db.query_str_explain(text) {
+        Command::Explain(text) => match db.query_text(text, ctx) {
             Ok((answers, explain)) => {
                 let _ = writeln!(out, "  {}", explain.summary());
                 push_answers(&mut out, &answers);
@@ -701,6 +701,22 @@ mod tests {
         assert!(out.contains("answers"), "{out}");
         assert!(out.contains("store.query"), "{out}");
         assert!(out.contains("core.index.probe"), "{out}");
+    }
+
+    #[test]
+    fn trace_explain_records_query_spans() {
+        let mut sh = Shell::new();
+        exec(&mut sh, "demo 2");
+        let text = "ba=0.4 oa=14 alpha=4 beta=4";
+        let explain = exec(&mut sh, &format!("explain {text}"));
+        let traced = exec(&mut sh, &format!("trace explain {text}"));
+        let spans = traced
+            .strip_prefix(explain.as_str())
+            .unwrap_or_else(|| panic!("trace changed the explain output:\n{traced}"));
+        assert!(spans.starts_with("  trace "), "{spans}");
+        assert!(!spans.contains("(0 spans)"), "{spans}");
+        assert!(spans.contains("store.query"), "{spans}");
+        assert!(spans.contains("core.index.probe"), "{spans}");
     }
 
     #[test]

@@ -114,6 +114,8 @@ expect_contains() { # <needle> <haystack-label> <<< haystack
 # trace appends the request's span tree to the wrapped command's output.
 "$VDBC" "$ADDR" trace query "ba=0.4 oa=14 alpha=4 beta=4" | expect_contains "store.query" "trace"
 "$VDBC" "$ADDR" trace query "ba=0.4 oa=14 alpha=4 beta=4" | expect_contains "core.index.probe" "trace"
+"$VDBC" "$ADDR" trace explain "ba=0.4 oa=14 alpha=4 beta=4" | expect_contains "store.query" "trace explain"
+"$VDBC" "$ADDR" trace explain "ba=0.4 oa=14 alpha=4 beta=4" | expect_contains "core.index.probe" "trace explain"
 # debug dump drains the flight recorder as chrome://tracing JSON; the
 # traced query above must show up as a server.request span tree.
 "$VDBC" "$ADDR" debug dump | expect_contains '{"traceEvents":[' "debug dump"

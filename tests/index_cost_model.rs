@@ -12,6 +12,7 @@
 
 use vdb_core::index::{BucketParams, IndexEntry, PlanChoice, ShotIndex, ShotKey, VarianceQuery};
 use vdb_core::variance::ShotFeature;
+use vdb_obs::TraceContext;
 use vdb_synth::rng::Srng;
 
 /// 100k rows from a three-cluster mixture (calm / medium / frantic
@@ -204,7 +205,7 @@ fn explain_is_consistent_with_model_and_measured_work() {
     let mut rel_errors = Vec::new();
     for (qi, q) in workload(&entries).into_iter().enumerate() {
         let est = model.estimate_range(q.d_v(), q.alpha);
-        let (matches, ex) = idx.query_explain(&q);
+        let (matches, ex) = idx.search(&q, None, &TraceContext::disabled());
 
         // Estimated side: the cost model's numbers, bit-for-bit.
         assert_eq!(ex.plan.index_cost.candidates, est.candidates, "query {qi}");
@@ -257,7 +258,7 @@ fn explain_is_consistent_with_model_and_measured_work() {
     let q = VarianceQuery::new(4.0, 16.0);
     for k in [1usize, 10, 100, 1_000] {
         let est = model.estimate_topk(q.d_v(), k);
-        let (matches, ex) = idx.query_topk_explain(&q, k);
+        let (matches, ex) = idx.search(&q, Some(k), &TraceContext::disabled());
         assert_eq!(ex.plan.index_cost.candidates, est.candidates, "k={k}");
         assert_eq!(
             ex.plan.index_cost.buckets_touched, est.buckets_touched,
