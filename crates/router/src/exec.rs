@@ -112,11 +112,10 @@ pub struct ScatterOptions {
 }
 
 /// The router's `router.*` metrics: per-shard rtt histograms and error
-/// counters, plus hedge/partial totals — all in one private registry
-/// rendered by the router's `metrics` and `stats` commands.
+/// counters, plus hedge/partial totals — registered in the router
+/// daemon's one registry, beside its front end's `server.*` metrics, and
+/// rendered by its `metrics` and `stats` commands.
 pub struct RouterObs {
-    /// The backing registry (snapshot for rendering).
-    pub registry: Registry,
     /// Scatters that returned with at least one shard missing.
     pub partials: Counter,
     /// Hedge attempts launched.
@@ -131,9 +130,8 @@ pub struct RouterObs {
 }
 
 impl RouterObs {
-    /// Metrics for `shards` ring slots.
-    pub fn new(shards: usize) -> Self {
-        let registry = Registry::new();
+    /// Metrics for `shards` ring slots, registered in `registry`.
+    pub fn new(registry: &Registry, shards: usize) -> Self {
         RouterObs {
             partials: registry.counter("router.partials"),
             hedges: registry.counter("router.hedges"),
@@ -148,7 +146,6 @@ impl RouterObs {
             shard_requests: (0..shards)
                 .map(|i| registry.counter(&format!("router.shard.{i}.requests")))
                 .collect(),
-            registry,
         }
     }
 

@@ -20,9 +20,9 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
-use vdb_obs::TraceContext;
+use vdb_obs::{Registry, TraceContext};
 use vdb_server::client::{Client, ConnectOptions};
-use vdb_server::metrics::{CommandKind, MetricsSnapshot, ServerMetrics};
+use vdb_server::metrics::{CommandKind, MetricsSnapshot, ServerEvent, ServerMetrics};
 use vdb_server::protocol::{
     decode_stream_request, encode_stream_request, StreamRequest, DEFAULT_MAX_FRAME,
 };
@@ -207,7 +207,10 @@ impl Router {
             config.connect,
             config.shard_socket_timeout,
         ));
-        let obs = Arc::new(RouterObs::new(pool.len()));
+        // One registry per daemon: the front end's `server.*` metrics and
+        // the router's `router.*` metrics render from one snapshot.
+        let registry = Arc::new(Registry::new());
+        let obs = Arc::new(RouterObs::new(&registry, pool.len()));
         let catalog = Arc::new(RouterCatalog::new());
         let ring = Arc::new(Mutex::new(ActiveRing::rebuild(
             &pool,
@@ -215,7 +218,7 @@ impl Router {
             config.vnodes,
             0,
         )));
-        let metrics = Arc::new(ServerMetrics::new());
+        let metrics = Arc::new(ServerMetrics::with_registry(registry));
         let shutdown = Arc::new(AtomicBool::new(false));
         let front_config = FrontEndConfig {
             name: "vdb-router",
@@ -271,7 +274,8 @@ impl RouterHandle {
         self.addr
     }
 
-    /// Front-end command metrics.
+    /// A snapshot of the router's registry: front-end command metrics
+    /// and the `router.*` section.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.metrics.snapshot()
     }
@@ -363,8 +367,9 @@ fn dispatch(ctx: &RouterCtx, line: &str) -> Reply {
         "list" => return (CommandKind::List, list(ctx)),
         "stats" => return (CommandKind::Stats, stats(ctx)),
         "metrics" => {
-            let mut text = ctx.metrics.snapshot().render();
-            if let Some(section) = ctx.obs.registry.snapshot().render_section("router") {
+            let snap = ctx.metrics.snapshot();
+            let mut text = snap.render();
+            if let Some(section) = snap.0.render_section("router") {
                 text.push_str(&section);
             }
             return (CommandKind::Metrics, Ok(text));
@@ -598,7 +603,7 @@ fn stats(ctx: &RouterCtx) -> Result<String, String> {
         ctx.catalog.len()
     );
     drop(ring);
-    out.push_str(&ctx.obs.registry.snapshot().render_kv("router"));
+    out.push_str(&ctx.metrics.snapshot().0.render_kv("router"));
     if let Some(marker) = degraded(total, oks.len(), &missing) {
         out.push_str(&marker);
     }
@@ -700,7 +705,7 @@ fn stream_proxy(
     let req = match decode_stream_request(payload) {
         Ok(req) => req,
         Err(e) => {
-            ctx.metrics.protocol_error();
+            ctx.metrics.count(ServerEvent::ProtocolError);
             return (CommandKind::Other, Err(format!("bad stream message: {e}")));
         }
     };

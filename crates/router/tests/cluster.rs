@@ -396,7 +396,10 @@ fn router_contains_malformed_frames_per_connection() {
     // request was an ordinary failed request.
     let metrics = bystander.expect_ok("metrics").unwrap();
     assert!(metrics.contains(", 2 protocol errors"), "{metrics}");
-    assert_eq!(router.metrics().protocol_errors, 2);
+    assert_eq!(
+        router.metrics().get(vdb_server::ServerEvent::ProtocolError),
+        2
+    );
     drop(garbled);
     drop(bystander);
     router.shutdown();

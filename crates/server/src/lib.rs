@@ -15,8 +15,9 @@
 //!   sessions with credit-based flow control, admission control, idle
 //!   reaping, and per-session failure isolation;
 //! * [`metrics`] — [`metrics::ServerMetrics`]: lock-free per-command
-//!   counters and latency histograms (p50/p99), surfaced by the `metrics`
-//!   wire command and a periodic log line;
+//!   counters and latency histograms (p50/p99) plus one counter per
+//!   [`metrics::ServerEvent`], surfaced by the `metrics` wire command,
+//!   `stats` and a periodic log line;
 //! * [`client`] — [`client::Client`]: the blocking client used by tests,
 //!   `vdbc`, and the `loadgen` benchmark, including
 //!   [`client::FrameStream`] for live streaming ingest.
@@ -41,7 +42,7 @@ pub mod server;
 pub mod session;
 
 pub use client::{Client, ClientError, ConnectOptions, FrameStream, StreamCommit};
-pub use metrics::{CommandKind, MetricsSnapshot, ServerMetrics};
+pub use metrics::{CommandKind, MetricsSnapshot, ServerEvent, ServerMetrics};
 pub use protocol::{Response, StreamRequest, DEFAULT_MAX_FRAME};
 pub use server::{shutdown_on_signal, Server, ServerConfig, ServerHandle, ServerStore};
 pub use session::{SessionTable, StreamStats};

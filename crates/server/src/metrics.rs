@@ -1,24 +1,22 @@
-//! Server observability: per-command counters and latency histograms,
-//! re-based on the workspace-wide `vdb-obs` registry.
+//! Server observability: per-command counters and latency histograms
+//! plus one counter per [`ServerEvent`], in a `vdb-obs` registry that is
+//! the only place server metrics are named and read.
 //!
-//! Workers record into [`ServerMetrics`] through lock-free `vdb-obs`
-//! handles (no lock is ever taken on the request path); readers take a
-//! [`MetricsSnapshot`] whenever they like — the `metrics` wire command,
-//! the periodic log line, and tests all consume the same snapshot.
-//!
-//! Each [`ServerMetrics`] owns a *private* [`Registry`] rather than
-//! recording into [`vdb_obs::global`]: tests and `loadgen` run several
-//! servers in one process and rely on count-exact per-server accounting.
-//! The daemon composes the whole-stack view at render time by appending
-//! the global registry's `core` and `store` sections (where the pipeline
-//! and journal record) to its own table — see the `metrics` command in
-//! [`crate::server`].
+//! Workers record through lock-free handles indexed by [`CommandKind`] or
+//! [`ServerEvent`]; readers take a [`MetricsSnapshot`] (the registry's own
+//! snapshot) whose accessors look the names up. Each daemon owns one
+//! *private* [`Registry`], not [`vdb_obs::global`]: tests and `loadgen` run
+//! several servers in one process and rely on count-exact accounting. The
+//! router adds its `router.*` metrics to the same registry; `vdbd` appends
+//! the global registry's `core` and `store` sections at render time (see
+//! the `metrics` command in [`crate::server`]).
 
 use std::sync::Arc;
 use std::time::Duration;
-use vdb_obs::{Counter, Histogram, HistogramSnapshot, Registry};
+use vdb_obs::{Counter, Histogram, HistogramSnapshot, Registry, Snapshot};
 
-/// The kinds of request the server distinguishes in its metrics.
+/// The kinds of request the server distinguishes in its metrics. The
+/// discriminant indexes [`ServerMetrics`]' per-command handles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommandKind {
     /// `ping` liveness probe.
@@ -74,7 +72,7 @@ pub enum CommandKind {
 }
 
 impl CommandKind {
-    /// Every kind, in display order.
+    /// Every kind, in display (and discriminant) order.
     pub const ALL: [CommandKind; 25] = [
         CommandKind::Ping,
         CommandKind::Help,
@@ -102,10 +100,6 @@ impl CommandKind {
         CommandKind::Shutdown,
         CommandKind::Other,
     ];
-
-    fn index(self) -> usize {
-        Self::ALL.iter().position(|k| *k == self).expect("listed")
-    }
 
     /// Human-readable label.
     pub fn label(self) -> &'static str {
@@ -139,6 +133,75 @@ impl CommandKind {
     }
 }
 
+/// Server-wide events, one counter each. The discriminant indexes
+/// [`ServerEvent::NAMES`], the one place each event's metric is named.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ServerEvent {
+    /// An accepted connection.
+    ConnectionOpened,
+    /// A closed connection.
+    ConnectionClosed,
+    /// A protocol violation: a frame error that closed its connection
+    /// (oversized frame, torn frame, …), an undecodable stream message,
+    /// or a poisoned streaming session. The last two keep the connection
+    /// open; a poisoned session also counts a [`ServerEvent::SessionError`].
+    ProtocolError,
+    /// A request over the slow-query threshold (`ServerConfig::slow_query_log`).
+    SlowRequest,
+    /// An opened streaming-ingest session.
+    SessionOpened,
+    /// A session that committed its video.
+    SessionCommitted,
+    /// A session aborted by the client or a torn disconnect.
+    SessionAborted,
+    /// A session reaped by the idle timer.
+    SessionReaped,
+    /// An open rejected (admission cap, bad dimensions, frame-size limit).
+    SessionRejected,
+    /// An error that poisoned one session; its connection stays open.
+    SessionError,
+    /// An accepted stream frame.
+    Frame,
+    /// Payload bytes of accepted stream frames.
+    FrameBytes,
+    /// A worker about to block for a free credit. Counted when the wait
+    /// *starts*, so a worker stuck behind a stalled pump shows as a wait
+    /// with no duration yet.
+    CreditWait,
+}
+
+impl ServerEvent {
+    /// Each event's metric name, indexed by discriminant.
+    pub const NAMES: [&'static str; 13] = [
+        "server.connections_opened",
+        "server.connections_closed",
+        "server.protocol_errors",
+        "server.slow_requests",
+        "server.stream.sessions_opened",
+        "server.stream.sessions_committed",
+        "server.stream.sessions_aborted",
+        "server.stream.sessions_reaped",
+        "server.stream.sessions_rejected",
+        "server.stream.session_errors",
+        "server.stream.frames",
+        "server.stream.frame_bytes",
+        "server.stream.credit_waits",
+    ];
+
+    /// This event's metric name.
+    pub fn name(self) -> &'static str {
+        Self::NAMES[self as usize]
+    }
+}
+
+/// The histogram of finished credit waits, µs.
+const CREDIT_WAIT_US: &str = "server.stream.credit_wait_us";
+
+/// The name of one per-command metric: `server.cmd.<label>.<field>`.
+fn command_metric(kind: CommandKind, field: &str) -> String {
+    format!("server.cmd.{}.{field}", kind.label())
+}
+
 /// One command's registry handles.
 struct CommandHandles {
     requests: Counter,
@@ -148,30 +211,13 @@ struct CommandHandles {
     latency: Histogram,
 }
 
-/// The server's counter registry. One instance per server, shared by all
-/// workers; all methods are `&self` and the record path is lock-free.
+/// The server's recording handles. One instance per daemon, shared by
+/// all workers; all methods are `&self` and the record path is lock-free.
 pub struct ServerMetrics {
     registry: Arc<Registry>,
     commands: [CommandHandles; CommandKind::ALL.len()],
-    connections_opened: Counter,
-    connections_closed: Counter,
-    protocol_errors: Counter,
-    slow_requests: Counter,
-    stream: StreamHandles,
-}
-
-/// Streaming-ingest session counters (`server.stream.*`).
-struct StreamHandles {
-    sessions_opened: Counter,
-    sessions_committed: Counter,
-    sessions_aborted: Counter,
-    sessions_reaped: Counter,
-    sessions_rejected: Counter,
-    session_errors: Counter,
-    frames: Counter,
-    frame_bytes: Counter,
-    credit_waits: Counter,
-    credit_wait_us: Histogram,
+    events: [Counter; ServerEvent::NAMES.len()],
+    credit_wait: Histogram,
 }
 
 impl Default for ServerMetrics {
@@ -186,52 +232,26 @@ impl ServerMetrics {
         Self::with_registry(Arc::new(Registry::new()))
     }
 
-    /// Build the per-command handles in `registry`. The registry should be
-    /// enabled and dedicated to one server; the metric names are
-    /// `server.cmd.<command>.*`, `server.connections_*`, and
-    /// `server.protocol_errors`.
+    /// Register the server's metrics in `registry`, which should be
+    /// enabled and dedicated to one daemon (the router adds its own
+    /// `router.*` metrics to it).
     pub fn with_registry(registry: Arc<Registry>) -> Self {
         let commands = std::array::from_fn(|i| {
-            let label = CommandKind::ALL[i].label();
+            let kind = CommandKind::ALL[i];
             CommandHandles {
-                requests: registry.counter(&format!("server.cmd.{label}.requests")),
-                errors: registry.counter(&format!("server.cmd.{label}.errors")),
-                bytes_in: registry.counter(&format!("server.cmd.{label}.bytes_in")),
-                bytes_out: registry.counter(&format!("server.cmd.{label}.bytes_out")),
-                latency: registry.histogram(&format!("server.cmd.{label}.latency_us")),
+                requests: registry.counter(&command_metric(kind, "requests")),
+                errors: registry.counter(&command_metric(kind, "errors")),
+                bytes_in: registry.counter(&command_metric(kind, "bytes_in")),
+                bytes_out: registry.counter(&command_metric(kind, "bytes_out")),
+                latency: registry.histogram(&command_metric(kind, "latency_us")),
             }
         });
         ServerMetrics {
-            connections_opened: registry.counter("server.connections_opened"),
-            connections_closed: registry.counter("server.connections_closed"),
-            protocol_errors: registry.counter("server.protocol_errors"),
-            slow_requests: registry.counter("server.slow_requests"),
-            stream: StreamHandles {
-                sessions_opened: registry.counter("server.stream.sessions_opened"),
-                sessions_committed: registry.counter("server.stream.sessions_committed"),
-                sessions_aborted: registry.counter("server.stream.sessions_aborted"),
-                sessions_reaped: registry.counter("server.stream.sessions_reaped"),
-                sessions_rejected: registry.counter("server.stream.sessions_rejected"),
-                session_errors: registry.counter("server.stream.session_errors"),
-                frames: registry.counter("server.stream.frames"),
-                frame_bytes: registry.counter("server.stream.frame_bytes"),
-                credit_waits: registry.counter("server.stream.credit_waits"),
-                credit_wait_us: registry.histogram("server.stream.credit_wait_us"),
-            },
             commands,
+            events: std::array::from_fn(|i| registry.counter(ServerEvent::NAMES[i])),
+            credit_wait: registry.histogram(CREDIT_WAIT_US),
             registry,
         }
-    }
-
-    /// The backing registry (for JSON export of the raw metrics).
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// The raw registry as one JSON object (counters and histograms keyed
-    /// by `server.*` metric names).
-    pub fn to_json(&self) -> String {
-        self.registry.to_json()
     }
 
     /// Record one completed request.
@@ -243,7 +263,7 @@ impl ServerMetrics {
         bytes_out: u64,
         latency: Duration,
     ) {
-        let handles = &self.commands[kind.index()];
+        let handles = &self.commands[kind as usize];
         handles.requests.incr();
         if !ok {
             handles.errors.incr();
@@ -253,218 +273,99 @@ impl ServerMetrics {
         handles.latency.record(latency);
     }
 
-    /// Record an accepted connection.
-    pub fn connection_opened(&self) {
-        self.connections_opened.incr();
+    /// Record one `ev`.
+    pub fn count(&self, ev: ServerEvent) {
+        self.add(ev, 1);
     }
 
-    /// Record a closed connection.
-    pub fn connection_closed(&self) {
-        self.connections_closed.incr();
+    /// Add `n` to `ev`'s counter.
+    pub fn add(&self, ev: ServerEvent, n: u64) {
+        self.events[ev as usize].add(n);
     }
 
-    /// Record a protocol violation: either one that cost the offending
-    /// client its connection (oversized frame, torn frame, …) or one that
-    /// poisoned a streaming session (those also count under
-    /// `server.stream.session_errors` and leave the connection open).
-    pub fn protocol_error(&self) {
-        self.protocol_errors.incr();
+    /// Record how long a finished credit wait took (its start was counted
+    /// as a [`ServerEvent::CreditWait`]).
+    pub fn record_credit_wait(&self, waited: Duration) {
+        self.credit_wait.record(waited);
     }
 
-    /// Record a request that ran longer than the configured slow-query
-    /// threshold (see `ServerConfig::slow_query_log`).
-    pub fn slow_request(&self) {
-        self.slow_requests.incr();
-    }
-
-    /// Record an opened streaming-ingest session.
-    pub fn stream_opened(&self) {
-        self.stream.sessions_opened.incr();
-    }
-
-    /// Record a session that committed its video.
-    pub fn stream_committed(&self) {
-        self.stream.sessions_committed.incr();
-    }
-
-    /// Record a session aborted by the client or a torn disconnect.
-    pub fn stream_aborted(&self) {
-        self.stream.sessions_aborted.incr();
-    }
-
-    /// Record a session reaped by the idle timer.
-    pub fn stream_reaped(&self) {
-        self.stream.sessions_reaped.incr();
-    }
-
-    /// Record an open rejected by the admission cap or frame-size limit.
-    pub fn stream_rejected(&self) {
-        self.stream.sessions_rejected.incr();
-    }
-
-    /// Record an error that poisoned one session (bad sequence number,
-    /// dimension mismatch, credit overrun, …). The connection survives —
-    /// contrast with [`ServerMetrics::protocol_error`].
-    pub fn stream_session_error(&self) {
-        self.stream.session_errors.incr();
-    }
-
-    /// Record one accepted stream frame of `bytes` payload bytes.
-    pub fn stream_frame(&self, bytes: u64) {
-        self.stream.frames.incr();
-        self.stream.frame_bytes.add(bytes);
-    }
-
-    /// Record a worker about to block for a free credit (the pump is
-    /// `credit_window` frames behind). Frames that find a credit free
-    /// record nothing. Counted when the wait *starts*, so a worker stuck
-    /// behind a stalled pump shows as a wait with no duration yet.
-    pub fn stream_credit_wait_begin(&self) {
-        self.stream.credit_waits.incr();
-    }
-
-    /// Record how long a finished credit wait took.
-    pub fn stream_credit_wait_end(&self, waited: Duration) {
-        self.stream.credit_wait_us.record(waited);
-    }
-
-    /// A point-in-time copy of every counter.
+    /// A point-in-time copy of the whole registry.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let commands = CommandKind::ALL
-            .iter()
-            .map(|&kind| {
-                let handles = &self.commands[kind.index()];
-                let latency = handles.latency.snapshot();
-                CommandSnapshot {
-                    kind,
-                    requests: handles.requests.get(),
-                    errors: handles.errors.get(),
-                    bytes_in: handles.bytes_in.get(),
-                    bytes_out: handles.bytes_out.get(),
-                    mean_us: latency.mean_us(),
-                    p50_us: latency.p50_us(),
-                    p99_us: latency.p99_us(),
-                    latency,
-                }
-            })
-            .collect();
-        let credit_wait = self.stream.credit_wait_us.snapshot();
-        MetricsSnapshot {
-            commands,
-            connections_opened: self.connections_opened.get(),
-            connections_closed: self.connections_closed.get(),
-            protocol_errors: self.protocol_errors.get(),
-            slow_requests: self.slow_requests.get(),
-            stream: StreamSnapshot {
-                sessions_opened: self.stream.sessions_opened.get(),
-                sessions_committed: self.stream.sessions_committed.get(),
-                sessions_aborted: self.stream.sessions_aborted.get(),
-                sessions_reaped: self.stream.sessions_reaped.get(),
-                sessions_rejected: self.stream.sessions_rejected.get(),
-                session_errors: self.stream.session_errors.get(),
-                frames: self.stream.frames.get(),
-                frame_bytes: self.stream.frame_bytes.get(),
-                credit_waits: self.stream.credit_waits.get(),
-                credit_wait_p50_us: credit_wait.p50_us(),
-                credit_wait_p99_us: credit_wait.p99_us(),
-            },
-        }
+        MetricsSnapshot(self.registry.snapshot())
     }
 }
 
-/// Streaming-ingest counters at snapshot time.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StreamSnapshot {
-    /// Sessions opened since start.
-    pub sessions_opened: u64,
-    /// Sessions that committed their video.
-    pub sessions_committed: u64,
-    /// Sessions aborted (client abort or torn disconnect).
-    pub sessions_aborted: u64,
-    /// Sessions reaped by the idle timer.
-    pub sessions_reaped: u64,
-    /// Opens rejected (admission cap, bad dimensions, oversized frames).
-    pub sessions_rejected: u64,
-    /// Errors that poisoned one session without closing its connection.
-    pub session_errors: u64,
-    /// Stream frames accepted.
-    pub frames: u64,
-    /// Stream frame payload bytes accepted.
-    pub frame_bytes: u64,
-    /// Frames whose worker had to wait for the pump to free a credit.
-    pub credit_waits: u64,
-    /// Median such wait, µs (bucket upper bound; 0 with no waits).
-    pub credit_wait_p50_us: u64,
-    /// 99th-percentile such wait, µs (bucket upper bound).
-    pub credit_wait_p99_us: u64,
-}
-
-/// Counters for one command kind at snapshot time.
+/// A point-in-time copy of a daemon's registry. The accessors look the
+/// server's metric names up, so they belong on read paths (`metrics`,
+/// `stats`, the log line, tests), never on the request path.
 #[derive(Debug, Clone)]
-pub struct CommandSnapshot {
-    /// Which command.
-    pub kind: CommandKind,
-    /// Requests handled.
-    pub requests: u64,
-    /// Requests answered with an error status.
-    pub errors: u64,
-    /// Request bytes read (frame headers included).
-    pub bytes_in: u64,
-    /// Response bytes written (frame headers included).
-    pub bytes_out: u64,
-    /// Mean handling latency, µs.
-    pub mean_us: u64,
-    /// Median handling latency, µs (bucket upper bound).
-    pub p50_us: u64,
-    /// 99th-percentile handling latency, µs (bucket upper bound).
-    pub p99_us: u64,
-    /// The raw power-of-two latency histogram, for cross-command
-    /// aggregation.
-    pub latency: HistogramSnapshot,
-}
-
-/// A point-in-time copy of the whole registry.
-#[derive(Debug, Clone)]
-pub struct MetricsSnapshot {
-    /// Per-command counters (every kind, including zero rows).
-    pub commands: Vec<CommandSnapshot>,
-    /// Connections accepted since start.
-    pub connections_opened: u64,
-    /// Connections closed since start.
-    pub connections_closed: u64,
-    /// Protocol violations that closed a connection.
-    pub protocol_errors: u64,
-    /// Requests that ran over the slow-query threshold (0 when the
-    /// slow-query log is disabled).
-    pub slow_requests: u64,
-    /// Streaming-ingest session counters.
-    pub stream: StreamSnapshot,
-}
+pub struct MetricsSnapshot(pub Snapshot);
 
 impl MetricsSnapshot {
+    /// `ev`'s count (0 if the registry never registered it).
+    pub fn get(&self, ev: ServerEvent) -> u64 {
+        self.0.counter(ev.name()).unwrap_or(0)
+    }
+
+    fn command(&self, kind: CommandKind, field: &str) -> u64 {
+        self.0.counter(&command_metric(kind, field)).unwrap_or(0)
+    }
+
+    fn histogram(&self, name: &str) -> HistogramSnapshot {
+        self.0
+            .histogram(name)
+            .cloned()
+            .unwrap_or_else(HistogramSnapshot::empty)
+    }
+
+    /// Requests of `kind` handled.
+    pub fn requests(&self, kind: CommandKind) -> u64 {
+        self.command(kind, "requests")
+    }
+
+    /// Requests of `kind` answered with an error status.
+    pub fn errors(&self, kind: CommandKind) -> u64 {
+        self.command(kind, "errors")
+    }
+
+    /// `kind`'s handling-latency histogram.
+    pub fn latency(&self, kind: CommandKind) -> HistogramSnapshot {
+        self.histogram(&command_metric(kind, "latency_us"))
+    }
+
+    /// The finished credit waits' histogram.
+    pub fn credit_wait(&self) -> HistogramSnapshot {
+        self.histogram(CREDIT_WAIT_US)
+    }
+
+    fn total(&self, field: &str) -> u64 {
+        CommandKind::ALL
+            .iter()
+            .map(|&k| self.command(k, field))
+            .sum()
+    }
+
     /// Total requests across all commands.
     pub fn total_requests(&self) -> u64 {
-        self.commands.iter().map(|c| c.requests).sum()
+        self.total("requests")
     }
 
     /// Total error responses across all commands.
     pub fn total_errors(&self) -> u64 {
-        self.commands.iter().map(|c| c.errors).sum()
+        self.total("errors")
     }
 
-    /// Total bytes read / written.
+    /// Total bytes read / written (frame headers included).
     pub fn total_bytes(&self) -> (u64, u64) {
-        self.commands
-            .iter()
-            .fold((0, 0), |(i, o), c| (i + c.bytes_in, o + c.bytes_out))
+        (self.total("bytes_in"), self.total("bytes_out"))
     }
 
     /// Overall `(p50, p99)` handling latency in µs, merged across every
     /// command's histogram (bucket upper bounds).
     pub fn overall_latency(&self) -> (u64, u64) {
         let mut merged = HistogramSnapshot::empty();
-        for c in &self.commands {
-            merged.merge(&c.latency);
+        for &kind in &CommandKind::ALL {
+            merged.merge(&self.latency(kind));
         }
         (merged.p50_us(), merged.p99_us())
     }
@@ -478,42 +379,47 @@ impl MetricsSnapshot {
             "  {:<13} {:>9} {:>7} {:>10} {:>10} {:>9} {:>9} {:>9}",
             "command", "requests", "errors", "bytes_in", "bytes_out", "mean_us", "p50_us", "p99_us"
         );
-        for c in &self.commands {
-            if c.requests == 0 {
+        for &kind in &CommandKind::ALL {
+            let requests = self.requests(kind);
+            if requests == 0 {
                 continue;
             }
+            let latency = self.latency(kind);
             let _ = writeln!(
                 out,
                 "  {:<13} {:>9} {:>7} {:>10} {:>10} {:>9} {:>9} {:>9}",
-                c.kind.label(),
-                c.requests,
-                c.errors,
-                c.bytes_in,
-                c.bytes_out,
-                c.mean_us,
-                c.p50_us,
-                c.p99_us
+                kind.label(),
+                requests,
+                self.errors(kind),
+                self.command(kind, "bytes_in"),
+                self.command(kind, "bytes_out"),
+                latency.mean_us(),
+                latency.p50_us(),
+                latency.p99_us()
             );
         }
-        if self.stream.sessions_opened > 0 {
-            let s = &self.stream;
+        use ServerEvent::*;
+        if self.get(SessionOpened) > 0 {
             let _ = writeln!(
                 out,
                 "  streams: {} opened ({} committed, {} aborted, {} reaped, {} rejected, {} errors), {} frames / {} bytes",
-                s.sessions_opened,
-                s.sessions_committed,
-                s.sessions_aborted,
-                s.sessions_reaped,
-                s.sessions_rejected,
-                s.session_errors,
-                s.frames,
-                s.frame_bytes
+                self.get(SessionOpened),
+                self.get(SessionCommitted),
+                self.get(SessionAborted),
+                self.get(SessionReaped),
+                self.get(SessionRejected),
+                self.get(SessionError),
+                self.get(Frame),
+                self.get(FrameBytes)
             );
-            if s.credit_waits > 0 {
+            if self.get(CreditWait) > 0 {
+                let waits = self.credit_wait();
                 let _ = writeln!(
                     out,
                     "  stream credit waits: {} (p50 {}us, p99 {}us)",
-                    s.credit_waits, s.credit_wait_p50_us, s.credit_wait_p99_us
+                    self.get(CreditWait),
+                    waits.p50_us(),
+                    waits.p99_us()
                 );
             }
         }
@@ -523,12 +429,12 @@ impl MetricsSnapshot {
             "  total: {} requests ({} errors, {} slow), {}/{} bytes in/out, {} conns open, {} closed, {} protocol errors",
             self.total_requests(),
             self.total_errors(),
-            self.slow_requests,
+            self.get(SlowRequest),
             bytes_in,
             bytes_out,
-            self.connections_opened,
-            self.connections_closed,
-            self.protocol_errors
+            self.get(ConnectionOpened),
+            self.get(ConnectionClosed),
+            self.get(ProtocolError)
         );
         out
     }
@@ -536,21 +442,17 @@ impl MetricsSnapshot {
     /// One-line summary (the periodic log line).
     pub fn one_line(&self) -> String {
         let (bytes_in, bytes_out) = self.total_bytes();
-        let query = self
-            .commands
-            .iter()
-            .find(|c| c.kind == CommandKind::Query)
-            .expect("query row always present");
+        let query = self.latency(CommandKind::Query);
         format!(
             "{} reqs ({} errs, {} proto), {}/{} B in/out, {} conns, query p50={}us p99={}us",
             self.total_requests(),
             self.total_errors(),
-            self.protocol_errors,
+            self.get(ServerEvent::ProtocolError),
             bytes_in,
             bytes_out,
-            self.connections_opened,
-            query.p50_us,
-            query.p99_us
+            self.get(ServerEvent::ConnectionOpened),
+            query.p50_us(),
+            query.p99_us()
         )
     }
 }
@@ -572,25 +474,25 @@ mod tests {
             Duration::from_micros(2000),
         );
         m.record_request(CommandKind::List, true, 9, 50, Duration::from_micros(5));
-        m.connection_opened();
-        m.connection_closed();
-        m.protocol_error();
-        m.slow_request();
+        m.count(ServerEvent::ConnectionOpened);
+        m.count(ServerEvent::ConnectionClosed);
+        m.count(ServerEvent::ProtocolError);
+        m.count(ServerEvent::SlowRequest);
         let snap = m.snapshot();
         assert_eq!(snap.total_requests(), 4);
         assert_eq!(snap.total_errors(), 1);
         assert_eq!(snap.total_bytes(), (59, 248));
-        assert_eq!(snap.protocol_errors, 1);
-        assert_eq!(snap.slow_requests, 1);
+        assert_eq!(snap.get(ServerEvent::ProtocolError), 1);
+        assert_eq!(snap.get(ServerEvent::SlowRequest), 1);
         assert!(snap.render().contains("1 slow"));
-        let q = &snap.commands[CommandKind::Query.index()];
-        assert_eq!(q.requests, 3);
-        assert_eq!(q.errors, 1);
-        assert_eq!(q.mean_us, (30 + 40 + 2000) / 3);
+        assert_eq!(snap.requests(CommandKind::Query), 3);
+        assert_eq!(snap.errors(CommandKind::Query), 1);
+        let q = snap.latency(CommandKind::Query);
+        assert_eq!(q.mean_us(), (30 + 40 + 2000) / 3);
         // p50 falls in the [32,64) bucket → upper bound 64; p99 in the
         // 2000µs bucket → upper bound 2048.
-        assert_eq!(q.p50_us, 64);
-        assert_eq!(q.p99_us, 2048);
+        assert_eq!(q.p50_us(), 64);
+        assert_eq!(q.p99_us(), 2048);
         assert!(snap.render().contains("query"));
         assert!(!snap.render().contains("board"), "zero rows omitted");
         assert!(snap.one_line().contains("4 reqs"));
@@ -598,25 +500,28 @@ mod tests {
 
     #[test]
     fn stream_counters_accumulate_and_render() {
+        use ServerEvent::*;
         let m = ServerMetrics::new();
         let quiet = m.snapshot();
         assert!(
             !quiet.render().contains("streams:"),
             "no stream line before any session"
         );
-        m.stream_opened();
-        m.stream_frame(48);
-        m.stream_frame(48);
-        m.stream_committed();
-        m.stream_session_error();
-        m.stream_rejected();
+        m.count(SessionOpened);
+        for _ in 0..2 {
+            m.count(Frame);
+            m.add(FrameBytes, 48);
+        }
+        m.count(SessionCommitted);
+        m.count(SessionError);
+        m.count(SessionRejected);
         let snap = m.snapshot();
-        assert_eq!(snap.stream.sessions_opened, 1);
-        assert_eq!(snap.stream.sessions_committed, 1);
-        assert_eq!(snap.stream.session_errors, 1);
-        assert_eq!(snap.stream.sessions_rejected, 1);
-        assert_eq!(snap.stream.frames, 2);
-        assert_eq!(snap.stream.frame_bytes, 96);
+        assert_eq!(snap.get(SessionOpened), 1);
+        assert_eq!(snap.get(SessionCommitted), 1);
+        assert_eq!(snap.get(SessionError), 1);
+        assert_eq!(snap.get(SessionRejected), 1);
+        assert_eq!(snap.get(Frame), 2);
+        assert_eq!(snap.get(FrameBytes), 96);
         assert!(
             snap.render().contains("streams: 1 opened"),
             "{}",
@@ -627,20 +532,87 @@ mod tests {
             "no credit line until a worker has waited"
         );
         for waited in [40, 3_000] {
-            m.stream_credit_wait_begin();
-            m.stream_credit_wait_end(Duration::from_micros(waited));
+            m.count(CreditWait);
+            m.record_credit_wait(Duration::from_micros(waited));
         }
         let snap = m.snapshot();
-        assert_eq!(snap.stream.credit_waits, 2);
-        assert_eq!(snap.stream.credit_wait_p50_us, 64);
-        assert_eq!(snap.stream.credit_wait_p99_us, 4096);
+        assert_eq!(snap.get(CreditWait), 2);
+        assert_eq!(snap.credit_wait().p50_us(), 64);
+        assert_eq!(snap.credit_wait().p99_us(), 4096);
         assert!(
             snap.render()
                 .contains("stream credit waits: 2 (p50 64us, p99 4096us)"),
             "{}",
             snap.render()
         );
-        assert!(m.to_json().contains("\"server.stream.credit_waits\":2"));
+        assert!(snap
+            .0
+            .to_json()
+            .contains("\"server.stream.credit_waits\":2"));
+    }
+
+    /// The `metrics` table and the periodic log line for one fixed
+    /// recorded sequence, byte for byte.
+    #[test]
+    fn server_table_and_log_line_are_pinned() {
+        use ServerEvent::*;
+        let m = ServerMetrics::new();
+        let us = Duration::from_micros;
+        m.record_request(CommandKind::Query, true, 20, 100, us(30));
+        m.record_request(CommandKind::Query, false, 10, 8, us(2000));
+        m.record_request(CommandKind::StreamCommit, true, 9, 50, us(5));
+        m.record_request(CommandKind::Other, false, 3, 4, us(0));
+        m.count(ConnectionOpened);
+        m.count(ConnectionOpened);
+        m.count(ConnectionClosed);
+        m.count(ProtocolError);
+        m.count(SlowRequest);
+        m.count(SessionOpened);
+        m.count(SessionCommitted);
+        m.count(SessionAborted);
+        m.count(SessionReaped);
+        m.count(SessionRejected);
+        m.count(SessionError);
+        m.count(Frame);
+        m.add(FrameBytes, 48);
+        m.count(Frame);
+        m.add(FrameBytes, 48);
+        m.count(CreditWait);
+        m.record_credit_wait(us(40));
+        let snap = m.snapshot();
+        assert_eq!(
+            snap.render(),
+            concat!(
+                "  command        requests  errors   bytes_in  bytes_out   mean_us    p50_us    p99_us\n",
+                "  query                 2       1         30        108      1015        32      2048\n",
+                "  stream.commit         1       0          9         50         5         8         8\n",
+                "  other                 1       1          3          4         0         1         1\n",
+                "  streams: 1 opened (1 committed, 1 aborted, 1 reaped, 1 rejected, 1 errors), 2 frames / 96 bytes\n",
+                "  stream credit waits: 1 (p50 64us, p99 64us)\n",
+                "  total: 4 requests (2 errors, 1 slow), 42/162 bytes in/out, 2 conns open, 1 closed, 1 protocol errors\n",
+            )
+        );
+        assert_eq!(
+            snap.one_line(),
+            "4 reqs (2 errs, 1 proto), 42/162 B in/out, 2 conns, query p50=32us p99=2048us"
+        );
+    }
+
+    /// Both tables are indexed by discriminant, so their orders must
+    /// match the enums' declaration orders.
+    #[test]
+    fn tables_follow_discriminant_order() {
+        for (i, kind) in CommandKind::ALL.iter().enumerate() {
+            assert_eq!(*kind as usize, i, "{kind:?}");
+        }
+        assert_eq!(
+            ServerEvent::CreditWait as usize + 1,
+            ServerEvent::NAMES.len()
+        );
+        assert_eq!(
+            ServerEvent::SessionOpened.name(),
+            "server.stream.sessions_opened"
+        );
     }
 
     #[test]
@@ -658,7 +630,7 @@ mod tests {
     fn registry_json_exposes_the_raw_metrics() {
         let m = ServerMetrics::new();
         m.record_request(CommandKind::Query, true, 10, 20, Duration::from_micros(33));
-        let json = m.to_json();
+        let json = m.snapshot().0.to_json();
         assert!(json.contains("\"server.cmd.query.requests\":1"), "{json}");
         assert!(
             json.contains("\"server.cmd.query.latency_us\":{\"count\":1"),

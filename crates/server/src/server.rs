@@ -23,7 +23,7 @@
 //! the offending connection and are counted in [`ServerMetrics`]; they can
 //! never take down a worker.
 
-use crate::metrics::{CommandKind, MetricsSnapshot, ServerMetrics};
+use crate::metrics::{CommandKind, MetricsSnapshot, ServerEvent, ServerMetrics};
 use crate::protocol::{
     decode_stream_request, encode_response, is_stream_request, write_frame, FrameError,
     StreamRequest, DEFAULT_MAX_FRAME,
@@ -69,7 +69,7 @@ pub struct ServerConfig {
     /// Log any request that takes at least this long to stderr, with its
     /// full span tree when the request's trace was sampled (`None` =
     /// never). Over-threshold requests are also counted in
-    /// [`ServerMetrics`] as `slow_requests`.
+    /// [`ServerMetrics`] as [`ServerEvent::SlowRequest`].
     pub slow_query_log: Option<Duration>,
     /// Maximum concurrently open streaming-ingest sessions; opens past
     /// the cap are rejected (admission control).
@@ -675,7 +675,7 @@ fn handle_connection<H: Handler>(
         return;
     }
     let _ = stream.set_nodelay(true);
-    metrics.connection_opened();
+    metrics.count(ServerEvent::ConnectionOpened);
     let mut conn = handler.open();
     let mut reader = FrameReader::default();
     let mut idle_deadline = Instant::now() + cfg.idle_timeout;
@@ -735,7 +735,7 @@ fn handle_connection<H: Handler>(
                 metrics.record_request(kind, ok, bytes_in, bytes_out, elapsed);
                 if let Some(threshold) = cfg.slow_query_log {
                     if elapsed >= threshold {
-                        metrics.slow_request();
+                        metrics.count(ServerEvent::SlowRequest);
                         eprintln!(
                             "{}: slow request: {} took {}us (threshold {}us)\n{}",
                             cfg.name,
@@ -755,7 +755,7 @@ fn handle_connection<H: Handler>(
                 // done, the server is not. Oversized frames get a parting
                 // error response (the declared length was read cleanly);
                 // after a torn frame there is nothing sane to say.
-                metrics.protocol_error();
+                metrics.count(ServerEvent::ProtocolError);
                 if matches!(e, FrameError::TooLarge { .. }) {
                     let _ = write_frame(&mut stream, &encode_response(false, &e.to_string()));
                 }
@@ -764,7 +764,7 @@ fn handle_connection<H: Handler>(
         }
     }
     handler.close(conn);
-    metrics.connection_closed();
+    metrics.count(ServerEvent::ConnectionClosed);
 }
 
 /// `vdbd`'s [`Handler`]: requests run against the store and the
@@ -807,7 +807,7 @@ impl Handler for WorkerCtx {
 fn stream_dispatch(ctx: &WorkerCtx, conn: u64, payload: &[u8]) -> Reply {
     match decode_stream_request(payload) {
         Err(e) => {
-            ctx.metrics.protocol_error();
+            ctx.metrics.count(ServerEvent::ProtocolError);
             (CommandKind::Other, Err(format!("bad stream message: {e}")))
         }
         Ok(StreamRequest::Open {
@@ -926,10 +926,10 @@ fn dispatch(ctx: &WorkerCtx, line: &str, tctx: &TraceContext) -> Reply {
                     "{text}  server.requests {}\n  server.errors {}\n  server.connections {}\n  server.protocol_errors {}\n  server.stream.open {}\n  server.stream.committed {}\n  server.stream.buffered_peak {}\n  server.stream.credit_window {}\n  stack.frames_analyzed {}\n  stack.journal_appends {}\n",
                     snap.total_requests(),
                     snap.total_errors(),
-                    snap.connections_opened,
-                    snap.protocol_errors,
+                    snap.get(ServerEvent::ConnectionOpened),
+                    snap.get(ServerEvent::ProtocolError),
                     streams.open_sessions,
-                    snap.stream.sessions_committed,
+                    snap.get(ServerEvent::SessionCommitted),
                     streams.buffered_peak,
                     streams.credit_window,
                     frames,

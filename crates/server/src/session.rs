@@ -41,7 +41,7 @@
 //! committing sessions share one write barrier (see `vdb-store`'s journal
 //! docs).
 
-use crate::metrics::ServerMetrics;
+use crate::metrics::{ServerEvent, ServerMetrics};
 use crate::server::ServerStore;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -105,8 +105,8 @@ impl Flow {
     fn poison(&mut self, metrics: &ServerMetrics, msg: String) {
         if self.poisoned.is_none() {
             self.poisoned = Some(msg);
-            metrics.protocol_error();
-            metrics.stream_session_error();
+            metrics.count(ServerEvent::ProtocolError);
+            metrics.count(ServerEvent::SessionError);
         }
     }
 }
@@ -278,14 +278,14 @@ impl SessionTable {
         }
     }
 
-    /// Claim and stop every session in `doomed`, counting each through
-    /// `count` — once, by whoever claimed it.
-    fn teardown_all(&self, doomed: Vec<Arc<StreamSession>>, count: impl Fn(&ServerMetrics)) {
+    /// Claim and stop every session in `doomed`, counting each as
+    /// `outcome` — once, by whoever claimed it.
+    fn teardown_all(&self, doomed: Vec<Arc<StreamSession>>, outcome: ServerEvent) {
         self.join_retired();
         for sess in doomed {
             if self.claim(&sess) {
                 self.stop_pump(&sess);
-                count(&self.metrics);
+                self.metrics.count(outcome);
             }
         }
     }
@@ -300,20 +300,20 @@ impl SessionTable {
         fps_milli: u32,
     ) -> Result<String, String> {
         if width == 0 || height == 0 {
-            self.metrics.stream_rejected();
+            self.metrics.count(ServerEvent::SessionRejected);
             return Err(format!("bad stream dimensions {width}x{height}"));
         }
         let frame_bytes = (width as u64) * (height as u64) * 3;
         let wire_bytes = frame_bytes + crate::protocol::STREAM_HEADER as u64;
         if wire_bytes > self.limits.max_frame as u64 {
-            self.metrics.stream_rejected();
+            self.metrics.count(ServerEvent::SessionRejected);
             return Err(format!(
                 "{width}x{height} frames need {wire_bytes}-byte messages, over the {}-byte frame cap",
                 self.limits.max_frame
             ));
         }
         if fps_milli == 0 {
-            self.metrics.stream_rejected();
+            self.metrics.count(ServerEvent::SessionRejected);
             return Err("frame rate must be positive".to_string());
         }
         let fps = f64::from(fps_milli) / 1000.0;
@@ -323,7 +323,7 @@ impl SessionTable {
         let mut map = self.lock_map();
         if map.len() >= self.limits.max_sessions {
             drop(map);
-            self.metrics.stream_rejected();
+            self.metrics.count(ServerEvent::SessionRejected);
             return Err(format!(
                 "session limit reached ({} open); retry after a session closes",
                 self.limits.max_sessions
@@ -364,7 +364,7 @@ impl SessionTable {
         *sess.pump.lock().unwrap_or_else(|e| e.into_inner()) = Some(pump);
         map.insert(id, Arc::clone(&sess));
         drop(map);
-        self.metrics.stream_opened();
+        self.metrics.count(ServerEvent::SessionOpened);
         Ok(format!("session={id} credits={window}"))
     }
 
@@ -380,7 +380,7 @@ impl SessionTable {
     fn take_credit(&self, sess: &StreamSession) -> Result<u32, String> {
         let mut flow = sess.lock_flow();
         if flow.queued >= sess.window {
-            self.metrics.stream_credit_wait_begin();
+            self.metrics.count(ServerEvent::CreditWait);
             let started = Instant::now();
             flow.waiting = true;
             while flow.queued >= sess.window && flow.poisoned.is_none() && !flow.aborting {
@@ -405,7 +405,7 @@ impl SessionTable {
                     .0;
             }
             flow.waiting = false;
-            self.metrics.stream_credit_wait_end(started.elapsed());
+            self.metrics.record_credit_wait(started.elapsed());
         }
         if let Some(msg) = &flow.poisoned {
             return Err(failed(msg));
@@ -483,7 +483,8 @@ impl SessionTable {
             }
         }
         sess.next_seq.store(seq + 1, Ordering::Release);
-        self.metrics.stream_frame(data.len() as u64);
+        self.metrics.count(ServerEvent::Frame);
+        self.metrics.add(ServerEvent::FrameBytes, data.len() as u64);
         Ok(format!("seq={seq} credits={free}"))
     }
 
@@ -500,7 +501,7 @@ impl SessionTable {
         }
         if let Some(msg) = sess.poison_message() {
             self.stop_pump(&sess);
-            self.metrics.stream_aborted();
+            self.metrics.count(ServerEvent::SessionAborted);
             return Err(failed(msg));
         }
         let (reply_tx, reply_rx) = mpsc::channel();
@@ -523,7 +524,7 @@ impl SessionTable {
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
                     .extend(pump);
-                self.metrics.stream_committed();
+                self.metrics.count(ServerEvent::SessionCommitted);
                 Ok(format!(
                     "video={} shots={} frames={} durable={}",
                     done.video, done.shots, done.frames, done.durable
@@ -534,7 +535,7 @@ impl SessionTable {
                 // Failures first surfacing at commit (empty stream, write
                 // error) have not been counted yet; poisoned sessions were.
                 sess.poison(&self.metrics, msg.clone());
-                self.metrics.stream_aborted();
+                self.metrics.count(ServerEvent::SessionAborted);
                 Err(failed(msg))
             }
         }
@@ -543,7 +544,7 @@ impl SessionTable {
     /// Handle an abort message: discard the session, commit nothing.
     pub(crate) fn abort(&self, conn: u64, session: u32) -> Result<String, String> {
         let sess = self.owned(conn, session)?;
-        self.teardown_all(vec![sess], ServerMetrics::stream_aborted);
+        self.teardown_all(vec![sess], ServerEvent::SessionAborted);
         Ok("aborted".to_string())
     }
 
@@ -556,7 +557,7 @@ impl SessionTable {
             .filter(|s| s.conn == conn)
             .cloned()
             .collect();
-        self.teardown_all(owned, ServerMetrics::stream_aborted);
+        self.teardown_all(owned, ServerEvent::SessionAborted);
     }
 
     /// Abort sessions idle longer than the limit (reaper thread).
@@ -569,13 +570,13 @@ impl SessionTable {
             .filter(|s| now_ms.saturating_sub(s.last_active_ms.load(Ordering::Relaxed)) > idle_ms)
             .cloned()
             .collect();
-        self.teardown_all(stale, ServerMetrics::stream_reaped);
+        self.teardown_all(stale, ServerEvent::SessionReaped);
     }
 
     /// Abort everything (shutdown drain).
     pub(crate) fn abort_all(&self) {
         let all = self.lock_map().values().cloned().collect();
-        self.teardown_all(all, ServerMetrics::stream_aborted);
+        self.teardown_all(all, ServerEvent::SessionAborted);
     }
 
     /// The reaper thread's body. Until `shutdown` is set: reap idle
@@ -718,6 +719,9 @@ fn commit_now(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ServerEvent::{
+        CreditWait, Frame, SessionAborted, SessionCommitted, SessionError, SessionReaped,
+    };
 
     const WINDOW: u32 = 2;
     const LONG: Duration = Duration::from_secs(60);
@@ -760,7 +764,7 @@ mod tests {
             // gives that lock up, and every releaser takes the same lock:
             // once it reads 1, a release can only land on a parked worker.
             let deadline = Instant::now() + LONG;
-            while table.metrics.snapshot().stream.credit_waits == 0 {
+            while table.metrics.snapshot().get(ServerEvent::CreditWait) == 0 {
                 assert!(Instant::now() < deadline, "worker never reached the wait");
                 std::thread::yield_now();
             }
@@ -790,9 +794,9 @@ mod tests {
         // Its connection closing afterwards finds nothing left to count.
         table.close_conn(owner.0);
         table.abort_all();
-        let snap = table.metrics.snapshot().stream;
-        assert_eq!((snap.sessions_reaped, snap.sessions_aborted), (1, 0));
-        assert_eq!((snap.credit_waits, snap.session_errors), (1, 0));
+        let snap = table.metrics.snapshot();
+        assert_eq!((snap.get(SessionReaped), snap.get(SessionAborted)), (1, 0));
+        assert_eq!((snap.get(CreditWait), snap.get(SessionError)), (1, 0));
         assert_eq!(table.stats().open_sessions, 0);
     }
 
@@ -812,8 +816,8 @@ mod tests {
             assert_eq!(reply, "session 1 was aborted");
         });
         table.close_conn(owner.0);
-        let snap = table.metrics.snapshot().stream;
-        assert_eq!((snap.sessions_reaped, snap.sessions_aborted), (0, 1));
+        let snap = table.metrics.snapshot();
+        assert_eq!((snap.get(SessionReaped), snap.get(SessionAborted)), (0, 1));
         assert_eq!(table.stats().open_sessions, 0);
     }
 
@@ -829,9 +833,10 @@ mod tests {
         );
         // Sticky: the retry fails at once with the same text, uncounted.
         assert_eq!(table.frame(conn, session, 0, &frame).unwrap_err(), first);
-        let snap = table.metrics.snapshot().stream;
-        assert_eq!((snap.credit_waits, snap.session_errors), (1, 1));
-        assert!(snap.credit_wait_p50_us >= 32_768, "{snap:?}");
+        let snap = table.metrics.snapshot();
+        assert_eq!((snap.get(CreditWait), snap.get(SessionError)), (1, 1));
+        let waited = snap.credit_wait();
+        assert!(waited.p50_us() >= 32_768, "{waited:?}");
         assert_eq!(table.abort(conn, session).unwrap(), "aborted");
     }
 
@@ -851,8 +856,11 @@ mod tests {
         let reply = table.commit(conn, 1).unwrap();
         assert!(reply.contains("frames=200"), "{reply}");
         assert!(table.stats().buffered_peak <= WINDOW);
-        let snap = table.metrics.snapshot().stream;
-        assert_eq!((snap.sessions_committed, snap.sessions_aborted), (1, 0));
-        assert_eq!(snap.frames, 200);
+        let snap = table.metrics.snapshot();
+        assert_eq!(
+            (snap.get(SessionCommitted), snap.get(SessionAborted)),
+            (1, 0)
+        );
+        assert_eq!(snap.get(Frame), 200);
     }
 }

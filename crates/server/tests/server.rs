@@ -13,6 +13,7 @@ use vdb_server::protocol::{
     decode_response, encode_stream_request, read_frame, write_frame, StreamRequest,
 };
 use vdb_server::server::{Server, ServerConfig, ServerHandle, ServerStore};
+use vdb_server::{CommandKind, ServerEvent};
 
 fn test_config(workers: usize) -> ServerConfig {
     ServerConfig {
@@ -88,7 +89,7 @@ fn sixteen_concurrent_clients_then_graceful_drain() {
         "metrics must count every request"
     );
     assert_eq!(snap.total_errors(), 0);
-    assert_eq!(snap.protocol_errors, 0);
+    assert_eq!(snap.get(ServerEvent::ProtocolError), 0);
 
     // Phase B: 16 fresh clients each send one request and do NOT read the
     // reply yet; shutdown is then triggered with most of those requests
@@ -222,18 +223,51 @@ fn malformed_frames_close_only_that_connection() {
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     loop {
         let snap = handle.metrics();
-        if snap.protocol_errors >= 3 {
-            assert_eq!(snap.protocol_errors, 3);
+        let protocol_errors = snap.get(ServerEvent::ProtocolError);
+        if protocol_errors >= 3 {
+            assert_eq!(protocol_errors, 3);
             break;
         }
         assert!(
             std::time::Instant::now() < deadline,
-            "protocol errors never counted: {}",
-            snap.protocol_errors
+            "protocol errors never counted: {protocol_errors}"
         );
         std::thread::sleep(Duration::from_millis(10));
     }
     drop(client);
+    handle.shutdown().unwrap();
+}
+
+/// Undecodable stream messages (a truncated header, an unknown opcode)
+/// are protocol errors that cost the sender neither its connection nor
+/// anything else: each gets a `-bad stream message` reply and is charged
+/// to the `other` command as a failed request.
+#[test]
+fn undecodable_stream_messages_keep_the_connection() {
+    let handle = start_memory_server(2, 0);
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut unknown_op = vec![0xF5, 0x7F];
+    unknown_op.extend_from_slice(&[0u8; 8]);
+    for payload in [vec![0xF5], unknown_op] {
+        write_frame(&mut stream, &payload).unwrap();
+        let resp = decode_response(&read_frame(&mut stream, 1 << 20).unwrap().unwrap()).unwrap();
+        assert!(!resp.ok);
+        assert!(
+            resp.text.starts_with("bad stream message: "),
+            "{}",
+            resp.text
+        );
+    }
+    write_frame(&mut stream, b"ping").unwrap();
+    let resp = decode_response(&read_frame(&mut stream, 1 << 20).unwrap().unwrap()).unwrap();
+    assert!(resp.ok && resp.text == "pong", "{}", resp.text);
+    let snap = handle.metrics();
+    assert_eq!(snap.get(ServerEvent::ProtocolError), 2);
+    assert_eq!(snap.0.counter("server.cmd.other.errors"), Some(2));
+    drop(stream);
     handle.shutdown().unwrap();
 }
 
@@ -593,13 +627,7 @@ fn explain_over_the_wire_reports_plan_and_candidates() {
     );
     // `explain` traffic is metered under its own command kind.
     let snap = handle.metrics();
-    let explain_reqs = snap
-        .commands
-        .iter()
-        .find(|c| c.kind == vdb_server::metrics::CommandKind::Explain)
-        .expect("explain row")
-        .requests;
-    assert_eq!(explain_reqs, 3);
+    assert_eq!(snap.requests(CommandKind::Explain), 3);
     drop(client);
     handle.shutdown().unwrap();
 }
@@ -692,7 +720,8 @@ fn slow_query_log_triggers_exactly_at_threshold() {
     drop(client);
     let snap = handle.shutdown().unwrap();
     assert_eq!(
-        snap.slow_requests, 3,
+        snap.get(ServerEvent::SlowRequest),
+        3,
         "zero threshold must count every request"
     );
 
@@ -709,7 +738,11 @@ fn slow_query_log_triggers_exactly_at_threshold() {
     }
     drop(client);
     let snap = handle.shutdown().unwrap();
-    assert_eq!(snap.slow_requests, 0, "unreachable threshold counts none");
+    assert_eq!(
+        snap.get(ServerEvent::SlowRequest),
+        0,
+        "unreachable threshold counts none"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -797,10 +830,10 @@ fn eight_concurrent_wire_streams_commit_bit_identical() {
     assert_eq!(stats.open_sessions, 0, "all sessions closed");
 
     let snap = handle.metrics();
-    assert_eq!(snap.stream.sessions_opened, STREAMS as u64);
-    assert_eq!(snap.stream.sessions_committed, STREAMS as u64);
-    assert_eq!(snap.stream.session_errors, 0);
-    assert_eq!(snap.protocol_errors, 0);
+    assert_eq!(snap.get(ServerEvent::SessionOpened), STREAMS as u64);
+    assert_eq!(snap.get(ServerEvent::SessionCommitted), STREAMS as u64);
+    assert_eq!(snap.get(ServerEvent::SessionError), 0);
+    assert_eq!(snap.get(ServerEvent::ProtocolError), 0);
     handle.shutdown().unwrap();
 }
 
@@ -889,9 +922,13 @@ fn stream_errors_poison_only_that_session() {
     );
 
     let snap = handle.metrics();
-    assert_eq!(snap.stream.session_errors, 1);
-    assert_eq!(snap.stream.sessions_committed, 1);
-    assert_eq!(snap.protocol_errors, 1, "poison counts as a protocol error");
+    assert_eq!(snap.get(ServerEvent::SessionError), 1);
+    assert_eq!(snap.get(ServerEvent::SessionCommitted), 1);
+    assert_eq!(
+        snap.get(ServerEvent::ProtocolError),
+        1,
+        "poison counts as a protocol error"
+    );
     drop(good_client);
     handle.shutdown().unwrap();
 }
@@ -1022,10 +1059,23 @@ fn session_cap_rejects_then_reclaims_slots() {
     s3.abort().unwrap();
     assert_eq!(handle.store().read(|db| db.len()), 0, "nothing committed");
     let snap = handle.metrics();
-    assert_eq!(snap.stream.sessions_rejected, 1);
-    assert!(snap.stream.sessions_aborted >= 3, "{:?}", snap.stream);
+    assert_eq!(snap.get(ServerEvent::SessionRejected), 1);
+    // Loose on purpose: the torn session freed its slot at `claim`, a
+    // moment before its abort is counted.
+    assert!(
+        snap.get(ServerEvent::SessionAborted) >= 3,
+        "{}",
+        snap.render()
+    );
     drop(c1);
-    handle.shutdown().unwrap();
+    // Once drained, every session is counted exactly once: the torn one
+    // as an abort, and no later sweep counts it again.
+    let snap = handle.shutdown().unwrap();
+    assert_eq!(snap.get(ServerEvent::SessionOpened), 4);
+    assert_eq!(snap.get(ServerEvent::SessionAborted), 4);
+    assert_eq!(snap.get(ServerEvent::SessionRejected), 1);
+    assert_eq!(snap.get(ServerEvent::SessionReaped), 0);
+    assert_eq!(snap.get(ServerEvent::SessionCommitted), 0);
 }
 
 /// The reaper aborts sessions with no traffic past the idle timeout, so
@@ -1057,7 +1107,7 @@ fn idle_streaming_sessions_are_reaped() {
         );
         std::thread::sleep(Duration::from_millis(5));
     }
-    assert_eq!(handle.metrics().stream.sessions_reaped, 1);
+    assert_eq!(handle.metrics().get(ServerEvent::SessionReaped), 1);
     // The session id is gone; a commit attempt reports that cleanly.
     let err = stream.commit().expect_err("reaped session cannot commit");
     assert!(err.to_string().contains("unknown session"), "{err}");
@@ -1065,7 +1115,10 @@ fn idle_streaming_sessions_are_reaped() {
     drop(client);
     let snap = handle.shutdown().unwrap();
     assert_eq!(
-        (snap.stream.sessions_reaped, snap.stream.sessions_aborted),
+        (
+            snap.get(ServerEvent::SessionReaped),
+            snap.get(ServerEvent::SessionAborted)
+        ),
         (1, 0),
         "a reaped session is counted once"
     );
@@ -1110,7 +1163,7 @@ fn backpressure_hands_off_credits_without_polling() {
     assert!(stats.buffered_peak <= 2, "{stats:?}");
     // The window did fill (else this test exercised nothing), and the
     // waits are visible to an operator.
-    let waits = handle.metrics().stream.credit_waits;
+    let waits = handle.metrics().get(ServerEvent::CreditWait);
     assert!(waits > 0, "the two-frame window never filled");
     let metrics = client.expect_ok("metrics").unwrap();
     assert!(
@@ -1137,10 +1190,11 @@ fn shutdown_aborts_live_sessions_without_committing() {
     }
     handle.trigger_shutdown();
     let snap = handle.join().expect("drain with a live session");
-    assert_eq!(snap.stream.sessions_opened, 1);
-    assert_eq!(snap.stream.sessions_committed, 0);
+    assert_eq!(snap.get(ServerEvent::SessionOpened), 1);
+    assert_eq!(snap.get(ServerEvent::SessionCommitted), 0);
     assert_eq!(
-        snap.stream.sessions_aborted, 1,
+        snap.get(ServerEvent::SessionAborted),
+        1,
         "live session must be aborted, not committed"
     );
 }

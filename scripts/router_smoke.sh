@@ -139,7 +139,8 @@ CLIP="$WORKDIR/clip.y4m"
 "$VDBC" "$RADDR" stream "$CLIP" as "routed beta" | expect_contains "durable=true" "stream-beta"
 
 # Scatter-gather answers across both shards, whole-cluster stats, and
-# per-shard counters in the router metrics table.
+# the router metrics table: the front end's totals line and the
+# per-shard counters, both from the router's one registry.
 "$VDBC" "$RADDR" list | expect_contains "routed alpha" "list"
 "$VDBC" "$RADDR" list | expect_contains "routed beta" "list"
 "$VDBC" "$RADDR" query "ba=0.4 oa=14 limit=5" | expect_contains "answers" "query"
@@ -147,6 +148,7 @@ CLIP="$WORKDIR/clip.y4m"
 "$VDBC" "$RADDR" stats | expect_contains "router.shards 2" "stats"
 "$VDBC" "$RADDR" metrics | expect_contains "router.shard.0.requests" "metrics"
 "$VDBC" "$RADDR" metrics | expect_contains "router.shard.1.requests" "metrics"
+"$VDBC" "$RADDR" metrics | expect_contains "  total: " "metrics"
 # A healthy cluster must never mark an answer partial.
 "$VDBC" "$RADDR" list | { ! grep -q "partial="; } \
     || { echo "router_smoke: healthy cluster answered 'list' partial" >&2; exit 1; }

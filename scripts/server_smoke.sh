@@ -134,7 +134,11 @@ CLIP="$WORKDIR/clip.y4m"
 # The session must be drained (0 open) and accounted for in the stats.
 "$VDBC" "$ADDR" stats | expect_contains "server.stream.open 0" "stream-stats"
 "$VDBC" "$ADDR" stats | expect_contains "server.stream.committed 1" "stream-stats"
-"$VDBC" "$ADDR" metrics | expect_contains "stream.commit" "stream-metrics"
+# The server table (one registry snapshot) shows the session's commit
+# row, its streams line and the totals line.
+"$VDBC" "$ADDR" metrics | expect_contains "  stream.commit " "stream-metrics"
+"$VDBC" "$ADDR" metrics | expect_contains "  streams: 1 opened (1 committed" "stream-metrics"
+"$VDBC" "$ADDR" metrics | expect_contains "  total: " "stream-metrics"
 
 # A scripted multi-command session over one connection, ending in a wire
 # shutdown. vdbc exits 0 only if every response had an ok status.
