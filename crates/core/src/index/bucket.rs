@@ -325,7 +325,7 @@ impl BucketIndex {
         let sq = q.var_ba.sqrt();
         let nb = self.bucket_count();
         let center = self.bucket_of(dq);
-        let mut heap: BinaryHeap<Worst> = BinaryHeap::with_capacity(k + 1);
+        let mut heap: BinaryHeap<Worst> = BinaryHeap::with_capacity(k.min(self.entries.len()) + 1);
         let mut stats = ProbeStats::default();
 
         // Visit buckets in order of their minimal horizontal distance to
@@ -438,7 +438,7 @@ impl BucketIndex {
         }
         let dq = q.d_v();
         let sq = q.var_ba.sqrt();
-        let mut heap: BinaryHeap<Worst> = BinaryHeap::with_capacity(k + 1);
+        let mut heap: BinaryHeap<Worst> = BinaryHeap::with_capacity(k.min(self.entries.len()) + 1);
         for i in 0..self.entries.len() {
             let cand = Worst {
                 dist: ((self.dvs[i] - dq).powi(2) + (self.sbas[i] - sq).powi(2)).sqrt(),
@@ -551,6 +551,20 @@ mod tests {
                 b.iter().map(|m| m.entry.key).collect::<Vec<_>>(),
                 "k={k}"
             );
+        }
+    }
+
+    #[test]
+    fn huge_k_answers_like_k_equal_to_len() {
+        // A client-supplied k far beyond the table must neither size an
+        // allocation from k nor overflow `k + 1`.
+        let idx = BucketIndex::build(corpus(200), BucketParams::with_bucket_width(0.5));
+        let q = VarianceQuery::new(9.0, 3.0);
+        let all = idx.topk_scan_with_stats(&q, idx.len()).0;
+        assert_eq!(all.len(), idx.len());
+        for k in [1_000_000_000_000, usize::MAX] {
+            assert_eq!(idx.topk_with_stats(&q, k).0, all, "k={k}");
+            assert_eq!(idx.topk_scan_with_stats(&q, k).0, all, "k={k}");
         }
     }
 

@@ -386,6 +386,39 @@ fn topk_query_over_the_wire() {
     handle.shutdown().unwrap();
 }
 
+/// A client-chosen `k` far beyond the corpus answers like `k` = every
+/// row: the daemon sizes nothing from `k`, and the connection stays
+/// usable afterwards.
+#[test]
+fn huge_k_answers_every_row_and_keeps_the_connection() {
+    let handle = start_memory_server(2, 2);
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let stats = client.request("stats").unwrap().text;
+    let rows = stats
+        .split("index rows ")
+        .nth(1)
+        .and_then(|rest| rest.split_whitespace().next())
+        .unwrap_or_else(|| panic!("no index rows in '{stats}'"));
+    let all = client
+        .request(&format!("query ba=1 oa=1 k={rows}"))
+        .unwrap();
+    assert!(all.ok, "{}", all.text);
+    assert!(
+        all.text.starts_with(&format!("  {rows} answers\n")),
+        "{}",
+        all.text
+    );
+    for k in ["1000000000000", "18446744073709551615"] {
+        let resp = client.request(&format!("query ba=1 oa=1 k={k}")).unwrap();
+        assert!(resp.ok, "k={k}: {}", resp.text);
+        assert_eq!(resp.text, all.text, "k={k}");
+        let pong = client.request("ping").unwrap();
+        assert!(pong.ok && pong.text == "pong", "k={k}: {}", pong.text);
+    }
+    drop(client);
+    handle.shutdown().unwrap();
+}
+
 /// Journal-backed serving: mutations that were acknowledged over the wire
 /// survive a server restart, including `remove` tombstones.
 #[test]

@@ -500,82 +500,98 @@ impl VideoDatabase {
     /// §4.2 query: matching shots mapped to the largest scenes that share
     /// their representative frames, nearest first.
     pub fn query(&self, q: &VarianceQuery) -> Vec<QueryAnswer> {
-        self.answers(q, None, |_| true, &TraceContext::disabled()).0
+        self.answers(q, None, |_| true, usize::MAX, &TraceContext::disabled())
+            .0
     }
 
     /// Run a textual query (see [`crate::query`] for the syntax), e.g.
     /// `"ba=0.5 oa=15 genre=comedy form=feature limit=5"`.
     pub fn query_str(&self, text: &str) -> Result<Vec<QueryAnswer>, DbError> {
-        self.query_text(text, &TraceContext::disabled())
-            .map(|(answers, _)| answers)
+        self.query_text(text, usize::MAX, &TraceContext::disabled())
+            .map(|(answers, _, _)| answers)
     }
 
     /// The textual query entry behind the shell's `query` and `explain`:
-    /// parse, run the answer walk with the spec's genre/form predicate
-    /// ([`QuerySpec::keeps`]), truncate to its `limit`. Runs under a
-    /// `store.query` span opened under `ctx` (the index probe is a child
-    /// span carrying the explain payload) and returns the planner's
-    /// [`Explain`] decision trail beside the answers — explaining never
-    /// changes what runs.
+    /// parse, then run the answer walk with the spec's genre/form
+    /// predicate ([`QuerySpec::keeps`]), capped at its `limit` and at
+    /// `max_rows`. Returns the first `min(limit, max_rows)` answers, the
+    /// answer count `min(kept, limit)` — exact, whatever `max_rows` cut
+    /// — and the planner's [`Explain`] decision trail; explaining never
+    /// changes what runs. Runs under a `store.query` span opened under
+    /// `ctx` (the index probe is a child span carrying the explain
+    /// payload).
     pub fn query_text(
         &self,
         text: &str,
+        max_rows: usize,
         ctx: &TraceContext,
-    ) -> Result<(Vec<QueryAnswer>, Explain), DbError> {
+    ) -> Result<(Vec<QueryAnswer>, usize, Explain), DbError> {
         let mut tspan = global_tracer().span(ctx, "store.query");
         let spec = QuerySpec::parse(text, &self.taxonomy)?;
-        let (mut answers, explain) = self.answers(
+        let limit = spec.limit.unwrap_or(usize::MAX);
+        let (answers, kept, explain) = self.answers(
             &spec.variance,
             spec.k,
             |meta| spec.keeps(meta),
+            limit.min(max_rows),
             &tspan.context(),
         );
-        if let Some(limit) = spec.limit {
-            answers.truncate(limit);
-        }
+        let count = kept.min(limit);
         if tspan.is_recording() {
-            tspan.attr("answers", answers.len());
+            tspan.attr("answers", count);
         }
-        Ok((answers, explain))
+        Ok((answers, count, explain))
     }
 
     /// One shard's contribution to a distributed query (the `xquery` wire
     /// extra): the same parse and answer walk as [`Self::query_text`],
-    /// probe span opened under `ctx`, but the genre/form predicate and
-    /// the `limit` are *not* applied to the walk — they must run
-    /// globally, after the coordinator has re-merged rows from every
-    /// shard. Instead every answer is tagged with [`QuerySpec::keeps`]:
+    /// probe span opened under `ctx`, but the `limit` is *not* applied —
+    /// it must run globally, after the coordinator has re-merged rows
+    /// from every shard:
     ///
-    /// - **range mode**: kept rows, nearest first, truncated to
-    ///   [`SHARD_QUERY_ROW_CAP`] (a render shows at most that many, and
-    ///   the global top rows are a subset of the per-shard top rows).
-    ///   `kept_total` carries the exact pre-limit count.
-    /// - **top-k mode**: the full pre-filter top-k with per-row `keep`
-    ///   flags, because single-node semantics take the *global* k nearest
-    ///   first and filter second — the coordinator must do the same.
+    /// - **range mode**: the first [`SHARD_QUERY_ROW_CAP`] rows the
+    ///   spec's genre/form predicate keeps, nearest first (a render shows
+    ///   at most that many, and the global top rows are a subset of the
+    ///   per-shard top rows). `kept_total` is the walk's exact kept
+    ///   count; rows past the cap are counted, never built.
+    /// - **top-k mode**: the full pre-filter top-k, every row tagged with
+    ///   [`QuerySpec::keeps`], because single-node semantics take the
+    ///   *global* k nearest first and filter second — the coordinator
+    ///   must do the same.
     pub fn query_str_sharded(
         &self,
         text: &str,
         ctx: &TraceContext,
     ) -> Result<ShardQueryAnswers, DbError> {
         let spec = QuerySpec::parse(text, &self.taxonomy)?;
-        let (answers, _) = self.answers(&spec.variance, spec.k, |_| true, ctx);
-        let mut rows = Vec::new();
-        let mut kept_total = 0usize;
-        for answer in answers {
-            let keep = self
-                .catalog
-                .get(answer.key.video)
-                .is_some_and(|meta| spec.keeps(meta));
-            if keep {
-                kept_total += 1;
-            }
-            if spec.k.is_some() {
-                rows.push(ShardQueryRow { answer, keep });
-            } else if keep && rows.len() < SHARD_QUERY_ROW_CAP {
-                rows.push(ShardQueryRow { answer, keep: true });
-            }
-        }
+        let (rows, kept_total) = if spec.k.is_some() {
+            let (answers, _, _) = self.answers(&spec.variance, spec.k, |_| true, usize::MAX, ctx);
+            let rows: Vec<ShardQueryRow> = answers
+                .into_iter()
+                .map(|answer| {
+                    let keep = self
+                        .catalog
+                        .get(answer.key.video)
+                        .is_some_and(|meta| spec.keeps(meta));
+                    ShardQueryRow { answer, keep }
+                })
+                .collect();
+            let kept_total = rows.iter().filter(|r| r.keep).count();
+            (rows, kept_total)
+        } else {
+            let (answers, kept_total, _) = self.answers(
+                &spec.variance,
+                None,
+                |meta| spec.keeps(meta),
+                SHARD_QUERY_ROW_CAP,
+                ctx,
+            );
+            let rows = answers
+                .into_iter()
+                .map(|answer| ShardQueryRow { answer, keep: true })
+                .collect();
+            (rows, kept_total)
+        };
         Ok(ShardQueryAnswers {
             k: spec.k,
             limit: spec.limit,
@@ -599,43 +615,64 @@ impl VideoDatabase {
             limit: None,
             k: None,
         };
-        self.answers(q, None, |meta| spec.keeps(meta), &TraceContext::disabled())
-            .0
+        self.answers(
+            q,
+            None,
+            |meta| spec.keeps(meta),
+            usize::MAX,
+            &TraceContext::disabled(),
+        )
+        .0
     }
 
     /// The `k` shots nearest to the query point (α/β ignored), mapped to
     /// their browsing scene nodes. Routed through the planner like
     /// [`Self::query`].
     pub fn query_topk(&self, q: &VarianceQuery, k: usize) -> Vec<QueryAnswer> {
-        self.answers(q, Some(k), |_| true, &TraceContext::disabled())
+        self.answers(q, Some(k), |_| true, usize::MAX, &TraceContext::disabled())
             .0
     }
 
     /// The one §4.2 answer walk behind every variance query: the index's
     /// planned [`ShotIndex::search`] (`k: None` is the Eqs. 7–8 range,
     /// `Some(k)` the k nearest), then every match whose video `keep`
-    /// accepts, nearest first, mapped to the largest scene that shares
-    /// its representative frame.
+    /// accepts and whose shot has a scene-tree leaf, nearest first.
+    ///
+    /// Every such match is counted, but only the first `cap` are mapped
+    /// to the largest scene that shares their representative frame and
+    /// built into a [`QueryAnswer`] — a reply shows a handful of rows out
+    /// of thousands of matches. Returns those rows, the exact kept count
+    /// (whatever `cap` cut) and the planner's [`Explain`].
     fn answers(
         &self,
         q: &VarianceQuery,
         k: Option<usize>,
         keep: impl Fn(&VideoMeta) -> bool,
+        cap: usize,
         ctx: &TraceContext,
-    ) -> (Vec<QueryAnswer>, Explain) {
+    ) -> (Vec<QueryAnswer>, usize, Explain) {
         let (matches, explain) = self.index.search(q, k, ctx);
-        let answers = matches
-            .into_iter()
-            .filter_map(|m| {
-                let meta = self.catalog.get(m.entry.key.video)?;
-                if !keep(meta) {
-                    return None;
-                }
-                let stored = self.analyses.get(&m.entry.key.video)?;
-                let shot = m.entry.key.shot as usize;
-                let node_id = stored.scene_tree.largest_scene_for_shot(shot)?;
-                let node = stored.scene_tree.node(node_id);
-                Some(QueryAnswer {
+        let mut rows = Vec::with_capacity(cap.min(matches.len()));
+        let mut kept = 0;
+        for m in &matches {
+            let video = m.entry.key.video;
+            let shot = m.entry.key.shot as usize;
+            let Some(meta) = self.catalog.get(video) else {
+                continue;
+            };
+            if !keep(meta) {
+                continue;
+            }
+            let Some(stored) = self.analyses.get(&video) else {
+                continue;
+            };
+            let tree = &stored.scene_tree;
+            if rows.len() < cap {
+                let Some(node_id) = tree.largest_scene_for_shot(shot) else {
+                    continue;
+                };
+                let node = tree.node(node_id);
+                rows.push(QueryAnswer {
                     key: m.entry.key,
                     distance: m.distance,
                     var_ba: m.entry.var_ba,
@@ -643,10 +680,13 @@ impl VideoDatabase {
                     scene_node: node_id,
                     scene_name: node.name(),
                     rep_frame: node.rep_frame,
-                })
-            })
-            .collect();
-        (answers, explain)
+                });
+            } else if tree.leaf_of_shot(shot).is_none() {
+                continue;
+            }
+            kept += 1;
+        }
+        (rows, kept, explain)
     }
 
     /// Persist the database to a segment file.
@@ -935,6 +975,44 @@ mod tests {
             sharded.kept_total,
             sharded.rows.iter().filter(|r| r.keep).count()
         );
+
+        // (d) Range with a filter that keeps more rows than the cap (two
+        // more comedies make it bite): the first kept rows ship, and every
+        // kept row past them is counted.
+        for seed in 46..48 {
+            db.ingest(
+                format!("clip-{seed}"),
+                &sample_video(seed),
+                vec![t.genre("comedy").unwrap()],
+                vec![t.form("short").unwrap()],
+            )
+            .unwrap();
+        }
+        let sharded = db
+            .query_str_sharded(&format!("{wide} genre=comedy"), &ctx)
+            .unwrap();
+        let all_comedy = db.query_str(&format!("{wide} genre=comedy")).unwrap();
+        assert!(
+            all_comedy.len() > SHARD_QUERY_ROW_CAP,
+            "the row cap must bite"
+        );
+        assert!(sharded.rows.iter().all(|r| r.keep));
+        assert_eq!(kept(&sharded), all_comedy[..SHARD_QUERY_ROW_CAP]);
+        assert_eq!(sharded.kept_total, all_comedy.len());
+
+        // (e) `limit=0`: the coordinator shows nothing, but the shard
+        // still ships its rows and the exact pre-limit count.
+        let sharded = db
+            .query_str_sharded(&format!("{wide} genre=comedy limit=0"), &ctx)
+            .unwrap();
+        assert_eq!(sharded.limit, Some(0));
+        assert!(kept(&sharded).is_empty());
+        assert!(db
+            .query_str(&format!("{wide} genre=comedy limit=0"))
+            .unwrap()
+            .is_empty());
+        assert_eq!(sharded.rows.len(), SHARD_QUERY_ROW_CAP);
+        assert_eq!(sharded.kept_total, all_comedy.len());
     }
 
     #[test]

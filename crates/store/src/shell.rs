@@ -201,11 +201,15 @@ impl Command {
     }
 }
 
-/// Append up to ten query answers (plus the count line) to `out`, the
-/// shared rendering of `query` and `explain`.
-fn push_answers(out: &mut String, answers: &[crate::db::QueryAnswer]) {
-    let _ = writeln!(out, "  {} answers", answers.len());
-    for a in answers.iter().take(10) {
+/// How many answer rows a `query` or `explain` reply prints; the walk
+/// builds no more than this.
+const SHOWN_ANSWERS: usize = 10;
+
+/// Append the count line and the shown answers to `out`, the shared
+/// rendering of `query` and `explain`.
+fn push_answers(out: &mut String, count: usize, answers: &[crate::db::QueryAnswer]) {
+    let _ = writeln!(out, "  {count} answers");
+    for a in answers {
         let _ = writeln!(
             out,
             "  video {} shot#{:<3} Var^BA={:6.2} Var^OA={:6.2} -> {} (rep frame {})",
@@ -278,16 +282,16 @@ pub fn execute_readonly_traced(
                 s.videos, s.shots, s.frames, s.scene_nodes, s.max_tree_height, s.index_rows
             );
         }
-        Command::Query(text) => match db.query_text(text, ctx) {
-            Ok((answers, _)) => push_answers(&mut out, &answers),
+        Command::Query(text) => match db.query_text(text, SHOWN_ANSWERS, ctx) {
+            Ok((answers, count, _)) => push_answers(&mut out, count, &answers),
             Err(e) => {
                 let _ = writeln!(out, "  {e}");
             }
         },
-        Command::Explain(text) => match db.query_text(text, ctx) {
-            Ok((answers, explain)) => {
+        Command::Explain(text) => match db.query_text(text, SHOWN_ANSWERS, ctx) {
+            Ok((answers, count, explain)) => {
                 let _ = writeln!(out, "  {}", explain.summary());
-                push_answers(&mut out, &answers);
+                push_answers(&mut out, count, &answers);
             }
             Err(e) => {
                 let _ = writeln!(out, "  {e}");

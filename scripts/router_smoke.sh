@@ -80,6 +80,20 @@ expect_contains() { # <needle> <label> <<< haystack
     esac
 }
 
+# expect_capped_rows <label> <<< reply: an unlimited query counts every
+# kept match but shows exactly 10 rows.
+expect_capped_rows() {
+    local label="$1" out count rows
+    out="$(cat)"
+    count="$(printf '%s\n' "$out" | sed -n 's/^  \([0-9][0-9]*\) answers$/\1/p')"
+    rows="$(printf '%s\n' "$out" | grep -c '^  video ')" || true
+    if [ -z "$count" ] || [ "$count" -le 10 ] || [ "$rows" != 10 ]; then
+        echo "router_smoke: $label wants a count above 10 and 10 rows, got '$count' and $rows:" >&2
+        echo "$out" >&2
+        exit 1
+    fi
+}
+
 # start_router <run> <addr>: boots vdb-router over both shards, sets
 # ROUTER_PID and RADDR once it reports its bound address.
 start_router() {
@@ -133,10 +147,14 @@ start_router 1 127.0.0.1:0
 
 # Stream two clips in through the router; the binary protocol is proxied
 # to whichever shard owns each name, and the ack carries the global id.
+# The second clip is longer, so the cluster holds more shots than a
+# query reply shows.
 CLIP="$WORKDIR/clip.y4m"
+LONG_CLIP="$WORKDIR/long.y4m"
 "$VDBC" --synth-y4m "$CLIP" 3 9 | expect_contains "wrote $CLIP" "synth-y4m"
+"$VDBC" --synth-y4m "$LONG_CLIP" 12 9 | expect_contains "wrote $LONG_CLIP" "synth-y4m"
 "$VDBC" "$RADDR" stream "$CLIP" as "routed alpha" | expect_contains "durable=true" "stream-alpha"
-"$VDBC" "$RADDR" stream "$CLIP" as "routed beta" | expect_contains "durable=true" "stream-beta"
+"$VDBC" "$RADDR" stream "$LONG_CLIP" as "routed beta" | expect_contains "durable=true" "stream-beta"
 
 # Scatter-gather answers across both shards, whole-cluster stats, and
 # the router metrics table: the front end's totals line and the
@@ -144,6 +162,26 @@ CLIP="$WORKDIR/clip.y4m"
 "$VDBC" "$RADDR" list | expect_contains "routed alpha" "list"
 "$VDBC" "$RADDR" list | expect_contains "routed beta" "list"
 "$VDBC" "$RADDR" query "ba=0.4 oa=14 limit=5" | expect_contains "answers" "query"
+# An unlimited wide query counts every match but shows only 10 rows.
+"$VDBC" "$RADDR" query "ba=0 oa=0 alpha=1000 beta=1000" | expect_capped_rows "wide query"
+# A huge k: the router refuses it with a per-request error (vdbc exits
+# 1 on it), and the connection stays usable.
+huge_k="$("$VDBC" "$RADDR" <<'EOF' || true
+query ba=1 oa=1 k=1000000000000
+ping
+EOF
+)"
+expect_contains "too large for a distributed merge" "huge-k query" <<<"$huge_k"
+expect_contains "pong" "ping after huge-k query" <<<"$huge_k"
+# A shard answers the xquery line the router scatters like k = every
+# row, and its connection stays usable too.
+huge_k="$("$VDBC" "$SHARD1_ADDR" <<'EOF'
+xquery ba=1 oa=1 k=1000000000000
+ping
+EOF
+)"
+expect_contains "mode=topk" "huge-k xquery" <<<"$huge_k"
+expect_contains "pong" "ping after huge-k xquery" <<<"$huge_k"
 "$VDBC" "$RADDR" stats | expect_contains "videos 2" "stats"
 "$VDBC" "$RADDR" stats | expect_contains "router.shards 2" "stats"
 "$VDBC" "$RADDR" metrics | expect_contains "router.shard.0.requests" "metrics"

@@ -101,10 +101,34 @@ expect_contains() { # <needle> <haystack-label> <<< haystack
     esac
 }
 
+# expect_capped_rows <label> <<< reply: an unlimited query counts every
+# kept match but shows exactly 10 rows.
+expect_capped_rows() {
+    local label="$1" out count rows
+    out="$(cat)"
+    count="$(printf '%s\n' "$out" | sed -n 's/^  \([0-9][0-9]*\) answers$/\1/p')"
+    rows="$(printf '%s\n' "$out" | grep -c '^  video ')" || true
+    if [ -z "$count" ] || [ "$count" -le 10 ] || [ "$rows" != 10 ]; then
+        echo "server_smoke: $label wants a count above 10 and 10 rows, got '$count' and $rows:" >&2
+        echo "$out" >&2
+        exit 1
+    fi
+}
+
 "$VDBC" "$ADDR" ping | expect_contains "pong" "ping"
 "$VDBC" "$ADDR" stats | expect_contains "videos 2" "stats"
 "$VDBC" "$ADDR" query "ba=0.4 oa=14 alpha=4 beta=4 limit=5" | expect_contains "answers" "query"
 "$VDBC" "$ADDR" board 0 4 | expect_contains "rep frame" "board"
+# An unlimited wide query counts every match but shows only 10 rows.
+"$VDBC" "$ADDR" query "ba=0 oa=0 alpha=1000 beta=1000" | expect_capped_rows "wide query"
+# A huge k answers like k = every row, and the connection stays usable.
+huge_k="$("$VDBC" "$ADDR" <<'EOF'
+query ba=1 oa=1 k=1000000000000
+ping
+EOF
+)"
+expect_contains " answers" "huge-k query" <<<"$huge_k"
+expect_contains "pong" "ping after huge-k query" <<<"$huge_k"
 # The demo ingest went through the instrumented pipeline, so the metrics
 # command must report the whole-stack core section.
 "$VDBC" "$ADDR" metrics | expect_contains "core.pipeline.frames" "metrics"
