@@ -16,7 +16,10 @@
 //!
 //! * **range** — the paper's Eqs. 7–8 window, identical semantics to
 //!   [`VarianceQuery::matches`](super::VarianceQuery::matches) applied
-//!   row by row;
+//!   row by row. The test reads the cached `D^v` / `√Var^BA` columns
+//!   (the same `d_v()` / `sqrt_ba()` bits the predicate computes) against
+//!   bounds hoisted out of the row loop, so a candidate costs four
+//!   comparisons, plus one square root for its distance if it matches;
 //! * **top-k** — the `k` nearest entries to the query point in
 //!   `(D^v, √Var^BA)` space, found by expanding outward from the query's
 //!   bucket and stopping once the next bucket's best possible distance
@@ -24,10 +27,11 @@
 //!   [`ShotKey`](super::ShotKey), so equal-distance buckets are still
 //!   probed).
 
-use super::{IndexEntry, Match, VarianceQuery};
+use super::{IndexEntry, Match, VarianceQuery, Window};
 use crate::index::cost::CorpusStats;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
 /// Construction parameters of the [`BucketIndex`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -137,11 +141,11 @@ pub(crate) fn entry_order(a: &(f64, IndexEntry), b: &(f64, IndexEntry)) -> Order
     a.0.total_cmp(&b.0).then(a.1.key.cmp(&b.1.key))
 }
 
-fn match_of(entry: &IndexEntry, dv: f64, sba: f64, dq: f64, sq: f64) -> Match {
-    Match {
-        entry: *entry,
-        distance: ((dv - dq).powi(2) + (sba - sq).powi(2)).sqrt(),
-    }
+/// Result order of every query: ascending `(distance, key)`.
+pub(crate) fn match_order(a: &Match, b: &Match) -> Ordering {
+    a.distance
+        .total_cmp(&b.distance)
+        .then(a.entry.key.cmp(&b.entry.key))
 }
 
 impl BucketIndex {
@@ -261,14 +265,22 @@ impl BucketIndex {
     }
 
     /// Eqs. 7–8 range query through the bucket directory, plus the probe's
-    /// work accounting. Results sorted by `(distance, key)` — identical
-    /// IDs and order to [`Self::range_scan_with_stats`].
+    /// work accounting. Each candidate is tested on its cached columns
+    /// (see the module docs). Results sorted by `(distance, key)` —
+    /// identical IDs and order to [`Self::range_scan_with_stats`].
     pub fn range_with_stats(&self, q: &VarianceQuery) -> (Vec<Match>, ProbeStats) {
+        let (mut out, stats) = self.range_unsorted(q);
+        out.sort_by(match_order);
+        (out, stats)
+    }
+
+    /// [`Self::range_with_stats`] without the final sort: the matches of
+    /// the buckets overlapping the α-window, in index order.
+    pub(crate) fn range_unsorted(&self, q: &VarianceQuery) -> (Vec<Match>, ProbeStats) {
         if self.entries.is_empty() {
             return (Vec::new(), ProbeStats::default());
         }
         let dq = q.d_v();
-        let sq = q.var_ba.sqrt();
         let lo_b = self.bucket_of(dq - q.alpha);
         let hi_b = self.bucket_of(dq + q.alpha);
         let (lo_b, hi_b) = (lo_b.min(hi_b), lo_b.max(hi_b));
@@ -278,39 +290,44 @@ impl BucketIndex {
             buckets_touched: hi_b - lo_b + 1,
             candidates: hi - lo,
         };
-        let mut out: Vec<Match> = (lo..hi)
-            .filter(|&i| q.matches(&self.entries[i]))
-            .map(|i| match_of(&self.entries[i], self.dvs[i], self.sbas[i], dq, sq))
-            .collect();
-        out.sort_by(|a, b| {
-            a.distance
-                .total_cmp(&b.distance)
-                .then(a.entry.key.cmp(&b.entry.key))
-        });
+        (self.range_rows(q, lo..hi), stats)
+    }
+
+    /// Reference range probe: linear scan with the same cached-column
+    /// test and ordering. `candidates` is always the full table.
+    pub fn range_scan_with_stats(&self, q: &VarianceQuery) -> (Vec<Match>, ProbeStats) {
+        let (mut out, stats) = self.range_scan_unsorted(q);
+        out.sort_by(match_order);
         (out, stats)
     }
 
-    /// Reference range probe: linear scan with the same predicate and
-    /// ordering. `candidates` is always the full table.
-    pub fn range_scan_with_stats(&self, q: &VarianceQuery) -> (Vec<Match>, ProbeStats) {
-        let dq = q.d_v();
-        let sq = q.var_ba.sqrt();
-        let mut out: Vec<Match> = (0..self.entries.len())
-            .filter(|&i| q.matches(&self.entries[i]))
-            .map(|i| match_of(&self.entries[i], self.dvs[i], self.sbas[i], dq, sq))
-            .collect();
-        out.sort_by(|a, b| {
-            a.distance
-                .total_cmp(&b.distance)
-                .then(a.entry.key.cmp(&b.entry.key))
-        });
+    /// [`Self::range_scan_with_stats`] without the final sort.
+    pub(crate) fn range_scan_unsorted(&self, q: &VarianceQuery) -> (Vec<Match>, ProbeStats) {
         (
-            out,
+            self.range_rows(q, 0..self.entries.len()),
             ProbeStats {
                 buckets_touched: 0,
                 candidates: self.entries.len(),
             },
         )
+    }
+
+    /// Eqs. 7–8 over `rows`, read off the cached columns: the rows that
+    /// match, in index order, each with its distance.
+    fn range_rows(&self, q: &VarianceQuery, rows: Range<usize>) -> Vec<Match> {
+        let w = Window::new(q);
+        let entries = &self.entries[rows.clone()];
+        let dvs = &self.dvs[rows.clone()];
+        let sbas = &self.sbas[rows];
+        entries
+            .iter()
+            .zip(dvs.iter().zip(sbas))
+            .filter(|(_, (&dv, &sba))| w.accepts(dv, sba))
+            .map(|(entry, (&dv, &sba))| Match {
+                entry: *entry,
+                distance: w.distance(dv, sba),
+            })
+            .collect()
     }
 
     /// The `k` entries nearest to the query point in `(D^v, √Var^BA)`
@@ -321,8 +338,8 @@ impl BucketIndex {
         if self.entries.is_empty() || k == 0 {
             return (Vec::new(), ProbeStats::default());
         }
+        let w = Window::new(q);
         let dq = q.d_v();
-        let sq = q.var_ba.sqrt();
         let nb = self.bucket_count();
         let center = self.bucket_of(dq);
         let mut heap: BinaryHeap<Worst> = BinaryHeap::with_capacity(k.min(self.entries.len()) + 1);
@@ -398,7 +415,7 @@ impl BucketIndex {
             stats.candidates += hi - lo;
             for i in lo..hi {
                 let cand = Worst {
-                    dist: ((self.dvs[i] - dq).powi(2) + (self.sbas[i] - sq).powi(2)).sqrt(),
+                    dist: w.distance(self.dvs[i], self.sbas[i]),
                     entry: self.entries[i],
                 };
                 if heap.len() < k {
@@ -419,11 +436,7 @@ impl BucketIndex {
                 distance: w.dist,
             })
             .collect();
-        out.sort_by(|a, b| {
-            a.distance
-                .total_cmp(&b.distance)
-                .then(a.entry.key.cmp(&b.entry.key))
-        });
+        out.sort_by(match_order);
         (out, stats)
     }
 
@@ -436,12 +449,11 @@ impl BucketIndex {
         if self.entries.is_empty() || k == 0 {
             return (Vec::new(), ProbeStats::default());
         }
-        let dq = q.d_v();
-        let sq = q.var_ba.sqrt();
+        let w = Window::new(q);
         let mut heap: BinaryHeap<Worst> = BinaryHeap::with_capacity(k.min(self.entries.len()) + 1);
         for i in 0..self.entries.len() {
             let cand = Worst {
-                dist: ((self.dvs[i] - dq).powi(2) + (self.sbas[i] - sq).powi(2)).sqrt(),
+                dist: w.distance(self.dvs[i], self.sbas[i]),
                 entry: self.entries[i],
             };
             if heap.len() < k {
@@ -460,11 +472,7 @@ impl BucketIndex {
                 distance: w.dist,
             })
             .collect();
-        out.sort_by(|a, b| {
-            a.distance
-                .total_cmp(&b.distance)
-                .then(a.entry.key.cmp(&b.entry.key))
-        });
+        out.sort_by(match_order);
         (out, stats)
     }
 }

@@ -149,14 +149,51 @@ impl VarianceQuery {
 
     /// Whether an entry satisfies Eqs. 7 and 8.
     pub fn matches(&self, e: &IndexEntry) -> bool {
-        let dq = self.d_v();
-        let di = e.d_v();
-        if di < dq - self.alpha || di > dq + self.alpha {
+        Window::new(self).accepts(e.d_v(), e.sqrt_ba())
+    }
+}
+
+/// One query's Eqs. 7–8 bounds and distance origin, computed once per
+/// probe so a row's test is four comparisons on its `(D^v, √Var^BA)`
+/// pair. Every executor and [`VarianceQuery::matches`] test rows
+/// through it, so they accept and rank with the same bits.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Window {
+    dq: f64,
+    sq: f64,
+    dv_lo: f64,
+    dv_hi: f64,
+    sba_lo: f64,
+    sba_hi: f64,
+}
+
+impl Window {
+    pub(crate) fn new(q: &VarianceQuery) -> Self {
+        let dq = q.d_v();
+        let sq = q.var_ba.sqrt();
+        Window {
+            dq,
+            sq,
+            dv_lo: dq - q.alpha,
+            dv_hi: dq + q.alpha,
+            sba_lo: sq - q.beta,
+            sba_hi: sq + q.beta,
+        }
+    }
+
+    /// Eqs. 7 and 8 for a row with `D^v = dv` and `√Var^BA = sba`.
+    #[inline]
+    pub(crate) fn accepts(&self, dv: f64, sba: f64) -> bool {
+        if dv < self.dv_lo || dv > self.dv_hi {
             return false;
         }
-        let sq = self.var_ba.sqrt();
-        let si = e.sqrt_ba();
-        si >= sq - self.beta && si <= sq + self.beta
+        sba >= self.sba_lo && sba <= self.sba_hi
+    }
+
+    /// Euclidean distance from the query point in `(D^v, √Var^BA)` space.
+    #[inline]
+    pub(crate) fn distance(&self, dv: f64, sba: f64) -> f64 {
+        ((dv - self.dq).powi(2) + (sba - self.sq).powi(2)).sqrt()
     }
 }
 

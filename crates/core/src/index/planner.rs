@@ -20,9 +20,9 @@
 //!   (they are scanned alongside the bucket probe), so correctness never
 //!   depends on finalize discipline — only speed does.
 
-use super::bucket::{entry_order, BucketIndex, BucketParams, ProbeStats};
+use super::bucket::{entry_order, match_order, BucketIndex, BucketParams, ProbeStats};
 use super::cost::{CostEstimate, CostModel, CostWeights};
-use super::{IndexEntry, Match, VarianceQuery};
+use super::{IndexEntry, Match, ShotKey, VarianceQuery, Window};
 use std::cmp::Ordering;
 use std::sync::OnceLock;
 use vdb_obs::{global, global_tracer, Counter, Histogram, TraceContext};
@@ -66,7 +66,8 @@ pub struct Explain {
     pub staged_rows: usize,
     /// Finalized rows in the index.
     pub rows: usize,
-    /// Matches returned after the staged merge.
+    /// Matches after the staged merge (for top-k: after the cut to the
+    /// `k` nearest), before any caller's keep predicate.
     pub matches: usize,
 }
 
@@ -411,14 +412,55 @@ impl ShotIndex {
         self.search(q, Some(k), &TraceContext::disabled()).0
     }
 
-    /// The one planned probe behind every query: `k: None` runs the
-    /// Eqs. 7–8 range, `Some(k)` the `k` nearest rows. Prices the plan,
-    /// runs the chosen executor, merges staged rows, and returns the
-    /// matches with the planner's full [`Explain`] decision trail — the
-    /// same matches [`Self::query`] / [`Self::query_topk`] return, since
-    /// explaining never changes what executes. The `core.index.probe`
-    /// span opens under `ctx` and carries the explain summary.
+    /// The planned probe with every match returned, sorted by ascending
+    /// `(distance, key)`: [`Self::select`] keeping every row, uncapped.
+    /// `k: None` runs the Eqs. 7–8 range, `Some(k)` the `k` nearest rows;
+    /// the [`Explain`] is the planner's full decision trail, and the
+    /// matches are the same [`Self::query`] / [`Self::query_topk`]
+    /// return, since explaining never changes what executes.
     pub fn search(
+        &self,
+        q: &VarianceQuery,
+        k: Option<usize>,
+        ctx: &TraceContext,
+    ) -> (Vec<Match>, Explain) {
+        let (matches, _, explain) = self.select(q, k, usize::MAX, |_| true, ctx);
+        (matches, explain)
+    }
+
+    /// The one selection body behind every query. Prices the plan, runs
+    /// the chosen executor, adds the staged rows (for top-k: then cuts to
+    /// the global `k` nearest), and drops every match whose key `keep`
+    /// rejects. Returns the first `cap` kept matches in ascending
+    /// `(distance, key)` order, the count of every kept match, and the
+    /// [`Explain`] (whose `matches` is the count before `keep`).
+    ///
+    /// Nothing sorts the whole match set: a bounded selection picks the
+    /// first `cap` and only those are sorted. Keys are unique per
+    /// `(video, shot)`, so `(distance, key)` is a strict total order and
+    /// the rows are exactly a full sort's first `cap`. `keep` is called
+    /// once per match, in no particular order. The `core.index.probe`
+    /// span opens under `ctx`, carries the explain summary, and covers
+    /// the executor and the staged merge.
+    pub fn select(
+        &self,
+        q: &VarianceQuery,
+        k: Option<usize>,
+        cap: usize,
+        mut keep: impl FnMut(ShotKey) -> bool,
+        ctx: &TraceContext,
+    ) -> (Vec<Match>, usize, Explain) {
+        let (mut matches, explain) = self.probe(q, k, ctx);
+        matches.retain(|m| keep(m.entry.key));
+        let kept = matches.len();
+        keep_nearest(&mut matches, cap);
+        matches.sort_unstable_by(match_order);
+        (matches, kept, explain)
+    }
+
+    /// The planned executor plus the staged rows, unsorted: every range
+    /// match, or for top-k the `k` nearest.
+    fn probe(
         &self,
         q: &VarianceQuery,
         k: Option<usize>,
@@ -438,19 +480,16 @@ impl ShotIndex {
             PlanChoice::Buckets => o.plan_bucket.incr(),
             PlanChoice::Scan => o.plan_scan.incr(),
         }
-        let (matches, stats) = match (k, plan.choice) {
-            (None, PlanChoice::Buckets) => self.bucket.range_with_stats(q),
-            (None, PlanChoice::Scan) => self.bucket.range_scan_with_stats(q),
+        let (mut matches, stats) = match (k, plan.choice) {
+            (None, PlanChoice::Buckets) => self.bucket.range_unsorted(q),
+            (None, PlanChoice::Scan) => self.bucket.range_scan_unsorted(q),
             (Some(k), PlanChoice::Buckets) => self.bucket.topk_with_stats(q, k),
             (Some(k), PlanChoice::Scan) => self.bucket.topk_scan_with_stats(q, k),
         };
         o.buckets_touched.add(stats.buckets_touched as u64);
         o.candidates_scored
             .add((stats.candidates + self.staged.len()) as u64);
-        let matches = match k {
-            None => self.merge_staged_range(q, matches),
-            Some(k) => self.merge_staged_topk(q, k, matches),
-        };
+        self.push_staged(q, k, &mut matches);
         let explain = Explain {
             plan,
             probe_window: (lo, hi),
@@ -467,14 +506,18 @@ impl ShotIndex {
 
     /// Forced linear scan (the pinning reference for equivalence tests).
     pub fn query_scan(&self, q: &VarianceQuery) -> Vec<Match> {
-        let (matches, _) = self.bucket.range_scan_with_stats(q);
-        self.merge_staged_range(q, matches)
+        let (mut matches, _) = self.bucket.range_scan_unsorted(q);
+        self.push_staged(q, None, &mut matches);
+        matches.sort_by(match_order);
+        matches
     }
 
     /// Forced linear-scan top-k (the pinning reference).
     pub fn query_topk_scan(&self, q: &VarianceQuery, k: usize) -> Vec<Match> {
-        let (matches, _) = self.bucket.topk_scan_with_stats(q, k);
-        self.merge_staged_topk(q, k, matches)
+        let (mut matches, _) = self.bucket.topk_scan_with_stats(q, k);
+        self.push_staged(q, Some(k), &mut matches);
+        matches.sort_by(match_order);
+        matches
     }
 
     /// Probe the bucket executor directly and report its work — the
@@ -488,61 +531,42 @@ impl ShotIndex {
         self.bucket.topk_with_stats(q, k)
     }
 
-    fn merge_staged_range(&self, q: &VarianceQuery, mut matches: Vec<Match>) -> Vec<Match> {
+    /// Add the staged rows to an executor's matches: for a range the
+    /// ones Eqs. 7–8 accept, for top-k all of them, after which only the
+    /// `k` nearest of the union stay (unsorted).
+    fn push_staged(&self, q: &VarianceQuery, k: Option<usize>, matches: &mut Vec<Match>) {
         if self.staged.is_empty() {
-            return matches;
+            return;
         }
-        let dq = q.d_v();
-        let sq = q.var_ba.sqrt();
+        let w = Window::new(q);
         for e in &self.staged {
-            if q.matches(e) {
-                let distance = ((e.d_v() - dq).powi(2) + (e.sqrt_ba() - sq).powi(2)).sqrt();
+            let (dv, sba) = (e.d_v(), e.sqrt_ba());
+            if k.is_some() || w.accepts(dv, sba) {
                 matches.push(Match {
                     entry: *e,
-                    distance,
+                    distance: w.distance(dv, sba),
                 });
             }
         }
-        matches.sort_by(|a, b| {
-            a.distance
-                .total_cmp(&b.distance)
-                .then(a.entry.key.cmp(&b.entry.key))
-        });
-        matches
+        if let Some(k) = k {
+            keep_nearest(matches, k);
+        }
     }
+}
 
-    fn merge_staged_topk(
-        &self,
-        q: &VarianceQuery,
-        k: usize,
-        mut matches: Vec<Match>,
-    ) -> Vec<Match> {
-        if self.staged.is_empty() {
-            return matches;
-        }
-        let dq = q.d_v();
-        let sq = q.var_ba.sqrt();
-        for e in &self.staged {
-            let distance = ((e.d_v() - dq).powi(2) + (e.sqrt_ba() - sq).powi(2)).sqrt();
-            matches.push(Match {
-                entry: *e,
-                distance,
-            });
-        }
-        matches.sort_by(|a, b| {
-            a.distance
-                .total_cmp(&b.distance)
-                .then(a.entry.key.cmp(&b.entry.key))
-        });
-        matches.truncate(k);
-        matches
+/// Cut `matches` to its `n` smallest under `(distance, key)`, in no
+/// particular order — a linear-time selection, not a sort.
+fn keep_nearest(matches: &mut Vec<Match>, n: usize) {
+    if n < matches.len() {
+        matches.select_nth_unstable_by(n, match_order);
+        matches.truncate(n);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::ShotKey;
+    use proptest::prelude::*;
 
     fn entry(video: u64, shot: u32, var_ba: f64, var_oa: f64) -> IndexEntry {
         IndexEntry {
@@ -720,6 +744,108 @@ mod tests {
         let after = tracer.recorder().total_recorded();
         idx.search(&q, None, &TraceContext::disabled());
         assert_eq!(tracer.recorder().total_recorded(), after);
+    }
+
+    /// A corpus whose rows share a few exact `(Var^BA, Var^OA)` points,
+    /// so equal distances are common and the key decides the order.
+    /// Keys are unique; videos are drawn from 0..9.
+    fn tied_corpus(rng: &mut proptest::TestRng, n: usize) -> Vec<IndexEntry> {
+        let points: Vec<(f64, f64)> = (0..1 + rng.below(24))
+            .map(|_| {
+                let ba = (rng.below(12) as f64 * 0.75).powi(2);
+                let oa = (rng.below(12) as f64 * 0.75).powi(2);
+                (ba, oa)
+            })
+            .collect();
+        (0..n)
+            .map(|i| {
+                let (ba, oa) = points[rng.below(points.len() as u64) as usize];
+                entry(rng.below(9), i as u32, ba, oa)
+            })
+            .collect()
+    }
+
+    /// `select` against `search` → filter → take(cap) on one index, for
+    /// every k, predicate and cap of the grid; `search` itself against a
+    /// brute-force sort of every row.
+    fn check_select(idx: &ShotIndex, rows: &[IndexEntry], q: &VarianceQuery) -> Result<(), String> {
+        let ctx = TraceContext::disabled();
+        let distance = |e: &IndexEntry| {
+            ((e.d_v() - q.d_v()).powi(2) + (e.sqrt_ba() - q.var_ba.sqrt()).powi(2)).sqrt()
+        };
+        let mut brute: Vec<Match> = rows
+            .iter()
+            .map(|e| Match {
+                entry: *e,
+                distance: distance(e),
+            })
+            .collect();
+        brute.sort_by(match_order);
+        // Keep all, keep none, keep even videos.
+        let predicates: [fn(ShotKey) -> bool; 3] = [|_| true, |_| false, |key| key.video % 2 == 0];
+        for k in [None, Some(0), Some(3), Some(1usize << 40)] {
+            let (all, ex) = idx.search(q, k, &ctx);
+            let want: Vec<Match> = match k {
+                None => brute
+                    .iter()
+                    .filter(|m| q.matches(&m.entry))
+                    .copied()
+                    .collect(),
+                Some(k) => brute.iter().take(k).copied().collect(),
+            };
+            prop_assert_eq!(&all, &want, "search, k={:?}", k);
+            for (which, keep) in predicates.into_iter().enumerate() {
+                let filtered: Vec<Match> =
+                    all.iter().filter(|m| keep(m.entry.key)).copied().collect();
+                let len = all.len();
+                for cap in [0, 1, 7, 10, len, len + 3, usize::MAX] {
+                    let (got, kept, gex) = idx.select(q, k, cap, keep, &ctx);
+                    let want: Vec<Match> = filtered.iter().take(cap).copied().collect();
+                    prop_assert_eq!(
+                        &got,
+                        &want,
+                        "rows, k={:?} predicate {} cap={}",
+                        k,
+                        which,
+                        cap
+                    );
+                    prop_assert_eq!(kept, filtered.len(), "count, k={:?} predicate {}", k, which);
+                    prop_assert_eq!(&gex, &ex, "explain, k={:?} predicate {}", k, which);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+        #[test]
+        fn select_is_search_then_filter_then_take(
+            seed in 0u64..1_000_000,
+            tiny in 1usize..5,
+            large in 2_000usize..3_000,
+            staged_eighths in 0usize..4,
+            alpha in 0.05f64..0.5,
+            beta in 0.5f64..4.0,
+            on_a_point in 0u8..2,
+        ) {
+            let mut rng = proptest::TestRng::new(seed);
+            for (n, choice) in [(tiny, PlanChoice::Scan), (large, PlanChoice::Buckets)] {
+                let rows = tied_corpus(&mut rng, n);
+                let (q_ba, q_oa) = if on_a_point == 1 {
+                    let e = rows[rng.below(n as u64) as usize];
+                    (e.var_ba, e.var_oa)
+                } else {
+                    (rng.unit_f64() * 60.0, rng.unit_f64() * 60.0)
+                };
+                let q = VarianceQuery::new(q_ba, q_oa).with_tolerances(alpha, beta);
+                let split = n - n * staged_eighths / 8;
+                let mut idx = ShotIndex::from_entries(rows[..split].to_vec(), BucketParams::default());
+                idx.stage(rows[split..].iter().copied());
+                prop_assert_eq!(idx.plan_range(&q).choice, choice, "n={}", n);
+                check_select(&idx, &rows, &q)?;
+            }
+        }
     }
 
     #[test]

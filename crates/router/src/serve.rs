@@ -500,10 +500,16 @@ fn degraded(total: usize, oks: usize, missing: &[usize]) -> Option<String> {
 
 /// `query <spec>`: scatter `xquery`, merge exactly, mark partials.
 fn query(ctx: &RouterCtx, rest: &str) -> Result<String, String> {
-    if let Some(k) = rest
-        .split_whitespace()
-        .find_map(|t| t.strip_prefix("k=")?.parse::<usize>().ok())
-    {
+    // Keys are matched the way `QuerySpec::parse` reads them: split at
+    // the first `=`, compared case-insensitively.
+    if let Some(k) = rest.split_whitespace().find_map(|t| {
+        let (key, value) = t.split_once('=')?;
+        if key.eq_ignore_ascii_case("k") {
+            value.parse::<usize>().ok()
+        } else {
+            None
+        }
+    }) {
         if k > MAX_DISTRIBUTED_K {
             return Err(format!(
                 "k={k} too large for a distributed merge (max {MAX_DISTRIBUTED_K})"

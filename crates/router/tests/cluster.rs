@@ -326,6 +326,32 @@ fn oversized_k_is_rejected_upfront() {
     healthy.shutdown().expect("shard shutdown");
 }
 
+/// The guard reads the `k` key the way the query parser does, so an
+/// upper-case `K=` cannot slip a huge k past it, and the connection
+/// keeps serving after the refusal.
+#[test]
+fn upper_case_k_hits_the_same_guard() {
+    let healthy = shard(0);
+    let router = router_over(&[&healthy], RouterConfig::default());
+    let mut client = Client::connect(router.addr()).expect("connect");
+    let lower = client
+        .request("query ba=1 oa=1 k=1000000000000")
+        .expect("response");
+    let upper = client
+        .request("query ba=1 oa=1 K=1000000000000")
+        .expect("response");
+    assert!(!lower.ok && !upper.ok);
+    assert!(
+        upper.text.contains("too large for a distributed merge"),
+        "{}",
+        upper.text
+    );
+    assert_eq!(upper.text, lower.text);
+    assert_eq!(client.expect_ok("ping").unwrap(), "pong");
+    router.shutdown();
+    healthy.shutdown().expect("shard shutdown");
+}
+
 /// The router's front end contains a misbehaving client the way `vdbd`'s
 /// does: an oversized length prefix gets a parting `-` reply and closes
 /// only that connection, a non-UTF-8 request gets a `-` reply on a

@@ -12,6 +12,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Number of genres in the taxonomy \[26\].
 pub const GENRE_COUNT: usize = 133;
@@ -258,11 +259,49 @@ impl VideoMeta {
     }
 }
 
+/// Keyless hasher for video ids: the splitmix64 finaliser of the id.
+///
+/// A query looks a video up twice per matching shot (its catalog row and
+/// its stored analysis), thousands of times per request, and SipHash's
+/// per-lookup cost showed up in that walk. SipHash's key only defends a
+/// map against keys an adversary picks to collide; video ids are never
+/// picked by a client. They are assigned by [`Catalog::register`] or
+/// replayed from this store's own journal and segment files, and an
+/// import takes the destination's next id, not the exporter's. The
+/// finaliser spreads sequential ids over every bit, so both the bucket
+/// index (low bits) and the control bytes (high bits) of `HashMap` vary.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let mut z = self.0 ^ n;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        self.0 = z ^ (z >> 31);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed by video id, hashed with [`IdHasher`].
+pub(crate) type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
+
 /// The video catalog: id assignment and metadata lookup.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
     next_id: u64,
-    videos: HashMap<u64, VideoMeta>,
+    videos: IdMap<VideoMeta>,
 }
 
 impl Catalog {
@@ -348,6 +387,37 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn id_map_answers_like_std_hash_map() {
+        let sequential = 0..2_000u64;
+        let sparse = (0..500u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        let edges = [0, 1, u64::MAX, u64::MAX - 1, 1 << 63, u32::MAX as u64];
+        let ids: Vec<u64> = sequential.chain(sparse).chain(edges).collect();
+        let mut ours: IdMap<u64> = IdMap::default();
+        let mut std: HashMap<u64, u64> = HashMap::new();
+        let agree = |ours: &IdMap<u64>, std: &HashMap<u64, u64>| {
+            assert_eq!(ours.len(), std.len());
+            for id in &ids {
+                assert_eq!(ours.get(id), std.get(id), "id {id}");
+            }
+            for (id, v) in std {
+                assert_eq!(ours.get(id), Some(v), "id {id}");
+            }
+        };
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(ours.insert(id, i as u64), std.insert(id, i as u64));
+        }
+        agree(&ours, &std);
+        for &id in ids.iter().step_by(3) {
+            assert_eq!(ours.remove(&id), std.remove(&id), "remove {id}");
+        }
+        agree(&ours, &std);
+        for &id in ids.iter().step_by(2) {
+            assert_eq!(ours.insert(id, !id), std.insert(id, !id), "reinsert {id}");
+        }
+        agree(&ours, &std);
+    }
 
     #[test]
     fn taxonomy_has_paper_counts() {

@@ -8,11 +8,10 @@
 //! browsing should start.
 
 use crate::backend::{CommitTicket, DbBackend};
-use crate::catalog::{Catalog, FormId, GenreId, Taxonomy, VideoMeta};
+use crate::catalog::{Catalog, FormId, GenreId, IdMap, Taxonomy, VideoMeta};
 use crate::codec::{self, Codec};
 use crate::pages::{read_segment_file, SegmentError, SegmentWriter};
 use crate::query::QuerySpec;
-use std::collections::HashMap;
 use std::path::Path;
 use vdb_core::analyzer::{AnalyzerConfig, VideoAnalysis};
 use vdb_core::frame::Video;
@@ -303,7 +302,7 @@ fn index_rows(stored: &StoredAnalysis) -> Vec<IndexEntry> {
 pub struct VideoDatabase {
     taxonomy: Taxonomy,
     catalog: Catalog,
-    analyses: HashMap<u64, StoredAnalysis>,
+    analyses: IdMap<StoredAnalysis>,
     index: ShotIndex,
     config: AnalyzerConfig,
     /// The resident analysis engine: one per database, reused across
@@ -634,15 +633,17 @@ impl VideoDatabase {
     }
 
     /// The one §4.2 answer walk behind every variance query: the index's
-    /// planned [`ShotIndex::search`] (`k: None` is the Eqs. 7–8 range,
-    /// `Some(k)` the k nearest), then every match whose video `keep`
+    /// planned [`ShotIndex::select`] (`k: None` is the Eqs. 7–8 range,
+    /// `Some(k)` the k nearest), keeping every match whose video `keep`
     /// accepts and whose shot has a scene-tree leaf, nearest first.
     ///
-    /// Every such match is counted, but only the first `cap` are mapped
-    /// to the largest scene that shares their representative frame and
-    /// built into a [`QueryAnswer`] — a reply shows a handful of rows out
-    /// of thousands of matches. Returns those rows, the exact kept count
-    /// (whatever `cap` cut) and the planner's [`Explain`].
+    /// That check is the selection's predicate, so every match is tested
+    /// and counted, but only the first `cap` kept matches come back
+    /// sorted, and only those are mapped to the largest scene that shares
+    /// their representative frame and built into a [`QueryAnswer`] — a
+    /// reply shows a handful of rows out of thousands of matches.
+    /// Returns those rows, the exact kept count (whatever `cap` cut) and
+    /// the planner's [`Explain`].
     fn answers(
         &self,
         q: &VarianceQuery,
@@ -651,28 +652,22 @@ impl VideoDatabase {
         cap: usize,
         ctx: &TraceContext,
     ) -> (Vec<QueryAnswer>, usize, Explain) {
-        let (matches, explain) = self.index.search(q, k, ctx);
-        let mut rows = Vec::with_capacity(cap.min(matches.len()));
-        let mut kept = 0;
-        for m in &matches {
-            let video = m.entry.key.video;
-            let shot = m.entry.key.shot as usize;
-            let Some(meta) = self.catalog.get(video) else {
-                continue;
-            };
-            if !keep(meta) {
-                continue;
-            }
-            let Some(stored) = self.analyses.get(&video) else {
-                continue;
-            };
-            let tree = &stored.scene_tree;
-            if rows.len() < cap {
-                let Some(node_id) = tree.largest_scene_for_shot(shot) else {
-                    continue;
-                };
+        let shows = |key: ShotKey| {
+            self.catalog.get(key.video).is_some_and(&keep)
+                && self.analyses.get(&key.video).is_some_and(|stored| {
+                    stored.scene_tree.leaf_of_shot(key.shot as usize).is_some()
+                })
+        };
+        let (matches, kept, explain) = self.index.select(q, k, cap, shows, ctx);
+        let rows = matches
+            .iter()
+            .map(|m| {
+                let tree = &self.analyses[&m.entry.key.video].scene_tree;
+                let node_id = tree
+                    .largest_scene_for_shot(m.entry.key.shot as usize)
+                    .expect("the keep predicate checked the shot's leaf");
                 let node = tree.node(node_id);
-                rows.push(QueryAnswer {
+                QueryAnswer {
                     key: m.entry.key,
                     distance: m.distance,
                     var_ba: m.entry.var_ba,
@@ -680,12 +675,9 @@ impl VideoDatabase {
                     scene_node: node_id,
                     scene_name: node.name(),
                     rep_frame: node.rep_frame,
-                });
-            } else if tree.leaf_of_shot(shot).is_none() {
-                continue;
-            }
-            kept += 1;
-        }
+                }
+            })
+            .collect();
         (rows, kept, explain)
     }
 

@@ -229,6 +229,45 @@ mod tests {
     }
 
     #[test]
+    fn import_takes_the_destinations_next_id_not_the_exporters() {
+        let mut src = sample_db();
+        let video = {
+            let mut rng = vdb_synth::rng::Srng::new(12);
+            let mut script = VideoScript::small(12);
+            let dims = (script.width, script.height);
+            script.push_shot(ShotArchetype::ActionPan.to_spec(0, 10, dims, &mut rng));
+            generate(&script).video
+        };
+        for name in ["second", "third"] {
+            src.ingest(name, &video, vec![GenreId(3)], vec![FormId(1)])
+                .unwrap();
+        }
+        let exported = ExportedVideo::from_db(&src, 2).unwrap();
+        assert_eq!(exported.analysis.video, 2);
+        let record = exported.encode().unwrap();
+
+        let mut dst = sample_db();
+        let (name, dims, fps, analysis, genres, forms) =
+            ExportedVideo::decode(&record).unwrap().into_analysis();
+        let (id, _) = dst
+            .commit_stream(name, dims, fps, analysis, genres, forms)
+            .unwrap();
+        assert_eq!(id, 1, "the destination's next id");
+        assert_eq!(dst.catalog().get(1).unwrap().name, "third");
+        assert_eq!(dst.analysis(1).unwrap().video, 1);
+        assert!(dst.catalog().get(2).is_none());
+        assert!(dst.analysis(2).is_err());
+        let q = "ba=0.4 oa=12 alpha=1000 beta=1000";
+        let videos: Vec<u64> = dst
+            .query_str(q)
+            .unwrap()
+            .iter()
+            .map(|a| a.key.video)
+            .collect();
+        assert!(videos.contains(&1) && !videos.contains(&2), "{videos:?}");
+    }
+
+    #[test]
     fn corrupt_payloads_are_rejected() {
         assert!(from_hex("abc").is_err());
         assert!(from_hex("zz").is_err());

@@ -43,6 +43,9 @@ trap cleanup EXIT INT TERM
 
 # Start vdbd with the given extra flags; sets DAEMON_PID and ADDR.
 start_daemon() {
+    # Empty the address file first: the background job's own truncation
+    # can land after the poll below has read the previous daemon's line.
+    : >"$DAEMON_OUT"
     "$VDBD" --addr 127.0.0.1:0 --metrics-interval 0 "$@" \
         >"$DAEMON_OUT" 2>"$WORKDIR/vdbd.err" &
     DAEMON_PID=$!
@@ -115,6 +118,22 @@ expect_capped_rows() {
     fi
 }
 
+# expect_explain_counts_all <label> <<< reply: an unfiltered explain keeps
+# every match, so its answer count equals the summary's matches=, while
+# exactly 10 rows are shown.
+expect_explain_counts_all() {
+    local label="$1" out count matches rows
+    out="$(cat)"
+    count="$(printf '%s\n' "$out" | sed -n 's/^  \([0-9][0-9]*\) answers$/\1/p')"
+    matches="$(printf '%s\n' "$out" | sed -n 's/.* matches=\([0-9][0-9]*\) .*/\1/p')"
+    rows="$(printf '%s\n' "$out" | grep -c '^  video ')" || true
+    if [ -z "$count" ] || [ "$count" != "$matches" ] || [ "$rows" != 10 ]; then
+        echo "server_smoke: $label wants answers = matches= and 10 rows, got '$count', '$matches' and $rows:" >&2
+        echo "$out" >&2
+        exit 1
+    fi
+}
+
 "$VDBC" "$ADDR" ping | expect_contains "pong" "ping"
 "$VDBC" "$ADDR" stats | expect_contains "videos 2" "stats"
 "$VDBC" "$ADDR" query "ba=0.4 oa=14 alpha=4 beta=4 limit=5" | expect_contains "answers" "query"
@@ -135,6 +154,9 @@ expect_contains "pong" "ping after huge-k query" <<<"$huge_k"
 # explain reports the planner's decision next to the answers.
 "$VDBC" "$ADDR" explain "ba=0.4 oa=14 alpha=4 beta=4" | expect_contains "plan=" "explain"
 "$VDBC" "$ADDR" explain "ba=0.4 oa=14 alpha=4 beta=4" | expect_contains "actual_candidates=" "explain"
+# A wide unfiltered explain counts every match the probe returned but
+# shows only 10 rows.
+"$VDBC" "$ADDR" explain "ba=0 oa=0 alpha=1000 beta=1000" | expect_explain_counts_all "wide explain"
 # trace appends the request's span tree to the wrapped command's output.
 "$VDBC" "$ADDR" trace query "ba=0.4 oa=14 alpha=4 beta=4" | expect_contains "store.query" "trace"
 "$VDBC" "$ADDR" trace query "ba=0.4 oa=14 alpha=4 beta=4" | expect_contains "core.index.probe" "trace"
