@@ -17,10 +17,9 @@ use crate::scenetree::{SceneTree, SceneTreeConfig};
 use crate::shot::Shot;
 use crate::simd::SimdLevel;
 use crate::variance::ShotFeature;
-use serde::{Deserialize, Serialize};
 
 /// Combined configuration for the full pipeline.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct AnalyzerConfig {
     /// Shot boundary detection thresholds.
     pub sbd: SbdConfig,
@@ -37,7 +36,7 @@ pub struct AnalyzerConfig {
 }
 
 /// Everything the pipeline derives from one video.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VideoAnalysis {
     /// Per-frame background signs (`Sign_i^BA`).
     pub signs_ba: Vec<Rgb>,

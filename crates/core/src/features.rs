@@ -35,7 +35,6 @@ use crate::pyramid::{ensure_capacity, reduce_line_to_sign_with, ReduceScratch};
 use crate::signature::Signature;
 use crate::simd::{ResolvedIsa, SimdLevel};
 use crate::sizeset::in_size_set;
-use serde::{Deserialize, Serialize};
 
 /// Reusable working memory for per-frame feature extraction.
 ///
@@ -81,7 +80,7 @@ fn grow_pixels(buf: &mut Vec<Rgb>, len: usize) {
 }
 
 /// The features extracted from one frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FrameFeatures {
     /// `Sign_i^BA`: the background area reduced to one pixel.
     pub sign_ba: Rgb,

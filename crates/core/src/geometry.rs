@@ -22,7 +22,6 @@ use crate::error::{CoreError, Result};
 use crate::frame::FrameBuf;
 use crate::pixel::Rgb;
 use crate::sizeset::snap;
-use serde::{Deserialize, Serialize};
 
 /// A small rectangular grid of pixels (rows × cols), the unit the Gaussian
 /// pyramid reduces. Produced by TBA/FOA extraction.
@@ -105,7 +104,7 @@ impl PixelGrid {
 ///
 /// Computed once per video (all frames share dimensions) and reused for
 /// every frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AreaLayout {
     /// Frame width (`c`).
     pub frame_width: u32,

@@ -187,10 +187,12 @@ impl BucketIndex {
             // allocate an absurd number of buckets.
             let cap = (4 * n + 8).min(1 << 22);
             let mut width = base_width;
-            let mut nb = (span / width).floor() as usize + 1;
+            // `as usize` saturates, so a span far wider than the width
+            // lands on the cap instead of overflowing the `+ 1`.
+            let mut nb = ((span / width).floor() as usize).saturating_add(1);
             if nb > cap {
                 width = span / cap as f64;
-                nb = (span / width).floor() as usize + 1;
+                nb = ((span / width).floor() as usize).saturating_add(1);
                 nb = nb.min(cap + 1);
             }
             (if lo.is_finite() { lo } else { 0.0 }, width, nb.max(1))

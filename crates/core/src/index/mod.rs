@@ -47,10 +47,9 @@ pub use cost::{CorpusStats, CostEstimate, CostModel};
 pub use planner::{Explain, IndexRuntime, Plan, PlanChoice, ShotIndex};
 
 use crate::variance::ShotFeature;
-use serde::{Deserialize, Serialize};
 
 /// Globally unique shot key: which video, which shot within it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ShotKey {
     /// Opaque video identifier assigned by the catalog layer.
     pub video: u64,
@@ -59,7 +58,7 @@ pub struct ShotKey {
 }
 
 /// One row of the index table (Table 4's columns).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IndexEntry {
     /// The shot this row describes.
     pub key: ShotKey,
@@ -100,7 +99,7 @@ impl IndexEntry {
 
 /// A similarity query: the user's impression of change in background and
 /// object areas, plus the matching tolerances.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VarianceQuery {
     /// `Var_q^BA`.
     pub var_ba: f64,
@@ -210,7 +209,7 @@ pub struct Match {
 
 /// One row of the *extended* index (§6's more discriminating model):
 /// per-channel variances instead of channel-averaged ones.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExtendedEntry {
     /// The shot this row describes.
     pub key: ShotKey,
@@ -295,7 +294,7 @@ impl ExtendedQuery {
 /// The extended index: rows sorted by channel-averaged `D^v` (which bounds
 /// the per-channel window: if every channel's `D^v` is within α of the
 /// query's, so is their mean), then filtered per channel.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExtendedIndex {
     entries: Vec<ExtendedEntry>,
 }

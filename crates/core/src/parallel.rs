@@ -20,12 +20,11 @@
 use crate::error::Result;
 use crate::features::{FeatureExtractor, FrameFeatures, ScratchBuffers};
 use crate::frame::{FrameBuf, Video};
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// How many worker threads feature extraction may use.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Parallelism {
     /// Extract in the calling thread (the default; no threads spawned).
     #[default]
@@ -207,19 +206,6 @@ mod tests {
                     "simd={simd} threads={threads}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn parallelism_serializes() {
-        for p in [
-            Parallelism::Serial,
-            Parallelism::Threads(4),
-            Parallelism::Auto,
-        ] {
-            let s = serde_json::to_string(&p).unwrap();
-            let back: Parallelism = serde_json::from_str(&s).unwrap();
-            assert_eq!(back, p);
         }
     }
 }

@@ -5,8 +5,6 @@
 //! region reduces to — is also an [`Rgb`] value, so this type carries both
 //! raw image data and the reduced features.
 
-use serde::{Deserialize, Serialize};
-
 /// An 8-bit RGB pixel.
 ///
 /// This is the unit of every stage of the pipeline: raw frames, transformed
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// (size 3, align 1), which is what lets [`rgb_as_bytes`] /
 /// [`rgb_as_bytes_mut`] reinterpret pixel slices as byte slices for the
 /// SIMD extraction kernels without copying.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 #[repr(transparent)]
 pub struct Rgb(pub [u8; 3]);
 

@@ -21,14 +21,13 @@ use crate::error::Result;
 use crate::features::{extract_features, FrameFeatures};
 use crate::frame::Video;
 use crate::shot::Shot;
-use serde::{Deserialize, Serialize};
 
 /// Tunable thresholds of the cascade.
 ///
 /// The defaults were calibrated on the synthetic corpus so that the paper's
 /// headline behaviour holds (recall ≈ 0.9, precision ≈ 0.85 on the Table 5
 /// workload); the paper itself only says "a certain threshold" for stage 3.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SbdConfig {
     /// Stage 1: same shot if `Sign^BA` max-channel diff ≤ this (0–255).
     pub sign_same_max_diff: u8,
@@ -63,7 +62,7 @@ impl Default for SbdConfig {
 }
 
 /// Which cascade stage decided a frame pair, and how.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StageDecision {
     /// Stage 1 sign test accepted the pair as same-shot.
     SameBySign,
@@ -77,7 +76,7 @@ pub enum StageDecision {
 
 /// Aggregate statistics over one video's detection run (Figure 4's cascade
 /// in numbers).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SbdStats {
     /// Total consecutive-frame pairs examined.
     pub pairs: usize,
@@ -102,7 +101,7 @@ impl SbdStats {
 }
 
 /// Full result of shot boundary detection over a video.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Segmentation {
     /// Detected shots, in temporal order, covering every frame exactly once.
     pub shots: Vec<Shot>,

@@ -28,13 +28,12 @@
 use crate::pixel::Rgb;
 use crate::relationship::{shots_related_with_threshold, RELATED_THRESHOLD_PERCENT};
 use crate::shot::{longest_sign_run, representative_frame_offset, Shot};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a node within one [`SceneTree`]'s arena.
 pub type NodeId = usize;
 
 /// One scene node.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SceneNode {
     /// Arena id.
     pub id: NodeId,
@@ -67,7 +66,7 @@ impl SceneNode {
 }
 
 /// A fully built scene tree.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SceneTree {
     nodes: Vec<SceneNode>,
     root: NodeId,
@@ -76,7 +75,7 @@ pub struct SceneTree {
 }
 
 /// Parameters of tree construction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SceneTreeConfig {
     /// RELATIONSHIP threshold on `D_s` in percent (paper: 10.0).
     pub relationship_threshold_percent: f64,
@@ -362,6 +361,42 @@ pub fn build_scene_tree_with_config(
 }
 
 impl SceneTree {
+    /// Rebuild a tree from its nodes in arena order (a stored tree's only
+    /// persisted part). Each node's `id` is set to its position; the root
+    /// is the one parentless node and the shot → leaf map comes from the
+    /// leaves' `shot` fields. The result must pass
+    /// [`SceneTree::check_invariants`], so nodes from an untrusted source
+    /// either make a tree every accessor can walk or an `Err`.
+    pub fn from_nodes(mut nodes: Vec<SceneNode>) -> std::result::Result<SceneTree, String> {
+        let mut root = None;
+        for (i, n) in nodes.iter_mut().enumerate() {
+            n.id = i;
+            if n.parent.is_none() && root.replace(i).is_some() {
+                return Err("more than one parentless node".into());
+            }
+        }
+        let root = root.ok_or("no parentless node")?;
+        let mut leaves = vec![usize::MAX; nodes.iter().filter(|n| n.is_leaf()).count()];
+        for n in &nodes {
+            if let Some(s) = n.shot {
+                match leaves.get_mut(s) {
+                    Some(slot) if *slot == usize::MAX => *slot = n.id,
+                    Some(_) => return Err(format!("shot {s} has two leaves")),
+                    None => {
+                        return Err(format!("leaf {} names shot {s} of {}", n.id, leaves.len()))
+                    }
+                }
+            }
+        }
+        let tree = SceneTree {
+            nodes,
+            root,
+            leaves,
+        };
+        tree.check_invariants()?;
+        Ok(tree)
+    }
+
     /// The root node id.
     pub fn root(&self) -> NodeId {
         self.root
@@ -443,66 +478,85 @@ impl SceneTree {
     }
 
     /// Validate structural invariants; returns a description of the first
-    /// violation, if any. Used heavily by tests.
+    /// violation, if any. Total: every id is bounds-checked before it is
+    /// followed and the walk from the root marks what it visits, so a
+    /// malformed tree (say, one decoded from a corrupt record) is an
+    /// `Err`, never a panic or an endless loop.
     pub fn check_invariants(&self) -> std::result::Result<(), String> {
-        // Root has no parent.
-        if self.nodes[self.root].parent.is_some() {
+        let node = |id: NodeId| {
+            self.nodes
+                .get(id)
+                .ok_or_else(|| format!("node id {id} out of range"))
+        };
+        if node(self.root)?.parent.is_some() {
             return Err("root has a parent".into());
         }
-        // Parent/child pointers agree.
-        for n in &self.nodes {
+        for (i, n) in self.nodes.iter().enumerate() {
+            if n.id != i {
+                return Err(format!("node {i} carries id {}", n.id));
+            }
+            match n.parent {
+                Some(p) => {
+                    node(p)?;
+                }
+                None if i != self.root => {
+                    return Err(format!("non-root node {i} has no parent"));
+                }
+                None => {}
+            }
+            // Parent/child pointers agree (with the single walk below,
+            // this also makes every parent list its child).
             for &c in &n.children {
-                if self.nodes[c].parent != Some(n.id) {
-                    return Err(format!("child {c} of {} disowns it", n.id));
+                if node(c)?.parent != Some(i) {
+                    return Err(format!("child {c} of {i} disowns it"));
                 }
             }
-            if let Some(p) = n.parent {
-                if !self.nodes[p].children.contains(&n.id) {
-                    return Err(format!("parent {p} does not list child {}", n.id));
+            match n.shot {
+                Some(s) => {
+                    if !n.children.is_empty() {
+                        return Err(format!("leaf {i} has children"));
+                    }
+                    if n.level != 0 || n.name_shot != s {
+                        return Err(format!("leaf {i} is not named after its shot {s}"));
+                    }
+                    if self.leaves.get(s) != Some(&i) {
+                        return Err(format!("shot {s} does not map to its leaf {i}"));
+                    }
                 }
-            } else if n.id != self.root {
-                return Err(format!("non-root node {} has no parent", n.id));
+                // Step 6: an internal node takes its name, representative
+                // frame and level (+1) from one of its children — so every
+                // name_shot is a real shot, by induction from the leaves.
+                None => {
+                    let named_after = |c: &NodeId| {
+                        let ch = &self.nodes[*c];
+                        n.level.checked_sub(1) == Some(ch.level)
+                            && ch.name_shot == n.name_shot
+                            && ch.rep_frame == n.rep_frame
+                    };
+                    if !n.children.iter().any(named_after) {
+                        return Err(format!("internal node {i} not named after a child"));
+                    }
+                }
             }
-            if n.is_leaf() && !n.children.is_empty() {
-                return Err(format!("leaf {} has children", n.id));
-            }
-            if !n.is_leaf() && n.children.is_empty() {
-                return Err(format!("internal node {} has no children", n.id));
+        }
+        for (s, &leaf) in self.leaves.iter().enumerate() {
+            if node(leaf)?.shot != Some(s) {
+                return Err(format!("leaf {leaf} of shot {s} is not that shot's"));
             }
         }
         // Every node reachable from the root exactly once.
-        let reach = self.dfs();
-        if reach.len() != self.nodes.len() {
-            return Err(format!(
-                "reachable {} of {} nodes",
-                reach.len(),
-                self.nodes.len()
-            ));
-        }
-        // Every shot appears in exactly one leaf.
-        let mut shot_seen = vec![0usize; self.leaves.len()];
-        for n in &self.nodes {
-            if let Some(s) = n.shot {
-                shot_seen[s] += 1;
+        let mut seen = vec![false; self.nodes.len()];
+        let mut reached = 0usize;
+        let mut stack = vec![self.root];
+        while let Some(n) = stack.pop() {
+            if std::mem::replace(&mut seen[n], true) {
+                return Err(format!("node {n} reached twice"));
             }
+            reached += 1;
+            stack.extend(&self.nodes[n].children);
         }
-        if let Some((s, &k)) = shot_seen.iter().enumerate().find(|&(_, &k)| k != 1) {
-            return Err(format!("shot {s} appears in {k} leaves"));
-        }
-        // Levels: every internal node's level is one more than the chosen
-        // child's, hence strictly greater than at least one child.
-        for n in &self.nodes {
-            if !n.is_leaf()
-                && !n
-                    .children
-                    .iter()
-                    .any(|&c| self.nodes[c].level + 1 == n.level)
-            {
-                return Err(format!(
-                    "node {} level {} not derived from a child",
-                    n.id, n.level
-                ));
-            }
+        if reached != self.nodes.len() {
+            return Err(format!("reachable {reached} of {} nodes", self.nodes.len()));
         }
         Ok(())
     }
@@ -893,6 +947,67 @@ mod tests {
     }
 
     #[test]
+    fn from_nodes_rebuilds_the_figure6_tree() {
+        let (shots, signs) = figure5_clip();
+        let tree = build_scene_tree(&shots, &signs);
+        let mut nodes = tree.nodes().to_vec();
+        // Ids are positions: whatever a node list carries is replaced.
+        for n in &mut nodes {
+            n.id = usize::MAX;
+        }
+        assert_eq!(SceneTree::from_nodes(nodes), Ok(tree));
+    }
+
+    /// Each edit breaks one rule; `from_nodes` answers `Err`, without a
+    /// panic on a wild id and without looping on a cycle.
+    #[test]
+    fn from_nodes_refuses_malformed_node_lists() {
+        let (shots, signs) = figure5_clip();
+        let tree = build_scene_tree(&shots, &signs);
+        let leaf = tree.leaf_of_shot(0).unwrap();
+        let up = tree.node(leaf).parent.unwrap();
+        let top = tree.node(up).parent.unwrap();
+        type Edit = fn(&mut Vec<SceneNode>, NodeId, NodeId, NodeId);
+        let edits: [(&str, Edit); 10] = [
+            ("empty", |nodes, _, _, _| nodes.clear()),
+            ("parent out of range", |nodes, leaf, _, _| {
+                nodes[leaf].parent = Some(999)
+            }),
+            ("child out of range", |nodes, _, up, _| {
+                nodes[up].children.push(999)
+            }),
+            ("two nodes each other's parent", |nodes, _, up, top| {
+                nodes[top].parent = Some(up);
+                nodes[up].children.push(top);
+            }),
+            ("own parent", |nodes, _, up, _| {
+                nodes[up].parent = Some(up);
+                nodes[up].children.push(up);
+            }),
+            ("child listed twice", |nodes, leaf, up, _| {
+                nodes[up].children.push(leaf)
+            }),
+            ("shot out of range", |nodes, leaf, _, _| {
+                nodes[leaf].shot = Some(usize::MAX)
+            }),
+            ("two leaves of one shot", |nodes, leaf, _, _| {
+                nodes[leaf + 1].shot = nodes[leaf].shot
+            }),
+            ("level not derived from a child", |nodes, _, up, _| {
+                nodes[up].level = usize::MAX
+            }),
+            ("named after no child", |nodes, _, up, _| {
+                nodes[up].name_shot = usize::MAX
+            }),
+        ];
+        for (what, edit) in edits {
+            let mut nodes = tree.nodes().to_vec();
+            edit(&mut nodes, leaf, up, top);
+            assert!(SceneTree::from_nodes(nodes).is_err(), "{what} accepted");
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "no shots")]
     fn empty_shots_panic() {
         build_scene_tree(&[], &[]);
@@ -916,6 +1031,7 @@ mod tests {
             ids.sort_unstable();
             ids.dedup();
             prop_assert_eq!(ids.len(), tree.len());
+            prop_assert_eq!(SceneTree::from_nodes(tree.nodes().to_vec()), Ok(tree));
         }
 
         /// The representative frame of every node lies inside its named

@@ -7,12 +7,11 @@
 //! example: two runs of length 6, frames 1–6 and 15–20 — frame 1 wins).
 
 use crate::pixel::Rgb;
-use serde::{Deserialize, Serialize};
 
 /// A detected shot: a half-open range of frame indices is deliberately *not*
 /// used — the paper numbers shots by inclusive start/end frames (Table 3),
 /// so we do too.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Shot {
     /// Zero-based shot id (`shot#1` of the paper is id 0).
     pub id: usize,

@@ -11,11 +11,10 @@
 //! same shot.
 
 use crate::pixel::Rgb;
-use serde::{Deserialize, Serialize};
 
 /// A one-row pyramid signature (length is a size-set member, e.g. 253 for
 /// 160×120 frames).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Signature(Vec<Rgb>);
 
 impl Signature {

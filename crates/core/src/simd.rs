@@ -27,7 +27,6 @@
 //! the CI matrix re-runs the entire unmodified test suite under each level.
 
 use crate::error::{CoreError, Result};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 use std::sync::OnceLock;
@@ -38,7 +37,7 @@ use std::sync::OnceLock;
 /// Used as the payload of [`SimdLevel::Forced`]. Naming an ISA does not
 /// imply the host supports it — check [`SimdIsa::available`] or resolve
 /// through [`SimdLevel::try_resolve`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdIsa {
     /// SSE2: 16-byte lanes; baseline on every `x86_64` CPU.
     Sse2,
@@ -99,7 +98,7 @@ impl fmt::Display for SimdIsa {
 /// Threaded through [`crate::AnalyzerConfig`] like
 /// [`crate::Parallelism`]; every setting yields bit-identical features, the
 /// knob only changes wall-clock time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SimdLevel {
     /// Use the best instruction set detected at runtime (the default).
     /// Overridable via the `VDB_SIMD` environment variable.
@@ -368,8 +367,7 @@ mod tests {
             SimdLevel::Forced(SimdIsa::Avx2),
             SimdLevel::Forced(SimdIsa::Neon),
         ] {
-            let s = serde_json::to_string(&level).unwrap();
-            let back: SimdLevel = serde_json::from_str(&s).unwrap();
+            let back: SimdLevel = level.to_string().parse().unwrap();
             assert_eq!(back, level);
         }
     }

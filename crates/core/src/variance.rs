@@ -23,7 +23,6 @@
 //! both large.
 
 use crate::pixel::Rgb;
-use serde::{Deserialize, Serialize};
 
 /// Variance of a sequence of signs per the paper's Eqs. 3–4: per-channel
 /// population sum of squared deviations from the mean, divided by
@@ -96,7 +95,7 @@ pub fn sign_mean(signs: &[Rgb]) -> [f64; 3] {
 }
 
 /// The two-value feature vector of one shot.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShotFeature {
     /// `Var^BA`: variance of the background signs within the shot.
     pub var_ba: f64,
@@ -135,7 +134,7 @@ impl ShotFeature {
 /// The extended (per-channel) feature vector of one shot: six values
 /// instead of two. Collapses back to the paper's [`ShotFeature`] by
 /// averaging the channels.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExtendedShotFeature {
     /// Per-channel `Var^BA`.
     pub var_ba: [f64; 3],

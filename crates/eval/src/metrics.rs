@@ -11,10 +11,8 @@
 //! and greedy in temporal order, so a burst of detections around one true
 //! cut earns one true positive and the rest count as false alarms.
 
-use serde::{Deserialize, Serialize};
-
 /// Outcome counts of one detection run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DetectionEval {
     /// Detected boundaries matched to a true boundary.
     pub true_positives: usize,

@@ -1028,7 +1028,7 @@ fn export(ctx: &WorkerCtx, rest: &str) -> Result<String, String> {
         .map_err(|_| "usage: export <video-id>".to_string())?;
     let record = ctx
         .store
-        .read(|db| vdb_store::transfer::ExportedVideo::from_db(db, id).and_then(|e| e.encode()))
+        .read(|db| vdb_store::transfer::ExportedVideo::from_db(db, id).map(|e| e.encode()))
         .map_err(|e| e.to_string())?;
     let hex = vdb_store::transfer::to_hex(&record);
     // The reply must fit the peer's frame cap (status byte + headroom).

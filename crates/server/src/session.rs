@@ -284,8 +284,11 @@ impl SessionTable {
         self.join_retired();
         for sess in doomed {
             if self.claim(&sess) {
-                self.stop_pump(&sess);
+                // Counted before the pump join, which can take a while on
+                // a loaded host: a reader that sees the session gone from
+                // the table sees its outcome too.
                 self.metrics.count(outcome);
+                self.stop_pump(&sess);
             }
         }
     }

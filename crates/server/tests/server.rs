@@ -8,12 +8,17 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
 use std::time::Duration;
 use vdb_core::frame::{FrameBuf, Video};
+use vdb_core::scenetree::SceneNode;
+use vdb_core::shot::Shot;
+use vdb_core::variance::ShotFeature;
 use vdb_server::client::Client;
 use vdb_server::protocol::{
     decode_response, encode_stream_request, read_frame, write_frame, StreamRequest,
 };
 use vdb_server::server::{Server, ServerConfig, ServerHandle, ServerStore};
 use vdb_server::{CommandKind, ServerEvent};
+use vdb_store::codec::Codec;
+use vdb_store::transfer::{from_hex, to_hex, ExportedVideo, TRANSFER_VERSION};
 
 fn test_config(workers: usize) -> ServerConfig {
     ServerConfig {
@@ -621,6 +626,125 @@ fn wire_extras_identify_enumerate_and_transfer() {
     drop((from, to));
     src.shutdown().unwrap();
     dst.shutdown().unwrap();
+}
+
+/// An export record written field by field with `Codec`, so a test can
+/// send `import` parts that disagree.
+fn export_blob(
+    e: &ExportedVideo,
+    shots: &[Shot],
+    features: &[ShotFeature],
+    nodes: &[SceneNode],
+) -> Vec<u8> {
+    let a = &e.analysis;
+    let mut analysis = Vec::new();
+    a.video.encode(&mut analysis);
+    shots.to_vec().encode(&mut analysis);
+    features.to_vec().encode(&mut analysis);
+    a.signs_ba.encode(&mut analysis);
+    a.signs_oa.encode(&mut analysis);
+    nodes.to_vec().encode(&mut analysis);
+    for v in [
+        a.stats.pairs,
+        a.stats.stage1_same,
+        a.stats.stage2_same,
+        a.stats.stage3_same,
+        a.stats.boundaries,
+    ] {
+        v.encode(&mut analysis);
+    }
+    let mut buf = vec![TRANSFER_VERSION];
+    e.name.encode(&mut buf);
+    e.dims.0.encode(&mut buf);
+    e.dims.1.encode(&mut buf);
+    e.fps.encode(&mut buf);
+    e.genres.encode(&mut buf);
+    e.forms.encode(&mut buf);
+    analysis.encode(&mut buf);
+    buf
+}
+
+/// `import` cannot poison a shard: a record whose parts disagree gets an
+/// error reply, the catalog and the journal stay as they were, and the
+/// connection keeps serving. Once committed, the first record would panic
+/// a worker on the next query and the second would loop forever in the
+/// ancestor walk, on every restart too.
+#[test]
+fn inconsistent_imports_are_refused_and_leave_no_trace() {
+    let dir = std::env::temp_dir().join(format!("vdb-server-import-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("imports.vdbj");
+    let config = vdb_core::analyzer::AnalyzerConfig::default();
+    {
+        let store = ServerStore::open_journal(&path, config).expect("open journal");
+        let handle = Server::bind(store, test_config(2)).unwrap().serve();
+        let mut client = Client::connect(handle.addr()).unwrap();
+        client.expect_ok("demo 2").unwrap();
+        let listing = client.expect_ok("list").unwrap();
+        let hex = client.expect_ok("export 0").unwrap();
+        let exported = ExportedVideo::decode(&from_hex(&hex).unwrap()).unwrap();
+        let a = &exported.analysis;
+        let tree = &a.scene_tree;
+        let nodes = tree.nodes();
+        assert_eq!(
+            to_hex(&export_blob(&exported, &a.shots, &a.features, nodes)),
+            hex.trim(),
+            "the hand-written layout is the real one"
+        );
+        // A leaf with a grandparent: the cycle is on its ancestor path.
+        let (leaf, up, top) = (0..tree.shot_count())
+            .find_map(|s| {
+                let leaf = tree.leaf_of_shot(s)?;
+                let up = tree.node(leaf).parent?;
+                Some((leaf, up, tree.node(up).parent?))
+            })
+            .unwrap();
+        let mut wild_parent = nodes.to_vec();
+        wild_parent[leaf].parent = Some(999);
+        let mut cycle = nodes.to_vec();
+        cycle[top].parent = Some(up);
+        cycle[up].children.push(top);
+        let mut gap = a.shots.clone();
+        let long = gap.iter().position(|s| s.len() > 1).unwrap();
+        gap[long].start += 1;
+        let short = &a.features[..a.features.len() - 1];
+
+        for (what, record) in [
+            (
+                "leaf parent out of range",
+                export_blob(&exported, &a.shots, &a.features, &wild_parent),
+            ),
+            (
+                "parent cycle",
+                export_blob(&exported, &a.shots, &a.features, &cycle),
+            ),
+            (
+                "fewer features than shots",
+                export_blob(&exported, &a.shots, short, nodes),
+            ),
+            (
+                "shots leave a gap",
+                export_blob(&exported, &gap, &a.features, nodes),
+            ),
+        ] {
+            let resp = client
+                .request(&format!("import {}", to_hex(&record)))
+                .unwrap();
+            assert!(!resp.ok, "{what} was imported: {}", resp.text);
+            assert_eq!(client.expect_ok("list").unwrap(), listing, "{what}");
+            assert_eq!(client.expect_ok("ping").unwrap(), "pong", "{what}");
+        }
+        drop(client);
+        handle.shutdown().unwrap();
+    }
+    let reopened = vdb_store::JournaledDatabase::open(&path, config).expect("reopen journal");
+    assert_eq!(
+        reopened.db().len(),
+        2,
+        "no refused import reached the journal"
+    );
+    drop(reopened);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// `explain` over the wire reports the planner's chosen plan with

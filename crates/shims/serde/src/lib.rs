@@ -1,25 +1,10 @@
-//! Offline stand-in for `serde`.
-//!
-//! The real serde's visitor architecture is overkill for this workspace's
-//! needs (JSON blobs for scene trees and catalog metadata), so this shim
-//! models serialization as conversion to and from an owned [`Value`] tree:
-//!
-//! * [`Serialize`] — `fn to_value(&self) -> Value`;
-//! * [`Deserialize`] — `fn from_value(&Value) -> Result<Self, DeError>`;
-//! * `#[derive(Serialize, Deserialize)]` — provided by the sibling
-//!   `serde_derive` shim for named-field structs, tuple structs, and enums
-//!   with unit/newtype variants (externally tagged, like real serde).
-//!
-//! `serde_json` (also shimmed) renders a [`Value`] to JSON text and parses
-//! it back.
+//! Offline stand-in for `serde`, reduced to the one type its users need:
+//! [`Value`], the tree the sibling `serde_json` shim parses JSON text
+//! into. Tests, the BENCH_INDEX gate and `benchmark/` read JSON through
+//! it; nothing in the workspace serializes through a trait, so there is
+//! no `Serialize`/`Deserialize` here.
 
-use std::collections::HashMap;
-use std::fmt;
-
-#[cfg(feature = "derive")]
-pub use serde_derive::{Deserialize, Serialize};
-
-/// A self-describing data tree (the shim's serialization currency).
+/// A parsed JSON document.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// JSON `null`.
@@ -45,293 +30,5 @@ impl Value {
             Value::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
-    }
-}
-
-/// Deserialization failure: what was expected, what was found.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeError(pub String);
-
-impl fmt::Display for DeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl std::error::Error for DeError {}
-
-impl DeError {
-    /// Build an error for a type mismatch.
-    pub fn expected(what: &str, got: &Value) -> Self {
-        DeError(format!("expected {what}, got {got:?}"))
-    }
-}
-
-/// Conversion into a [`Value`] tree.
-pub trait Serialize {
-    /// Represent `self` as a value tree.
-    fn to_value(&self) -> Value;
-}
-
-/// Conversion from a [`Value`] tree.
-pub trait Deserialize: Sized {
-    /// Rebuild `Self` from a value tree.
-    fn from_value(v: &Value) -> Result<Self, DeError>;
-}
-
-/// Fetch a named field of an object and deserialize it (derive support).
-pub fn from_field<T: Deserialize>(v: &Value, name: &str) -> Result<T, DeError> {
-    match v.get(name) {
-        Some(field) => {
-            T::from_value(field).map_err(|e| DeError(format!("in field '{name}': {}", e.0)))
-        }
-        None => Err(DeError(format!("missing field '{name}'"))),
-    }
-}
-
-macro_rules! int_serde {
-    ($($ty:ty),*) => {$(
-        impl Serialize for $ty {
-            fn to_value(&self) -> Value {
-                Value::Int(*self as i128)
-            }
-        }
-        impl Deserialize for $ty {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                match v {
-                    Value::Int(n) => <$ty>::try_from(*n)
-                        .map_err(|_| DeError(format!("integer {n} out of range"))),
-                    other => Err(DeError::expected("integer", other)),
-                }
-            }
-        }
-    )*};
-}
-
-int_serde!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
-
-impl Serialize for f64 {
-    fn to_value(&self) -> Value {
-        Value::Float(*self)
-    }
-}
-
-impl Deserialize for f64 {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Float(x) => Ok(*x),
-            Value::Int(n) => Ok(*n as f64),
-            other => Err(DeError::expected("number", other)),
-        }
-    }
-}
-
-impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::Float(f64::from(*self))
-    }
-}
-
-impl Deserialize for f32 {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        f64::from_value(v).map(|x| x as f32)
-    }
-}
-
-impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
-    }
-}
-
-impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            other => Err(DeError::expected("bool", other)),
-        }
-    }
-}
-
-impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
-    }
-}
-
-impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Str(s) => Ok(s.clone()),
-            other => Err(DeError::expected("string", other)),
-        }
-    }
-}
-
-impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_owned())
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Array(items) => items.iter().map(T::from_value).collect(),
-            other => Err(DeError::expected("array", other)),
-        }
-    }
-}
-
-impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize + Copy + Default, const N: usize> Deserialize for [T; N] {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Array(items) if items.len() == N => {
-                let mut out = [T::default(); N];
-                for (slot, item) in out.iter_mut().zip(items) {
-                    *slot = T::from_value(item)?;
-                }
-                Ok(out)
-            }
-            other => Err(DeError::expected("fixed-size array", other)),
-        }
-    }
-}
-
-impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
-        match self {
-            None => Value::Null,
-            Some(v) => v.to_value(),
-        }
-    }
-}
-
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
-        }
-    }
-}
-
-macro_rules! tuple_serde {
-    ($(($($name:ident : $idx:tt),+))*) => {$(
-        impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn to_value(&self) -> Value {
-                Value::Array(vec![$(self.$idx.to_value()),+])
-            }
-        }
-        impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                match v {
-                    Value::Array(items) if items.len() == tuple_serde!(@count $($name)+) => {
-                        Ok(($($name::from_value(&items[$idx])?,)+))
-                    }
-                    other => Err(DeError::expected("tuple array", other)),
-                }
-            }
-        }
-    )*};
-    (@count $($name:ident)+) => { [$(tuple_serde!(@one $name)),+].len() };
-    (@one $name:ident) => { () };
-}
-
-tuple_serde! {
-    (A: 0)
-    (A: 0, B: 1)
-    (A: 0, B: 1, C: 2)
-    (A: 0, B: 1, C: 2, D: 3)
-}
-
-impl<V: Serialize> Serialize for HashMap<String, V> {
-    fn to_value(&self) -> Value {
-        let mut keys: Vec<&String> = self.keys().collect();
-        keys.sort();
-        Value::Object(
-            keys.into_iter()
-                .map(|k| (k.clone(), self[k].to_value()))
-                .collect(),
-        )
-    }
-}
-
-impl<V: Deserialize> Deserialize for HashMap<String, V> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Object(fields) => fields
-                .iter()
-                .map(|(k, v)| Ok((k.clone(), V::from_value(v)?)))
-                .collect(),
-            other => Err(DeError::expected("object", other)),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn roundtrip<T: Serialize + Deserialize + PartialEq + std::fmt::Debug>(v: T) {
-        assert_eq!(T::from_value(&v.to_value()).unwrap(), v);
-    }
-
-    #[test]
-    fn primitives_roundtrip() {
-        roundtrip(42u8);
-        roundtrip(u64::MAX);
-        roundtrip(-7i64);
-        roundtrip(3.5f64);
-        roundtrip(true);
-        roundtrip(String::from("hello"));
-    }
-
-    #[test]
-    fn containers_roundtrip() {
-        roundtrip(vec![1u32, 2, 3]);
-        roundtrip(Some(5u8));
-        roundtrip(Option::<u8>::None);
-        roundtrip((1u32, 2u32));
-        roundtrip([9u8, 8, 7]);
-        roundtrip(vec![Some((1u64, 2.5f64)), None]);
-    }
-
-    #[test]
-    fn errors_name_the_problem() {
-        let e = u8::from_value(&Value::Str("x".into())).unwrap_err();
-        assert!(e.0.contains("expected integer"));
-        let e = from_field::<u8>(&Value::Object(vec![]), "id").unwrap_err();
-        assert!(e.0.contains("missing field 'id'"));
-    }
-
-    #[test]
-    fn out_of_range_int_rejected() {
-        assert!(u8::from_value(&Value::Int(300)).is_err());
-        assert!(u64::from_value(&Value::Int(-1)).is_err());
     }
 }

@@ -1,18 +1,13 @@
-//! Offline stand-in for `serde_json`.
-//!
-//! Renders the shim `serde`'s [`Value`] tree to JSON text and parses it
-//! back with a small recursive-descent parser. Covers the workspace's
-//! needs: `to_string` / `to_vec` / `from_str` / `from_slice` and an
-//! [`Error`] type usable in error enums.
-//!
-//! Floats are printed with Rust's shortest-round-trip formatting, so
-//! `f64` values survive a save/load cycle bit-exactly (non-finite floats
-//! are printed as `null`, like real serde_json).
+//! Offline stand-in for `serde_json`, reduced to its reader: [`parse`]
+//! turns JSON text into the shim `serde`'s [`Value`] tree with a small
+//! recursive-descent parser, and [`Error`] says where it failed. Floats
+//! parse with Rust's own `f64` parser, so shortest-round-trip text comes
+//! back bit-exact.
 
-use serde::{Deserialize, Serialize, Value};
+use serde::Value;
 use std::fmt;
 
-/// Serialization or parse failure.
+/// Parse failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Error(String);
 
@@ -23,93 +18,6 @@ impl fmt::Display for Error {
 }
 
 impl std::error::Error for Error {}
-
-impl From<serde::DeError> for Error {
-    fn from(e: serde::DeError) -> Self {
-        Error(e.0)
-    }
-}
-
-/// Serialize a value to a JSON string.
-pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&value.to_value(), &mut out);
-    Ok(out)
-}
-
-/// Serialize a value to JSON bytes.
-pub fn to_vec<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, Error> {
-    to_string(value).map(String::into_bytes)
-}
-
-/// Deserialize a value from a JSON string.
-pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let value = parse(s)?;
-    Ok(T::from_value(&value)?)
-}
-
-/// Deserialize a value from JSON bytes.
-pub fn from_slice<T: Deserialize>(bytes: &[u8]) -> Result<T, Error> {
-    let s = std::str::from_utf8(bytes).map_err(|e| Error(format!("invalid utf-8: {e}")))?;
-    from_str(s)
-}
-
-fn write_value(v: &Value, out: &mut String) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Int(n) => out.push_str(&n.to_string()),
-        Value::Float(x) => {
-            if x.is_finite() {
-                // {:?} is shortest-round-trip and always keeps a ".0" or
-                // exponent, so the value parses back as a float.
-                out.push_str(&format!("{x:?}"));
-            } else {
-                out.push_str("null");
-            }
-        }
-        Value::Str(s) => write_string(s, out),
-        Value::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_value(item, out);
-            }
-            out.push(']');
-        }
-        Value::Object(fields) => {
-            out.push('{');
-            for (i, (k, item)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_string(k, out);
-                out.push(':');
-                write_value(item, out);
-            }
-            out.push('}');
-        }
-    }
-}
-
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
 
 /// Parse JSON text into a [`Value`].
 pub fn parse(s: &str) -> Result<Value, Error> {
@@ -312,52 +220,72 @@ impl Parser<'_> {
 mod tests {
     use super::*;
 
-    fn roundtrip(v: &Value) {
-        let mut s = String::new();
-        write_value(v, &mut s);
-        assert_eq!(&parse(&s).unwrap(), v, "via {s}");
+    fn obj(fields: &[(&str, Value)]) -> Value {
+        Value::Object(
+            fields
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.clone()))
+                .collect(),
+        )
     }
 
     #[test]
     fn scalars_roundtrip() {
-        roundtrip(&Value::Null);
-        roundtrip(&Value::Bool(true));
-        roundtrip(&Value::Int(-42));
-        roundtrip(&Value::Int(u64::MAX as i128));
-        roundtrip(&Value::Float(std::f64::consts::PI));
-        roundtrip(&Value::Float(1.0));
-        roundtrip(&Value::Str(
-            "with \"quotes\" and \n newline \u{1F600}".into(),
-        ));
+        assert_eq!(parse("null").unwrap(), Value::Null);
+        assert_eq!(parse("true").unwrap(), Value::Bool(true));
+        assert_eq!(parse("-42").unwrap(), Value::Int(-42));
+        assert_eq!(
+            parse("18446744073709551615").unwrap(),
+            Value::Int(u64::MAX as i128)
+        );
+        assert_eq!(
+            parse("3.141592653589793").unwrap(),
+            Value::Float(std::f64::consts::PI)
+        );
+        assert_eq!(parse("1.0").unwrap(), Value::Float(1.0));
+        assert_eq!(
+            parse(r#""with \"quotes\" and \n newline \u00e9 😀""#).unwrap(),
+            Value::Str("with \"quotes\" and \n newline é 😀".into())
+        );
     }
 
     #[test]
     fn containers_roundtrip() {
-        roundtrip(&Value::Array(vec![
-            Value::Int(1),
-            Value::Str("x".into()),
-            Value::Array(vec![]),
-        ]));
-        roundtrip(&Value::Object(vec![
-            ("a".into(), Value::Int(1)),
-            ("nested".into(), Value::Object(vec![])),
-        ]));
+        assert_eq!(
+            parse(r#"[1,"x",[]]"#).unwrap(),
+            Value::Array(vec![
+                Value::Int(1),
+                Value::Str("x".into()),
+                Value::Array(vec![]),
+            ])
+        );
+        let v = parse(r#"{"a":1,"nested":{}}"#).unwrap();
+        assert_eq!(
+            v,
+            obj(&[("a", Value::Int(1)), ("nested", Value::Object(vec![]))])
+        );
+        assert_eq!(v.get("a"), Some(&Value::Int(1)));
+        assert_eq!(v.get("missing"), None);
     }
 
     #[test]
     fn float_precision_survives() {
         let x: f64 = 0.1 + 0.2;
-        let s = to_string(&x).unwrap();
-        let back: f64 = from_str(&s).unwrap();
-        assert_eq!(back.to_bits(), x.to_bits());
+        match parse(&format!("{x:?}")).unwrap() {
+            Value::Float(back) => assert_eq!(back.to_bits(), x.to_bits()),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(parse("1e-3").unwrap(), Value::Float(0.001));
     }
 
     #[test]
     fn typed_api_roundtrip() {
-        let v = vec![(1u64, 2.5f64), (3, 4.5)];
-        let s = to_string(&v).unwrap();
-        let back: Vec<(u64, f64)> = from_str(&s).unwrap();
-        assert_eq!(back, v);
+        // The shape a metrics export writes: an array of [id, value] rows.
+        let row = |id, x| Value::Array(vec![Value::Int(id), Value::Float(x)]);
+        assert_eq!(
+            parse("[[1,2.5],[3,4.5]]").unwrap(),
+            Value::Array(vec![row(1, 2.5), row(3, 4.5)])
+        );
     }
 
     #[test]
@@ -370,6 +298,8 @@ mod tests {
             "nul",
             "1.2.3",
             "{\"a\" 1}",
+            "\"\\u12\"",
+            "[1] 2",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
@@ -377,7 +307,13 @@ mod tests {
 
     #[test]
     fn whitespace_tolerated() {
-        let v: Vec<u8> = from_str(" [ 1 , 2 , 3 ] ").unwrap();
-        assert_eq!(v, vec![1, 2, 3]);
+        assert_eq!(
+            parse(" [ 1 , 2 , 3 ] ").unwrap(),
+            Value::Array(vec![Value::Int(1), Value::Int(2), Value::Int(3)])
+        );
+        assert_eq!(
+            parse("\t{ \"k\" :\n true }\r\n").unwrap(),
+            obj(&[("k", Value::Bool(true))])
+        );
     }
 }

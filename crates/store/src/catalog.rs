@@ -10,7 +10,6 @@
 //! Heart' = adventure + biographical feature; 'Dr. Zhivago' = adaptation +
 //! historical + romance feature).
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -147,11 +146,11 @@ const FORM_NAMES: &[&str] = &[
 ];
 
 /// Identifier of a genre (0..133).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GenreId(pub u16);
 
 /// Identifier of a form (0..35).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FormId(pub u16);
 
 /// The fixed genre/form taxonomy.
@@ -229,7 +228,7 @@ impl Taxonomy {
 }
 
 /// Catalog metadata of one video.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VideoMeta {
     /// Catalog-assigned id.
     pub id: u64,
@@ -339,7 +338,7 @@ impl Catalog {
 
     /// Re-insert a previously persisted record (keeps its id).
     pub fn restore(&mut self, meta: VideoMeta) {
-        self.next_id = self.next_id.max(meta.id + 1);
+        self.next_id = self.next_id.max(meta.id.saturating_add(1));
         self.videos.insert(meta.id, meta);
     }
 

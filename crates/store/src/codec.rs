@@ -1,13 +1,18 @@
 //! Compact binary encoding of the database's record types.
 //!
 //! A small hand-rolled codec: little-endian fixed-width scalars,
-//! length-prefixed containers. Used by the segment store
-//! ([`crate::pages`]) for everything except the scene tree, which is stored
-//! as a JSON blob (its recursive structure changes most often during
-//! development, and JSON keeps old store files inspectable).
+//! length-prefixed containers. Every record the segment store
+//! ([`crate::pages`]) and the transfer format ([`crate::transfer`]) carry
+//! is built from these impls — the scene tree and the catalog row
+//! included — so there is one format and one checked decoder. A scene
+//! tree is stored as its nodes in arena order and rebuilt through
+//! [`SceneTree::from_nodes`], which refuses any node list that is not a
+//! well-formed tree.
 
+use crate::catalog::{FormId, GenreId, VideoMeta};
 use vdb_core::index::{IndexEntry, ShotKey};
 use vdb_core::pixel::Rgb;
+use vdb_core::scenetree::{SceneNode, SceneTree};
 use vdb_core::shot::Shot;
 use vdb_core::variance::ShotFeature;
 
@@ -18,6 +23,9 @@ pub enum CodecError {
     UnexpectedEof,
     /// Structurally invalid data.
     Invalid(&'static str),
+    /// Every field decoded, but the parts of the record disagree (a scene
+    /// tree that is not a tree, shots that do not cover the frames, …).
+    Inconsistent(String),
 }
 
 impl std::fmt::Display for CodecError {
@@ -25,6 +33,7 @@ impl std::fmt::Display for CodecError {
         match self {
             CodecError::UnexpectedEof => write!(f, "unexpected end of buffer"),
             CodecError::Invalid(what) => write!(f, "invalid encoding: {what}"),
+            CodecError::Inconsistent(what) => write!(f, "inconsistent record: {what}"),
         }
     }
 }
@@ -206,6 +215,85 @@ impl Codec for IndexEntry {
     }
 }
 
+impl Codec for GenreId {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.0.encode(buf);
+    }
+    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        u16::decode(buf).map(GenreId)
+    }
+}
+
+impl Codec for FormId {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.0.encode(buf);
+    }
+    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        u16::decode(buf).map(FormId)
+    }
+}
+
+impl Codec for VideoMeta {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.id.encode(buf);
+        self.name.encode(buf);
+        self.genres.encode(buf);
+        self.forms.encode(buf);
+        self.frame_count.encode(buf);
+        self.fps.encode(buf);
+        self.dims.0.encode(buf);
+        self.dims.1.encode(buf);
+    }
+    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        Ok(VideoMeta {
+            id: u64::decode(buf)?,
+            name: String::decode(buf)?,
+            genres: Vec::decode(buf)?,
+            forms: Vec::decode(buf)?,
+            frame_count: usize::decode(buf)?,
+            fps: f64::decode(buf)?,
+            dims: (u32::decode(buf)?, u32::decode(buf)?),
+        })
+    }
+}
+
+/// A node without its `id`: the id is its position in the stored list.
+impl Codec for SceneNode {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.parent.encode(buf);
+        self.children.encode(buf);
+        self.shot.encode(buf);
+        self.name_shot.encode(buf);
+        self.level.encode(buf);
+        self.rep_frame.encode(buf);
+    }
+    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        Ok(SceneNode {
+            id: 0,
+            parent: Option::decode(buf)?,
+            children: Vec::decode(buf)?,
+            shot: Option::decode(buf)?,
+            name_shot: usize::decode(buf)?,
+            level: usize::decode(buf)?,
+            rep_frame: usize::decode(buf)?,
+        })
+    }
+}
+
+/// The nodes in arena order; the root and the shot → leaf map are derived
+/// again on decode, by [`SceneTree::from_nodes`].
+impl Codec for SceneTree {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.len().encode(buf);
+        for node in self.nodes() {
+            node.encode(buf);
+        }
+    }
+    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        SceneTree::from_nodes(Vec::decode(buf)?).map_err(CodecError::Inconsistent)
+    }
+}
+
 /// Encode a value to a fresh byte vector.
 pub fn to_bytes<T: Codec>(value: &T) -> Vec<u8> {
     let mut buf = Vec::new();
@@ -225,7 +313,13 @@ pub fn from_bytes<T: Codec>(mut buf: &[u8]) -> Result<T, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::{FORM_COUNT, GENRE_COUNT};
     use proptest::prelude::*;
+    use vdb_core::analyzer::AnalyzerConfig;
+    use vdb_core::pipeline::AnalysisEngine;
+    use vdb_core::scenetree::build_scene_tree;
+    use vdb_synth::script::generate;
+    use vdb_synth::{build_script, Genre};
 
     fn roundtrip<T: Codec + PartialEq + std::fmt::Debug>(v: T) {
         let bytes = to_bytes(&v);
@@ -277,6 +371,84 @@ mod tests {
             var_oa: 0.5,
         });
         roundtrip(vec![Rgb::new(9, 9, 9); 100]);
+    }
+
+    /// The Figs. 5–6 worked example (ten shots A B A1 B1 C A2 C1 D D1 D2,
+    /// one constant sign per shot) and every tree the pipeline builds over
+    /// the synthetic genres × seeds come back from the codec unchanged.
+    #[test]
+    fn scene_trees_roundtrip() {
+        let labels = [
+            (0u8, 20usize),
+            (1, 10),
+            (0, 9),
+            (1, 8),
+            (2, 12),
+            (0, 7),
+            (2, 13),
+            (3, 11),
+            (3, 6),
+            (3, 5),
+        ];
+        let mut shots = Vec::new();
+        let mut signs = Vec::new();
+        for (id, &(label, len)) in labels.iter().enumerate() {
+            let start = signs.len();
+            shots.push(Shot {
+                id,
+                start,
+                end: start + len - 1,
+            });
+            signs.extend(std::iter::repeat(Rgb::gray(label * 40)).take(len));
+        }
+        let figure6 = build_scene_tree(&shots, &signs);
+        assert_eq!(figure6.node(figure6.root()).name(), "SN_1^3");
+        roundtrip(figure6);
+
+        let mut engine = AnalysisEngine::new(AnalyzerConfig::default());
+        for &genre in Genre::all() {
+            for seed in 0..3 {
+                let clip = generate(&build_script(genre, 8, Some(6.0), (64, 48), seed));
+                roundtrip(engine.analyze(&clip.video).unwrap().scene_tree);
+            }
+        }
+    }
+
+    /// Catalog rows: non-ASCII names, empty and full genre/form lists,
+    /// and `fps` bit-exact (NaN included).
+    #[test]
+    fn video_meta_roundtrip() {
+        let every_genre: Vec<GenreId> = (0..GENRE_COUNT as u16).map(GenreId).collect();
+        let every_form: Vec<FormId> = (0..FORM_COUNT as u16).map(FormId).collect();
+        let rows = [
+            (
+                "Dr. Zhivago",
+                vec![GenreId(0), GenreId(4)],
+                vec![FormId(3)],
+                3.0,
+            ),
+            ("Ünïcödé 日本語 🎬", vec![], vec![], 29.97),
+            ("", every_genre, every_form, 1.0 / 3.0),
+            ("tiny", vec![GenreId(132)], vec![], f64::MIN_POSITIVE),
+            ("nan", vec![], vec![FormId(34)], f64::NAN),
+        ];
+        for (id, (name, genres, forms, fps)) in rows.into_iter().enumerate() {
+            let meta = VideoMeta {
+                id: id as u64 * 0x1_0000_0001,
+                name: name.into(),
+                genres,
+                forms,
+                frame_count: 4_321,
+                fps,
+                dims: (160, 120),
+            };
+            let back: VideoMeta = from_bytes(&to_bytes(&meta)).unwrap();
+            assert_eq!(back.fps.to_bits(), fps.to_bits(), "{name}");
+            assert_eq!(
+                VideoMeta { fps: 0.0, ..back },
+                VideoMeta { fps: 0.0, ..meta }
+            );
+        }
     }
 
     #[test]
@@ -384,6 +556,8 @@ mod tests {
             let _ = from_bytes::<Shot>(&bytes);
             let _ = from_bytes::<String>(&bytes);
             let _ = from_bytes::<Vec<Rgb>>(&bytes);
+            let _ = from_bytes::<SceneTree>(&bytes);
+            let _ = from_bytes::<VideoMeta>(&bytes);
         }
     }
 }

@@ -10,7 +10,7 @@
 use crate::backend::{CommitTicket, DbBackend};
 use crate::catalog::{Catalog, FormId, GenreId, IdMap, Taxonomy, VideoMeta};
 use crate::codec::{self, Codec};
-use crate::pages::{read_segment_file, SegmentError, SegmentWriter};
+use crate::pages::{read_segment_file, Record, SegmentError, SegmentWriter};
 use crate::query::QuerySpec;
 use std::path::Path;
 use vdb_core::analyzer::{AnalyzerConfig, VideoAnalysis};
@@ -34,8 +34,8 @@ pub enum DbError {
     Segment(SegmentError),
     /// A stored record failed to decode.
     Codec(codec::CodecError),
-    /// A stored JSON blob failed to parse.
-    Json(serde_json::Error),
+    /// A transfer record of a format version this build does not read.
+    TransferVersion(u8),
     /// Unknown video id.
     UnknownVideo(u64),
     /// A record had an unknown tag or arrived out of order.
@@ -50,7 +50,11 @@ impl std::fmt::Display for DbError {
             DbError::Core(e) => write!(f, "analysis error: {e}"),
             DbError::Segment(e) => write!(f, "storage error: {e}"),
             DbError::Codec(e) => write!(f, "decode error: {e}"),
-            DbError::Json(e) => write!(f, "json error: {e}"),
+            DbError::TransferVersion(v) => write!(
+                f,
+                "transfer record version {v} is not supported (this build reads version {})",
+                crate::transfer::TRANSFER_VERSION
+            ),
             DbError::UnknownVideo(id) => write!(f, "unknown video id {id}"),
             DbError::BadRecord(what) => write!(f, "bad stored record: {what}"),
             DbError::Query(e) => write!(f, "query error: {e}"),
@@ -73,11 +77,6 @@ impl From<SegmentError> for DbError {
 impl From<codec::CodecError> for DbError {
     fn from(e: codec::CodecError) -> Self {
         DbError::Codec(e)
-    }
-}
-impl From<serde_json::Error> for DbError {
-    fn from(e: serde_json::Error) -> Self {
-        DbError::Json(e)
     }
 }
 impl From<crate::query::ParseError> for DbError {
@@ -111,7 +110,7 @@ pub struct StoredAnalysis {
 }
 
 impl StoredAnalysis {
-    pub(crate) fn encode(&self) -> Result<Vec<u8>, DbError> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let obs = crate::obs::codec();
         let _span = obs.encode_us.start();
         let mut buf = Vec::new();
@@ -120,8 +119,7 @@ impl StoredAnalysis {
         self.features.encode(&mut buf);
         self.signs_ba.encode(&mut buf);
         self.signs_oa.encode(&mut buf);
-        let tree = serde_json::to_string(&self.scene_tree)?;
-        tree.encode(&mut buf);
+        self.scene_tree.encode(&mut buf);
         for v in [
             self.stats.pairs,
             self.stats.stage1_same,
@@ -132,37 +130,93 @@ impl StoredAnalysis {
             v.encode(&mut buf);
         }
         obs.encoded_bytes.add(buf.len() as u64);
-        Ok(buf)
+        buf
     }
 
+    /// Decode a record and check that its parts agree (see
+    /// [`StoredAnalysis::check_parts`]): an analysis that decodes is one
+    /// the query, `tree` and `board` paths can walk.
     pub(crate) fn decode(mut buf: &[u8]) -> Result<Self, DbError> {
         let obs = crate::obs::codec();
         let _span = obs.decode_us.start();
         obs.decoded_bytes.add(buf.len() as u64);
         let buf = &mut buf;
-        let video = u64::decode(buf)?;
-        let shots = Vec::<Shot>::decode(buf)?;
-        let features = Vec::<ShotFeature>::decode(buf)?;
-        let signs_ba = Vec::<Rgb>::decode(buf)?;
-        let signs_oa = Vec::<Rgb>::decode(buf)?;
-        let tree_json = String::decode(buf)?;
-        let scene_tree: SceneTree = serde_json::from_str(&tree_json)?;
-        let stats = SbdStats {
-            pairs: usize::decode(buf)?,
-            stage1_same: usize::decode(buf)?,
-            stage2_same: usize::decode(buf)?,
-            stage3_same: usize::decode(buf)?,
-            boundaries: usize::decode(buf)?,
+        let stored = StoredAnalysis {
+            video: u64::decode(buf)?,
+            shots: Vec::decode(buf)?,
+            features: Vec::decode(buf)?,
+            signs_ba: Vec::decode(buf)?,
+            signs_oa: Vec::decode(buf)?,
+            scene_tree: SceneTree::decode(buf)?,
+            stats: SbdStats {
+                pairs: usize::decode(buf)?,
+                stage1_same: usize::decode(buf)?,
+                stage2_same: usize::decode(buf)?,
+                stage3_same: usize::decode(buf)?,
+                boundaries: usize::decode(buf)?,
+            },
         };
-        Ok(StoredAnalysis {
-            video,
-            shots,
-            features,
-            signs_ba,
-            signs_oa,
-            scene_tree,
-            stats,
-        })
+        if !buf.is_empty() {
+            return Err(codec::CodecError::Invalid("trailing bytes").into());
+        }
+        stored
+            .check_parts()
+            .map_err(codec::CodecError::Inconsistent)?;
+        Ok(stored)
+    }
+
+    /// Whether the parts of the analysis agree: the shots partition the
+    /// frames in order, both sign histories and the feature list have
+    /// one entry per frame and per shot, the scene tree has one leaf per
+    /// shot, and every node's representative frame lies in its named
+    /// shot. (The tree's own structure is checked when it is built.)
+    pub(crate) fn check_parts(&self) -> Result<(), String> {
+        let frames = self.signs_ba.len();
+        if self.signs_oa.len() != frames {
+            return Err(format!(
+                "{} object-area signs for {frames} frames",
+                self.signs_oa.len()
+            ));
+        }
+        let mut next = 0;
+        for (i, shot) in self.shots.iter().enumerate() {
+            if shot.id != i || shot.start != next || shot.end >= frames {
+                return Err(format!(
+                    "shot {i} (id {}, frames {}..={}) breaks the partition of {frames} frames",
+                    shot.id, shot.start, shot.end
+                ));
+            }
+            next = shot.end + 1;
+        }
+        if next != frames {
+            return Err(format!("shots cover {next} of {frames} frames"));
+        }
+        if self.features.len() != self.shots.len() {
+            return Err(format!(
+                "{} feature vectors for {} shots",
+                self.features.len(),
+                self.shots.len()
+            ));
+        }
+        if self.scene_tree.shot_count() != self.shots.len() {
+            return Err(format!(
+                "scene tree has {} leaves for {} shots",
+                self.scene_tree.shot_count(),
+                self.shots.len()
+            ));
+        }
+        match self.scene_tree.nodes().iter().find(|n| {
+            !self
+                .shots
+                .get(n.name_shot)
+                .is_some_and(|shot| shot.contains(n.rep_frame))
+        }) {
+            Some(n) => Err(format!(
+                "node {} shows frame {} outside its shot {}",
+                n.id, n.rep_frame, n.name_shot
+            )),
+            None => Ok(()),
+        }
     }
 }
 
@@ -235,10 +289,10 @@ pub(crate) const TAG_META: u8 = 1;
 pub(crate) const TAG_ANALYSIS: u8 = 2;
 pub(crate) const TAG_REMOVE: u8 = 3;
 /// A persisted copy of the shot index (written last by [`VideoDatabase::save`]
-/// so a loader can adopt it instead of rebuilding). Journals produced
-/// before this tag existed simply never contain it — the loader falls
-/// back to a rebuild, which the legacy-journal test pins.
-pub(crate) const TAG_INDEX: u8 = 4;
+/// so a loader can adopt it instead of rebuilding). A journal that was
+/// never compacted carries none — the loader falls back to a rebuild,
+/// which the legacy-journal test pins.
+const TAG_INDEX: u8 = 4;
 
 /// On-disk format version of the [`TAG_INDEX`] payload.
 const INDEX_FORMAT_V1: u16 = 1;
@@ -246,13 +300,13 @@ const INDEX_FORMAT_V1: u16 = 1;
 /// The decoded [`TAG_INDEX`] payload: format version, an
 /// order-independent fingerprint of the rows, and the rows themselves
 /// (sorted as the index keeps them).
-pub(crate) struct PersistedIndex {
-    pub entries: Vec<IndexEntry>,
+struct PersistedIndex {
+    entries: Vec<IndexEntry>,
 }
 
 impl PersistedIndex {
     /// Encode the current finalized rows of `index`.
-    pub(crate) fn encode_from(index: &ShotIndex) -> Vec<u8> {
+    fn encode_from(index: &ShotIndex) -> Vec<u8> {
         let mut buf = Vec::new();
         INDEX_FORMAT_V1.encode(&mut buf);
         index.fingerprint().encode(&mut buf);
@@ -264,7 +318,7 @@ impl PersistedIndex {
     /// (i.e. a corrupt or stale record) yield `None` — the caller
     /// rebuilds instead of erroring, because the journal's analysis rows
     /// remain the source of truth.
-    pub(crate) fn decode(mut buf: &[u8]) -> Option<Self> {
+    fn decode(mut buf: &[u8]) -> Option<Self> {
         let buf = &mut buf;
         let version = u16::decode(buf).ok()?;
         if version != INDEX_FORMAT_V1 {
@@ -341,15 +395,11 @@ impl VideoDatabase {
         &self.catalog
     }
 
-    pub(crate) fn catalog_mut(&mut self) -> &mut Catalog {
-        &mut self.catalog
-    }
-
     /// Re-insert a previously persisted analysis (journal replay). Rows
     /// are *staged* into the index — replay finishes with
     /// [`Self::finalize_index`], which either adopts a persisted index
     /// copy or merges everything in one build.
-    pub(crate) fn restore_analysis(&mut self, stored: StoredAnalysis) {
+    fn restore_analysis(&mut self, stored: StoredAnalysis) {
         self.index.stage(index_rows(&stored));
         self.analyses.insert(stored.video, stored);
     }
@@ -358,7 +408,7 @@ impl VideoDatabase {
     /// (counted on `store.index.persisted_loads` and the index's own
     /// [`IndexRuntime::adoptions`](vdb_core::index::IndexRuntime)),
     /// otherwise rebuild from the staged rows (`store.index.rebuilds`).
-    pub(crate) fn finalize_index(&mut self, persisted: Option<PersistedIndex>) {
+    fn finalize_index(&mut self, persisted: Option<PersistedIndex>) {
         let obs = crate::obs::index();
         if let Some(p) = persisted {
             if self.index.adopt(p.entries) {
@@ -474,9 +524,9 @@ impl VideoDatabase {
 
     /// Drop catalog rows that have no stored analysis: torn-tail leftovers
     /// where a crash landed between a video's META record and its ANALYSIS
-    /// record. The replay paths ([`VideoDatabase::load`] and the journal)
-    /// call this so a partially persisted video is never visible. Returns
-    /// how many rows were swept.
+    /// record. The one replay (`VideoDatabase::replay`, behind `load` and
+    /// the journal) calls this so a partially persisted video is
+    /// never visible. Returns how many rows were swept.
     pub fn drop_unanalyzed(&mut self) -> usize {
         let orphans: Vec<u64> = self
             .catalog
@@ -685,14 +735,12 @@ impl VideoDatabase {
     pub fn save(&self, path: &Path) -> Result<(), DbError> {
         let mut w = SegmentWriter::create(path)?;
         for meta in self.catalog.all() {
-            let json = serde_json::to_vec(meta)?;
-            w.append(TAG_META, &json)?;
+            w.append(TAG_META, &codec::to_bytes(meta))?;
         }
         let mut ids: Vec<u64> = self.analyses.keys().copied().collect();
         ids.sort_unstable();
         for id in ids {
-            let payload = self.analyses[&id].encode()?;
-            w.append(TAG_ANALYSIS, &payload)?;
+            w.append(TAG_ANALYSIS, &self.analyses[&id].encode())?;
         }
         // The index copy goes last so every row it covers is already on
         // disk. If rows are still staged (mid-replay save), skip it — the
@@ -704,32 +752,49 @@ impl VideoDatabase {
         Ok(())
     }
 
-    /// Load a database from a segment file. A trailing `TAG_INDEX`
-    /// record matching the replayed rows is adopted as-is; otherwise (old
-    /// journals, corrupt/stale records) the index is rebuilt from the
-    /// stored per-shot features.
+    /// Load a database from a segment file: the records are replayed
+    /// exactly as [`crate::JournaledDatabase::open`] replays a journal,
+    /// every record decoded with its checks, and the index copy a `save`
+    /// writes last is adopted if it matches the replayed rows.
     pub fn load(path: &Path, config: AnalyzerConfig) -> Result<Self, DbError> {
+        Self::replay(config, &read_segment_file(path)?).map(|(db, _)| db)
+    }
+
+    /// Rebuild a database from its persisted records: the one replay
+    /// behind [`Self::load`] and [`crate::JournaledDatabase::open`].
+    /// META, ANALYSIS and REMOVE records are applied in order; the last
+    /// `TAG_INDEX` copy is adopted if it matches the replayed rows, and
+    /// otherwise (stale or corrupt copy, or none) the index is rebuilt
+    /// from the stored per-shot features. Every record is decoded with
+    /// its checks, so a record that does not decode fails the replay.
+    ///
+    /// A torn tail can leave a META row whose ANALYSIS record was cut
+    /// off; it is swept so no partial video is visible. Returns the
+    /// database and the number of rows swept.
+    pub(crate) fn replay(
+        config: AnalyzerConfig,
+        records: &[Record],
+    ) -> Result<(Self, usize), DbError> {
         let mut db = VideoDatabase::with_config(config);
         let mut persisted = None;
-        for record in read_segment_file(path)? {
+        for record in records {
             match record.tag {
-                TAG_META => {
-                    let meta: VideoMeta = serde_json::from_slice(&record.payload)?;
-                    db.catalog.restore(meta);
+                TAG_META => db.catalog.restore(codec::from_bytes(&record.payload)?),
+                TAG_ANALYSIS => db.restore_analysis(StoredAnalysis::decode(&record.payload)?),
+                // The video may already be absent (a double tombstone
+                // after a compaction race): ignore.
+                TAG_REMOVE => {
+                    let _ = db.remove(codec::from_bytes(&record.payload)?);
                 }
-                TAG_ANALYSIS => {
-                    let stored = StoredAnalysis::decode(&record.payload)?;
-                    db.restore_analysis(stored);
-                }
+                // Only the last index copy can match: later appends
+                // stale out earlier ones via the fingerprint check.
                 TAG_INDEX => persisted = PersistedIndex::decode(&record.payload),
-                _ => return Err(DbError::BadRecord("unknown tag")),
+                _ => return Err(DbError::BadRecord("unknown record tag")),
             }
         }
-        // A torn tail can leave a META row whose ANALYSIS record was cut
-        // off; sweep it so no partial video is visible after load.
-        db.drop_unanalyzed();
+        let swept = db.drop_unanalyzed();
         db.finalize_index(persisted);
-        Ok(db)
+        Ok((db, swept))
     }
 }
 

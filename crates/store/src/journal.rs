@@ -24,13 +24,11 @@
 
 use crate::backend::{CommitTicket, DbBackend};
 use crate::catalog::{FormId, GenreId};
-use crate::db::{
-    DbError, PersistedIndex, StoredAnalysis, VideoDatabase, TAG_ANALYSIS, TAG_INDEX, TAG_META,
-    TAG_REMOVE,
-};
+use crate::codec;
+use crate::db::{DbError, VideoDatabase, TAG_ANALYSIS, TAG_META, TAG_REMOVE};
 use crate::pages::{read_segment, MAGIC};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -205,7 +203,7 @@ fn write_error(msg: &str) -> DbError {
 }
 
 /// Frame one record for the wire: tag + length + payload + checksum.
-fn encode_record(tag: u8, payload: &[u8]) -> Vec<u8> {
+pub(crate) fn encode_record(tag: u8, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(1 + 4 + payload.len() + 4);
     out.push(tag);
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -222,66 +220,41 @@ pub struct JournaledDatabase {
 }
 
 impl JournaledDatabase {
-    /// Open (or create) a journal. Existing records are replayed; a torn
-    /// tail is truncated away so subsequent appends form valid records,
-    /// and a META row whose ANALYSIS record was torn off is swept so no
-    /// partial video is ever visible.
+    /// Open (or create) a journal. Existing records are replayed by
+    /// [`VideoDatabase`]'s one checked replay; a torn tail is truncated
+    /// away so subsequent appends form valid records, and a META row
+    /// whose ANALYSIS record was torn off is swept so no partial video is
+    /// ever visible. A journal that does not replay (another segment
+    /// format version, a record that fails its checks) is an error, and
+    /// the file is left as it was.
     pub fn open(path: impl Into<PathBuf>, config: AnalyzerConfig) -> Result<Self, DbError> {
         let path = path.into();
-        let mut db = VideoDatabase::with_config(config);
-        let mut valid_len = MAGIC.len() as u64;
         let exists = path.exists() && std::fs::metadata(&path)?.len() > 0;
         if exists {
-            let mut bytes = Vec::new();
-            File::open(&path)?.read_to_end(&mut bytes)?;
-            let records = read_segment(&bytes[..]).map_err(DbError::Segment)?;
+            let bytes = std::fs::read(&path)?;
+            let records = read_segment(&bytes[..])?;
             // Replay is its own (head-sampled) trace: recovery cost shows
             // up in a `debug dump` like any other request.
             let tracer = global_tracer();
             let root = tracer.trace_root();
             let mut replay_span = tracer.span(&root, "store.journal.replay");
-            let mut persisted = None;
-            for record in &records {
-                match record.tag {
-                    TAG_META => {
-                        let meta = serde_json::from_slice(&record.payload)?;
-                        db.catalog_mut().restore(meta);
-                    }
-                    TAG_ANALYSIS => {
-                        let stored = StoredAnalysis::decode(&record.payload)?;
-                        db.restore_analysis(stored);
-                    }
-                    TAG_REMOVE => {
-                        if record.payload.len() != 8 {
-                            return Err(DbError::BadRecord("bad tombstone"));
-                        }
-                        let id = u64::from_le_bytes(record.payload[..8].try_into().unwrap());
-                        // The video may already be absent (double tombstone
-                        // after a compaction race): ignore.
-                        let _ = db.remove(id);
-                    }
-                    // A compacted journal carries an index copy; only the
-                    // last one can match (later appends stale-out earlier
-                    // ones via the fingerprint check in finalize).
-                    TAG_INDEX => persisted = PersistedIndex::decode(&record.payload),
-                    _ => return Err(DbError::BadRecord("unknown tag in journal")),
-                }
-                // tag + len + payload + checksum
-                valid_len += 1 + 4 + record.payload.len() as u64 + 4;
-            }
-            // An uncommitted (torn) tail can leave a catalog row with no
-            // analysis — drop it; the committed prefix is untouched.
-            let swept = db.drop_unanalyzed();
+            let (db, swept) = VideoDatabase::replay(config, &records)?;
             if replay_span.is_recording() {
                 replay_span.attr("records", records.len());
                 replay_span.attr("swept", swept);
             }
-            db.finalize_index(persisted);
             drop(replay_span);
-            // Drop any torn tail so future appends start on a record edge.
-            let file = OpenOptions::new().write(true).open(&path)?;
+            // Drop any torn tail so future appends start on a record edge
+            // (each record is tag + len + payload + checksum). Only a
+            // journal that replayed cleanly gets here: a refused one is
+            // left exactly as it was.
+            let valid_len = MAGIC.len() as u64
+                + records
+                    .iter()
+                    .map(|r| 1 + 4 + r.payload.len() as u64 + 4)
+                    .sum::<u64>();
+            let mut file = OpenOptions::new().write(true).open(&path)?;
             file.set_len(valid_len)?;
-            let mut file = file;
             file.seek(SeekFrom::End(0))?;
             return Ok(JournaledDatabase {
                 db,
@@ -294,7 +267,7 @@ impl JournaledDatabase {
         let mut file = File::create(&path)?;
         file.write_all(MAGIC)?;
         Ok(JournaledDatabase {
-            db,
+            db: VideoDatabase::with_config(config),
             writer: Arc::new(JournalWriter::new(file)),
             path,
         })
@@ -361,10 +334,10 @@ impl JournaledDatabase {
     /// Stage the META + ANALYSIS records for an already-ingested video;
     /// the returned ticket covers both.
     fn stage_clip_records(&self, id: u64, ctx: &TraceContext) -> Result<JournalTicket, DbError> {
-        let meta = self.db.catalog().get(id).expect("just ingested").clone();
-        let analysis_payload = self.db.analysis(id).expect("just ingested").encode()?;
-        self.stage_record(TAG_META, &serde_json::to_vec(&meta)?, ctx)?;
-        self.stage_record(TAG_ANALYSIS, &analysis_payload, ctx)
+        let meta = self.db.catalog().get(id).expect("just ingested");
+        let analysis = self.db.analysis(id).expect("just ingested");
+        self.stage_record(TAG_META, &codec::to_bytes(meta), ctx)?;
+        self.stage_record(TAG_ANALYSIS, &analysis.encode(), ctx)
     }
 
     /// Register a streaming session's finished analysis and stage its
@@ -398,7 +371,8 @@ impl JournaledDatabase {
     /// [`JournaledDatabase::compact`] rewrites the file.
     pub fn remove(&mut self, id: u64) -> Result<(), DbError> {
         self.db.remove(id)?;
-        let ticket = self.stage_record(TAG_REMOVE, &id.to_le_bytes(), &TraceContext::disabled())?;
+        let ticket =
+            self.stage_record(TAG_REMOVE, &codec::to_bytes(&id), &TraceContext::disabled())?;
         self.writer
             .wait_durable(ticket, &TraceContext::disabled())?;
         Ok(())
@@ -792,6 +766,33 @@ mod tests {
         drop(j);
         let j = JournaledDatabase::open(&path, AnalyzerConfig::default()).unwrap();
         assert_eq!(j.db().len(), 1);
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    /// A segment of the JSON-era format is refused by both openers with
+    /// an error naming its version and the one this build reads, and the
+    /// refused file keeps every byte (no torn-tail truncation runs on it).
+    #[test]
+    fn vdbs1_segments_are_refused_and_left_untouched() {
+        let path = tmp("vdbs1");
+        let mut old = b"VDBS1\0".to_vec();
+        old.extend(encode_record(
+            TAG_META,
+            br#"{"id":0,"name":"old","genres":[],"forms":[],"frame_count":3,"fps":3.0,"dims":[80,60]}"#,
+        ));
+        // A torn tail, which a truncation would cut off.
+        old.extend_from_slice(&[TAG_ANALYSIS, 0xff, 0xff]);
+        std::fs::write(&path, &old).unwrap();
+        let opened = JournaledDatabase::open(&path, AnalyzerConfig::default()).map(|_| ());
+        let loaded = VideoDatabase::load(&path, AnalyzerConfig::default()).map(|_| ());
+        for text in [opened, loaded].map(|r| r.unwrap_err().to_string()) {
+            assert!(text.contains("VDBS1") && text.contains("VDBS2"), "{text}");
+        }
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            old,
+            "the refused file is untouched"
+        );
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 

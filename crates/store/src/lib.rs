@@ -27,6 +27,8 @@ pub mod catalog;
 pub mod codec;
 pub mod concurrent;
 pub mod db;
+#[cfg(test)]
+mod fuzz;
 pub mod journal;
 mod obs;
 pub mod pages;

@@ -3,20 +3,25 @@
 //! A *segment* is a flat byte stream of checksummed, tagged records:
 //!
 //! ```text
-//! magic "VDBS1\0"
+//! magic "VDBS2\0"
 //! repeat: [tag: u8] [len: u32 LE] [payload: len bytes] [checksum: u32 LE]
 //! ```
 //!
 //! The checksum is FNV-1a over tag, length, and payload, so torn or
 //! corrupted tails are detected on read; a read stops cleanly at the first
 //! bad record (the classic crash-recovery contract of an append-only log).
+//!
+//! Every payload is [`crate::codec`] binary. The digit in the magic is the
+//! format version: `VDBS1` segments stored the scene tree and catalog rows
+//! as JSON, and a segment of any version but this build's is refused with
+//! an error naming both versions ([`SegmentError::Version`]).
 
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 /// Magic bytes at the start of every segment.
-pub const MAGIC: &[u8; 6] = b"VDBS1\0";
+pub const MAGIC: &[u8; 6] = b"VDBS2\0";
 
 /// One tagged record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,8 +37,11 @@ pub struct Record {
 pub enum SegmentError {
     /// Underlying I/O failure.
     Io(io::Error),
-    /// The file does not start with [`MAGIC`].
+    /// The file does not start with a segment magic.
     BadMagic,
+    /// The file is a segment of another format version (its magic, e.g.
+    /// `VDBS1`).
+    Version(String),
 }
 
 impl std::fmt::Display for SegmentError {
@@ -41,6 +49,11 @@ impl std::fmt::Display for SegmentError {
         match self {
             SegmentError::Io(e) => write!(f, "segment I/O error: {e}"),
             SegmentError::BadMagic => write!(f, "not a VDBS segment (bad magic)"),
+            SegmentError::Version(found) => write!(
+                f,
+                "segment format {found} is not supported (this build reads {})",
+                magic_name(MAGIC)
+            ),
         }
     }
 }
@@ -51,6 +64,11 @@ impl From<io::Error> for SegmentError {
     fn from(e: io::Error) -> Self {
         SegmentError::Io(e)
     }
+}
+
+/// The printable part of a segment magic (`VDBS2` for `b"VDBS2\0"`).
+fn magic_name(magic: &[u8]) -> String {
+    String::from_utf8_lossy(magic.strip_suffix(b"\0").unwrap_or(magic)).into_owned()
 }
 
 fn fnv1a(parts: &[&[u8]]) -> u32 {
@@ -124,7 +142,11 @@ pub fn read_segment<R: Read>(mut input: R) -> Result<Vec<Record>, SegmentError> 
         return Err(SegmentError::BadMagic);
     }
     if &magic != MAGIC {
-        return Err(SegmentError::BadMagic);
+        return Err(if magic.starts_with(b"VDBS") {
+            SegmentError::Version(magic_name(&magic))
+        } else {
+            SegmentError::BadMagic
+        });
     }
     let mut records = Vec::new();
     loop {

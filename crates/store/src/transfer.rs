@@ -15,7 +15,10 @@ use vdb_core::analyzer::VideoAnalysis;
 use vdb_core::sbd::Segmentation;
 
 /// Format version of the export record (first byte of the payload).
-pub const TRANSFER_VERSION: u8 = 1;
+/// Version 2 carries the stored analysis in the all-binary layout of
+/// [`crate::codec`] (version 1 held its scene tree as JSON); a record of
+/// any other version is refused with [`DbError::TransferVersion`].
+pub const TRANSFER_VERSION: u8 = 2;
 
 /// A video packaged for re-ingest on another shard.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,35 +54,34 @@ impl ExportedVideo {
     }
 
     /// Serialize to the versioned binary record.
-    pub fn encode(&self) -> Result<Vec<u8>, DbError> {
+    pub fn encode(&self) -> Vec<u8> {
         let mut buf = vec![TRANSFER_VERSION];
         self.name.encode(&mut buf);
         self.dims.0.encode(&mut buf);
         self.dims.1.encode(&mut buf);
         self.fps.encode(&mut buf);
-        let genres: Vec<u16> = self.genres.iter().map(|g| g.0).collect();
-        genres.encode(&mut buf);
-        let forms: Vec<u16> = self.forms.iter().map(|f| f.0).collect();
-        forms.encode(&mut buf);
-        let analysis = self.analysis.encode()?;
-        analysis.encode(&mut buf);
-        Ok(buf)
+        self.genres.encode(&mut buf);
+        self.forms.encode(&mut buf);
+        self.analysis.encode().encode(&mut buf);
+        buf
     }
 
-    /// Parse a versioned binary record.
+    /// Parse a versioned binary record. The analysis goes through
+    /// [`StoredAnalysis`]'s checked decode, so a record that decodes is
+    /// safe to commit.
     pub fn decode(buf: &[u8]) -> Result<Self, DbError> {
         let (&version, rest) = buf
             .split_first()
             .ok_or(DbError::BadRecord("empty transfer record"))?;
         if version != TRANSFER_VERSION {
-            return Err(DbError::BadRecord("unknown transfer version"));
+            return Err(DbError::TransferVersion(version));
         }
         let buf = &mut { rest };
         let name = String::decode(buf)?;
         let dims = (u32::decode(buf)?, u32::decode(buf)?);
         let fps = f64::decode(buf)?;
-        let genres = Vec::<u16>::decode(buf)?.into_iter().map(GenreId).collect();
-        let forms = Vec::<u16>::decode(buf)?.into_iter().map(FormId).collect();
+        let genres = Vec::decode(buf)?;
+        let forms = Vec::decode(buf)?;
         let analysis_bytes = Vec::<u8>::decode(buf)?;
         if !buf.is_empty() {
             return Err(DbError::BadRecord("trailing transfer bytes"));
@@ -178,6 +180,10 @@ pub fn from_hex(s: &str) -> Result<Vec<u8>, DbError> {
 mod tests {
     use super::*;
     use crate::backend::DbBackend;
+    use crate::codec::CodecError;
+    use vdb_core::scenetree::SceneNode;
+    use vdb_core::shot::Shot;
+    use vdb_core::variance::ShotFeature;
     use vdb_synth::script::{generate, VideoScript};
     use vdb_synth::ShotArchetype;
 
@@ -199,7 +205,7 @@ mod tests {
     fn export_record_round_trips() {
         let db = sample_db();
         let exported = ExportedVideo::from_db(&db, 0).unwrap();
-        let bytes = exported.encode().unwrap();
+        let bytes = exported.encode();
         let back = ExportedVideo::decode(&bytes).unwrap();
         assert_eq!(back, exported);
         let hexed = to_hex(&bytes);
@@ -210,7 +216,7 @@ mod tests {
     fn import_reproduces_query_results() {
         let db = sample_db();
         let exported = ExportedVideo::from_db(&db, 0).unwrap();
-        let record = exported.encode().unwrap();
+        let record = exported.encode();
 
         let mut dst = VideoDatabase::new();
         let decoded = ExportedVideo::decode(&record).unwrap();
@@ -244,7 +250,7 @@ mod tests {
         }
         let exported = ExportedVideo::from_db(&src, 2).unwrap();
         assert_eq!(exported.analysis.video, 2);
-        let record = exported.encode().unwrap();
+        let record = exported.encode();
 
         let mut dst = sample_db();
         let (name, dims, fps, analysis, genres, forms) =
@@ -267,6 +273,115 @@ mod tests {
         assert!(videos.contains(&1) && !videos.contains(&2), "{videos:?}");
     }
 
+    /// An export record written field by field with [`Codec`], so a test
+    /// can hand the decoder parts that disagree.
+    fn blob(
+        e: &ExportedVideo,
+        shots: &[Shot],
+        features: &[ShotFeature],
+        nodes: &[SceneNode],
+    ) -> Vec<u8> {
+        let a = &e.analysis;
+        let mut analysis = Vec::new();
+        a.video.encode(&mut analysis);
+        shots.to_vec().encode(&mut analysis);
+        features.to_vec().encode(&mut analysis);
+        a.signs_ba.encode(&mut analysis);
+        a.signs_oa.encode(&mut analysis);
+        nodes.to_vec().encode(&mut analysis);
+        for v in [
+            a.stats.pairs,
+            a.stats.stage1_same,
+            a.stats.stage2_same,
+            a.stats.stage3_same,
+            a.stats.boundaries,
+        ] {
+            v.encode(&mut analysis);
+        }
+        let mut buf = vec![TRANSFER_VERSION];
+        e.name.encode(&mut buf);
+        e.dims.0.encode(&mut buf);
+        e.dims.1.encode(&mut buf);
+        e.fps.encode(&mut buf);
+        e.genres.encode(&mut buf);
+        e.forms.encode(&mut buf);
+        analysis.encode(&mut buf);
+        buf
+    }
+
+    /// Each record decodes field by field but its parts disagree. Once
+    /// committed, the first would panic the next query on an index out of
+    /// range and the second would loop forever in the ancestor walk.
+    #[test]
+    fn inconsistent_records_are_rejected() {
+        let exported = ExportedVideo::from_db(&sample_db(), 0).unwrap();
+        let a = &exported.analysis;
+        let tree = &a.scene_tree;
+        let nodes = tree.nodes();
+        assert_eq!(
+            blob(&exported, &a.shots, &a.features, nodes),
+            exported.encode(),
+            "the hand-written layout is the real one"
+        );
+        // A leaf with a grandparent: the cycle is on its ancestor path.
+        let (leaf, up, top) = (0..tree.shot_count())
+            .find_map(|s| {
+                let leaf = tree.leaf_of_shot(s)?;
+                let up = tree.node(leaf).parent?;
+                Some((leaf, up, tree.node(up).parent?))
+            })
+            .unwrap();
+
+        let mut wild_parent = nodes.to_vec();
+        wild_parent[leaf].parent = Some(999);
+        let mut cycle = nodes.to_vec();
+        cycle[top].parent = Some(up);
+        cycle[up].children.push(top);
+        let mut gap = a.shots.clone();
+        let long = gap.iter().position(|s| s.len() > 1).unwrap();
+        gap[long].start += 1;
+        let short = &a.features[..a.features.len() - 1];
+
+        for (what, record) in [
+            (
+                "leaf parent out of range",
+                blob(&exported, &a.shots, &a.features, &wild_parent),
+            ),
+            (
+                "parent cycle",
+                blob(&exported, &a.shots, &a.features, &cycle),
+            ),
+            (
+                "fewer features than shots",
+                blob(&exported, &a.shots, short, nodes),
+            ),
+            (
+                "shots leave a gap",
+                blob(&exported, &gap, &a.features, nodes),
+            ),
+        ] {
+            match ExportedVideo::decode(&record) {
+                Err(DbError::Codec(CodecError::Inconsistent(why))) => {
+                    assert!(!why.is_empty(), "{what}")
+                }
+                other => panic!("{what}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn version_1_records_are_refused_by_name() {
+        let mut record = ExportedVideo::from_db(&sample_db(), 0).unwrap().encode();
+        record[0] = 1;
+        let err = ExportedVideo::decode(&record).unwrap_err();
+        assert!(matches!(err, DbError::TransferVersion(1)), "{err:?}");
+        let text = err.to_string();
+        assert!(
+            text.contains("version 1") && text.contains("version 2"),
+            "{text}"
+        );
+    }
+
     #[test]
     fn corrupt_payloads_are_rejected() {
         assert!(from_hex("abc").is_err());
@@ -274,7 +389,7 @@ mod tests {
         assert!(ExportedVideo::decode(&[]).is_err());
         assert!(ExportedVideo::decode(&[9, 1, 2, 3]).is_err());
         let db = sample_db();
-        let mut bytes = ExportedVideo::from_db(&db, 0).unwrap().encode().unwrap();
+        let mut bytes = ExportedVideo::from_db(&db, 0).unwrap().encode();
         bytes.truncate(bytes.len() - 3);
         assert!(ExportedVideo::decode(&bytes).is_err());
     }

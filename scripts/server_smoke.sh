@@ -186,6 +186,33 @@ CLIP="$WORKDIR/clip.y4m"
 "$VDBC" "$ADDR" metrics | expect_contains "  streams: 1 opened (1 committed" "stream-metrics"
 "$VDBC" "$ADDR" metrics | expect_contains "  total: " "stream-metrics"
 
+# Shard transfer round trip (the router's rebalance path): export video 0
+# and import it back. The copy is durable, listed as one more video, and
+# browses exactly like the original; the same record with its last byte
+# cut off is refused, and the connection keeps answering.
+HEX="$("$VDBC" "$ADDR" export 0)"
+imported="$("$VDBC" "$ADDR" import "$HEX")"
+expect_contains "video=3 " "import" <<<"$imported"
+expect_contains "durable=true" "import" <<<"$imported"
+"$VDBC" "$ADDR" stats | expect_contains "videos 4" "stats-after-import"
+TREE0="$("$VDBC" "$ADDR" tree 0)"
+expect_same_tree() { # <label>: tree 3 (the imported copy) prints tree 0's rows
+    [ "$("$VDBC" "$ADDR" tree 3)" = "$TREE0" ] || {
+        echo "server_smoke: $1: tree 3 differs from tree 0:" >&2
+        "$VDBC" "$ADDR" tree 3 >&2
+        exit 1
+    }
+}
+expect_same_tree "import"
+torn_import="$("$VDBC" "$ADDR" <<EOF || true
+import ${HEX%??}
+ping
+EOF
+)"
+expect_contains "error: " "torn import" <<<"$torn_import"
+expect_contains "pong" "ping after torn import" <<<"$torn_import"
+"$VDBC" "$ADDR" stats | expect_contains "videos 4" "stats-after-torn-import"
+
 # A scripted multi-command session over one connection, ending in a wire
 # shutdown. vdbc exits 0 only if every response had an ok status.
 "$VDBC" "$ADDR" <<'EOF' | expect_contains "shutting down" "session"
@@ -196,10 +223,12 @@ shutdown
 EOF
 await_clean_exit
 
-# Restart on the same journal: the streamed video must have survived.
+# Restart on the same journal: the streamed and the imported videos must
+# have survived.
 start_daemon --journal "$JOURNAL"
-"$VDBC" "$ADDR" stats | expect_contains "videos 3" "stats-after-restart"
+"$VDBC" "$ADDR" stats | expect_contains "videos 4" "stats-after-restart"
 "$VDBC" "$ADDR" list | expect_contains "smoke stream" "list-after-restart"
+expect_same_tree "restart"
 "$VDBC" "$ADDR" shutdown | expect_contains "shutting down" "shutdown-after-restart"
 await_clean_exit
 
