@@ -56,11 +56,6 @@ impl VideoAnalysis {
         &self.segmentation.shots
     }
 
-    /// `(Var^BA, Var^OA)` of one shot.
-    pub fn feature_of(&self, shot: usize) -> Option<ShotFeature> {
-        self.features.get(shot).copied()
-    }
-
     /// The per-frame `Sign^BA` slice of one shot.
     pub fn shot_signs_ba(&self, shot: usize) -> Option<&[Rgb]> {
         let s = self.segmentation.shots.get(shot)?;

@@ -295,11 +295,6 @@ impl Video {
     pub fn dims(&self) -> (u32, u32) {
         self.frames[0].dims()
     }
-
-    /// Consume into the frame vector.
-    pub fn into_frames(self) -> Vec<FrameBuf> {
-        self.frames
-    }
 }
 
 #[cfg(test)]

@@ -9,7 +9,6 @@ use std::sync::Barrier;
 use std::time::Duration;
 use vdb_core::frame::{FrameBuf, Video};
 use vdb_core::scenetree::SceneNode;
-use vdb_core::shot::Shot;
 use vdb_core::variance::ShotFeature;
 use vdb_server::client::Client;
 use vdb_server::protocol::{
@@ -17,7 +16,7 @@ use vdb_server::protocol::{
 };
 use vdb_server::server::{Server, ServerConfig, ServerHandle, ServerStore};
 use vdb_server::{CommandKind, ServerEvent};
-use vdb_store::codec::Codec;
+use vdb_store::codec::{Codec, Varint};
 use vdb_store::transfer::{from_hex, to_hex, ExportedVideo, TRANSFER_VERSION};
 
 fn test_config(workers: usize) -> ServerConfig {
@@ -629,17 +628,18 @@ fn wire_extras_identify_enumerate_and_transfer() {
 }
 
 /// An export record written field by field with `Codec`, so a test can
-/// send `import` parts that disagree.
+/// send `import` parts that disagree. Shots are given as their lengths,
+/// as the record stores them.
 fn export_blob(
     e: &ExportedVideo,
-    shots: &[Shot],
+    shot_lengths: &[usize],
     features: &[ShotFeature],
     nodes: &[SceneNode],
 ) -> Vec<u8> {
     let a = &e.analysis;
     let mut analysis = Vec::new();
-    a.video.encode(&mut analysis);
-    shots.to_vec().encode(&mut analysis);
+    Varint(a.video).encode(&mut analysis);
+    shot_lengths.to_vec().encode(&mut analysis);
     features.to_vec().encode(&mut analysis);
     a.signs_ba.encode(&mut analysis);
     a.signs_oa.encode(&mut analysis);
@@ -655,8 +655,8 @@ fn export_blob(
     }
     let mut buf = vec![TRANSFER_VERSION];
     e.name.encode(&mut buf);
-    e.dims.0.encode(&mut buf);
-    e.dims.1.encode(&mut buf);
+    Varint(e.dims.0.into()).encode(&mut buf);
+    Varint(e.dims.1.into()).encode(&mut buf);
     e.fps.encode(&mut buf);
     e.genres.encode(&mut buf);
     e.forms.encode(&mut buf);
@@ -686,8 +686,9 @@ fn inconsistent_imports_are_refused_and_leave_no_trace() {
         let a = &exported.analysis;
         let tree = &a.scene_tree;
         let nodes = tree.nodes();
+        let lengths: Vec<usize> = a.shots.iter().map(|s| s.len()).collect();
         assert_eq!(
-            to_hex(&export_blob(&exported, &a.shots, &a.features, nodes)),
+            to_hex(&export_blob(&exported, &lengths, &a.features, nodes)),
             hex.trim(),
             "the hand-written layout is the real one"
         );
@@ -704,27 +705,27 @@ fn inconsistent_imports_are_refused_and_leave_no_trace() {
         let mut cycle = nodes.to_vec();
         cycle[top].parent = Some(up);
         cycle[up].children.push(top);
-        let mut gap = a.shots.clone();
-        let long = gap.iter().position(|s| s.len() > 1).unwrap();
-        gap[long].start += 1;
+        let mut short_shot = lengths.clone();
+        let long = short_shot.iter().position(|&len| len > 1).unwrap();
+        short_shot[long] -= 1;
         let short = &a.features[..a.features.len() - 1];
 
         for (what, record) in [
             (
                 "leaf parent out of range",
-                export_blob(&exported, &a.shots, &a.features, &wild_parent),
+                export_blob(&exported, &lengths, &a.features, &wild_parent),
             ),
             (
                 "parent cycle",
-                export_blob(&exported, &a.shots, &a.features, &cycle),
+                export_blob(&exported, &lengths, &a.features, &cycle),
             ),
             (
                 "fewer features than shots",
-                export_blob(&exported, &a.shots, short, nodes),
+                export_blob(&exported, &lengths, short, nodes),
             ),
             (
-                "shots leave a gap",
-                export_blob(&exported, &gap, &a.features, nodes),
+                "shot lengths sum to one frame fewer than the signs",
+                export_blob(&exported, &short_shot, &a.features, nodes),
             ),
         ] {
             let resp = client

@@ -1,13 +1,21 @@
 //! Compact binary encoding of the database's record types.
 //!
-//! A small hand-rolled codec: little-endian fixed-width scalars,
-//! length-prefixed containers. Every record the segment store
-//! ([`crate::pages`]) and the transfer format ([`crate::transfer`]) carry
-//! is built from these impls — the scene tree and the catalog row
-//! included — so there is one format and one checked decoder. A scene
-//! tree is stored as its nodes in arena order and rebuilt through
+//! A small hand-rolled codec with one integer rule: every length, count,
+//! id, size and frame or node index is an unsigned LEB128 varint
+//! ([`Varint`]) — seven value bits per byte, low group first, the high
+//! bit set on every byte but the last — in its one canonical (shortest)
+//! form. `f64` is 8 bytes little-endian, option and bool tags are one
+//! byte, and a sign is its three RGB bytes. The fixed-width `u16`/`u32`/
+//! `u64` impls remain for values that are none of the above (the index
+//! format version and its row fingerprint). Every record the segment
+//! store ([`crate::pages`]) and the transfer format
+//! ([`crate::transfer`]) carry is built from these impls — the scene
+//! tree and the catalog row included — so there is one format and one
+//! checked decoder, which takes exactly one encoding of each value: a
+//! record that decodes re-encodes to the same bytes. A scene tree is
+//! stored as its nodes in arena order and rebuilt through
 //! [`SceneTree::from_nodes`], which refuses any node list that is not a
-//! well-formed tree.
+//! well-formed tree; a shot list is stored as its shots' lengths.
 
 use crate::catalog::{FormId, GenreId, VideoMeta};
 use vdb_core::index::{IndexEntry, ShotKey};
@@ -75,13 +83,64 @@ macro_rules! scalar_codec {
 
 scalar_codec!(u8, u16, u32, u64, f64);
 
+/// An unsigned integer in canonical LEB128: the store's encoding of every
+/// id, length, count, size and index (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Varint(pub u64);
+
+/// The longest LEB128 encoding of a `u64`.
+const VARINT_MAX_LEN: usize = 10;
+
+impl Varint {
+    /// Decode a varint whose value must fit `T` (a `u16` or `u32` field,
+    /// or a `usize`).
+    pub(crate) fn decode_as<T: TryFrom<u64>>(buf: &mut &[u8]) -> Result<T, CodecError> {
+        T::try_from(Varint::decode(buf)?.0).map_err(|_| CodecError::Invalid("varint out of range"))
+    }
+}
+
+impl Codec for Varint {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        let mut v = self.0;
+        while v >= 0x80 {
+            buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        buf.push(v as u8);
+    }
+    /// Refuses overlong forms (a zero last byte after the first), runs of
+    /// more than 10 bytes and values past `u64::MAX`, so every value has
+    /// one encoding. A failed read leaves `buf` as it was.
+    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        let mut v = 0u64;
+        for (i, &byte) in buf.iter().enumerate().take(VARINT_MAX_LEN) {
+            let group = u64::from(byte & 0x7f);
+            if i == VARINT_MAX_LEN - 1 && byte > 1 {
+                return Err(CodecError::Invalid(if byte & 0x80 != 0 {
+                    "varint longer than 10 bytes"
+                } else {
+                    "varint overflows u64"
+                }));
+            }
+            v |= group << (7 * i);
+            if byte & 0x80 == 0 {
+                if byte == 0 && i > 0 {
+                    return Err(CodecError::Invalid("overlong varint"));
+                }
+                *buf = &buf[i + 1..];
+                return Ok(Varint(v));
+            }
+        }
+        Err(CodecError::UnexpectedEof)
+    }
+}
+
 impl Codec for usize {
     fn encode(&self, buf: &mut Vec<u8>) {
-        (*self as u64).encode(buf);
+        Varint(*self as u64).encode(buf);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        let v = u64::decode(buf)?;
-        usize::try_from(v).map_err(|_| CodecError::Invalid("usize overflow"))
+        Varint::decode_as(buf)
     }
 }
 
@@ -157,21 +216,46 @@ impl Codec for Rgb {
     }
 }
 
-impl Codec for Shot {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.id.encode(buf);
-        self.start.encode(buf);
-        self.end.encode(buf);
+/// Append a shot list as its count and per-shot lengths. Shot `i`'s id is
+/// `i` and its start the sum of the lengths before it, so only a list
+/// that partitions the frames from 0 in order can be stored — what
+/// [`crate::db::StoredAnalysis`] requires of every analysis.
+pub(crate) fn encode_shots(shots: &[Shot], buf: &mut Vec<u8>) {
+    shots.len().encode(buf);
+    let mut next = 0;
+    for (i, shot) in shots.iter().enumerate() {
+        // What `check_parts` requires; anything else has no encoding.
+        assert!(
+            shot.id == i && shot.start == next,
+            "shot {i} breaks the partition of the frames"
+        );
+        next = shot.end + 1;
+        shot.len().encode(buf);
     }
-    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        let id = usize::decode(buf)?;
-        let start = usize::decode(buf)?;
-        let end = usize::decode(buf)?;
-        if end < start {
-            return Err(CodecError::Invalid("shot range"));
+}
+
+/// Decode a shot list written by [`encode_shots`]; a length of 0 (a shot
+/// with no frames) is refused.
+pub(crate) fn decode_shots(buf: &mut &[u8]) -> Result<Vec<Shot>, CodecError> {
+    let count = usize::decode(buf)?;
+    let mut shots = Vec::with_capacity(count.min(1 << 16));
+    let mut start = 0usize;
+    for id in 0..count {
+        let len = usize::decode(buf)?;
+        if len == 0 {
+            return Err(CodecError::Invalid("empty shot"));
         }
-        Ok(Shot { id, start, end })
+        let next = start
+            .checked_add(len)
+            .ok_or(CodecError::Invalid("shot range"))?;
+        shots.push(Shot {
+            id,
+            start,
+            end: next - 1,
+        });
+        start = next;
     }
+    Ok(shots)
 }
 
 impl Codec for ShotFeature {
@@ -189,13 +273,13 @@ impl Codec for ShotFeature {
 
 impl Codec for ShotKey {
     fn encode(&self, buf: &mut Vec<u8>) {
-        self.video.encode(buf);
-        self.shot.encode(buf);
+        Varint(self.video).encode(buf);
+        Varint(self.shot.into()).encode(buf);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         Ok(ShotKey {
-            video: u64::decode(buf)?,
-            shot: u32::decode(buf)?,
+            video: Varint::decode(buf)?.0,
+            shot: Varint::decode_as(buf)?,
         })
     }
 }
@@ -217,42 +301,52 @@ impl Codec for IndexEntry {
 
 impl Codec for GenreId {
     fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
+        Varint(self.0.into()).encode(buf);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        u16::decode(buf).map(GenreId)
+        Varint::decode_as(buf).map(GenreId)
     }
 }
 
 impl Codec for FormId {
     fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
+        Varint(self.0.into()).encode(buf);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        u16::decode(buf).map(FormId)
+        Varint::decode_as(buf).map(FormId)
     }
+}
+
+/// Frame dimensions `(width, height)`, one varint each.
+pub(crate) fn encode_dims(dims: (u32, u32), buf: &mut Vec<u8>) {
+    Varint(dims.0.into()).encode(buf);
+    Varint(dims.1.into()).encode(buf);
+}
+
+/// Decode dimensions written by [`encode_dims`].
+pub(crate) fn decode_dims(buf: &mut &[u8]) -> Result<(u32, u32), CodecError> {
+    Ok((Varint::decode_as(buf)?, Varint::decode_as(buf)?))
 }
 
 impl Codec for VideoMeta {
     fn encode(&self, buf: &mut Vec<u8>) {
-        self.id.encode(buf);
+        Varint(self.id).encode(buf);
         self.name.encode(buf);
         self.genres.encode(buf);
         self.forms.encode(buf);
         self.frame_count.encode(buf);
         self.fps.encode(buf);
-        self.dims.0.encode(buf);
-        self.dims.1.encode(buf);
+        encode_dims(self.dims, buf);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         Ok(VideoMeta {
-            id: u64::decode(buf)?,
+            id: Varint::decode(buf)?.0,
             name: String::decode(buf)?,
             genres: Vec::decode(buf)?,
             forms: Vec::decode(buf)?,
             frame_count: usize::decode(buf)?,
             fps: f64::decode(buf)?,
-            dims: (u32::decode(buf)?, u32::decode(buf)?),
+            dims: decode_dims(buf)?,
         })
     }
 }
@@ -355,11 +449,15 @@ mod tests {
     #[test]
     fn domain_types_roundtrip() {
         roundtrip(Rgb::new(1, 2, 3));
-        roundtrip(Shot {
-            id: 3,
-            start: 100,
-            end: 175,
-        });
+        let shots: Vec<Shot> = [(0, 99), (100, 175), (176, 176)]
+            .into_iter()
+            .enumerate()
+            .map(|(id, (start, end))| Shot { id, start, end })
+            .collect();
+        let mut bytes = Vec::new();
+        encode_shots(&shots, &mut bytes);
+        assert_eq!(bytes, [3, 100, 76, 1], "a count, then one length per shot");
+        assert_eq!(decode_shots(&mut &bytes[..]), Ok(shots));
         roundtrip(ShotFeature {
             var_ba: 17.37,
             var_oa: 2.25,
@@ -373,26 +471,26 @@ mod tests {
         roundtrip(vec![Rgb::new(9, 9, 9); 100]);
     }
 
-    /// The Figs. 5–6 worked example (ten shots A B A1 B1 C A2 C1 D D1 D2,
-    /// one constant sign per shot) and every tree the pipeline builds over
-    /// the synthetic genres × seeds come back from the codec unchanged.
-    #[test]
-    fn scene_trees_roundtrip() {
-        let labels = [
-            (0u8, 20usize),
-            (1, 10),
-            (0, 9),
-            (1, 8),
-            (2, 12),
-            (0, 7),
-            (2, 13),
-            (3, 11),
-            (3, 6),
-            (3, 5),
-        ];
+    /// The Figs. 5–6 worked example: ten shots A B A1 B1 C A2 C1 D D1 D2
+    /// as `(label, length)`, one constant sign per shot.
+    const FIGURE6: [(u8, usize); 10] = [
+        (0, 20),
+        (1, 10),
+        (0, 9),
+        (1, 8),
+        (2, 12),
+        (0, 7),
+        (2, 13),
+        (3, 11),
+        (3, 6),
+        (3, 5),
+    ];
+
+    /// The example's shots and per-frame signs.
+    fn figure6() -> (Vec<Shot>, Vec<Rgb>) {
         let mut shots = Vec::new();
         let mut signs = Vec::new();
-        for (id, &(label, len)) in labels.iter().enumerate() {
+        for (id, &(label, len)) in FIGURE6.iter().enumerate() {
             let start = signs.len();
             shots.push(Shot {
                 id,
@@ -401,6 +499,14 @@ mod tests {
             });
             signs.extend(std::iter::repeat(Rgb::gray(label * 40)).take(len));
         }
+        (shots, signs)
+    }
+
+    /// The example and every tree the pipeline builds over the synthetic
+    /// genres × seeds come back from the codec unchanged.
+    #[test]
+    fn scene_trees_roundtrip() {
+        let (shots, signs) = figure6();
         let figure6 = build_scene_tree(&shots, &signs);
         assert_eq!(figure6.node(figure6.root()).name(), "SN_1^3");
         roundtrip(figure6);
@@ -451,14 +557,164 @@ mod tests {
         }
     }
 
+    fn unhex(hex: &str) -> Vec<u8> {
+        crate::transfer::from_hex(&hex.split_whitespace().collect::<String>()).unwrap()
+    }
+
+    /// The record format, pinned byte for byte: the Figs. 5–6 analysis
+    /// (the signs are raw RGB triples, rebuilt here; every other byte is
+    /// a checked-in literal) and one catalog row. A layout change fails
+    /// here before it moves the journal's bytes per frame.
+    #[test]
+    fn record_layout_is_pinned() {
+        use crate::db::StoredAnalysis;
+        use vdb_core::sbd::SbdStats;
+        let (shots, signs) = figure6();
+        let analysis = StoredAnalysis {
+            video: 300,
+            features: FIGURE6
+                .iter()
+                .map(|&(label, len)| ShotFeature {
+                    var_ba: f64::from(label),
+                    var_oa: len as f64,
+                })
+                .collect(),
+            signs_oa: signs.iter().map(|s| Rgb([s.0[0], 7, 9])).collect(),
+            scene_tree: build_scene_tree(&shots, &signs),
+            signs_ba: signs,
+            shots,
+            stats: SbdStats {
+                pairs: 100,
+                stage1_same: 88,
+                stage2_same: 2,
+                stage3_same: 1,
+                boundaries: 9,
+            },
+        };
+        let raw_signs = |oa: bool| -> Vec<u8> {
+            let mut out = vec![101];
+            for &(label, len) in &FIGURE6 {
+                let g = label * 40;
+                let px = if oa { [g, 7, 9] } else { [g, g, g] };
+                out.extend(px.iter().cycle().take(3 * len));
+            }
+            out
+        };
+        // video 300; 10 shots as lengths; 10 × (Var^BA, Var^OA) as f64.
+        let head = unhex(
+            "ac02 0a 140a09080c070d0b0605 0a
+             0000000000000000 0000000000003440  000000000000f03f 0000000000002440
+             0000000000000000 0000000000002240  000000000000f03f 0000000000002040
+             0000000000000040 0000000000002840  0000000000000000 0000000000001c40
+             0000000000000040 0000000000002a40  0000000000000840 0000000000002640
+             0000000000000840 0000000000001840  0000000000000840 0000000000001440",
+        );
+        // 15 nodes in arena order, one a line: parent (option tag +
+        // varint), children (count + varints), shot, name_shot, level,
+        // rep_frame. Then the five cascade counters.
+        let tail = unhex(
+            "0f
+             010a 00 0100 00 00 00
+             010a 00 0101 01 00 14
+             010a 00 0102 02 00 1e
+             010a 00 0103 03 00 27
+             010b 00 0104 04 00 2f
+             010b 00 0105 05 00 3b
+             010b 00 0106 06 00 42
+             010d 00 0107 07 00 4f
+             010d 00 0108 08 00 5a
+             010d 00 0109 09 00 60
+             010c 0400010203 00 00 01 00
+             010c 03040506 00 06 01 42
+             010e 020a0b 00 00 02 00
+             010e 03070809 00 07 01 4f
+             00 020c0d 00 00 03 00
+             64 58 02 01 09",
+        );
+        let expected = [head, raw_signs(false), raw_signs(true), tail].concat();
+        let bytes = analysis.encode();
+        assert_eq!(bytes.len(), 916);
+        assert_eq!(bytes, expected);
+        assert_eq!(StoredAnalysis::decode(&bytes).unwrap(), analysis);
+
+        let meta = VideoMeta {
+            id: 300,
+            name: "Figure 6".into(),
+            genres: vec![GenreId(3), GenreId(132)],
+            forms: vec![FormId(34)],
+            frame_count: 101,
+            fps: 25.0,
+            dims: (160, 120),
+        };
+        let row = unhex("ac02 08 4669677572652036 02 03 8401 01 22 65 0000000000003940 a001 78");
+        assert_eq!(to_bytes(&meta), row);
+        assert_eq!(from_bytes::<VideoMeta>(&row), Ok(meta));
+    }
+
     #[test]
     fn eof_detected() {
-        let bytes = to_bytes(&0xffff_ffffu32);
-        assert_eq!(from_bytes::<u64>(&bytes), Err(CodecError::UnexpectedEof));
+        let bytes = to_bytes(&Varint(0xffff_ffff));
+        assert_eq!(bytes.len(), 5);
+        for cut in 0..bytes.len() {
+            assert_eq!(
+                from_bytes::<Varint>(&bytes[..cut]),
+                Err(CodecError::UnexpectedEof),
+                "cut {cut}"
+            );
+        }
         assert_eq!(
-            from_bytes::<u32>(&bytes[..2]),
+            from_bytes::<u32>(&0xffff_ffffu32.to_le_bytes()[..2]),
             Err(CodecError::UnexpectedEof)
         );
+    }
+
+    /// Canonical LEB128 at every width, and the four inputs the decoder
+    /// refuses so that each value has exactly one encoding.
+    #[test]
+    fn varints_are_canonical() {
+        for (v, hex) in [
+            (0u64, "00"),
+            (1, "01"),
+            (127, "7f"),
+            (128, "8001"),
+            (300, "ac02"),
+            (16_383, "ff7f"),
+            (16_384, "808001"),
+            (u64::from(u32::MAX), "ffffffff0f"),
+            (u64::MAX, "ffffffffffffffffff01"),
+        ] {
+            let bytes = to_bytes(&Varint(v));
+            assert_eq!(crate::transfer::to_hex(&bytes), hex, "{v}");
+            assert_eq!(from_bytes::<Varint>(&bytes), Ok(Varint(v)));
+        }
+        for (bytes, why) in [
+            (&[0x80, 0x00][..], "overlong varint"),
+            (&[0xff, 0x80, 0x00][..], "overlong varint"),
+            (&[0x80; 10][..], "varint longer than 10 bytes"),
+            (
+                &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02][..],
+                "varint overflows u64",
+            ),
+        ] {
+            assert_eq!(
+                from_bytes::<Varint>(bytes),
+                Err(CodecError::Invalid(why)),
+                "{bytes:?}"
+            );
+        }
+        let past_u32 = to_bytes(&Varint(1 << 32));
+        assert_eq!(
+            from_bytes::<ShotKey>(&[&[0][..], &past_u32].concat()),
+            Err(CodecError::Invalid("varint out of range"))
+        );
+        assert_eq!(
+            from_bytes::<GenreId>(&to_bytes(&Varint(1 << 16))),
+            Err(CodecError::Invalid("varint out of range"))
+        );
+        // A failed read leaves the cursor where it was.
+        let mut r: &[u8] = &[0x80, 0x80];
+        assert_eq!(Varint::decode(&mut r), Err(CodecError::UnexpectedEof));
+        assert_eq!(r, [0x80, 0x80]);
     }
 
     #[test]
@@ -480,29 +736,36 @@ mod tests {
         );
     }
 
+    /// A shot is stored as its length, so the one malformed shot is an
+    /// empty one: a length of 0 is refused, as is a list whose running
+    /// end passes `usize::MAX`.
     #[test]
     fn invalid_shot_range_rejected() {
-        let bad = Shot {
-            id: 0,
-            start: 10,
-            end: 10,
-        };
-        let mut bytes = to_bytes(&bad);
-        // Corrupt: end < start.
-        let start_pos = 8; // after id (8 bytes)
-        bytes[start_pos] = 99;
-        assert!(matches!(
-            from_bytes::<Shot>(&bytes),
+        assert_eq!(
+            decode_shots(&mut &[2, 5, 0][..]),
+            Err(CodecError::Invalid("empty shot"))
+        );
+        let mut huge = to_bytes(&2usize);
+        usize::MAX.encode(&mut huge);
+        1usize.encode(&mut huge);
+        assert_eq!(
+            decode_shots(&mut &huge[..]),
             Err(CodecError::Invalid("shot range"))
-        ));
+        );
     }
 
     #[test]
     fn corrupt_length_does_not_overallocate() {
-        // A Vec claiming usize::MAX elements must fail with EOF, not OOM.
-        let bytes = to_bytes(&u64::MAX);
+        // A Vec or shot list claiming u64::MAX elements (a 10-byte
+        // varint) must fail with EOF, not OOM.
+        let bytes = to_bytes(&Varint(u64::MAX));
+        assert_eq!(bytes.len(), 10);
         assert_eq!(
             from_bytes::<Vec<u8>>(&bytes),
+            Err(CodecError::UnexpectedEof)
+        );
+        assert_eq!(
+            decode_shots(&mut &bytes[..]),
             Err(CodecError::UnexpectedEof)
         );
     }
@@ -553,7 +816,7 @@ mod tests {
         fn prop_random_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..128)) {
             // Decoding garbage may fail but must never panic.
             let _ = from_bytes::<Vec<IndexEntry>>(&bytes);
-            let _ = from_bytes::<Shot>(&bytes);
+            let _ = decode_shots(&mut &bytes[..]);
             let _ = from_bytes::<String>(&bytes);
             let _ = from_bytes::<Vec<Rgb>>(&bytes);
             let _ = from_bytes::<SceneTree>(&bytes);

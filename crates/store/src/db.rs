@@ -9,7 +9,7 @@
 
 use crate::backend::{CommitTicket, DbBackend};
 use crate::catalog::{Catalog, FormId, GenreId, IdMap, Taxonomy, VideoMeta};
-use crate::codec::{self, Codec};
+use crate::codec::{self, Codec, Varint};
 use crate::pages::{read_segment_file, Record, SegmentError, SegmentWriter};
 use crate::query::QuerySpec;
 use std::path::Path;
@@ -114,8 +114,8 @@ impl StoredAnalysis {
         let obs = crate::obs::codec();
         let _span = obs.encode_us.start();
         let mut buf = Vec::new();
-        self.video.encode(&mut buf);
-        self.shots.encode(&mut buf);
+        Varint(self.video).encode(&mut buf);
+        codec::encode_shots(&self.shots, &mut buf);
         self.features.encode(&mut buf);
         self.signs_ba.encode(&mut buf);
         self.signs_oa.encode(&mut buf);
@@ -142,8 +142,8 @@ impl StoredAnalysis {
         obs.decoded_bytes.add(buf.len() as u64);
         let buf = &mut buf;
         let stored = StoredAnalysis {
-            video: u64::decode(buf)?,
-            shots: Vec::decode(buf)?,
+            video: Varint::decode(buf)?.0,
+            shots: codec::decode_shots(buf)?,
             features: Vec::decode(buf)?,
             signs_ba: Vec::decode(buf)?,
             signs_oa: Vec::decode(buf)?,
@@ -294,8 +294,10 @@ pub(crate) const TAG_REMOVE: u8 = 3;
 /// which the legacy-journal test pins.
 const TAG_INDEX: u8 = 4;
 
-/// On-disk format version of the [`TAG_INDEX`] payload.
-const INDEX_FORMAT_V1: u16 = 1;
+/// On-disk format version of the [`TAG_INDEX`] payload. Version 2 stores
+/// each row's key as varints ([`Varint`]); version 1 held them
+/// fixed-width.
+const INDEX_FORMAT_V2: u16 = 2;
 
 /// The decoded [`TAG_INDEX`] payload: format version, an
 /// order-independent fingerprint of the rows, and the rows themselves
@@ -308,7 +310,7 @@ impl PersistedIndex {
     /// Encode the current finalized rows of `index`.
     fn encode_from(index: &ShotIndex) -> Vec<u8> {
         let mut buf = Vec::new();
-        INDEX_FORMAT_V1.encode(&mut buf);
+        INDEX_FORMAT_V2.encode(&mut buf);
         index.fingerprint().encode(&mut buf);
         index.entries().to_vec().encode(&mut buf);
         buf
@@ -321,7 +323,7 @@ impl PersistedIndex {
     fn decode(mut buf: &[u8]) -> Option<Self> {
         let buf = &mut buf;
         let version = u16::decode(buf).ok()?;
-        if version != INDEX_FORMAT_V1 {
+        if version != INDEX_FORMAT_V2 {
             return None;
         }
         let fingerprint = u64::decode(buf).ok()?;
@@ -784,7 +786,7 @@ impl VideoDatabase {
                 // The video may already be absent (a double tombstone
                 // after a compaction race): ignore.
                 TAG_REMOVE => {
-                    let _ = db.remove(codec::from_bytes(&record.payload)?);
+                    let _ = db.remove(codec::from_bytes::<Varint>(&record.payload)?.0);
                 }
                 // Only the last index copy can match: later appends
                 // stale out earlier ones via the fingerprint check.

@@ -6,10 +6,11 @@
 //! thousands of single-bit flips, length-field edits and splices of two
 //! valid encodings. Each decode must return `Err` or a value that passes
 //! the same checks a clean decode does — and that the query, `tree` and
-//! `board` paths can walk — never a panic or a hang.
+//! `board` paths can walk — never a panic or a hang. A record that
+//! decodes must also be the one encoding of its value.
 
 use crate::catalog::{FormId, GenreId, VideoMeta};
-use crate::codec;
+use crate::codec::{self, Codec, Varint};
 use crate::db::{StoredAnalysis, VideoDatabase, TAG_REMOVE};
 use crate::journal::encode_record;
 use crate::pages::{read_segment, Record, MAGIC};
@@ -43,25 +44,37 @@ impl Mutator {
                     out[bit / 8] ^= 1 << (bit % 8);
                 }
             }
-            // Rewrite a length field: an 8-byte little-endian word that
-            // holds a count no larger than the bytes after it.
+            // Rewrite a length field: a canonical varint whose value is
+            // no larger than the bytes after it.
             1 => {
-                let word = |p: usize| u64::from_le_bytes(out[p..p + 8].try_into().unwrap());
-                let fields: Vec<usize> = (0..out.len().saturating_sub(7))
-                    .filter(|&p| word(p) <= (out.len() - p - 8) as u64)
+                let varint_at = |p: usize| {
+                    let mut rest = &out[p..];
+                    let v = Varint::decode(&mut rest).ok()?.0;
+                    (v <= rest.len() as u64).then_some((v, out.len() - p - rest.len()))
+                };
+                let fields: Vec<(usize, u64, usize)> = (0..out.len())
+                    .filter_map(|p| varint_at(p).map(|(v, len)| (p, v, len)))
                     .collect();
                 if !fields.is_empty() {
-                    let p = fields[self.pick(fields.len())];
-                    let v = word(p);
-                    let edited = match self.pick(6) {
-                        0 => 0,
-                        1 => v + 1,
-                        2 => v.wrapping_sub(1),
-                        3 => u64::MAX,
-                        4 => 1 << 32,
-                        _ => self.0.below(1 << 20),
+                    let (p, v, len) = fields[self.pick(fields.len())];
+                    let edited = match self.pick(8) {
+                        0 => codec::to_bytes(&Varint(0)),
+                        1 => codec::to_bytes(&Varint(v + 1)),
+                        2 => codec::to_bytes(&Varint(v.wrapping_sub(1))),
+                        3 => codec::to_bytes(&Varint(1 << 32)),
+                        4 => codec::to_bytes(&Varint(self.0.below(1 << 20))),
+                        // The same value with one group too many.
+                        5 => {
+                            let mut b = codec::to_bytes(&Varint(v));
+                            *b.last_mut().unwrap() |= 0x80;
+                            b.push(0);
+                            b
+                        }
+                        6 => codec::to_bytes(&Varint(u64::MAX)),
+                        // Eleven bytes: past the longest u64 encoding.
+                        _ => [[0xff; 10].as_slice(), &[0x01]].concat(),
                     };
-                    out[p..p + 8].copy_from_slice(&edited.to_le_bytes());
+                    out.splice(p..p + len, edited);
                 }
             }
             // Splice: a prefix of this encoding, the tail of the other.
@@ -144,6 +157,7 @@ fn stored_analysis_decode_survives_mutation() {
     sweep(0xA11A, &inputs, |bytes, prefix| {
         if let Ok(a) = StoredAnalysis::decode(bytes) {
             assert!(!prefix, "a strict prefix decoded");
+            assert_eq!(a.encode(), bytes, "a record has one encoding");
             walk(&a);
         }
     });
@@ -158,11 +172,8 @@ fn exported_video_decode_survives_mutation() {
     sweep(0xE1, &inputs, |bytes, prefix| {
         if let Ok(e) = ExportedVideo::decode(bytes) {
             assert!(!prefix, "a strict prefix decoded");
+            assert_eq!(e.encode(), bytes, "a record has one encoding");
             walk(&e.analysis);
-            assert_eq!(
-                ExportedVideo::decode(&e.encode()).unwrap().encode(),
-                e.encode()
-            );
         }
     });
 }
@@ -193,7 +204,7 @@ fn sample_segment(db: &VideoDatabase) -> Vec<u8> {
     db.save(&path).unwrap();
     let mut bytes = std::fs::read(&path).unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
-    bytes.extend(encode_record(TAG_REMOVE, &codec::to_bytes(&0u64)));
+    bytes.extend(encode_record(TAG_REMOVE, &codec::to_bytes(&Varint(0))));
     bytes
 }
 

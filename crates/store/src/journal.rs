@@ -371,8 +371,11 @@ impl JournaledDatabase {
     /// [`JournaledDatabase::compact`] rewrites the file.
     pub fn remove(&mut self, id: u64) -> Result<(), DbError> {
         self.db.remove(id)?;
-        let ticket =
-            self.stage_record(TAG_REMOVE, &codec::to_bytes(&id), &TraceContext::disabled())?;
+        let ticket = self.stage_record(
+            TAG_REMOVE,
+            &codec::to_bytes(&codec::Varint(id)),
+            &TraceContext::disabled(),
+        )?;
         self.writer
             .wait_durable(ticket, &TraceContext::disabled())?;
         Ok(())
@@ -786,13 +789,68 @@ mod tests {
         let opened = JournaledDatabase::open(&path, AnalyzerConfig::default()).map(|_| ());
         let loaded = VideoDatabase::load(&path, AnalyzerConfig::default()).map(|_| ());
         for text in [opened, loaded].map(|r| r.unwrap_err().to_string()) {
-            assert!(text.contains("VDBS1") && text.contains("VDBS2"), "{text}");
+            assert!(text.contains("VDBS1") && text.contains("VDBS3"), "{text}");
         }
         assert_eq!(
             std::fs::read(&path).unwrap(),
             old,
             "the refused file is untouched"
         );
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    /// A segment of the fixed-width layout (its META row with 8-byte id,
+    /// lengths and frame count) is refused the same way: both openers
+    /// name `VDBS2` and `VDBS3`, and the file keeps its bytes and length.
+    #[test]
+    fn vdbs2_segments_are_refused_and_left_untouched() {
+        use crate::codec::Codec;
+        let path = tmp("vdbs2");
+        let mut meta = Vec::new();
+        0u64.encode(&mut meta);
+        3u64.encode(&mut meta);
+        meta.extend_from_slice(b"old");
+        0u64.encode(&mut meta);
+        0u64.encode(&mut meta);
+        12u64.encode(&mut meta);
+        3.0f64.encode(&mut meta);
+        80u32.encode(&mut meta);
+        60u32.encode(&mut meta);
+        let mut old = b"VDBS2\0".to_vec();
+        old.extend(encode_record(TAG_META, &meta));
+        old.extend_from_slice(&[TAG_ANALYSIS, 0xff, 0xff]);
+        std::fs::write(&path, &old).unwrap();
+        let opened = JournaledDatabase::open(&path, AnalyzerConfig::default()).map(|_| ());
+        let loaded = VideoDatabase::load(&path, AnalyzerConfig::default()).map(|_| ());
+        for text in [opened, loaded].map(|r| r.unwrap_err().to_string()) {
+            assert!(text.contains("VDBS2") && text.contains("VDBS3"), "{text}");
+        }
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), old.len() as u64);
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            old,
+            "the refused file is untouched"
+        );
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    /// The record format's size, pinned exactly: one fixed synthetic
+    /// clip ingested into a fresh journal. A change to any record's
+    /// layout moves this number, and it must stay under 8 bytes a frame
+    /// (`VDBS2`, with 8-byte ids, lengths and indexes, took 3 983).
+    #[test]
+    fn journal_bytes_per_frame_is_pinned() {
+        let path = tmp("size");
+        let script =
+            vdb_synth::build_script(vdb_synth::Genre::Sitcom, 12, Some(25.0), (64, 48), 70);
+        let video = generate(&script).video;
+        let frames = video.len() as u64;
+        let mut j = JournaledDatabase::open(&path, AnalyzerConfig::default()).unwrap();
+        j.ingest("sized", &video, vec![], vec![]).unwrap();
+        drop(j);
+        let bytes = std::fs::metadata(&path).unwrap().len();
+        assert_eq!((frames, bytes), (310, 2_418));
+        assert!(bytes < 8 * frames, "{bytes} B for {frames} frames");
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 

@@ -62,7 +62,7 @@ mod tests {
         0xdead_beef_u32.encode(&mut buf);
         (u64::MAX - 3).encode(&mut buf);
         std::f64::consts::PI.encode(&mut buf);
-        // Fixed-width little-endian: the on-disk layout of every store file.
+        // Fixed-width little-endian (ids, lengths and indexes are varints).
         assert_eq!(buf.len(), 1 + 2 + 4 + 8 + 8);
         assert_eq!(buf[..7], [7, 0xef, 0xbe, 0xef, 0xbe, 0xad, 0xde]);
         let mut r: &[u8] = &buf;

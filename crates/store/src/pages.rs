@@ -3,25 +3,29 @@
 //! A *segment* is a flat byte stream of checksummed, tagged records:
 //!
 //! ```text
-//! magic "VDBS2\0"
+//! magic "VDBS3\0"
 //! repeat: [tag: u8] [len: u32 LE] [payload: len bytes] [checksum: u32 LE]
 //! ```
 //!
 //! The checksum is FNV-1a over tag, length, and payload, so torn or
 //! corrupted tails are detected on read; a read stops cleanly at the first
 //! bad record (the classic crash-recovery contract of an append-only log).
+//! This framing is the one fixed-width part of a segment.
 //!
 //! Every payload is [`crate::codec`] binary. The digit in the magic is the
-//! format version: `VDBS1` segments stored the scene tree and catalog rows
-//! as JSON, and a segment of any version but this build's is refused with
-//! an error naming both versions ([`SegmentError::Version`]).
+//! format version, and it changes whenever a payload's layout does:
+//! `VDBS1` segments stored the scene tree and catalog rows as JSON,
+//! `VDBS2` stored ids, lengths and indexes as 8-byte words, and `VDBS3`
+//! stores them as varints. A segment of any version but this build's is
+//! refused, before anything is read or truncated, with an error naming
+//! both versions ([`SegmentError::Version`]).
 
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 /// Magic bytes at the start of every segment.
-pub const MAGIC: &[u8; 6] = b"VDBS2\0";
+pub const MAGIC: &[u8; 6] = b"VDBS3\0";
 
 /// One tagged record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,7 +70,7 @@ impl From<io::Error> for SegmentError {
     }
 }
 
-/// The printable part of a segment magic (`VDBS2` for `b"VDBS2\0"`).
+/// The printable part of a segment magic (`VDBS3` for `b"VDBS3\0"`).
 fn magic_name(magic: &[u8]) -> String {
     String::from_utf8_lossy(magic.strip_suffix(b"\0").unwrap_or(magic)).into_owned()
 }

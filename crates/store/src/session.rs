@@ -15,7 +15,6 @@
 //! wire-level streaming ingest runs one of these per client session.
 
 use crate::backend::{CommitTicket, DbBackend};
-use crate::catalog::{FormId, GenreId};
 use crate::db::{DbError, StoredAnalysis};
 use vdb_core::analyzer::{AnalyzerConfig, VideoAnalysis};
 use vdb_core::error::CoreError;
@@ -272,8 +271,6 @@ pub struct StreamIngest {
     dims: (u32, u32),
     fps: f64,
     analyzer: StreamingAnalyzer,
-    genres: Vec<GenreId>,
-    forms: Vec<FormId>,
 }
 
 impl StreamIngest {
@@ -291,16 +288,7 @@ impl StreamIngest {
             dims,
             fps,
             analyzer: StreamingAnalyzer::new(config),
-            genres: Vec::new(),
-            forms: Vec::new(),
         }
-    }
-
-    /// Tag the eventual catalog row with genres/forms.
-    pub fn with_tags(mut self, genres: Vec<GenreId>, forms: Vec<FormId>) -> Self {
-        self.genres = genres;
-        self.forms = forms;
-        self
     }
 
     /// The declared dimensions.
@@ -341,8 +329,6 @@ impl StreamIngest {
             dims: self.dims,
             fps: self.fps,
             analysis,
-            genres: self.genres,
-            forms: self.forms,
         })
     }
 }
@@ -356,8 +342,6 @@ pub struct FinishedStream {
     dims: (u32, u32),
     fps: f64,
     analysis: VideoAnalysis,
-    genres: Vec<GenreId>,
-    forms: Vec<FormId>,
 }
 
 impl FinishedStream {
@@ -376,17 +360,17 @@ impl FinishedStream {
         &self.analysis
     }
 
-    /// Register the video. Hold the backend lock only for this call; wait
-    /// on the returned [`CommitTicket`] after releasing it so concurrent
-    /// sessions share one group-commit barrier.
+    /// Register the video, with no genre or form. Hold the backend lock
+    /// only for this call; wait on the returned [`CommitTicket`] after
+    /// releasing it so concurrent sessions share one group-commit barrier.
     pub fn commit(self, backend: &mut dyn DbBackend) -> Result<(u64, CommitTicket), DbError> {
         backend.commit_stream(
             self.name,
             self.dims,
             self.fps,
             self.analysis,
-            self.genres,
-            self.forms,
+            Vec::new(),
+            Vec::new(),
         )
     }
 }

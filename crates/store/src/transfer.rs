@@ -9,16 +9,18 @@
 //! `import <hex>`), which keeps the frame codec untouched.
 
 use crate::catalog::{FormId, GenreId};
-use crate::codec::Codec;
+use crate::codec::{self, Codec};
 use crate::db::{DbError, StoredAnalysis, VideoDatabase};
 use vdb_core::analyzer::VideoAnalysis;
 use vdb_core::sbd::Segmentation;
 
 /// Format version of the export record (first byte of the payload).
-/// Version 2 carries the stored analysis in the all-binary layout of
-/// [`crate::codec`] (version 1 held its scene tree as JSON); a record of
-/// any other version is refused with [`DbError::TransferVersion`].
-pub const TRANSFER_VERSION: u8 = 2;
+/// Version 3 carries the stored analysis in the varint layout of
+/// [`crate::codec`] (ids, lengths and indexes as LEB128, shots as their
+/// lengths). Version 2 held those fixed-width and version 1 held the
+/// scene tree as JSON; a record of any version but this build's is
+/// refused with [`DbError::TransferVersion`], which names both.
+pub const TRANSFER_VERSION: u8 = 3;
 
 /// A video packaged for re-ingest on another shard.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,8 +59,7 @@ impl ExportedVideo {
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = vec![TRANSFER_VERSION];
         self.name.encode(&mut buf);
-        self.dims.0.encode(&mut buf);
-        self.dims.1.encode(&mut buf);
+        codec::encode_dims(self.dims, &mut buf);
         self.fps.encode(&mut buf);
         self.genres.encode(&mut buf);
         self.forms.encode(&mut buf);
@@ -78,7 +79,7 @@ impl ExportedVideo {
         }
         let buf = &mut { rest };
         let name = String::decode(buf)?;
-        let dims = (u32::decode(buf)?, u32::decode(buf)?);
+        let dims = codec::decode_dims(buf)?;
         let fps = f64::decode(buf)?;
         let genres = Vec::decode(buf)?;
         let forms = Vec::decode(buf)?;
@@ -180,9 +181,8 @@ pub fn from_hex(s: &str) -> Result<Vec<u8>, DbError> {
 mod tests {
     use super::*;
     use crate::backend::DbBackend;
-    use crate::codec::CodecError;
+    use crate::codec::{CodecError, Varint};
     use vdb_core::scenetree::SceneNode;
-    use vdb_core::shot::Shot;
     use vdb_core::variance::ShotFeature;
     use vdb_synth::script::{generate, VideoScript};
     use vdb_synth::ShotArchetype;
@@ -274,17 +274,18 @@ mod tests {
     }
 
     /// An export record written field by field with [`Codec`], so a test
-    /// can hand the decoder parts that disagree.
+    /// can hand the decoder parts that disagree. Shots are given as their
+    /// lengths, as the record stores them.
     fn blob(
         e: &ExportedVideo,
-        shots: &[Shot],
+        shot_lengths: &[usize],
         features: &[ShotFeature],
         nodes: &[SceneNode],
     ) -> Vec<u8> {
         let a = &e.analysis;
         let mut analysis = Vec::new();
-        a.video.encode(&mut analysis);
-        shots.to_vec().encode(&mut analysis);
+        Varint(a.video).encode(&mut analysis);
+        shot_lengths.to_vec().encode(&mut analysis);
         features.to_vec().encode(&mut analysis);
         a.signs_ba.encode(&mut analysis);
         a.signs_oa.encode(&mut analysis);
@@ -300,8 +301,8 @@ mod tests {
         }
         let mut buf = vec![TRANSFER_VERSION];
         e.name.encode(&mut buf);
-        e.dims.0.encode(&mut buf);
-        e.dims.1.encode(&mut buf);
+        Varint(e.dims.0.into()).encode(&mut buf);
+        Varint(e.dims.1.into()).encode(&mut buf);
         e.fps.encode(&mut buf);
         e.genres.encode(&mut buf);
         e.forms.encode(&mut buf);
@@ -318,8 +319,9 @@ mod tests {
         let a = &exported.analysis;
         let tree = &a.scene_tree;
         let nodes = tree.nodes();
+        let lengths: Vec<usize> = a.shots.iter().map(|s| s.len()).collect();
         assert_eq!(
-            blob(&exported, &a.shots, &a.features, nodes),
+            blob(&exported, &lengths, &a.features, nodes),
             exported.encode(),
             "the hand-written layout is the real one"
         );
@@ -337,27 +339,27 @@ mod tests {
         let mut cycle = nodes.to_vec();
         cycle[top].parent = Some(up);
         cycle[up].children.push(top);
-        let mut gap = a.shots.clone();
-        let long = gap.iter().position(|s| s.len() > 1).unwrap();
-        gap[long].start += 1;
+        let mut short_shot = lengths.clone();
+        let long = short_shot.iter().position(|&len| len > 1).unwrap();
+        short_shot[long] -= 1;
         let short = &a.features[..a.features.len() - 1];
 
         for (what, record) in [
             (
                 "leaf parent out of range",
-                blob(&exported, &a.shots, &a.features, &wild_parent),
+                blob(&exported, &lengths, &a.features, &wild_parent),
             ),
             (
                 "parent cycle",
-                blob(&exported, &a.shots, &a.features, &cycle),
+                blob(&exported, &lengths, &a.features, &cycle),
             ),
             (
                 "fewer features than shots",
-                blob(&exported, &a.shots, short, nodes),
+                blob(&exported, &lengths, short, nodes),
             ),
             (
-                "shots leave a gap",
-                blob(&exported, &gap, &a.features, nodes),
+                "shot lengths sum to one frame fewer than the signs",
+                blob(&exported, &short_shot, &a.features, nodes),
             ),
         ] {
             match ExportedVideo::decode(&record) {
@@ -377,7 +379,23 @@ mod tests {
         assert!(matches!(err, DbError::TransferVersion(1)), "{err:?}");
         let text = err.to_string();
         assert!(
-            text.contains("version 1") && text.contains("version 2"),
+            text.contains("version 1") && text.contains("version 3"),
+            "{text}"
+        );
+    }
+
+    /// A record of the fixed-width layout (8-byte ids, lengths and
+    /// indexes) is refused by its version byte before any field is read,
+    /// with an error naming both versions.
+    #[test]
+    fn version_2_records_are_refused_by_name() {
+        let mut record = ExportedVideo::from_db(&sample_db(), 0).unwrap().encode();
+        record[0] = 2;
+        let err = ExportedVideo::decode(&record).unwrap_err();
+        assert!(matches!(err, DbError::TransferVersion(2)), "{err:?}");
+        let text = err.to_string();
+        assert!(
+            text.contains("version 2") && text.contains("version 3"),
             "{text}"
         );
     }

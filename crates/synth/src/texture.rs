@@ -142,12 +142,6 @@ impl World {
         self
     }
 
-    /// Override the octave count.
-    pub fn with_octaves(mut self, octaves: u8) -> Self {
-        self.octaves = octaves.max(1);
-        self
-    }
-
     /// Color of the world at real-valued coordinates.
     pub fn color_at(&self, x: f64, y: f64) -> Rgb {
         let n = fbm(self.seed, x / self.scale, y / self.scale, self.octaves);
