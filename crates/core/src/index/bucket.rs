@@ -19,15 +19,17 @@
 //!   row by row. The test reads the cached `D^v` / `√Var^BA` columns
 //!   (the same `d_v()` / `sqrt_ba()` bits the predicate computes) against
 //!   bounds hoisted out of the row loop, so a candidate costs four
-//!   comparisons, plus one square root for its distance if it matches;
+//!   comparisons, plus one square root for its distance if it matches.
+//!   The planner's capped range never builds the match set: it counts
+//!   the accepted rows (`count_window`) and then walks outward from
+//!   `D_q^v` for the nearest few (`walk_nearest`);
 //! * **top-k** — the `k` nearest entries to the query point in
 //!   `(D^v, √Var^BA)` space, found by expanding outward from the query's
 //!   bucket and stopping once the next bucket's best possible distance
 //!   exceeds the current k-th best (ties broken by ascending
-//!   [`ShotKey`](super::ShotKey), so equal-distance buckets are still
-//!   probed).
+//!   [`ShotKey`], so equal-distance buckets are still probed).
 
-use super::{IndexEntry, Match, VarianceQuery, Window};
+use super::{IndexEntry, Match, ShotKey, VarianceQuery, Window};
 use crate::index::cost::CorpusStats;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -103,36 +105,78 @@ pub struct BucketIndex {
     stats: CorpusStats,
 }
 
-/// Max-heap item for top-k: the *worst* current answer is at the top.
-/// Ordered by `(distance, key)` with `total_cmp`, so NaN distances are
-/// handled deterministically.
-struct Worst {
-    dist: f64,
-    entry: IndexEntry,
-}
+/// Max-heap item of [`Nearest`]: ordered by [`match_order`], so the
+/// *worst* kept match is at the top and NaN distances order
+/// deterministically.
+struct Ranked(Match);
 
-impl Worst {
-    fn rank_cmp(&self, other: &Self) -> Ordering {
-        self.dist
-            .total_cmp(&other.dist)
-            .then(self.entry.key.cmp(&other.entry.key))
-    }
-}
-
-impl PartialEq for Worst {
+impl PartialEq for Ranked {
     fn eq(&self, other: &Self) -> bool {
-        self.rank_cmp(other) == Ordering::Equal
+        self.cmp(other) == Ordering::Equal
     }
 }
-impl Eq for Worst {}
-impl PartialOrd for Worst {
+impl Eq for Ranked {}
+impl PartialOrd for Ranked {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for Worst {
+impl Ord for Ranked {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.rank_cmp(other)
+        match_order(&self.0, &other.0)
+    }
+}
+
+/// A bounded selection of the `limit` smallest matches under
+/// `(distance, key)`: a max-heap whose top is the worst match kept so
+/// far. Shared by the top-k executors and the range walk.
+pub(crate) struct Nearest {
+    limit: usize,
+    heap: BinaryHeap<Ranked>,
+}
+
+impl Nearest {
+    /// Keep the `limit` smallest; `rows` bounds how many matches will be
+    /// offered, so a huge `limit` sizes no allocation.
+    pub(crate) fn new(limit: usize, rows: usize) -> Self {
+        Nearest {
+            limit,
+            heap: BinaryHeap::with_capacity(limit.min(rows)),
+        }
+    }
+
+    /// How many matches the selection keeps.
+    pub(crate) fn limit(&self) -> usize {
+        self.limit
+    }
+
+    /// Keep `m` if it is among the `limit` smallest offered so far.
+    pub(crate) fn offer(&mut self, m: Match) {
+        if self.heap.len() < self.limit {
+            self.heap.push(Ranked(m));
+        } else if let Some(mut worst) = self.heap.peek_mut() {
+            if match_order(&m, &worst.0) == Ordering::Less {
+                *worst = Ranked(m);
+            }
+        }
+    }
+
+    /// Once full, the worst kept distance: a match farther than this
+    /// cannot place (an equal one still can, on a smaller key).
+    pub(crate) fn bound(&self) -> Option<f64> {
+        if self.heap.len() < self.limit {
+            return None;
+        }
+        self.heap.peek().map(|worst| worst.0.distance)
+    }
+
+    /// The kept matches in ascending `(distance, key)` order.
+    pub(crate) fn into_sorted(self) -> Vec<Match> {
+        self.heap
+            .into_sorted_vec()
+            .into_iter()
+            .map(|r| r.0)
+            .collect()
     }
 }
 
@@ -271,16 +315,18 @@ impl BucketIndex {
     /// (see the module docs). Results sorted by `(distance, key)` —
     /// identical IDs and order to [`Self::range_scan_with_stats`].
     pub fn range_with_stats(&self, q: &VarianceQuery) -> (Vec<Match>, ProbeStats) {
-        let (mut out, stats) = self.range_unsorted(q);
+        let (rows, stats) = self.range_slice(q);
+        let mut out = self.range_rows(q, rows);
         out.sort_by(match_order);
         (out, stats)
     }
 
-    /// [`Self::range_with_stats`] without the final sort: the matches of
-    /// the buckets overlapping the α-window, in index order.
-    pub(crate) fn range_unsorted(&self, q: &VarianceQuery) -> (Vec<Match>, ProbeStats) {
+    /// The rows of the buckets overlapping the α-window — every row
+    /// Eq. 7 can accept — and the probe's work accounting: the buckets
+    /// touched and the rows in them.
+    pub(crate) fn range_slice(&self, q: &VarianceQuery) -> (Range<usize>, ProbeStats) {
         if self.entries.is_empty() {
-            return (Vec::new(), ProbeStats::default());
+            return (0..0, ProbeStats::default());
         }
         let dq = q.d_v();
         let lo_b = self.bucket_of(dq - q.alpha);
@@ -292,7 +338,7 @@ impl BucketIndex {
             buckets_touched: hi_b - lo_b + 1,
             candidates: hi - lo,
         };
-        (self.range_rows(q, lo..hi), stats)
+        (lo..hi, stats)
     }
 
     /// Reference range probe: linear scan with the same cached-column
@@ -332,6 +378,111 @@ impl BucketIndex {
             .collect()
     }
 
+    /// How many rows of `rows` the window accepts, and how many of those
+    /// `keep` keeps (`None` keeps all). Reads the two cached columns
+    /// only; without `keep` the loop has no branch. `keep` is called once
+    /// per accepted row.
+    pub(crate) fn count_window(
+        &self,
+        w: &Window,
+        rows: Range<usize>,
+        keep: Option<&mut (dyn FnMut(ShotKey) -> bool + '_)>,
+    ) -> (usize, usize) {
+        let dvs = &self.dvs[rows.clone()];
+        let sbas = &self.sbas[rows.clone()];
+        let Some(keep) = keep else {
+            let accepted = dvs
+                .iter()
+                .zip(sbas)
+                .map(|(&dv, &sba)| usize::from(w.accepts(dv, sba)))
+                .sum();
+            return (accepted, accepted);
+        };
+        let (mut accepted, mut kept) = (0, 0);
+        for ((&dv, &sba), e) in dvs.iter().zip(sbas).zip(&self.entries[rows]) {
+            if w.accepts(dv, sba) {
+                accepted += 1;
+                kept += usize::from(keep(e.key));
+            }
+        }
+        (accepted, kept)
+    }
+
+    /// Offer to `nearest` the rows of `rows` that the window accepts and
+    /// `keep` keeps, of which there are `kept` (as [`Self::count_window`]
+    /// counted them). The walk starts at `D_q^v`'s position in the sorted
+    /// column and steps outward, always to the side whose next row is
+    /// nearer in `D^v`, within `[D_q^v − α, D_q^v + α]`. It stops once
+    /// all `kept` rows were offered, or once `nearest` is full and the
+    /// next row's `D^v` gap alone puts it past the worst kept distance:
+    /// every row further out on either side is farther still, so none
+    /// can place. The gap is measured as [`Window::distance`] with a zero
+    /// `√Var^BA` term — the same float operations as a row's distance
+    /// minus a non-negative addend — so it never exceeds a computed
+    /// distance and needs no rounding margin. The rows kept are therefore
+    /// exactly those of a full sort, ties by key included.
+    ///
+    /// A NaN `D^v` sorts to an end of the column yet passes Eq. 7's
+    /// comparisons, so a slice holding one is visited whole.
+    pub(crate) fn walk_nearest(
+        &self,
+        w: &Window,
+        rows: Range<usize>,
+        mut keep: Option<&mut (dyn FnMut(ShotKey) -> bool + '_)>,
+        mut kept: usize,
+        nearest: &mut Nearest,
+    ) {
+        let dvs = &self.dvs[rows.clone()];
+        let sbas = &self.sbas[rows.clone()];
+        let entries = &self.entries[rows];
+        let mut visit = |i: usize, nearest: &mut Nearest| {
+            let (dv, sba) = (dvs[i], sbas[i]);
+            let offered =
+                w.accepts(dv, sba) && keep.as_mut().map_or(true, |keep| keep(entries[i].key));
+            if offered {
+                nearest.offer(Match {
+                    entry: entries[i],
+                    distance: w.distance(dv, sba),
+                });
+            }
+            offered
+        };
+        if dvs.first().is_some_and(|dv| dv.is_nan()) || dvs.last().is_some_and(|dv| dv.is_nan()) {
+            for i in 0..dvs.len() {
+                visit(i, nearest);
+            }
+            return;
+        }
+        let mid = dvs.partition_point(|&dv| dv < w.dq);
+        // The next rows to visit: `left - 1` below D_q^v, `right` above.
+        let (mut left, mut right) = (mid, mid);
+        while kept > 0 {
+            let l = left.checked_sub(1).filter(|&i| !w.below(dvs[i]));
+            let r = Some(right).filter(|&i| i < dvs.len() && !w.above(dvs[i]));
+            let go_left = match (l, r) {
+                (None, None) => break,
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (Some(l), Some(r)) => w.dq - dvs[l] <= dvs[r] - w.dq,
+            };
+            let i = if go_left { left - 1 } else { right };
+            if nearest
+                .bound()
+                .is_some_and(|bound| w.distance(dvs[i], w.sq) > bound)
+            {
+                break;
+            }
+            if visit(i, nearest) {
+                kept -= 1;
+            }
+            if go_left {
+                left -= 1;
+            } else {
+                right += 1;
+            }
+        }
+    }
+
     /// The `k` entries nearest to the query point in `(D^v, √Var^BA)`
     /// space (α/β are ignored — top-k is unconditional), expanding
     /// bucket-by-bucket outward from the query's bucket. Exact: same IDs
@@ -344,7 +495,7 @@ impl BucketIndex {
         let dq = q.d_v();
         let nb = self.bucket_count();
         let center = self.bucket_of(dq);
-        let mut heap: BinaryHeap<Worst> = BinaryHeap::with_capacity(k.min(self.entries.len()) + 1);
+        let mut nearest = Nearest::new(k, self.entries.len());
         let mut stats = ProbeStats::default();
 
         // Visit buckets in order of their minimal horizontal distance to
@@ -403,12 +554,8 @@ impl BucketIndex {
             } else {
                 0.0
             };
-            if heap.len() == k {
-                if let Some(worst) = heap.peek() {
-                    if hdist > worst.dist {
-                        break;
-                    }
-                }
+            if nearest.bound().is_some_and(|bound| hdist > bound) {
+                break;
             }
 
             stats.buckets_touched += 1;
@@ -416,30 +563,13 @@ impl BucketIndex {
             let hi = self.offsets[b + 1] as usize;
             stats.candidates += hi - lo;
             for i in lo..hi {
-                let cand = Worst {
-                    dist: w.distance(self.dvs[i], self.sbas[i]),
+                nearest.offer(Match {
                     entry: self.entries[i],
-                };
-                if heap.len() < k {
-                    heap.push(cand);
-                } else if let Some(worst) = heap.peek() {
-                    if cand.cmp(worst) == Ordering::Less {
-                        heap.pop();
-                        heap.push(cand);
-                    }
-                }
+                    distance: w.distance(self.dvs[i], self.sbas[i]),
+                });
             }
         }
-
-        let mut out: Vec<Match> = heap
-            .into_iter()
-            .map(|w| Match {
-                entry: w.entry,
-                distance: w.dist,
-            })
-            .collect();
-        out.sort_by(match_order);
-        (out, stats)
+        (nearest.into_sorted(), stats)
     }
 
     /// Reference top-k: one linear pass over the whole table.
@@ -452,30 +582,14 @@ impl BucketIndex {
             return (Vec::new(), ProbeStats::default());
         }
         let w = Window::new(q);
-        let mut heap: BinaryHeap<Worst> = BinaryHeap::with_capacity(k.min(self.entries.len()) + 1);
+        let mut nearest = Nearest::new(k, self.entries.len());
         for i in 0..self.entries.len() {
-            let cand = Worst {
-                dist: w.distance(self.dvs[i], self.sbas[i]),
+            nearest.offer(Match {
                 entry: self.entries[i],
-            };
-            if heap.len() < k {
-                heap.push(cand);
-            } else if let Some(worst) = heap.peek() {
-                if cand.cmp(worst) == Ordering::Less {
-                    heap.pop();
-                    heap.push(cand);
-                }
-            }
+                distance: w.distance(self.dvs[i], self.sbas[i]),
+            });
         }
-        let mut out: Vec<Match> = heap
-            .into_iter()
-            .map(|w| Match {
-                entry: w.entry,
-                distance: w.dist,
-            })
-            .collect();
-        out.sort_by(match_order);
-        (out, stats)
+        (nearest.into_sorted(), stats)
     }
 }
 
@@ -488,7 +602,6 @@ fn bucket_of(dv: f64, origin: f64, width: f64, nbuckets: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::ShotKey;
 
     fn entry(video: u64, shot: u32, var_ba: f64, var_oa: f64) -> IndexEntry {
         IndexEntry {

@@ -180,13 +180,26 @@ impl Window {
         }
     }
 
+    /// Whether `dv` lies below Eq. 7's window (never for a NaN).
+    #[inline]
+    pub(crate) fn below(&self, dv: f64) -> bool {
+        dv < self.dv_lo
+    }
+
+    /// Whether `dv` lies above Eq. 7's window (never for a NaN).
+    #[inline]
+    pub(crate) fn above(&self, dv: f64) -> bool {
+        dv > self.dv_hi
+    }
+
     /// Eqs. 7 and 8 for a row with `D^v = dv` and `√Var^BA = sba`.
+    /// Branch-free, so a counting loop over the columns vectorizes. Eq. 7
+    /// rejects a `D^v` below or above its window, so a NaN `D^v` (or NaN
+    /// α-bounds) passes it; Eq. 8 accepts a `√Var^BA` inside its window,
+    /// so a NaN `√Var^BA` (or NaN β-bounds) fails it.
     #[inline]
     pub(crate) fn accepts(&self, dv: f64, sba: f64) -> bool {
-        if dv < self.dv_lo || dv > self.dv_hi {
-            return false;
-        }
-        sba >= self.sba_lo && sba <= self.sba_hi
+        !(self.below(dv) | self.above(dv)) & (sba >= self.sba_lo) & (sba <= self.sba_hi)
     }
 
     /// Euclidean distance from the query point in `(D^v, √Var^BA)` space.

@@ -20,7 +20,7 @@
 //!   (they are scanned alongside the bucket probe), so correctness never
 //!   depends on finalize discipline — only speed does.
 
-use super::bucket::{entry_order, match_order, BucketIndex, BucketParams, ProbeStats};
+use super::bucket::{entry_order, match_order, BucketIndex, BucketParams, Nearest, ProbeStats};
 use super::cost::{CostEstimate, CostModel, CostWeights};
 use super::{IndexEntry, Match, ShotKey, VarianceQuery, Window};
 use std::cmp::Ordering;
@@ -424,48 +424,43 @@ impl ShotIndex {
         k: Option<usize>,
         ctx: &TraceContext,
     ) -> (Vec<Match>, Explain) {
-        let (matches, _, explain) = self.select(q, k, usize::MAX, |_| true, ctx);
+        let (matches, _, explain) = self.select(q, k, usize::MAX, None, ctx);
         (matches, explain)
     }
 
     /// The one selection body behind every query. Prices the plan, runs
-    /// the chosen executor, adds the staged rows (for top-k: then cuts to
-    /// the global `k` nearest), and drops every match whose key `keep`
-    /// rejects. Returns the first `cap` kept matches in ascending
-    /// `(distance, key)` order, the count of every kept match, and the
-    /// [`Explain`] (whose `matches` is the count before `keep`).
+    /// the chosen executor over the finalized and the staged rows, and
+    /// returns the first `cap` matches whose key `keep` accepts (`None`
+    /// accepts every key) in ascending `(distance, key)` order, the count
+    /// of every kept match, and the [`Explain`] (whose `matches` is the
+    /// count before `keep`).
     ///
-    /// Nothing sorts the whole match set: a bounded selection picks the
-    /// first `cap` and only those are sorted. Keys are unique per
-    /// `(video, shot)`, so `(distance, key)` is a strict total order and
-    /// the rows are exactly a full sort's first `cap`. `keep` is called
-    /// once per match, in no particular order. The `core.index.probe`
-    /// span opens under `ctx`, carries the explain summary, and covers
-    /// the executor and the staged merge.
+    /// **Range** (`k: None`) never collects the match set. A count pass
+    /// tests Eqs. 7–8 on the probed slice's two cached columns (the
+    /// bucket range, or the whole table for a scan plan) and on the
+    /// staged rows; then a walk from `D_q^v` outward offers accepted rows
+    /// to a heap of `min(cap, kept)` until no further row can place (see
+    /// `BucketIndex::walk_nearest`), so a reply's few rows cost a few
+    /// hundred row visits, not a match per accepted row.
+    ///
+    /// **Top-k** (`Some(k)`) runs the executor, cuts the union with the
+    /// staged rows to the global `k` nearest, drops the rows `keep`
+    /// rejects, and sorts only the first `cap` of the rest.
+    ///
+    /// Keys are unique per `(video, shot)`, so `(distance, key)` is a
+    /// strict total order and the rows are exactly a full sort's first
+    /// `cap`. `keep` must be a pure function of the key: it may be called
+    /// more than once per row, in no particular order. The
+    /// `core.index.probe` span opens under `ctx`, carries the explain
+    /// summary, and covers the executor and the selection.
     pub fn select(
         &self,
         q: &VarianceQuery,
         k: Option<usize>,
         cap: usize,
-        mut keep: impl FnMut(ShotKey) -> bool,
+        keep: Option<&mut dyn FnMut(ShotKey) -> bool>,
         ctx: &TraceContext,
     ) -> (Vec<Match>, usize, Explain) {
-        let (mut matches, explain) = self.probe(q, k, ctx);
-        matches.retain(|m| keep(m.entry.key));
-        let kept = matches.len();
-        keep_nearest(&mut matches, cap);
-        matches.sort_unstable_by(match_order);
-        (matches, kept, explain)
-    }
-
-    /// The planned executor plus the staged rows, unsorted: every range
-    /// match, or for top-k the `k` nearest.
-    fn probe(
-        &self,
-        q: &VarianceQuery,
-        k: Option<usize>,
-        ctx: &TraceContext,
-    ) -> (Vec<Match>, Explain) {
         let (plan, (lo, hi, _)) = match k {
             None => (
                 self.plan_range(q),
@@ -475,33 +470,106 @@ impl ShotIndex {
         };
         let o = obs();
         let mut tspan = global_tracer().span(ctx, "core.index.probe");
-        let _span = o.probe_us.start();
+        let probe_us = o.probe_us.start();
         match plan.choice {
             PlanChoice::Buckets => o.plan_bucket.incr(),
             PlanChoice::Scan => o.plan_scan.incr(),
         }
-        let (mut matches, stats) = match (k, plan.choice) {
-            (None, PlanChoice::Buckets) => self.bucket.range_unsorted(q),
-            (None, PlanChoice::Scan) => self.bucket.range_scan_unsorted(q),
-            (Some(k), PlanChoice::Buckets) => self.bucket.topk_with_stats(q, k),
-            (Some(k), PlanChoice::Scan) => self.bucket.topk_scan_with_stats(q, k),
+        let (rows, kept, matches, stats) = match k {
+            None => self.select_range(q, plan.choice, cap, keep),
+            Some(k) => self.select_topk(q, k, plan.choice, cap, keep),
         };
+        drop(probe_us);
         o.buckets_touched.add(stats.buckets_touched as u64);
         o.candidates_scored
             .add((stats.candidates + self.staged.len()) as u64);
-        self.push_staged(q, k, &mut matches);
         let explain = Explain {
             plan,
             probe_window: (lo, hi),
             probe: stats,
             staged_rows: self.staged.len(),
             rows: self.bucket.len(),
-            matches: matches.len(),
+            matches,
         };
         if tspan.is_recording() {
             tspan.attr("explain", explain.summary());
         }
-        (matches, explain)
+        (rows, kept, explain)
+    }
+
+    /// The range side of [`Self::select`]: count, then walk. Returns the
+    /// rows, the kept count, the match count and the executor's work.
+    fn select_range(
+        &self,
+        q: &VarianceQuery,
+        choice: PlanChoice,
+        cap: usize,
+        mut keep: Option<&mut dyn FnMut(ShotKey) -> bool>,
+    ) -> (Vec<Match>, usize, usize, ProbeStats) {
+        let w = Window::new(q);
+        let (rows, stats) = match choice {
+            PlanChoice::Buckets => self.bucket.range_slice(q),
+            PlanChoice::Scan => (
+                0..self.bucket.len(),
+                ProbeStats {
+                    buckets_touched: 0,
+                    candidates: self.bucket.len(),
+                },
+            ),
+        };
+        let (mut matches, finalized_kept) =
+            self.bucket
+                .count_window(&w, rows.clone(), keep.as_deref_mut());
+        let mut staged_kept = 0;
+        for e in &self.staged {
+            if w.accepts(e.d_v(), e.sqrt_ba()) {
+                matches += 1;
+                staged_kept += usize::from(keep.as_mut().map_or(true, |keep| keep(e.key)));
+            }
+        }
+        let kept = finalized_kept + staged_kept;
+        let mut nearest = Nearest::new(cap.min(kept), kept);
+        if nearest.limit() > 0 {
+            for e in &self.staged {
+                let (dv, sba) = (e.d_v(), e.sqrt_ba());
+                if w.accepts(dv, sba) && keep.as_mut().map_or(true, |keep| keep(e.key)) {
+                    nearest.offer(Match {
+                        entry: *e,
+                        distance: w.distance(dv, sba),
+                    });
+                }
+            }
+            self.bucket
+                .walk_nearest(&w, rows, keep, finalized_kept, &mut nearest);
+        }
+        (nearest.into_sorted(), kept, matches, stats)
+    }
+
+    /// The top-k side of [`Self::select`]: the executor's `k` nearest
+    /// merged with the staged rows, then `keep`, then the first `cap`.
+    /// Returns the rows, the kept count, the match count and the
+    /// executor's work.
+    fn select_topk(
+        &self,
+        q: &VarianceQuery,
+        k: usize,
+        choice: PlanChoice,
+        cap: usize,
+        keep: Option<&mut dyn FnMut(ShotKey) -> bool>,
+    ) -> (Vec<Match>, usize, usize, ProbeStats) {
+        let (mut found, stats) = match choice {
+            PlanChoice::Buckets => self.bucket.topk_with_stats(q, k),
+            PlanChoice::Scan => self.bucket.topk_scan_with_stats(q, k),
+        };
+        self.push_staged(q, Some(k), &mut found);
+        let matches = found.len();
+        if let Some(keep) = keep {
+            found.retain(|m| keep(m.entry.key));
+        }
+        let kept = found.len();
+        keep_nearest(&mut found, cap);
+        found.sort_unstable_by(match_order);
+        (found, kept, matches, stats)
     }
 
     /// Forced linear scan (the pinning reference for equivalence tests).
@@ -766,8 +834,9 @@ mod tests {
     }
 
     /// `select` against `search` → filter → take(cap) on one index, for
-    /// every k, predicate and cap of the grid; `search` itself against a
-    /// brute-force sort of every row.
+    /// every k, predicate and cap of the grid (the caps include 0, 1 and
+    /// the kept count −1, +0, +1); `search` itself against a brute-force
+    /// sort of every row.
     fn check_select(idx: &ShotIndex, rows: &[IndexEntry], q: &VarianceQuery) -> Result<(), String> {
         let ctx = TraceContext::disabled();
         let distance = |e: &IndexEntry| {
@@ -781,8 +850,14 @@ mod tests {
             })
             .collect();
         brute.sort_by(match_order);
-        // Keep all, keep none, keep even videos.
-        let predicates: [fn(ShotKey) -> bool; 3] = [|_| true, |_| false, |key| key.video % 2 == 0];
+        // No predicate, keep all, keep none, keep even videos.
+        type Predicate = Option<fn(ShotKey) -> bool>;
+        let predicates: [Predicate; 4] = [
+            None,
+            Some(|_| true),
+            Some(|_| false),
+            Some(|key| key.video % 2 == 0),
+        ];
         for k in [None, Some(0), Some(3), Some(1usize << 40)] {
             let (all, ex) = idx.search(q, k, &ctx);
             let want: Vec<Match> = match k {
@@ -794,12 +869,18 @@ mod tests {
                 Some(k) => brute.iter().take(k).copied().collect(),
             };
             prop_assert_eq!(&all, &want, "search, k={:?}", k);
-            for (which, keep) in predicates.into_iter().enumerate() {
+            prop_assert_eq!(ex.matches, all.len(), "explain, k={:?}", k);
+            for (which, mut predicate) in predicates.into_iter().enumerate() {
+                let keep = predicate.unwrap_or(|_| true);
                 let filtered: Vec<Match> =
                     all.iter().filter(|m| keep(m.entry.key)).copied().collect();
-                let len = all.len();
-                for cap in [0, 1, 7, 10, len, len + 3, usize::MAX] {
-                    let (got, kept, gex) = idx.select(q, k, cap, keep, &ctx);
+                let (len, kept) = (all.len(), filtered.len());
+                let caps = [0, 1, 7, kept.saturating_sub(1), kept, kept + 1, len + 3];
+                for cap in caps.into_iter().chain([usize::MAX]) {
+                    let keep = predicate
+                        .as_mut()
+                        .map(|f| f as &mut dyn FnMut(ShotKey) -> bool);
+                    let (got, count, gex) = idx.select(q, k, cap, keep, &ctx);
                     let want: Vec<Match> = filtered.iter().take(cap).copied().collect();
                     prop_assert_eq!(
                         &got,
@@ -809,7 +890,7 @@ mod tests {
                         which,
                         cap
                     );
-                    prop_assert_eq!(kept, filtered.len(), "count, k={:?} predicate {}", k, which);
+                    prop_assert_eq!(count, kept, "count, k={:?} predicate {}", k, which);
                     prop_assert_eq!(&gex, &ex, "explain, k={:?} predicate {}", k, which);
                 }
             }
@@ -846,6 +927,99 @@ mod tests {
                 check_select(&idx, &rows, &q)?;
             }
         }
+    }
+
+    /// Rows whose square roots are exact, placed on and just past every
+    /// edge of the window of `ba=16 oa=4 alpha=1 beta=1` (`D_q^v` = 2,
+    /// `√Var_q^BA` = 4: accepted `D^v` ∈ [1, 3], `√Var^BA` ∈ [3, 5]),
+    /// and at equal `D^v` gaps on both sides of `D_q^v`. Video ids 0..5
+    /// repeat every point, so equal distances tie and the key decides.
+    fn edge_rows() -> Vec<IndexEntry> {
+        let just = |x: f64, up: bool| if up { x + 1e-9 } else { x - 1e-9 };
+        let points = [
+            (4.0, 3.0),              // D^v = 1: on dv_lo
+            (4.0, 1.0),              // D^v = 3: on dv_hi
+            (3.0, 1.0),              // √Var^BA = 3: on sba_lo
+            (5.0, 3.0),              // √Var^BA = 5: on sba_hi
+            (4.0, just(3.0, true)),  // just below dv_lo
+            (4.0, just(1.0, false)), // just above dv_hi
+            (just(3.0, false), 1.0), // just below sba_lo
+            (just(5.0, true), 3.0),  // just above sba_hi
+            (4.0, 1.5),              // D^v = 2.5: gap 0.5 above
+            (4.0, 2.5),              // D^v = 1.5: gap 0.5 below
+            (4.5, 2.0),              // D^v = 2.5, off-axis
+            (3.5, 2.0),              // D^v = 1.5, off-axis
+            (4.0, 2.0),              // the query point itself
+        ];
+        let mut rows = Vec::new();
+        for video in 0..5u64 {
+            for (shot, (sba, soa)) in points.iter().enumerate() {
+                rows.push(entry(video, shot as u32, sba * sba, soa * soa));
+            }
+        }
+        rows
+    }
+
+    /// Spread rows far from the edge queries' windows, enough of them
+    /// that a narrow range is planned through the buckets.
+    fn filler_rows(n: usize) -> Vec<IndexEntry> {
+        (0..n)
+            .map(|i| {
+                let x = i as f64 / n as f64;
+                // √Var^BA in [0, 9], √Var^OA in [0, 40]: D^v in [-40, 9].
+                entry(
+                    100 + (i % 3) as u64,
+                    i as u32,
+                    (9.0 * x).powi(2),
+                    (40.0 * (1.0 - x)).powi(2),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn select_is_exact_on_edges_ties_and_extremes() {
+        let queries = [
+            VarianceQuery::new(16.0, 4.0),
+            VarianceQuery::new(16.0, 4.0).with_tolerances(0.5, 0.5),
+            VarianceQuery::new(16.0, 4.0).with_tolerances(0.0, 0.0),
+            // D_q^v far below and far above every row, windows wide
+            // enough to reach the table from outside its span.
+            VarianceQuery::new(0.0, 2500.0).with_tolerances(60.0, 100.0),
+            VarianceQuery::new(2500.0, 0.0).with_tolerances(60.0, 100.0),
+            VarianceQuery::new(0.0, 2500.0),
+            VarianceQuery::new(2500.0, 0.0),
+        ];
+        let edges = edge_rows();
+        let mut padded = edges.clone();
+        padded.extend(filler_rows(3_000));
+        let narrow = VarianceQuery::new(16.0, 4.0);
+        for (rows, choice) in [(&edges, PlanChoice::Scan), (&padded, PlanChoice::Buckets)] {
+            let finalized = ShotIndex::from_entries(rows.clone(), BucketParams::default());
+            assert_eq!(finalized.plan_range(&narrow).choice, choice);
+            let mut half =
+                ShotIndex::from_entries(rows[rows.len() / 2..].to_vec(), BucketParams::default());
+            half.stage(rows[..rows.len() / 2].iter().copied());
+            let mut staged = ShotIndex::new();
+            staged.stage(rows.iter().copied());
+            for idx in [&finalized, &half, &staged] {
+                for q in &queries {
+                    check_select(idx, rows, q).unwrap();
+                }
+            }
+        }
+        // The edges bite: each on-edge point is in, each just-past point
+        // out, for every video.
+        let idx = ShotIndex::from_entries(edges, BucketParams::default());
+        let shots: Vec<u32> = idx
+            .query(&VarianceQuery::new(16.0, 4.0))
+            .iter()
+            .filter(|m| m.entry.key.video == 0)
+            .map(|m| m.entry.key.shot)
+            .collect();
+        let mut sorted = shots.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, [0, 1, 2, 3, 8, 9, 10, 11, 12]);
     }
 
     #[test]

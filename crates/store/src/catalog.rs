@@ -368,19 +368,6 @@ impl Catalog {
     pub fn is_empty(&self) -> bool {
         self.videos.is_empty()
     }
-
-    /// Ids of videos in a `(genre, form)` class (the paper's within-class
-    /// retrieval scope).
-    pub fn videos_in_class(&self, genre: GenreId, form: FormId) -> Vec<u64> {
-        let mut out: Vec<u64> = self
-            .videos
-            .values()
-            .filter(|m| m.in_class(genre, form))
-            .map(|m| m.id)
-            .collect();
-        out.sort_unstable();
-        out
-    }
 }
 
 #[cfg(test)]
@@ -501,12 +488,20 @@ mod tests {
         let f = t.form("feature").unwrap();
         let mut c = Catalog::new();
         let a = c.register("funny", vec![g1], vec![f], 10, 3.0, (80, 60));
-        let _b = c.register("scary", vec![g2], vec![f], 10, 3.0, (80, 60));
-        assert_eq!(c.videos_in_class(g1, f), vec![a]);
-        assert_eq!(
-            c.videos_in_class(g1, t.form("short").unwrap()),
-            Vec::<u64>::new()
-        );
+        let b = c.register("scary", vec![g2], vec![f], 10, 3.0, (80, 60));
+        let in_class = |genre, form| {
+            let mut ids: Vec<u64> = c
+                .all()
+                .iter()
+                .filter(|m| m.in_class(genre, form))
+                .map(|m| m.id)
+                .collect();
+            ids.sort_unstable();
+            ids
+        };
+        assert_eq!(in_class(g1, f), vec![a]);
+        assert_eq!(in_class(g2, f), vec![b]);
+        assert_eq!(in_class(g1, t.form("short").unwrap()), Vec::<u64>::new());
     }
 
     #[test]

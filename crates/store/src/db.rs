@@ -42,6 +42,9 @@ pub enum DbError {
     BadRecord(&'static str),
     /// A textual query failed to parse.
     Query(crate::query::ParseError),
+    /// An analysis to store whose parts disagree (its shots, signs,
+    /// features and scene tree); nothing was stored.
+    Inconsistent(String),
 }
 
 impl std::fmt::Display for DbError {
@@ -58,6 +61,7 @@ impl std::fmt::Display for DbError {
             DbError::UnknownVideo(id) => write!(f, "unknown video id {id}"),
             DbError::BadRecord(what) => write!(f, "bad stored record: {what}"),
             DbError::Query(e) => write!(f, "query error: {e}"),
+            DbError::Inconsistent(why) => write!(f, "inconsistent analysis: {why}"),
         }
     }
 }
@@ -402,6 +406,11 @@ impl VideoDatabase {
     /// [`Self::finalize_index`], which either adopts a persisted index
     /// copy or merges everything in one build.
     fn restore_analysis(&mut self, stored: StoredAnalysis) {
+        // A second record for the same video replaces the first, rows
+        // included, so every index row names a shot of the stored tree.
+        if self.analyses.contains_key(&stored.video) {
+            self.index.remove_video(stored.video);
+        }
         self.index.stage(index_rows(&stored));
         self.analyses.insert(stored.video, stored);
     }
@@ -456,7 +465,10 @@ impl VideoDatabase {
     /// [`crate::session::StreamIngest`]).
     ///
     /// The analysis must have been produced by a pipeline with this
-    /// database's configuration for query behaviour to stay uniform.
+    /// database's configuration for query behaviour to stay uniform. An
+    /// analysis whose parts disagree (the checks a stored record's decode
+    /// runs) is refused with [`DbError::Inconsistent`] and nothing is
+    /// stored.
     pub fn ingest_precomputed(
         &mut self,
         name: impl Into<String>,
@@ -465,17 +477,24 @@ impl VideoDatabase {
         analysis: VideoAnalysis,
         genres: Vec<GenreId>,
         forms: Vec<FormId>,
-    ) -> u64 {
-        let id = self
-            .catalog
-            .register(name, genres, forms, analysis.frame_count(), fps, dims);
-        self.store_analysis(id, analysis);
-        id
+    ) -> Result<u64, DbError> {
+        let frames = analysis.frame_count();
+        self.store_analysis(analysis, |catalog| {
+            catalog.register(name, genres, forms, frames, fps, dims)
+        })
     }
 
     /// Decompose an owned analysis into the stored form (no copies of the
-    /// shot list, features, or sign histories) and index it.
-    fn store_analysis(&mut self, id: u64, analysis: VideoAnalysis) {
+    /// shot list, features, or sign histories), check that its parts
+    /// agree, and only then register it (`register` assigns the id) and
+    /// index it: every write path goes through here or through the
+    /// checked decode of [`Self::replay`], so every index row names a
+    /// catalogued video whose scene tree has a leaf for the row's shot.
+    fn store_analysis(
+        &mut self,
+        analysis: VideoAnalysis,
+        register: impl FnOnce(&mut Catalog) -> u64,
+    ) -> Result<u64, DbError> {
         let VideoAnalysis {
             signs_ba,
             signs_oa,
@@ -483,8 +502,8 @@ impl VideoDatabase {
             scene_tree,
             features,
         } = analysis;
-        let stored = StoredAnalysis {
-            video: id,
+        let mut stored = StoredAnalysis {
+            video: 0,
             shots: segmentation.shots,
             features,
             signs_ba,
@@ -492,8 +511,12 @@ impl VideoDatabase {
             scene_tree,
             stats: segmentation.stats,
         };
-        self.insert_into_index(&stored);
+        stored.check_parts().map_err(DbError::Inconsistent)?;
+        stored.video = register(&mut self.catalog);
+        self.index.extend(index_rows(&stored));
+        let id = stored.video;
         self.analyses.insert(id, stored);
+        Ok(id)
     }
 
     /// Aggregate statistics over the whole database.
@@ -512,10 +535,6 @@ impl VideoDatabase {
         s
     }
 
-    fn insert_into_index(&mut self, stored: &StoredAnalysis) {
-        self.index.extend(index_rows(stored));
-    }
-
     /// Remove a video and all its artifacts.
     pub fn remove(&mut self, id: u64) -> Result<(), DbError> {
         self.catalog.remove(id).ok_or(DbError::UnknownVideo(id))?;
@@ -524,11 +543,14 @@ impl VideoDatabase {
         Ok(())
     }
 
-    /// Drop catalog rows that have no stored analysis: torn-tail leftovers
-    /// where a crash landed between a video's META record and its ANALYSIS
-    /// record. The one replay (`VideoDatabase::replay`, behind `load` and
-    /// the journal) calls this so a partially persisted video is
-    /// never visible. Returns how many rows were swept.
+    /// Drop catalog rows that have no stored analysis — torn-tail
+    /// leftovers where a crash landed between a video's META record and
+    /// its ANALYSIS record — and stored analyses (with their index rows)
+    /// that have no catalog row, which only a damaged file holds. The one
+    /// replay (`VideoDatabase::replay`, behind `load` and the journal)
+    /// calls this so a partially persisted video is never visible and
+    /// every index row names a catalogued video. Returns how many videos
+    /// were swept.
     pub fn drop_unanalyzed(&mut self) -> usize {
         let orphans: Vec<u64> = self
             .catalog
@@ -540,7 +562,17 @@ impl VideoDatabase {
         for id in &orphans {
             let _ = self.remove(*id);
         }
-        orphans.len()
+        let uncatalogued: Vec<u64> = self
+            .analyses
+            .keys()
+            .copied()
+            .filter(|&id| self.catalog.get(id).is_none())
+            .collect();
+        for id in &uncatalogued {
+            self.analyses.remove(id);
+            self.index.remove_video(*id);
+        }
+        orphans.len() + uncatalogued.len()
     }
 
     /// The stored analysis of a video.
@@ -551,7 +583,7 @@ impl VideoDatabase {
     /// §4.2 query: matching shots mapped to the largest scenes that share
     /// their representative frames, nearest first.
     pub fn query(&self, q: &VarianceQuery) -> Vec<QueryAnswer> {
-        self.answers(q, None, |_| true, usize::MAX, &TraceContext::disabled())
+        self.answers(q, None, None, usize::MAX, &TraceContext::disabled())
             .0
     }
 
@@ -580,10 +612,11 @@ impl VideoDatabase {
         let mut tspan = global_tracer().span(ctx, "store.query");
         let spec = QuerySpec::parse(text, &self.taxonomy)?;
         let limit = spec.limit.unwrap_or(usize::MAX);
+        let filter = |meta: &VideoMeta| spec.keeps(meta);
         let (answers, kept, explain) = self.answers(
             &spec.variance,
             spec.k,
-            |meta| spec.keeps(meta),
+            spec.filters().then_some(&filter),
             limit.min(max_rows),
             &tspan.context(),
         );
@@ -616,7 +649,7 @@ impl VideoDatabase {
     ) -> Result<ShardQueryAnswers, DbError> {
         let spec = QuerySpec::parse(text, &self.taxonomy)?;
         let (rows, kept_total) = if spec.k.is_some() {
-            let (answers, _, _) = self.answers(&spec.variance, spec.k, |_| true, usize::MAX, ctx);
+            let (answers, _, _) = self.answers(&spec.variance, spec.k, None, usize::MAX, ctx);
             let rows: Vec<ShardQueryRow> = answers
                 .into_iter()
                 .map(|answer| {
@@ -630,10 +663,11 @@ impl VideoDatabase {
             let kept_total = rows.iter().filter(|r| r.keep).count();
             (rows, kept_total)
         } else {
+            let filter = |meta: &VideoMeta| spec.keeps(meta);
             let (answers, kept_total, _) = self.answers(
                 &spec.variance,
                 None,
-                |meta| spec.keeps(meta),
+                spec.filters().then_some(&filter),
                 SHARD_QUERY_ROW_CAP,
                 ctx,
             );
@@ -651,73 +685,57 @@ impl VideoDatabase {
         })
     }
 
-    /// Query restricted to one `(genre, form)` class — the paper's argument
-    /// for why two feature values suffice (§4.1).
-    pub fn query_in_class(
-        &self,
-        q: &VarianceQuery,
-        genre: GenreId,
-        form: FormId,
-    ) -> Vec<QueryAnswer> {
-        let spec = QuerySpec {
-            variance: *q,
-            genre: Some(genre),
-            form: Some(form),
-            limit: None,
-            k: None,
-        };
-        self.answers(
-            q,
-            None,
-            |meta| spec.keeps(meta),
-            usize::MAX,
-            &TraceContext::disabled(),
-        )
-        .0
-    }
-
     /// The `k` shots nearest to the query point (α/β ignored), mapped to
     /// their browsing scene nodes. Routed through the planner like
     /// [`Self::query`].
     pub fn query_topk(&self, q: &VarianceQuery, k: usize) -> Vec<QueryAnswer> {
-        self.answers(q, Some(k), |_| true, usize::MAX, &TraceContext::disabled())
+        self.answers(q, Some(k), None, usize::MAX, &TraceContext::disabled())
             .0
     }
 
     /// The one §4.2 answer walk behind every variance query: the index's
     /// planned [`ShotIndex::select`] (`k: None` is the Eqs. 7–8 range,
-    /// `Some(k)` the k nearest), keeping every match whose video `keep`
-    /// accepts and whose shot has a scene-tree leaf, nearest first.
+    /// `Some(k)` the k nearest), keeping the matches whose video `filter`
+    /// accepts (`None`: every match), nearest first.
     ///
-    /// That check is the selection's predicate, so every match is tested
-    /// and counted, but only the first `cap` kept matches come back
-    /// sorted, and only those are mapped to the largest scene that shares
-    /// their representative frame and built into a [`QueryAnswer`] — a
-    /// reply shows a handful of rows out of thousands of matches.
-    /// Returns those rows, the exact kept count (whatever `cap` cut) and
-    /// the planner's [`Explain`].
+    /// Every match is counted, but only the first `cap` kept matches come
+    /// back sorted, and only those are mapped to the largest scene that
+    /// shares their representative frame and built into a
+    /// [`QueryAnswer`] — a reply shows a handful of rows out of thousands
+    /// of matches. Without a filter no per-match lookup runs: every index
+    /// row names a catalogued video whose tree has a leaf for its shot
+    /// (see [`Self::store_analysis`] and [`Self::drop_unanalyzed`]). With
+    /// one, the selection's keep predicate looks up the video's catalog
+    /// row and checks the shot's leaf, as the rows are counted. Returns
+    /// those rows, the exact kept count (whatever `cap` cut) and the
+    /// planner's [`Explain`].
     fn answers(
         &self,
         q: &VarianceQuery,
         k: Option<usize>,
-        keep: impl Fn(&VideoMeta) -> bool,
+        filter: Option<&dyn Fn(&VideoMeta) -> bool>,
         cap: usize,
         ctx: &TraceContext,
     ) -> (Vec<QueryAnswer>, usize, Explain) {
-        let shows = |key: ShotKey| {
-            self.catalog.get(key.video).is_some_and(&keep)
-                && self.analyses.get(&key.video).is_some_and(|stored| {
-                    stored.scene_tree.leaf_of_shot(key.shot as usize).is_some()
-                })
-        };
-        let (matches, kept, explain) = self.index.select(q, k, cap, shows, ctx);
+        let mut shows = filter.map(|filter| {
+            move |key: ShotKey| {
+                self.catalog.get(key.video).is_some_and(filter)
+                    && self.analyses.get(&key.video).is_some_and(|stored| {
+                        stored.scene_tree.leaf_of_shot(key.shot as usize).is_some()
+                    })
+            }
+        });
+        let keep = shows
+            .as_mut()
+            .map(|shows| shows as &mut dyn FnMut(ShotKey) -> bool);
+        let (matches, kept, explain) = self.index.select(q, k, cap, keep, ctx);
         let rows = matches
             .iter()
             .map(|m| {
                 let tree = &self.analyses[&m.entry.key.video].scene_tree;
                 let node_id = tree
                     .largest_scene_for_shot(m.entry.key.shot as usize)
-                    .expect("the keep predicate checked the shot's leaf");
+                    .expect("every indexed shot has a leaf");
                 let node = tree.node(node_id);
                 QueryAnswer {
                     key: m.entry.key,
@@ -818,10 +836,9 @@ impl DbBackend for VideoDatabase {
     ) -> Result<u64, DbError> {
         let mut tspan = global_tracer().span(ctx, "store.ingest");
         let analysis = self.engine.analyze_traced(video, &tspan.context())?;
-        let id = self
-            .catalog
-            .register(name, genres, forms, video.len(), video.fps(), video.dims());
-        self.store_analysis(id, analysis);
+        let id = self.store_analysis(analysis, |catalog| {
+            catalog.register(name, genres, forms, video.len(), video.fps(), video.dims())
+        })?;
         if tspan.is_recording() {
             tspan.attr("video", id);
         }
@@ -837,7 +854,7 @@ impl DbBackend for VideoDatabase {
         genres: Vec<GenreId>,
         forms: Vec<FormId>,
     ) -> Result<(u64, CommitTicket), DbError> {
-        let id = self.ingest_precomputed(name, dims, fps, analysis, genres, forms);
+        let id = self.ingest_precomputed(name, dims, fps, analysis, genres, forms)?;
         Ok((id, CommitTicket::already_durable()))
     }
 
@@ -922,7 +939,11 @@ mod tests {
         let all = db.query(&q);
         assert!(all.iter().any(|x| x.key.video == a));
         assert!(all.iter().any(|x| x.key.video == b));
-        let scoped = db.query_in_class(&q, comedy, feature);
+        let text = format!(
+            "ba={} oa={} genre=comedy form=feature",
+            feat.var_ba, feat.var_oa
+        );
+        let scoped = db.query_str(&text).unwrap();
         assert!(scoped.iter().all(|x| x.key.video == a));
         assert!(!scoped.is_empty());
     }
@@ -1074,6 +1095,126 @@ mod tests {
         assert_eq!(sharded.kept_total, all_comedy.len());
     }
 
+    /// Every index row names a catalogued video whose scene tree has a
+    /// leaf for the row's shot, and every stored analysis is indexed:
+    /// what lets an unfiltered query skip the per-match lookups.
+    fn assert_rows_are_showable(db: &VideoDatabase, step: &str) {
+        let rows = db.index().entries();
+        for e in rows {
+            let key = e.key;
+            assert!(
+                db.catalog().get(key.video).is_some(),
+                "{step}: {key:?} uncatalogued"
+            );
+            let tree = &db.analysis(key.video).unwrap().scene_tree;
+            assert!(
+                tree.leaf_of_shot(key.shot as usize).is_some(),
+                "{step}: {key:?} has no leaf"
+            );
+        }
+        assert_eq!(rows.len(), db.stats().shots, "{step}");
+        assert_eq!(db.len(), db.analyses.len(), "{step}");
+    }
+
+    #[test]
+    fn every_write_path_keeps_index_rows_showable() {
+        let mut db = VideoDatabase::new();
+        let a = db.ingest("a", &sample_video(50), vec![], vec![]).unwrap();
+        let b = db.ingest("b", &sample_video(51), vec![], vec![]).unwrap();
+        assert_rows_are_showable(&db, "ingest");
+
+        let video = sample_video(52);
+        let analysis = vdb_core::analyzer::VideoAnalyzer::new()
+            .analyze(&video)
+            .unwrap();
+        // The last two shots merged: shots, signs and features agree, but
+        // the tree keeps a leaf for a shot that no longer exists.
+        let mut broken = analysis.clone();
+        let shots = &mut broken.segmentation.shots;
+        let last = shots.pop().unwrap();
+        shots.last_mut().unwrap().end = last.end;
+        broken.features.pop();
+        let refused = db.commit_stream(
+            "x".into(),
+            video.dims(),
+            video.fps(),
+            broken,
+            vec![],
+            vec![],
+        );
+        assert!(matches!(refused, Err(DbError::Inconsistent(_))));
+        let (c, _) = db
+            .commit_stream(
+                "c".into(),
+                video.dims(),
+                video.fps(),
+                analysis,
+                vec![],
+                vec![],
+            )
+            .unwrap();
+        assert_rows_are_showable(&db, "commit_stream");
+
+        db.remove(b).unwrap();
+        assert_rows_are_showable(&db, "remove");
+
+        let record = crate::transfer::ExportedVideo::from_db(&db, c)
+            .unwrap()
+            .encode();
+        let (name, dims, fps, analysis, genres, forms) =
+            crate::transfer::ExportedVideo::decode(&record)
+                .unwrap()
+                .into_analysis();
+        let (imported, _) = db
+            .commit_stream(name, dims, fps, analysis, genres, forms)
+            .unwrap();
+        assert_rows_are_showable(&db, "import");
+
+        // Replay of what `save` writes, then of the same records damaged:
+        // an ANALYSIS with no META, a META with no ANALYSIS, and a second
+        // ANALYSIS for one video with another video's shots.
+        let meta = |id: u64| Record {
+            tag: TAG_META,
+            payload: codec::to_bytes(db.catalog().get(id).unwrap()),
+        };
+        let analysis_as = |from: u64, id: u64| {
+            let mut stored = db.analysis(from).unwrap().clone();
+            stored.video = id;
+            Record {
+                tag: TAG_ANALYSIS,
+                payload: stored.encode(),
+            }
+        };
+        let clean = [meta(a), meta(c), analysis_as(a, a), analysis_as(c, c)];
+        let (back, swept) = VideoDatabase::replay(AnalyzerConfig::default(), &clean).unwrap();
+        assert_eq!(swept, 0);
+        assert_rows_are_showable(&back, "replay");
+        let not_imported: Vec<IndexEntry> = db
+            .index()
+            .entries()
+            .iter()
+            .filter(|e| e.key.video != imported)
+            .copied()
+            .collect();
+        assert_eq!(back.index().entries(), not_imported);
+
+        let damaged = [
+            meta(a),
+            analysis_as(a, a),
+            analysis_as(c, a),
+            analysis_as(c, 77),
+            meta(c),
+        ];
+        let (back, swept) = VideoDatabase::replay(AnalyzerConfig::default(), &damaged).unwrap();
+        assert_eq!(swept, 2, "video 77 has no META, video c no ANALYSIS");
+        assert_rows_are_showable(&back, "drop_unanalyzed");
+        assert_eq!(back.len(), 1);
+        assert_eq!(
+            back.analysis(a).unwrap().shots,
+            db.analysis(c).unwrap().shots
+        );
+    }
+
     #[test]
     fn stats_reflect_contents() {
         let mut db = VideoDatabase::new();
@@ -1102,7 +1243,9 @@ mod tests {
         let analysis = vdb_core::analyzer::VideoAnalyzer::new()
             .analyze(&video)
             .unwrap();
-        let id2 = db2.ingest_precomputed("x", video.dims(), video.fps(), analysis, vec![], vec![]);
+        let id2 = db2
+            .ingest_precomputed("x", video.dims(), video.fps(), analysis, vec![], vec![])
+            .unwrap();
         assert_eq!(
             db1.analysis(id1).unwrap().shots,
             db2.analysis(id2).unwrap().shots

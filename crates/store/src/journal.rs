@@ -358,7 +358,7 @@ impl JournaledDatabase {
     ) -> Result<(u64, CommitTicket), DbError> {
         let id = self
             .db
-            .ingest_precomputed(name, dims, fps, analysis, genres, forms);
+            .ingest_precomputed(name, dims, fps, analysis, genres, forms)?;
         let ticket = self.stage_clip_records(id, &TraceContext::disabled())?;
         Ok((
             id,
@@ -706,6 +706,61 @@ mod tests {
         let j = JournaledDatabase::open(&path, AnalyzerConfig::default()).unwrap();
         assert_eq!(j.db().len(), 1);
         assert_eq!(j.db().catalog().all()[0].name, "late");
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    #[test]
+    fn inconsistent_stream_commit_is_refused_and_leaves_no_trace() {
+        let path = tmp("inconsistent");
+        let mut j = JournaledDatabase::open(&path, AnalyzerConfig::default()).unwrap();
+        j.ingest("kept", &clip(61), vec![], vec![]).unwrap();
+        let v = clip(62);
+        let analysis = vdb_core::analyzer::VideoAnalyzer::new()
+            .analyze(&v)
+            .unwrap();
+        let broken = [
+            {
+                let mut a = analysis.clone();
+                a.features.pop();
+                a
+            },
+            {
+                let mut a = analysis.clone();
+                a.signs_oa.pop();
+                a
+            },
+        ];
+        let rows = j.db().index().len();
+        let stats = j.journal_stats();
+        let bytes = std::fs::metadata(&path).unwrap().len();
+        for a in broken {
+            let err = j
+                .commit_stream("broken".into(), v.dims(), v.fps(), a, vec![], vec![])
+                .map(|(id, _)| id)
+                .unwrap_err();
+            assert!(matches!(err, DbError::Inconsistent(_)), "{err:?}");
+            assert_eq!(j.db().len(), 1, "the catalog is untouched");
+            assert_eq!(j.db().index().len(), rows, "the index is untouched");
+            assert_eq!(j.journal_stats(), stats, "nothing was staged");
+        }
+        j.flush().unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), bytes);
+        // The refused commits took no id, and the journal still opens.
+        let (id, ticket) = j
+            .commit_stream("whole".into(), v.dims(), v.fps(), analysis, vec![], vec![])
+            .unwrap();
+        ticket.wait().unwrap();
+        assert_eq!(id, 1);
+        drop(j);
+        let j = JournaledDatabase::open(&path, AnalyzerConfig::default()).unwrap();
+        let names: Vec<&str> = j
+            .db()
+            .catalog()
+            .all()
+            .iter()
+            .map(|m| m.name.as_str())
+            .collect();
+        assert_eq!(names, ["kept", "whole"]);
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 

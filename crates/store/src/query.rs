@@ -174,6 +174,12 @@ impl QuerySpec {
         self.genre.iter().all(|g| meta.genres.contains(g))
             && self.form.iter().all(|f| meta.forms.contains(f))
     }
+
+    /// Whether the spec names a `genre` or `form`, i.e. whether
+    /// [`Self::keeps`] can reject a video at all.
+    pub fn filters(&self) -> bool {
+        self.genre.is_some() || self.form.is_some()
+    }
 }
 
 fn assign<T>(slot: &mut Option<T>, value: T, key: &str) -> Result<(), ParseError> {

@@ -134,11 +134,17 @@ fn multi_video_queries_stay_isolated_per_class() {
         .unwrap();
 
     // An open query may hit both; class-scoped queries never cross.
-    let q = VarianceQuery::new(0.1, 12.0).with_tolerances(3.0, 3.0);
-    for ans in db.query_in_class(&q, comedy, feature) {
+    let q = "ba=0.1 oa=12 alpha=3 beta=3";
+    for ans in db
+        .query_str(&format!("{q} genre=comedy form=feature"))
+        .unwrap()
+    {
         assert_eq!(ans.key.video, a);
     }
-    for ans in db.query_in_class(&q, western, feature) {
+    for ans in db
+        .query_str(&format!("{q} genre=western form=feature"))
+        .unwrap()
+    {
         assert_eq!(ans.key.video, b);
     }
 }
