@@ -351,13 +351,18 @@ impl BucketIndex {
 
     /// [`Self::range_scan_with_stats`] without the final sort.
     pub(crate) fn range_scan_unsorted(&self, q: &VarianceQuery) -> (Vec<Match>, ProbeStats) {
-        (
-            self.range_rows(q, 0..self.entries.len()),
-            ProbeStats {
-                buckets_touched: 0,
-                candidates: self.entries.len(),
-            },
-        )
+        let (rows, stats) = self.scan_slice();
+        (self.range_rows(q, rows), stats)
+    }
+
+    /// Every row, and a scan's work accounting: no bucket, every row a
+    /// candidate.
+    pub(crate) fn scan_slice(&self) -> (Range<usize>, ProbeStats) {
+        let stats = ProbeStats {
+            buckets_touched: 0,
+            candidates: self.entries.len(),
+        };
+        (0..self.entries.len(), stats)
     }
 
     /// Eqs. 7–8 over `rows`, read off the cached columns: the rows that

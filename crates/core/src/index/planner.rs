@@ -509,13 +509,7 @@ impl ShotIndex {
         let w = Window::new(q);
         let (rows, stats) = match choice {
             PlanChoice::Buckets => self.bucket.range_slice(q),
-            PlanChoice::Scan => (
-                0..self.bucket.len(),
-                ProbeStats {
-                    buckets_touched: 0,
-                    candidates: self.bucket.len(),
-                },
-            ),
+            PlanChoice::Scan => self.bucket.scan_slice(),
         };
         let (mut matches, finalized_kept) =
             self.bucket
