@@ -175,7 +175,7 @@ fn main() {
         println!("{}", render_sweep("n (shots)", &run_scenetree_sweep()));
     }
     if wants(&args, "crossover") {
-        println!("== Scan-vs-index crossover (bucketed shot index) ==\n");
+        println!("== Scan-vs-index crossover (D^v-sorted index table) ==\n");
         let sizes = [1_000, 10_000, 100_000, 500_000];
         let points = run_crossover(&sizes, 9, args.seed);
         println!("{}", render_crossover(&points));

@@ -1,7 +1,7 @@
 //! The 1M-shot pin on the sublinear index (run with `--ignored` in the
 //! CI index-scale job, release profile):
 //!
-//! * the bucket index over one million synthetic shots builds inside a
+//! * the index table over one million synthetic shots builds inside a
 //!   wall-clock budget;
 //! * indexed top-k answers are *identical* to the full-ranking scan and
 //!   at least 10× faster (the acceptance bar for this index existing
@@ -20,7 +20,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
-use vdb_core::index::{BucketParams, IndexEntry, ShotIndex, ShotKey, VarianceQuery};
+use vdb_core::index::{IndexEntry, ShotIndex, ShotKey, VarianceQuery};
 use vdb_core::variance::ShotFeature;
 use vdb_synth::rng::Srng;
 
@@ -36,7 +36,7 @@ const PROBE_P99_BUDGET_US: f64 = 20_000.0;
 /// the test's own copies fit far below this even with allocator slack.
 const RSS_BUDGET_MIB: u64 = 2_048;
 
-/// The three-cluster mixture shared with the equivalence and cost-model
+/// The three-cluster mixture shared with the equivalence and exact-work
 /// suites, at a million rows.
 fn corpus() -> Vec<IndexEntry> {
     let clusters = [(2.0, 12.0, 1.5), (25.0, 18.0, 5.0), (60.0, 30.0, 10.0)];
@@ -113,7 +113,7 @@ fn one_million_shots_index_vs_scan() {
     let queries = probe_set(&entries);
 
     let t = Instant::now();
-    let idx = ShotIndex::from_entries(entries, BucketParams::default());
+    let idx = ShotIndex::from_entries(entries);
     let build_seconds = t.elapsed().as_secs_f64();
     assert_eq!(idx.len(), N);
     assert!(

@@ -14,37 +14,34 @@
 //!
 //! with tolerances α = β = 1.0 in the paper's system.
 //!
-//! The one index table is [`ShotIndex`]: rows sorted by `D^v` under a
-//! bucket directory, so Eq. 7 touches only the buckets overlapping the
-//! α-window and Eq. 8 filters the survivors. It is built from three
-//! pieces, sized for the "millions of shots" scale ROADMAP targets:
+//! The one index table is [`ShotIndex`]: the paper's "index table keyed on
+//! `D^v`", kept as three parallel columns (rows, `D^v`, `√Var^BA`) sorted
+//! by `(D^v, key)`. A range query is two binary searches and one walk:
+//! the partition points of `D_q^v − α` and `D_q^v + α` bound the rows
+//! Eq. 7 accepts, a count pass tests Eq. 8 on exactly those rows, and a
+//! walk outward from `D_q^v` offers the nearest few to a bounded heap. A
+//! top-k query is the same walk with no window. Every probe's work is
+//! exact and reported by [`Explain`]:
 //!
-//! * [`bucket`] — [`BucketIndex`], a sorted bucket
-//!   array over `D^v` answering range *and* top-k queries in sublinear
-//!   time, reporting exactly how much work each probe did;
-//! * [`cost`] — [`CostModel`], which predicts that work
-//!   (buckets touched, candidates scored) from the index parameters and
-//!   corpus statistics alone;
+//! * [`bucket`] — the sorted columns and the reads over them (the
+//!   window, the count pass, the walk, the merge);
 //! * [`planner`] — [`ShotIndex`] itself, the maintained index used by the
-//!   database layer and the experiments: it plans every query (scan vs.
-//!   buckets) from the cost estimate and records probe metrics into
-//!   `vdb-obs`.
+//!   database layer and the experiments: the table, the staged tier, the
+//!   selection every query runs through, and its `core.index.*` metrics.
 //!
 //! [`ExtendedIndex`] is the §6 per-channel model, kept for the
 //! basic-vs-extended ablation.
 //!
 //! **Tie-break contract:** every query in this family orders results by
 //! ascending `(distance, ShotKey)` — equal-distance matches come back in
-//! `(video, shot)` order. The property suites pin the bucketed structures
-//! to the brute-force linear scan under exactly this rule.
+//! `(video, shot)` order. The property suites pin the index to the
+//! brute-force linear scan under exactly this rule.
 
 pub mod bucket;
-pub mod cost;
 pub mod planner;
 
-pub use bucket::{BucketIndex, BucketParams, ProbeStats};
-pub use cost::{CorpusStats, CostEstimate, CostModel};
-pub use planner::{Explain, IndexRuntime, Plan, PlanChoice, ShotIndex};
+pub use bucket::ProbeStats;
+pub use planner::{Explain, IndexRuntime, ShotIndex};
 
 use crate::variance::ShotFeature;
 
@@ -180,26 +177,24 @@ impl Window {
         }
     }
 
-    /// Whether `dv` lies below Eq. 7's window (never for a NaN).
+    /// Eq. 7 for a row with `D^v = dv`. A NaN anywhere fails it, as it
+    /// lies outside the table's partition points (see
+    /// `Table::window`).
     #[inline]
-    pub(crate) fn below(&self, dv: f64) -> bool {
-        dv < self.dv_lo
+    pub(crate) fn eq7(&self, dv: f64) -> bool {
+        (dv >= self.dv_lo) & (dv <= self.dv_hi)
     }
 
-    /// Whether `dv` lies above Eq. 7's window (never for a NaN).
+    /// Eq. 8 for a row with `√Var^BA = sba`. A NaN anywhere fails it.
     #[inline]
-    pub(crate) fn above(&self, dv: f64) -> bool {
-        dv > self.dv_hi
+    pub(crate) fn eq8(&self, sba: f64) -> bool {
+        (sba >= self.sba_lo) & (sba <= self.sba_hi)
     }
 
-    /// Eqs. 7 and 8 for a row with `D^v = dv` and `√Var^BA = sba`.
-    /// Branch-free, so a counting loop over the columns vectorizes. Eq. 7
-    /// rejects a `D^v` below or above its window, so a NaN `D^v` (or NaN
-    /// α-bounds) passes it; Eq. 8 accepts a `√Var^BA` inside its window,
-    /// so a NaN `√Var^BA` (or NaN β-bounds) fails it.
+    /// Eqs. 7 and 8. Branch-free, so a counting loop vectorizes.
     #[inline]
     pub(crate) fn accepts(&self, dv: f64, sba: f64) -> bool {
-        !(self.below(dv) | self.above(dv)) & (sba >= self.sba_lo) & (sba <= self.sba_hi)
+        self.eq7(dv) & self.eq8(sba)
     }
 
     /// Euclidean distance from the query point in `(D^v, √Var^BA)` space.
@@ -372,7 +367,7 @@ mod tests {
     }
 
     fn build(entries: Vec<IndexEntry>) -> ShotIndex {
-        ShotIndex::from_entries(entries, BucketParams::default())
+        ShotIndex::from_entries(entries)
     }
 
     fn keys(matches: &[Match]) -> Vec<ShotKey> {
@@ -442,21 +437,55 @@ mod tests {
 
     #[test]
     fn quantized_agrees_with_sorted() {
+        // Features on a coarse grid: many rows share a D^v, so the window
+        // edges and the walk land inside runs of equal D^v.
         let entries: Vec<IndexEntry> = (0..300)
             .map(|i| {
                 let v = f64::from(i);
-                entry(7, i, (v * 1.31) % 55.0, (v * 0.47) % 25.0)
+                entry(
+                    7,
+                    i,
+                    ((v * 1.31) % 55.0).round(),
+                    ((v * 0.47) % 25.0).round(),
+                )
             })
             .collect();
-        // Coarse and fine bucket directories probe different slices of the
-        // table but must return the scan's answer exactly.
-        let fine = ShotIndex::from_entries(entries.clone(), BucketParams::with_bucket_width(0.05));
-        let coarse = ShotIndex::from_entries(entries, BucketParams::with_bucket_width(4.0));
+        let idx = build(entries);
         for i in 0..30 {
             let q = VarianceQuery::new(f64::from(i * 2), f64::from(i));
-            let want = keys(&fine.query_scan(&q));
-            assert_eq!(keys(&fine.probe_range(&q).0), want, "fine, query {i}");
-            assert_eq!(keys(&coarse.probe_range(&q).0), want, "coarse, query {i}");
+            let want = keys(&idx.query_scan(&q));
+            assert_eq!(keys(&idx.probe_range(&q).0), want, "query {i}");
+            assert_eq!(
+                keys(&idx.query_topk(&q, 9)),
+                keys(&idx.query_topk_scan(&q, 9)),
+                "query {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn nan_query_gets_one_answer_on_every_path() {
+        // A NaN bound fails Eq. 7 (or Eq. 8) for every row, so the index,
+        // the scan and the predicate all answer nothing.
+        let entries: Vec<IndexEntry> = (0..2_000)
+            .map(|i| {
+                let v = f64::from(i);
+                entry(u64::from(i % 11), i, (v * 0.37) % 40.0, (v * 0.71) % 30.0)
+            })
+            .collect();
+        let idx = build(entries.clone());
+        for idx in [&idx, &build(entries[..8].to_vec())] {
+            for q in [
+                VarianceQuery::new(4.0, f64::NAN),
+                VarianceQuery::new(f64::NAN, 4.0),
+                VarianceQuery::new(4.0, 4.0).with_tolerances(f64::NAN, 1.0),
+                VarianceQuery::new(4.0, 4.0).with_tolerances(1.0, f64::NAN),
+            ] {
+                let predicate = idx.entries().iter().filter(|e| q.matches(e)).count();
+                assert_eq!(predicate, 0, "{q:?}");
+                assert!(idx.query(&q).is_empty(), "{q:?}");
+                assert!(idx.query_scan(&q).is_empty(), "{q:?}");
+            }
         }
     }
 

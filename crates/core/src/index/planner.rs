@@ -1,73 +1,50 @@
-//! The maintained shot index and its query planner.
+//! The maintained shot index: the sorted table, its staged tier, and the
+//! one selection every query runs through.
 //!
-//! [`ShotIndex`] is what the store embeds: a [`BucketIndex`] kept current
-//! across ingests and removals, a cached [`CostModel`] rebuilt alongside
-//! it, and a planner that prices every probe against the linear scan and
-//! executes whichever side the estimate favours. The choice, the probe
-//! timings, and the work counters all flow into `vdb-obs` under
-//! `core.index.*`, which is how the scan-vs-index crossover shows up in
-//! BENCH output.
+//! [`ShotIndex`] is what the store embeds. Its table holds the finalized
+//! rows in three columns sorted by `(D^v, key)` (see [`super::bucket`]):
+//! a range probe reads exactly the rows of Eq. 7's window, found by two
+//! binary searches, and walks from `D_q^v` for the nearest few; a top-k
+//! probe is the same walk with no window. Nothing is estimated: the
+//! probe timings and the exact work flow into `vdb-obs` under
+//! `core.index.*`, and [`Explain`] reports the work of each request.
 //!
 //! Two ingestion modes:
 //!
 //! * **online** ([`ShotIndex::extend`]) — merge the batch into the sorted
-//!   array immediately (one O(n + m) refresh per batch);
+//!   columns immediately (one O(n + m) merge per batch);
 //! * **staged** ([`ShotIndex::stage`] + [`ShotIndex::finalize`] /
 //!   [`ShotIndex::adopt`]) — the journal-replay path: entries pile up
-//!   unsorted, then one refresh builds the index, *or* a persisted copy
+//!   unsorted, then one merge folds them in, *or* a persisted copy
 //!   whose [fingerprint](fingerprint_entries) matches the staged rows is
-//!   adopted without a rebuild. Staged rows are still visible to queries
-//!   (they are scanned alongside the bucket probe), so correctness never
+//!   adopted in their place. Staged rows are still visible to queries
+//!   (they are scanned alongside the table), so correctness never
 //!   depends on finalize discipline — only speed does.
 
-use super::bucket::{entry_order, match_order, BucketIndex, BucketParams, Nearest, ProbeStats};
-use super::cost::{CostEstimate, CostModel, CostWeights};
+use super::bucket::{match_order, Nearest, ProbeStats, Table};
 use super::{IndexEntry, Match, ShotKey, VarianceQuery, Window};
-use std::cmp::Ordering;
 use std::sync::OnceLock;
 use vdb_obs::{global, global_tracer, Counter, Histogram, TraceContext};
 
-/// Which executor the planner chose for a probe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanChoice {
-    /// Linear scan over the whole table.
-    Scan,
-    /// Bucket-directory probe.
-    Buckets,
-}
-
-/// A priced decision: the estimate for the bucket probe, the scan cost it
-/// was compared against, and the winner.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Plan {
-    /// The executor the probe will use.
-    pub choice: PlanChoice,
-    /// Predicted bucket-probe cost.
-    pub index_cost: CostEstimate,
-    /// Cost of the linear scan in the same units.
-    pub scan_cost: f64,
-}
-
-/// The planner's full decision trail for one *executed* probe — what the
-/// `explain` command reports and what a traced probe attaches to its
-/// span: the priced plan (estimates in [`Plan::index_cost`]) next to the
-/// executor's measured work, so estimated-vs-actual is one comparison.
+/// The exact work of one *executed* probe — what the `explain` command
+/// reports and what a traced probe attaches to its span.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Explain {
-    /// The priced decision the probe executed.
-    pub plan: Plan,
-    /// The `D^v` window the estimate was priced over, `(lo, hi)` —
-    /// bucket-edge-snapped for range probes, k-expanded for top-k.
-    pub probe_window: (f64, f64),
-    /// Measured work of the executor that ran. For a [`PlanChoice::Scan`]
-    /// plan the candidates are the full finalized row count.
+    /// The `D^v` range the probe read, `(lo, hi)`: for a range
+    /// `[D_q^v − α, D_q^v + α]`; for top-k the `D^v` of the first and
+    /// last rows the walk read (`D_q^v` twice if it read none).
+    pub window: (f64, f64),
+    /// Rows of the table the probe read: for a range the window's rows,
+    /// which the count pass reads; for top-k the rows the walk visited.
     pub probe: ProbeStats,
-    /// Staged (unfinalized) rows scanned alongside the probe.
+    /// Rows the walk visited (at most `probe.candidates`).
+    pub visited: usize,
+    /// Staged (unfinalized) rows scanned alongside the table.
     pub staged_rows: usize,
-    /// Finalized rows in the index.
+    /// Finalized rows in the table.
     pub rows: usize,
-    /// Matches after the staged merge (for top-k: after the cut to the
-    /// `k` nearest), before any caller's keep predicate.
+    /// Matches including the staged rows (for top-k: after the cut to
+    /// the `k` nearest), before any caller's keep predicate.
     pub matches: usize,
 }
 
@@ -76,24 +53,14 @@ impl Explain {
     /// traced probe attaches to its span).
     pub fn summary(&self) -> String {
         format!(
-            "plan={} est_candidates={:.0} est_buckets={:.0} actual_candidates={} \
-             actual_buckets={} window=[{:.3},{:.3}] staged={} rows={} matches={} \
-             index_cost={:.0} scan_cost={:.0}",
-            match self.plan.choice {
-                PlanChoice::Scan => "scan",
-                PlanChoice::Buckets => "buckets",
-            },
-            self.plan.index_cost.candidates,
-            self.plan.index_cost.buckets_touched,
+            "window=[{:.3},{:.3}] candidates={} visited={} staged={} rows={} matches={}",
+            self.window.0,
+            self.window.1,
             self.probe.candidates,
-            self.probe.buckets_touched,
-            self.probe_window.0,
-            self.probe_window.1,
+            self.visited,
             self.staged_rows,
             self.rows,
             self.matches,
-            self.plan.index_cost.total,
-            self.plan.scan_cost,
         )
     }
 }
@@ -103,9 +70,9 @@ impl Explain {
 /// counts even when suites run concurrently in one process.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexRuntime {
-    /// Full (re)builds of the sorted array — merges, finalizes, removals.
+    /// Rewrites of the table — merges, finalizes, removals.
     pub refreshes: u64,
-    /// Persisted copies adopted wholesale instead of rebuilding.
+    /// Persisted copies adopted in place of the staged rows.
     pub adoptions: u64,
 }
 
@@ -113,9 +80,6 @@ struct IndexObs {
     build_us: Histogram,
     probe_us: Histogram,
     candidates_scored: Counter,
-    buckets_touched: Counter,
-    plan_scan: Counter,
-    plan_bucket: Counter,
     refreshes: Counter,
     adoptions: Counter,
 }
@@ -126,9 +90,6 @@ fn obs() -> &'static IndexObs {
         build_us: global().histogram("core.index.build_us"),
         probe_us: global().histogram("core.index.probe_us"),
         candidates_scored: global().counter("core.index.candidates_scored"),
-        buckets_touched: global().counter("core.index.buckets_touched"),
-        plan_scan: global().counter("core.index.plan_scan"),
-        plan_bucket: global().counter("core.index.plan_bucket"),
         refreshes: global().counter("core.index.refreshes"),
         adoptions: global().counter("core.index.adoptions"),
     })
@@ -159,57 +120,31 @@ pub fn fingerprint_entries<'a>(entries: impl Iterator<Item = &'a IndexEntry>) ->
     sum
 }
 
-/// The maintained, planner-routed shot index.
-#[derive(Debug, Clone)]
+/// The maintained shot index: the paper's table keyed on `D^v`, plus the
+/// staged tier.
+#[derive(Debug, Clone, Default)]
 pub struct ShotIndex {
-    params: BucketParams,
-    weights: CostWeights,
-    bucket: BucketIndex,
-    model: CostModel,
+    table: Table,
     staged: Vec<IndexEntry>,
     runtime: IndexRuntime,
 }
 
-impl Default for ShotIndex {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl ShotIndex {
-    /// An empty index with default parameters.
+    /// An empty index.
     pub fn new() -> Self {
-        Self::with_params(BucketParams::default())
-    }
-
-    /// An empty index with explicit bucket parameters.
-    pub fn with_params(params: BucketParams) -> Self {
-        let bucket = BucketIndex::build(Vec::new(), params);
-        let model = CostModel::new(
-            bucket.effective_width(),
-            bucket.stats().clone(),
-            CostWeights::default(),
-        );
-        ShotIndex {
-            params,
-            weights: CostWeights::default(),
-            bucket,
-            model,
-            staged: Vec::new(),
-            runtime: IndexRuntime::default(),
-        }
+        Self::default()
     }
 
     /// Build directly from a batch of entries.
-    pub fn from_entries(entries: Vec<IndexEntry>, params: BucketParams) -> Self {
-        let mut idx = Self::with_params(params);
+    pub fn from_entries(entries: Vec<IndexEntry>) -> Self {
+        let mut idx = Self::new();
         idx.extend(entries);
         idx
     }
 
     /// Rows indexed (finalized + staged).
     pub fn len(&self) -> usize {
-        self.bucket.len() + self.staged.len()
+        self.table.len() + self.staged.len()
     }
 
     /// Whether no rows are indexed.
@@ -225,28 +160,13 @@ impl ShotIndex {
             "entries() read with {} rows still staged",
             self.staged.len()
         );
-        self.bucket.entries()
+        self.table.entries()
     }
 
-    /// Whether every staged row has been merged into the sorted array —
-    /// i.e. [`Self::entries`] currently describes the full row set.
+    /// Whether every staged row has been merged into the table — i.e.
+    /// [`Self::entries`] currently describes the full row set.
     pub fn is_finalized(&self) -> bool {
         self.staged.is_empty()
-    }
-
-    /// The bucket parameters in force.
-    pub fn params(&self) -> BucketParams {
-        self.params
-    }
-
-    /// The underlying sorted bucket array.
-    pub fn bucket(&self) -> &BucketIndex {
-        &self.bucket
-    }
-
-    /// The cost model the planner consults (rebuilt on every refresh).
-    pub fn cost_model(&self) -> &CostModel {
-        &self.model
     }
 
     /// Per-instance maintenance counters.
@@ -257,7 +177,7 @@ impl ShotIndex {
     /// Fingerprint of the full row set (finalized + staged); what the
     /// store persists next to the index payload.
     pub fn fingerprint(&self) -> u64 {
-        fingerprint_entries(self.bucket.entries().iter().chain(self.staged.iter()))
+        fingerprint_entries(self.table.entries().iter().chain(self.staged.iter()))
     }
 
     /// Insert one row (merges immediately; prefer [`Self::extend`] for
@@ -266,7 +186,8 @@ impl ShotIndex {
         self.extend(vec![entry]);
     }
 
-    /// Merge a batch into the sorted array (one refresh).
+    /// Merge a batch into the table (one refresh). Rows must have finite,
+    /// non-negative variances.
     pub fn extend(&mut self, batch: Vec<IndexEntry>) {
         if batch.is_empty() {
             return;
@@ -275,13 +196,13 @@ impl ShotIndex {
         self.refresh();
     }
 
-    /// Queue rows without rebuilding — the journal-replay path. Staged
-    /// rows remain queryable (scanned alongside the bucket probe).
+    /// Queue rows without merging — the journal-replay path. Staged rows
+    /// remain queryable (scanned alongside the table).
     pub fn stage(&mut self, batch: impl IntoIterator<Item = IndexEntry>) {
         self.staged.extend(batch);
     }
 
-    /// Merge anything staged into the sorted array. No-op when nothing is
+    /// Merge anything staged into the table. No-op when nothing is
     /// staged.
     pub fn finalize(&mut self) {
         if !self.staged.is_empty() {
@@ -289,23 +210,16 @@ impl ShotIndex {
         }
     }
 
-    /// Adopt a persisted copy of the index instead of rebuilding, if its
-    /// row set matches what is currently staged + finalized (verified by
-    /// [fingerprint](fingerprint_entries)). Returns `false` — leaving the
-    /// index untouched, caller should [`Self::finalize`] — on mismatch.
+    /// Adopt a persisted copy of the index in place of the staged rows,
+    /// if its row set matches what is currently staged + finalized
+    /// (verified by [fingerprint](fingerprint_entries)). Returns `false`
+    /// — leaving the index untouched, caller should [`Self::finalize`] —
+    /// on mismatch.
     pub fn adopt(&mut self, entries: Vec<IndexEntry>) -> bool {
         if fingerprint_entries(entries.iter()) != self.fingerprint() {
             return false;
         }
-        let mut rows: Vec<(f64, IndexEntry)> = entries.into_iter().map(|e| (e.d_v(), e)).collect();
-        if !rows
-            .windows(2)
-            .all(|w| entry_order(&w[0], &w[1]) != Ordering::Greater)
-        {
-            rows.sort_by(entry_order);
-        }
-        self.bucket = BucketIndex::from_sorted_rows(rows, self.params);
-        self.rebuild_model();
+        self.table = Table::build(entries);
         self.staged.clear();
         self.runtime.adoptions += 1;
         obs().adoptions.incr();
@@ -316,108 +230,40 @@ impl ShotIndex {
     pub fn remove_video(&mut self, video: u64) -> usize {
         let staged_before = self.staged.len();
         self.staged.retain(|e| e.key.video != video);
-        let mut removed = staged_before - self.staged.len();
-        let kept: Vec<(f64, IndexEntry)> = self
-            .bucket
-            .sorted_rows()
-            .filter(|(_, e)| e.key.video != video)
-            .collect();
-        if kept.len() != self.bucket.len() {
-            removed += self.bucket.len() - kept.len();
-            let _span = obs().build_us.start();
-            self.bucket = BucketIndex::from_sorted_rows(kept, self.params);
-            self.rebuild_model();
+        let span = obs().build_us.start();
+        let dropped = self.table.remove_video(video);
+        drop(span);
+        if dropped > 0 {
             self.runtime.refreshes += 1;
             obs().refreshes.incr();
         }
-        removed
+        staged_before - self.staged.len() + dropped
     }
 
     fn refresh(&mut self) {
         let _span = obs().build_us.start();
-        let mut fresh: Vec<(f64, IndexEntry)> =
-            self.staged.drain(..).map(|e| (e.d_v(), e)).collect();
-        fresh.sort_by(entry_order);
-        let mut merged = Vec::with_capacity(self.bucket.len() + fresh.len());
-        let mut old = self.bucket.sorted_rows().peekable();
-        let mut new = fresh.into_iter().peekable();
-        loop {
-            match (old.peek(), new.peek()) {
-                (Some(a), Some(b)) => {
-                    if entry_order(a, b) != Ordering::Greater {
-                        merged.push(old.next().unwrap());
-                    } else {
-                        merged.push(new.next().unwrap());
-                    }
-                }
-                (Some(_), None) => merged.push(old.next().unwrap()),
-                (None, Some(_)) => merged.push(new.next().unwrap()),
-                (None, None) => break,
-            }
-        }
-        drop(old);
-        self.bucket = BucketIndex::from_sorted_rows(merged, self.params);
-        self.rebuild_model();
+        self.table.merge(self.staged.drain(..));
         self.runtime.refreshes += 1;
         obs().refreshes.incr();
     }
 
-    fn rebuild_model(&mut self) {
-        self.model = CostModel::new(
-            self.bucket.effective_width(),
-            self.bucket.stats().clone(),
-            self.weights,
-        );
-    }
-
-    /// Price a range probe without running it.
-    pub fn plan_range(&self, q: &VarianceQuery) -> Plan {
-        let index_cost = self.model.estimate_range(q.d_v(), q.alpha);
-        let scan_cost = self.model.scan_cost();
-        Plan {
-            choice: if index_cost.total <= scan_cost {
-                PlanChoice::Buckets
-            } else {
-                PlanChoice::Scan
-            },
-            index_cost,
-            scan_cost,
-        }
-    }
-
-    /// Price a top-k probe without running it.
-    pub fn plan_topk(&self, q: &VarianceQuery, k: usize) -> Plan {
-        let index_cost = self.model.estimate_topk(q.d_v(), k);
-        let scan_cost = self.model.scan_cost();
-        Plan {
-            choice: if index_cost.total <= scan_cost {
-                PlanChoice::Buckets
-            } else {
-                PlanChoice::Scan
-            },
-            index_cost,
-            scan_cost,
-        }
-    }
-
-    /// Eqs. 7–8 range query, routed through the planner. Results sorted
-    /// by ascending `(distance, key)` — identical to [`Self::query_scan`].
+    /// Eqs. 7–8 range query. Results sorted by ascending
+    /// `(distance, key)` — identical to [`Self::query_scan`].
     pub fn query(&self, q: &VarianceQuery) -> Vec<Match> {
         self.search(q, None, &TraceContext::disabled()).0
     }
 
     /// The `k` nearest rows to the query point in `(D^v, √Var^BA)` space
-    /// (α/β ignored), routed through the planner. Ties by ascending key.
+    /// (α/β ignored). Ties by ascending key.
     pub fn query_topk(&self, q: &VarianceQuery, k: usize) -> Vec<Match> {
         self.search(q, Some(k), &TraceContext::disabled()).0
     }
 
-    /// The planned probe with every match returned, sorted by ascending
+    /// The probe with every match returned, sorted by ascending
     /// `(distance, key)`: [`Self::select`] keeping every row, uncapped.
     /// `k: None` runs the Eqs. 7–8 range, `Some(k)` the `k` nearest rows;
-    /// the [`Explain`] is the planner's full decision trail, and the
-    /// matches are the same [`Self::query`] / [`Self::query_topk`]
-    /// return, since explaining never changes what executes.
+    /// the [`Explain`] is the probe's exact work, and the matches are the
+    /// same [`Self::query`] / [`Self::query_topk`] return.
     pub fn search(
         &self,
         q: &VarianceQuery,
@@ -428,31 +274,28 @@ impl ShotIndex {
         (matches, explain)
     }
 
-    /// The one selection body behind every query. Prices the plan, runs
-    /// the chosen executor over the finalized and the staged rows, and
-    /// returns the first `cap` matches whose key `keep` accepts (`None`
-    /// accepts every key) in ascending `(distance, key)` order, the count
-    /// of every kept match, and the [`Explain`] (whose `matches` is the
-    /// count before `keep`).
+    /// The one selection body behind every query. Returns the first `cap`
+    /// matches whose key `keep` accepts (`None` accepts every key) in
+    /// ascending `(distance, key)` order, the count of every kept match,
+    /// and the [`Explain`] (whose `matches` is the count before `keep`).
     ///
-    /// **Range** (`k: None`) never collects the match set. A count pass
-    /// tests Eqs. 7–8 on the probed slice's two cached columns (the
-    /// bucket range, or the whole table for a scan plan) and on the
-    /// staged rows; then a walk from `D_q^v` outward offers accepted rows
-    /// to a heap of `min(cap, kept)` until no further row can place (see
-    /// `BucketIndex::walk_nearest`), so a reply's few rows cost a few
+    /// **Range** (`k: None`) never collects the match set. Two binary
+    /// searches find Eq. 7's window; a count pass tests Eq. 8 on the
+    /// window's `√Var^BA` column and Eqs. 7–8 on the staged rows; then a
+    /// walk from `D_q^v` outward offers accepted rows to a heap of `cap`
+    /// until no further row can place, so a reply's few rows cost a few
     /// hundred row visits, not a match per accepted row.
     ///
-    /// **Top-k** (`Some(k)`) runs the executor, cuts the union with the
-    /// staged rows to the global `k` nearest, drops the rows `keep`
-    /// rejects, and sorts only the first `cap` of the rest.
+    /// **Top-k** (`Some(k)`) offers the staged rows to a heap of `k`,
+    /// walks the table with no window, then drops the rows `keep` rejects
+    /// and keeps the first `cap` of the rest.
     ///
     /// Keys are unique per `(video, shot)`, so `(distance, key)` is a
     /// strict total order and the rows are exactly a full sort's first
     /// `cap`. `keep` must be a pure function of the key: it may be called
     /// more than once per row, in no particular order. The
     /// `core.index.probe` span opens under `ctx`, carries the explain
-    /// summary, and covers the executor and the selection.
+    /// summary, and covers the whole selection.
     pub fn select(
         &self,
         q: &VarianceQuery,
@@ -461,167 +304,166 @@ impl ShotIndex {
         keep: Option<&mut dyn FnMut(ShotKey) -> bool>,
         ctx: &TraceContext,
     ) -> (Vec<Match>, usize, Explain) {
-        let (plan, (lo, hi, _)) = match k {
-            None => (
-                self.plan_range(q),
-                self.model.probe_window(q.d_v(), q.alpha),
-            ),
-            Some(k) => (self.plan_topk(q, k), self.model.topk_window(q.d_v(), k)),
-        };
         let o = obs();
         let mut tspan = global_tracer().span(ctx, "core.index.probe");
         let probe_us = o.probe_us.start();
-        match plan.choice {
-            PlanChoice::Buckets => o.plan_bucket.incr(),
-            PlanChoice::Scan => o.plan_scan.incr(),
-        }
-        let (rows, kept, matches, stats) = match k {
-            None => self.select_range(q, plan.choice, cap, keep),
-            Some(k) => self.select_topk(q, k, plan.choice, cap, keep),
+        let w = Window::new(q);
+        let (rows, kept, explain) = match k {
+            None => self.select_range(&w, cap, keep),
+            Some(k) => self.select_topk(&w, k, cap, keep),
         };
         drop(probe_us);
-        o.buckets_touched.add(stats.buckets_touched as u64);
         o.candidates_scored
-            .add((stats.candidates + self.staged.len()) as u64);
-        let explain = Explain {
-            plan,
-            probe_window: (lo, hi),
-            probe: stats,
-            staged_rows: self.staged.len(),
-            rows: self.bucket.len(),
-            matches,
-        };
+            .add((explain.probe.candidates + self.staged.len()) as u64);
         if tspan.is_recording() {
             tspan.attr("explain", explain.summary());
         }
         (rows, kept, explain)
     }
 
-    /// The range side of [`Self::select`]: count, then walk. Returns the
-    /// rows, the kept count, the match count and the executor's work.
+    /// The range side of [`Self::select`]: count, then walk.
     fn select_range(
         &self,
-        q: &VarianceQuery,
-        choice: PlanChoice,
+        w: &Window,
         cap: usize,
         mut keep: Option<&mut dyn FnMut(ShotKey) -> bool>,
-    ) -> (Vec<Match>, usize, usize, ProbeStats) {
-        let w = Window::new(q);
-        let (rows, stats) = match choice {
-            PlanChoice::Buckets => self.bucket.range_slice(q),
-            PlanChoice::Scan => self.bucket.scan_slice(),
-        };
-        let (mut matches, finalized_kept) =
-            self.bucket
-                .count_window(&w, rows.clone(), keep.as_deref_mut());
-        let mut staged_kept = 0;
+    ) -> (Vec<Match>, usize, Explain) {
+        let window = self.table.window(w);
+        let mut nearest = Nearest::new(cap, window.len() + self.staged.len());
+        let (mut matches, mut kept) = (0, 0);
         for e in &self.staged {
-            if w.accepts(e.d_v(), e.sqrt_ba()) {
+            let (dv, sba) = (e.d_v(), e.sqrt_ba());
+            if w.accepts(dv, sba) {
                 matches += 1;
-                staged_kept += usize::from(keep.as_mut().map_or(true, |keep| keep(e.key)));
-            }
-        }
-        let kept = finalized_kept + staged_kept;
-        let mut nearest = Nearest::new(cap.min(kept), kept);
-        if nearest.limit() > 0 {
-            for e in &self.staged {
-                let (dv, sba) = (e.d_v(), e.sqrt_ba());
-                if w.accepts(dv, sba) && keep.as_mut().map_or(true, |keep| keep(e.key)) {
+                if keep.as_mut().map_or(true, |keep| keep(e.key)) {
+                    kept += 1;
                     nearest.offer(Match {
                         entry: *e,
                         distance: w.distance(dv, sba),
                     });
                 }
             }
-            self.bucket
-                .walk_nearest(&w, rows, keep, finalized_kept, &mut nearest);
         }
-        (nearest.into_sorted(), kept, matches, stats)
+        let (table_matches, table_kept) = self.table.count(w, window.clone(), keep.as_deref_mut());
+        let mut run = window.start..window.start;
+        if cap > 0 {
+            let accept = |key, sba| w.eq8(sba) && keep.as_mut().map_or(true, |keep| keep(key));
+            run = self
+                .table
+                .walk(w, window.clone(), accept, table_kept, &mut nearest);
+        }
+        let explain = self.explain(
+            (w.dv_lo, w.dv_hi),
+            window.len(),
+            run.len(),
+            matches + table_matches,
+        );
+        (nearest.into_sorted(), kept + table_kept, explain)
     }
 
-    /// The top-k side of [`Self::select`]: the executor's `k` nearest
-    /// merged with the staged rows, then `keep`, then the first `cap`.
-    /// Returns the rows, the kept count, the match count and the
-    /// executor's work.
+    /// The top-k side of [`Self::select`]: the `k` nearest of the staged
+    /// rows and the table, then `keep`, then the first `cap`.
     fn select_topk(
         &self,
-        q: &VarianceQuery,
+        w: &Window,
         k: usize,
-        choice: PlanChoice,
         cap: usize,
         keep: Option<&mut dyn FnMut(ShotKey) -> bool>,
-    ) -> (Vec<Match>, usize, usize, ProbeStats) {
-        let (mut found, stats) = match choice {
-            PlanChoice::Buckets => self.bucket.topk_with_stats(q, k),
-            PlanChoice::Scan => self.bucket.topk_scan_with_stats(q, k),
+    ) -> (Vec<Match>, usize, Explain) {
+        let mut nearest = Nearest::new(k, self.len());
+        for e in &self.staged {
+            nearest.offer(Match {
+                entry: *e,
+                distance: w.distance(e.d_v(), e.sqrt_ba()),
+            });
+        }
+        let mut run = 0..0;
+        if k > 0 {
+            let all = 0..self.table.len();
+            run = self
+                .table
+                .walk(w, all, |_, _| true, usize::MAX, &mut nearest);
+        }
+        let window = match run.len() {
+            0 => (w.dq, w.dq),
+            _ => (self.table.dv(run.start), self.table.dv(run.end - 1)),
         };
-        self.push_staged(q, Some(k), &mut found);
-        let matches = found.len();
+        let mut found = nearest.into_sorted();
+        let explain = self.explain(window, run.len(), run.len(), found.len());
         if let Some(keep) = keep {
             found.retain(|m| keep(m.entry.key));
         }
         let kept = found.len();
-        keep_nearest(&mut found, cap);
-        found.sort_unstable_by(match_order);
-        (found, kept, matches, stats)
+        found.truncate(cap);
+        (found, kept, explain)
+    }
+
+    fn explain(
+        &self,
+        window: (f64, f64),
+        candidates: usize,
+        visited: usize,
+        matches: usize,
+    ) -> Explain {
+        Explain {
+            window,
+            probe: ProbeStats {
+                buckets_touched: usize::from(candidates > 0),
+                candidates,
+            },
+            visited,
+            staged_rows: self.staged.len(),
+            rows: self.table.len(),
+            matches,
+        }
+    }
+
+    /// Every row, finalized then staged, with its `D^v` and `√Var^BA`.
+    fn all_rows(&self) -> impl Iterator<Item = (IndexEntry, f64, f64)> + '_ {
+        let staged = self.staged.iter().map(|e| (*e, e.d_v(), e.sqrt_ba()));
+        self.table.rows().chain(staged)
     }
 
     /// Forced linear scan (the pinning reference for equivalence tests).
     pub fn query_scan(&self, q: &VarianceQuery) -> Vec<Match> {
-        let (mut matches, _) = self.bucket.range_scan_unsorted(q);
-        self.push_staged(q, None, &mut matches);
+        let w = Window::new(q);
+        let mut matches: Vec<Match> = self
+            .all_rows()
+            .filter(|&(_, dv, sba)| w.accepts(dv, sba))
+            .map(|(entry, dv, sba)| Match {
+                entry,
+                distance: w.distance(dv, sba),
+            })
+            .collect();
         matches.sort_by(match_order);
         matches
     }
 
     /// Forced linear-scan top-k (the pinning reference).
     pub fn query_topk_scan(&self, q: &VarianceQuery, k: usize) -> Vec<Match> {
-        let (mut matches, _) = self.bucket.topk_scan_with_stats(q, k);
-        self.push_staged(q, Some(k), &mut matches);
-        matches.sort_by(match_order);
-        matches
-    }
-
-    /// Probe the bucket executor directly and report its work — the
-    /// measured side of the cost-model accuracy suite.
-    pub fn probe_range(&self, q: &VarianceQuery) -> (Vec<Match>, ProbeStats) {
-        self.bucket.range_with_stats(q)
-    }
-
-    /// Probe the bucket top-k executor directly with its work accounting.
-    pub fn probe_topk(&self, q: &VarianceQuery, k: usize) -> (Vec<Match>, ProbeStats) {
-        self.bucket.topk_with_stats(q, k)
-    }
-
-    /// Add the staged rows to an executor's matches: for a range the
-    /// ones Eqs. 7–8 accept, for top-k all of them, after which only the
-    /// `k` nearest of the union stay (unsorted).
-    fn push_staged(&self, q: &VarianceQuery, k: Option<usize>, matches: &mut Vec<Match>) {
-        if self.staged.is_empty() {
-            return;
-        }
         let w = Window::new(q);
-        for e in &self.staged {
-            let (dv, sba) = (e.d_v(), e.sqrt_ba());
-            if k.is_some() || w.accepts(dv, sba) {
-                matches.push(Match {
-                    entry: *e,
-                    distance: w.distance(dv, sba),
-                });
-            }
-        }
-        if let Some(k) = k {
-            keep_nearest(matches, k);
-        }
+        let mut nearest = Nearest::new(k, self.len());
+        self.all_rows().for_each(|(entry, dv, sba)| {
+            nearest.offer(Match {
+                entry,
+                distance: w.distance(dv, sba),
+            })
+        });
+        nearest.into_sorted()
     }
-}
 
-/// Cut `matches` to its `n` smallest under `(distance, key)`, in no
-/// particular order — a linear-time selection, not a sort.
-fn keep_nearest(matches: &mut Vec<Match>, n: usize) {
-    if n < matches.len() {
-        matches.select_nth_unstable_by(n, match_order);
-        matches.truncate(n);
+    /// The range probe with its exact work: [`Self::search`]'s matches
+    /// and `explain.probe`.
+    pub fn probe_range(&self, q: &VarianceQuery) -> (Vec<Match>, ProbeStats) {
+        let (matches, explain) = self.search(q, None, &TraceContext::disabled());
+        (matches, explain.probe)
+    }
+
+    /// The top-k probe with its exact work: [`Self::search`]'s matches
+    /// and `explain.probe`.
+    pub fn probe_topk(&self, q: &VarianceQuery, k: usize) -> (Vec<Match>, ProbeStats) {
+        let (matches, explain) = self.search(q, Some(k), &TraceContext::disabled());
+        (matches, explain.probe)
     }
 }
 
@@ -653,19 +495,8 @@ mod tests {
     }
 
     #[test]
-    fn planner_prefers_buckets_on_large_corpus_and_scan_on_tiny() {
-        let big = ShotIndex::from_entries(corpus(100_000), BucketParams::default());
-        let q = VarianceQuery::new(20.0, 5.0);
-        assert_eq!(big.plan_range(&q).choice, PlanChoice::Buckets);
-        assert_eq!(big.plan_topk(&q, 10).choice, PlanChoice::Buckets);
-
-        let tiny = ShotIndex::from_entries(corpus(4), BucketParams::default());
-        assert_eq!(tiny.plan_range(&q).choice, PlanChoice::Scan);
-    }
-
-    #[test]
     fn planned_query_equals_forced_scan() {
-        let idx = ShotIndex::from_entries(corpus(5_000), BucketParams::default());
+        let idx = ShotIndex::from_entries(corpus(5_000));
         for i in 0..20 {
             let q = VarianceQuery::new(f64::from(i) * 2.3, f64::from(i) * 1.1)
                 .with_tolerances(2.0, 3.0);
@@ -680,7 +511,7 @@ mod tests {
 
     #[test]
     fn staged_rows_are_queryable_before_finalize() {
-        let mut idx = ShotIndex::from_entries(corpus(100), BucketParams::default());
+        let mut idx = ShotIndex::from_entries(corpus(100));
         let refreshes = idx.runtime().refreshes;
         idx.stage([entry(999, 0, 10.0, 10.0)]);
         assert_eq!(idx.runtime().refreshes, refreshes, "stage must not rebuild");
@@ -743,7 +574,7 @@ mod tests {
 
     #[test]
     fn remove_video_drops_rows_everywhere() {
-        let mut idx = ShotIndex::from_entries(corpus(70), BucketParams::default());
+        let mut idx = ShotIndex::from_entries(corpus(70));
         idx.stage([entry(3, 900, 1.0, 1.0)]);
         let before = idx.len();
         let removed = idx.remove_video(3);
@@ -755,42 +586,47 @@ mod tests {
 
     #[test]
     fn explain_reports_the_probe_that_ran_without_changing_it() {
-        let mut idx = ShotIndex::from_entries(corpus(20_000), BucketParams::default());
+        let rows = corpus(20_000);
+        let mut idx = ShotIndex::from_entries(rows.clone());
         idx.stage([entry(999, 0, 20.0, 5.0)]);
         let q = VarianceQuery::new(20.0, 5.0).with_tolerances(1.0, 1.0);
         let (matches, ex) = idx.search(&q, None, &TraceContext::disabled());
         assert_eq!(matches, idx.query(&q), "explain must not change the query");
-        assert_eq!(ex.plan, idx.plan_range(&q));
         assert_eq!(ex.matches, matches.len());
         assert_eq!(ex.staged_rows, 1);
         assert_eq!(ex.rows, 20_000);
-        // The reported estimate is exactly the cost model's, and the
-        // reported actuals are exactly the executor's.
-        let est = idx.cost_model().estimate_range(q.d_v(), q.alpha);
-        assert_eq!(ex.plan.index_cost, est);
-        if ex.plan.choice == PlanChoice::Buckets {
-            let (_, stats) = idx.probe_range(&q);
-            assert_eq!(ex.probe, stats);
-        }
+        // The reported work is exact: the window's rows, of which the
+        // walk visited some.
+        let (lo, hi) = (q.d_v() - q.alpha, q.d_v() + q.alpha);
+        assert_eq!(ex.window, (lo, hi));
+        let window = rows
+            .iter()
+            .filter(|e| lo <= e.d_v() && e.d_v() <= hi)
+            .count();
+        assert_eq!(ex.probe.candidates, window);
+        assert_eq!(ex.probe.buckets_touched, 1);
+        assert!(0 < ex.visited && ex.visited <= window);
+        assert_eq!(idx.probe_range(&q), (matches, ex.probe));
         let s = ex.summary();
         for key in [
-            "plan=",
-            "est_candidates=",
-            "actual_candidates=",
             "window=[",
-            "scan_cost=",
+            "candidates=",
+            "visited=",
+            "staged=1 ",
+            "matches=",
         ] {
             assert!(s.contains(key), "summary missing {key}: {s}");
         }
 
-        let (_, tex) = idx.search(&q, Some(5), &TraceContext::disabled());
-        assert_eq!(tex.plan, idx.plan_topk(&q, 5));
+        let (top, tex) = idx.search(&q, Some(5), &TraceContext::disabled());
         assert_eq!(tex.matches, 5);
+        assert_eq!(tex.probe.candidates, tex.visited);
+        assert!(tex.window.0 <= top[4].entry.d_v() && top[4].entry.d_v() <= tex.window.1);
     }
 
     #[test]
     fn traced_query_records_a_probe_span_with_explain_attrs() {
-        let idx = ShotIndex::from_entries(corpus(5_000), BucketParams::default());
+        let idx = ShotIndex::from_entries(corpus(5_000));
         let tracer = vdb_obs::global_tracer();
         let before = tracer.recorder().total_recorded();
         let root = tracer.trace_root_forced();
@@ -800,7 +636,9 @@ mod tests {
         let events = tracer.recorder().events_for(root.trace_id);
         assert_eq!(events.len(), 2, "two probes recorded");
         assert!(events.iter().all(|e| e.name == "core.index.probe"));
-        assert!(events.iter().all(|e| e.attrs.starts_with("explain=plan=")));
+        assert!(events
+            .iter()
+            .all(|e| e.attrs.starts_with("explain=window=")));
         assert!(tracer.recorder().total_recorded() >= before + 2);
         // Unsampled context: nothing recorded.
         let after = tracer.recorder().total_recorded();
@@ -827,11 +665,26 @@ mod tests {
             .collect()
     }
 
+    /// Matches as comparable bits, so a NaN distance equals itself.
+    fn bits(matches: &[Match]) -> Vec<(ShotKey, u64)> {
+        matches
+            .iter()
+            .map(|m| (m.entry.key, m.distance.to_bits()))
+            .collect()
+    }
+
     /// `select` against `search` → filter → take(cap) on one index, for
     /// every k, predicate and cap of the grid (the caps include 0, 1 and
     /// the kept count −1, +0, +1); `search` itself against a brute-force
-    /// sort of every row.
-    fn check_select(idx: &ShotIndex, rows: &[IndexEntry], q: &VarianceQuery) -> Result<(), String> {
+    /// sort of every row, and its explained work against a brute-force
+    /// count of the table's rows (`finalized`; the rest of `rows` is
+    /// staged).
+    fn check_select(
+        idx: &ShotIndex,
+        rows: &[IndexEntry],
+        finalized: &[IndexEntry],
+        q: &VarianceQuery,
+    ) -> Result<(), String> {
         let ctx = TraceContext::disabled();
         let distance = |e: &IndexEntry| {
             ((e.d_v() - q.d_v()).powi(2) + (e.sqrt_ba() - q.var_ba.sqrt()).powi(2)).sqrt()
@@ -844,6 +697,11 @@ mod tests {
             })
             .collect();
         brute.sort_by(match_order);
+        let (lo, hi) = (q.d_v() - q.alpha, q.d_v() + q.alpha);
+        let window = finalized
+            .iter()
+            .filter(|e| lo <= e.d_v() && e.d_v() <= hi)
+            .count();
         // No predicate, keep all, keep none, keep even videos.
         type Predicate = Option<fn(ShotKey) -> bool>;
         let predicates: [Predicate; 4] = [
@@ -862,8 +720,21 @@ mod tests {
                     .collect(),
                 Some(k) => brute.iter().take(k).copied().collect(),
             };
-            prop_assert_eq!(&all, &want, "search, k={:?}", k);
+            prop_assert_eq!(bits(&all), bits(&want), "search, k={:?}", k);
             prop_assert_eq!(ex.matches, all.len(), "explain, k={:?}", k);
+            prop_assert_eq!(ex.rows, finalized.len());
+            prop_assert_eq!(ex.staged_rows, rows.len() - finalized.len());
+            prop_assert!(ex.visited <= ex.probe.candidates, "{:?}", ex);
+            match k {
+                None => {
+                    prop_assert_eq!(ex.probe.candidates, window, "window rows");
+                    prop_assert_eq!(format!("{:?}", ex.window), format!("{:?}", (lo, hi)));
+                }
+                Some(k) => {
+                    prop_assert_eq!(ex.probe.candidates, ex.visited, "top-k");
+                    prop_assert!(k > 0 || ex.visited == 0, "k=0 reads no row");
+                }
+            }
             for (which, mut predicate) in predicates.into_iter().enumerate() {
                 let keep = predicate.unwrap_or(|_| true);
                 let filtered: Vec<Match> =
@@ -877,15 +748,25 @@ mod tests {
                     let (got, count, gex) = idx.select(q, k, cap, keep, &ctx);
                     let want: Vec<Match> = filtered.iter().take(cap).copied().collect();
                     prop_assert_eq!(
-                        &got,
-                        &want,
+                        bits(&got),
+                        bits(&want),
                         "rows, k={:?} predicate {} cap={}",
                         k,
                         which,
                         cap
                     );
                     prop_assert_eq!(count, kept, "count, k={:?} predicate {}", k, which);
-                    prop_assert_eq!(&gex, &ex, "explain, k={:?} predicate {}", k, which);
+                    // A range walk stops once `cap` rows can no longer
+                    // change; everything else is the uncapped probe's.
+                    prop_assert!(gex.visited <= gex.probe.candidates);
+                    let visited = if k.is_none() { ex.visited } else { gex.visited };
+                    prop_assert_eq!(
+                        format!("{:?}", Explain { visited, ..gex }),
+                        format!("{:?}", ex),
+                        "explain, k={:?} predicate {}",
+                        k,
+                        which
+                    );
                 }
             }
         }
@@ -905,7 +786,7 @@ mod tests {
             on_a_point in 0u8..2,
         ) {
             let mut rng = proptest::TestRng::new(seed);
-            for (n, choice) in [(tiny, PlanChoice::Scan), (large, PlanChoice::Buckets)] {
+            for n in [tiny, large] {
                 let rows = tied_corpus(&mut rng, n);
                 let (q_ba, q_oa) = if on_a_point == 1 {
                     let e = rows[rng.below(n as u64) as usize];
@@ -915,10 +796,9 @@ mod tests {
                 };
                 let q = VarianceQuery::new(q_ba, q_oa).with_tolerances(alpha, beta);
                 let split = n - n * staged_eighths / 8;
-                let mut idx = ShotIndex::from_entries(rows[..split].to_vec(), BucketParams::default());
+                let mut idx = ShotIndex::from_entries(rows[..split].to_vec());
                 idx.stage(rows[split..].iter().copied());
-                prop_assert_eq!(idx.plan_range(&q).choice, choice, "n={}", n);
-                check_select(&idx, &rows, &q)?;
+                check_select(&idx, &rows, &rows[..split], &q)?;
             }
         }
     }
@@ -983,28 +863,33 @@ mod tests {
             VarianceQuery::new(2500.0, 0.0).with_tolerances(60.0, 100.0),
             VarianceQuery::new(0.0, 2500.0),
             VarianceQuery::new(2500.0, 0.0),
+            // Negative tolerances accept nothing; a NaN query point
+            // accepts nothing and ranks every row equal, so top-k falls
+            // back on the key.
+            VarianceQuery::new(16.0, 4.0).with_tolerances(-1.0, 1.0),
+            VarianceQuery::new(16.0, 4.0).with_tolerances(1.0, -1.0),
+            VarianceQuery::new(f64::NAN, 4.0),
+            VarianceQuery::new(16.0, f64::NAN),
         ];
         let edges = edge_rows();
         let mut padded = edges.clone();
         padded.extend(filler_rows(3_000));
-        let narrow = VarianceQuery::new(16.0, 4.0);
-        for (rows, choice) in [(&edges, PlanChoice::Scan), (&padded, PlanChoice::Buckets)] {
-            let finalized = ShotIndex::from_entries(rows.clone(), BucketParams::default());
-            assert_eq!(finalized.plan_range(&narrow).choice, choice);
-            let mut half =
-                ShotIndex::from_entries(rows[rows.len() / 2..].to_vec(), BucketParams::default());
-            half.stage(rows[..rows.len() / 2].iter().copied());
+        for rows in [&edges, &padded] {
+            let (tail, head) = (&rows[rows.len() / 2..], &rows[..rows.len() / 2]);
+            let finalized = ShotIndex::from_entries(rows.clone());
+            let mut half = ShotIndex::from_entries(tail.to_vec());
+            half.stage(head.iter().copied());
             let mut staged = ShotIndex::new();
             staged.stage(rows.iter().copied());
-            for idx in [&finalized, &half, &staged] {
+            for (idx, table) in [(&finalized, &rows[..]), (&half, tail), (&staged, &[][..])] {
                 for q in &queries {
-                    check_select(idx, rows, q).unwrap();
+                    check_select(idx, rows, table, q).unwrap();
                 }
             }
         }
         // The edges bite: each on-edge point is in, each just-past point
         // out, for every video.
-        let idx = ShotIndex::from_entries(edges, BucketParams::default());
+        let idx = ShotIndex::from_entries(edges);
         let shots: Vec<u32> = idx
             .query(&VarianceQuery::new(16.0, 4.0))
             .iter()
@@ -1019,7 +904,7 @@ mod tests {
     #[test]
     fn incremental_extend_matches_one_shot_build() {
         let rows = corpus(300);
-        let whole = ShotIndex::from_entries(rows.clone(), BucketParams::default());
+        let whole = ShotIndex::from_entries(rows.clone());
         let mut grown = ShotIndex::new();
         for chunk in rows.chunks(37) {
             grown.extend(chunk.to_vec());

@@ -63,10 +63,7 @@ pub mod variance;
 pub use analyzer::{AnalyzerConfig, VideoAnalysis, VideoAnalyzer};
 pub use error::{CoreError, Result};
 pub use frame::{FrameBuf, Video};
-pub use index::{
-    BucketIndex, BucketParams, CorpusStats, CostEstimate, CostModel, IndexEntry, IndexRuntime,
-    Match, Plan, PlanChoice, ProbeStats, ShotIndex, ShotKey, VarianceQuery,
-};
+pub use index::{IndexEntry, IndexRuntime, Match, ProbeStats, ShotIndex, ShotKey, VarianceQuery};
 pub use parallel::Parallelism;
 pub use pipeline::{AnalysisEngine, PipelineMetrics, PushOutcome};
 pub use pixel::Rgb;

@@ -10,7 +10,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use vdb_core::index::{BucketParams, IndexEntry, PlanChoice, ShotIndex, ShotKey, VarianceQuery};
+use vdb_core::index::{IndexEntry, ShotIndex, ShotKey, VarianceQuery};
 use vdb_obs::TraceContext;
 
 struct Counting;
@@ -65,7 +65,7 @@ fn index() -> ShotIndex {
             }
         })
         .collect();
-    ShotIndex::from_entries(rows, BucketParams::default())
+    ShotIndex::from_entries(rows)
 }
 
 #[test]
@@ -75,9 +75,6 @@ fn capped_range_select_allocates_independently_of_the_match_count() {
     let ctx = TraceContext::disabled();
     let narrow = VarianceQuery::new(400.0, 400.0).with_tolerances(0.5, 0.5);
     let wide = VarianceQuery::new(400.0, 400.0).with_tolerances(2.0, 2.5);
-    for q in [&narrow, &wide] {
-        assert_eq!(idx.plan_range(q).choice, PlanChoice::Buckets);
-    }
     let mut even = |key: ShotKey| key.video % 2 == 0;
     // Warm up: first use initializes the process-wide metric handles.
     idx.select(&narrow, None, CAP, None, &ctx);

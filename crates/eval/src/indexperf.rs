@@ -1,17 +1,17 @@
-//! The scan-vs-index crossover experiment: where does the bucket index
+//! The scan-vs-index crossover experiment: where does the index table
 //! start paying for itself?
 //!
 //! For a sweep of corpus sizes, build a [`ShotIndex`] over a synthetic
 //! feature mixture, run the same probe workload through the forced
-//! linear scan and through the bucket executor, and report: measured
-//! median latencies, the speedup, the planner's verdict, and how the
-//! cost model's candidate prediction compared to the probe's real work.
+//! linear scan and through the index, and report: measured median
+//! latencies, the speedup, and the rows each probe read (exact, from
+//! its `explain` work counters).
 //! EXPERIMENTS.md quotes this table; the `tables` binary regenerates it
 //! (`cargo run -p vdb-bench --release --bin tables crossover`).
 
 use crate::report::Table;
 use std::time::Instant;
-use vdb_core::index::{BucketParams, IndexEntry, PlanChoice, ShotIndex, ShotKey, VarianceQuery};
+use vdb_core::index::{IndexEntry, ShotIndex, ShotKey, VarianceQuery};
 use vdb_core::variance::ShotFeature;
 use vdb_synth::rng::Srng;
 
@@ -20,20 +20,18 @@ use vdb_synth::rng::Srng;
 pub struct CrossoverPoint {
     /// Rows in the index.
     pub n: usize,
-    /// Planner verdict for the workload's median probe.
-    pub plan: PlanChoice,
     /// Median forced-scan latency for the range probe (µs).
     pub scan_us: f64,
-    /// Median bucket-probe latency for the range probe (µs).
+    /// Median index latency for the range probe (µs).
     pub probe_us: f64,
     /// Median full-ranking top-10 latency (µs).
     pub topk_scan_us: f64,
     /// Median indexed top-10 latency (µs).
     pub topk_probe_us: f64,
-    /// Median candidates actually scored by the range probe.
-    pub measured_candidates: f64,
-    /// Median candidates the cost model predicted for the range probe.
-    pub estimated_candidates: f64,
+    /// Median rows the range probe read (its Eq. 7 window).
+    pub range_rows: f64,
+    /// Median rows the top-10 walk read.
+    pub topk_rows: f64,
 }
 
 /// The mixture corpus shared with the test suites: three editing-style
@@ -72,7 +70,7 @@ pub fn run_crossover(sizes: &[usize], probes: usize, seed: u64) -> Vec<Crossover
     let mut out = Vec::new();
     for &n in sizes {
         let entries = mixture_corpus(n, seed);
-        let idx = ShotIndex::from_entries(entries.clone(), BucketParams::default());
+        let idx = ShotIndex::from_entries(entries.clone());
         let mut rng = Srng::new(seed ^ n as u64);
         let queries: Vec<VarianceQuery> = (0..probes)
             .map(|_| {
@@ -88,9 +86,8 @@ pub fn run_crossover(sizes: &[usize], probes: usize, seed: u64) -> Vec<Crossover
         let mut probe_us = Vec::new();
         let mut topk_scan_us = Vec::new();
         let mut topk_probe_us = Vec::new();
-        let mut measured = Vec::new();
-        let mut estimated = Vec::new();
-        let mut plans = Vec::new();
+        let mut range_rows = Vec::new();
+        let mut topk_rows = Vec::new();
         for q in &queries {
             let t = Instant::now();
             let scan_hits = idx.query_scan(q);
@@ -101,33 +98,26 @@ pub fn run_crossover(sizes: &[usize], probes: usize, seed: u64) -> Vec<Crossover
             assert_eq!(
                 hits.len(),
                 scan_hits.len(),
-                "bucket probe diverged from scan"
+                "range probe diverged from scan"
             );
             let t = Instant::now();
             let ranked = idx.query_topk_scan(q, 10);
             topk_scan_us.push(t.elapsed().as_secs_f64() * 1e6);
             let t = Instant::now();
-            let fast = idx.query_topk(q, 10);
+            let (fast, walk) = idx.probe_topk(q, 10);
             topk_probe_us.push(t.elapsed().as_secs_f64() * 1e6);
             assert_eq!(fast.len(), ranked.len(), "indexed top-k diverged from scan");
-            measured.push(stats.candidates as f64);
-            estimated.push(idx.cost_model().estimate_range(q.d_v(), q.alpha).candidates);
-            plans.push(idx.plan_range(q).choice);
+            range_rows.push(stats.candidates as f64);
+            topk_rows.push(walk.candidates as f64);
         }
-        let bucket_votes = plans.iter().filter(|p| **p == PlanChoice::Buckets).count();
         out.push(CrossoverPoint {
             n,
-            plan: if bucket_votes * 2 >= plans.len() {
-                PlanChoice::Buckets
-            } else {
-                PlanChoice::Scan
-            },
             scan_us: median(scan_us),
             probe_us: median(probe_us),
             topk_scan_us: median(topk_scan_us),
             topk_probe_us: median(topk_probe_us),
-            measured_candidates: median(measured),
-            estimated_candidates: median(estimated),
+            range_rows: median(range_rows),
+            topk_rows: median(topk_rows),
         });
     }
     out
@@ -137,27 +127,25 @@ pub fn run_crossover(sizes: &[usize], probes: usize, seed: u64) -> Vec<Crossover
 pub fn render_crossover(points: &[CrossoverPoint]) -> String {
     let mut t = Table::new(vec![
         "Rows",
-        "Plan",
         "Range scan µs",
         "Range probe µs",
         "Top-10 scan µs",
         "Top-10 probe µs",
         "Top-10 speedup",
-        "Cand (meas)",
-        "Cand (est)",
+        "Range rows read",
+        "Top-10 rows read",
     ]);
     let speedup = |scan: f64, probe: f64| if probe > 0.0 { scan / probe } else { 0.0 };
     for p in points {
         t.row(vec![
             format!("{}", p.n),
-            format!("{:?}", p.plan),
             format!("{:.1}", p.scan_us),
             format!("{:.1}", p.probe_us),
             format!("{:.1}", p.topk_scan_us),
             format!("{:.1}", p.topk_probe_us),
             format!("{:.1}x", speedup(p.topk_scan_us, p.topk_probe_us)),
-            format!("{:.0}", p.measured_candidates),
-            format!("{:.0}", p.estimated_candidates),
+            format!("{:.0}", p.range_rows),
+            format!("{:.0}", p.topk_rows),
         ]);
     }
     t.render()
@@ -171,10 +159,10 @@ mod tests {
     fn crossover_sweep_is_coherent() {
         let points = run_crossover(&[1_000, 10_000], 5, 11);
         assert_eq!(points.len(), 2);
-        // Bigger corpus, same probe → planner favours buckets and the
-        // probe touches a shrinking fraction of rows.
-        assert_eq!(points[1].plan, PlanChoice::Buckets);
-        assert!(points[1].measured_candidates < points[1].n as f64);
+        // Bigger corpus, same probe → each probe reads a shrinking
+        // fraction of the rows.
+        assert!(points[1].range_rows < points[1].n as f64);
+        assert!(points[1].topk_rows < points[1].n as f64 / 10.0);
         let rendered = render_crossover(&points);
         assert!(rendered.contains("speedup"));
         assert!(points[1].topk_probe_us <= points[1].topk_scan_us * 2.0);

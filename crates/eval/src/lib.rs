@@ -13,8 +13,8 @@
 //!   8–10 (variance-similarity retrieval), and the hierarchy comparison;
 //! * [`ablation`] — the FBA-shape ablation (why the ⊓?) and the §6
 //!   basic-vs-extended similarity-model comparison;
-//! * [`indexperf`] — the scan-vs-index crossover sweep for the bucketed
-//!   shot index and its cost model;
+//! * [`indexperf`] — the scan-vs-index crossover sweep for the `D^v`-sorted
+//!   index table and the rows each probe reads;
 //! * [`complexity`] — timed sweeps behind §2.1's `O(m)` pyramid and
 //!   §3.1's scene-tree construction claims;
 //! * [`report`] — fixed-width table rendering shared by all runners.

@@ -6,7 +6,7 @@
 use crate::report::{ratio, Table};
 use vdb_baselines::BrowseTree;
 use vdb_core::analyzer::{VideoAnalysis, VideoAnalyzer};
-use vdb_core::index::{BucketParams, IndexEntry, ShotIndex, ShotKey, VarianceQuery};
+use vdb_core::index::{IndexEntry, ShotIndex, ShotKey, VarianceQuery};
 use vdb_core::shot::Shot;
 use vdb_synth::rng::Srng;
 use vdb_synth::script::{generate, GeneratedVideo, GroundTruth, ShotSpec, VideoScript};
@@ -343,7 +343,7 @@ impl RetrievalExperiment {
                     })
             })
             .collect();
-        let index = ShotIndex::from_entries(rows, BucketParams::default());
+        let index = ShotIndex::from_entries(rows);
         // Find the query shot: among movie 1's shots of this archetype, the
         // one nearest the archetype's median in (D^v, √Var^BA) space — a
         // representative exemplar (the paper picks its query shots

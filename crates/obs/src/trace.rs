@@ -42,8 +42,8 @@ use std::time::Instant;
 pub const MAX_NAME_BYTES: usize = 32;
 
 /// Maximum attribute bytes retained per flight-recorder slot (longer
-/// attribute strings are truncated). Sized so a full planner explain
-/// payload survives intact.
+/// attribute strings are truncated). Sized so a full explain payload
+/// survives intact.
 pub const MAX_ATTR_BYTES: usize = 256;
 
 /// Default flight-recorder capacity (slots) of [`global_tracer`].

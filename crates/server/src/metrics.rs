@@ -31,7 +31,7 @@ pub enum CommandKind {
     Metrics,
     /// `query <text>`.
     Query,
-    /// `explain <text>` (query + planner report).
+    /// `explain <text>` (query + its exact work).
     Explain,
     /// `trace <command>` (wrapped command + span tree).
     Trace,

@@ -368,7 +368,7 @@ fn wire_output_matches_shell_output() {
     handle.shutdown().unwrap();
 }
 
-/// The planner-routed top-k path works over the wire: `k=<n>` returns
+/// The top-k path works over the wire: `k=<n>` returns
 /// exactly `n` nearest shots (the demo corpus has far more than `n`),
 /// and `k` composes with `limit`.
 #[test]
@@ -664,11 +664,13 @@ fn export_blob(
     buf
 }
 
-/// `import` cannot poison a shard: a record whose parts disagree gets an
-/// error reply, the catalog and the journal stay as they were, and the
+/// `import` cannot poison a shard: a record whose parts disagree, or
+/// whose features are not finite and non-negative, gets an error reply;
+/// the catalog, the index and the journal stay as they were, and the
 /// connection keeps serving. Once committed, the first record would panic
 /// a worker on the next query and the second would loop forever in the
-/// ancestor walk, on every restart too.
+/// ancestor walk, on every restart too; a NaN feature would sort to an
+/// end of the index table and pass Eq. 7 for every query.
 #[test]
 fn inconsistent_imports_are_refused_and_leave_no_trace() {
     let dir = std::env::temp_dir().join(format!("vdb-server-import-{}", std::process::id()));
@@ -709,6 +711,13 @@ fn inconsistent_imports_are_refused_and_leave_no_trace() {
         let long = short_shot.iter().position(|&len| len > 1).unwrap();
         short_shot[long] -= 1;
         let short = &a.features[..a.features.len() - 1];
+        let poisoned = |var_ba: f64, var_oa: f64| {
+            let mut features = a.features.clone();
+            features[0] = ShotFeature { var_ba, var_oa };
+            export_blob(&exported, &lengths, &features, nodes)
+        };
+        let every_row = "explain ba=0 oa=0 alpha=1000 beta=1000 limit=1";
+        let index = client.expect_ok(every_row).unwrap();
 
         for (what, record) in [
             (
@@ -727,12 +736,16 @@ fn inconsistent_imports_are_refused_and_leave_no_trace() {
                 "shot lengths sum to one frame fewer than the signs",
                 export_blob(&exported, &short_shot, &a.features, nodes),
             ),
+            ("a NaN Var^OA", poisoned(4.0, f64::NAN)),
+            ("a Var^BA of -1", poisoned(-1.0, 4.0)),
+            ("an infinite Var^BA", poisoned(f64::INFINITY, 4.0)),
         ] {
             let resp = client
                 .request(&format!("import {}", to_hex(&record)))
                 .unwrap();
             assert!(!resp.ok, "{what} was imported: {}", resp.text);
             assert_eq!(client.expect_ok("list").unwrap(), listing, "{what}");
+            assert_eq!(client.expect_ok(every_row).unwrap(), index, "{what}");
             assert_eq!(client.expect_ok("ping").unwrap(), "pong", "{what}");
         }
         drop(client);
@@ -748,8 +761,8 @@ fn inconsistent_imports_are_refused_and_leave_no_trace() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// `explain` over the wire reports the planner's chosen plan with
-/// estimated vs. actual candidate counts, alongside the query's answers.
+/// `explain` over the wire reports the probe's exact work (its window,
+/// the rows read and visited), alongside the query's answers.
 #[test]
 fn explain_over_the_wire_reports_plan_and_candidates() {
     let handle = start_memory_server(2, 2);
@@ -758,13 +771,7 @@ fn explain_over_the_wire_reports_plan_and_candidates() {
         .request("explain ba=0.3 oa=14 alpha=4 beta=4")
         .unwrap();
     assert!(resp.ok, "{}", resp.text);
-    for key in [
-        "plan=",
-        "est_candidates=",
-        "actual_candidates=",
-        "window=[",
-        "answers",
-    ] {
+    for key in ["window=[", "candidates=", "visited=", "answers"] {
         assert!(resp.text.contains(key), "missing {key} in: {}", resp.text);
     }
     // Top-k queries explain too, and the redundant `query` word is
@@ -772,7 +779,7 @@ fn explain_over_the_wire_reports_plan_and_candidates() {
     let resp = client.request("explain query ba=0.3 oa=14 k=3").unwrap();
     assert!(resp.ok, "{}", resp.text);
     assert!(
-        resp.text.contains("plan=") && resp.text.contains("3 answers"),
+        resp.text.contains("visited=") && resp.text.contains("3 answers"),
         "{}",
         resp.text
     );

@@ -171,9 +171,11 @@ impl StoredAnalysis {
 
     /// Whether the parts of the analysis agree: the shots partition the
     /// frames in order, both sign histories and the feature list have
-    /// one entry per frame and per shot, the scene tree has one leaf per
-    /// shot, and every node's representative frame lies in its named
-    /// shot. (The tree's own structure is checked when it is built.)
+    /// one entry per frame and per shot, every feature's variances are
+    /// finite and non-negative (what the index table requires), the
+    /// scene tree has one leaf per shot, and every node's representative
+    /// frame lies in its named shot. (The tree's own structure is checked
+    /// when it is built.)
     pub(crate) fn check_parts(&self) -> Result<(), String> {
         let frames = self.signs_ba.len();
         if self.signs_oa.len() != frames {
@@ -200,6 +202,15 @@ impl StoredAnalysis {
                 "{} feature vectors for {} shots",
                 self.features.len(),
                 self.shots.len()
+            ));
+        }
+        let variance = |v: f64| v.is_finite() && v >= 0.0;
+        if let Some((i, f)) = (self.features.iter().enumerate())
+            .find(|(_, f)| !(variance(f.var_ba) && variance(f.var_oa)))
+        {
+            return Err(format!(
+                "shot {i} has Var^BA={} Var^OA={}; variances are finite and non-negative",
+                f.var_ba, f.var_oa
             ));
         }
         if self.scene_tree.shot_count() != self.shots.len() {
@@ -433,7 +444,7 @@ impl VideoDatabase {
         self.index.finalize();
     }
 
-    /// The shot index (bucket array + cost model + planner).
+    /// The shot index (the `D^v`-sorted table and its staged tier).
     pub fn index(&self) -> &ShotIndex {
         &self.index
     }
@@ -599,7 +610,7 @@ impl VideoDatabase {
     /// predicate ([`QuerySpec::keeps`]), capped at its `limit` and at
     /// `max_rows`. Returns the first `min(limit, max_rows)` answers, the
     /// answer count `min(kept, limit)` — exact, whatever `max_rows` cut
-    /// — and the planner's [`Explain`] decision trail; explaining never
+    /// — and the probe's [`Explain`] (its exact work); explaining never
     /// changes what runs. Runs under a `store.query` span opened under
     /// `ctx` (the index probe is a child span carrying the explain
     /// payload).
@@ -686,7 +697,7 @@ impl VideoDatabase {
     }
 
     /// The `k` shots nearest to the query point (α/β ignored), mapped to
-    /// their browsing scene nodes. Routed through the planner like
+    /// their browsing scene nodes. Runs the same selection as
     /// [`Self::query`].
     pub fn query_topk(&self, q: &VarianceQuery, k: usize) -> Vec<QueryAnswer> {
         self.answers(q, Some(k), None, usize::MAX, &TraceContext::disabled())
@@ -694,7 +705,7 @@ impl VideoDatabase {
     }
 
     /// The one §4.2 answer walk behind every variance query: the index's
-    /// planned [`ShotIndex::select`] (`k: None` is the Eqs. 7–8 range,
+    /// [`ShotIndex::select`] (`k: None` is the Eqs. 7–8 range,
     /// `Some(k)` the k nearest), keeping the matches whose video `filter`
     /// accepts (`None`: every match), nearest first.
     ///
@@ -708,7 +719,7 @@ impl VideoDatabase {
     /// one, the selection's keep predicate looks up the video's catalog
     /// row and checks the shot's leaf, as the rows are counted. Returns
     /// those rows, the exact kept count (whatever `cap` cut) and the
-    /// planner's [`Explain`].
+    /// probe's [`Explain`].
     fn answers(
         &self,
         q: &VarianceQuery,
@@ -1111,6 +1122,10 @@ mod tests {
                 tree.leaf_of_shot(key.shot as usize).is_some(),
                 "{step}: {key:?} has no leaf"
             );
+            assert!(
+                e.d_v().is_finite() && e.sqrt_ba().is_finite(),
+                "{step}: {e:?} is not finite"
+            );
         }
         assert_eq!(rows.len(), db.stats().shots, "{step}");
         assert_eq!(db.len(), db.analyses.len(), "{step}");
@@ -1143,6 +1158,27 @@ mod tests {
             vec![],
         );
         assert!(matches!(refused, Err(DbError::Inconsistent(_))));
+        // A feature no analyzer produces: every value edit is refused
+        // before the catalog or the index sees it.
+        let rows = db.index().entries().to_vec();
+        for (var_ba, var_oa) in [(4.0, f64::NAN), (-1.0, 4.0), (f64::INFINITY, 4.0)] {
+            let mut poisoned = analysis.clone();
+            poisoned.features[0] = vdb_core::variance::ShotFeature { var_ba, var_oa };
+            let refused = db.commit_stream(
+                "x".into(),
+                video.dims(),
+                video.fps(),
+                poisoned,
+                vec![],
+                vec![],
+            );
+            assert!(
+                matches!(refused, Err(DbError::Inconsistent(_))),
+                "({var_ba}, {var_oa}) was committed"
+            );
+            assert_eq!(db.len(), 2);
+            assert_eq!(db.index().entries(), rows);
+        }
         let (c, _) = db
             .commit_stream(
                 "c".into(),

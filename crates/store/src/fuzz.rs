@@ -7,11 +7,14 @@
 //! valid encodings. Each decode must return `Err` or a value that passes
 //! the same checks a clean decode does — and that the query, `tree` and
 //! `board` paths can walk — never a panic or a hang. A record that
-//! decodes must also be the one encoding of its value.
+//! decodes must also be the one encoding of its value. Value edits set a
+//! stored variance to NaN, ±inf or −1, which no analyzer produces and the
+//! index table cannot order: every decoder and the replay must refuse
+//! them.
 
 use crate::catalog::{FormId, GenreId, VideoMeta};
 use crate::codec::{self, Codec, Varint};
-use crate::db::{StoredAnalysis, VideoDatabase, TAG_REMOVE};
+use crate::db::{StoredAnalysis, VideoDatabase, TAG_ANALYSIS, TAG_REMOVE};
 use crate::journal::encode_record;
 use crate::pages::{read_segment, Record, MAGIC};
 use crate::session::storyboard;
@@ -87,13 +90,45 @@ impl Mutator {
     }
 }
 
-/// Run `decode` on every strict prefix of each input and on `CASES`
-/// mutations, splicing the inputs with each other.
-fn sweep(seed: u64, inputs: &[Vec<u8>], mut decode: impl FnMut(&[u8], bool)) {
+/// The values a value edit writes over a stored variance.
+const POISON: [f64; 4] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0];
+
+/// Copies of `input` (an encoding that holds `a`) with one of `a`'s
+/// variances overwritten by each [`POISON`] value. A variance is edited
+/// only where its 8 bytes occur once in `input`, so the edit lands on the
+/// feature itself.
+fn value_edits(input: &[u8], a: &StoredAnalysis) -> Vec<Vec<u8>> {
+    let mut out = Vec::new();
+    for f in &a.features {
+        for v in [f.var_ba, f.var_oa] {
+            let bytes = v.to_le_bytes();
+            let mut hits = (0..input.len().saturating_sub(7)).filter(|&i| input[i..i + 8] == bytes);
+            let (Some(at), None) = (hits.next(), hits.next()) else {
+                continue;
+            };
+            for poison in POISON {
+                let mut edited = input.to_vec();
+                edited[at..at + 8].copy_from_slice(&poison.to_le_bytes());
+                out.push(edited);
+            }
+        }
+    }
+    assert!(!out.is_empty(), "no variance to edit");
+    out
+}
+
+/// Run `decode` on every strict prefix of each input and on each of
+/// `edits` (for all of which `decode`'s flag is set: they must be
+/// refused), then on `CASES` mutations, splicing the inputs with each
+/// other.
+fn sweep(seed: u64, inputs: &[Vec<u8>], edits: &[Vec<u8>], mut decode: impl FnMut(&[u8], bool)) {
     for input in inputs {
         for cut in 0..input.len() {
             decode(&input[..cut], true);
         }
+    }
+    for edit in edits {
+        decode(edit, true);
     }
     let mut m = Mutator(TestRng::new(seed));
     for i in 0..CASES {
@@ -154,9 +189,12 @@ fn sample_db() -> VideoDatabase {
 fn stored_analysis_decode_survives_mutation() {
     let db = sample_db();
     let inputs: Vec<Vec<u8>> = (0..2).map(|id| db.analysis(id).unwrap().encode()).collect();
-    sweep(0xA11A, &inputs, |bytes, prefix| {
+    let edits: Vec<Vec<u8>> = (0..2)
+        .flat_map(|id| value_edits(&inputs[id], db.analysis(id as u64).unwrap()))
+        .collect();
+    sweep(0xA11A, &inputs, &edits, |bytes, refused| {
         if let Ok(a) = StoredAnalysis::decode(bytes) {
-            assert!(!prefix, "a strict prefix decoded");
+            assert!(!refused, "a strict prefix or a value edit decoded");
             assert_eq!(a.encode(), bytes, "a record has one encoding");
             walk(&a);
         }
@@ -169,9 +207,12 @@ fn exported_video_decode_survives_mutation() {
     let inputs: Vec<Vec<u8>> = (0..2)
         .map(|id| ExportedVideo::from_db(&db, id).unwrap().encode())
         .collect();
-    sweep(0xE1, &inputs, |bytes, prefix| {
+    let edits: Vec<Vec<u8>> = (0..2)
+        .flat_map(|id| value_edits(&inputs[id], db.analysis(id as u64).unwrap()))
+        .collect();
+    sweep(0xE1, &inputs, &edits, |bytes, refused| {
         if let Ok(e) = ExportedVideo::decode(bytes) {
-            assert!(!prefix, "a strict prefix decoded");
+            assert!(!refused, "a strict prefix or a value edit decoded");
             assert_eq!(e.encode(), bytes, "a record has one encoding");
             walk(&e.analysis);
         }
@@ -187,7 +228,7 @@ fn video_meta_decode_survives_mutation() {
         .iter()
         .map(|m| codec::to_bytes(*m))
         .collect();
-    sweep(0x3E7A, &inputs, |bytes, prefix| {
+    sweep(0x3E7A, &inputs, &[], |bytes, prefix| {
         if let Ok(meta) = codec::from_bytes::<VideoMeta>(bytes) {
             assert!(!prefix, "a strict prefix decoded");
             assert_eq!(codec::to_bytes(&meta), bytes, "a row has one encoding");
@@ -209,15 +250,21 @@ fn sample_segment(db: &VideoDatabase) -> Vec<u8> {
 }
 
 /// Replay must refuse the segment or yield a database whose every video
-/// passes the analysis checks and answers queries.
-fn replay_checked(records: &[Record]) {
-    if let Ok((db, _)) = VideoDatabase::replay(AnalyzerConfig::default(), records) {
-        for meta in db.catalog().all() {
-            walk(db.analysis(meta.id).unwrap());
-        }
-        db.query_str("ba=0 oa=0 alpha=1000 beta=1000").unwrap();
-        db.stats();
+/// passes the analysis checks and answers queries, and whose index rows
+/// are finite. Returns the database, if any.
+fn replay_checked(records: &[Record]) -> Option<VideoDatabase> {
+    let (db, _) = VideoDatabase::replay(AnalyzerConfig::default(), records).ok()?;
+    for meta in db.catalog().all() {
+        walk(db.analysis(meta.id).unwrap());
     }
+    assert!(db
+        .index()
+        .entries()
+        .iter()
+        .all(|e| e.d_v().is_finite() && e.sqrt_ba().is_finite()));
+    db.query_str("ba=0 oa=0 alpha=1000 beta=1000").unwrap();
+    db.stats();
+    Some(db)
 }
 
 #[test]
@@ -238,7 +285,7 @@ fn journal_replay_survives_mutated_segments() {
         }
         b
     };
-    sweep(0x5E6, &[whole.clone(), other], |bytes, _| {
+    sweep(0x5E6, &[whole.clone(), other], &[], |bytes, _| {
         if let Ok(records) = read_segment(bytes) {
             replay_checked(&records);
         }
@@ -256,4 +303,22 @@ fn journal_replay_survives_mutated_segments() {
         }
         replay_checked(&mutated);
     }
+
+    // A value edit in an ANALYSIS record: the replay drops that video.
+    let mut edited = 0;
+    for (at, record) in records.iter().enumerate() {
+        if record.tag != TAG_ANALYSIS {
+            continue;
+        }
+        let clean = StoredAnalysis::decode(&record.payload).unwrap();
+        for payload in value_edits(&record.payload, &clean) {
+            let mut mutated = records.clone();
+            mutated[at].payload = payload;
+            if let Some(db) = replay_checked(&mutated) {
+                assert!(db.analysis(clean.video).is_err(), "video {}", clean.video);
+            }
+            edited += 1;
+        }
+    }
+    assert!(edited > 0);
 }

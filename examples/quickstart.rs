@@ -6,7 +6,7 @@
 //! ```
 
 use vdb_core::analyzer::VideoAnalyzer;
-use vdb_core::index::{BucketParams, IndexEntry, ShotIndex, ShotKey, VarianceQuery};
+use vdb_core::index::{IndexEntry, ShotIndex, ShotKey, VarianceQuery};
 use vdb_synth::script::{generate, ShotSpec, VideoScript};
 
 fn main() {
@@ -75,7 +75,7 @@ fn main() {
             )
         })
         .collect();
-    let index = ShotIndex::from_entries(rows, BucketParams::default());
+    let index = ShotIndex::from_entries(rows);
     let q = VarianceQuery::by_example(analysis.features[0]);
     let matches = index.query(&q);
     println!(

@@ -125,7 +125,7 @@ expect_explain_counts_all() {
     local label="$1" out count matches rows
     out="$(cat)"
     count="$(printf '%s\n' "$out" | sed -n 's/^  \([0-9][0-9]*\) answers$/\1/p')"
-    matches="$(printf '%s\n' "$out" | sed -n 's/.* matches=\([0-9][0-9]*\) .*/\1/p')"
+    matches="$(printf '%s\n' "$out" | sed -n 's/.* matches=\([0-9][0-9]*\).*/\1/p')"
     rows="$(printf '%s\n' "$out" | grep -c '^  video ')" || true
     if [ -z "$count" ] || [ "$count" != "$matches" ] || [ "$rows" != 10 ]; then
         echo "server_smoke: $label wants answers = matches= and 10 rows, got '$count', '$matches' and $rows:" >&2
@@ -151,9 +151,9 @@ expect_contains "pong" "ping after huge-k query" <<<"$huge_k"
 # The demo ingest went through the instrumented pipeline, so the metrics
 # command must report the whole-stack core section.
 "$VDBC" "$ADDR" metrics | expect_contains "core.pipeline.frames" "metrics"
-# explain reports the planner's decision next to the answers.
-"$VDBC" "$ADDR" explain "ba=0.4 oa=14 alpha=4 beta=4" | expect_contains "plan=" "explain"
-"$VDBC" "$ADDR" explain "ba=0.4 oa=14 alpha=4 beta=4" | expect_contains "actual_candidates=" "explain"
+# explain reports the probe's exact work next to the answers.
+"$VDBC" "$ADDR" explain "ba=0.4 oa=14 alpha=4 beta=4" | expect_contains "window=[" "explain"
+"$VDBC" "$ADDR" explain "ba=0.4 oa=14 alpha=4 beta=4" | expect_contains "visited=" "explain"
 # A wide unfiltered explain counts every match the probe returned but
 # shows only 10 rows.
 "$VDBC" "$ADDR" explain "ba=0 oa=0 alpha=1000 beta=1000" | expect_explain_counts_all "wide explain"

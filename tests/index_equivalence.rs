@@ -1,7 +1,6 @@
-//! The pin on the sublinear index: bucket-probe results are **exactly**
-//! the linear scan's — same IDs, same order — for range and top-k, on
-//! corpora shaped like three different genres at three sizes, across
-//! several index parameter settings.
+//! The pin on the index table: its results are **exactly** the linear
+//! scan's — same IDs, same order — for range and top-k, on corpora shaped
+//! like three different genres at three sizes, three corpora per cell.
 //!
 //! The reference ranking is reimplemented *here* from the paper's
 //! formulas (Eqs. 7–8 window, Euclidean distance in `(D^v, √Var^BA)`
@@ -11,7 +10,7 @@
 //! `(video, shot)` order.
 
 use proptest::prelude::*;
-use vdb_core::index::{BucketParams, IndexEntry, ShotIndex, ShotKey, VarianceQuery};
+use vdb_core::index::{IndexEntry, ShotIndex, ShotKey, VarianceQuery};
 use vdb_core::variance::ShotFeature;
 use vdb_synth::rng::Srng;
 use vdb_synth::Genre;
@@ -119,25 +118,10 @@ fn probe_set(entries: &[IndexEntry], seed: u64) -> Vec<VarianceQuery> {
     out
 }
 
-const PARAMS: [BucketParams; 3] = [
-    BucketParams {
-        bucket_width: 0.05,
-        stats_bins: 64,
-    },
-    BucketParams {
-        bucket_width: 0.25,
-        stats_bins: 64,
-    },
-    BucketParams {
-        bucket_width: 1.5,
-        stats_bins: 32,
-    },
-];
-
 const GENRES: [Genre; 3] = [Genre::Sitcom, Genre::Sports, Genre::MusicVideo];
 
-fn check_corpus(entries: &[IndexEntry], params: BucketParams, seed: u64, label: &str) {
-    let idx = ShotIndex::from_entries(entries.to_vec(), params);
+fn check_corpus(entries: &[IndexEntry], seed: u64, label: &str) {
+    let idx = ShotIndex::from_entries(entries.to_vec());
     for (qi, q) in probe_set(entries, seed).into_iter().enumerate() {
         let got: Vec<ShotKey> = idx.query(&q).into_iter().map(|m| m.entry.key).collect();
         assert_eq!(got, brute_range(entries, &q), "{label} query {qi} (range)");
@@ -162,43 +146,30 @@ fn check_corpus(entries: &[IndexEntry], params: BucketParams, seed: u64, label: 
     }
 }
 
-/// The deterministic grid: 3 genres × sizes {1e3, 1e4, 1e5} × 3 index
-/// parameter settings, every combination pinned against the brute-force
-/// reference. (The 1e5 tier runs on one genre × one parameter per genre
-/// rotation to keep debug-build wall time sane — the smaller tiers cover
-/// the full cross product.)
+/// The deterministic grid: 3 genres × sizes {1e3, 1e4, 1e5}, three
+/// corpus seeds per genre and size, every corpus pinned against the
+/// brute-force reference. (The 1e5 tier runs one seed per genre to keep
+/// debug-build wall time sane — the smaller tiers cover every seed.)
 #[test]
 fn grid_genres_sizes_params() {
     for (gi, &genre) in GENRES.iter().enumerate() {
-        for (pi, &params) in PARAMS.iter().enumerate() {
+        for variant in 0..3 {
             for (si, &n) in [1_000usize, 10_000].iter().enumerate() {
-                let seed = 7_000 + (gi * 100 + pi * 10 + si) as u64;
+                let seed = 7_000 + (gi * 100 + variant * 10 + si) as u64;
                 let entries = corpus(genre, n, seed);
-                check_corpus(
-                    &entries,
-                    params,
-                    seed,
-                    &format!("{genre:?}/n={n}/w={}", params.bucket_width),
-                );
+                check_corpus(&entries, seed, &format!("{genre:?}/n={n}/seed={seed}"));
             }
         }
-        // 100k tier: rotate the parameter with the genre.
-        let params = PARAMS[gi % PARAMS.len()];
         let seed = 8_000 + gi as u64;
         let entries = corpus(genre, 100_000, seed);
-        check_corpus(
-            &entries,
-            params,
-            seed,
-            &format!("{genre:?}/n=100000/w={}", params.bucket_width),
-        );
+        check_corpus(&entries, seed, &format!("{genre:?}/n=100000"));
     }
 }
 
 /// Adversarial shapes the grid's genre mixtures do not produce.
 #[test]
 fn degenerate_corpora() {
-    // All rows identical: one bucket, pure tie-break ordering.
+    // All rows identical: pure tie-break ordering.
     let same: Vec<IndexEntry> = (0..2_000)
         .map(|i| {
             IndexEntry::new(
@@ -213,9 +184,7 @@ fn degenerate_corpora() {
             )
         })
         .collect();
-    for &params in &PARAMS {
-        check_corpus(&same, params, 1, "identical-rows");
-    }
+    check_corpus(&same, 1, "identical-rows");
     // Two far-apart clusters: probes between them, k spanning both.
     let mut split = corpus(Genre::Sitcom, 500, 2);
     for e in corpus(Genre::Sports, 500, 3) {
@@ -230,7 +199,7 @@ fn degenerate_corpora() {
             },
         ));
     }
-    check_corpus(&split, BucketParams::default(), 4, "split-clusters");
+    check_corpus(&split, 4, "split-clusters");
 }
 
 proptest! {
@@ -239,7 +208,6 @@ proptest! {
     fn random_corpora_pin_bucket_to_brute_force(
         seed in 0u64..1_000_000,
         n in 1usize..2_000,
-        width in 0.01f64..4.0,
         ba in 0.0f64..120.0,
         oa in 0.0f64..120.0,
         alpha in 0.05f64..6.0,
@@ -248,8 +216,7 @@ proptest! {
     ) {
         let genre = GENRES[(seed % 3) as usize];
         let entries = corpus(genre, n, seed);
-        let params = BucketParams { bucket_width: width, stats_bins: 64 };
-        let idx = ShotIndex::from_entries(entries.clone(), params);
+        let idx = ShotIndex::from_entries(entries.clone());
         let q = VarianceQuery::new(ba, oa).with_tolerances(alpha, beta);
         let got: Vec<ShotKey> = idx.query(&q).into_iter().map(|m| m.entry.key).collect();
         prop_assert_eq!(got, brute_range(&entries, &q));

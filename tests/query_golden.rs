@@ -10,9 +10,11 @@
 //!
 //! The script covers range queries (narrow, wide, every row), `limit`
 //! (including 0), filtered ranges, top-k (with a filter, a `limit`, `k=0`
-//! and a `k` far beyond the table), queries that match nothing, NaN and
-//! infinite parameters, parse errors, `explain`, and by-example range
-//! queries at stored shots with the benchmark's tolerances.
+//! and a `k` far beyond the table), queries that match nothing, NaN,
+//! infinite and negative parameters, parse errors, `explain` (whose
+//! summary pins each probe's exact work: a change that reads fewer rows
+//! shows as a diff of the `.out`), and by-example range queries at stored
+//! shots with the benchmark's tolerances.
 //!
 //! Regenerate the file only when a reply is meant to change:
 //!
@@ -58,6 +60,10 @@ const LINES: &[&str] = &[
     "query ba=4 oa=4 alpha=nan beta=1",
     "query ba=4 oa=4 alpha=1 beta=nan",
     "query ba=4 oa=4 alpha=inf beta=inf limit=2",
+    "query ba=4 oa=nan",
+    "query ba=4 oa=4 alpha=-1 beta=1",
+    "query ba=4 oa=4 alpha=1 beta=-1",
+    "query ba=nan oa=4 k=3",
     "query ba=-1 oa=4 alpha=3 beta=3",
     "query ba=x oa=1",
     "explain ba=2 oa=12 alpha=3 beta=3",

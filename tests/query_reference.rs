@@ -7,13 +7,15 @@
 //! browsing node, then the `limit`. Every entry point that answers a
 //! variance query — `query_str`, the shell's `query` and `explain`, and a
 //! shard's `query_str_sharded` — must agree with it over a grid of
-//! tolerances, limits, filters and top-k sizes.
+//! tolerances, limits, filters and top-k sizes. An `explain` line must
+//! also report exactly the work of the index selection the reply needs.
 //!
 //! [`SceneTree::largest_scene_for_shot`]: vdb_core::scenetree::SceneTree::largest_scene_for_shot
 
 use std::fmt::Write as _;
 
 use vdb_core::analyzer::VideoAnalyzer;
+use vdb_core::index::ShotKey;
 use vdb_obs::TraceContext;
 use vdb_store::db::{QueryAnswer, ShardQueryAnswers, ShardQueryRow, SHARD_QUERY_ROW_CAP};
 use vdb_store::shell::{execute_readonly, Command};
@@ -159,9 +161,17 @@ fn check(db: &VideoDatabase, text: &str) {
     let query = execute_readonly(db, &Command::parse(&format!("query {text}"))).unwrap();
     assert_eq!(query, render, "shell query {text}");
 
-    let (_, explain) = db
-        .index()
-        .search(&spec.variance, spec.k, &TraceContext::disabled());
+    // `explain` reports the work of the probe the shell ran: capped at
+    // the rows a reply prints, with the spec's filter as the keep
+    // predicate (a range walk stops once no further kept row can show).
+    let cap = spec.limit.unwrap_or(usize::MAX).min(SHOWN);
+    let mut keep = |key: ShotKey| db.catalog().get(key.video).is_some_and(|m| spec.keeps(m));
+    let keep = spec
+        .filters()
+        .then_some(&mut keep as &mut dyn FnMut(ShotKey) -> bool);
+    let (_, _, explain) =
+        db.index()
+            .select(&spec.variance, spec.k, cap, keep, &TraceContext::disabled());
     let explained = execute_readonly(db, &Command::parse(&format!("explain {text}"))).unwrap();
     assert_eq!(
         explained,
