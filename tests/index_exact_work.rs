@@ -76,6 +76,33 @@ fn window_rows(entries: &[IndexEntry], q: &VarianceQuery) -> usize {
         .count()
 }
 
+/// A range probe reads exactly its window's rows, per query and summed
+/// over the workload, on corpora of several sizes and seeds: the ±30 %
+/// estimate margin of a histogram model is an equality here.
+#[test]
+fn range_candidates_equal_the_window_rows() {
+    for (n, seed) in [(1_000, 3), (10_000, 5), (100_000, 42)] {
+        let entries = mixture(n, seed);
+        let idx = ShotIndex::from_entries(entries.clone());
+        let (mut read, mut window) = (0usize, 0usize);
+        for (qi, q) in workload(&entries).into_iter().enumerate() {
+            let (matches, stats) = idx.probe_range(&q);
+            let rows = window_rows(&entries, &q);
+            assert_eq!(stats.candidates, rows, "n={n} query {qi}: window rows");
+            assert_eq!(
+                stats.buckets_touched,
+                usize::from(rows > 0),
+                "n={n} query {qi}"
+            );
+            let accepted = entries.iter().filter(|e| q.matches(e)).count();
+            assert_eq!(matches.len(), accepted, "n={n} query {qi}");
+            read += stats.candidates;
+            window += rows;
+        }
+        assert_eq!(read, window, "n={n}: rows read over the workload");
+    }
+}
+
 #[test]
 fn explain_counts_the_window_exactly() {
     let entries = corpus_100k();
