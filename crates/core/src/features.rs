@@ -13,14 +13,25 @@
 //!
 //! The textbook formulation crops the frame into a TBA/FOA grid and then
 //! reduces that grid — two passes, with the full grid materialized in
-//! between. This module fuses them: the crop is a precomputed index-table
-//! gather ([`AreaLayout::tba_index_table`]), and grid rows are gathered
-//! into a 5-row ring just in time for the first vertical reduction, so
-//! each source pixel is read exactly once and only `5 × cols` gathered
-//! pixels are ever live. Output row `i` consumes source rows
-//! `2i..2i+4`; the ring slot for row `r` is `r % 5`, collision-free
-//! because any kernel window spans 5 consecutive rows. The remaining
-//! (much smaller) levels collapse via
+//! between. This module fuses them, differently for the two areas:
+//!
+//! * **TBA.** Its side columns are rotated frame columns, so the crop is
+//!   a precomputed index-table gather ([`AreaLayout::tba_index_table`]).
+//!   Grid rows are gathered into a 5-row ring just in time for the first
+//!   vertical reduction, so each grid cell is gathered exactly once and
+//!   only `5 × cols` gathered pixels are ever live. Output row `i`
+//!   consumes source rows `2i..2i+4`; the ring slot for row `r` is
+//!   `r % 5`, collision-free because any kernel window spans 5
+//!   consecutive rows.
+//! * **FOA.** Its crop is a product of a row map and a column map
+//!   ([`AreaLayout::foa_rows`], [`AreaLayout::foa_cols`]). The vertical
+//!   kernel works on each column on its own, so picking columns commutes
+//!   with the whole vertical collapse: the first level reads its five
+//!   rows as slices of the frame (`b'` raw columns wide, no gather), the
+//!   levels collapse to one `b'`-pixel row, and the `b` signature pixels
+//!   are picked from it through the column map.
+//!
+//! The remaining (much smaller) levels collapse via
 //! [`crate::kernels::collapse_grid_to_row`] at the extractor's resolved
 //! SIMD level. Results are bit-identical to the unfused crop-then-reduce
 //! composition at every level — pinned by the proptests below and the
@@ -38,8 +49,8 @@ use crate::sizeset::in_size_set;
 
 /// Reusable working memory for per-frame feature extraction.
 ///
-/// Extraction needs a handful of temporaries per frame — the 5-row gather
-/// ring, the intermediate pyramid levels, and the FOA's throwaway
+/// Extraction needs a handful of temporaries per frame — the TBA's 5-row
+/// gather ring, the intermediate pyramid levels, and the FOA's throwaway
 /// signature. A `ScratchBuffers` owns all of them and is threaded through
 /// [`FeatureExtractor::extract_with`], so after the first frame (warm-up)
 /// the only per-frame allocation left is the returned [`FrameFeatures`]'s
@@ -57,11 +68,11 @@ pub struct ScratchBuffers {
     sig_oa: Vec<Rgb>,
 }
 
-/// Scratch for the fused crop-and-reduce grid pass: the 5-row gather ring
-/// plus the two ping-pong level buffers. Kept separate from
-/// [`ReduceScratch`] (the *line* pyramid's buffers) so the line
-/// reductions' clear/push length games never force the grid pass to
-/// re-initialize its full-length buffers.
+/// Scratch for the fused crop-and-reduce grid passes: the TBA's 5-row
+/// gather ring plus the two ping-pong level buffers both areas use. Kept
+/// separate from [`ReduceScratch`] (the *line* pyramid's buffers) so the
+/// line reductions' clear/push length games never force the grid passes
+/// to re-initialize their full-length buffers.
 #[derive(Debug, Clone, Default)]
 struct GridScratch {
     ring: [Vec<Rgb>; 5],
@@ -94,7 +105,7 @@ pub struct FrameFeatures {
 /// Extracts [`FrameFeatures`] for frames of one fixed size.
 ///
 /// Construct once per video; the [`AreaLayout`] (and hence all pyramid
-/// shapes), the crop index tables, and the resolved SIMD level are fixed
+/// shapes), the crop tables, and the resolved SIMD level are fixed
 /// by the frame dimensions and configuration. Shareable across parallel
 /// workers by `&self` (each worker brings its own [`ScratchBuffers`]).
 #[derive(Debug, Clone)]
@@ -103,8 +114,10 @@ pub struct FeatureExtractor {
     isa: ResolvedIsa,
     /// `w × L` nearest-neighbor table: TBA cell → frame pixel index.
     tba_table: Vec<u32>,
-    /// `h × b` nearest-neighbor table: FOA cell → frame pixel index.
-    foa_table: Vec<u32>,
+    /// FOA grid row → frame row ([`AreaLayout::foa_rows`]).
+    foa_rows: Vec<usize>,
+    /// FOA grid column → raw FOA column ([`AreaLayout::foa_cols`]).
+    foa_cols: Vec<usize>,
 }
 
 impl FeatureExtractor {
@@ -135,7 +148,8 @@ impl FeatureExtractor {
             layout,
             isa,
             tba_table: layout.tba_index_table(),
-            foa_table: layout.foa_index_table(),
+            foa_rows: layout.foa_rows(),
+            foa_cols: layout.foa_cols(),
         })
     }
 
@@ -189,15 +203,7 @@ impl FeatureExtractor {
             &mut signature,
         )?;
         let sign_ba = reduce_line_to_sign_with(&signature, &mut scratch.reduce)?;
-        fused_crop_signature(
-            pixels,
-            &self.foa_table,
-            self.layout.h,
-            self.layout.b,
-            self.isa,
-            &mut scratch.grids,
-            &mut scratch.sig_oa,
-        )?;
+        self.foa_signature(pixels, &mut scratch.grids, &mut scratch.sig_oa)?;
         let sign_oa = reduce_line_to_sign_with(&scratch.sig_oa, &mut scratch.reduce)?;
         Ok(FrameFeatures {
             sign_ba,
@@ -210,9 +216,64 @@ impl FeatureExtractor {
     pub fn extract_video(&self, video: &Video) -> Result<Vec<FrameFeatures>> {
         video.frames().iter().map(|f| self.extract(f)).collect()
     }
+
+    /// The FOA's crop + grid pyramid without a gather: collapse the raw
+    /// FOA's `b'` columns over the sampled frame rows, then pick the `b`
+    /// signature pixels through the column map, into `out` (cleared
+    /// first).
+    ///
+    /// The vertical kernel works on each column on its own, so picking
+    /// columns before or after the vertical collapse gives the same
+    /// pixels. Level 1 therefore reads its five rows straight out of the
+    /// frame as `pixels[row·c + w'..][..b']`, and the remaining levels
+    /// collapse in place. Bit-identical to `extract_foa_into` +
+    /// `reduce_grid_to_signature_into` at every SIMD level.
+    fn foa_signature(
+        &self,
+        pixels: &[Rgb],
+        grids: &mut GridScratch,
+        out: &mut Vec<Rgb>,
+    ) -> Result<()> {
+        let lay = &self.layout;
+        check_grid(lay.h, lay.b)?;
+        let (c, x0, width) = (lay.frame_width as usize, lay.w_raw, lay.b_raw);
+        let row = |t: usize| &pixels[self.foa_rows[t] * c + x0..][..width];
+        out.clear();
+        ensure_capacity(out, lay.b);
+        if lay.h == 1 {
+            let line = row(0);
+            out.extend(self.foa_cols.iter().map(|&u| line[u]));
+            return Ok(());
+        }
+        let out_rows = (lay.h - 3) / 2;
+        grow_pixels(&mut grids.a, out_rows * width);
+        grow_pixels(&mut grids.b, out_rows * width);
+        for i in 0..out_rows {
+            let window: [&[u8]; 5] = core::array::from_fn(|k| rgb_as_bytes(row(2 * i + k)));
+            kernels::reduce_rows5(
+                self.isa,
+                window,
+                rgb_as_bytes_mut(&mut grids.a[i * width..(i + 1) * width]),
+            );
+        }
+        let line =
+            kernels::collapse_grid_to_row(&mut grids.a, &mut grids.b, out_rows, width, self.isa);
+        out.extend(self.foa_cols.iter().map(|&u| line[u]));
+        Ok(())
+    }
 }
 
-/// The fused crop + grid pyramid: gather `rows × cols` grid cells from
+/// Both grid sides must be size-set members for the pyramid to tile them.
+fn check_grid(rows: usize, cols: usize) -> Result<()> {
+    for len in [rows, cols] {
+        if !in_size_set(len) {
+            return Err(crate::CoreError::NotInSizeSet { len });
+        }
+    }
+    Ok(())
+}
+
+/// The TBA's fused crop + grid pyramid: gather `rows × cols` grid cells from
 /// `pixels` through `table` and collapse them to the one-row signature in
 /// `out` (cleared first), without ever materializing the full grid.
 ///
@@ -220,7 +281,7 @@ impl FeatureExtractor {
 /// reduction needs them (output row `i` consumes source rows `2i..2i+4`,
 /// so each source row is gathered exactly once), the level-1 grid lands in
 /// `grids.a`, and the remaining levels collapse in place. Bit-identical to
-/// `extract_*_into` + `reduce_grid_to_signature_into` at every SIMD level.
+/// `extract_tba_into` + `reduce_grid_to_signature_into` at every SIMD level.
 fn fused_crop_signature(
     pixels: &[Rgb],
     table: &[u32],
@@ -231,12 +292,7 @@ fn fused_crop_signature(
     out: &mut Vec<Rgb>,
 ) -> Result<()> {
     debug_assert_eq!(table.len(), rows * cols);
-    if !in_size_set(rows) {
-        return Err(crate::CoreError::NotInSizeSet { len: rows });
-    }
-    if !in_size_set(cols) {
-        return Err(crate::CoreError::NotInSizeSet { len: cols });
-    }
+    check_grid(rows, cols)?;
     out.clear();
     ensure_capacity(out, cols);
     if rows == 1 {
@@ -272,7 +328,13 @@ fn fused_crop_signature(
             rgb_as_bytes_mut(&mut grids.a[i * cols..(i + 1) * cols]),
         );
     }
-    kernels::collapse_grid_to_row(&mut grids.a, &mut grids.b, out_rows, cols, isa, out);
+    out.extend_from_slice(kernels::collapse_grid_to_row(
+        &mut grids.a,
+        &mut grids.b,
+        out_rows,
+        cols,
+        isa,
+    ));
     Ok(())
 }
 
@@ -286,7 +348,7 @@ pub fn extract_features(video: &Video) -> Result<Vec<FrameFeatures>> {
 mod tests {
     use super::*;
     use crate::error::CoreError;
-    use crate::pyramid::{reduce_grid_to_signature, reduce_line_to_sign};
+    use crate::pyramid::{reduce_grid_to_signature, reduce_line_to_sign, reduction_allocs};
     use proptest::prelude::*;
 
     fn uniform_video(n: usize, color: Rgb) -> Video {
@@ -411,8 +473,17 @@ mod tests {
     #[test]
     fn fused_matches_composed_at_every_level_on_fixed_dims() {
         // Odd frame dims land the grids on non-lane-multiple byte widths;
-        // 160x120 is the paper layout.
-        for (w, h) in [(160u32, 120u32), (80, 60), (41, 31), (97, 73)] {
+        // 160x120 is the paper layout; at 64x48 the FOA's snapped width
+        // exceeds its raw width (b = 61 > b' = 52), so the column map
+        // repeats columns.
+        for (w, h) in [
+            (160u32, 120u32),
+            (80, 60),
+            (41, 31),
+            (97, 73),
+            (64, 48),
+            (320, 240),
+        ] {
             let frame = FrameBuf::from_fn(w, h, |x, y| {
                 Rgb::new(
                     ((x * 3 + y * 17) % 253) as u8,
@@ -427,6 +498,69 @@ mod tests {
                 assert_eq!(ex.extract(&frame).unwrap(), expected, "{w}x{h} at {level}");
             }
         }
+    }
+
+    /// Hand-rolled (no proptest) so the CI Miri job can run it: the FOA
+    /// window slices frame rows in place, and this checks every slice
+    /// stays inside the frame and the result equals the crop-then-reduce
+    /// composition — including a one-row FOA (100x11: `h = 1`) and a
+    /// column map that repeats columns (64x48: `b > b'`).
+    #[test]
+    fn foa_window_reads_frame_rows_in_place() {
+        for (w, h) in [(41u32, 31u32), (64, 48), (100, 11), (20, 20)] {
+            let frame = FrameBuf::from_fn(w, h, |x, y| {
+                Rgb::new((x * 7 + y) as u8, (x + y * 5) as u8, (x * y) as u8)
+            });
+            let layout = AreaLayout::for_frame(w, h).unwrap();
+            let expected = reduce_grid_to_signature(&layout.extract_foa(&frame)).unwrap();
+            for level in SimdLevel::all_available() {
+                let ex = FeatureExtractor::with_layout(layout, level).unwrap();
+                let mut grids = GridScratch::default();
+                let mut sig = Vec::new();
+                ex.foa_signature(frame.pixels(), &mut grids, &mut sig)
+                    .unwrap();
+                assert_eq!(sig, expected, "{w}x{h} at {level}");
+            }
+        }
+        assert!(AreaLayout::for_frame(64, 48)
+            .map(|l| l.b > l.b_raw)
+            .unwrap());
+        assert_eq!(AreaLayout::for_frame(100, 11).unwrap().h, 1);
+    }
+
+    #[test]
+    fn warm_extraction_reduces_without_allocating() {
+        let ex = FeatureExtractor::new(160, 120).unwrap();
+        let frames: Vec<FrameBuf> = (0..3u8)
+            .map(|seed| {
+                FrameBuf::from_fn(160, 120, |x, y| {
+                    Rgb::gray(((x * 3 + y * 5) as u8).wrapping_add(seed * 41))
+                })
+            })
+            .collect();
+        // The first frame sizes the FOA path's buffers; the line
+        // reductions' ping-pong buffers settle over the first few frames.
+        let mut scratch = ScratchBuffers::default();
+        let before = reduction_allocs();
+        ex.foa_signature(frames[0].pixels(), &mut scratch.grids, &mut scratch.sig_oa)
+            .unwrap();
+        assert!(
+            reduction_allocs() > before,
+            "the cold FOA path sizes its buffers"
+        );
+        for frame in &frames {
+            ex.extract_with(frame, &mut scratch).unwrap();
+        }
+        let before = reduction_allocs();
+        for frame in &frames {
+            ex.foa_signature(frame.pixels(), &mut scratch.grids, &mut scratch.sig_oa)
+                .unwrap();
+        }
+        assert_eq!(reduction_allocs(), before, "the warm FOA path allocated");
+        for frame in &frames {
+            ex.extract_with(frame, &mut scratch).unwrap();
+        }
+        assert_eq!(reduction_allocs(), before, "warm extraction allocated");
     }
 
     #[test]

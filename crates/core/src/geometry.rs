@@ -237,11 +237,9 @@ impl AreaLayout {
         let r = i64::from(self.frame_height);
         let mut table = Vec::with_capacity(self.w * self.l);
         for t in 0..self.w {
-            let rt = ((t as f64 + 0.5) * w_raw as f64 / self.w as f64) as i64;
-            let rt = rt.clamp(0, w_raw as i64 - 1);
+            let rt = nearest(t, self.w, w_raw) as i64;
             for u in 0..self.l {
-                let ru = ((u as f64 + 0.5) * l_raw as f64 / self.l as f64) as i64;
-                let ru = ru.clamp(0, l_raw as i64 - 1);
+                let ru = nearest(u, self.l, l_raw) as i64;
                 let (x, y) = if ru < h_raw as i64 {
                     (rt, r - 1 - ru)
                 } else if ru < h_raw as i64 + c {
@@ -256,30 +254,29 @@ impl AreaLayout {
         table
     }
 
-    /// Precompute the FOA crop as an index table: entry `row * b + col` is
-    /// the frame-pixel index FOA grid cell `(row, col)` samples. Same
-    /// contract as [`AreaLayout::tba_index_table`], mirroring
-    /// [`AreaLayout::extract_foa_into`].
-    pub fn foa_index_table(&self) -> Vec<u32> {
-        let (w_raw, h_raw, b_raw) = (self.w_raw, self.h_raw, self.b_raw);
-        let c = i64::from(self.frame_width);
-        let r = i64::from(self.frame_height);
-        let mut table = Vec::with_capacity(self.h * self.b);
-        for row in 0..self.h {
-            let rr = ((row as f64 + 0.5) * h_raw as f64 / self.h as f64) as i64;
-            let rr = rr.clamp(0, h_raw as i64 - 1);
-            for col in 0..self.b {
-                let rc = ((col as f64 + 0.5) * b_raw as f64 / self.b as f64) as i64;
-                let rc = rc.clamp(0, b_raw as i64 - 1);
-                table.push(Self::pixel_index(
-                    w_raw as i64 + rc,
-                    w_raw as i64 + rr,
-                    c,
-                    r,
-                ));
-            }
-        }
-        table
+    /// The FOA crop's row map: entry `t` is the frame row that FOA grid
+    /// row `t` samples.
+    ///
+    /// The FOA crop is a product of two maps — grid cell `(t, u)` is the
+    /// frame pixel `foa_rows()[t] * frame_width + w' + foa_cols()[u]` —
+    /// because [`AreaLayout::extract_foa_into`]'s back-projection treats
+    /// the two axes independently. Both maps evaluate its `f64`
+    /// expressions and clamping, so sampling through them is
+    /// bit-identical to the closure path (pinned by tests). Every entry
+    /// lies inside the frame, so the closure's border clamp never fires.
+    pub fn foa_rows(&self) -> Vec<usize> {
+        (0..self.h)
+            .map(|t| self.w_raw + nearest(t, self.h, self.h_raw))
+            .collect()
+    }
+
+    /// The FOA crop's column map: entry `u` is the raw FOA column
+    /// (counted from `w'`, so in `0..b'`) that FOA grid column `u`
+    /// samples. See [`AreaLayout::foa_rows`].
+    pub fn foa_cols(&self) -> Vec<usize> {
+        (0..self.b)
+            .map(|u| nearest(u, self.b, self.b_raw))
+            .collect()
     }
 
     /// Frame coordinate → flat pixel index, with the same border clamp as
@@ -319,6 +316,14 @@ impl AreaLayout {
             frame.get_clamped(w_raw as i64 + rc, w_raw as i64 + rr)
         })
     }
+}
+
+/// Nearest-neighbor back-projection of snapped index `i` (of `snapped`)
+/// onto a raw axis of `raw` positions — the expression the closure crops
+/// evaluate per cell.
+fn nearest(i: usize, snapped: usize, raw: usize) -> usize {
+    let x = ((i as f64 + 0.5) * raw as f64 / snapped as f64) as i64;
+    x.clamp(0, raw as i64 - 1) as usize
 }
 
 #[cfg(test)]
@@ -488,11 +493,28 @@ mod tests {
         table.iter().map(|&i| frame.pixels()[i as usize]).collect()
     }
 
+    /// The FOA sampled through its row and column maps, row-major:
+    /// cell `(t, u)` is `frame[row(t) + col(u)]`.
+    fn sample_foa(frame: &FrameBuf, lay: &AreaLayout) -> Vec<Rgb> {
+        let c = lay.frame_width as usize;
+        let (rows, cols) = (lay.foa_rows(), lay.foa_cols());
+        assert_eq!((rows.len(), cols.len()), (lay.h, lay.b));
+        assert!(rows.iter().all(|&y| y < lay.frame_height as usize));
+        assert!(cols.iter().all(|&x| x < lay.b_raw));
+        rows.iter()
+            .flat_map(|&y| {
+                cols.iter()
+                    .map(move |&x| frame.pixels()[y * c + lay.w_raw + x])
+            })
+            .collect()
+    }
+
     #[test]
     fn index_tables_reproduce_closure_crops_exactly() {
-        // The tables must evaluate the identical nearest-neighbor mapping:
-        // gathering through them reproduces extract_tba/extract_foa bit for
-        // bit, including odd dims where snapping is far from the raw size.
+        // The TBA table and the FOA row/column maps must evaluate the
+        // identical nearest-neighbor mapping: sampling through them
+        // reproduces extract_tba/extract_foa bit for bit, including odd
+        // dims where snapping is far from the raw size.
         for (w, h) in [
             (160u32, 120u32),
             (80, 60),
@@ -516,12 +538,10 @@ mod tests {
                 lay.extract_tba(&frame).data(),
                 "TBA table mismatch at {w}x{h}"
             );
-            let foa_table = lay.foa_index_table();
-            assert_eq!(foa_table.len(), lay.h * lay.b);
             assert_eq!(
-                gather(&frame, &foa_table),
+                sample_foa(&frame, &lay),
                 lay.extract_foa(&frame).data(),
-                "FOA table mismatch at {w}x{h}"
+                "FOA maps mismatch at {w}x{h}"
             );
         }
     }
@@ -543,7 +563,7 @@ mod tests {
                 let tba = lay.extract_tba(&frame);
                 let foa = lay.extract_foa(&frame);
                 prop_assert_eq!(gather(&frame, &lay.tba_index_table()), tba.data());
-                prop_assert_eq!(gather(&frame, &lay.foa_index_table()), foa.data());
+                prop_assert_eq!(sample_foa(&frame, &lay), foa.data());
             }
         }
 

@@ -9,10 +9,13 @@
 //! 1. **Crop**: sampling the frame into the TBA/FOA grids. The
 //!    nearest-neighbor back-projection (two `f64` multiplies per cell) is
 //!    identical for every frame of a layout, so
-//!    [`crate::geometry::AreaLayout`] precomputes it once into an index
-//!    table and the per-frame work collapses to [`gather_pixels`] — a pure
-//!    memory gather of 3-byte pixels. There is no SIMD variant: scattered
-//!    3-byte loads defeat vector gathers, and the loop is memory-bound.
+//!    [`crate::geometry::AreaLayout`] precomputes it once. The TBA's
+//!    rotated side columns need a per-cell index table, and its per-frame
+//!    crop is [`gather_pixels`] — scattered 3-byte loads, which defeat
+//!    vector gathers, so there is no SIMD variant. The FOA needs no
+//!    gather at all: its crop is a row map times a column map, so the
+//!    extractor reduces frame rows in place and picks columns from the
+//!    one row that is left (see [`crate::features`]).
 //! 2. **Reduce**: collapsing grid rows five at a time with the
 //!    Burt–Adelson kernel `(1,4,6,4,1)/16` (§2.1). [`reduce_rows5`] does
 //!    one such step across all columns — per output byte
@@ -120,20 +123,19 @@ pub fn gather_pixels(src: &[Rgb], idx: &[u32], out: &mut [Rgb]) {
 }
 
 /// Collapse the `rows × cols` grid held in `a[..rows * cols]` to a single
-/// row, appended to `out` (which the caller has sized — `collapse` itself
-/// must stay allocation-free for the zero-alloc hot path).
+/// row and return it (a slice of `a` or `b`, whichever the last level
+/// landed in). Allocation-free, for the zero-alloc hot path.
 ///
 /// Levels ping-pong between `a` and `b` using [`reduce_rows5`] row-wise;
 /// `b` must hold at least `max(1, (rows − 3) / 2) · cols` pixels. `rows`
 /// must be a size-set member (callers validate; debug-asserted here).
-pub fn collapse_grid_to_row(
-    a: &mut [Rgb],
-    b: &mut [Rgb],
+pub fn collapse_grid_to_row<'a>(
+    a: &'a mut [Rgb],
+    b: &'a mut [Rgb],
     rows: usize,
     cols: usize,
     isa: ResolvedIsa,
-    out: &mut Vec<Rgb>,
-) {
+) -> &'a [Rgb] {
     debug_assert!(in_size_set(rows), "row count {rows} not in size set");
     debug_assert!(a.len() >= rows * cols);
     debug_assert!(rows == 1 || b.len() >= ((rows - 3) / 2) * cols);
@@ -154,7 +156,7 @@ pub fn collapse_grid_to_row(
         std::mem::swap(&mut src, &mut dst);
         cur_rows = out_rows;
     }
-    out.extend_from_slice(&src[..cols]);
+    &src[..cols]
 }
 
 #[cfg(test)]
@@ -284,8 +286,7 @@ mod tests {
                 let mut a = grid.clone();
                 let scratch_rows = if rows == 1 { 1 } else { (rows - 3) / 2 };
                 let mut b = vec![Rgb::BLACK; scratch_rows * cols];
-                let mut out = Vec::new();
-                collapse_grid_to_row(&mut a, &mut b, rows, cols, isa, &mut out);
+                let out = collapse_grid_to_row(&mut a, &mut b, rows, cols, isa);
                 assert_eq!(out, expected, "{rows}x{cols} at {isa}");
             }
         }

@@ -202,7 +202,13 @@ pub fn reduce_grid_to_signature_into_isa(
     if scratch.b.len() < b_len {
         scratch.b.resize(b_len, Rgb::BLACK);
     }
-    crate::kernels::collapse_grid_to_row(&mut scratch.a, &mut scratch.b, rows, cols, isa, out);
+    out.extend_from_slice(crate::kernels::collapse_grid_to_row(
+        &mut scratch.a,
+        &mut scratch.b,
+        rows,
+        cols,
+        isa,
+    ));
     Ok(())
 }
 

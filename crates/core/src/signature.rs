@@ -9,6 +9,10 @@
 //! shifts ("how much the two images share the common background") is
 //! compared against a threshold to decide whether the frames belong to the
 //! same shot.
+//!
+//! Only a run longer than the running maximum can change it, so each
+//! alignment is probed at intervals of one more than that maximum rather
+//! than tested pixel by pixel; the result equals the every-pixel scan's.
 
 use crate::pixel::Rgb;
 
@@ -62,19 +66,38 @@ impl Signature {
         total as f64 / (self.0.len() as f64 * 3.0)
     }
 
-    /// Longest run of matching pixels between two aligned pixel slices.
-    fn longest_run(a: &[Rgb], b: &[Rgb], tol: u8) -> usize {
-        let mut best = 0usize;
-        let mut cur = 0usize;
-        for (pa, pb) in a.iter().zip(b) {
-            if pa.matches_within(*pb, tol) {
-                cur += 1;
-                if cur > best {
-                    best = cur;
-                }
-            } else {
-                cur = 0;
+    /// `max(floor, longest run)` of matching pixels between two aligned
+    /// pixel slices: the longest run exactly when it is longer than
+    /// `floor`, otherwise `floor`.
+    ///
+    /// Only a run longer than the best found so far can matter, and any
+    /// run of `floor + 1` pixels after the last known mismatch contains
+    /// the position `floor` pixels past it. So the loop probes there; a
+    /// mismatch moves the start past the probe, and a match is extended
+    /// both ways to its full run, which then raises the floor. With
+    /// `floor = 0` every position is probed.
+    fn run_over(a: &[Rgb], b: &[Rgb], tol: u8, floor: usize) -> usize {
+        let n = a.len().min(b.len());
+        let matches = |i: usize| a[i].matches_within(b[i], tol);
+        let mut best = floor;
+        // Every run still to find starts at or after `start`.
+        let mut start = 0;
+        while start + best < n {
+            let probe = start + best;
+            if !matches(probe) {
+                start = probe + 1;
+                continue;
             }
+            let mut lo = probe;
+            while lo > start && matches(lo - 1) {
+                lo -= 1;
+            }
+            let mut hi = probe + 1;
+            while hi < n && matches(hi) {
+                hi += 1;
+            }
+            best = best.max(hi - lo);
+            start = hi + 1;
         }
         best
     }
@@ -98,17 +121,17 @@ impl Signature {
             };
         }
         let max_shift = max_shift.min(n - 1);
-        let mut best_run = Self::longest_run(&self.0, &other.0, tol);
+        let mut best_run = Self::run_over(&self.0, &other.0, tol, 0);
         let mut best_shift: isize = 0;
         for s in 1..=max_shift {
             // `other` shifted right by s relative to `self`.
-            let run = Self::longest_run(&self.0[s..], &other.0[..n - s], tol);
+            let run = Self::run_over(&self.0[s..], &other.0[..n - s], tol, best_run);
             if run > best_run {
                 best_run = run;
                 best_shift = s as isize;
             }
             // `other` shifted left by s.
-            let run = Self::longest_run(&self.0[..n - s], &other.0[s..], tol);
+            let run = Self::run_over(&self.0[..n - s], &other.0[s..], tol, best_run);
             if run > best_run {
                 best_run = run;
                 best_shift = -(s as isize);
@@ -147,7 +170,7 @@ impl Signature {
             };
         }
         let max_shift = max_shift.min(n - 1);
-        let mut best_run = Self::longest_run(&self.0, &other.0, tol);
+        let mut best_run = Self::run_over(&self.0, &other.0, tol, 0);
         let mut best_shift: isize = 0;
         if best_run >= target_run {
             return TrackResult {
@@ -162,7 +185,7 @@ impl Signature {
             if n - s <= best_run {
                 break;
             }
-            let run = Self::longest_run(&self.0[s..], &other.0[..n - s], tol);
+            let run = Self::run_over(&self.0[s..], &other.0[..n - s], tol, best_run);
             if run > best_run {
                 best_run = run;
                 best_shift = s as isize;
@@ -170,7 +193,7 @@ impl Signature {
                     break;
                 }
             }
-            let run = Self::longest_run(&self.0[..n - s], &other.0[s..], tol);
+            let run = Self::run_over(&self.0[..n - s], &other.0[s..], tol, best_run);
             if run > best_run {
                 best_run = run;
                 best_shift = -(s as isize);
@@ -428,6 +451,136 @@ mod tests {
         let exact = a.track(&b, 4, 29);
         let early = a.track_until(&b, 4, 29, 29);
         assert_eq!(exact.best_run, early.best_run);
+    }
+
+    /// The tracker as it was before `run_over`: every pixel of every
+    /// diagonal tested, kept as the reference the probing loops must
+    /// reproduce exactly.
+    mod reference {
+        use super::*;
+
+        pub fn longest_run(a: &[Rgb], b: &[Rgb], tol: u8) -> usize {
+            let (mut best, mut cur) = (0, 0);
+            for (pa, pb) in a.iter().zip(b) {
+                cur = if pa.matches_within(*pb, tol) {
+                    cur + 1
+                } else {
+                    0
+                };
+                best = best.max(cur);
+            }
+            best
+        }
+
+        /// Pre-probe `Signature::track` (`target_run: None`) and
+        /// `Signature::track_until` (`Some(target)`) in one loop.
+        pub fn track(
+            x: &Signature,
+            y: &Signature,
+            tol: u8,
+            max_shift: usize,
+            target_run: Option<usize>,
+        ) -> TrackResult {
+            let (a, b) = (x.pixels(), y.pixels());
+            let n = a.len();
+            if n == 0 {
+                return TrackResult {
+                    best_run: 0,
+                    best_shift: 0,
+                    signature_len: 0,
+                };
+            }
+            let target = target_run.unwrap_or(usize::MAX);
+            let mut best_run = longest_run(a, b, tol);
+            let mut best_shift: isize = 0;
+            if best_run < target {
+                for s in 1..=max_shift.min(n - 1) {
+                    if target_run.is_some() && n - s <= best_run {
+                        break;
+                    }
+                    let run = longest_run(&a[s..], &b[..n - s], tol);
+                    if run > best_run {
+                        best_run = run;
+                        best_shift = s as isize;
+                        if best_run >= target {
+                            break;
+                        }
+                    }
+                    let run = longest_run(&a[..n - s], &b[s..], tol);
+                    if run > best_run {
+                        best_run = run;
+                        best_shift = -(s as isize);
+                        if best_run >= target {
+                            break;
+                        }
+                    }
+                }
+            }
+            TrackResult {
+                best_run,
+                best_shift,
+                signature_len: n,
+            }
+        }
+    }
+
+    /// Runs of `(palette index, length)` for [`low_entropy`].
+    fn palette_runs() -> impl Strategy<Value = Vec<(u8, usize)>> {
+        prop::collection::vec((0u8..3, 1usize..12), 1..30)
+    }
+
+    /// A low-entropy signature: pixels from a three-value palette in long
+    /// runs, so diagonals tie and runs straddle probe positions.
+    fn low_entropy(runs: &[(u8, usize)]) -> Vec<u8> {
+        runs.iter()
+            .flat_map(|&(v, len)| std::iter::repeat(v * 8).take(len))
+            .take(120)
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// The probing tracker returns the whole `TrackResult` of the
+        /// every-pixel loops it replaced — run, shift and length — for
+        /// `track` and for `track_until` at any target.
+        #[test]
+        fn prop_probing_tracker_equals_reference(
+            a in palette_runs(),
+            b in palette_runs(),
+            tol in 0u8..10,
+            shift_pct in 0usize..100,
+            target in 1usize..130,
+        ) {
+            let (a, b) = (low_entropy(&a), low_entropy(&b));
+            let n = a.len().min(b.len());
+            let (sa, sb) = (sig_from(&a[..n]), sig_from(&b[..n]));
+            let max_shift = n * shift_pct / 100;
+            prop_assert_eq!(
+                sa.track(&sb, tol, max_shift),
+                reference::track(&sa, &sb, tol, max_shift, None)
+            );
+            prop_assert_eq!(
+                sa.track_until(&sb, tol, max_shift, target),
+                reference::track(&sa, &sb, tol, max_shift, Some(target))
+            );
+        }
+
+        #[test]
+        fn prop_run_over_is_max_of_floor_and_longest_run(
+            a in palette_runs(),
+            b in palette_runs(),
+            tol in 0u8..10,
+            floor in 0usize..40,
+        ) {
+            let (a, b) = (low_entropy(&a), low_entropy(&b));
+            let n = a.len().min(b.len());
+            let (sa, sb) = (sig_from(&a[..n]), sig_from(&b[..n]));
+            let (pa, pb) = (sa.pixels(), sb.pixels());
+            prop_assert_eq!(
+                Signature::run_over(pa, pb, tol, floor),
+                floor.max(reference::longest_run(pa, pb, tol))
+            );
+        }
     }
 
     proptest! {
