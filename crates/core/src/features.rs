@@ -348,7 +348,7 @@ pub fn extract_features(video: &Video) -> Result<Vec<FrameFeatures>> {
 mod tests {
     use super::*;
     use crate::error::CoreError;
-    use crate::pyramid::{reduce_grid_to_signature, reduce_line_to_sign, reduction_allocs};
+    use crate::pyramid::{reduce_grid_to_signature, reduce_line_to_sign};
     use proptest::prelude::*;
 
     fn uniform_video(n: usize, color: Rgb) -> Video {
@@ -526,41 +526,6 @@ mod tests {
             .map(|l| l.b > l.b_raw)
             .unwrap());
         assert_eq!(AreaLayout::for_frame(100, 11).unwrap().h, 1);
-    }
-
-    #[test]
-    fn warm_extraction_reduces_without_allocating() {
-        let ex = FeatureExtractor::new(160, 120).unwrap();
-        let frames: Vec<FrameBuf> = (0..3u8)
-            .map(|seed| {
-                FrameBuf::from_fn(160, 120, |x, y| {
-                    Rgb::gray(((x * 3 + y * 5) as u8).wrapping_add(seed * 41))
-                })
-            })
-            .collect();
-        // The first frame sizes the FOA path's buffers; the line
-        // reductions' ping-pong buffers settle over the first few frames.
-        let mut scratch = ScratchBuffers::default();
-        let before = reduction_allocs();
-        ex.foa_signature(frames[0].pixels(), &mut scratch.grids, &mut scratch.sig_oa)
-            .unwrap();
-        assert!(
-            reduction_allocs() > before,
-            "the cold FOA path sizes its buffers"
-        );
-        for frame in &frames {
-            ex.extract_with(frame, &mut scratch).unwrap();
-        }
-        let before = reduction_allocs();
-        for frame in &frames {
-            ex.foa_signature(frame.pixels(), &mut scratch.grids, &mut scratch.sig_oa)
-                .unwrap();
-        }
-        assert_eq!(reduction_allocs(), before, "the warm FOA path allocated");
-        for frame in &frames {
-            ex.extract_with(frame, &mut scratch).unwrap();
-        }
-        assert_eq!(reduction_allocs(), before, "warm extraction allocated");
     }
 
     #[test]

@@ -318,31 +318,6 @@ impl Table {
         }
         left..right
     }
-
-    /// Offer to `nearest` every row of `rows` that `accept` accepts, in
-    /// table order: the walk without its ordering, for a caller that
-    /// keeps every accepted row anyway and so gains nothing from
-    /// stopping early.
-    pub(crate) fn offer_all(
-        &self,
-        w: &Window,
-        rows: Range<usize>,
-        mut accept: impl FnMut(ShotKey, f64) -> bool,
-        nearest: &mut Nearest,
-    ) {
-        let columns = self.entries[rows.clone()]
-            .iter()
-            .zip(&self.dvs[rows.clone()])
-            .zip(&self.sbas[rows]);
-        for ((&entry, &dv), &sba) in columns {
-            if accept(entry.key, sba) {
-                nearest.offer(Match {
-                    entry,
-                    distance: w.distance(dv, sba),
-                });
-            }
-        }
-    }
 }
 
 #[cfg(test)]

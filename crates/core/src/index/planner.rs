@@ -37,8 +37,7 @@ pub struct Explain {
     /// Rows of the table the probe read: for a range the window's rows,
     /// which the count pass reads; for top-k the rows the walk visited.
     pub probe: ProbeStats,
-    /// Rows the walk visited (at most `probe.candidates`; all of them
-    /// when a range keeps every accepted row).
+    /// Rows the walk visited (at most `probe.candidates`).
     pub visited: usize,
     /// Staged (unfinalized) rows scanned alongside the table.
     pub staged_rows: usize,
@@ -285,9 +284,7 @@ impl ShotIndex {
     /// window's `√Var^BA` column and Eqs. 7–8 on the staged rows; then a
     /// walk from `D_q^v` outward offers accepted rows to a heap of `cap`
     /// until no further row can place, so a reply's few rows cost a few
-    /// hundred row visits, not a match per accepted row. When `cap`
-    /// covers every accepted table row, the window is read in table
-    /// order instead and sorted once.
+    /// hundred row visits, not a match per accepted row.
     ///
     /// **Top-k** (`Some(k)`) offers the staged rows to a heap of `k`,
     /// walks the table with no window, then drops the rows `keep` rejects
@@ -348,24 +345,17 @@ impl ShotIndex {
             }
         }
         let (table_matches, table_kept) = self.table.count(w, window.clone(), keep.as_deref_mut());
-        let accept = |key, sba| w.eq8(sba) && keep.as_mut().map_or(true, |keep| keep(key));
-        let visited = if table_kept == 0 || cap == 0 {
-            0
-        } else if cap >= table_kept {
-            // Every accepted row is returned: the walk's order buys
-            // nothing, so read the window in table order and sort once.
-            self.table
-                .offer_all(w, window.clone(), accept, &mut nearest);
-            window.len()
-        } else {
-            self.table
-                .walk(w, window.clone(), accept, table_kept, &mut nearest)
-                .len()
-        };
+        let mut run = window.start..window.start;
+        if cap > 0 {
+            let accept = |key, sba| w.eq8(sba) && keep.as_mut().map_or(true, |keep| keep(key));
+            run = self
+                .table
+                .walk(w, window.clone(), accept, table_kept, &mut nearest);
+        }
         let explain = self.explain(
             (w.dv_lo, w.dv_hi),
             window.len(),
-            visited,
+            run.len(),
             matches + table_matches,
         );
         (nearest.into_sorted(), kept + table_kept, explain)
@@ -605,8 +595,8 @@ mod tests {
         assert_eq!(ex.matches, matches.len());
         assert_eq!(ex.staged_rows, 1);
         assert_eq!(ex.rows, 20_000);
-        // The reported work is exact: the window's rows, which the
-        // uncapped probe reads in full.
+        // The reported work is exact: the window's rows, of which the
+        // walk visited some.
         let (lo, hi) = (q.d_v() - q.alpha, q.d_v() + q.alpha);
         assert_eq!(ex.window, (lo, hi));
         let window = rows
@@ -615,7 +605,7 @@ mod tests {
             .count();
         assert_eq!(ex.probe.candidates, window);
         assert_eq!(ex.probe.buckets_touched, 1);
-        assert_eq!(ex.visited, window);
+        assert!(0 < ex.visited && ex.visited <= window);
         assert_eq!(idx.probe_range(&q), (matches, ex.probe));
         let s = ex.summary();
         for key in [
