@@ -81,11 +81,6 @@ impl BrowseTree {
         out
     }
 
-    /// Leaf count.
-    pub fn leaf_count(&self) -> usize {
-        self.leaf_shot.iter().filter(|s| s.is_some()).count()
-    }
-
     /// Location purity: for every internal node except the root (which, in
     /// any hierarchy, groups the entire video), the fraction of its leaf
     /// shots that share the node's majority location, averaged over those
@@ -231,6 +226,10 @@ impl BrowseTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn leaf_count(h: &BrowseTree) -> usize {
+        h.leaf_shot.iter().filter(|s| s.is_some()).count()
+    }
     use vdb_core::scenetree::build_scene_tree;
 
     fn scripted(labels: &[(u8, usize)]) -> (Vec<Shot>, Vec<Rgb>) {
@@ -252,7 +251,7 @@ mod tests {
     #[test]
     fn time_based_shape() {
         let t = BrowseTree::time_based(8, 2);
-        assert_eq!(t.leaf_count(), 8);
+        assert_eq!(leaf_count(&t), 8);
         assert_eq!(t.height(), 3); // 8 -> 4 -> 2 -> 1
         assert_eq!(t.shots_under(t.root()), (0..8).collect::<Vec<_>>());
         let t3 = BrowseTree::time_based(9, 3);
@@ -262,7 +261,7 @@ mod tests {
     #[test]
     fn time_based_single_shot() {
         let t = BrowseTree::time_based(1, 2);
-        assert_eq!(t.leaf_count(), 1);
+        assert_eq!(leaf_count(&t), 1);
         assert_eq!(t.height(), 0);
     }
 
@@ -282,7 +281,7 @@ mod tests {
         let (shots, signs) = scripted(&[(0, 3), (1, 3), (2, 3), (3, 3)]);
         let t = BrowseTree::fixed_four_level(&shots, &signs);
         assert_eq!(t.height(), 3, "video-scene-group-shot");
-        assert_eq!(t.leaf_count(), 4);
+        assert_eq!(leaf_count(&t), 4);
         // Complex video: many repetitions — height still 3.
         let (shots2, signs2) = scripted(&[
             (0, 3),
@@ -311,7 +310,7 @@ mod tests {
         let (shots, signs) = scripted(&[(0, 5), (1, 4), (0, 4), (2, 6), (0, 3)]);
         let tree = build_scene_tree(&shots, &signs);
         let bt = BrowseTree::from_scene_tree(&tree);
-        assert_eq!(bt.leaf_count(), 5);
+        assert_eq!(leaf_count(&bt), 5);
         assert_eq!(bt.node_count(), tree.len());
         assert_eq!(bt.height(), tree.height());
         let mut under = bt.shots_under(bt.root());

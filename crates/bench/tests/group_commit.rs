@@ -4,7 +4,7 @@
 
 use std::sync::Mutex;
 use vdb_core::analyzer::AnalyzerConfig;
-use vdb_core::{StreamingAnalyzer, VideoAnalysis};
+use vdb_core::{AnalysisEngine, VideoAnalysis};
 use vdb_store::JournaledDatabase;
 use vdb_synth::script::generate;
 use vdb_synth::{build_script, Genre};
@@ -20,7 +20,7 @@ fn temp_journal(tag: &str) -> std::path::PathBuf {
 
 fn analysis() -> ((u32, u32), f64, VideoAnalysis) {
     let clip = generate(&build_script(Genre::Drama, 3, Some(8.0), (48, 36), 17)).video;
-    let mut analyzer = StreamingAnalyzer::new(AnalyzerConfig::default());
+    let mut analyzer = AnalysisEngine::new(AnalyzerConfig::default());
     analyzer.push_frames(clip.frames()).unwrap();
     ((48, 36), clip.fps(), analyzer.finish().unwrap())
 }

@@ -56,12 +56,6 @@ impl VideoAnalysis {
         &self.segmentation.shots
     }
 
-    /// The per-frame `Sign^BA` slice of one shot.
-    pub fn shot_signs_ba(&self, shot: usize) -> Option<&[Rgb]> {
-        let s = self.segmentation.shots.get(shot)?;
-        Some(&self.signs_ba[s.start..=s.end])
-    }
-
     /// Number of frames analyzed.
     pub fn frame_count(&self) -> usize {
         self.signs_ba.len()
@@ -145,10 +139,6 @@ mod tests {
             assert_eq!(f.var_ba, 0.0);
             assert_eq!(f.var_oa, 0.0);
         }
-        // Per-shot sign slices line up with shots.
-        let s0 = analysis.shot_signs_ba(0).unwrap();
-        assert_eq!(s0.len(), analysis.shots()[0].len());
-        assert!(analysis.shot_signs_ba(5).is_none());
     }
 
     #[test]

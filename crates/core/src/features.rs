@@ -356,19 +356,21 @@ mod tests {
     }
 
     /// The unfused reference: crop-then-reduce composed from the closure
-    /// extractors and the scalar grid pyramid.
-    fn composed_reference(layout: &AreaLayout, frame: &FrameBuf) -> FrameFeatures {
+    /// extractors and the scalar grid pyramid, with the FOA signature
+    /// (which `FrameFeatures` does not keep).
+    fn composed_reference(layout: &AreaLayout, frame: &FrameBuf) -> (FrameFeatures, Vec<Rgb>) {
         let tba = layout.extract_tba(frame);
         let signature = reduce_grid_to_signature(&tba).unwrap();
         let sign_ba = reduce_line_to_sign(&signature).unwrap();
         let foa = layout.extract_foa(frame);
         let sig_oa = reduce_grid_to_signature(&foa).unwrap();
         let sign_oa = reduce_line_to_sign(&sig_oa).unwrap();
-        FrameFeatures {
+        let features = FrameFeatures {
             sign_ba,
             sign_oa,
             signature_ba: Signature::new(signature),
-        }
+        };
+        (features, sig_oa)
     }
 
     #[test]
@@ -460,6 +462,25 @@ mod tests {
     }
 
     #[test]
+    fn one_warm_frame_leaves_the_next_frame_allocation_free() {
+        // Warmed on a single frame, the scratch must reduce the next frame
+        // with no allocation at all, not only after a few frames.
+        let ex = FeatureExtractor::new(160, 120).unwrap();
+        let frames: Vec<FrameBuf> = (0..2u8)
+            .map(|seed| {
+                FrameBuf::from_fn(160, 120, |x, y| {
+                    Rgb::gray(((x * 3 + y * 5) as u8).wrapping_add(seed * 37))
+                })
+            })
+            .collect();
+        let mut scratch = ScratchBuffers::default();
+        ex.extract_with(&frames[0], &mut scratch).unwrap();
+        let before = crate::pyramid::reduction_allocs();
+        ex.extract_with(&frames[1], &mut scratch).unwrap();
+        assert_eq!(crate::pyramid::reduction_allocs(), before);
+    }
+
+    #[test]
     fn deterministic_extraction() {
         let frame = FrameBuf::from_fn(80, 60, |x, y| {
             Rgb::new((x * 3) as u8, (y * 5) as u8, ((x + y) * 2) as u8)
@@ -492,10 +513,16 @@ mod tests {
                 )
             });
             let layout = AreaLayout::for_frame(w, h).unwrap();
-            let expected = composed_reference(&layout, &frame);
+            let (expected, expected_oa) = composed_reference(&layout, &frame);
             for level in SimdLevel::all_available() {
                 let ex = FeatureExtractor::with_simd(w, h, level).unwrap();
-                assert_eq!(ex.extract(&frame).unwrap(), expected, "{w}x{h} at {level}");
+                let mut scratch = ScratchBuffers::default();
+                let got = ex.extract_with(&frame, &mut scratch).unwrap();
+                assert_eq!(got, expected, "{w}x{h} at {level}");
+                assert_eq!(
+                    scratch.sig_oa, expected_oa,
+                    "FOA signature {w}x{h} at {level}"
+                );
             }
         }
     }
@@ -568,12 +595,13 @@ mod tests {
                         ((x * 5 + y * 11) as u8) ^ seed,
                     )
                 });
-                let expected = composed_reference(&layout, &frame);
+                let (expected, expected_oa) = composed_reference(&layout, &frame);
                 let mut scratch = ScratchBuffers::default();
                 for level in SimdLevel::all_available() {
                     let ex = FeatureExtractor::with_layout(layout, level).unwrap();
                     let got = ex.extract_with(&frame, &mut scratch).unwrap();
                     prop_assert_eq!(&got, &expected, "{}x{} frac {} at {}", width, height, fraction, level);
+                    prop_assert_eq!(&scratch.sig_oa, &expected_oa, "FOA signature {}x{} frac {} at {}", width, height, fraction, level);
                 }
             }
         }

@@ -30,22 +30,6 @@ impl FrameBuf {
         Self::filled(width, height, Rgb::BLACK)
     }
 
-    /// Create a frame from raw pixel data (row-major, `width * height` long).
-    pub fn from_pixels(width: u32, height: u32, data: Vec<Rgb>) -> Result<Self> {
-        let expected = (width as usize) * (height as usize);
-        if data.len() != expected {
-            return Err(CoreError::FrameDataMismatch {
-                expected,
-                actual: data.len(),
-            });
-        }
-        Ok(FrameBuf {
-            width,
-            height,
-            data,
-        })
-    }
-
     /// Pack the frame as raw RGB24 bytes: row-major, three bytes per
     /// pixel. This is the payload format streaming-ingest clients push
     /// over the wire.
@@ -162,53 +146,6 @@ impl FrameBuf {
         &self.data[start..start + w]
     }
 
-    /// Iterate over `(x, y, pixel)` in row-major order.
-    pub fn enumerate_pixels(&self) -> impl Iterator<Item = (u32, u32, Rgb)> + '_ {
-        let w = self.width;
-        self.data
-            .iter()
-            .enumerate()
-            .map(move |(i, &p)| ((i as u32) % w, (i as u32) / w, p))
-    }
-
-    /// Write the frame as binary PPM (P6) — the zero-dependency image
-    /// format every viewer opens. Used to export representative frames and
-    /// storyboards for visual inspection.
-    pub fn write_ppm(&self, out: &mut impl std::io::Write) -> std::io::Result<()> {
-        writeln!(out, "P6\n{} {}\n255", self.width, self.height)?;
-        let mut bytes = Vec::with_capacity(self.data.len() * 3);
-        for p in &self.data {
-            bytes.extend_from_slice(&p.0);
-        }
-        out.write_all(&bytes)
-    }
-
-    /// Parse a binary PPM (P6) previously produced by [`FrameBuf::write_ppm`].
-    /// Supports exactly that writer's layout (single-whitespace-separated
-    /// header, maxval 255); returns `None` on anything else.
-    pub fn read_ppm(input: &[u8]) -> Option<FrameBuf> {
-        let mut parts = input.splitn(4, |&b| b == b'\n');
-        if parts.next()? != b"P6" {
-            return None;
-        }
-        let dims = std::str::from_utf8(parts.next()?).ok()?;
-        let (w, h) = dims.split_once(' ')?;
-        let (w, h): (u32, u32) = (w.parse().ok()?, h.parse().ok()?);
-        if parts.next()? != b"255" {
-            return None;
-        }
-        let raw = parts.next()?;
-        let expected = (w as usize) * (h as usize) * 3;
-        if raw.len() != expected {
-            return None;
-        }
-        let data = raw
-            .chunks_exact(3)
-            .map(|c| Rgb([c[0], c[1], c[2]]))
-            .collect();
-        FrameBuf::from_pixels(w, h, data).ok()
-    }
-
     /// Mean absolute per-channel difference against another frame of the same
     /// dimensions, averaged over all pixels. Used by the pixelwise baseline
     /// detector and by tests.
@@ -309,19 +246,6 @@ mod tests {
     }
 
     #[test]
-    fn from_pixels_validates_length() {
-        let err = FrameBuf::from_pixels(4, 4, vec![Rgb::BLACK; 15]).unwrap_err();
-        assert_eq!(
-            err,
-            CoreError::FrameDataMismatch {
-                expected: 16,
-                actual: 15
-            }
-        );
-        assert!(FrameBuf::from_pixels(4, 4, vec![Rgb::BLACK; 16]).is_ok());
-    }
-
-    #[test]
     fn from_fn_row_major_addressing() {
         let f = FrameBuf::from_fn(3, 2, |x, y| Rgb::new(x as u8, y as u8, 0));
         assert_eq!(f.get(0, 0), Rgb::new(0, 0, 0));
@@ -350,16 +274,6 @@ mod tests {
     }
 
     #[test]
-    fn enumerate_pixels_visits_all_in_order() {
-        let f = FrameBuf::from_fn(3, 2, |x, y| Rgb::new(x as u8, y as u8, 0));
-        let coords: Vec<(u32, u32)> = f.enumerate_pixels().map(|(x, y, _)| (x, y)).collect();
-        assert_eq!(coords, vec![(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)]);
-        for (x, y, p) in f.enumerate_pixels() {
-            assert_eq!(p, f.get(x, y));
-        }
-    }
-
-    #[test]
     fn mean_abs_diff_of_identical_frames_is_zero() {
         let f = FrameBuf::from_fn(8, 8, |x, y| Rgb::new((x * y) as u8, x as u8, y as u8));
         assert_eq!(f.mean_abs_diff(&f), 0.0);
@@ -370,25 +284,6 @@ mod tests {
         let a = FrameBuf::filled(4, 4, Rgb::gray(100));
         let b = FrameBuf::filled(4, 4, Rgb::gray(110));
         assert!((a.mean_abs_diff(&b) - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ppm_roundtrip() {
-        let f = FrameBuf::from_fn(7, 5, |x, y| Rgb::new(x as u8 * 30, y as u8 * 40, 200));
-        let mut bytes = Vec::new();
-        f.write_ppm(&mut bytes).unwrap();
-        assert!(bytes.starts_with(b"P6\n7 5\n255\n"));
-        assert_eq!(bytes.len(), 11 + 7 * 5 * 3);
-        let back = FrameBuf::read_ppm(&bytes).unwrap();
-        assert_eq!(back, f);
-    }
-
-    #[test]
-    fn ppm_rejects_garbage() {
-        assert!(FrameBuf::read_ppm(b"").is_none());
-        assert!(FrameBuf::read_ppm(b"P5\n2 2\n255\nxxxx").is_none());
-        assert!(FrameBuf::read_ppm(b"P6\n2 2\n255\nshort").is_none());
-        assert!(FrameBuf::read_ppm(b"P6\nnope\n255\n").is_none());
     }
 
     #[test]

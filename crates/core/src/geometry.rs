@@ -93,11 +93,6 @@ impl PixelGrid {
     pub fn data(&self) -> &[Rgb] {
         &self.data
     }
-
-    /// One column as an owned vector (pyramid reduction works column-first).
-    pub fn column(&self, col: usize) -> Vec<Rgb> {
-        (0..self.rows).map(|r| self.get(r, col)).collect()
-    }
 }
 
 /// The complete area geometry for one frame size.

@@ -57,7 +57,6 @@ pub mod shot;
 pub mod signature;
 pub mod simd;
 pub mod sizeset;
-pub mod streaming;
 pub mod variance;
 
 pub use analyzer::{AnalyzerConfig, VideoAnalysis, VideoAnalyzer};
@@ -71,5 +70,4 @@ pub use sbd::{CameraTrackingDetector, SbdConfig, Segmentation};
 pub use scenetree::{build_scene_tree, SceneTree};
 pub use shot::Shot;
 pub use simd::{ResolvedIsa, SimdIsa, SimdLevel};
-pub use streaming::StreamingAnalyzer;
 pub use variance::ShotFeature;

@@ -19,7 +19,7 @@
 
 use crate::error::Result;
 use crate::features::{FeatureExtractor, FrameFeatures, ScratchBuffers};
-use crate::frame::{FrameBuf, Video};
+use crate::frame::FrameBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -55,19 +55,10 @@ impl Parallelism {
 /// Returns the same `Vec<FrameFeatures>` (and on failure, the same
 /// earliest error) as the serial `extractor.extract(frame)` loop. With
 /// `threads <= 1` — or fewer frames than workers would help with — it *is*
-/// the serial loop.
-pub fn extract_features_parallel(
-    extractor: &FeatureExtractor,
-    frames: &[FrameBuf],
-    threads: usize,
-) -> Result<Vec<FrameFeatures>> {
-    extract_features_reusing(extractor, frames, threads, &mut ScratchBuffers::default())
-}
-
-/// [`extract_features_parallel`] with an explicit scratch arena: the serial
-/// path extracts through `scratch` (allocation-free after warm-up), the
-/// sharded path gives each worker its own private arena for the duration
-/// of the batch. This is the pipeline engine's extraction front-end.
+/// the serial loop, extracting through `scratch` (allocation-free after
+/// warm-up); the sharded path gives each worker its own private arena for
+/// the duration of the batch. This is the pipeline engine's extraction
+/// front-end.
 pub fn extract_features_reusing(
     extractor: &FeatureExtractor,
     frames: &[FrameBuf],
@@ -116,21 +107,10 @@ pub fn extract_features_reusing(
     Ok(out)
 }
 
-/// Convenience: build the extractor from the video's dimensions and
-/// extract every frame with the given [`Parallelism`].
-pub fn extract_features_with(
-    video: &Video,
-    parallelism: Parallelism,
-) -> Result<Vec<FrameFeatures>> {
-    let (w, h) = video.dims();
-    let extractor = FeatureExtractor::new(w, h)?;
-    extract_features_parallel(&extractor, video.frames(), parallelism.effective_threads())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::features::extract_features;
+    use crate::frame::Video;
     use crate::pixel::Rgb;
 
     fn textured_frames(n: usize, w: u32, h: u32) -> Vec<FrameBuf> {
@@ -161,7 +141,9 @@ mod tests {
         let ex = FeatureExtractor::new(80, 60).unwrap();
         let serial: Vec<FrameFeatures> = frames.iter().map(|f| ex.extract(f).unwrap()).collect();
         for threads in [1, 2, 3, 4, 8, 64] {
-            let parallel = extract_features_parallel(&ex, &frames, threads).unwrap();
+            let parallel =
+                extract_features_reusing(&ex, &frames, threads, &mut ScratchBuffers::default())
+                    .unwrap();
             assert_eq!(parallel, serial, "threads={threads}");
         }
     }
@@ -169,23 +151,36 @@ mod tests {
     #[test]
     fn empty_and_single_frame_inputs() {
         let ex = FeatureExtractor::new(80, 60).unwrap();
-        assert_eq!(extract_features_parallel(&ex, &[], 4).unwrap(), vec![]);
+        assert_eq!(
+            extract_features_reusing(&ex, &[], 4, &mut ScratchBuffers::default()).unwrap(),
+            vec![]
+        );
         let one = textured_frames(1, 80, 60);
-        let out = extract_features_parallel(&ex, &one, 4).unwrap();
+        let out = extract_features_reusing(&ex, &one, 4, &mut ScratchBuffers::default()).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0], ex.extract(&one[0]).unwrap());
     }
 
     #[test]
     fn video_level_helper_matches_free_function() {
+        // `features::extract_features` (the video-level helper) equals the
+        // sharded free function at every `Parallelism`.
         let video = Video::new(textured_frames(12, 160, 120), 3.0).unwrap();
-        let serial = extract_features(&video).unwrap();
+        let serial = crate::features::extract_features(&video).unwrap();
+        let ex = FeatureExtractor::new(160, 120).unwrap();
         for p in [
             Parallelism::Serial,
             Parallelism::Threads(4),
             Parallelism::Auto,
         ] {
-            assert_eq!(extract_features_with(&video, p).unwrap(), serial, "{p:?}");
+            let threads = p.effective_threads();
+            let got = extract_features_reusing(
+                &ex,
+                video.frames(),
+                threads,
+                &mut ScratchBuffers::default(),
+            );
+            assert_eq!(got.unwrap(), serial, "{p:?}");
         }
     }
 
@@ -201,7 +196,8 @@ mod tests {
             let ex = FeatureExtractor::with_simd(97, 73, simd).unwrap();
             for threads in [1, 3, 8] {
                 assert_eq!(
-                    extract_features_parallel(&ex, &frames, threads).unwrap(),
+                    extract_features_reusing(&ex, &frames, threads, &mut ScratchBuffers::default())
+                        .unwrap(),
                     serial,
                     "simd={simd} threads={threads}"
                 );

@@ -14,15 +14,14 @@
 //!
 //! * [`crate::analyzer::VideoAnalyzer`] is a thin batch driver: one
 //!   `push_frames` over the whole video, then [`AnalysisEngine::finish`];
-//! * [`crate::streaming::StreamingAnalyzer`] is a stateful wrapper that
-//!   forwards `push`/`push_frames`/`finish`;
+//! * streaming callers (the store's `StreamIngest`) own an engine and call
+//!   [`AnalysisEngine::push_frame`] / [`AnalysisEngine::push_frames`] as
+//!   frames arrive, then [`AnalysisEngine::finish`];
 //! * [`crate::parallel`] is the sharded feature-extraction front-end the
 //!   engine calls — it never touches the cascade.
 //!
 //! Batch, streaming, and parallel results are therefore equal **by
-//! construction** (they run the same code on the same features), rather
-//! than by the three-way equivalence test that historically pinned three
-//! separate implementations together.
+//! construction** (they run the same code on the same features).
 //!
 //! The engine owns a [`ScratchBuffers`] arena so the serial hot path
 //! performs no per-frame heap allocation in extraction or pyramid
@@ -509,6 +508,58 @@ mod tests {
             .map(|f| FeatureExtractor::new(80, 60).unwrap().extract(f).unwrap())
             .collect();
         assert_eq!(segment_features(&detector, &features), batch.segmentation);
+    }
+
+    #[test]
+    fn push_outcomes_report_boundaries_live() {
+        let frames = clip((80, 60), &[(1, 6), (2, 5), (3, 7)]);
+        let mut engine = AnalysisEngine::default();
+        let outcomes: Vec<PushOutcome> = frames
+            .iter()
+            .map(|f| engine.push_frame(f).unwrap())
+            .collect();
+        assert_eq!(outcomes[0], PushOutcome::First);
+        let live_boundaries: Vec<usize> = outcomes
+            .iter()
+            .enumerate()
+            .filter(|(_, o)| **o == PushOutcome::Boundary)
+            .map(|(i, _)| i)
+            .collect();
+        assert_eq!(live_boundaries, vec![6, 11]);
+        assert_eq!(engine.boundaries(), &[6, 11]);
+        assert_eq!(engine.frame_count(), frames.len());
+    }
+
+    #[test]
+    fn push_frames_equals_push_one_at_a_time() {
+        let frames = clip((80, 60), &[(1, 6), (2, 5), (3, 7)]);
+        let mut serial = AnalysisEngine::default();
+        let serial_outcomes: Vec<PushOutcome> = frames
+            .iter()
+            .map(|f| serial.push_frame(f).unwrap())
+            .collect();
+        let serial_analysis = serial.finish().unwrap();
+
+        for threads in [1usize, 2, 4] {
+            let mut batched = AnalysisEngine::new(AnalyzerConfig {
+                parallelism: crate::parallel::Parallelism::Threads(threads),
+                ..AnalyzerConfig::default()
+            });
+            // Uneven batches (an empty one too), crossing shot boundaries.
+            let mut outcomes = Vec::new();
+            let mut rest = frames.as_slice();
+            for take in [1usize, 0, 5, 3, usize::MAX] {
+                let (chunk, tail) = rest.split_at(take.min(rest.len()));
+                outcomes.extend(batched.push_frames(chunk).unwrap());
+                rest = tail;
+            }
+            assert_eq!(outcomes, serial_outcomes, "threads={threads}");
+            assert_eq!(
+                batched.finish().unwrap(),
+                serial_analysis,
+                "threads={threads}"
+            );
+        }
     }
 
     #[test]

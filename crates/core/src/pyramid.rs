@@ -107,32 +107,26 @@ pub fn reduce_step_into(line: &[Rgb], out: &mut Vec<Rgb>) -> Result<()> {
     Ok(())
 }
 
-/// One pyramid reduction step: a line of size-set length `s_j` becomes a
-/// line of length `s_{j-1}`.
-///
-/// Allocates the output; the hot path uses [`reduce_step_into`].
-///
-/// # Errors
-/// [`CoreError::NotInSizeSet`] if `line.len()` is not a size-set member
-/// greater than 1.
-pub fn reduce_step(line: &[Rgb]) -> Result<Vec<Rgb>> {
-    let mut out = Vec::new();
-    reduce_step_into(line, &mut out)?;
-    Ok(out)
-}
-
 /// Collapse a line of size-set length all the way to a single pixel
 /// (the *sign*), reusing `scratch` for the intermediate levels.
 pub fn reduce_line_to_sign_with(line: &[Rgb], scratch: &mut ReduceScratch) -> Result<Rgb> {
     if line.len() == 1 {
         return Ok(line[0]);
     }
+    // Ping-pong without swapping the vectors: odd levels land in `a`, even
+    // ones in `b`, so each buffer keeps the capacity of its own largest
+    // level and one warm-up call sizes both for good.
     reduce_step_into(line, &mut scratch.a)?;
-    while scratch.a.len() > 1 {
+    loop {
+        if scratch.a.len() == 1 {
+            return Ok(scratch.a[0]);
+        }
         reduce_step_into(&scratch.a, &mut scratch.b)?;
-        std::mem::swap(&mut scratch.a, &mut scratch.b);
+        if scratch.b.len() == 1 {
+            return Ok(scratch.b[0]);
+        }
+        reduce_step_into(&scratch.b, &mut scratch.a)?;
     }
-    Ok(scratch.a[0])
 }
 
 /// Collapse a line of size-set length all the way to a single pixel
@@ -187,18 +181,15 @@ pub fn reduce_grid_to_signature_into_isa(
     // Reduce all columns in lock-step, operating on whole rows for cache
     // friendliness (and so each level is one call into the row kernel):
     // `collapse_grid_to_row` ping-pongs flat `(rows-3)/2 × cols` levels
-    // between the two scratch buffers. Both buffers are grown to the full
-    // grid up front: the ping-pong swaps in `reduce_line_to_sign_with`
-    // migrate capacity between `a` and `b`, so sizing only the buffer a
-    // step is about to use would re-grow one of them on a later call
-    // depending on swap parity.
+    // between the two scratch buffers: `a` holds the grid, `b` at most the
+    // first level.
     scratch.a.clear();
     ensure_capacity(&mut scratch.a, rows * cols);
-    ensure_capacity(&mut scratch.b, rows * cols);
     scratch.a.extend_from_slice(grid.data());
     // The collapse works on slices, so `b` needs *length* (not just
     // capacity) for the first level; contents are fully overwritten.
     let b_len = ((rows - 3) / 2) * cols;
+    ensure_capacity(&mut scratch.b, b_len);
     if scratch.b.len() < b_len {
         scratch.b.resize(b_len, Rgb::BLACK);
     }
@@ -223,18 +214,23 @@ pub fn reduce_grid_to_signature(grid: &PixelGrid) -> Result<Vec<Rgb>> {
     Ok(out)
 }
 
-/// Collapse a grid all the way to its sign: signature first, then the
-/// signature's own pyramid.
-pub fn reduce_grid_to_sign(grid: &PixelGrid) -> Result<Rgb> {
-    let sig = reduce_grid_to_signature(grid)?;
-    reduce_line_to_sign(&sig)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sizeset::size_set;
     use proptest::prelude::*;
+
+    /// One reduction step into a fresh line.
+    fn reduce_step(line: &[Rgb]) -> Result<Vec<Rgb>> {
+        let mut out = Vec::new();
+        reduce_step_into(line, &mut out)?;
+        Ok(out)
+    }
+
+    /// A grid all the way to its sign: signature first, then its pyramid.
+    fn reduce_grid_to_sign(grid: &PixelGrid) -> Result<Rgb> {
+        reduce_line_to_sign(&reduce_grid_to_signature(grid)?)
+    }
 
     fn gray_line(values: &[u8]) -> Vec<Rgb> {
         values.iter().map(|&v| Rgb::gray(v)).collect()

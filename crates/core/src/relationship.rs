@@ -58,33 +58,33 @@ pub fn shots_related_with_threshold(a: &[Rgb], b: &[Rgb], threshold_percent: f64
     }
 }
 
-/// The pair `(i, j)` (0-based frame offsets) at which RELATIONSHIP first
-/// succeeds, or `None`. Useful for diagnostics and tests.
-pub fn first_related_pair(a: &[Rgb], b: &[Rgb], threshold_percent: f64) -> Option<(usize, usize)> {
-    if a.is_empty() || b.is_empty() {
-        return None;
-    }
-    let mut i = 0usize;
-    let mut j = 0usize;
-    loop {
-        if d_s(a[i], b[j]) < threshold_percent {
-            return Some((i, j));
-        }
-        i += 1;
-        if i >= a.len() {
-            return None;
-        }
-        j += 1;
-        if j >= b.len() {
-            j = 0;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Reference: the pair `(i, j)` (0-based frame offsets) at which
+    /// RELATIONSHIP's lock-step scan first succeeds, or `None`.
+    fn first_related_pair(a: &[Rgb], b: &[Rgb], threshold_percent: f64) -> Option<(usize, usize)> {
+        if a.is_empty() || b.is_empty() {
+            return None;
+        }
+        let mut i = 0usize;
+        let mut j = 0usize;
+        loop {
+            if d_s(a[i], b[j]) < threshold_percent {
+                return Some((i, j));
+            }
+            i += 1;
+            if i >= a.len() {
+                return None;
+            }
+            j += 1;
+            if j >= b.len() {
+                j = 0;
+            }
+        }
+    }
 
     #[test]
     fn identical_backgrounds_related_immediately() {

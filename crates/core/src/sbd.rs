@@ -113,53 +113,6 @@ pub struct Segmentation {
     pub stats: SbdStats,
 }
 
-impl Segmentation {
-    /// Post-filter: merge shots shorter than `min_frames` into their
-    /// successor (the last shot merges backward). Gradual transitions
-    /// fragment into micro-shots — a dissolve's blended frames can each
-    /// disagree with both neighbors — and this filter absorbs those
-    /// fragments, trading boundary-position precision for far fewer
-    /// spurious shots. `decisions` and `stats` keep describing the raw
-    /// cascade pass.
-    pub fn merge_short_shots(&self, min_frames: usize) -> Segmentation {
-        if min_frames <= 1 || self.shots.len() <= 1 {
-            return self.clone();
-        }
-        // A run of consecutive fragments folds into the next full-length
-        // shot (a dissolve belongs with the shot it leads into); a trailing
-        // run folds backward.
-        let mut merged: Vec<(usize, usize)> = Vec::with_capacity(self.shots.len());
-        let mut carry_start: Option<usize> = None;
-        for shot in &self.shots {
-            if shot.len() < min_frames {
-                carry_start.get_or_insert(shot.start);
-            } else {
-                let start = carry_start.take().unwrap_or(shot.start);
-                merged.push((start, shot.end));
-            }
-        }
-        if let Some(cs) = carry_start {
-            let last_end = self.shots.last().expect("non-empty").end;
-            match merged.last_mut() {
-                Some(last) => last.1 = last_end,
-                None => merged.push((cs, last_end)),
-            }
-        }
-        let shots: Vec<Shot> = merged
-            .iter()
-            .enumerate()
-            .map(|(id, &(start, end))| Shot { id, start, end })
-            .collect();
-        let boundaries = shots.iter().skip(1).map(|s| s.start).collect();
-        Segmentation {
-            shots,
-            boundaries,
-            decisions: self.decisions.clone(),
-            stats: self.stats,
-        }
-    }
-}
-
 /// The camera-tracking shot boundary detector.
 #[derive(Debug, Clone, Default)]
 pub struct CameraTrackingDetector {
@@ -401,85 +354,6 @@ mod tests {
         })
         .segment_features(&feats);
         assert_eq!(strict.boundaries.len(), 5);
-    }
-
-    fn seg_from_ranges(ranges: &[(usize, usize)]) -> Segmentation {
-        let shots: Vec<Shot> = ranges
-            .iter()
-            .enumerate()
-            .map(|(id, &(start, end))| Shot { id, start, end })
-            .collect();
-        let boundaries = shots.iter().skip(1).map(|s| s.start).collect();
-        Segmentation {
-            shots,
-            boundaries,
-            decisions: Vec::new(),
-            stats: SbdStats::default(),
-        }
-    }
-
-    #[test]
-    fn merge_short_shots_absorbs_fragments_forward() {
-        // A dissolve fragmented into three 1-frame shots between two real
-        // shots: the fragments fold into the following real shot.
-        let seg = seg_from_ranges(&[(0, 9), (10, 10), (11, 11), (12, 12), (13, 25)]);
-        let merged = seg.merge_short_shots(3);
-        assert_eq!(
-            merged
-                .shots
-                .iter()
-                .map(|s| (s.start, s.end))
-                .collect::<Vec<_>>(),
-            vec![(0, 9), (10, 25)]
-        );
-        assert_eq!(merged.boundaries, vec![10]);
-        // Ids renumbered.
-        assert_eq!(merged.shots[1].id, 1);
-    }
-
-    #[test]
-    fn merge_short_shots_trailing_fragment_merges_backward() {
-        let seg = seg_from_ranges(&[(0, 9), (10, 19), (20, 20)]);
-        let merged = seg.merge_short_shots(2);
-        assert_eq!(
-            merged
-                .shots
-                .iter()
-                .map(|s| (s.start, s.end))
-                .collect::<Vec<_>>(),
-            vec![(0, 9), (10, 20)]
-        );
-    }
-
-    #[test]
-    fn merge_short_shots_noop_cases() {
-        let seg = seg_from_ranges(&[(0, 9), (10, 19)]);
-        assert_eq!(seg.merge_short_shots(1), seg);
-        assert_eq!(seg.merge_short_shots(5), seg);
-        let single = seg_from_ranges(&[(0, 0)]);
-        assert_eq!(single.merge_short_shots(10), single);
-    }
-
-    #[test]
-    fn merge_short_shots_everything_short_collapses_to_one() {
-        let seg = seg_from_ranges(&[(0, 0), (1, 1), (2, 2)]);
-        let merged = seg.merge_short_shots(4);
-        assert_eq!(merged.shots.len(), 1);
-        assert_eq!((merged.shots[0].start, merged.shots[0].end), (0, 2));
-        assert!(merged.boundaries.is_empty());
-    }
-
-    #[test]
-    fn merge_preserves_frame_coverage() {
-        let seg = seg_from_ranges(&[(0, 2), (3, 3), (4, 10), (11, 11), (12, 12), (13, 30)]);
-        for min in 1..6 {
-            let merged = seg.merge_short_shots(min);
-            assert_eq!(merged.shots.first().unwrap().start, 0);
-            assert_eq!(merged.shots.last().unwrap().end, 30);
-            for w in merged.shots.windows(2) {
-                assert_eq!(w[1].start, w[0].end + 1, "contiguous at min={min}");
-            }
-        }
     }
 
     #[test]

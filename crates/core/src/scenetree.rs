@@ -561,91 +561,6 @@ impl SceneTree {
         Ok(())
     }
 
-    /// The paper's `g(s)` extension (§3.1): up to `k` representative frames
-    /// for a node, drawn from the longest same-sign runs of its named shot
-    /// — "instead of having only one representative frame per scene, we can
-    /// also use g(s) most repetitive representative frames for scenes with
-    /// s shots to better convey their larger content."
-    ///
-    /// `shots` and `signs_ba` are the artifacts the tree was built from;
-    /// returned values are absolute frame indices in temporal order.
-    pub fn representatives(
-        &self,
-        node: NodeId,
-        shots: &[Shot],
-        signs_ba: &[Rgb],
-        k: usize,
-    ) -> Vec<usize> {
-        let m = self.nodes[node].name_shot;
-        let shot = &shots[m];
-        crate::shot::top_representative_offsets(&signs_ba[shot.start..=shot.end], k)
-            .into_iter()
-            .map(|off| shot.start + off)
-            .collect()
-    }
-
-    /// The leaf (shot) node whose frame range contains `frame`, given the
-    /// shots the tree was built over. `None` when `frame` is past the end.
-    /// This is the "jump to time T" entry point of a browsing UI: from the
-    /// leaf, walk [`SceneTree::ancestors`] for the enclosing scenes.
-    pub fn leaf_at_frame(&self, shots: &[Shot], frame: usize) -> Option<NodeId> {
-        let idx = shots.partition_point(|s| s.end < frame);
-        let shot = shots.get(idx)?;
-        if !shot.contains(frame) {
-            return None;
-        }
-        self.leaf_of_shot(idx)
-    }
-
-    /// The scene clusters of this tree: the distinct leaf-shot sets of its
-    /// non-root internal nodes, each sorted. The basis of
-    /// [`SceneTree::partition_distance`].
-    pub fn scene_clusters(&self) -> Vec<Vec<usize>> {
-        let mut clusters: Vec<Vec<usize>> = Vec::new();
-        for n in &self.nodes {
-            if n.is_leaf() || n.id == self.root {
-                continue;
-            }
-            let mut shots = Vec::new();
-            let mut stack = vec![n.id];
-            while let Some(m) = stack.pop() {
-                let nd = &self.nodes[m];
-                if let Some(s) = nd.shot {
-                    shots.push(s);
-                }
-                stack.extend(nd.children.iter().copied());
-            }
-            shots.sort_unstable();
-            if !clusters.contains(&shots) {
-                clusters.push(shots);
-            }
-        }
-        clusters
-    }
-
-    /// Structural distance between two trees over the same shots: the
-    /// Jaccard distance of their scene-cluster sets (a Robinson–Foulds-
-    /// style measure). 0.0 = identical grouping, 1.0 = no scene in common.
-    /// Used by the threshold-stability analyses.
-    ///
-    /// # Panics
-    /// Panics if the trees cover different shot counts.
-    pub fn partition_distance(&self, other: &SceneTree) -> f64 {
-        assert_eq!(
-            self.shot_count(),
-            other.shot_count(),
-            "trees must cover the same shots"
-        );
-        let a = self.scene_clusters();
-        let b = other.scene_clusters();
-        if a.is_empty() && b.is_empty() {
-            return 0.0;
-        }
-        let shared = a.iter().filter(|c| b.contains(c)).count();
-        let union = a.len() + b.len() - shared;
-        1.0 - shared as f64 / union as f64
-    }
-
     /// Render the tree as indented ASCII, e.g. for the Figure 7 experiment.
     pub fn render_ascii(&self) -> String {
         let mut out = String::new();
@@ -868,70 +783,6 @@ mod tests {
         let tree = build_scene_tree(&shots, &signs);
         let en1 = tree.node(tree.leaf_of_shot(0).unwrap()).parent.unwrap();
         assert_eq!(tree.node(en1).name(), "SN_1^1", "ties break earliest");
-    }
-
-    #[test]
-    fn leaf_at_frame_lookup() {
-        let (shots, signs) = figure5_clip();
-        let tree = build_scene_tree(&shots, &signs);
-        // Frame 0 is in shot#1; frame 19 still shot#1; frame 20 shot#2.
-        assert_eq!(tree.leaf_at_frame(&shots, 0), tree.leaf_of_shot(0));
-        assert_eq!(tree.leaf_at_frame(&shots, 19), tree.leaf_of_shot(0));
-        assert_eq!(tree.leaf_at_frame(&shots, 20), tree.leaf_of_shot(1));
-        let last = shots.last().unwrap();
-        assert_eq!(tree.leaf_at_frame(&shots, last.end), tree.leaf_of_shot(9));
-        assert_eq!(tree.leaf_at_frame(&shots, last.end + 1), None);
-    }
-
-    #[test]
-    fn partition_distance_properties() {
-        let (shots, signs) = figure5_clip();
-        let tree = build_scene_tree(&shots, &signs);
-        assert_eq!(tree.partition_distance(&tree), 0.0);
-        // A different threshold changes the grouping.
-        let lax = build_scene_tree_with_config(
-            &shots,
-            &signs,
-            SceneTreeConfig {
-                relationship_threshold_percent: 90.0,
-            },
-        );
-        let d = tree.partition_distance(&lax);
-        assert!(d > 0.0 && d <= 1.0, "distance {d}");
-        assert!((tree.partition_distance(&lax) - lax.partition_distance(&tree)).abs() < 1e-12);
-        // Clusters of the Figure 6 tree: EN1{1-4}, EN2{5-7}, EN3{1-7}, EN4{8-10}.
-        let clusters = tree.scene_clusters();
-        assert!(clusters.contains(&vec![0, 1, 2, 3]));
-        assert!(clusters.contains(&vec![4, 5, 6]));
-        assert!(clusters.contains(&vec![0, 1, 2, 3, 4, 5, 6]));
-        assert!(clusters.contains(&vec![7, 8, 9]));
-        assert_eq!(clusters.len(), 4);
-    }
-
-    #[test]
-    fn g_of_s_representatives() {
-        // A shot with three distinct sign runs: k representatives come from
-        // the k longest runs, in temporal order, as absolute frame indices.
-        let mut signs = Vec::new();
-        signs.extend(std::iter::repeat(Rgb::gray(10)).take(6)); // frames 0-5
-        signs.extend(std::iter::repeat(Rgb::gray(50)).take(2)); // 6-7
-        signs.extend(std::iter::repeat(Rgb::gray(90)).take(4)); // 8-11
-        let shots = vec![Shot {
-            id: 0,
-            start: 0,
-            end: 11,
-        }];
-        let tree = build_scene_tree(&shots, &signs);
-        let leaf = tree.leaf_of_shot(0).unwrap();
-        assert_eq!(tree.representatives(leaf, &shots, &signs, 1), vec![0]);
-        assert_eq!(tree.representatives(leaf, &shots, &signs, 2), vec![0, 8]);
-        assert_eq!(tree.representatives(leaf, &shots, &signs, 9), vec![0, 6, 8]);
-        // Internal nodes answer through their named shot; absolute offsets
-        // respect the shot's start.
-        let (shots2, signs2) = scripted(&[(0, 4), (0, 6)]);
-        let tree2 = build_scene_tree(&shots2, &signs2);
-        let leaf2 = tree2.leaf_of_shot(1).unwrap();
-        assert_eq!(tree2.representatives(leaf2, &shots2, &signs2, 1), vec![4]);
     }
 
     #[test]

@@ -72,22 +72,6 @@ pub fn longest_sign_run(signs: &[Rgb]) -> (usize, usize) {
     (best_start, best_len)
 }
 
-/// All maximal runs of identical consecutive signs, as
-/// `(start_offset, run_length)` in temporal order.
-pub fn sign_runs(signs: &[Rgb]) -> Vec<(usize, usize)> {
-    let mut runs = Vec::new();
-    let mut i = 0usize;
-    while i < signs.len() {
-        let mut j = i + 1;
-        while j < signs.len() && signs[j] == signs[i] {
-            j += 1;
-        }
-        runs.push((i, j - i));
-        i = j;
-    }
-    runs
-}
-
 /// Representative frame for a shot, given the shot's per-frame `Sign^BA`
 /// values: the first frame of the longest run (earliest on ties), as an
 /// offset *within the shot*.
@@ -95,23 +79,26 @@ pub fn representative_frame_offset(signs: &[Rgb]) -> usize {
     longest_sign_run(signs).0
 }
 
-/// The paper's `g(s)` extension (§3.1): for scenes with many shots, return
-/// up to `k` representative-frame offsets, taken from the `k` longest runs
-/// (ties toward earlier runs), in temporal order.
-pub fn top_representative_offsets(signs: &[Rgb], k: usize) -> Vec<usize> {
-    let mut runs = sign_runs(signs);
-    // Sort by run length descending, then start ascending; take k; restore
-    // temporal order.
-    runs.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    let mut top: Vec<usize> = runs.into_iter().take(k).map(|(s, _)| s).collect();
-    top.sort_unstable();
-    top
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Reference: all maximal runs of identical consecutive signs, as
+    /// `(start_offset, run_length)` in temporal order.
+    fn sign_runs(signs: &[Rgb]) -> Vec<(usize, usize)> {
+        let mut runs = Vec::new();
+        let mut i = 0usize;
+        while i < signs.len() {
+            let mut j = i + 1;
+            while j < signs.len() && signs[j] == signs[i] {
+                j += 1;
+            }
+            runs.push((i, j - i));
+            i = j;
+        }
+        runs
+    }
 
     /// The exact Table 2 worked example: 20 frames, runs of 6 / 2 / 4 / 2 / 6;
     /// frame 1 (offset 0) must be chosen over the equally long run at
@@ -183,21 +170,6 @@ mod tests {
             Rgb::gray(3),
         ];
         assert_eq!(sign_runs(&signs), vec![(0, 2), (2, 1), (3, 2)]);
-    }
-
-    #[test]
-    fn top_offsets_in_temporal_order() {
-        let signs = [
-            Rgb::gray(5), // run of 1
-            Rgb::gray(7),
-            Rgb::gray(7),
-            Rgb::gray(7), // run of 3 at offset 1
-            Rgb::gray(2),
-            Rgb::gray(2), // run of 2 at offset 4
-        ];
-        assert_eq!(top_representative_offsets(&signs, 2), vec![1, 4]);
-        assert_eq!(top_representative_offsets(&signs, 10), vec![0, 1, 4]);
-        assert_eq!(top_representative_offsets(&signs, 0), Vec::<usize>::new());
     }
 
     proptest! {

@@ -214,11 +214,6 @@ impl ResolvedIsa {
         self.0
     }
 
-    /// Whether this is the scalar fallback.
-    pub fn is_scalar(self) -> bool {
-        self.0 == Kind::Scalar
-    }
-
     /// Lowercase name (`"scalar"`, `"sse2"`, `"avx2"`, `"neon"`).
     pub fn name(self) -> &'static str {
         match self.0 {
@@ -230,13 +225,6 @@ impl ResolvedIsa {
             #[cfg(target_arch = "aarch64")]
             Kind::Neon => "neon",
         }
-    }
-
-    /// Every instruction set usable on this host, scalar first.
-    pub fn available_levels() -> Vec<ResolvedIsa> {
-        let mut levels = vec![ResolvedIsa::SCALAR];
-        levels.extend(SimdIsa::ALL.iter().filter_map(|isa| isa.resolved()));
-        levels
     }
 }
 
@@ -287,7 +275,7 @@ mod tests {
     #[test]
     fn scalar_always_resolves() {
         let isa = SimdLevel::Scalar.try_resolve().unwrap();
-        assert!(isa.is_scalar());
+        assert_eq!(isa, ResolvedIsa::SCALAR);
         assert_eq!(isa.name(), "scalar");
     }
 
@@ -324,10 +312,10 @@ mod tests {
 
     #[test]
     fn available_levels_start_with_scalar() {
-        let levels = ResolvedIsa::available_levels();
-        assert_eq!(levels[0], ResolvedIsa::SCALAR);
+        let levels = SimdLevel::all_available();
+        assert_eq!(levels[0], SimdLevel::Scalar);
         // Names are unique (no ISA listed twice).
-        let names: Vec<&str> = levels.iter().map(|l| l.name()).collect();
+        let names: Vec<&str> = levels.iter().map(|l| l.resolve().name()).collect();
         let mut dedup = names.clone();
         dedup.dedup();
         assert_eq!(names, dedup);

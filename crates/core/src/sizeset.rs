@@ -44,15 +44,6 @@ pub fn in_size_set(len: usize) -> bool {
     }
 }
 
-/// The previous element of the size set: the length one pyramid reduction
-/// step produces. Returns `None` for inputs not in the set or for 1.
-pub fn reduce_len(len: usize) -> Option<usize> {
-    if len <= 1 || !in_size_set(len) {
-        return None;
-    }
-    Some((len - 3) / 2)
-}
-
 /// Snap a raw dimension to the nearest size-set member using the paper's
 /// closed form `j = 2 + ⌊log2((x + 3) / 6)⌋`, then Eq. 1.
 ///
@@ -85,22 +76,6 @@ pub fn snap(raw: usize) -> usize {
     }
     let j = 2 + ratio.log2().floor() as u32;
     size_set(j)
-}
-
-/// Number of pyramid reduction steps needed to take a size-set member down
-/// to a single pixel. `steps_to_one(1) = 0`, `steps_to_one(13) = 2`, etc.
-/// Returns `None` if `len` is not in the size set.
-pub fn steps_to_one(len: usize) -> Option<u32> {
-    if !in_size_set(len) {
-        return None;
-    }
-    let mut n = len;
-    let mut steps = 0;
-    while n > 1 {
-        n = (n - 3) / 2;
-        steps += 1;
-    }
-    Some(steps)
 }
 
 #[cfg(test)]
@@ -138,15 +113,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn reduce_len_steps_down() {
-        assert_eq!(reduce_len(5), Some(1));
-        assert_eq!(reduce_len(13), Some(5));
-        assert_eq!(reduce_len(253), Some(125));
-        assert_eq!(reduce_len(1), None);
-        assert_eq!(reduce_len(7), None);
-    }
-
     /// Golden test: the full Table 1 of the paper.
     #[test]
     fn table1_nearest_value_approximation() {
@@ -173,15 +139,6 @@ mod tests {
         // §2.2: c = 160 -> w' = 16 -> j = 3 -> w = 13.
         let w_prime = 160 / 10;
         assert_eq!(snap(w_prime), 13);
-    }
-
-    #[test]
-    fn steps_to_one_counts_reductions() {
-        assert_eq!(steps_to_one(1), Some(0));
-        assert_eq!(steps_to_one(5), Some(1));
-        assert_eq!(steps_to_one(13), Some(2));
-        assert_eq!(steps_to_one(253), Some(6));
-        assert_eq!(steps_to_one(7), None);
     }
 
     proptest! {

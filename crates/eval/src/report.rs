@@ -36,13 +36,6 @@ impl Table {
         }
     }
 
-    /// Override column alignments.
-    pub fn with_aligns(mut self, aligns: Vec<Align>) -> Self {
-        assert_eq!(aligns.len(), self.headers.len());
-        self.aligns = aligns;
-        self
-    }
-
     /// Append a row.
     ///
     /// # Panics
@@ -179,15 +172,5 @@ mod tests {
         assert_eq!(min_sec(624), "10:24");
         assert_eq!(min_sec(59), "0:59");
         assert_eq!(min_sec(16724), "278:44");
-    }
-
-    #[test]
-    fn custom_alignment() {
-        let mut t = Table::new(vec!["L", "L2"]).with_aligns(vec![Align::Left, Align::Left]);
-        t.row(vec!["a", "bb"]);
-        t.row(vec!["ccc", "d"]);
-        let s = t.render();
-        let lines: Vec<&str> = s.lines().collect();
-        assert!(lines[2].starts_with("a    bb"));
     }
 }

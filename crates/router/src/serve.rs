@@ -426,6 +426,7 @@ fn help_text() -> String {
   query <spec>              scatter to every shard, merge exactly\n\
   list                      merged catalog (router-global ids)\n\
   board <id> / tree <id>    forwarded to the owning shard\n\
+  tree <id> <node>          one scene node (e.g. SN_4^1), forwarded\n\
   remove <id>               remove from the owning shard\n\
   stats                     merged db line + router.* counters\n\
   metrics                   front-end command table + router section\n\

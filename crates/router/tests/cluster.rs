@@ -123,9 +123,10 @@ fn cluster_answers_byte_identical_to_single_node() {
         "corpus all landed on one shard: {placements:?}"
     );
 
-    // Range, range+limit, top-k, top-k+limit, catalog, storyboard, tree:
-    // ID-and-order byte-identical to the single node.
-    for line in [
+    // Range, range+limit, top-k, top-k+limit, catalog, storyboard, tree,
+    // and `tree <video> <node>` on the root, its first child, a leaf and an
+    // unknown name: ID-and-order byte-identical to the single node.
+    let mut lines: Vec<String> = [
         "query ba=0.4 oa=20",
         "query ba=0.4 oa=20 limit=3",
         "query ba=0.3 oa=18 k=5",
@@ -135,7 +136,21 @@ fn cluster_answers_byte_identical_to_single_node() {
         "board 2 6",
         "tree 0",
         "tree 5",
-    ] {
+    ]
+    .map(String::from)
+    .to_vec();
+    for video in [0, 5] {
+        let art = ask(single.addr(), &format!("tree {video}"));
+        let names: Vec<&str> = art
+            .lines()
+            .filter_map(|l| l.split_whitespace().next())
+            .collect();
+        for name in [names[0], names[1], names[names.len() - 1], "SN_999^0"] {
+            lines.push(format!("tree {video} {name}"));
+        }
+    }
+    for line in &lines {
+        let line = line.as_str();
         let via_router = ask(router.addr(), line);
         let via_single = ask(single.addr(), line);
         assert_eq!(via_router, via_single, "'{line}' diverged");

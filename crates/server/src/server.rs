@@ -1074,7 +1074,7 @@ fn kind_of(cmd: &Command) -> CommandKind {
         Command::Trace(_) => CommandKind::Trace,
         Command::DebugDump => CommandKind::Debug,
         Command::Board(..) => CommandKind::Board,
-        Command::Tree(_) => CommandKind::Tree,
+        Command::Tree(..) => CommandKind::Tree,
         Command::Demo(_) => CommandKind::Demo,
         Command::Remove(_) => CommandKind::Remove,
         Command::Quit => CommandKind::Quit,

@@ -921,13 +921,13 @@ fn stream_clip(seed: u64) -> Video {
 }
 
 /// A committed stream must be bit-identical to running the in-process
-/// [`vdb_core::streaming::StreamingAnalyzer`] on the same frames (the
+/// [`vdb_core::pipeline::AnalysisEngine`] on the same frames (the
 /// server's memory store uses the default config).
 fn assert_matches_local_analysis(handle: &ServerHandle, video: u64, frames: &[FrameBuf]) {
     let mut local =
-        vdb_core::streaming::StreamingAnalyzer::new(vdb_core::analyzer::AnalyzerConfig::default());
+        vdb_core::pipeline::AnalysisEngine::new(vdb_core::analyzer::AnalyzerConfig::default());
     for frame in frames {
-        local.push(frame).expect("local push");
+        local.push_frame(frame).expect("local push");
     }
     let expected = local.finish().expect("local finish");
     let stored = handle
@@ -950,7 +950,7 @@ fn reply_field(text: &str, key: &str) -> String {
 
 /// The streaming acceptance test: 8 concurrent wire streams into one
 /// server, every one commits, the committed analyses are bit-identical to
-/// running the in-process [`vdb_core::streaming::StreamingAnalyzer`] on
+/// running the in-process [`vdb_core::pipeline::AnalysisEngine`] on
 /// the same frames, and flow control never buffered more frames than the
 /// granted credit window.
 #[test]

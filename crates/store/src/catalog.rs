@@ -156,8 +156,6 @@ pub struct FormId(pub u16);
 /// The fixed genre/form taxonomy.
 #[derive(Debug, Clone)]
 pub struct Taxonomy {
-    genres: Vec<String>,
-    forms: Vec<String>,
     genre_lookup: HashMap<String, GenreId>,
     form_lookup: HashMap<String, FormId>,
 }
@@ -184,26 +182,19 @@ impl Taxonomy {
             n += 1;
         }
         let genre_lookup = genres
-            .iter()
+            .into_iter()
             .enumerate()
-            .map(|(i, g)| (g.clone(), GenreId(i as u16)))
+            .map(|(i, g)| (g, GenreId(i as u16)))
             .collect();
         let form_lookup = forms
-            .iter()
+            .into_iter()
             .enumerate()
-            .map(|(i, f)| (f.clone(), FormId(i as u16)))
+            .map(|(i, f)| (f, FormId(i as u16)))
             .collect();
         Taxonomy {
-            genres,
-            forms,
             genre_lookup,
             form_lookup,
         }
-    }
-
-    /// Total number of `(genre, form)` classes: the paper's 4,655.
-    pub fn class_count(&self) -> usize {
-        self.genres.len() * self.forms.len()
     }
 
     /// Look up a genre by name.
@@ -214,16 +205,6 @@ impl Taxonomy {
     /// Look up a form by name.
     pub fn form(&self, name: &str) -> Option<FormId> {
         self.form_lookup.get(name).copied()
-    }
-
-    /// Name of a genre id.
-    pub fn genre_name(&self, id: GenreId) -> Option<&str> {
-        self.genres.get(id.0 as usize).map(String::as_str)
-    }
-
-    /// Name of a form id.
-    pub fn form_name(&self, id: FormId) -> Option<&str> {
-        self.forms.get(id.0 as usize).map(String::as_str)
     }
 }
 
@@ -250,11 +231,6 @@ impl VideoMeta {
     /// Duration in seconds at the analysis rate.
     pub fn duration_secs(&self) -> f64 {
         self.frame_count as f64 / self.fps
-    }
-
-    /// Whether this video belongs to the `(genre, form)` class.
-    pub fn in_class(&self, genre: GenreId, form: FormId) -> bool {
-        self.genres.contains(&genre) && self.forms.contains(&form)
     }
 }
 
@@ -374,6 +350,19 @@ impl Catalog {
 mod tests {
     use super::*;
 
+    /// Whether a `genre=… form=…` query keeps `m`: the one class predicate,
+    /// [`crate::query::QuerySpec::keeps`].
+    fn in_class(m: &VideoMeta, genre: GenreId, form: FormId) -> bool {
+        crate::query::QuerySpec {
+            variance: vdb_core::index::VarianceQuery::new(0.0, 0.0),
+            genre: Some(genre),
+            form: Some(form),
+            limit: None,
+            k: None,
+        }
+        .keeps(m)
+    }
+
     #[test]
     fn id_map_answers_like_std_hash_map() {
         let sequential = 0..2_000u64;
@@ -408,7 +397,11 @@ mod tests {
     #[test]
     fn taxonomy_has_paper_counts() {
         let t = Taxonomy::new();
-        assert_eq!(t.class_count(), 4655, "133 x 35 classes (§4.1)");
+        assert_eq!(
+            t.genre_lookup.len() * t.form_lookup.len(),
+            4655,
+            "133 x 35 classes (§4.1)"
+        );
     }
 
     #[test]
@@ -441,11 +434,10 @@ mod tests {
     fn names_roundtrip_ids() {
         let t = Taxonomy::new();
         let g = t.genre("western").unwrap();
-        assert_eq!(t.genre_name(g), Some("western"));
+        assert_eq!(GENRE_NAMES[g.0 as usize], "western");
         let f = t.form("feature").unwrap();
-        assert_eq!(t.form_name(f), Some("feature"));
+        assert_eq!(FORM_NAMES[f.0 as usize], "feature");
         assert_eq!(t.genre("no-such-genre"), None);
-        assert_eq!(t.genre_name(GenreId(999)), None);
     }
 
     #[test]
@@ -465,9 +457,21 @@ mod tests {
             (160, 120),
         );
         let m = c.get(id).unwrap();
-        assert!(m.in_class(t.genre("adventure").unwrap(), t.form("feature").unwrap()));
-        assert!(m.in_class(t.genre("biographical").unwrap(), t.form("feature").unwrap()));
-        assert!(!m.in_class(t.genre("western").unwrap(), t.form("feature").unwrap()));
+        assert!(in_class(
+            m,
+            t.genre("adventure").unwrap(),
+            t.form("feature").unwrap()
+        ));
+        assert!(in_class(
+            m,
+            t.genre("biographical").unwrap(),
+            t.form("feature").unwrap()
+        ));
+        assert!(!in_class(
+            m,
+            t.genre("western").unwrap(),
+            t.form("feature").unwrap()
+        ));
     }
 
     #[test]
@@ -489,19 +493,19 @@ mod tests {
         let mut c = Catalog::new();
         let a = c.register("funny", vec![g1], vec![f], 10, 3.0, (80, 60));
         let b = c.register("scary", vec![g2], vec![f], 10, 3.0, (80, 60));
-        let in_class = |genre, form| {
+        let members = |genre, form| {
             let mut ids: Vec<u64> = c
                 .all()
                 .iter()
-                .filter(|m| m.in_class(genre, form))
+                .filter(|m| in_class(m, genre, form))
                 .map(|m| m.id)
                 .collect();
             ids.sort_unstable();
             ids
         };
-        assert_eq!(in_class(g1, f), vec![a]);
-        assert_eq!(in_class(g2, f), vec![b]);
-        assert_eq!(in_class(g1, t.form("short").unwrap()), Vec::<u64>::new());
+        assert_eq!(members(g1, f), vec![a]);
+        assert_eq!(members(g2, f), vec![b]);
+        assert_eq!(members(g1, t.form("short").unwrap()), Vec::<u64>::new());
     }
 
     #[test]

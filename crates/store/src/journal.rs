@@ -649,9 +649,9 @@ mod tests {
         let analyses: Vec<_> = (0..K)
             .map(|i| {
                 let v = clip(50 + i as u64);
-                let mut s = vdb_core::streaming::StreamingAnalyzer::new(AnalyzerConfig::default());
+                let mut s = vdb_core::pipeline::AnalysisEngine::new(AnalyzerConfig::default());
                 for f in v.frames() {
-                    s.push(f).unwrap();
+                    s.push_frame(f).unwrap();
                 }
                 (v.dims(), v.fps(), s.finish().unwrap())
             })
@@ -693,9 +693,9 @@ mod tests {
         let path = tmp("dropflush");
         let mut j = JournaledDatabase::open(&path, AnalyzerConfig::default()).unwrap();
         let v = clip(60);
-        let mut s = vdb_core::streaming::StreamingAnalyzer::new(AnalyzerConfig::default());
+        let mut s = vdb_core::pipeline::AnalysisEngine::new(AnalyzerConfig::default());
         for f in v.frames() {
-            s.push(f).unwrap();
+            s.push_frame(f).unwrap();
         }
         let analysis = s.finish().unwrap();
         let (_, ticket) = j

@@ -12,7 +12,8 @@
 //!   class-scoped queries, save/load;
 //! * [`query`] — a small textual query language (`"ba=0.5 oa=15
 //!   genre=comedy limit=5"`) over the variance index;
-//! * [`session`] — non-linear browsing cursors over scene trees;
+//! * [`session`] — scene-node views for browsing by request, storyboards,
+//!   and streaming-ingest sessions;
 //! * [`concurrent`] — [`concurrent::ServerStore`], the one lock-wrapped
 //!   handle over either backend, shared by many readers and one writer;
 //! * [`shell`] / [`backend`] — the command surface shared by the `vdbsh`
@@ -47,7 +48,7 @@ pub use db::{
 pub use journal::{JournalStats, JournaledDatabase};
 pub use query::{ParseError, QuerySpec};
 pub use session::{
-    storyboard, BrowseSession, FinishedStream, NodeView, StoryboardCard, StreamIngest,
+    find_node, node_view, render_node, storyboard, FinishedStream, NodeName, NodeView, StreamIngest,
 };
 
 #[cfg(test)]

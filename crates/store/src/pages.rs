@@ -94,7 +94,6 @@ pub(crate) fn record_checksum(tag: u8, payload: &[u8]) -> u32 {
 /// Streaming writer of a segment.
 pub struct SegmentWriter<W: Write> {
     out: W,
-    records: usize,
 }
 
 impl SegmentWriter<BufWriter<File>> {
@@ -109,7 +108,7 @@ impl<W: Write> SegmentWriter<W> {
     /// Start a segment on any writer (writes the magic immediately).
     pub fn new(mut out: W) -> Result<Self, SegmentError> {
         out.write_all(MAGIC)?;
-        Ok(SegmentWriter { out, records: 0 })
+        Ok(SegmentWriter { out })
     }
 
     /// Append one record.
@@ -119,16 +118,10 @@ impl<W: Write> SegmentWriter<W> {
         self.out.write_all(payload)?;
         self.out
             .write_all(&record_checksum(tag, payload).to_le_bytes())?;
-        self.records += 1;
         let obs = crate::obs::pages();
         obs.records_written.incr();
         obs.bytes_written.add(1 + 4 + payload.len() as u64 + 4);
         Ok(())
-    }
-
-    /// Number of records appended so far.
-    pub fn record_count(&self) -> usize {
-        self.records
     }
 
     /// Flush and return the underlying writer.
@@ -296,7 +289,6 @@ mod tests {
         {
             let mut w = SegmentWriter::create(&path).unwrap();
             w.append(9, b"persisted").unwrap();
-            assert_eq!(w.record_count(), 1);
             w.finish().unwrap();
         }
         let back = read_segment_file(&path).unwrap();

@@ -1,31 +1,80 @@
-//! Sessions over the database: non-linear browsing (§3, §4.2) and live
-//! streaming ingest.
+//! Browsing (§4.2) and live streaming ingest over the database.
 //!
 //! After a variance query suggests scene nodes, "the user can browse the
 //! appropriate scene trees, starting from the suggested scene nodes, to
 //! search for more specific scenes in the lower levels of the hierarchies."
-//! [`BrowseSession`] is that interaction: a cursor over one video's scene
-//! tree with parent/child/sibling moves, breadcrumbs, and the frame range
-//! each node plays.
+//! A query reply names each node `SN_m^c`; [`NodeName`] parses that name,
+//! [`find_node`] resolves it in a video's tree, and [`node_view`] is what a
+//! browsing reply shows of a node — the shell's `tree <video> <node>`
+//! renders one view for the node, its breadcrumbs and one per child.
+//! [`storyboard`] summarizes a whole video as views of its top scenes.
 //!
-//! [`StreamIngest`] is the write-side twin: a stateful session that feeds
-//! frames into a [`vdb_core::streaming::StreamingAnalyzer`] as they
-//! arrive (no database lock held), then commits the finished analysis
-//! through [`crate::backend::DbBackend::commit_stream`] — the server's
-//! wire-level streaming ingest runs one of these per client session.
+//! [`StreamIngest`] is the write side: a stateful session that feeds
+//! frames into its own [`AnalysisEngine`] as they arrive (no database
+//! lock held), then commits the finished analysis through
+//! [`crate::backend::DbBackend::commit_stream`] — the server's wire-level
+//! streaming ingest runs one of these per client session.
 
 use crate::backend::{CommitTicket, DbBackend};
 use crate::db::{DbError, StoredAnalysis};
+use std::fmt::Write as _;
 use vdb_core::analyzer::{AnalyzerConfig, VideoAnalysis};
 use vdb_core::error::CoreError;
 use vdb_core::frame::FrameBuf;
-use vdb_core::scenetree::NodeId;
-use vdb_core::streaming::{PushOutcome, StreamingAnalyzer};
+use vdb_core::pipeline::{AnalysisEngine, PushOutcome};
+use vdb_core::scenetree::{NodeId, SceneTree};
 
-/// What the UI would show for the cursor's position.
+/// A scene-node name as replies print it: `SN_m^c` names the level-`c`
+/// node whose representative frame comes from shot `m` (1-based).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NodeName {
+    /// The named shot, 0-based (`m - 1`).
+    pub shot: usize,
+    /// The node's level (0 = shot).
+    pub level: usize,
+}
+
+impl std::str::FromStr for NodeName {
+    type Err = ();
+
+    /// Parse `SN_m^c` with `m ≥ 1`; anything else is an error.
+    fn from_str(s: &str) -> Result<Self, ()> {
+        let (m, c) = s
+            .strip_prefix("SN_")
+            .and_then(|rest| rest.split_once('^'))
+            .ok_or(())?;
+        let m: usize = m.parse().map_err(|_| ())?;
+        Ok(NodeName {
+            shot: m.checked_sub(1).ok_or(())?,
+            level: c.parse().map_err(|_| ())?,
+        })
+    }
+}
+
+impl std::fmt::Display for NodeName {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "SN_{}^{}", self.shot + 1, self.level)
+    }
+}
+
+/// The node of `tree` called `name`, if there is one. A node is named
+/// after a shot in its subtree, so it is the named shot's leaf or one of
+/// that leaf's ancestors; the walk up from the leaf returns the first
+/// match.
+pub fn find_node(tree: &SceneTree, name: NodeName) -> Option<NodeId> {
+    let leaf = tree.leaf_of_shot(name.shot)?;
+    std::iter::once(leaf)
+        .chain(tree.ancestors(leaf))
+        .find(|&n| {
+            let node = tree.node(n);
+            node.level == name.level && node.name_shot == name.shot
+        })
+}
+
+/// What a browsing reply shows of one scene node.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeView {
-    /// The node id (pass back to `enter`).
+    /// The node id.
     pub node: NodeId,
     /// The paper's node name, e.g. `SN_3^1`.
     pub name: String,
@@ -35,164 +84,64 @@ pub struct NodeView {
     pub rep_frame: usize,
     /// Inclusive frame range the node's subtree covers.
     pub frame_range: (usize, usize),
-    /// Child node ids, in temporal order.
-    pub children: Vec<NodeId>,
-    /// Whether this is a level-0 shot node.
-    pub is_shot: bool,
-}
-
-/// A browsing cursor over one video's scene tree.
-#[derive(Debug)]
-pub struct BrowseSession<'a> {
-    analysis: &'a StoredAnalysis,
-    cursor: NodeId,
-}
-
-impl<'a> BrowseSession<'a> {
-    /// Start at the root (the whole video).
-    pub fn at_root(analysis: &'a StoredAnalysis) -> Self {
-        BrowseSession {
-            cursor: analysis.scene_tree.root(),
-            analysis,
-        }
-    }
-
-    /// Start at a specific node — typically one suggested by a variance
-    /// query ([`crate::db::QueryAnswer::scene_node`]).
-    pub fn at_node(analysis: &'a StoredAnalysis, node: NodeId) -> Self {
-        BrowseSession {
-            cursor: node,
-            analysis,
-        }
-    }
-
-    /// The current node id.
-    pub fn cursor(&self) -> NodeId {
-        self.cursor
-    }
-
-    /// Inclusive frame range covered by a node's subtree.
-    fn frame_range(&self, node: NodeId) -> (usize, usize) {
-        let tree = &self.analysis.scene_tree;
-        let mut lo = usize::MAX;
-        let mut hi = 0usize;
-        let mut stack = vec![node];
-        while let Some(n) = stack.pop() {
-            let nd = tree.node(n);
-            if let Some(s) = nd.shot {
-                let shot = &self.analysis.shots[s];
-                lo = lo.min(shot.start);
-                hi = hi.max(shot.end);
-            }
-            stack.extend(nd.children.iter().copied());
-        }
-        (lo, hi)
-    }
-
-    /// View of the current node.
-    pub fn view(&self) -> NodeView {
-        let node = self.analysis.scene_tree.node(self.cursor);
-        NodeView {
-            node: node.id,
-            name: node.name(),
-            level: node.level,
-            rep_frame: node.rep_frame,
-            frame_range: self.frame_range(node.id),
-            children: node.children.clone(),
-            is_shot: node.is_leaf(),
-        }
-    }
-
-    /// Move to the parent. Returns `false` at the root.
-    pub fn up(&mut self) -> bool {
-        match self.analysis.scene_tree.node(self.cursor).parent {
-            Some(p) => {
-                self.cursor = p;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Move to the `i`-th child. Returns `false` if out of range.
-    pub fn down(&mut self, i: usize) -> bool {
-        let children = &self.analysis.scene_tree.node(self.cursor).children;
-        match children.get(i) {
-            Some(&c) => {
-                self.cursor = c;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Move to the next/previous sibling (`offset` = +1 / −1 etc.). Returns
-    /// `false` if there is no such sibling.
-    pub fn sibling(&mut self, offset: isize) -> bool {
-        let tree = &self.analysis.scene_tree;
-        let Some(parent) = tree.node(self.cursor).parent else {
-            return false;
-        };
-        let siblings = &tree.node(parent).children;
-        let pos = siblings
-            .iter()
-            .position(|&c| c == self.cursor)
-            .expect("cursor is its parent's child") as isize;
-        let target = pos + offset;
-        if target < 0 || target as usize >= siblings.len() {
-            return false;
-        }
-        self.cursor = siblings[target as usize];
-        true
-    }
-
-    /// Jump to an arbitrary node.
-    pub fn jump(&mut self, node: NodeId) {
-        assert!(node < self.analysis.scene_tree.len(), "node out of range");
-        self.cursor = node;
-    }
-
-    /// Breadcrumbs from the root to the cursor (inclusive), as names.
-    pub fn breadcrumbs(&self) -> Vec<String> {
-        let tree = &self.analysis.scene_tree;
-        let mut path = vec![self.cursor];
-        path.extend(tree.ancestors(self.cursor));
-        path.reverse();
-        path.into_iter().map(|n| tree.node(n).name()).collect()
-    }
-
-    /// Drill from the cursor to the level-0 shot whose representative frame
-    /// the cursor displays (following the name chain downward).
-    pub fn drill_to_named_shot(&mut self) -> NodeId {
-        let tree = &self.analysis.scene_tree;
-        let target_shot = tree.node(self.cursor).name_shot;
-        while !tree.node(self.cursor).is_leaf() {
-            let next = tree
-                .node(self.cursor)
-                .children
-                .iter()
-                .copied()
-                .find(|&c| tree.node(c).name_shot == target_shot)
-                .expect("the naming child chain reaches a leaf");
-            self.cursor = next;
-        }
-        self.cursor
-    }
-}
-
-/// One storyboard card: a scene node shown as its representative frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StoryboardCard {
-    /// The scene node.
-    pub node: NodeId,
-    /// Its name, e.g. `SN_3^1`.
-    pub name: String,
-    /// Representative frame to display.
-    pub rep_frame: usize,
-    /// Inclusive frame range the card covers.
-    pub frame_range: (usize, usize),
-    /// Number of shots under the card.
+    /// Number of shots under the node.
     pub shot_count: usize,
+}
+
+/// The view of `node` in `analysis`'s scene tree: one walk of its
+/// subtree gives the frame range and the shot count.
+pub fn node_view(analysis: &StoredAnalysis, node: NodeId) -> NodeView {
+    let tree = &analysis.scene_tree;
+    let (mut lo, mut hi, mut shots) = (usize::MAX, 0usize, 0usize);
+    let mut stack = vec![node];
+    while let Some(m) = stack.pop() {
+        let nd = tree.node(m);
+        if let Some(s) = nd.shot {
+            let shot = &analysis.shots[s];
+            lo = lo.min(shot.start);
+            hi = hi.max(shot.end);
+            shots += 1;
+        }
+        stack.extend(nd.children.iter().copied());
+    }
+    let n = tree.node(node);
+    NodeView {
+        node,
+        name: n.name(),
+        level: n.level,
+        rep_frame: n.rep_frame,
+        frame_range: (lo, hi),
+        shot_count: shots,
+    }
+}
+
+/// The `tree <video> <node>` reply: the node's view, its breadcrumbs from
+/// the root, and one line per child in temporal order.
+pub fn render_node(analysis: &StoredAnalysis, node: NodeId) -> String {
+    let tree = &analysis.scene_tree;
+    let mut out = String::new();
+    push_view(&mut out, "node ", &node_view(analysis, node));
+    let mut path = tree.ancestors(node);
+    path.reverse();
+    path.push(node);
+    out.push_str("  path ");
+    for (i, &n) in path.iter().enumerate() {
+        out.push_str(if i == 0 { " " } else { " > " });
+        out.push_str(&tree.node(n).name());
+    }
+    out.push('\n');
+    for &c in &tree.node(node).children {
+        push_view(&mut out, "child", &node_view(analysis, c));
+    }
+    out
+}
+
+fn push_view(out: &mut String, label: &str, v: &NodeView) {
+    let _ = writeln!(
+        out,
+        "  {label} {}  level {}  frames {}..{}  rep frame {}  shots {}",
+        v.name, v.level, v.frame_range.0, v.frame_range.1, v.rep_frame, v.shot_count
+    );
 }
 
 /// A storyboard: the video summarized as the representative frames of its
@@ -204,28 +153,10 @@ pub struct StoryboardCard {
 /// root's children and recursively expands the widest-spanning cards until
 /// the budget is met (so complex videos get deeper summaries, exactly
 /// because the tree's shape follows the video's complexity).
-pub fn storyboard(analysis: &StoredAnalysis, max_cards: usize) -> Vec<StoryboardCard> {
+pub fn storyboard(analysis: &StoredAnalysis, max_cards: usize) -> Vec<NodeView> {
     let tree = &analysis.scene_tree;
-    let card = |node: NodeId| {
-        let n = tree.node(node);
-        let mut shots = 0usize;
-        let mut stack = vec![node];
-        while let Some(m) = stack.pop() {
-            let nd = tree.node(m);
-            if nd.is_leaf() {
-                shots += 1;
-            }
-            stack.extend(nd.children.iter().copied());
-        }
-        StoryboardCard {
-            node,
-            name: n.name(),
-            rep_frame: n.rep_frame,
-            frame_range: BrowseSession::at_node(analysis, node).view().frame_range,
-            shot_count: shots,
-        }
-    };
-    let mut cards: Vec<StoryboardCard> = tree
+    let card = |node: NodeId| node_view(analysis, node);
+    let mut cards: Vec<NodeView> = tree
         .node(tree.root())
         .children
         .iter()
@@ -249,7 +180,7 @@ pub fn storyboard(analysis: &StoredAnalysis, max_cards: usize) -> Vec<Storyboard
         if cards.len() + children.len() - 1 > max_cards {
             break;
         }
-        let expanded: Vec<StoryboardCard> = children.iter().map(|&c| card(c)).collect();
+        let expanded: Vec<NodeView> = children.iter().map(|&c| card(c)).collect();
         cards.splice(pos..=pos, expanded);
     }
     // Temporal order by covered range.
@@ -259,18 +190,18 @@ pub fn storyboard(analysis: &StoredAnalysis, max_cards: usize) -> Vec<Storyboard
 
 /// A live streaming-ingest session: frames in, one committed video out.
 ///
-/// The session owns a [`StreamingAnalyzer`], so all per-frame work (the
+/// The session owns an [`AnalysisEngine`], so all per-frame work (the
 /// extraction cascade) runs on the caller's thread with **no** database
 /// lock held. Dimensions are declared up front and every frame is checked
 /// against them — a mismatch is an error that leaves the session usable
-/// by nobody (the server poisons the session; the analyzer never sees the
+/// by nobody (the server poisons the session; the engine never sees the
 /// bad frame).
 #[derive(Debug)]
 pub struct StreamIngest {
     name: String,
     dims: (u32, u32),
     fps: f64,
-    analyzer: StreamingAnalyzer,
+    engine: AnalysisEngine,
 }
 
 impl StreamIngest {
@@ -287,7 +218,7 @@ impl StreamIngest {
             name: name.into(),
             dims,
             fps,
-            analyzer: StreamingAnalyzer::new(config),
+            engine: AnalysisEngine::new(config),
         }
     }
 
@@ -303,7 +234,7 @@ impl StreamIngest {
 
     /// Frames consumed so far.
     pub fn frame_count(&self) -> usize {
-        self.analyzer.frame_count()
+        self.engine.frame_count()
     }
 
     /// Consume the next frame. Frames not matching the declared
@@ -313,17 +244,17 @@ impl StreamIngest {
             return Err(DbError::Core(CoreError::InconsistentDimensions {
                 first: self.dims,
                 other: frame.dims(),
-                frame: self.analyzer.frame_count(),
+                frame: self.engine.frame_count(),
             }));
         }
-        Ok(self.analyzer.push(frame)?)
+        Ok(self.engine.push_frame(frame)?)
     }
 
     /// Close the stream and finalize the analysis (scene tree, per-shot
     /// features). Run this *outside* any database lock — it is the
     /// expensive tail of the session. Errors if no frame was ever pushed.
-    pub fn finish(self) -> Result<FinishedStream, DbError> {
-        let analysis = self.analyzer.finish()?;
+    pub fn finish(mut self) -> Result<FinishedStream, DbError> {
+        let analysis = self.engine.finish()?;
         Ok(FinishedStream {
             name: self.name,
             dims: self.dims,
@@ -430,92 +361,115 @@ mod tests {
         }
     }
 
+    /// Open a node by the name a reply printed.
+    fn open(a: &StoredAnalysis, name: &str) -> NodeId {
+        find_node(&a.scene_tree, name.parse().unwrap()).unwrap()
+    }
+
+    fn child_names(a: &StoredAnalysis, node: NodeId) -> Vec<String> {
+        let tree = &a.scene_tree;
+        tree.node(node)
+            .children
+            .iter()
+            .map(|&c| tree.node(c).name())
+            .collect()
+    }
+
     #[test]
     fn root_view_covers_whole_video() {
         let a = figure5_analysis();
-        let s = BrowseSession::at_root(&a);
-        let v = s.view();
+        let root = a.scene_tree.root();
+        let v = node_view(&a, root);
         assert_eq!(v.frame_range, (0, 100));
-        assert!(!v.is_shot);
         assert_eq!(v.name, "SN_1^3");
-        assert_eq!(v.children.len(), 2); // EN3, EN4
+        assert_eq!(v.level, 3);
+        assert_eq!(v.shot_count, 10);
+        assert_eq!(child_names(&a, root), vec!["SN_1^2", "SN_8^1"]); // EN3, EN4
     }
 
     #[test]
     fn down_up_roundtrip() {
+        // Down: open a child by the name the root's reply lists; up: its
+        // breadcrumbs lead back to the root.
         let a = figure5_analysis();
-        let mut s = BrowseSession::at_root(&a);
-        let root = s.cursor();
-        assert!(s.down(0));
-        assert_ne!(s.cursor(), root);
-        assert!(s.up());
-        assert_eq!(s.cursor(), root);
-        assert!(!s.up(), "root has no parent");
+        let root = a.scene_tree.root();
+        for name in child_names(&a, root) {
+            let child = open(&a, &name);
+            assert_eq!(a.scene_tree.node(child).parent, Some(root));
+            assert_eq!(a.scene_tree.ancestors(child), vec![root]);
+        }
+        assert!(
+            a.scene_tree.ancestors(root).is_empty(),
+            "root has no parent"
+        );
     }
 
     #[test]
     fn down_out_of_range() {
+        // Following first children ends at a shot node with no children,
+        // and a name past the tree resolves to nothing.
         let a = figure5_analysis();
-        let mut s = BrowseSession::at_root(&a);
-        assert!(!s.down(99));
-        // Drill to a leaf: no children at all.
-        while s.down(0) {}
-        let v = s.view();
-        assert!(v.is_shot);
-        assert!(v.children.is_empty());
+        let mut node = a.scene_tree.root();
+        while let Some(&c) = a.scene_tree.node(node).children.first() {
+            node = c;
+        }
+        let v = node_view(&a, node);
+        assert_eq!((v.level, v.shot_count), (0, 1));
+        assert!(child_names(&a, node).is_empty());
+        assert_eq!(find_node(&a.scene_tree, "SN_11^0".parse().unwrap()), None);
+        assert_eq!(find_node(&a.scene_tree, "SN_1^4".parse().unwrap()), None);
     }
 
     #[test]
     fn sibling_navigation() {
+        // Siblings are listed in temporal order under their parent.
         let a = figure5_analysis();
-        let mut s = BrowseSession::at_root(&a);
-        s.down(0); // EN3
-        s.down(0); // EN1
-        s.down(0); // shot#1 leaf
-        assert!(s.sibling(1)); // shot#2
-        let v = s.view();
-        assert_eq!(v.name, "SN_2^0");
-        assert!(s.sibling(2)); // shot#4
-        assert_eq!(s.view().name, "SN_4^0");
-        assert!(!s.sibling(1), "shot#4 is the last child of EN1");
-        assert!(s.sibling(-3)); // back to shot#1
-        assert_eq!(s.view().name, "SN_1^0");
-        assert!(!s.sibling(-1));
+        let en1 = open(&a, "SN_1^1");
+        assert_eq!(
+            child_names(&a, en1),
+            vec!["SN_1^0", "SN_2^0", "SN_3^0", "SN_4^0"]
+        );
+        let ranges: Vec<(usize, usize)> = a
+            .scene_tree
+            .node(en1)
+            .children
+            .iter()
+            .map(|&c| node_view(&a, c).frame_range)
+            .collect();
+        assert!(ranges.windows(2).all(|w| w[0].1 + 1 == w[1].0));
     }
 
     #[test]
     fn breadcrumbs_trace_the_story() {
         let a = figure5_analysis();
-        let mut s = BrowseSession::at_root(&a);
-        s.down(0);
-        s.down(1); // EN2 (SN_7^1)
-        assert_eq!(s.breadcrumbs(), vec!["SN_1^3", "SN_1^2", "SN_7^1"]);
+        let reply = render_node(&a, open(&a, "SN_7^1"));
+        let path = reply.lines().nth(1).unwrap();
+        assert_eq!(path, "  path  SN_1^3 > SN_1^2 > SN_7^1");
     }
 
     #[test]
     fn shot_frame_ranges_match_shots() {
         let a = figure5_analysis();
-        let mut s = BrowseSession::at_root(&a);
         // Leaf of shot#5 (C): frames 47..=58.
-        s.jump(a.scene_tree.leaf_of_shot(4).unwrap());
-        let v = s.view();
+        let v = node_view(&a, a.scene_tree.leaf_of_shot(4).unwrap());
         assert_eq!(v.frame_range, (a.shots[4].start, a.shots[4].end));
-        assert!(v.is_shot);
+        assert_eq!((v.level, v.shot_count), (0, 1));
     }
 
     #[test]
     fn drill_follows_name_chain() {
+        // Root is SN_1^3: SN_1^c exists at every level below it, each a
+        // child of the one above, ending at shot#1's leaf.
         let a = figure5_analysis();
-        let mut s = BrowseSession::at_root(&a);
-        // Root is SN_1^3 -> drilling reaches shot#1's leaf.
-        let leaf = s.drill_to_named_shot();
-        assert_eq!(leaf, a.scene_tree.leaf_of_shot(0).unwrap());
-        assert_eq!(s.view().name, "SN_1^0");
-        // Rep frame at every step of that chain is the same.
-        assert_eq!(
-            a.scene_tree.node(a.scene_tree.root()).rep_frame,
-            a.scene_tree.node(leaf).rep_frame
-        );
+        let tree = &a.scene_tree;
+        let mut node = tree.root();
+        for level in (0..tree.node(node).level).rev() {
+            let next = find_node(tree, NodeName { shot: 0, level }).unwrap();
+            assert_eq!(tree.node(next).parent, Some(node));
+            node = next;
+        }
+        assert_eq!(node, tree.leaf_of_shot(0).unwrap());
+        assert_eq!(tree.node(tree.root()).rep_frame, tree.node(node).rep_frame);
     }
 
     #[test]
@@ -561,11 +515,28 @@ mod tests {
         let a = figure5_analysis();
         // Start where a query for shot#7 would: its largest scene (EN2).
         let node = a.scene_tree.largest_scene_for_shot(6).unwrap();
-        let mut s = BrowseSession::at_node(&a, node);
-        assert_eq!(s.view().name, "SN_7^1");
-        // The user refines downward: EN2's children are shots 5, 6, 7.
-        assert!(s.down(2));
-        assert_eq!(s.view().name, "SN_7^0");
+        assert_eq!(open(&a, "SN_7^1"), node);
+        let reply = render_node(&a, node);
+        assert_eq!(
+            reply,
+            "  node  SN_7^1  level 1  frames 47..78  rep frame 66  shots 3\n\
+             \x20 path  SN_1^3 > SN_1^2 > SN_7^1\n\
+             \x20 child SN_5^0  level 0  frames 47..58  rep frame 47  shots 1\n\
+             \x20 child SN_6^0  level 0  frames 59..65  rep frame 59  shots 1\n\
+             \x20 child SN_7^0  level 0  frames 66..78  rep frame 66  shots 1\n"
+        );
+    }
+
+    #[test]
+    fn node_names_parse_strictly() {
+        let n: NodeName = "SN_12^2".parse().unwrap();
+        assert_eq!(n, NodeName { shot: 11, level: 2 });
+        assert_eq!(n.to_string(), "SN_12^2");
+        for bad in [
+            "", "SN_0^1", "SN_1", "SN_^1", "SN_1^", "sn_1^1", "SN_1^1x", "SN_-1^0", "4",
+        ] {
+            assert!(bad.parse::<NodeName>().is_err(), "{bad:?} parsed");
+        }
     }
 
     fn stream_clip(seed: u64) -> vdb_core::frame::Video {

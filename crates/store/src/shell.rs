@@ -13,7 +13,8 @@
 //! trace <command>     run a command and append its span tree
 //! debug dump          drain the flight recorder as chrome://tracing JSON
 //! board <video> [n]   storyboard of a video (n cards, default 6)
-//! tree <video>        full scene tree
+//! tree <video> [node] full scene tree, or one node (e.g. SN_4^1): its
+//!                     breadcrumbs and children
 //! remove <video>      remove a video (journals a tombstone when durable)
 //! save <path>         persist
 //! load <path>         replace the database from a file (load! to discard
@@ -25,7 +26,7 @@
 use crate::backend::DbBackend;
 use crate::db::VideoDatabase;
 use crate::journal::JournaledDatabase;
-use crate::session::storyboard;
+use crate::session::{find_node, render_node, storyboard, NodeName};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use vdb_core::analyzer::AnalyzerConfig;
@@ -41,7 +42,7 @@ pub enum ShellOutcome {
     Quit,
 }
 
-const HELP: &str = "commands:\n  demo [n]          ingest n synthetic demo movies\n  list              list videos\n  stats             database statistics\n  query <text>      e.g. query ba=0.5 oa=15 limit=5 (k=10 for top-k)\n  explain <text>    run a query and report its exact work\n  trace <command>   run a command and append its span tree\n  debug dump        drain the flight recorder as chrome://tracing JSON\n  board <video> [n] storyboard of a video\n  tree <video>      full scene tree\n  remove <video>    remove a video\n  save <path>       persist the database\n  load <path>       replace the database from a file (load! forces)\n  help              this text\n  quit\n";
+const HELP: &str = "commands:\n  demo [n]          ingest n synthetic demo movies\n  list              list videos\n  stats             database statistics\n  query <text>      e.g. query ba=0.5 oa=15 limit=5 (k=10 for top-k)\n  explain <text>    run a query and report its exact work\n  trace <command>   run a command and append its span tree\n  debug dump        drain the flight recorder as chrome://tracing JSON\n  board <video> [n] storyboard of a video\n  tree <video> [node] scene tree, or one node (e.g. SN_4^1)\n  remove <video>    remove a video\n  save <path>       persist the database\n  load <path>       replace the database from a file (load! forces)\n  help              this text\n  quit\n";
 
 /// One parsed command line.
 ///
@@ -73,8 +74,8 @@ pub enum Command {
     DebugDump,
     /// `board <video> [cards]`.
     Board(u64, usize),
-    /// `tree <video>`.
-    Tree(u64),
+    /// `tree <video> [node]`: the whole tree, or one node by name.
+    Tree(u64, Option<NodeName>),
     /// `remove <video>`.
     Remove(u64),
     /// `save <path>`.
@@ -145,10 +146,14 @@ impl Command {
                     Command::Board(id, parts.next().and_then(|v| v.parse().ok()).unwrap_or(6))
                 }
             },
-            "tree" => match parts.next().and_then(|v| v.parse().ok()) {
-                None => Command::Usage("  usage: tree <video>\n"),
-                Some(id) => Command::Tree(id),
-            },
+            "tree" => {
+                const USAGE: &str = "  usage: tree <video> [node]\n";
+                match (parts.next().map(str::parse), parts.next().map(str::parse)) {
+                    (Some(Ok(id)), None) => Command::Tree(id, None),
+                    (Some(Ok(id)), Some(Ok(node))) => Command::Tree(id, Some(node)),
+                    _ => Command::Usage(USAGE),
+                }
+            }
             "remove" => match parts.next().and_then(|v| v.parse().ok()) {
                 None => Command::Usage("  usage: remove <video>\n"),
                 Some(id) => Command::Remove(id),
@@ -182,7 +187,7 @@ impl Command {
             | Command::Explain(_)
             | Command::DebugDump
             | Command::Board(..)
-            | Command::Tree(_)
+            | Command::Tree(..)
             | Command::Usage(_)
             | Command::Unknown(_) => true,
             _ => false,
@@ -336,8 +341,19 @@ pub fn execute_readonly_traced(
                 let _ = writeln!(out, "  {e}");
             }
         },
-        Command::Tree(id) => match db.analysis(*id) {
+        Command::Tree(id, None) => match db.analysis(*id) {
             Ok(a) => out.push_str(&a.scene_tree.render_ascii()),
+            Err(e) => {
+                let _ = writeln!(out, "  {e}");
+            }
+        },
+        Command::Tree(id, Some(name)) => match db.analysis(*id) {
+            Ok(a) => match find_node(&a.scene_tree, *name) {
+                Some(node) => out.push_str(&render_node(a, node)),
+                None => {
+                    let _ = writeln!(out, "  no scene node {name}");
+                }
+            },
             Err(e) => {
                 let _ = writeln!(out, "  {e}");
             }
@@ -575,6 +591,11 @@ mod tests {
         assert!(out.contains("unknown video"));
         assert!(exec(&mut sh, "board").contains("usage"));
         assert!(exec(&mut sh, "tree").contains("usage"));
+        assert!(exec(&mut sh, "tree 0 SN_1^0").starts_with("  node  SN_1^0  level 0"));
+        let out = exec(&mut sh, "tree 0 SN_999^0");
+        assert_eq!(out, "  no scene node SN_999^0\n");
+        assert!(exec(&mut sh, "tree 0 SN_x").contains("usage: tree <video> [node]"));
+        assert!(exec(&mut sh, "tree 99 SN_1^0").contains("unknown video"));
     }
 
     #[test]

@@ -136,12 +136,6 @@ impl World {
         }
     }
 
-    /// Override the feature scale.
-    pub fn with_scale(mut self, scale: f64) -> Self {
-        self.scale = scale;
-        self
-    }
-
     /// Color of the world at real-valued coordinates.
     pub fn color_at(&self, x: f64, y: f64) -> Rgb {
         let n = fbm(self.seed, x / self.scale, y / self.scale, self.octaves);
@@ -185,22 +179,22 @@ impl World {
         }
         c
     }
-
-    /// Mean color over a rectangle (used by tests and archetype design).
-    pub fn mean_color(&self, x0: i64, y0: i64, w: u32, h: u32) -> Rgb {
-        let mut acc = vdb_core::pixel::RgbAccumulator::new();
-        for y in 0..i64::from(h) {
-            for x in 0..i64::from(w) {
-                acc.push(self.color_at((x0 + x) as f64, (y0 + y) as f64));
-            }
-        }
-        acc.mean()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Mean color of the `w`×`h` rectangle at the world's origin.
+    fn mean_color(world: &World, w: u32, h: u32) -> Rgb {
+        let mut acc = vdb_core::pixel::RgbAccumulator::new();
+        for y in 0..h {
+            for x in 0..w {
+                acc.push(world.color_at(f64::from(x), f64::from(y)));
+            }
+        }
+        acc.mean()
+    }
 
     #[test]
     fn world_is_deterministic() {
@@ -257,8 +251,8 @@ mod tests {
             for b in (a + 1)..6u32 {
                 let wa = World::new(99, a);
                 let wb = World::new(99, b);
-                let ma = wa.mean_color(0, 0, 64, 48);
-                let mb = wb.mean_color(0, 0, 64, 48);
+                let ma = mean_color(&wa, 64, 48);
+                let mb = mean_color(&wb, 64, 48);
                 total += 1;
                 if ma.max_channel_diff(mb) > 20 {
                     distinct += 1;
@@ -286,8 +280,14 @@ mod tests {
 
     #[test]
     fn scale_controls_smoothness() {
-        let fine = World::new(1, 0).with_scale(8.0);
-        let coarse = World::new(1, 0).with_scale(96.0);
+        let fine = World {
+            scale: 8.0,
+            ..World::new(1, 0)
+        };
+        let coarse = World {
+            scale: 96.0,
+            ..World::new(1, 0)
+        };
         let step = |w: &World| -> u32 {
             (0..400i64)
                 .map(|x| {

@@ -1,13 +1,15 @@
 //! Non-linear browsing demo (§3, Figure 7): ingest the synthetic 'Friends'
 //! segment into the database and walk its scene tree the way a browsing UI
-//! would — down into scenes, across siblings, and back up.
+//! would — a node, its breadcrumbs and its children, opened by name.
 //!
 //! ```text
 //! cargo run -p vdb-store --example scene_browser
 //! ```
 
+use std::io::Write;
+use vdb_core::frame::FrameBuf;
 use vdb_eval::retrieval::{figure7_script, FIGURE7_SEED};
-use vdb_store::{storyboard, BrowseSession, VideoDatabase};
+use vdb_store::{find_node, render_node, storyboard, NodeName, VideoDatabase};
 use vdb_synth::script::generate;
 
 fn main() {
@@ -29,36 +31,31 @@ fn main() {
     println!("scene tree of the one-minute segment:");
     println!("{}", analysis.scene_tree.render_ascii());
 
-    let mut session = BrowseSession::at_root(analysis);
-    let show = |s: &BrowseSession<'_>| {
-        let v = s.view();
-        println!(
-            "at {:<8} level {}  frames {:>3}..{:<3}  rep-frame {:<3}  {} children   path: {}",
-            v.name,
-            v.level,
-            v.frame_range.0,
-            v.frame_range.1,
-            v.rep_frame,
-            v.children.len(),
-            s.breadcrumbs().join(" > ")
-        );
-    };
-
+    // Browse the way `tree <video> <node>` replies: a node, its
+    // breadcrumbs and its children; the user opens a child by name.
+    let tree = &analysis.scene_tree;
     println!("browsing from the root:");
-    show(&session);
-    // Drill into the first scene.
-    session.down(0);
-    show(&session);
-    // Walk its siblings like flipping through storyboard cards.
-    while session.sibling(1) {
-        show(&session);
+    print!("{}", render_node(analysis, tree.root()));
+    if let Some(&first) = tree.node(tree.root()).children.first() {
+        let name = tree.node(first).name();
+        println!("\nopening {name}:");
+        let node = find_node(tree, name.parse().expect("replies print node names"))
+            .expect("a listed child exists");
+        print!("{}", render_node(analysis, node));
     }
-    // Back up and drill to the shot whose representative frame the root
-    // displays.
-    while session.up() {}
-    let leaf = session.drill_to_named_shot();
+    // Follow the name chain down to the shot whose representative frame
+    // the root displays.
+    let root = tree.node(tree.root());
+    let leaf = find_node(
+        tree,
+        NodeName {
+            shot: root.name_shot,
+            level: 0,
+        },
+    )
+    .expect("every named shot has a leaf");
     println!("\nthe root's representative frame comes from shot leaf node {leaf}:");
-    show(&session);
+    print!("{}", render_node(analysis, leaf));
 
     // Export the storyboard's representative frames as PPM images.
     let out_dir = std::env::temp_dir().join("vdb-storyboard");
@@ -76,7 +73,7 @@ fn main() {
             card.rep_frame
         ));
         let mut file = std::fs::File::create(&path).expect("create ppm");
-        frame.write_ppm(&mut file).expect("write ppm");
+        write_ppm(frame, &mut file).expect("write ppm");
         println!(
             "  {:<12} frames {:>3}..{:<3} -> {}",
             card.name,
@@ -85,4 +82,12 @@ fn main() {
             path.display()
         );
     }
+}
+
+/// Write a frame as binary PPM (P6), the zero-dependency format every
+/// image viewer opens.
+fn write_ppm(frame: &FrameBuf, out: &mut impl Write) -> std::io::Result<()> {
+    let (w, h) = frame.dims();
+    writeln!(out, "P6\n{w} {h}\n255")?;
+    out.write_all(&frame.to_rgb24())
 }

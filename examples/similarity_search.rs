@@ -8,7 +8,7 @@
 
 use vdb_core::index::VarianceQuery;
 use vdb_eval::retrieval::{label_for, movie_script};
-use vdb_store::{BrowseSession, VideoDatabase};
+use vdb_store::{render_node, VideoDatabase};
 use vdb_synth::script::generate;
 
 fn main() {
@@ -72,15 +72,10 @@ fn main() {
     // suggested scene nodes").
     if let Some(best) = answers.first() {
         let analysis = db.analysis(best.key.video).unwrap();
-        let session = BrowseSession::at_node(analysis, best.scene_node);
-        let v = session.view();
         println!(
-            "\nbrowsing video {} from {}: frames {}..{} ({} children below)",
-            best.key.video,
-            v.name,
-            v.frame_range.0,
-            v.frame_range.1,
-            v.children.len()
+            "\nbrowsing video {} from {}:",
+            best.key.video, best.scene_name
         );
+        print!("{}", render_node(analysis, best.scene_node));
     }
 }

@@ -2,15 +2,16 @@
 //! videos, single frames, fully static clips, and frames below the
 //! pyramid's minimum size. The contract is uniform — a clean `Err` (or a
 //! degenerate-but-valid analysis), never a panic, in the batch analyzer,
-//! the streaming analyzer, the parallel extraction path, and the store.
+//! the frame-at-a-time engine, the parallel extraction path, and the store.
 
 use vdb_core::analyzer::{AnalyzerConfig, VideoAnalyzer};
 use vdb_core::error::CoreError;
 use vdb_core::features::FeatureExtractor;
+use vdb_core::features::ScratchBuffers;
 use vdb_core::frame::{FrameBuf, Video};
-use vdb_core::parallel::{extract_features_parallel, Parallelism};
+use vdb_core::parallel::{extract_features_reusing, Parallelism};
+use vdb_core::pipeline::AnalysisEngine;
 use vdb_core::pixel::Rgb;
-use vdb_core::streaming::StreamingAnalyzer;
 use vdb_obs::TraceContext;
 use vdb_store::{ServerStore, VideoDatabase};
 
@@ -31,7 +32,7 @@ fn zero_frames_is_a_construction_error() {
 
 #[test]
 fn empty_stream_and_empty_batches_yield_empty_video_error() {
-    let mut s = StreamingAnalyzer::new(parallel_cfg(4));
+    let mut s = AnalysisEngine::new(parallel_cfg(4));
     for _ in 0..3 {
         assert!(s.push_frames(&[]).unwrap().is_empty());
     }
@@ -52,7 +53,7 @@ fn single_frame_video_is_one_shot_everywhere() {
         assert!(a.segmentation.decisions.is_empty());
         a.scene_tree.check_invariants().unwrap();
 
-        let mut s = StreamingAnalyzer::new(cfg);
+        let mut s = AnalysisEngine::new(cfg);
         s.push_frames(std::slice::from_ref(&frame)).unwrap();
         assert_eq!(s.finish().unwrap(), a);
     }
@@ -89,8 +90,8 @@ fn below_minimum_dims_error_never_panic() {
 
     // Streaming: the first frame rejects, and the analyzer stays usable
     // as an empty stream.
-    let mut s = StreamingAnalyzer::new(parallel_cfg(2));
-    assert!(s.push(&FrameBuf::black(8, 8)).is_err());
+    let mut s = AnalysisEngine::new(parallel_cfg(2));
+    assert!(s.push_frame(&FrameBuf::black(8, 8)).is_err());
     assert!(s.push_frames(&vec![FrameBuf::black(8, 8); 2]).is_err());
     assert_eq!(s.frame_count(), 0);
     assert!(matches!(s.finish(), Err(CoreError::EmptyVideo)));
@@ -118,7 +119,7 @@ fn mixed_dimension_frames_rejected_without_consuming() {
     let good = FrameBuf::filled(80, 60, Rgb::gray(10));
     let stray = FrameBuf::filled(160, 120, Rgb::gray(10));
 
-    let mut s = StreamingAnalyzer::new(parallel_cfg(4));
+    let mut s = AnalysisEngine::new(parallel_cfg(4));
     s.push_frames(&vec![good.clone(); 3]).unwrap();
     let err = s
         .push_frames(&[good.clone(), stray.clone(), good.clone()])
@@ -133,8 +134,8 @@ fn mixed_dimension_frames_rejected_without_consuming() {
     ));
     assert_eq!(s.frame_count(), 3, "failed batch must not be consumed");
 
-    assert!(s.push(&stray).is_err());
-    s.push(&good).unwrap();
+    assert!(s.push_frame(&stray).is_err());
+    s.push_frame(&good).unwrap();
     let analysis = s.finish().unwrap();
     assert_eq!(analysis.frame_count(), 4);
 }
@@ -144,9 +145,13 @@ fn parallel_extraction_on_empty_and_tiny_inputs() {
     let ex = FeatureExtractor::new(80, 60).unwrap();
     // More workers than frames (including zero frames) must not panic or
     // deadlock, and must match the serial result.
-    assert!(extract_features_parallel(&ex, &[], 8).unwrap().is_empty());
+    assert!(
+        extract_features_reusing(&ex, &[], 8, &mut ScratchBuffers::default())
+            .unwrap()
+            .is_empty()
+    );
     let frames = vec![FrameBuf::filled(80, 60, Rgb::gray(5)); 2];
-    let out = extract_features_parallel(&ex, &frames, 8).unwrap();
+    let out = extract_features_reusing(&ex, &frames, 8, &mut ScratchBuffers::default()).unwrap();
     assert_eq!(out.len(), 2);
     assert_eq!(out[0], ex.extract(&frames[0]).unwrap());
 }

@@ -4,7 +4,7 @@
 use vdb_core::index::VarianceQuery;
 use vdb_eval::metrics::evaluate_boundaries;
 use vdb_eval::retrieval::{label_for, location_for, movie_script};
-use vdb_store::{BrowseSession, VideoDatabase};
+use vdb_store::{find_node, node_view, VideoDatabase};
 use vdb_synth::script::generate;
 use vdb_synth::{build_script, Genre};
 
@@ -44,18 +44,18 @@ fn genre_clip_roundtrip_through_database() {
     assert_eq!(analysis.features.len(), analysis.shots.len());
     assert_eq!(db.index().len(), analysis.shots.len());
 
-    // Every query answer can seed a browse session that navigates down to a
-    // shot leaf.
+    // Every query answer names a node that browsing can open, and the node
+    // plays the answer's shot.
     let q = VarianceQuery::by_example(analysis.features[0]);
     let answers = db.query(&q);
     assert!(!answers.is_empty());
     for a in &answers {
         let analysis = db.analysis(a.key.video).unwrap();
-        let mut session = BrowseSession::at_node(analysis, a.scene_node);
-        let leaf = session.drill_to_named_shot();
-        let node = analysis.scene_tree.node(leaf);
-        assert!(node.is_leaf());
-        assert_eq!(node.name_shot, a.key.shot as usize);
+        let name = a.scene_name.parse().unwrap();
+        assert_eq!(find_node(&analysis.scene_tree, name), Some(a.scene_node));
+        let (lo, hi) = node_view(analysis, a.scene_node).frame_range;
+        let shot = &analysis.shots[a.key.shot as usize];
+        assert!(lo <= shot.start && shot.end <= hi);
     }
 }
 
@@ -169,7 +169,7 @@ fn archetype_labels_survive_detection_mapping() {
 fn production_pipeline_y4m_streaming_journal() {
     // The "real deployment" path: footage arrives as a .y4m stream, is
     // analyzed frame-at-a-time, and lands durably in a journaled store.
-    use vdb_core::streaming::StreamingAnalyzer;
+    use vdb_core::pipeline::AnalysisEngine;
     use vdb_store::JournaledDatabase;
     use vdb_synth::y4m::{read_y4m, write_y4m, ChromaMode};
 
@@ -189,9 +189,9 @@ fn production_pipeline_y4m_streaming_journal() {
     let video = read_y4m(&mut std::io::BufReader::new(file)).unwrap();
 
     // ...is analyzed incrementally...
-    let mut analyzer = StreamingAnalyzer::default();
+    let mut analyzer = AnalysisEngine::default();
     for frame in video.frames() {
-        analyzer.push(frame).unwrap();
+        analyzer.push_frame(frame).unwrap();
     }
     let analysis = analyzer.finish().unwrap();
     analysis.scene_tree.check_invariants().unwrap();

@@ -1,6 +1,6 @@
 //! Cross-implementation equivalence: the three ways to analyze a video —
-//! batch [`VideoAnalyzer`], frame-at-a-time [`StreamingAnalyzer::push`],
-//! and batched parallel [`StreamingAnalyzer::push_frames`] — must produce
+//! batch [`VideoAnalyzer`], frame-at-a-time [`AnalysisEngine::push_frame`],
+//! and batched parallel [`AnalysisEngine::push_frames`] — must produce
 //! **identical** [`vdb_core::analyzer::VideoAnalysis`] artifacts for every
 //! genre, frame size, and thread count.
 //!
@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use vdb_core::analyzer::{AnalyzerConfig, VideoAnalyzer};
 use vdb_core::frame::FrameBuf;
 use vdb_core::parallel::Parallelism;
-use vdb_core::streaming::StreamingAnalyzer;
+use vdb_core::pipeline::AnalysisEngine;
 use vdb_synth::script::generate;
 use vdb_synth::{build_script, Genre};
 
@@ -60,9 +60,9 @@ fn all_paths_agree_across_genres_sizes_and_threads() {
                 assert_eq!(batch, reference, "batch parallel diverged: {label}");
 
                 // Streaming, one frame at a time.
-                let mut push_one = StreamingAnalyzer::new(config(threads));
+                let mut push_one = AnalysisEngine::new(config(threads));
                 for f in &frames {
-                    push_one.push(f).unwrap();
+                    push_one.push_frame(f).unwrap();
                 }
                 assert_eq!(
                     push_one.finish().unwrap(),
@@ -71,7 +71,7 @@ fn all_paths_agree_across_genres_sizes_and_threads() {
                 );
 
                 // Streaming, batched parallel extraction.
-                let mut batched = StreamingAnalyzer::new(config(threads));
+                let mut batched = AnalysisEngine::new(config(threads));
                 for chunk in frames.chunks(7) {
                     batched.push_frames(chunk).unwrap();
                 }
@@ -101,7 +101,7 @@ proptest! {
         let (frames, video) = clip(GENRES[genre_idx], (80, 60), seed);
         let reference = VideoAnalyzer::new().analyze(&video).unwrap();
 
-        let mut s = StreamingAnalyzer::new(config(threads));
+        let mut s = AnalysisEngine::new(config(threads));
         // Chunk width varies per case; a width ≥ len is one big batch.
         for batch in frames.chunks(chunk) {
             s.push_frames(batch).unwrap();

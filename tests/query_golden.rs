@@ -13,8 +13,9 @@
 //! and a `k` far beyond the table), queries that match nothing, NaN,
 //! infinite and negative parameters, parse errors, `explain` (whose
 //! summary pins each probe's exact work: a change that reads fewer rows
-//! shows as a diff of the `.out`), and by-example range queries at stored
-//! shots with the benchmark's tolerances.
+//! shows as a diff of the `.out`), by-example range queries at stored
+//! shots with the benchmark's tolerances, and `tree <video> <node>` on
+//! answer nodes, unknown nodes and malformed names.
 //!
 //! Regenerate the file only when a reply is meant to change:
 //!
@@ -74,6 +75,15 @@ const LINES: &[&str] = &[
     "explain ba=2 oa=12 alpha=0.2 beta=2",
     "explain ba=1.5 oa=1.8 alpha=0.05 beta=1",
     "explain ba=1.5 oa=1.8 alpha=0.05 beta=1 genre=comedy",
+    "tree 7 SN_4^1",
+    "tree 0 SN_2^1",
+    "tree 3 SN_8^1",
+    "tree 2 SN_9^0",
+    "tree 0 SN_99^0",
+    "tree 0 SN_2^7",
+    "tree 0 SN_2-1",
+    "tree 0 SN_0^0",
+    "tree 42 SN_1^0",
 ];
 
 /// The demo corpus plus two classed copies (see the module docs).
@@ -112,10 +122,13 @@ fn script(db: &VideoDatabase) -> Vec<String> {
 
 /// Every line and its reply, `> line` first.
 fn transcript() -> String {
-    let db = corpus();
+    transcript_of(&corpus())
+}
+
+fn transcript_of(db: &VideoDatabase) -> String {
     let mut out = String::new();
-    for line in script(&db) {
-        let reply = execute_readonly(&db, &Command::parse(&line))
+    for line in script(db) {
+        let reply = execute_readonly(db, &Command::parse(&line))
             .unwrap_or_else(|| panic!("'{line}' is not read-only"));
         let _ = writeln!(out, "> {line}");
         out.push_str(&reply);
@@ -144,6 +157,60 @@ fn query_replies_match_the_golden_transcript() {
             want.lines().nth(first)
         );
     }
+}
+
+/// One `tree <video> <node>` reply line: name, level and frame range.
+fn node_line(line: &str) -> (String, usize, usize, usize) {
+    let f: Vec<&str> = line.split_whitespace().collect();
+    assert_eq!((f[2], f[4], f[6]), ("level", "frames", "rep"), "{line}");
+    let (lo, hi) = f[5].split_once("..").unwrap();
+    (
+        f[1].to_string(),
+        f[3].parse().unwrap(),
+        lo.parse().unwrap(),
+        hi.parse().unwrap(),
+    )
+}
+
+/// Seed browsing (§4.2) by request: every answer row of the script names
+/// a node that `tree <video> <node>` opens, the node's frames contain the
+/// answer's shot, and following the child that keeps the name's shot
+/// reaches that shot's leaf.
+#[test]
+fn every_answer_node_opens_and_drills_to_its_shot() {
+    let db = corpus();
+    let mut rows = 0;
+    for row in transcript_of(&db).lines() {
+        let Some((head, tail)) = row.split_once(" -> ") else {
+            continue;
+        };
+        let f: Vec<&str> = head.split_whitespace().collect();
+        let video: u64 = f[1].parse().unwrap();
+        let shot: usize = f[2].strip_prefix("shot#").unwrap().parse().unwrap();
+        let shot = db.analysis(video).unwrap().shots[shot - 1];
+        let mut name = tail.split_whitespace().next().unwrap().to_string();
+        let named_shot = name.split_once('^').unwrap().0.to_string();
+        loop {
+            let reply =
+                execute_readonly(&db, &Command::parse(&format!("tree {video} {name}"))).unwrap();
+            let mut lines = reply.lines();
+            let (opened, level, lo, hi) = node_line(lines.next().unwrap());
+            assert_eq!(opened, name, "{reply}");
+            assert!(lo <= shot.start && shot.end <= hi, "{row}\n{reply}");
+            if level == 0 {
+                assert_eq!((lo, hi), (shot.start, shot.end), "{row}\n{reply}");
+                break;
+            }
+            let next = lines
+                .filter(|l| l.starts_with("  child "))
+                .map(node_line)
+                .find(|c| c.0.split_once('^').unwrap().0 == named_shot)
+                .unwrap_or_else(|| panic!("no child keeps {named_shot}:\n{reply}"));
+            name = next.0;
+        }
+        rows += 1;
+    }
+    assert!(rows > 100, "only {rows} answer rows");
 }
 
 #[test]
