@@ -107,7 +107,8 @@ fn sampled_out_tracing_writes_nothing_and_adds_no_measurable_cost() {
     let recorder = global_tracer().recorder();
     let before = recorder.total_recorded();
     {
-        let mut span = global_tracer().span(&sampled_out, "bench.probe");
+        let _entered = sampled_out.enter();
+        let mut span = global_tracer().span("bench.probe");
         assert!(!span.is_recording());
         span.attr("ignored", 1);
     }
@@ -121,7 +122,10 @@ fn sampled_out_tracing_writes_nothing_and_adds_no_measurable_cost() {
         let mut engine = AnalysisEngine::with_registry(config, &disabled);
         let start = Instant::now();
         let analysis = match ctx {
-            Some(ctx) => engine.analyze_traced(&video, ctx).expect("analyze"),
+            Some(ctx) => {
+                let _entered = ctx.enter();
+                engine.analyze(&video).expect("analyze")
+            }
             None => engine.analyze(&video).expect("analyze"),
         };
         let elapsed = start.elapsed();

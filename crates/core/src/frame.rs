@@ -176,9 +176,6 @@ pub struct Video {
 }
 
 impl Video {
-    /// Paper's analysis frame rate: clips were subsampled to 3 frames/second.
-    pub const PAPER_FPS: f64 = 3.0;
-
     /// Build a video from frames, validating dimension consistency.
     pub fn new(frames: Vec<FrameBuf>, fps: f64) -> Result<Self> {
         if frames.is_empty() {

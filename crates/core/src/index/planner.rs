@@ -24,7 +24,7 @@
 use super::bucket::{match_order, Nearest, ProbeStats, Table};
 use super::{IndexEntry, Match, ShotKey, VarianceQuery, Window};
 use std::sync::OnceLock;
-use vdb_obs::{global, global_tracer, Counter, Histogram, TraceContext};
+use vdb_obs::{global, global_tracer, Counter, Histogram};
 
 /// The exact work of one *executed* probe — what the `explain` command
 /// reports and what a traced probe attaches to its span.
@@ -250,13 +250,13 @@ impl ShotIndex {
     /// Eqs. 7–8 range query. Results sorted by ascending
     /// `(distance, key)` — identical to [`Self::query_scan`].
     pub fn query(&self, q: &VarianceQuery) -> Vec<Match> {
-        self.search(q, None, &TraceContext::disabled()).0
+        self.search(q, None).0
     }
 
     /// The `k` nearest rows to the query point in `(D^v, √Var^BA)` space
     /// (α/β ignored). Ties by ascending key.
     pub fn query_topk(&self, q: &VarianceQuery, k: usize) -> Vec<Match> {
-        self.search(q, Some(k), &TraceContext::disabled()).0
+        self.search(q, Some(k)).0
     }
 
     /// The probe with every match returned, sorted by ascending
@@ -264,13 +264,8 @@ impl ShotIndex {
     /// `k: None` runs the Eqs. 7–8 range, `Some(k)` the `k` nearest rows;
     /// the [`Explain`] is the probe's exact work, and the matches are the
     /// same [`Self::query`] / [`Self::query_topk`] return.
-    pub fn search(
-        &self,
-        q: &VarianceQuery,
-        k: Option<usize>,
-        ctx: &TraceContext,
-    ) -> (Vec<Match>, Explain) {
-        let (matches, _, explain) = self.select(q, k, usize::MAX, None, ctx);
+    pub fn search(&self, q: &VarianceQuery, k: Option<usize>) -> (Vec<Match>, Explain) {
+        let (matches, _, explain) = self.select(q, k, usize::MAX, None);
         (matches, explain)
     }
 
@@ -294,18 +289,17 @@ impl ShotIndex {
     /// strict total order and the rows are exactly a full sort's first
     /// `cap`. `keep` must be a pure function of the key: it may be called
     /// more than once per row, in no particular order. The
-    /// `core.index.probe` span opens under `ctx`, carries the explain
-    /// summary, and covers the whole selection.
+    /// `core.index.probe` trace span carries the explain summary and
+    /// covers the whole selection.
     pub fn select(
         &self,
         q: &VarianceQuery,
         k: Option<usize>,
         cap: usize,
         keep: Option<&mut dyn FnMut(ShotKey) -> bool>,
-        ctx: &TraceContext,
     ) -> (Vec<Match>, usize, Explain) {
         let o = obs();
-        let mut tspan = global_tracer().span(ctx, "core.index.probe");
+        let mut tspan = global_tracer().span("core.index.probe");
         let probe_us = o.probe_us.start();
         let w = Window::new(q);
         let (rows, kept, explain) = match k {
@@ -455,14 +449,14 @@ impl ShotIndex {
     /// The range probe with its exact work: [`Self::search`]'s matches
     /// and `explain.probe`.
     pub fn probe_range(&self, q: &VarianceQuery) -> (Vec<Match>, ProbeStats) {
-        let (matches, explain) = self.search(q, None, &TraceContext::disabled());
+        let (matches, explain) = self.search(q, None);
         (matches, explain.probe)
     }
 
     /// The top-k probe with its exact work: [`Self::search`]'s matches
     /// and `explain.probe`.
     pub fn probe_topk(&self, q: &VarianceQuery, k: usize) -> (Vec<Match>, ProbeStats) {
-        let (matches, explain) = self.search(q, Some(k), &TraceContext::disabled());
+        let (matches, explain) = self.search(q, Some(k));
         (matches, explain.probe)
     }
 }
@@ -590,7 +584,7 @@ mod tests {
         let mut idx = ShotIndex::from_entries(rows.clone());
         idx.stage([entry(999, 0, 20.0, 5.0)]);
         let q = VarianceQuery::new(20.0, 5.0).with_tolerances(1.0, 1.0);
-        let (matches, ex) = idx.search(&q, None, &TraceContext::disabled());
+        let (matches, ex) = idx.search(&q, None);
         assert_eq!(matches, idx.query(&q), "explain must not change the query");
         assert_eq!(ex.matches, matches.len());
         assert_eq!(ex.staged_rows, 1);
@@ -618,7 +612,7 @@ mod tests {
             assert!(s.contains(key), "summary missing {key}: {s}");
         }
 
-        let (top, tex) = idx.search(&q, Some(5), &TraceContext::disabled());
+        let (top, tex) = idx.search(&q, Some(5));
         assert_eq!(tex.matches, 5);
         assert_eq!(tex.probe.candidates, tex.visited);
         assert!(tex.window.0 <= top[4].entry.d_v() && top[4].entry.d_v() <= tex.window.1);
@@ -631,8 +625,12 @@ mod tests {
         let before = tracer.recorder().total_recorded();
         let root = tracer.trace_root_forced();
         let q = VarianceQuery::new(10.0, 5.0);
-        assert_eq!(idx.search(&q, None, &root).0, idx.query(&q));
-        assert_eq!(idx.search(&q, Some(3), &root).0, idx.query_topk(&q, 3));
+        let (range, top) = {
+            let _entered = root.enter();
+            (idx.search(&q, None).0, idx.search(&q, Some(3)).0)
+        };
+        assert_eq!(range, idx.query(&q));
+        assert_eq!(top, idx.query_topk(&q, 3));
         let events = tracer.recorder().events_for(root.trace_id);
         assert_eq!(events.len(), 2, "two probes recorded");
         assert!(events.iter().all(|e| e.name == "core.index.probe"));
@@ -642,7 +640,8 @@ mod tests {
         assert!(tracer.recorder().total_recorded() >= before + 2);
         // Unsampled context: nothing recorded.
         let after = tracer.recorder().total_recorded();
-        idx.search(&q, None, &TraceContext::disabled());
+        let _entered = vdb_obs::TraceContext::disabled().enter();
+        idx.search(&q, None);
         assert_eq!(tracer.recorder().total_recorded(), after);
     }
 
@@ -685,7 +684,6 @@ mod tests {
         finalized: &[IndexEntry],
         q: &VarianceQuery,
     ) -> Result<(), String> {
-        let ctx = TraceContext::disabled();
         let distance = |e: &IndexEntry| {
             ((e.d_v() - q.d_v()).powi(2) + (e.sqrt_ba() - q.var_ba.sqrt()).powi(2)).sqrt()
         };
@@ -711,7 +709,7 @@ mod tests {
             Some(|key| key.video % 2 == 0),
         ];
         for k in [None, Some(0), Some(3), Some(1usize << 40)] {
-            let (all, ex) = idx.search(q, k, &ctx);
+            let (all, ex) = idx.search(q, k);
             let want: Vec<Match> = match k {
                 None => brute
                     .iter()
@@ -745,7 +743,7 @@ mod tests {
                     let keep = predicate
                         .as_mut()
                         .map(|f| f as &mut dyn FnMut(ShotKey) -> bool);
-                    let (got, count, gex) = idx.select(q, k, cap, keep, &ctx);
+                    let (got, count, gex) = idx.select(q, k, cap, keep);
                     let want: Vec<Match> = filtered.iter().take(cap).copied().collect();
                     prop_assert_eq!(
                         bits(&got),

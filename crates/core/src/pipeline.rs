@@ -39,7 +39,7 @@ use crate::sbd::{CameraTrackingDetector, SbdStats, Segmentation, StageDecision};
 use crate::scenetree::build_scene_tree_with_config;
 use crate::shot::Shot;
 use crate::variance::ShotFeature;
-use vdb_obs::{global_tracer, Counter, Histogram, Registry, TraceContext};
+use vdb_obs::{global_tracer, Counter, Histogram, Registry};
 
 /// The pipeline's handles into an observability registry: one span
 /// histogram per stage and the cascade's stage-hit counters (how often
@@ -310,18 +310,10 @@ impl AnalysisEngine {
     ///
     /// On error nothing is consumed: the cascade only ever sees a batch
     /// whose every frame extracted successfully.
+    ///
+    /// Opens `core.pipeline.extract` and `core.pipeline.cascade` trace
+    /// spans (inert, one branch per stage, outside a sampled trace).
     pub fn push_frames(&mut self, frames: &[FrameBuf]) -> Result<Vec<PushOutcome>> {
-        self.push_frames_traced(frames, &TraceContext::disabled())
-    }
-
-    /// [`Self::push_frames`] with `core.pipeline.extract` /
-    /// `core.pipeline.cascade` trace spans opened under `ctx` (inert —
-    /// one branch per stage — when `ctx` is unsampled).
-    fn push_frames_traced(
-        &mut self,
-        frames: &[FrameBuf],
-        ctx: &TraceContext,
-    ) -> Result<Vec<PushOutcome>> {
         let Some(first) = frames.first() else {
             return Ok(Vec::new());
         };
@@ -334,7 +326,7 @@ impl AnalysisEngine {
         let threads = self.config.parallelism.effective_threads();
         let tracer = global_tracer();
         let features = {
-            let mut tspan = tracer.span(ctx, "core.pipeline.extract");
+            let mut tspan = tracer.span("core.pipeline.extract");
             if tspan.is_recording() {
                 tspan.attr("frames", frames.len());
             }
@@ -344,7 +336,7 @@ impl AnalysisEngine {
         if let Some(obs) = &self.obs {
             obs.frames.add(frames.len() as u64);
         }
-        let _tspan = tracer.span(ctx, "core.pipeline.cascade");
+        let _tspan = tracer.span("core.pipeline.cascade");
         let _span = self.obs.as_ref().map(|o| o.cascade_us.start());
         Ok(features
             .into_iter()
@@ -358,13 +350,10 @@ impl AnalysisEngine {
     ///
     /// # Errors
     /// [`CoreError::EmptyVideo`] if no frame was ever pushed.
+    ///
+    /// Opens `core.pipeline.assemble`, `.scenetree` and `.index` trace
+    /// spans.
     pub fn finish(&mut self) -> Result<VideoAnalysis> {
-        self.finish_traced(&TraceContext::disabled())
-    }
-
-    /// [`Self::finish`] with `core.pipeline.assemble` / `.scenetree` /
-    /// `.index` trace spans opened under `ctx`.
-    fn finish_traced(&mut self, ctx: &TraceContext) -> Result<VideoAnalysis> {
         if self.state.signs_ba.is_empty() {
             return Err(CoreError::EmptyVideo);
         }
@@ -376,17 +365,17 @@ impl AnalysisEngine {
         let frames = signs_ba.len();
         let tracer = global_tracer();
         let segmentation = {
-            let _tspan = tracer.span(ctx, "core.pipeline.assemble");
+            let _tspan = tracer.span("core.pipeline.assemble");
             let _span = self.obs.as_ref().map(|o| o.assemble_us.start());
             state.into_segmentation(frames)
         };
         let scene_tree = {
-            let _tspan = tracer.span(ctx, "core.pipeline.scenetree");
+            let _tspan = tracer.span("core.pipeline.scenetree");
             let _span = self.obs.as_ref().map(|o| o.scenetree_us.start());
             build_scene_tree_with_config(&segmentation.shots, &signs_ba, self.config.scene_tree)
         };
         let features = {
-            let mut tspan = tracer.span(ctx, "core.pipeline.index");
+            let mut tspan = tracer.span("core.pipeline.index");
             if tspan.is_recording() {
                 tspan.attr("shots", segmentation.shots.len());
             }
@@ -413,20 +402,15 @@ impl AnalysisEngine {
     }
 
     /// Batch driver: analyze one whole video (any state left over from an
-    /// unfinished clip is discarded first).
+    /// unfinished clip is discarded first). Runs under a
+    /// `core.pipeline.analyze` span: every stage (extract → cascade →
+    /// assemble → scenetree → index) is a child span, so one traced
+    /// ingest shows where the time went.
     pub fn analyze(&mut self, video: &Video) -> Result<VideoAnalysis> {
-        self.analyze_traced(video, &TraceContext::disabled())
-    }
-
-    /// [`Self::analyze`] under a `core.pipeline.analyze` span: every
-    /// stage (extract → cascade → assemble → scenetree → index) becomes
-    /// a child span, so one traced ingest shows where the time went.
-    pub fn analyze_traced(&mut self, video: &Video, ctx: &TraceContext) -> Result<VideoAnalysis> {
         self.reset();
-        let mut tspan = global_tracer().span(ctx, "core.pipeline.analyze");
-        let child = tspan.context();
-        self.push_frames_traced(video.frames(), &child)?;
-        let analysis = self.finish_traced(&child)?;
+        let mut tspan = global_tracer().span("core.pipeline.analyze");
+        self.push_frames(video.frames())?;
+        let analysis = self.finish()?;
         if tspan.is_recording() {
             tspan.attr("frames", video.len());
             tspan.attr("shots", analysis.segmentation.shots.len());
@@ -469,6 +453,7 @@ mod tests {
     use super::*;
     use crate::pyramid::reduction_allocs;
     use proptest::prelude::*;
+    use vdb_obs::TraceContext;
 
     fn clip(dims: (u32, u32), worlds: &[(u64, usize)]) -> Vec<FrameBuf> {
         let mut frames = Vec::new();
@@ -628,7 +613,10 @@ mod tests {
 
         let tracer = global_tracer();
         let root = tracer.trace_root_forced();
-        let traced = engine.analyze_traced(&video, &root).unwrap();
+        let traced = {
+            let _entered = root.enter();
+            engine.analyze(&video).unwrap()
+        };
         assert_eq!(traced, plain, "tracing must never change the analysis");
 
         let events = tracer.recorder().events_for(root.trace_id);
@@ -656,9 +644,8 @@ mod tests {
 
         // An unsampled context records nothing.
         let before = tracer.recorder().total_recorded();
-        engine
-            .analyze_traced(&video, &TraceContext::disabled())
-            .unwrap();
+        let _entered = TraceContext::disabled().enter();
+        engine.analyze(&video).unwrap();
         assert_eq!(tracer.recorder().total_recorded(), before);
     }
 

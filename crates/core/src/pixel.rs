@@ -48,8 +48,6 @@ pub fn rgb_as_bytes_mut(pixels: &mut [Rgb]) -> &mut [u8] {
 impl Rgb {
     /// Black (all channels zero).
     pub const BLACK: Rgb = Rgb([0, 0, 0]);
-    /// White (all channels 255).
-    pub const WHITE: Rgb = Rgb([255, 255, 255]);
 
     /// Construct from individual channels.
     #[inline]
@@ -229,6 +227,12 @@ impl RgbAccumulator {
         let avg = |s: u64| -> u8 { ((s + self.count / 2) / self.count).min(255) as u8 };
         Rgb([avg(self.sums[0]), avg(self.sums[1]), avg(self.sums[2])])
     }
+}
+
+#[cfg(test)]
+impl Rgb {
+    /// White (all channels 255).
+    pub const WHITE: Rgb = Rgb([255, 255, 255]);
 }
 
 #[cfg(test)]

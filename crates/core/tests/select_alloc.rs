@@ -11,7 +11,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use vdb_core::index::{IndexEntry, ShotIndex, ShotKey, VarianceQuery};
-use vdb_obs::TraceContext;
 
 struct Counting;
 
@@ -72,13 +71,12 @@ fn index() -> ShotIndex {
 fn capped_range_select_allocates_independently_of_the_match_count() {
     const CAP: usize = 8;
     let idx = index();
-    let ctx = TraceContext::disabled();
     let narrow = VarianceQuery::new(400.0, 400.0).with_tolerances(0.5, 0.5);
     let wide = VarianceQuery::new(400.0, 400.0).with_tolerances(2.0, 2.5);
     let mut even = |key: ShotKey| key.video % 2 == 0;
     // Warm up: first use initializes the process-wide metric handles.
-    idx.select(&narrow, None, CAP, None, &ctx);
-    idx.select(&narrow, None, CAP, Some(&mut even), &ctx);
+    idx.select(&narrow, None, CAP, None);
+    idx.select(&narrow, None, CAP, Some(&mut even));
 
     for filtered in [false, true] {
         let mut bytes = Vec::new();
@@ -86,7 +84,7 @@ fn capped_range_select_allocates_independently_of_the_match_count() {
         for q in [&narrow, &wide] {
             let mut keep = even;
             let keep = filtered.then_some(&mut keep as &mut dyn FnMut(ShotKey) -> bool);
-            let (b, (rows, kept, explain)) = allocated_by(|| idx.select(q, None, CAP, keep, &ctx));
+            let (b, (rows, kept, explain)) = allocated_by(|| idx.select(q, None, CAP, keep));
             assert_eq!(rows.len(), CAP);
             assert!(kept <= explain.matches);
             bytes.push(b);

@@ -46,7 +46,7 @@
 //!
 //! Aggregate metrics answer "how is the stack doing"; the [`trace`]
 //! module answers "what did *this* request do" — request-scoped span
-//! trees with explicit [`TraceContext`] propagation and a lock-free
+//! trees under a per-thread current [`TraceContext`] and a lock-free
 //! [`FlightRecorder`] retaining the last N spans process-wide.
 
 #![warn(missing_docs)]

@@ -1,17 +1,25 @@
-//! Request-scoped tracing: explicit [`TraceContext`] propagation,
+//! Request-scoped tracing: a per-thread current [`TraceContext`],
 //! hierarchical [`SpanGuard`] timers, head-based sampling, and a
 //! lock-free fixed-capacity [`FlightRecorder`] that always retains the
 //! last N span events process-wide.
 //!
 //! Design constraints, mirroring the metrics side of this crate:
 //!
-//! 1. **No thread-local magic.** A [`TraceContext`] is a pair of ids
-//!    (`trace_id`, parent `span_id`) passed explicitly down the call
-//!    stack — the same seam a future sharded router can carry across
-//!    the wire.
-//! 2. **Unsampled means inert.** [`Tracer::span`] on an unsampled
-//!    context is one branch: no id allocation, no `Instant::now`, no
-//!    ring-buffer write (pinned by the workspace overhead test).
+//! 1. **One current span per thread.** A trace starts where a request
+//!    does: [`TraceContext::enter`] makes its root current on the
+//!    calling thread. [`Tracer::span`] opens a child of the current
+//!    context and stays current until it drops, so the code in between
+//!    takes no context argument. Guards are `!Send` and close innermost
+//!    first (a debug assertion checks the order); dropping one restores
+//!    the context it replaced. A spawned thread starts with nothing
+//!    entered, so work fanned out to other threads (parallel extraction
+//!    shards, router scatter attempts) is untraced. To carry a trace
+//!    across a thread or the wire, send [`TraceContext::current`] and
+//!    enter it on the other side.
+//! 2. **Unsampled means inert.** [`Tracer::span`] under an unsampled
+//!    context is one thread-local read and one branch: no id allocation,
+//!    no `Instant::now`, no ring-buffer write (pinned by the workspace
+//!    overhead test).
 //! 3. **The record path is lock-free.** Finished spans go into a
 //!    fixed-capacity ring of atomic slots via one `fetch_add` ticket
 //!    plus plain atomic stores; readers validate a per-slot sequence
@@ -25,14 +33,18 @@
 //! let tracer = Tracer::new(64);
 //! let root = tracer.trace_root();
 //! {
-//!     let mut span = tracer.span(&root, "demo.work");
+//!     let _entered = root.enter();
+//!     let mut span = tracer.span("demo.work");
 //!     span.attr("rows", 3);
-//!     let _child = tracer.span(&span.context(), "demo.work.inner");
+//!     let _child = tracer.span("demo.work.inner"); // child of demo.work
 //! }
-//! let events = tracer.recorder().snapshot();
+//! let events = tracer.recorder().events_for(root.trace_id);
 //! assert_eq!(events.len(), 2);
+//! assert_eq!(events[0].parent_id, events[1].span_id);
 //! ```
 
+use std::cell::Cell;
+use std::marker::PhantomData;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -52,12 +64,18 @@ pub const DEFAULT_FLIGHT_CAPACITY: usize = 4096;
 const NAME_WORDS: usize = MAX_NAME_BYTES / 8;
 const ATTR_WORDS: usize = MAX_ATTR_BYTES / 8;
 
-/// The identity a request carries down the stack: which trace it
-/// belongs to and which span is the current parent.
+thread_local! {
+    /// The context [`Tracer::span`] opens under on this thread.
+    static CURRENT: Cell<TraceContext> = const { Cell::new(TraceContext::disabled()) };
+}
+
+/// The identity of the span a thread is in: which trace it belongs to
+/// and which span is the current parent.
 ///
 /// `trace_id == 0` means "not sampled": every span opened under such a
-/// context is inert. Contexts are tiny and `Copy` — pass them by value
-/// or reference, never stash them in thread-locals.
+/// context is inert. Each thread has one current context (see the
+/// module docs); contexts are tiny and `Copy`, so one can be sent to
+/// another thread or over the wire and entered there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceContext {
     /// Trace this request belongs to (0 = unsampled).
@@ -81,6 +99,51 @@ impl TraceContext {
     pub fn is_sampled(&self) -> bool {
         self.trace_id != 0
     }
+
+    /// This thread's current context: the innermost open span of the
+    /// entered trace, or [`TraceContext::disabled`] if none is entered.
+    #[inline]
+    pub fn current() -> Self {
+        CURRENT.get()
+    }
+
+    /// Make this context current on this thread until the returned guard
+    /// drops, which restores the context it replaced. Called where a
+    /// trace starts (a request root, a forced `trace <command>` root);
+    /// everything below opens its spans with [`Tracer::span`].
+    #[must_use = "the context is current only while the guard lives"]
+    pub fn enter(self) -> ContextGuard {
+        ContextGuard {
+            prev: CURRENT.replace(self),
+            this: self,
+            _not_send: PhantomData,
+        }
+    }
+}
+
+/// Keeps an entered [`TraceContext`] current (see
+/// [`TraceContext::enter`]). `!Send`: it must drop on the thread that
+/// entered it, after every span opened beneath it.
+pub struct ContextGuard {
+    prev: TraceContext,
+    this: TraceContext,
+    _not_send: PhantomData<*const ()>,
+}
+
+impl Drop for ContextGuard {
+    fn drop(&mut self) {
+        restore(self.this, self.prev);
+    }
+}
+
+/// Put `prev` back as the current context, asserting (in debug builds)
+/// that `this`, the context being closed, is the innermost one.
+fn restore(this: TraceContext, prev: TraceContext) {
+    let current = CURRENT.replace(prev);
+    debug_assert!(
+        current == this || std::thread::panicking(),
+        "trace guards must drop innermost first: closing {this:?} while {current:?} is current"
+    );
 }
 
 impl Default for TraceContext {
@@ -357,8 +420,9 @@ impl Tracer {
 
     /// Start a new trace, subject to head sampling: returns a sampled
     /// root context for 1 in [`sample_every`](Tracer::sample_every)
-    /// calls and [`TraceContext::disabled`] otherwise. The sampled-out
-    /// path is two relaxed atomics — no clock, no ring write.
+    /// calls and [`TraceContext::disabled`] otherwise;
+    /// [`enter`](TraceContext::enter) it to trace the code below. The
+    /// sampled-out path is two relaxed atomics — no clock, no ring write.
     #[inline]
     pub fn trace_root(&self) -> TraceContext {
         if !self.is_enabled() {
@@ -391,36 +455,35 @@ impl Tracer {
         }
     }
 
-    /// Open a span named `name` under `ctx`. If `ctx` is unsampled the
-    /// guard is inert: no id allocation, no `Instant::now`, and nothing
-    /// is recorded on drop. Otherwise the span records itself into the
-    /// flight recorder when dropped; [`SpanGuard::context`] is the
-    /// context to pass further down.
+    /// Open a span named `name` under this thread's current context and
+    /// make it current until the guard drops. Under an unsampled context
+    /// the guard is inert: no id allocation, no `Instant::now`, and
+    /// nothing is recorded on drop. Otherwise the span records itself
+    /// into the flight recorder when dropped.
     #[inline]
-    pub fn span(&self, ctx: &TraceContext, name: &'static str) -> SpanGuard<'_> {
-        if !ctx.is_sampled() {
-            return SpanGuard {
-                tracer: self,
-                trace_id: 0,
-                span_id: 0,
-                parent_id: 0,
-                name,
-                start_us: 0,
-                started: None,
-                attrs: String::new(),
-            };
-        }
-        let now = Instant::now();
-        SpanGuard {
+    pub fn span(&self, name: &'static str) -> SpanGuard<'_> {
+        let parent = TraceContext::current();
+        let started = parent.is_sampled().then(Instant::now);
+        let mut span = SpanGuard {
             tracer: self,
-            trace_id: ctx.trace_id,
-            span_id: self.next_span.fetch_add(1, Ordering::Relaxed),
-            parent_id: ctx.span_id,
+            trace_id: parent.trace_id,
+            span_id: 0,
+            parent_id: parent.span_id,
             name,
-            start_us: now.duration_since(trace_epoch()).as_micros() as u64,
-            started: Some(now),
+            start_us: 0,
+            started,
             attrs: String::new(),
+            _not_send: PhantomData,
+        };
+        if let Some(now) = started {
+            span.span_id = self.next_span.fetch_add(1, Ordering::Relaxed);
+            span.start_us = now.duration_since(trace_epoch()).as_micros() as u64;
+            CURRENT.set(TraceContext {
+                trace_id: span.trace_id,
+                span_id: span.span_id,
+            });
         }
+        span
     }
 }
 
@@ -434,8 +497,10 @@ impl std::fmt::Debug for Tracer {
     }
 }
 
-/// RAII span from [`Tracer::span`]: records into the flight recorder on
-/// drop (inert if opened under an unsampled context).
+/// RAII span from [`Tracer::span`]: current while it lives, recorded
+/// into the flight recorder on drop (inert if opened under an unsampled
+/// context). `!Send`, and must drop before the span that was current
+/// when it opened.
 #[must_use = "a span records when dropped; binding it to _ drops it immediately"]
 pub struct SpanGuard<'a> {
     tracer: &'a Tracer,
@@ -446,6 +511,7 @@ pub struct SpanGuard<'a> {
     start_us: u64,
     started: Option<Instant>,
     attrs: String,
+    _not_send: PhantomData<*const ()>,
 }
 
 impl SpanGuard<'_> {
@@ -453,16 +519,6 @@ impl SpanGuard<'_> {
     #[inline]
     pub fn is_recording(&self) -> bool {
         self.started.is_some()
-    }
-
-    /// The context for children of this span (unsampled if this span is
-    /// not recording, so inertness propagates).
-    #[inline]
-    pub fn context(&self) -> TraceContext {
-        TraceContext {
-            trace_id: self.trace_id,
-            span_id: self.span_id,
-        }
     }
 
     /// Attach a `key=value` attribute (no-op when not recording).
@@ -483,6 +539,16 @@ impl SpanGuard<'_> {
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         if let Some(started) = self.started.take() {
+            restore(
+                TraceContext {
+                    trace_id: self.trace_id,
+                    span_id: self.span_id,
+                },
+                TraceContext {
+                    trace_id: self.trace_id,
+                    span_id: self.parent_id,
+                },
+            );
             let dur_us = started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
             self.tracer.recorder.record(&SpanRecord {
                 trace_id: self.trace_id,
@@ -596,10 +662,11 @@ mod tests {
         assert!(root.is_sampled());
         let (root_id, child_id);
         {
-            let parent = t.span(&root, "a.outer");
-            root_id = parent.context().span_id;
-            let child = t.span(&parent.context(), "a.inner");
-            child_id = child.context().span_id;
+            let _entered = root.enter();
+            let _parent = t.span("a.outer");
+            root_id = TraceContext::current().span_id;
+            let _child = t.span("a.inner");
+            child_id = TraceContext::current().span_id;
         }
         let events = t.recorder().snapshot();
         assert_eq!(events.len(), 2);
@@ -616,14 +683,17 @@ mod tests {
     #[test]
     fn unsampled_context_is_fully_inert() {
         let t = Tracer::new(16);
-        let ctx = TraceContext::disabled();
         {
-            let mut span = t.span(&ctx, "never");
+            let _entered = TraceContext::disabled().enter();
+            let mut span = t.span("never");
             assert!(!span.is_recording());
             assert!(span.started.is_none(), "inert span must not read the clock");
             span.attr("k", 1);
             assert!(span.attrs.is_empty(), "inert span must not format attrs");
-            assert!(!span.context().is_sampled(), "inertness propagates");
+            assert!(
+                !TraceContext::current().is_sampled(),
+                "inertness propagates"
+            );
         }
         assert_eq!(t.recorder().total_recorded(), 0, "no ring write");
         assert!(t.recorder().snapshot().is_empty());
@@ -648,8 +718,8 @@ mod tests {
     fn ring_retains_only_the_newest() {
         let t = Tracer::new(8);
         for i in 0..20 {
-            let root = t.trace_root();
-            let mut s = t.span(&root, "wrap.span");
+            let _entered = t.trace_root().enter();
+            let mut s = t.span("wrap.span");
             s.attr("i", i);
         }
         assert_eq!(t.recorder().total_recorded(), 20);
@@ -687,9 +757,10 @@ mod tests {
         let t = Tracer::new(16);
         let a = t.trace_root();
         let b = t.trace_root();
-        t.span(&a, "t.a").finish();
-        t.span(&b, "t.b").finish();
-        t.span(&a, "t.a2").finish();
+        for (ctx, name) in [(a, "t.a"), (b, "t.b"), (a, "t.a2")] {
+            let _entered = ctx.enter();
+            t.span(name).finish();
+        }
         let mine = t.recorder().events_for(a.trace_id);
         assert_eq!(mine.len(), 2);
         assert!(mine.iter().all(|e| e.trace_id == a.trace_id));
@@ -698,9 +769,9 @@ mod tests {
     #[test]
     fn chrome_json_is_well_formed() {
         let t = Tracer::new(16);
-        let root = t.trace_root();
         {
-            let mut s = t.span(&root, "core.pipeline.extract");
+            let _entered = t.trace_root().enter();
+            let mut s = t.span("core.pipeline.extract");
             s.attr("frames", 18);
         }
         let json = to_chrome_json(&t.recorder().snapshot());
@@ -717,13 +788,11 @@ mod tests {
     #[test]
     fn tree_renders_children_indented() {
         let t = Tracer::new(16);
-        let root = t.trace_root();
         {
-            let outer = t.span(&root, "server.request");
-            {
-                let mid = t.span(&outer.context(), "store.query");
-                let _leaf = t.span(&mid.context(), "core.index.probe");
-            }
+            let _entered = t.trace_root().enter();
+            let _outer = t.span("server.request");
+            let _mid = t.span("store.query");
+            let _leaf = t.span("core.index.probe");
         }
         let tree = render_tree(&t.recorder().snapshot());
         let lines: Vec<&str> = tree.lines().collect();
@@ -741,8 +810,8 @@ mod tests {
                 let t = std::sync::Arc::clone(&t);
                 s.spawn(move || {
                     for i in 0..500 {
-                        let root = t.trace_root();
-                        let mut sp = t.span(&root, "race.worker");
+                        let _entered = t.trace_root().enter();
+                        let mut sp = t.span("race.worker");
                         sp.attr("w", w);
                         sp.attr("i", i);
                     }
@@ -779,5 +848,121 @@ mod tests {
             attrs: "",
         });
         assert_eq!(rec.snapshot().len(), 1);
+    }
+
+    #[test]
+    fn nested_spans_parent_on_the_innermost_and_restore_the_outer() {
+        let t = Tracer::new(16);
+        let root = t.trace_root();
+        let _entered = root.enter();
+        assert_eq!(TraceContext::current(), root);
+        let outer = t.span("n.outer");
+        let outer_ctx = TraceContext::current();
+        assert_eq!(outer_ctx.trace_id, root.trace_id);
+        assert_ne!(outer_ctx, root, "an open span is current");
+        {
+            let _inner = t.span("n.inner");
+            let _leaf = t.span("n.leaf");
+        }
+        assert_eq!(
+            TraceContext::current(),
+            outer_ctx,
+            "inner spans restore the outer"
+        );
+        let _sibling = t.span("n.sibling");
+        drop(_sibling);
+        drop(outer);
+        assert_eq!(
+            TraceContext::current(),
+            root,
+            "the outer span restores the root"
+        );
+
+        let events = t.recorder().events_for(root.trace_id);
+        let by_name = |name: &str| events.iter().find(|e| e.name == name).unwrap();
+        let outer = by_name("n.outer");
+        assert_eq!(outer.parent_id, 0);
+        assert_eq!(outer.span_id, outer_ctx.span_id);
+        assert_eq!(by_name("n.inner").parent_id, outer.span_id);
+        assert_eq!(by_name("n.leaf").parent_id, by_name("n.inner").span_id);
+        assert_eq!(by_name("n.sibling").parent_id, outer.span_id);
+    }
+
+    #[test]
+    fn nested_enter_restores_the_outer_root() {
+        let t = Tracer::new(16);
+        let request = t.trace_root();
+        let forced = t.trace_root_forced();
+        {
+            let _request = request.enter();
+            let _rspan = t.span("server.request");
+            let in_request = TraceContext::current();
+            {
+                let _forced = forced.enter();
+                assert_eq!(TraceContext::current(), forced);
+                let _query = t.span("store.query");
+            }
+            assert_eq!(TraceContext::current(), in_request);
+            let _after = t.span("server.after");
+        }
+        assert_eq!(TraceContext::current(), TraceContext::disabled());
+
+        let inner = t.recorder().events_for(forced.trace_id);
+        assert_eq!(inner.len(), 1);
+        assert_eq!(
+            (inner[0].name.as_str(), inner[0].parent_id),
+            ("store.query", 0)
+        );
+        let outer = t.recorder().events_for(request.trace_id);
+        let names: Vec<&str> = outer.iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, ["server.after", "server.request"]);
+        assert_eq!(outer[0].parent_id, outer[1].span_id);
+    }
+
+    #[test]
+    fn nothing_entered_records_nothing() {
+        let t = Tracer::new(16);
+        assert_eq!(TraceContext::current(), TraceContext::disabled());
+        {
+            let mut span = t.span("idle.outer");
+            span.attr("k", 1);
+            let _inner = t.span("idle.inner");
+            assert!(!TraceContext::current().is_sampled());
+        }
+        assert_eq!(t.recorder().total_recorded(), 0);
+    }
+
+    #[test]
+    fn a_spawned_thread_does_not_inherit_the_current_span() {
+        let t = Tracer::new(16);
+        let root = t.trace_root();
+        let _entered = root.enter();
+        let _span = t.span("parent.work");
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert_eq!(TraceContext::current(), TraceContext::disabled());
+                let child = t.span("shard.work");
+                assert!(!child.is_recording());
+            });
+        });
+        drop(_span);
+        let names: Vec<String> = t
+            .recorder()
+            .snapshot()
+            .into_iter()
+            .map(|e| e.name)
+            .collect();
+        assert_eq!(names, ["parent.work"]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "innermost first")]
+    fn closing_an_outer_span_first_is_caught() {
+        let t = Tracer::new(16);
+        let _entered = t.trace_root().enter();
+        let outer = t.span("order.outer");
+        let _inner = t.span("order.inner");
+        drop(outer);
     }
 }

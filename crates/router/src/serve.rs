@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
-use vdb_obs::{Registry, TraceContext};
+use vdb_obs::Registry;
 use vdb_server::client::{Client, ConnectOptions};
 use vdb_server::metrics::{CommandKind, MetricsSnapshot, ServerEvent, ServerMetrics};
 use vdb_server::protocol::{
@@ -334,7 +334,7 @@ impl Handler for RouterCtx {
         HashMap::new()
     }
 
-    fn line(&self, _proxies: &mut Self::Conn, line: &str, _tctx: &TraceContext) -> Reply {
+    fn line(&self, _proxies: &mut Self::Conn, line: &str) -> Reply {
         dispatch(self, line)
     }
 

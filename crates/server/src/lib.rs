@@ -54,7 +54,6 @@ mod tests {
     use std::sync::atomic::{AtomicBool, Ordering};
     use vdb_core::analyzer::AnalyzerConfig;
     use vdb_core::frame::Video;
-    use vdb_obs::TraceContext;
     use vdb_synth::script::{generate, ShotSpec, VideoScript};
 
     fn clip(seed: u64) -> Video {
@@ -98,15 +97,7 @@ mod tests {
             // The store stays usable for every later request.
             assert_eq!(store.read(|db| db.len()), 0);
             store
-                .write(|b| {
-                    b.ingest_clip(
-                        "after".into(),
-                        &clip(3),
-                        vec![],
-                        vec![],
-                        &TraceContext::disabled(),
-                    )
-                })
+                .write(|b| b.ingest_clip("after".into(), &clip(3), vec![], vec![]))
                 .unwrap();
             store.sync().unwrap();
             assert_eq!(store.read(|db| db.len()), 1);
@@ -137,13 +128,7 @@ mod tests {
                 for i in 0..INGESTS {
                     store
                         .write(|b| {
-                            b.ingest_clip(
-                                format!("clip{i}"),
-                                &clip(i as u64),
-                                vec![],
-                                vec![],
-                                &TraceContext::disabled(),
-                            )
+                            b.ingest_clip(format!("clip{i}"), &clip(i as u64), vec![], vec![])
                         })
                         .unwrap();
                 }

@@ -36,7 +36,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use vdb_obs::{global_tracer, TraceContext};
+use vdb_obs::global_tracer;
 pub use vdb_store::concurrent::ServerStore;
 use vdb_store::db::DbError;
 use vdb_store::shell::{self, Command};
@@ -202,8 +202,8 @@ pub trait Handler: Send + Sync + 'static {
     type Conn;
     /// A connection was accepted and its socket configured.
     fn open(&self) -> Self::Conn;
-    /// Execute one UTF-8 request line under `tctx` (its `server.request` span).
-    fn line(&self, conn: &mut Self::Conn, line: &str, tctx: &TraceContext) -> Reply;
+    /// Execute one UTF-8 request line (inside its `server.request` span).
+    fn line(&self, conn: &mut Self::Conn, line: &str) -> Reply;
     /// Execute one binary streaming message (a `0xF5` frame).
     fn stream(&self, conn: &mut Self::Conn, payload: &[u8]) -> Reply;
     /// The connection ended, however it ended.
@@ -705,13 +705,13 @@ fn handle_connection<H: Handler>(
                 // hang off, and what the slow-query log renders.
                 let tracer = global_tracer();
                 let root = tracer.trace_root();
-                let mut rspan = tracer.span(&root, "server.request");
-                let tctx = rspan.context();
+                let entered = root.enter();
+                let mut rspan = tracer.span("server.request");
                 let (kind, result) = if is_stream_request(payload) {
                     handler.stream(&mut conn, payload)
                 } else {
                     match std::str::from_utf8(payload) {
-                        Ok(line) => handler.line(&mut conn, line, &tctx),
+                        Ok(line) => handler.line(&mut conn, line),
                         Err(_) => (
                             CommandKind::Other,
                             Err("request is not valid UTF-8".to_string()),
@@ -727,6 +727,7 @@ fn handle_connection<H: Handler>(
                     rspan.attr("ok", ok);
                 }
                 drop(rspan);
+                drop(entered);
                 let response = encode_response(ok, &text);
                 let bytes_out = 4 + response.len() as u64;
                 let elapsed = started.elapsed();
@@ -742,7 +743,7 @@ fn handle_connection<H: Handler>(
                             kind.label(),
                             elapsed.as_micros(),
                             threshold.as_micros(),
-                            shell::render_trace(&root)
+                            shell::render_trace(root.trace_id)
                         );
                     }
                 }
@@ -786,8 +787,8 @@ impl Handler for WorkerCtx {
         self.sessions.register_conn()
     }
 
-    fn line(&self, _conn: &mut u64, line: &str, tctx: &TraceContext) -> Reply {
-        dispatch(self, line, tctx)
+    fn line(&self, _conn: &mut u64, line: &str) -> Reply {
+        dispatch(self, line)
     }
 
     fn stream(&self, conn: &mut u64, payload: &[u8]) -> Reply {
@@ -833,10 +834,10 @@ fn stream_dispatch(ctx: &WorkerCtx, conn: u64, payload: &[u8]) -> Reply {
     }
 }
 
-/// Execute one request line, opening any store/core trace spans under
-/// `tctx` (the per-request `server.request` span). The error side of the
-/// result becomes a `-` status response.
-fn dispatch(ctx: &WorkerCtx, line: &str, tctx: &TraceContext) -> Reply {
+/// Execute one request line; store and core spans land under the
+/// request's `server.request` span. The error side of the result becomes
+/// a `-` status response.
+fn dispatch(ctx: &WorkerCtx, line: &str) -> Reply {
     let trimmed = line.trim();
     match trimmed {
         "ping" => return (CommandKind::Ping, Ok("pong".to_string())),
@@ -869,13 +870,13 @@ fn dispatch(ctx: &WorkerCtx, line: &str, tctx: &TraceContext) -> Reply {
         _ => {}
     }
     if let Some(rest) = trimmed.strip_prefix("xquery ") {
-        return (CommandKind::Xquery, xquery(ctx, rest, tctx));
+        return (CommandKind::Xquery, xquery(ctx, rest));
     }
     if let Some(rest) = trimmed.strip_prefix("export ") {
         return (CommandKind::Export, export(ctx, rest));
     }
     if let Some(rest) = trimmed.strip_prefix("import ") {
-        return (CommandKind::Import, import(ctx, rest, tctx));
+        return (CommandKind::Import, import(ctx, rest));
     }
     let cmd = Command::parse(line);
     let kind = kind_of(&cmd);
@@ -940,7 +941,7 @@ fn dispatch(ctx: &WorkerCtx, line: &str, tctx: &TraceContext) -> Reply {
         _ if cmd.is_readonly() => {
             let text = ctx
                 .store
-                .read(|db| shell::execute_readonly_traced(db, &cmd, tctx))
+                .read(|db| shell::execute_readonly(db, &cmd))
                 .expect("readonly command");
             (kind, Ok(text))
         }
@@ -948,7 +949,7 @@ fn dispatch(ctx: &WorkerCtx, line: &str, tctx: &TraceContext) -> Reply {
             let text = ctx
                 .store
                 .write(|backend| {
-                    let out = shell::execute_mutation_traced(backend, &cmd, tctx)
+                    let out = shell::execute_mutation(backend, &cmd)
                         .expect("mutation command");
                     // Durable stores flush before the response leaves.
                     backend.sync().map(|()| out)
@@ -985,12 +986,11 @@ fn xlist(ctx: &WorkerCtx) -> String {
 /// `xquery <text>`: one shard's contribution to a distributed query —
 /// a `mode=… kept=… k=… limit=…` header, then full-precision rows
 /// (`d=`/`ba=`/`oa=` are f64 bit patterns) the router re-merges with the
-/// exact `(distance, ShotKey)` tie-break the index uses. The shard's
-/// index probe is traced under the request's span `tctx`.
-fn xquery(ctx: &WorkerCtx, text: &str, tctx: &TraceContext) -> Result<String, String> {
+/// exact `(distance, ShotKey)` tie-break the index uses.
+fn xquery(ctx: &WorkerCtx, text: &str) -> Result<String, String> {
     let sharded = ctx
         .store
-        .read(|db| db.query_str_sharded(text, tctx))
+        .read(|db| db.query_str_sharded(text))
         .map_err(|e| e.to_string())?;
     use std::fmt::Write as _;
     let dash = || "-".to_string();
@@ -1044,7 +1044,7 @@ fn export(ctx: &WorkerCtx, rest: &str) -> Result<String, String> {
 /// `import <hex>`: re-create an exported video through the streaming
 /// ingest commit path; the reply mirrors a stream commit
 /// (`video=… shots=… frames=… durable=…`).
-fn import(ctx: &WorkerCtx, rest: &str, tctx: &TraceContext) -> Result<String, String> {
+fn import(ctx: &WorkerCtx, rest: &str) -> Result<String, String> {
     let bytes = vdb_store::transfer::from_hex(rest).map_err(|e| e.to_string())?;
     let exported = vdb_store::transfer::ExportedVideo::decode(&bytes).map_err(|e| e.to_string())?;
     let shots = exported.analysis.shots.len();
@@ -1057,7 +1057,7 @@ fn import(ctx: &WorkerCtx, rest: &str, tctx: &TraceContext) -> Result<String, St
     let durable = ticket.is_pending();
     // Wait outside the database lock so concurrent committers batch.
     ticket
-        .wait_traced(tctx)
+        .wait()
         .map_err(|e| format!("journal sync failed: {e}"))?;
     Ok(format!(
         "video={id} shots={shots} frames={frames} durable={durable}"

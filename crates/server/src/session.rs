@@ -692,13 +692,12 @@ fn commit_now(
         return Err(msg);
     }
     let tracer = global_tracer();
-    let root = tracer.trace_root();
-    let mut span = tracer.span(&root, "server.stream.commit");
+    let _root = tracer.trace_root().enter();
+    let mut span = tracer.span("server.stream.commit");
     if span.is_recording() {
         span.attr("session", u64::from(sess.id));
         span.attr("frames", ingest.frame_count() as u64);
     }
-    let ctx = span.context();
     // Finalize outside any lock: this is the expensive tail.
     let finished = ingest.finish().map_err(|e| e.to_string())?;
     let shots = finished.shots();
@@ -710,7 +709,7 @@ fn commit_now(
         .write(|backend| finished.commit(backend))
         .map_err(|e| e.to_string())?;
     let durable = ticket.is_pending();
-    ticket.wait_traced(&ctx).map_err(|e| e.to_string())?;
+    ticket.wait().map_err(|e| e.to_string())?;
     Ok(CommitOutcome {
         video,
         shots,

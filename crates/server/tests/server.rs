@@ -1421,3 +1421,61 @@ fn journaled_stream_commit_survives_restart_and_torn_stream_does_not() {
     handle.shutdown().unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A stream commit on a journaled daemon is one trace: the pipeline's
+/// finish stages, both journal appends and the fsync it leads hang off
+/// its `server.stream.commit` span.
+#[test]
+fn journaled_stream_commit_traces_its_journal_appends() {
+    let dir = std::env::temp_dir().join(format!("vdb-server-commit-trace-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let store = ServerStore::open_journal(
+        dir.join("trace.vdbj"),
+        vdb_core::analyzer::AnalyzerConfig::default(),
+    )
+    .expect("open journal");
+    let handle = Server::bind(store, test_config(2)).unwrap().serve();
+    let clip = stream_clip(23);
+    let (width, height) = clip.dims();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let mut stream = client
+        .open_stream("traced", width, height, clip.fps())
+        .unwrap();
+    for frame in clip.frames() {
+        stream.push(frame).unwrap();
+    }
+    assert!(stream.commit().unwrap().durable);
+
+    let events = vdb_obs::global_tracer().recorder().snapshot();
+    let children = |parent: u64| -> Vec<&str> {
+        events
+            .iter()
+            .filter(|e| e.parent_id == parent)
+            .map(|e| e.name.as_str())
+            .collect()
+    };
+    let expected = [
+        "core.pipeline.assemble",
+        "core.pipeline.scenetree",
+        "core.pipeline.index",
+        "store.journal.append",
+        "store.journal.fsync",
+    ];
+    let commits: Vec<Vec<&str>> = events
+        .iter()
+        .filter(|e| e.name == "server.stream.commit")
+        .map(|e| children(e.span_id))
+        .collect();
+    let traced = commits
+        .iter()
+        .find(|names| expected.iter().all(|name| names.contains(name)))
+        .unwrap_or_else(|| panic!("no stream commit with {expected:?} as children: {commits:?}"));
+    let appends = traced
+        .iter()
+        .filter(|n| **n == "store.journal.append")
+        .count();
+    assert_eq!(appends, 2, "META and ANALYSIS records: {traced:?}");
+    drop(client);
+    handle.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -16,7 +16,6 @@ use crate::journal::{JournalTicket, JournalWriter};
 use std::sync::Arc;
 use vdb_core::analyzer::VideoAnalysis;
 use vdb_core::frame::Video;
-use vdb_obs::TraceContext;
 
 /// A durability receipt from [`DbBackend::commit_stream`].
 ///
@@ -54,16 +53,13 @@ impl CommitTicket {
     }
 
     /// Block until the staged records are durable. Call *after* releasing
-    /// the database lock, so concurrent committers can batch.
+    /// the database lock, so concurrent committers can batch. A write
+    /// this wait leads opens its `store.journal.fsync` span in the
+    /// current trace.
     pub fn wait(self) -> Result<(), DbError> {
-        self.wait_traced(&TraceContext::disabled())
-    }
-
-    /// [`CommitTicket::wait`] with the fsync span opened under `ctx`.
-    pub fn wait_traced(self, ctx: &TraceContext) -> Result<(), DbError> {
         match self.0 {
             TicketInner::Settled => Ok(()),
-            TicketInner::Journal(writer, ticket) => writer.wait_durable(ticket, ctx),
+            TicketInner::Journal(writer, ticket) => writer.wait_durable(ticket),
         }
     }
 }
@@ -74,16 +70,14 @@ pub trait DbBackend: Send + Sync {
     /// Read access to the underlying in-memory database.
     fn db(&self) -> &VideoDatabase;
 
-    /// Ingest one clip (analysis runs inline), with its trace spans opened
-    /// under `ctx` (pass [`TraceContext::disabled`] for none). Durable
-    /// backends persist the clip before returning.
+    /// Ingest one clip (analysis runs inline). Durable backends persist
+    /// the clip before returning.
     fn ingest_clip(
         &mut self,
         name: String,
         video: &Video,
         genres: Vec<GenreId>,
         forms: Vec<FormId>,
-        ctx: &TraceContext,
     ) -> Result<u64, DbError>;
 
     /// Register a streaming session's finished analysis (computed outside
@@ -131,13 +125,7 @@ mod tests {
 
     fn roundtrip(backend: &mut dyn DbBackend) -> u64 {
         let id = backend
-            .ingest_clip(
-                "clip".into(),
-                &clip(1),
-                vec![],
-                vec![],
-                &TraceContext::disabled(),
-            )
+            .ingest_clip("clip".into(), &clip(1), vec![], vec![])
             .unwrap();
         assert_eq!(backend.db().len(), 1);
         backend.sync().unwrap();

@@ -72,7 +72,6 @@ mod tests {
     use vdb_core::frame::Video;
     use vdb_core::index::VarianceQuery;
     use vdb_core::parallel::Parallelism;
-    use vdb_obs::TraceContext;
     use vdb_synth::script::{generate, ShotSpec, VideoScript};
 
     fn small_video(seed: u64) -> Video {
@@ -104,15 +103,7 @@ mod tests {
     }
 
     fn ingest(store: &ServerStore, name: impl Into<String>, video: &Video) -> Result<u64, DbError> {
-        store.write(|b| {
-            b.ingest_clip(
-                name.into(),
-                video,
-                vec![],
-                vec![],
-                &TraceContext::disabled(),
-            )
-        })
+        store.write(|b| b.ingest_clip(name.into(), video, vec![], vec![]))
     }
 
     fn len(store: &ServerStore) -> usize {

@@ -23,7 +23,7 @@ use vdb_core::sbd::SbdStats;
 use vdb_core::scenetree::{NodeId, SceneTree};
 use vdb_core::shot::Shot;
 use vdb_core::variance::ShotFeature;
-use vdb_obs::{global_tracer, TraceContext};
+use vdb_obs::global_tracer;
 
 /// Errors of the database layer.
 #[derive(Debug)]
@@ -468,7 +468,7 @@ impl VideoDatabase {
         genres: Vec<GenreId>,
         forms: Vec<FormId>,
     ) -> Result<u64, DbError> {
-        self.ingest_clip(name.into(), video, genres, forms, &TraceContext::disabled())
+        self.ingest_clip(name.into(), video, genres, forms)
     }
 
     /// Ingest a video whose analysis was already computed (e.g. by a
@@ -594,14 +594,13 @@ impl VideoDatabase {
     /// §4.2 query: matching shots mapped to the largest scenes that share
     /// their representative frames, nearest first.
     pub fn query(&self, q: &VarianceQuery) -> Vec<QueryAnswer> {
-        self.answers(q, None, None, usize::MAX, &TraceContext::disabled())
-            .0
+        self.answers(q, None, None, usize::MAX).0
     }
 
     /// Run a textual query (see [`crate::query`] for the syntax), e.g.
     /// `"ba=0.5 oa=15 genre=comedy form=feature limit=5"`.
     pub fn query_str(&self, text: &str) -> Result<Vec<QueryAnswer>, DbError> {
-        self.query_text(text, usize::MAX, &TraceContext::disabled())
+        self.query_text(text, usize::MAX)
             .map(|(answers, _, _)| answers)
     }
 
@@ -611,16 +610,14 @@ impl VideoDatabase {
     /// `max_rows`. Returns the first `min(limit, max_rows)` answers, the
     /// answer count `min(kept, limit)` — exact, whatever `max_rows` cut
     /// — and the probe's [`Explain`] (its exact work); explaining never
-    /// changes what runs. Runs under a `store.query` span opened under
-    /// `ctx` (the index probe is a child span carrying the explain
-    /// payload).
+    /// changes what runs. Runs under a `store.query` trace span (the
+    /// index probe is a child span carrying the explain payload).
     pub fn query_text(
         &self,
         text: &str,
         max_rows: usize,
-        ctx: &TraceContext,
     ) -> Result<(Vec<QueryAnswer>, usize, Explain), DbError> {
-        let mut tspan = global_tracer().span(ctx, "store.query");
+        let mut tspan = global_tracer().span("store.query");
         let spec = QuerySpec::parse(text, &self.taxonomy)?;
         let limit = spec.limit.unwrap_or(usize::MAX);
         let filter = |meta: &VideoMeta| spec.keeps(meta);
@@ -629,7 +626,6 @@ impl VideoDatabase {
             spec.k,
             spec.filters().then_some(&filter),
             limit.min(max_rows),
-            &tspan.context(),
         );
         let count = kept.min(limit);
         if tspan.is_recording() {
@@ -640,7 +636,7 @@ impl VideoDatabase {
 
     /// One shard's contribution to a distributed query (the `xquery` wire
     /// extra): the same parse and answer walk as [`Self::query_text`],
-    /// probe span opened under `ctx`, but the `limit` is *not* applied —
+    /// but the `limit` is *not* applied —
     /// it must run globally, after the coordinator has re-merged rows
     /// from every shard:
     ///
@@ -653,14 +649,10 @@ impl VideoDatabase {
     ///   [`QuerySpec::keeps`], because single-node semantics take the
     ///   *global* k nearest first and filter second — the coordinator
     ///   must do the same.
-    pub fn query_str_sharded(
-        &self,
-        text: &str,
-        ctx: &TraceContext,
-    ) -> Result<ShardQueryAnswers, DbError> {
+    pub fn query_str_sharded(&self, text: &str) -> Result<ShardQueryAnswers, DbError> {
         let spec = QuerySpec::parse(text, &self.taxonomy)?;
         let (rows, kept_total) = if spec.k.is_some() {
-            let (answers, _, _) = self.answers(&spec.variance, spec.k, None, usize::MAX, ctx);
+            let (answers, _, _) = self.answers(&spec.variance, spec.k, None, usize::MAX);
             let rows: Vec<ShardQueryRow> = answers
                 .into_iter()
                 .map(|answer| {
@@ -680,7 +672,6 @@ impl VideoDatabase {
                 None,
                 spec.filters().then_some(&filter),
                 SHARD_QUERY_ROW_CAP,
-                ctx,
             );
             let rows = answers
                 .into_iter()
@@ -700,8 +691,7 @@ impl VideoDatabase {
     /// their browsing scene nodes. Runs the same selection as
     /// [`Self::query`].
     pub fn query_topk(&self, q: &VarianceQuery, k: usize) -> Vec<QueryAnswer> {
-        self.answers(q, Some(k), None, usize::MAX, &TraceContext::disabled())
-            .0
+        self.answers(q, Some(k), None, usize::MAX).0
     }
 
     /// The one §4.2 answer walk behind every variance query: the index's
@@ -726,7 +716,6 @@ impl VideoDatabase {
         k: Option<usize>,
         filter: Option<&dyn Fn(&VideoMeta) -> bool>,
         cap: usize,
-        ctx: &TraceContext,
     ) -> (Vec<QueryAnswer>, usize, Explain) {
         let mut shows = filter.map(|filter| {
             move |key: ShotKey| {
@@ -739,7 +728,7 @@ impl VideoDatabase {
         let keep = shows
             .as_mut()
             .map(|shows| shows as &mut dyn FnMut(ShotKey) -> bool);
-        let (matches, kept, explain) = self.index.select(q, k, cap, keep, ctx);
+        let (matches, kept, explain) = self.index.select(q, k, cap, keep);
         let rows = matches
             .iter()
             .map(|m| {
@@ -843,10 +832,9 @@ impl DbBackend for VideoDatabase {
         video: &Video,
         genres: Vec<GenreId>,
         forms: Vec<FormId>,
-        ctx: &TraceContext,
     ) -> Result<u64, DbError> {
-        let mut tspan = global_tracer().span(ctx, "store.ingest");
-        let analysis = self.engine.analyze_traced(video, &tspan.context())?;
+        let mut tspan = global_tracer().span("store.ingest");
+        let analysis = self.engine.analyze(video)?;
         let id = self.store_analysis(analysis, |catalog| {
             catalog.register(name, genres, forms, video.len(), video.fps(), video.dims())
         })?;
@@ -1013,7 +1001,6 @@ mod tests {
             )
             .unwrap();
         }
-        let ctx = TraceContext::disabled();
         let wide = "ba=0 oa=0 alpha=1000 beta=1000";
         let kept = |sharded: &ShardQueryAnswers| -> Vec<QueryAnswer> {
             let limit = sharded.limit.unwrap_or(usize::MAX);
@@ -1026,7 +1013,7 @@ mod tests {
         // pre-limit kept count.
         let filter = "genre=comedy form=feature";
         let sharded = db
-            .query_str_sharded(&format!("{wide} {filter} limit=2"), &ctx)
+            .query_str_sharded(&format!("{wide} {filter} limit=2"))
             .unwrap();
         let all_kept = db.query_str(&format!("{wide} {filter}")).unwrap();
         assert!(all_kept.len() > 2, "the limit must bite");
@@ -1040,7 +1027,7 @@ mod tests {
 
         // (b) Range with no filter: every row is kept, capped at
         // SHARD_QUERY_ROW_CAP, and the count is exact.
-        let sharded = db.query_str_sharded(wide, &ctx).unwrap();
+        let sharded = db.query_str_sharded(wide).unwrap();
         let all = db.query_str(wide).unwrap();
         assert!(all.len() > SHARD_QUERY_ROW_CAP, "the row cap must bite");
         assert_eq!(kept(&sharded), all[..SHARD_QUERY_ROW_CAP]);
@@ -1050,7 +1037,7 @@ mod tests {
         // exactly where the spec's predicate holds.
         let text = format!("{wide} k=9 genre=comedy limit=4");
         let spec = QuerySpec::parse(&text, &t).unwrap();
-        let sharded = db.query_str_sharded(&text, &ctx).unwrap();
+        let sharded = db.query_str_sharded(&text).unwrap();
         let unfiltered = db.query_str(&format!("{wide} k=9")).unwrap();
         assert_eq!(sharded.k, Some(9));
         let rows: Vec<QueryAnswer> = sharded.rows.iter().map(|r| r.answer.clone()).collect();
@@ -1080,7 +1067,7 @@ mod tests {
             .unwrap();
         }
         let sharded = db
-            .query_str_sharded(&format!("{wide} genre=comedy"), &ctx)
+            .query_str_sharded(&format!("{wide} genre=comedy"))
             .unwrap();
         let all_comedy = db.query_str(&format!("{wide} genre=comedy")).unwrap();
         assert!(
@@ -1094,7 +1081,7 @@ mod tests {
         // (e) `limit=0`: the coordinator shows nothing, but the shard
         // still ships its rows and the exact pre-limit count.
         let sharded = db
-            .query_str_sharded(&format!("{wide} genre=comedy limit=0"), &ctx)
+            .query_str_sharded(&format!("{wide} genre=comedy limit=0"))
             .unwrap();
         assert_eq!(sharded.limit, Some(0));
         assert!(kept(&sharded).is_empty());

@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use vdb_core::analyzer::{AnalyzerConfig, VideoAnalysis};
 use vdb_core::frame::Video;
-use vdb_obs::{global_tracer, TraceContext};
+use vdb_obs::global_tracer;
 
 /// A durability ticket: `wait_durable(t)` returns once every record staged
 /// at or before `t` has been written to the OS.
@@ -118,11 +118,7 @@ impl JournalWriter {
     /// (written to the OS). The first waiter to arrive while no write is
     /// in flight becomes the leader and writes *all* currently staged
     /// bytes in one batch — concurrent committers share the barrier.
-    pub(crate) fn wait_durable(
-        &self,
-        ticket: JournalTicket,
-        ctx: &TraceContext,
-    ) -> Result<(), DbError> {
+    pub(crate) fn wait_durable(&self, ticket: JournalTicket) -> Result<(), DbError> {
         let mut state = poisoned(self.state.lock());
         loop {
             if let Some(e) = &state.error {
@@ -136,7 +132,7 @@ impl JournalWriter {
                 let batch = std::mem::take(&mut state.pending);
                 let hi = state.staged;
                 drop(state);
-                let result = self.write_batch(&batch, ctx);
+                let result = self.write_batch(&batch);
                 state = poisoned(self.state.lock());
                 state.syncing = false;
                 match result {
@@ -151,7 +147,7 @@ impl JournalWriter {
         }
     }
 
-    fn write_batch(&self, batch: &[u8], ctx: &TraceContext) -> std::io::Result<()> {
+    fn write_batch(&self, batch: &[u8]) -> std::io::Result<()> {
         if batch.is_empty() {
             return Ok(());
         }
@@ -160,7 +156,7 @@ impl JournalWriter {
         let mut file = poisoned(self.file.lock());
         // The write is the batch's durability point; timed separately so
         // fsync-path tail latency is visible on its own.
-        let mut fsync_tspan = tracer.span(ctx, "store.journal.fsync");
+        let mut fsync_tspan = tracer.span("store.journal.fsync");
         if fsync_tspan.is_recording() {
             fsync_tspan.attr("bytes", batch.len());
         }
@@ -173,7 +169,7 @@ impl JournalWriter {
     /// Drain everything staged so far (the final barrier on drop/sync).
     fn flush_all(&self) -> Result<(), DbError> {
         let staged = poisoned(self.state.lock()).staged;
-        self.wait_durable(staged, &TraceContext::disabled())
+        self.wait_durable(staged)
     }
 
     /// Swap in a fresh file handle after compaction. Pending bytes must
@@ -235,15 +231,17 @@ impl JournaledDatabase {
             let records = read_segment(&bytes[..])?;
             // Replay is its own (head-sampled) trace: recovery cost shows
             // up in a `debug dump` like any other request.
-            let tracer = global_tracer();
-            let root = tracer.trace_root();
-            let mut replay_span = tracer.span(&root, "store.journal.replay");
-            let (db, swept) = VideoDatabase::replay(config, &records)?;
-            if replay_span.is_recording() {
-                replay_span.attr("records", records.len());
-                replay_span.attr("swept", swept);
-            }
-            drop(replay_span);
+            let db = {
+                let tracer = global_tracer();
+                let _root = tracer.trace_root().enter();
+                let mut replay_span = tracer.span("store.journal.replay");
+                let (db, swept) = VideoDatabase::replay(config, &records)?;
+                if replay_span.is_recording() {
+                    replay_span.attr("records", records.len());
+                    replay_span.attr("swept", swept);
+                }
+                db
+            };
             // Drop any torn tail so future appends start on a record edge
             // (each record is tag + len + payload + checksum). Only a
             // journal that replayed cleanly gets here: a refused one is
@@ -297,15 +295,9 @@ impl JournaledDatabase {
         self.writer.flush_all()
     }
 
-    fn stage_record(
-        &self,
-        tag: u8,
-        payload: &[u8],
-        ctx: &TraceContext,
-    ) -> Result<JournalTicket, DbError> {
+    fn stage_record(&self, tag: u8, payload: &[u8]) -> Result<JournalTicket, DbError> {
         let obs = crate::obs::journal();
-        let tracer = global_tracer();
-        let mut append_tspan = tracer.span(ctx, "store.journal.append");
+        let mut append_tspan = global_tracer().span("store.journal.append");
         if append_tspan.is_recording() {
             append_tspan.attr("bytes", 1 + 4 + payload.len() + 4);
         }
@@ -328,16 +320,16 @@ impl JournaledDatabase {
         genres: Vec<GenreId>,
         forms: Vec<FormId>,
     ) -> Result<u64, DbError> {
-        self.ingest_clip(name.into(), video, genres, forms, &TraceContext::disabled())
+        self.ingest_clip(name.into(), video, genres, forms)
     }
 
     /// Stage the META + ANALYSIS records for an already-ingested video;
     /// the returned ticket covers both.
-    fn stage_clip_records(&self, id: u64, ctx: &TraceContext) -> Result<JournalTicket, DbError> {
+    fn stage_clip_records(&self, id: u64) -> Result<JournalTicket, DbError> {
         let meta = self.db.catalog().get(id).expect("just ingested");
         let analysis = self.db.analysis(id).expect("just ingested");
-        self.stage_record(TAG_META, &codec::to_bytes(meta), ctx)?;
-        self.stage_record(TAG_ANALYSIS, &analysis.encode(), ctx)
+        self.stage_record(TAG_META, &codec::to_bytes(meta))?;
+        self.stage_record(TAG_ANALYSIS, &analysis.encode())
     }
 
     /// Register a streaming session's finished analysis and stage its
@@ -359,7 +351,7 @@ impl JournaledDatabase {
         let id = self
             .db
             .ingest_precomputed(name, dims, fps, analysis, genres, forms)?;
-        let ticket = self.stage_clip_records(id, &TraceContext::disabled())?;
+        let ticket = self.stage_clip_records(id)?;
         Ok((
             id,
             CommitTicket::journaled(Arc::clone(&self.writer), ticket),
@@ -371,14 +363,8 @@ impl JournaledDatabase {
     /// [`JournaledDatabase::compact`] rewrites the file.
     pub fn remove(&mut self, id: u64) -> Result<(), DbError> {
         self.db.remove(id)?;
-        let ticket = self.stage_record(
-            TAG_REMOVE,
-            &codec::to_bytes(&codec::Varint(id)),
-            &TraceContext::disabled(),
-        )?;
-        self.writer
-            .wait_durable(ticket, &TraceContext::disabled())?;
-        Ok(())
+        let ticket = self.stage_record(TAG_REMOVE, &codec::to_bytes(&codec::Varint(id)))?;
+        self.writer.wait_durable(ticket)
     }
 
     /// Rewrite the journal compactly (dropping tombstoned videos and their
@@ -403,20 +389,19 @@ impl DbBackend for JournaledDatabase {
         JournaledDatabase::db(self)
     }
 
-    /// [`JournaledDatabase::ingest`] with trace spans under `ctx`: the
-    /// analysis (`store.ingest` and the pipeline stages beneath it), both
-    /// journal appends, and the shared fsync barrier land in one trace.
+    /// The analysis (`store.ingest` and the pipeline stages beneath it),
+    /// both journal appends, and the shared fsync barrier land in the
+    /// current trace.
     fn ingest_clip(
         &mut self,
         name: String,
         video: &Video,
         genres: Vec<GenreId>,
         forms: Vec<FormId>,
-        ctx: &TraceContext,
     ) -> Result<u64, DbError> {
-        let id = self.db.ingest_clip(name, video, genres, forms, ctx)?;
-        let ticket = self.stage_clip_records(id, ctx)?;
-        self.writer.wait_durable(ticket, ctx)?;
+        let id = self.db.ingest_clip(name, video, genres, forms)?;
+        let ticket = self.stage_clip_records(id)?;
+        self.writer.wait_durable(ticket)?;
         Ok(id)
     }
 

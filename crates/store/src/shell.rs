@@ -30,8 +30,8 @@ use crate::session::{find_node, render_node, storyboard, NodeName};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use vdb_core::analyzer::AnalyzerConfig;
+use vdb_obs::global_tracer;
 use vdb_obs::trace::{render_tree, to_chrome_json};
-use vdb_obs::{global_tracer, TraceContext};
 
 /// Outcome of interpreting one command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -228,16 +228,17 @@ fn push_answers(out: &mut String, count: usize, answers: &[crate::db::QueryAnswe
     }
 }
 
-/// Render the span tree recorded under `root`, indented for shell output.
-/// Used by the `trace` command and by the server's slow-query log.
-pub fn render_trace(root: &TraceContext) -> String {
+/// Render the span tree recorded for trace `trace_id` (0: unsampled),
+/// indented for shell output. Used by the `trace` command and by the
+/// server's slow-query log.
+pub fn render_trace(trace_id: u64) -> String {
     let mut out = String::new();
-    if !root.is_sampled() {
+    if trace_id == 0 {
         out.push_str("  tracing is disabled on this process\n");
         return out;
     }
-    let events = global_tracer().recorder().events_for(root.trace_id);
-    let _ = writeln!(out, "  trace {} ({} spans):", root.trace_id, events.len());
+    let events = global_tracer().recorder().events_for(trace_id);
+    let _ = writeln!(out, "  trace {trace_id} ({} spans):", events.len());
     for line in render_tree(&events).lines() {
         let _ = writeln!(out, "    {line}");
     }
@@ -247,18 +248,8 @@ pub fn render_trace(root: &TraceContext) -> String {
 /// Execute a read-only command against the database. Returns `None` if the
 /// command is not read-only (callers dispatch those to
 /// [`execute_mutation`] or handle them at their own layer, like
-/// `save`/`load`/`quit`).
+/// `save`/`load`/`quit`). Spans land in the current trace.
 pub fn execute_readonly(db: &VideoDatabase, cmd: &Command) -> Option<String> {
-    execute_readonly_traced(db, cmd, &TraceContext::disabled())
-}
-
-/// [`execute_readonly`] with trace spans opened under `ctx`; the server
-/// threads its per-request context through here.
-pub fn execute_readonly_traced(
-    db: &VideoDatabase,
-    cmd: &Command,
-    ctx: &TraceContext,
-) -> Option<String> {
     let mut out = String::new();
     match cmd {
         Command::Empty => {}
@@ -287,13 +278,13 @@ pub fn execute_readonly_traced(
                 s.videos, s.shots, s.frames, s.scene_nodes, s.max_tree_height, s.index_rows
             );
         }
-        Command::Query(text) => match db.query_text(text, SHOWN_ANSWERS, ctx) {
+        Command::Query(text) => match db.query_text(text, SHOWN_ANSWERS) {
             Ok((answers, count, _)) => push_answers(&mut out, count, &answers),
             Err(e) => {
                 let _ = writeln!(out, "  {e}");
             }
         },
-        Command::Explain(text) => match db.query_text(text, SHOWN_ANSWERS, ctx) {
+        Command::Explain(text) => match db.query_text(text, SHOWN_ANSWERS) {
             Ok((answers, count, explain)) => {
                 let _ = writeln!(out, "  {}", explain.summary());
                 push_answers(&mut out, count, &answers);
@@ -319,9 +310,10 @@ pub fn execute_readonly_traced(
         }
         Command::Trace(inner) if inner.is_readonly() => {
             let root = global_tracer().trace_root_forced();
-            let body = execute_readonly_traced(db, inner, &root).unwrap_or_default();
-            out.push_str(&body);
-            out.push_str(&render_trace(&root));
+            let entered = root.enter();
+            out.push_str(&execute_readonly(db, inner).unwrap_or_default());
+            drop(entered);
+            out.push_str(&render_trace(root.trace_id));
         }
         Command::Board(id, cards) => match db.analysis(*id) {
             Ok(a) => {
@@ -364,18 +356,9 @@ pub fn execute_readonly_traced(
 }
 
 /// Execute a mutating command against any backend (in-memory or
-/// journaled). Returns `None` if the command is not a mutation.
+/// journaled). Returns `None` if the command is not a mutation. Spans
+/// land in the current trace.
 pub fn execute_mutation(backend: &mut dyn DbBackend, cmd: &Command) -> Option<String> {
-    execute_mutation_traced(backend, cmd, &TraceContext::disabled())
-}
-
-/// [`execute_mutation`] with trace spans opened under `ctx`; the server
-/// threads its per-request context through here.
-pub fn execute_mutation_traced(
-    backend: &mut dyn DbBackend,
-    cmd: &Command,
-    ctx: &TraceContext,
-) -> Option<String> {
     let mut out = String::new();
     match cmd {
         Command::Demo(n) => {
@@ -390,13 +373,8 @@ pub fn execute_mutation_traced(
                     (80, 60),
                     seed,
                 ));
-                match backend.ingest_clip(
-                    format!("demo-movie-{seed}"),
-                    &clip.video,
-                    vec![],
-                    vec![],
-                    ctx,
-                ) {
+                match backend.ingest_clip(format!("demo-movie-{seed}"), &clip.video, vec![], vec![])
+                {
                     Ok(id) => {
                         let shots = backend
                             .db()
@@ -421,9 +399,10 @@ pub fn execute_mutation_traced(
         },
         Command::Trace(inner) if inner.is_mutation() => {
             let root = global_tracer().trace_root_forced();
-            let body = execute_mutation_traced(backend, inner, &root).unwrap_or_default();
-            out.push_str(&body);
-            out.push_str(&render_trace(&root));
+            let entered = root.enter();
+            out.push_str(&execute_mutation(backend, inner).unwrap_or_default());
+            drop(entered);
+            out.push_str(&render_trace(root.trace_id));
         }
         _ => return None,
     }
@@ -723,6 +702,28 @@ mod tests {
         assert!(out.contains("answers"), "{out}");
         assert!(out.contains("store.query"), "{out}");
         assert!(out.contains("core.index.probe"), "{out}");
+    }
+
+    #[test]
+    fn trace_remove_on_a_journal_records_its_append_and_fsync() {
+        let dir = std::env::temp_dir().join(format!("vdb-shell-trace-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("trace.vdbj");
+        let _ = std::fs::remove_file(&path);
+        let mut sh = Shell::open_journal(&path, AnalyzerConfig::default()).unwrap();
+        exec(&mut sh, "demo 1");
+        let out = exec(&mut sh, "trace remove 0");
+        assert!(out.contains("removed video 0"), "{out}");
+        // The tombstone's append and the fsync it leads are the trace's
+        // top-level spans: `render_trace` indents roots by four spaces.
+        for span in ["store.journal.append", "store.journal.fsync"] {
+            assert!(
+                out.lines().any(|l| l.starts_with(&format!("    {span} "))),
+                "{span} missing under the trace root:\n{out}"
+            );
+        }
+        drop(sh);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

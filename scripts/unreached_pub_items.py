@@ -1,26 +1,26 @@
 #!/usr/bin/env python3
-"""List every `pub fn` under crates/*/src that no program code calls.
+"""List every public item under crates/*/src that no program code uses.
 
-A `pub fn` counts as reached when its name occurs, as a whole word, in
-the non-test code of `crates/*/src` (binaries included) or of
-`benchmark/src`, anywhere but on its own definition line. Test code does
-not count: items under `#[cfg(test)]`, `crates/*/tests`, `tests/` and
-`examples/` are never scanned for callers, and `pub fn`s inside
-`#[cfg(test)]` items are not listed. Comments and string literals are
-blanked before scanning.
+The items are `pub fn`, `pub const`, `pub static`, `pub struct`,
+`pub enum`, `pub type` and `pub trait` names and `pub` struct fields. One
+counts as reached when its name occurs, as a whole word, in the non-test
+code of `crates/*/src` (binaries included) or of `benchmark/src`,
+anywhere but on its own definition line. Test code does not count:
+items under `#[cfg(test)]`, `crates/*/tests`, `tests/` and `examples/`
+are never scanned for uses, and items inside `#[cfg(test)]` items are
+not listed. Comments and string literals are blanked before scanning.
 
 The match is by name, not by type, so a common name (`new`, `len`) is
-always reached; the lint under-reports and never flags a called
-function.
+always reached; the lint under-reports and never flags a used item.
 
-Each unreached function must be named in the allowlist
-(`scripts/unreached_pub_fns.allow`) as `<file>::<name>`, followed by the
-test or request that keeps it. The script exits 1 when an unreached
-function is missing from the allowlist or an allowlist line names a
-function that is reached or gone, so the list stays exact.
+Each unreached item must be named in the allowlist
+(`scripts/unreached_pub_items.allow`) as `<file>::<name>`, followed by
+the test or request that keeps it. The script exits 1 when an unreached
+item is missing from the allowlist or an allowlist line names an item
+that is reached or gone, so the list stays exact.
 
-    python3 scripts/unreached_pub_fns.py          # check (CI)
-    python3 scripts/unreached_pub_fns.py --list   # print every unreached fn
+    python3 scripts/unreached_pub_items.py          # check (CI)
+    python3 scripts/unreached_pub_items.py --list   # print every unreached item
 """
 
 import pathlib
@@ -28,10 +28,16 @@ import re
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-ALLOW = ROOT / "scripts" / "unreached_pub_fns.allow"
+ALLOW = ROOT / "scripts" / "unreached_pub_items.allow"
 
 # Matched after `blank`, so an `extern "C"` ABI string is already spaces.
-PUB_FN = re.compile(r"\bpub\s+(?:const\s+)?(?:unsafe\s+)?(?:extern\s+)?fn\s+([A-Za-z_][A-Za-z0-9_]*)")
+# Each pattern's last group is the item's name, its first the item kind.
+PUB_ITEMS = [
+    re.compile(r"\bpub\s+(?:const\s+)?(?:unsafe\s+)?(?:extern\s+)?(fn)\s+([A-Za-z_][A-Za-z0-9_]*)"),
+    re.compile(r"\bpub\s+(const|static|struct|enum|type|trait)\s+(?:mut\s+)?(?!fn\b|unsafe\b|extern\b)([A-Za-z_][A-Za-z0-9_]*)"),
+    # A named field: `pub name: Type` (not `pub(crate)`, not an item).
+    re.compile(r"\bpub\s+()([A-Za-z_][A-Za-z0-9_]*)\s*:(?!:)"),
+]
 WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
@@ -119,24 +125,24 @@ def main():
     sources = sorted(ROOT.glob("crates/*/src/**/*.rs"))
     callers = sources + sorted(ROOT.glob("benchmark/src/**/*.rs"))
 
-    defs = []  # (key, file, line)
+    defs = []  # (key, file, line, kind)
     used = set()
     for path in callers:
         rel = path.relative_to(ROOT).as_posix()
         for lineno, line in enumerate(program_code(path).split("\n"), 1):
-            m = PUB_FN.search(line)
-            if m:
-                if path in sources:
-                    defs.append((f"{rel}::{m.group(1)}", rel, lineno))
+            for pattern in PUB_ITEMS:
+                for m in pattern.finditer(line):
+                    if path in sources:
+                        defs.append((f"{rel}::{m.group(2)}", rel, lineno, m.group(1) or "field"))
                 # The defined name is not a use of itself.
-                line = line[: m.start()] + line[m.end() :]
+                line = pattern.sub(" ", line)
             used.update(WORD.findall(line))
 
-    unreached = [(key, rel, lineno) for key, rel, lineno in defs if key.rsplit("::", 1)[1] not in used]
+    unreached = [d for d in defs if d[0].rsplit("::", 1)[1] not in used]
 
     if "--list" in sys.argv[1:]:
-        for key, rel, lineno in unreached:
-            print(f"{rel}:{lineno}: {key}")
+        for key, rel, lineno, kind in unreached:
+            print(f"{rel}:{lineno}: {kind} {key}")
         return 0
 
     allowed = {}
@@ -151,20 +157,20 @@ def main():
         allowed[key] = lineno
 
     failed = False
-    found = {key for key, _, _ in unreached}
-    for key, rel, lineno in unreached:
+    found = {key for key, _, _, _ in unreached}
+    for key, rel, lineno, kind in unreached:
         if key not in allowed:
-            print(f"{rel}:{lineno}: `pub fn {key.rsplit('::', 1)[1]}` has no caller outside tests")
+            print(f"{rel}:{lineno}: pub {kind} `{key.rsplit('::', 1)[1]}` has no use outside tests")
             failed = True
     for key, lineno in allowed.items():
         if key not in found:
             print(f"{ALLOW.name}:{lineno}: {key} is reached or gone; drop the line")
             failed = True
     if failed:
-        print("delete the function, move it under #[cfg(test)], or name the test that keeps it in "
+        print("delete the item, move it under #[cfg(test)], or name the test that keeps it in "
               f"scripts/{ALLOW.name}")
         return 1
-    print(f"unreached pub fns: {len(unreached)}, all on the allowlist")
+    print(f"unreached pub items: {len(unreached)}, all on the allowlist")
     return 0
 
 

@@ -12,7 +12,6 @@ use vdb_core::frame::{FrameBuf, Video};
 use vdb_core::parallel::{extract_features_reusing, Parallelism};
 use vdb_core::pipeline::AnalysisEngine;
 use vdb_core::pixel::Rgb;
-use vdb_obs::TraceContext;
 use vdb_store::{ServerStore, VideoDatabase};
 
 fn parallel_cfg(threads: usize) -> AnalyzerConfig {
@@ -104,9 +103,8 @@ fn below_minimum_dims_error_never_panic() {
     assert!(db.ingest("tiny", &tiny, vec![], vec![]).is_err());
     assert!(db.is_empty());
     let shared = ServerStore::new(VideoDatabase::with_config(parallel_cfg(2)));
-    let disabled = TraceContext::disabled();
     assert!(shared
-        .write(|b| b.ingest_clip("tiny".into(), &tiny, vec![], vec![], &disabled))
+        .write(|b| b.ingest_clip("tiny".into(), &tiny, vec![], vec![]))
         .is_err());
     assert!(shared.read(|d| d.is_empty()));
 }

@@ -11,7 +11,6 @@
 
 use vdb_core::index::{IndexEntry, ShotIndex, ShotKey, VarianceQuery};
 use vdb_core::variance::ShotFeature;
-use vdb_obs::TraceContext;
 use vdb_synth::rng::Srng;
 
 /// 100k rows from a three-cluster mixture (calm / medium / frantic
@@ -108,7 +107,7 @@ fn explain_counts_the_window_exactly() {
     let entries = corpus_100k();
     let idx = ShotIndex::from_entries(entries.clone());
     for (qi, q) in workload(&entries).into_iter().enumerate() {
-        let (matches, ex) = idx.search(&q, None, &TraceContext::disabled());
+        let (matches, ex) = idx.search(&q, None);
         let candidates = window_rows(&entries, &q);
         assert_eq!(ex.probe.candidates, candidates, "query {qi}: window rows");
         assert_eq!(ex.probe.buckets_touched, usize::from(candidates > 0));
@@ -125,7 +124,7 @@ fn explain_counts_the_window_exactly() {
     // D^v bounds every answer's.
     let q = VarianceQuery::new(4.0, 16.0);
     for k in [1usize, 10, 100, 1_000] {
-        let (matches, ex) = idx.search(&q, Some(k), &TraceContext::disabled());
+        let (matches, ex) = idx.search(&q, Some(k));
         assert_eq!(matches.len(), k, "k={k}");
         assert_eq!(ex.matches, k, "k={k}");
         assert_eq!(ex.probe.candidates, ex.visited, "k={k}");
@@ -151,7 +150,7 @@ fn probes_read_no_more_rows_than_the_scan() {
     let idx = ShotIndex::from_entries(entries.clone());
     for q in workload(&entries) {
         for k in [None, Some(10), Some(1 << 40)] {
-            let (_, ex) = idx.search(&q, k, &TraceContext::disabled());
+            let (_, ex) = idx.search(&q, k);
             assert!(ex.probe.candidates <= idx.len(), "{q:?} k={k:?}: {ex:?}");
         }
     }

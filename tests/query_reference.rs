@@ -16,7 +16,6 @@ use std::fmt::Write as _;
 
 use vdb_core::analyzer::VideoAnalyzer;
 use vdb_core::index::ShotKey;
-use vdb_obs::TraceContext;
 use vdb_store::db::{QueryAnswer, ShardQueryAnswers, ShardQueryRow, SHARD_QUERY_ROW_CAP};
 use vdb_store::shell::{execute_readonly, Command};
 use vdb_store::{QuerySpec, VideoDatabase};
@@ -169,9 +168,7 @@ fn check(db: &VideoDatabase, text: &str) {
     let keep = spec
         .filters()
         .then_some(&mut keep as &mut dyn FnMut(ShotKey) -> bool);
-    let (_, _, explain) =
-        db.index()
-            .select(&spec.variance, spec.k, cap, keep, &TraceContext::disabled());
+    let (_, _, explain) = db.index().select(&spec.variance, spec.k, cap, keep);
     let explained = execute_readonly(db, &Command::parse(&format!("explain {text}"))).unwrap();
     assert_eq!(
         explained,
@@ -179,9 +176,7 @@ fn check(db: &VideoDatabase, text: &str) {
         "shell explain {text}"
     );
 
-    let sharded = db
-        .query_str_sharded(text, &TraceContext::disabled())
-        .unwrap();
+    let sharded = db.query_str_sharded(text).unwrap();
     assert_eq!(sharded, reference_sharded(db, &spec), "sharded {text}");
 }
 
