@@ -11,8 +11,8 @@
 //!   `shard-id` handshake;
 //! * [`exec`] — the scatter-gather executor: per-shard deadlines,
 //!   optional hedged retries, partial-result accounting;
-//! * [`merge`] — exact cross-shard merges for `query` (same
-//!   `(distance, ShotKey)` tie-break as `ShotIndex`), `list`, `stats`;
+//! * [`merge`] — the gid remap and partial marker around `vdb-store`'s
+//!   own reply rows, merge and renderers for `query`, `list`, `stats`;
 //! * [`catalog`] — the router's global id map (`gid` ↔ shard-local id);
 //! * [`rebalance`] — topology-change planning and shard-to-shard video
 //!   moves over the export/import path;

@@ -1,328 +1,78 @@
-//! Exact cross-shard merges: parse the shards' machine rows (`xquery`,
-//! `xlist`, `stats`) and re-render them byte-identically to what a
-//! single-node daemon holding the union corpus would print.
+//! The router's half of an exact cross-shard merge: map every shard-local
+//! video id to its global id, then merge and print with `vdb-store`'s own
+//! rows and renderers, so a healthy cluster answers byte-identically to a
+//! single node holding the union corpus. Each reply format (the `xquery`
+//! and `xlist` rows, the `stats` line, the answer and list rows) is
+//! written once, in `vdb-store`; what stays here is routing: the gid
+//! remap and the partial marker.
 //!
-//! Correctness arguments, pinned by the cluster integration test:
-//!
-//! * **ordering** — rows are re-sorted by `(distance, (gid, shot))`
-//!   with `f64::total_cmp`, the exact tie-break `ShotIndex` uses;
-//!   distances travel as full-precision bit patterns, so the comparison
-//!   sees the very same values the shards computed.
-//! * **range counts** — the answer count is `Σ` per-shard kept counts
-//!   (then the global `limit`): range matches are disjoint across
-//!   shards, so the sum is exact.
-//! * **top-k** — shards ship their *pre-filter* top-k; the global
-//!   top-k is a subset of the union, so taking the first k of the
-//!   merge, then filtering, then limiting reproduces the single-node
-//!   `rank → filter → truncate` order exactly.
-//! * **renders show ≤ 10 rows** — so per-shard row caps of 10 (range)
-//!   lose nothing: the global top 10 is a subset of the per-shard top
-//!   10s.
+//! Rows re-sort on global ids, so equal distances tie-break on
+//! `(gid, shot)` exactly as they would on one node holding every video.
 
-use std::fmt::Write as _;
+use vdb_store::db::push_answers;
+use vdb_store::{DbStats, ListRow, ShardQueryAnswers};
 
-/// One parsed `xquery` row.
-#[derive(Debug, Clone)]
-pub struct WireRow {
-    /// Shard-local video id (mapped to a gid before merging).
-    pub video_local: u64,
-    /// Shot index within the video.
-    pub shot: u32,
-    /// Distance, exact bits.
-    pub distance: f64,
-    /// `Var^BA`, exact bits.
-    pub var_ba: f64,
-    /// `Var^OA`, exact bits.
-    pub var_oa: f64,
-    /// Representative frame of the answer's scene node.
-    pub rep_frame: usize,
-    /// Whether the genre/form filter keeps the row.
-    pub keep: bool,
-    /// Scene-node name (e.g. `SN_12^2`).
-    pub scene_name: String,
+/// Maps `(slot, shard-local id)` to the global id, `None` if unmapped.
+pub type GidOf<'a> = &'a dyn Fn(usize, u64) -> Option<u64>;
+
+fn global(gid_of: GidOf<'_>, slot: usize, local: u64) -> Result<u64, String> {
+    gid_of(slot, local).ok_or_else(|| format!("no gid for shard {slot} video {local}"))
 }
 
-/// One shard's parsed `xquery` reply.
-#[derive(Debug, Clone)]
-pub struct WireShardAnswers {
-    /// Top-k mode?
-    pub topk: bool,
-    /// Exact per-shard kept count (pre-limit).
-    pub kept_total: usize,
-    /// The spec's `k`.
-    pub k: Option<usize>,
-    /// The spec's `limit`.
-    pub limit: Option<usize>,
-    /// The rows (see [`crate::merge`] docs for what each mode ships).
-    pub rows: Vec<WireRow>,
-}
-
-fn tok<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    line.split_whitespace()
-        .find_map(|t| t.strip_prefix(key)?.strip_prefix('='))
-}
-
-fn opt_usize(v: &str) -> Result<Option<usize>, String> {
-    if v == "-" {
-        return Ok(None);
-    }
-    v.parse().map(Some).map_err(|e| format!("bad count: {e}"))
-}
-
-fn bits_f64(v: &str) -> Result<f64, String> {
-    u64::from_str_radix(v, 16)
-        .map(f64::from_bits)
-        .map_err(|e| format!("bad f64 bits: {e}"))
-}
-
-/// Parse one shard's `xquery` reply.
-pub fn parse_xquery(text: &str) -> Result<WireShardAnswers, String> {
-    let mut lines = text.lines();
-    let head = lines.next().ok_or("empty xquery reply")?;
-    let mode = tok(head, "mode").ok_or("xquery reply missing mode=")?;
-    let kept_total = tok(head, "kept")
-        .ok_or("xquery reply missing kept=")?
-        .parse::<usize>()
-        .map_err(|e| format!("bad kept: {e}"))?;
-    let k = opt_usize(tok(head, "k").ok_or("missing k=")?)?;
-    let limit = opt_usize(tok(head, "limit").ok_or("missing limit=")?)?;
-    let mut rows = Vec::new();
-    for line in lines {
-        let Some(rest) = line.strip_prefix("row ") else {
-            continue;
-        };
-        let scene_name = rest
-            .split_once("node=")
-            .ok_or("row missing node=")?
-            .1
-            .to_string();
-        rows.push(WireRow {
-            video_local: tok(rest, "v")
-                .ok_or("row missing v=")?
-                .parse()
-                .map_err(|e| format!("bad v: {e}"))?,
-            shot: tok(rest, "s")
-                .ok_or("row missing s=")?
-                .parse()
-                .map_err(|e| format!("bad s: {e}"))?,
-            distance: bits_f64(tok(rest, "d").ok_or("row missing d=")?)?,
-            var_ba: bits_f64(tok(rest, "ba").ok_or("row missing ba=")?)?,
-            var_oa: bits_f64(tok(rest, "oa").ok_or("row missing oa=")?)?,
-            rep_frame: tok(rest, "rep")
-                .ok_or("row missing rep=")?
-                .parse()
-                .map_err(|e| format!("bad rep: {e}"))?,
-            keep: tok(rest, "keep").ok_or("row missing keep=")? == "1",
-            scene_name,
-        });
-    }
-    Ok(WireShardAnswers {
-        topk: mode == "topk",
-        kept_total,
-        k,
-        limit,
-        rows,
-    })
-}
-
-/// A merged row carrying its global id.
-#[derive(Debug, Clone)]
-struct GlobalRow {
-    gid: u64,
-    row: WireRow,
-}
-
-/// Merge per-shard `xquery` replies into the single-node `query`
-/// rendering. `gid_of(slot, local_id)` maps shard rows into the global
-/// id space; an unmapped row is an error (the caller refreshes its
-/// catalog and retries).
+/// Merge per-shard `xquery` replies into the single-node `query` reply.
+/// An unmapped row is an error (the caller refreshes its catalog and
+/// retries).
 pub fn merge_query(
-    per_shard: &[(usize, WireShardAnswers)],
-    gid_of: impl Fn(usize, u64) -> Option<u64>,
+    per_shard: &[(usize, ShardQueryAnswers)],
+    gid_of: GidOf<'_>,
 ) -> Result<String, String> {
-    let Some((_, first)) = per_shard.first() else {
-        return Err("no shard answered".to_string());
-    };
-    let topk = first.topk;
-    let limit = first.limit;
-    let k = first.k;
-
-    let mut rows: Vec<GlobalRow> = Vec::new();
-    for (slot, ans) in per_shard {
-        for row in &ans.rows {
-            let gid = gid_of(*slot, row.video_local)
-                .ok_or_else(|| format!("no gid for shard {slot} video {}", row.video_local))?;
-            rows.push(GlobalRow {
-                gid,
-                row: row.clone(),
-            });
+    let mut shards = Vec::with_capacity(per_shard.len());
+    for (slot, answers) in per_shard {
+        let mut answers = answers.clone();
+        for row in &mut answers.rows {
+            row.answer.key.video = global(gid_of, *slot, row.answer.key.video)?;
         }
+        shards.push(answers);
     }
-    // The index's exact order: distance, then (video, shot) — on gids.
-    rows.sort_by(|a, b| {
-        a.row
-            .distance
-            .total_cmp(&b.row.distance)
-            .then_with(|| (a.gid, a.row.shot).cmp(&(b.gid, b.row.shot)))
-    });
-
-    let (count, render_rows): (usize, Vec<GlobalRow>) = if topk {
-        // Global rank first (first k of the pre-filter merge), filter
-        // second, limit third — the single-node order of operations.
-        let k = k.unwrap_or(rows.len());
-        rows.truncate(k);
-        let mut kept: Vec<GlobalRow> = rows.into_iter().filter(|r| r.row.keep).collect();
-        if let Some(l) = limit {
-            kept.truncate(l);
-        }
-        (kept.len(), kept)
-    } else {
-        // Disjoint shards: kept totals add exactly.
-        let mut count: usize = per_shard.iter().map(|(_, a)| a.kept_total).sum();
-        if let Some(l) = limit {
-            count = count.min(l);
-            rows.truncate(l);
-        }
-        (count, rows)
-    };
-
+    let (answers, count) = ShardQueryAnswers::merge(shards);
     let mut out = String::new();
-    let _ = writeln!(out, "  {count} answers");
-    for r in render_rows.iter().take(10) {
-        let _ = writeln!(
-            out,
-            "  video {} shot#{:<3} Var^BA={:6.2} Var^OA={:6.2} -> {} (rep frame {})",
-            r.gid,
-            r.row.shot + 1,
-            r.row.var_ba,
-            r.row.var_oa,
-            r.row.scene_name,
-            r.row.rep_frame
-        );
-    }
+    push_answers(&mut out, count, &answers);
     Ok(out)
 }
 
-/// One parsed `xlist` row.
-#[derive(Debug, Clone)]
-pub struct WireVideo {
-    /// Shard-local id.
-    pub local_id: u64,
-    /// Frame count.
-    pub frames: usize,
-    /// Duration in seconds, exact bits.
-    pub duration_secs: f64,
-    /// Video name (may contain spaces).
-    pub name: String,
-}
-
-/// Parse one shard's `xlist` reply.
-pub fn parse_xlist(text: &str) -> Result<Vec<WireVideo>, String> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let Some(rest) = line.strip_prefix("video ") else {
-            continue;
-        };
-        let name = rest
-            .split_once("name=")
-            .ok_or("xlist row missing name=")?
-            .1
-            .to_string();
-        out.push(WireVideo {
-            local_id: tok(rest, "id")
-                .ok_or("xlist row missing id=")?
-                .parse()
-                .map_err(|e| format!("bad id: {e}"))?,
-            frames: tok(rest, "frames")
-                .ok_or("xlist row missing frames=")?
-                .parse()
-                .map_err(|e| format!("bad frames: {e}"))?,
-            duration_secs: bits_f64(tok(rest, "dur").ok_or("xlist row missing dur=")?)?,
-            name,
-        });
-    }
-    Ok(out)
-}
-
-/// Merge per-shard `xlist` replies into the single-node `list`
-/// rendering, ordered by gid.
+/// Merge per-shard `xlist` replies into the single-node `list` reply,
+/// ordered by gid.
 pub fn merge_list(
-    per_shard: &[(usize, Vec<WireVideo>)],
-    gid_of: impl Fn(usize, u64) -> Option<u64>,
+    per_shard: &[(usize, Vec<ListRow>)],
+    gid_of: GidOf<'_>,
 ) -> Result<String, String> {
-    let mut rows: Vec<(u64, &WireVideo)> = Vec::new();
-    for (slot, videos) in per_shard {
-        for v in videos {
-            let gid = gid_of(*slot, v.local_id)
-                .ok_or_else(|| format!("no gid for shard {slot} video {}", v.local_id))?;
-            rows.push((gid, v));
+    let mut rows = Vec::new();
+    for (slot, list) in per_shard {
+        for row in list {
+            let id = global(gid_of, *slot, row.id)?;
+            rows.push(ListRow { id, ..row.clone() });
         }
     }
-    rows.sort_by_key(|(gid, _)| *gid);
+    rows.sort_by_key(|row| row.id);
     let mut out = String::new();
-    for (gid, v) in rows {
-        let _ = writeln!(
-            out,
-            "  {:>3}  {:<24} {:>6} frames  {:>5.1}s",
-            gid, v.name, v.frames, v.duration_secs
-        );
+    for row in &rows {
+        row.render(&mut out);
     }
     Ok(out)
 }
 
-/// The six numbers of a shard's `stats` db line.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WireDbStats {
-    /// Registered videos.
-    pub videos: usize,
-    /// Total shots.
-    pub shots: usize,
-    /// Total frames.
-    pub frames: usize,
-    /// Total scene-tree nodes.
-    pub scene_nodes: usize,
-    /// Height of the tallest tree.
-    pub max_tree_height: usize,
-    /// Variance-index rows.
-    pub index_rows: usize,
-}
-
-/// Parse the first (`  videos … index rows …`) line of a `stats` reply.
-pub fn parse_stats(text: &str) -> Result<WireDbStats, String> {
-    let line = text.lines().next().ok_or("empty stats reply")?;
-    let nums: Vec<usize> = line
-        .split_whitespace()
-        .filter_map(|t| t.parse().ok())
-        .collect();
-    match nums[..] {
-        [videos, shots, frames, scene_nodes, max_tree_height, index_rows] => Ok(WireDbStats {
-            videos,
-            shots,
-            frames,
-            scene_nodes,
-            max_tree_height,
-            index_rows,
-        }),
-        _ => Err(format!("unparseable stats line '{line}'")),
+/// Merge the first line of each shard's `stats` reply into the line a
+/// single node holding every shard's videos prints.
+pub fn merge_stats(per_shard: &[(usize, String)]) -> Result<String, String> {
+    let mut merged = DbStats::default();
+    for (slot, text) in per_shard {
+        let line = text.lines().next().unwrap_or("");
+        let stats: DbStats = line
+            .parse()
+            .map_err(|e| format!("shard {slot} sent an unparseable stats reply: {e}"))?;
+        merged = merged.union(stats);
     }
-}
-
-/// Merge shard db stats: sums everywhere, max for tree height —
-/// rendered exactly like a single node's db line.
-pub fn merge_stats(per_shard: &[WireDbStats]) -> String {
-    let mut m = WireDbStats::default();
-    for s in per_shard {
-        m.videos += s.videos;
-        m.shots += s.shots;
-        m.frames += s.frames;
-        m.scene_nodes += s.scene_nodes;
-        m.max_tree_height = m.max_tree_height.max(s.max_tree_height);
-        m.index_rows += s.index_rows;
-    }
-    format!(
-        "  videos {}  shots {}  frames {}  scene nodes {}  tallest tree {}  index rows {}\n",
-        m.videos, m.shots, m.frames, m.scene_nodes, m.max_tree_height, m.index_rows
-    )
+    Ok(format!("  {merged}\n"))
 }
 
 /// The `partial=` marker appended to a degraded scatter-gather answer:
@@ -335,59 +85,76 @@ pub fn partial_marker(ok: usize, total: usize, missing: &[usize]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vdb_core::index::ShotKey;
+    use vdb_store::{QueryAnswer, ShardQueryRow};
 
-    fn row(v: u64, s: u32, d: f64, keep: bool) -> WireRow {
-        WireRow {
-            video_local: v,
-            shot: s,
-            distance: d,
-            var_ba: 1.5,
-            var_oa: 20.25,
-            rep_frame: 3,
-            keep,
-            scene_name: format!("SN_{}^1", s + 1),
+    fn row(v: u64, s: u32, d: f64) -> ShardQueryRow {
+        ShardQueryRow {
+            answer: QueryAnswer {
+                key: ShotKey { video: v, shot: s },
+                distance: d,
+                var_ba: 1.5,
+                var_oa: 20.25,
+                scene_node: 0,
+                scene_name: format!("SN_{}^1", s + 1),
+                rep_frame: 3,
+            },
+            keep: true,
+        }
+    }
+
+    fn range(rows: Vec<ShardQueryRow>) -> ShardQueryAnswers {
+        ShardQueryAnswers {
+            k: None,
+            limit: None,
+            kept_total: rows.len(),
+            rows,
         }
     }
 
     #[test]
     fn xquery_reply_round_trips() {
         let text = format!(
-            "mode=topk kept=1 k=5 limit=-\nrow v=2 s=7 d={:016x} ba={:016x} oa={:016x} rep=42 keep=1 node=SN_8^2\n",
+            "mode=topk kept=1 k=5 limit=-\nrow v=2 s=7 d={:016x} ba={:016x} oa={:016x} rep=42 keep=1 nid=3 node=SN_8^2\n",
             0.25f64.to_bits(),
             1.5f64.to_bits(),
             20.25f64.to_bits()
         );
-        let parsed = parse_xquery(&text).unwrap();
-        assert!(parsed.topk);
-        assert_eq!(parsed.kept_total, 1);
+        let parsed = ShardQueryAnswers::decode(&text).unwrap();
         assert_eq!(parsed.k, Some(5));
+        assert_eq!(parsed.kept_total, 1);
         assert_eq!(parsed.limit, None);
         assert_eq!(parsed.rows.len(), 1);
         let r = &parsed.rows[0];
-        assert_eq!((r.video_local, r.shot, r.rep_frame), (2, 7, 42));
-        assert_eq!(r.distance, 0.25);
-        assert_eq!(r.scene_name, "SN_8^2");
+        assert!(r.keep);
+        let a = &r.answer;
+        assert_eq!((a.key.video, a.key.shot, a.rep_frame), (2, 7, 42));
+        assert_eq!((a.distance, a.var_ba, a.var_oa), (0.25, 1.5, 20.25));
+        assert_eq!((a.scene_node, a.scene_name.as_str()), (3, "SN_8^2"));
+        assert_eq!(parsed.encode(), text);
     }
 
     #[test]
     fn topk_merge_ranks_before_filtering() {
         // Shard 0's nearest row is filtered out; single-node top-2 would
         // rank it anyway and then drop it — count must be 1, not 2.
-        let a = WireShardAnswers {
-            topk: true,
-            kept_total: 1,
+        let dropped = ShardQueryRow {
+            keep: false,
+            ..row(0, 0, 0.1)
+        };
+        let a = ShardQueryAnswers {
             k: Some(2),
             limit: None,
-            rows: vec![row(0, 0, 0.1, false), row(0, 1, 0.9, true)],
-        };
-        let b = WireShardAnswers {
-            topk: true,
             kept_total: 1,
+            rows: vec![dropped, row(0, 1, 0.9)],
+        };
+        let b = ShardQueryAnswers {
             k: Some(2),
             limit: None,
-            rows: vec![row(0, 0, 0.5, true)],
+            kept_total: 1,
+            rows: vec![row(0, 0, 0.5)],
         };
-        let text = merge_query(&[(0, a), (1, b)], |slot, local| {
+        let text = merge_query(&[(0, a), (1, b)], &|slot, local| {
             Some(slot as u64 * 10 + local)
         })
         .unwrap();
@@ -399,22 +166,11 @@ mod tests {
 
     #[test]
     fn range_merge_orders_by_distance_then_key() {
-        let a = WireShardAnswers {
-            topk: false,
-            kept_total: 2,
-            k: None,
-            limit: None,
-            rows: vec![row(0, 3, 0.5, true), row(0, 9, 0.7, true)],
-        };
-        let b = WireShardAnswers {
-            topk: false,
-            kept_total: 1,
-            k: None,
-            limit: None,
-            rows: vec![row(0, 1, 0.5, true)],
-        };
-        // Equal distances tie-break on (gid, shot): gid 0 before gid 10.
-        let text = merge_query(&[(1, a), (0, b)], |slot, local| {
+        let a = range(vec![row(0, 3, 0.5), row(0, 9, 0.7)]);
+        let b = range(vec![row(0, 1, 0.5)]);
+        // Equal distances tie-break on (gid, shot): gid 0 before gid 10,
+        // though slot 1's local id sorts first.
+        let text = merge_query(&[(1, a), (0, b)], &|slot, local| {
             Some(slot as u64 * 10 + local)
         })
         .unwrap();
@@ -427,30 +183,47 @@ mod tests {
 
     #[test]
     fn range_limit_caps_count_and_rows() {
-        let a = WireShardAnswers {
-            topk: false,
-            kept_total: 8,
-            k: None,
+        let a = ShardQueryAnswers {
             limit: Some(2),
-            rows: (0..8).map(|i| row(0, i, 0.1 * i as f64, true)).collect(),
+            ..range((0..8).map(|i| row(0, i, 0.1 * i as f64)).collect())
         };
-        let text = merge_query(&[(0, a)], |_, local| Some(local)).unwrap();
+        let text = merge_query(&[(0, a)], &|_, local| Some(local)).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines[0], "  2 answers");
         assert_eq!(lines.len(), 3);
     }
 
     #[test]
+    fn an_unmapped_video_is_an_error_naming_it() {
+        let a = range(vec![row(0, 0, 0.1)]);
+        let b = range(vec![row(4, 0, 0.2)]);
+        let known = |slot: usize, local: u64| (slot, local) == (0, 0);
+        let err = merge_query(&[(0, a), (1, b)], &|slot, local| {
+            known(slot, local).then_some(7)
+        })
+        .unwrap_err();
+        assert_eq!(err, "no gid for shard 1 video 4");
+        let list = ListRow {
+            id: 4,
+            name: "x".to_string(),
+            frames: 1,
+            duration_secs: 1.0,
+        };
+        let err = merge_list(&[(1, vec![list])], &|_, _| None).unwrap_err();
+        assert_eq!(err, "no gid for shard 1 video 4");
+    }
+
+    #[test]
     fn list_merge_orders_by_gid() {
-        let v = |id, name: &str| WireVideo {
-            local_id: id,
+        let v = |id, name: &str| ListRow {
+            id,
+            name: name.to_string(),
             frames: 96,
             duration_secs: 8.0,
-            name: name.to_string(),
         };
         let text = merge_list(
             &[(0, vec![v(0, "b movie")]), (1, vec![v(0, "a movie")])],
-            |slot, _| Some(1 - slot as u64),
+            &|slot, _| Some(1 - slot as u64),
         )
         .unwrap();
         let lines: Vec<&str> = text.lines().collect();
@@ -460,14 +233,18 @@ mod tests {
 
     #[test]
     fn stats_parse_and_merge() {
-        let s = parse_stats("  videos 2  shots 14  frames 192  scene nodes 30  tallest tree 4  index rows 14\nmore\n")
-            .unwrap();
-        assert_eq!(s.videos, 2);
-        assert_eq!(s.index_rows, 14);
-        let merged = merge_stats(&[s, s]);
+        let reply =
+            "  videos 2  shots 14  frames 192  scene nodes 30  tallest tree 4  index rows 14\nmore\n";
+        let short = "  videos 1  shots 5  frames 60  scene nodes 9  tallest tree 3  index rows 5\n";
+        let merged = merge_stats(&[(0, reply.to_string()), (1, short.to_string())]).unwrap();
         assert_eq!(
             merged,
-            "  videos 4  shots 28  frames 384  scene nodes 60  tallest tree 4  index rows 28\n"
+            "  videos 3  shots 19  frames 252  scene nodes 39  tallest tree 4  index rows 19\n"
+        );
+        let err = merge_stats(&[(2, "  videos 2  shots x\n".to_string())]).unwrap_err();
+        assert!(
+            err.starts_with("shard 2 sent an unparseable stats reply"),
+            "{err}"
         );
         assert_eq!(partial_marker(2, 3, &[1]), "  partial=2/3 missing=1\n");
     }

@@ -27,6 +27,8 @@ use vdb_server::protocol::{
     decode_stream_request, encode_stream_request, StreamRequest, DEFAULT_MAX_FRAME,
 };
 use vdb_server::server::{FrontEnd, FrontEndConfig, Handler, Reply};
+use vdb_store::query::field;
+use vdb_store::{DbError, ListRow, QuerySpec, ShardQueryAnswers, Taxonomy};
 
 use crate::catalog::RouterCatalog;
 use crate::exec::{call_shard, scatter, RouterObs, ScatterOptions, ShardOutcome};
@@ -155,6 +157,8 @@ pub(crate) struct RouterCtx {
     pub metrics: Arc<ServerMetrics>,
     pub shutdown: Arc<AtomicBool>,
     pub config: RouterConfig,
+    /// Resolves a query's `genre=`/`form=` names, as a shard's does.
+    taxonomy: Taxonomy,
     next_sid: AtomicU32,
 }
 
@@ -239,6 +243,7 @@ impl Router {
             metrics: Arc::clone(&metrics),
             shutdown: Arc::clone(&shutdown),
             config,
+            taxonomy: Taxonomy::new(),
             next_sid: AtomicU32::new(1),
         };
         let threads = front.serve(
@@ -364,7 +369,10 @@ fn dispatch(ctx: &RouterCtx, line: &str) -> Reply {
         "help" => return (CommandKind::Help, Ok(help_text())),
         "ring" => return (CommandKind::Other, Ok(render_ring(ctx))),
         "refresh" => return (CommandKind::Other, refresh_catalog(ctx)),
-        "list" => return (CommandKind::List, list(ctx)),
+        "list" => {
+            let list = scatter_merge(ctx, "xlist", ListRow::decode_all, merge::merge_list);
+            return (CommandKind::List, list);
+        }
         "stats" => return (CommandKind::Stats, stats(ctx)),
         "metrics" => {
             let snap = ctx.metrics.snapshot();
@@ -491,98 +499,72 @@ fn split_outcomes(outcomes: Vec<ShardOutcome<String>>) -> (Vec<(usize, String)>,
     (oks, missing)
 }
 
-fn degraded(total: usize, oks: usize, missing: &[usize]) -> Option<String> {
-    if missing.is_empty() {
-        None
-    } else {
-        Some(merge::partial_marker(oks, total, missing))
+/// Merges decoded shard replies, mapping ids through the catalog.
+type MergeFn<T> = fn(&[(usize, T)], merge::GidOf<'_>) -> Result<String, String>;
+
+/// `query` and `list`: scatter `line` to every active shard, decode each
+/// reply, and merge them into the single node's reply. A shard-local id
+/// the catalog does not map (it is stale: a shard was loaded
+/// out-of-band) rebuilds the catalog and merges once more. A shard that
+/// missed adds the partial marker.
+fn scatter_merge<T>(
+    ctx: &RouterCtx,
+    line: &str,
+    decode: fn(&str) -> Result<T, String>,
+    merge: MergeFn<T>,
+) -> Result<String, String> {
+    let total = ctx.active_slots().len();
+    let outcomes = scatter_line(ctx, line);
+    let first_err = outcomes
+        .iter()
+        .find_map(|o| o.result.as_ref().err().map(|e| e.to_string()));
+    let (oks, missing) = split_outcomes(outcomes);
+    if oks.is_empty() {
+        return Err(first_err.unwrap_or_else(|| "no shard answered".to_string()));
     }
+    let word = line.split_whitespace().next().unwrap_or(line);
+    let decoded = oks
+        .iter()
+        .map(|(slot, text)| match decode(text) {
+            Ok(reply) => Ok((*slot, reply)),
+            Err(e) => Err(format!(
+                "shard {slot} sent an unparseable {word} reply: {e}"
+            )),
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let gid_of = |slot: usize, local: u64| ctx.catalog.gid_of_local(slot, local);
+    let mut out = match merge(&decoded, &gid_of) {
+        Ok(out) => out,
+        Err(_) => {
+            refresh_catalog(ctx)?;
+            merge(&decoded, &gid_of)?
+        }
+    };
+    if !missing.is_empty() {
+        out.push_str(&merge::partial_marker(oks.len(), total, &missing));
+    }
+    Ok(out)
 }
 
-/// `query <spec>`: scatter `xquery`, merge exactly, mark partials.
+/// `query <spec>`: parse it as a shard would, then scatter `xquery`. A
+/// spec that does not parse gets the single node's reply, and no shard
+/// sees it.
 fn query(ctx: &RouterCtx, rest: &str) -> Result<String, String> {
-    // Keys are matched the way `QuerySpec::parse` reads them: split at
-    // the first `=`, compared case-insensitively.
-    if let Some(k) = rest.split_whitespace().find_map(|t| {
-        let (key, value) = t.split_once('=')?;
-        if key.eq_ignore_ascii_case("k") {
-            value.parse::<usize>().ok()
-        } else {
-            None
-        }
-    }) {
-        if k > MAX_DISTRIBUTED_K {
-            return Err(format!(
-                "k={k} too large for a distributed merge (max {MAX_DISTRIBUTED_K})"
-            ));
-        }
-    }
-    let total = ctx.active_slots().len();
-    let outcomes = scatter_line(ctx, &format!("xquery {rest}"));
-    let first_err = outcomes
-        .iter()
-        .find_map(|o| o.result.as_ref().err().map(|e| e.to_string()));
-    let (oks, missing) = split_outcomes(outcomes);
-    if oks.is_empty() {
-        return Err(first_err.unwrap_or_else(|| "no shard answered".to_string()));
-    }
-    let mut parsed = Vec::with_capacity(oks.len());
-    for (slot, text) in &oks {
-        parsed.push((
-            *slot,
-            merge::parse_xquery(text)
-                .map_err(|e| format!("shard {slot} sent an unparseable xquery reply: {e}"))?,
+    let spec = match QuerySpec::parse(rest, &ctx.taxonomy) {
+        Ok(spec) => spec,
+        Err(e) => return Ok(format!("  {}\n", DbError::Query(e))),
+    };
+    if let Some(k) = spec.k.filter(|&k| k > MAX_DISTRIBUTED_K) {
+        return Err(format!(
+            "k={k} too large for a distributed merge (max {MAX_DISTRIBUTED_K})"
         ));
     }
-    let gid_of = |slot: usize, local: u64| ctx.catalog.gid_of_local(slot, local);
-    let merged = match merge::merge_query(&parsed, gid_of) {
-        Ok(m) => m,
-        Err(_) => {
-            // An unmapped local id means the catalog is stale (a shard
-            // was loaded out-of-band); rebuild it and retry once.
-            refresh_catalog(ctx)?;
-            merge::merge_query(&parsed, gid_of)?
-        }
-    };
-    let mut out = merged;
-    if let Some(marker) = degraded(total, oks.len(), &missing) {
-        out.push_str(&marker);
-    }
-    Ok(out)
-}
-
-/// `list`: scatter `xlist`, merge by gid, mark partials.
-fn list(ctx: &RouterCtx) -> Result<String, String> {
-    let total = ctx.active_slots().len();
-    let outcomes = scatter_line(ctx, "xlist");
-    let first_err = outcomes
-        .iter()
-        .find_map(|o| o.result.as_ref().err().map(|e| e.to_string()));
-    let (oks, missing) = split_outcomes(outcomes);
-    if oks.is_empty() {
-        return Err(first_err.unwrap_or_else(|| "no shard answered".to_string()));
-    }
-    let mut parsed = Vec::with_capacity(oks.len());
-    for (slot, text) in &oks {
-        parsed.push((
-            *slot,
-            merge::parse_xlist(text)
-                .map_err(|e| format!("shard {slot} sent an unparseable xlist reply: {e}"))?,
-        ));
-    }
-    let gid_of = |slot: usize, local: u64| ctx.catalog.gid_of_local(slot, local);
-    let merged = match merge::merge_list(&parsed, gid_of) {
-        Ok(m) => m,
-        Err(_) => {
-            refresh_catalog(ctx)?;
-            merge::merge_list(&parsed, gid_of)?
-        }
-    };
-    let mut out = merged;
-    if let Some(marker) = degraded(total, oks.len(), &missing) {
-        out.push_str(&marker);
-    }
-    Ok(out)
+    scatter_merge(
+        ctx,
+        &format!("xquery {rest}"),
+        ShardQueryAnswers::decode,
+        merge::merge_query,
+    )
 }
 
 /// `stats`: merged db line, then `router.*` lines in the same
@@ -590,16 +572,8 @@ fn list(ctx: &RouterCtx) -> Result<String, String> {
 /// marker if any shard missed.
 fn stats(ctx: &RouterCtx) -> Result<String, String> {
     let total = ctx.active_slots().len();
-    let outcomes = scatter_line(ctx, "stats");
-    let (oks, missing) = split_outcomes(outcomes);
-    let mut shard_stats = Vec::with_capacity(oks.len());
-    for (slot, text) in &oks {
-        shard_stats.push(
-            merge::parse_stats(text)
-                .map_err(|e| format!("shard {slot} sent an unparseable stats reply: {e}"))?,
-        );
-    }
-    let mut out = merge::merge_stats(&shard_stats);
+    let (oks, missing) = split_outcomes(scatter_line(ctx, "stats"));
+    let mut out = merge::merge_stats(&oks)?;
     let ring = ctx.ring.lock().unwrap();
     use std::fmt::Write as _;
     let _ = write!(
@@ -611,8 +585,8 @@ fn stats(ctx: &RouterCtx) -> Result<String, String> {
     );
     drop(ring);
     out.push_str(&ctx.metrics.snapshot().0.render_kv("router"));
-    if let Some(marker) = degraded(total, oks.len(), &missing) {
-        out.push_str(&marker);
+    if !missing.is_empty() {
+        out.push_str(&merge::partial_marker(oks.len(), total, &missing));
     }
     Ok(out)
 }
@@ -628,10 +602,10 @@ fn refresh_catalog(ctx: &RouterCtx) -> Result<String, String> {
         let text = o
             .result
             .map_err(|e| format!("refresh requires every shard: {e}"))?;
-        let videos = merge::parse_xlist(&text)
+        let videos = ListRow::decode_all(&text)
             .map_err(|e| format!("shard {} sent an unparseable xlist reply: {e}", o.slot))?;
         shards += 1;
-        rows.extend(videos.into_iter().map(|v| (o.slot, v.local_id, v.name)));
+        rows.extend(videos.into_iter().map(|v| (o.slot, v.id, v.name)));
     }
     let n = rows.len();
     ctx.catalog.rebuild(rows);
@@ -694,11 +668,6 @@ fn remove(ctx: &RouterCtx, rest: &str) -> Result<String, String> {
     outcome.result.map_err(|e| e.to_string())?;
     ctx.catalog.remove(gid);
     Ok(format!("  removed video {gid}\n"))
-}
-
-fn field(text: &str, key: &str) -> Option<String> {
-    text.split_whitespace()
-        .find_map(|tok| tok.strip_prefix(key)?.strip_prefix('=').map(str::to_string))
 }
 
 /// Proxy one binary streaming-ingest message. Opens route by video name
@@ -844,7 +813,7 @@ fn proxy_open(
     let ds_session = field(&resp.text, "session")
         .and_then(|v| v.parse::<u32>().ok())
         .ok_or_else(|| "shard sent a malformed stream-open reply".to_string())?;
-    let credits = field(&resp.text, "credits").unwrap_or_else(|| "1".to_string());
+    let credits = field(&resp.text, "credits").unwrap_or("1");
     let rsid = ctx.next_sid.fetch_add(1, Ordering::SeqCst);
     proxies.insert(
         rsid,

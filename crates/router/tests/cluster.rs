@@ -326,6 +326,45 @@ fn rebalance_drains_a_shard_with_stable_gids() {
     }
 }
 
+/// A query that does not parse gets the single node's reply, status and
+/// text, through the router: the router parses it before it scatters,
+/// so no shard sees it and nothing counts as a shard failure.
+#[test]
+fn unparseable_queries_answer_like_the_single_node() {
+    let shards: Vec<ServerHandle> = (0..2).map(shard).collect();
+    let router = router_over(&shards.iter().collect::<Vec<_>>(), RouterConfig::default());
+    let single = shard(9);
+    let mut via_router = Client::connect(router.addr()).expect("connect router");
+    let mut via_single = Client::connect(single.addr()).expect("connect single");
+    for line in [
+        "query ba=x oa=1",
+        "query",
+        "query ba=1",
+        "query ba=1 oa=1 genre=nope",
+    ] {
+        let got = via_router.request(line).expect("router response");
+        let want = via_single.request(line).expect("single response");
+        assert_eq!((got.ok, &got.text), (want.ok, &want.text), "'{line}'");
+        assert!(
+            got.text.starts_with("  query error: "),
+            "'{line}': {}",
+            got.text
+        );
+    }
+    let metrics = router.metrics();
+    for key in [
+        "router.partials",
+        "router.shard.0.errors",
+        "router.shard.1.errors",
+    ] {
+        assert_eq!(metrics.0.counter(key), Some(0), "{key}");
+    }
+    router.shutdown();
+    for s in shards.into_iter().chain([single]) {
+        s.shutdown().expect("shard shutdown");
+    }
+}
+
 #[test]
 fn oversized_k_is_rejected_upfront() {
     let healthy = shard(0);

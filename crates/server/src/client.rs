@@ -14,6 +14,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 use vdb_core::frame::FrameBuf;
 use vdb_core::pixel::rgb_as_bytes;
+use vdb_store::query::field;
 
 /// Why a request failed.
 #[derive(Debug)]
@@ -257,11 +258,6 @@ impl Client {
     pub fn into_stream(self) -> TcpStream {
         self.stream
     }
-}
-
-fn field<'a>(text: &'a str, key: &str) -> Option<&'a str> {
-    text.split_whitespace()
-        .find_map(|tok| tok.strip_prefix(key)?.strip_prefix('='))
 }
 
 fn bad_open_reply() -> ClientError {

@@ -40,6 +40,7 @@ use vdb_obs::global_tracer;
 pub use vdb_store::concurrent::ServerStore;
 use vdb_store::db::DbError;
 use vdb_store::shell::{self, Command};
+use vdb_store::ListRow;
 
 /// Tunables for a [`Server`].
 #[derive(Debug, Clone)]
@@ -961,62 +962,24 @@ fn dispatch(ctx: &WorkerCtx, line: &str) -> Reply {
     }
 }
 
-/// `xlist`: machine-readable catalog rows for the router. Fixed-key
-/// tokens first, the name last (names may contain spaces); `dur=` is the
-/// full-precision bit pattern of the duration so a merged `list` renders
-/// byte-identically to a single node.
+/// `xlist`: one [`ListRow`] line per video, for the router's merge.
 fn xlist(ctx: &WorkerCtx) -> String {
     ctx.store.read(|db| {
-        use std::fmt::Write as _;
         let mut out = String::new();
         for meta in db.catalog().all() {
-            let _ = writeln!(
-                out,
-                "video id={} frames={} dur={:016x} name={}",
-                meta.id,
-                meta.frame_count,
-                meta.duration_secs().to_bits(),
-                meta.name
-            );
+            ListRow::of(meta).encode(&mut out);
         }
         out
     })
 }
 
-/// `xquery <text>`: one shard's contribution to a distributed query —
-/// a `mode=… kept=… k=… limit=…` header, then full-precision rows
-/// (`d=`/`ba=`/`oa=` are f64 bit patterns) the router re-merges with the
-/// exact `(distance, ShotKey)` tie-break the index uses.
+/// `xquery <text>`: one shard's contribution to a distributed query
+/// (see [`vdb_store::ShardQueryAnswers::encode`]).
 fn xquery(ctx: &WorkerCtx, text: &str) -> Result<String, String> {
-    let sharded = ctx
-        .store
+    ctx.store
         .read(|db| db.query_str_sharded(text))
-        .map_err(|e| e.to_string())?;
-    use std::fmt::Write as _;
-    let dash = || "-".to_string();
-    let mut out = format!(
-        "mode={} kept={} k={} limit={}\n",
-        if sharded.k.is_some() { "topk" } else { "range" },
-        sharded.kept_total,
-        sharded.k.map(|v| v.to_string()).unwrap_or_else(dash),
-        sharded.limit.map(|v| v.to_string()).unwrap_or_else(dash),
-    );
-    for row in &sharded.rows {
-        let a = &row.answer;
-        let _ = writeln!(
-            out,
-            "row v={} s={} d={:016x} ba={:016x} oa={:016x} rep={} keep={} node={}",
-            a.key.video,
-            a.key.shot,
-            a.distance.to_bits(),
-            a.var_ba.to_bits(),
-            a.var_oa.to_bits(),
-            a.rep_frame,
-            row.keep as u8,
-            a.scene_name
-        );
-    }
-    Ok(out)
+        .map(|answers| answers.encode())
+        .map_err(|e| e.to_string())
 }
 
 /// `export <id>`: the video's transfer record (analysis + catalog

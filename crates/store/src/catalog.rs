@@ -10,7 +10,9 @@
 //! Heart' = adventure + biographical feature; 'Dr. Zhivago' = adaptation +
 //! historical + romance feature).
 
+use crate::query::{parse_bits, parse_field};
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Number of genres in the taxonomy \[26\].
@@ -231,6 +233,70 @@ impl VideoMeta {
     /// Duration in seconds at the analysis rate.
     pub fn duration_secs(&self) -> f64 {
         self.frame_count as f64 / self.fps
+    }
+}
+
+/// One `list` row: what the shell prints for a video, and what a shard
+/// ships the router for it as an `xlist` line.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ListRow {
+    /// The video id (shard-local until the router maps it).
+    pub id: u64,
+    /// Display name.
+    pub name: String,
+    /// Frames in the analyzed video.
+    pub frames: usize,
+    /// Duration in seconds at the analysis rate.
+    pub duration_secs: f64,
+}
+
+impl ListRow {
+    /// The row of one catalogued video.
+    pub fn of(meta: &VideoMeta) -> ListRow {
+        ListRow {
+            id: meta.id,
+            name: meta.name.clone(),
+            frames: meta.frame_count,
+            duration_secs: meta.duration_secs(),
+        }
+    }
+
+    /// Append the row as the shell's `list` prints it.
+    pub fn render(&self, out: &mut String) {
+        let _ = writeln!(
+            out,
+            "  {:>3}  {:<24} {:>6} frames  {:>5.1}s",
+            self.id, self.name, self.frames, self.duration_secs
+        );
+    }
+
+    /// Append the row as an `xlist` line: fixed-key tokens first, the
+    /// name last (names may contain spaces), the duration as its bit
+    /// pattern so a merged `list` prints exactly what one node prints.
+    pub fn encode(&self, out: &mut String) {
+        let _ = writeln!(
+            out,
+            "video id={} frames={} dur={:016x} name={}",
+            self.id,
+            self.frames,
+            self.duration_secs.to_bits(),
+            self.name
+        );
+    }
+
+    /// Every row of an `xlist` reply.
+    pub fn decode_all(text: &str) -> Result<Vec<ListRow>, String> {
+        let rows = text.lines().filter_map(|line| line.strip_prefix("video "));
+        rows.map(|row| {
+            let (fixed, name) = row.split_once("name=").ok_or("missing name=")?;
+            Ok(ListRow {
+                id: parse_field(fixed, "id")?,
+                name: name.to_string(),
+                frames: parse_field(fixed, "frames")?,
+                duration_secs: parse_bits(fixed, "dur")?,
+            })
+        })
+        .collect()
     }
 }
 

@@ -11,7 +11,8 @@ use crate::backend::{CommitTicket, DbBackend};
 use crate::catalog::{Catalog, FormId, GenreId, IdMap, Taxonomy, VideoMeta};
 use crate::codec::{self, Codec, Varint};
 use crate::pages::{read_segment_file, Record, SegmentError, SegmentWriter};
-use crate::query::QuerySpec;
+use crate::query::{field, parse_bits, parse_field, QuerySpec};
+use std::fmt::Write as _;
 use std::path::Path;
 use vdb_core::analyzer::{AnalyzerConfig, VideoAnalysis};
 use vdb_core::frame::Video;
@@ -255,35 +256,33 @@ pub struct QueryAnswer {
     pub rep_frame: usize,
 }
 
-/// Range-mode shards ship at most this many rows per query: a merged
-/// render shows at most 10 answers, and the global top 10 is always a
-/// subset of the union of per-shard top 10s.
-pub const SHARD_QUERY_ROW_CAP: usize = 10;
+/// How many answer rows a `query` or `explain` reply shows. A single
+/// node builds no more than this, and a range-mode shard ships no more
+/// than this: the global top rows are always a subset of the union of
+/// the per-shard top rows.
+pub const SHOWN_ANSWERS: usize = 10;
 
-/// One per-shard row of a distributed query (see
-/// [`VideoDatabase::query_str_sharded`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardQueryRow {
-    /// The answer; `distance` carries full precision for the global merge.
-    pub answer: QueryAnswer,
-    /// Whether the spec's genre/form predicate keeps this row.
-    pub keep: bool,
+/// Append the count line and the shown answers to `out`: the one
+/// rendering of a `query` or `explain` reply, a single node's or the
+/// router's merge.
+pub fn push_answers(out: &mut String, count: usize, answers: &[QueryAnswer]) {
+    let _ = writeln!(out, "  {count} answers");
+    for a in answers {
+        let _ = writeln!(
+            out,
+            "  video {} shot#{:<3} Var^BA={:6.2} Var^OA={:6.2} -> {} (rep frame {})",
+            a.key.video,
+            a.key.shot + 1,
+            a.var_ba,
+            a.var_oa,
+            a.scene_name,
+            a.rep_frame
+        );
+    }
 }
 
-/// A shard's contribution to a distributed query.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardQueryAnswers {
-    /// `Some(k)` when the spec ran in top-k mode.
-    pub k: Option<usize>,
-    /// The spec's `limit`, to be applied globally by the coordinator.
-    pub limit: Option<usize>,
-    /// Rows for the merger (see [`VideoDatabase::query_str_sharded`]).
-    pub rows: Vec<ShardQueryRow>,
-    /// Rows surviving the filter on this shard, pre-limit (exact).
-    pub kept_total: usize,
-}
-
-/// Aggregate database statistics (see [`VideoDatabase::stats`]).
+/// Aggregate database statistics (see [`VideoDatabase::stats`]). It
+/// displays as the `stats` reply's first line and parses back from it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DbStats {
     /// Registered videos.
@@ -298,6 +297,65 @@ pub struct DbStats {
     pub max_tree_height: usize,
     /// Rows in the variance index (== `shots`).
     pub index_rows: usize,
+}
+
+impl DbStats {
+    /// The statistics of a database holding both databases' videos
+    /// (disjoint sets): every count adds, the tallest tree is the taller.
+    pub fn union(self, other: DbStats) -> DbStats {
+        DbStats {
+            videos: self.videos + other.videos,
+            shots: self.shots + other.shots,
+            frames: self.frames + other.frames,
+            scene_nodes: self.scene_nodes + other.scene_nodes,
+            max_tree_height: self.max_tree_height.max(other.max_tree_height),
+            index_rows: self.index_rows + other.index_rows,
+        }
+    }
+}
+
+impl std::fmt::Display for DbStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "videos {}  shots {}  frames {}  scene nodes {}  tallest tree {}  index rows {}",
+            self.videos,
+            self.shots,
+            self.frames,
+            self.scene_nodes,
+            self.max_tree_height,
+            self.index_rows
+        )
+    }
+}
+
+impl std::str::FromStr for DbStats {
+    type Err = String;
+
+    /// Parse exactly what `Display` writes (surrounding whitespace
+    /// allowed): the six numbers in order, and a line that displays back
+    /// to itself, labels and spacing included.
+    fn from_str(line: &str) -> Result<DbStats, String> {
+        let numbers: Vec<usize> = line
+            .split_whitespace()
+            .filter_map(|t| t.parse().ok())
+            .collect();
+        let stats = match numbers[..] {
+            [videos, shots, frames, scene_nodes, max_tree_height, index_rows] => DbStats {
+                videos,
+                shots,
+                frames,
+                scene_nodes,
+                max_tree_height,
+                index_rows,
+            },
+            _ => DbStats::default(),
+        };
+        if stats.to_string() != line.trim() {
+            return Err(format!("unparseable stats line '{line}'"));
+        }
+        Ok(stats)
+    }
 }
 
 pub(crate) const TAG_META: u8 = 1;
@@ -634,59 +692,6 @@ impl VideoDatabase {
         Ok((answers, count, explain))
     }
 
-    /// One shard's contribution to a distributed query (the `xquery` wire
-    /// extra): the same parse and answer walk as [`Self::query_text`],
-    /// but the `limit` is *not* applied —
-    /// it must run globally, after the coordinator has re-merged rows
-    /// from every shard:
-    ///
-    /// - **range mode**: the first [`SHARD_QUERY_ROW_CAP`] rows the
-    ///   spec's genre/form predicate keeps, nearest first (a render shows
-    ///   at most that many, and the global top rows are a subset of the
-    ///   per-shard top rows). `kept_total` is the walk's exact kept
-    ///   count; rows past the cap are counted, never built.
-    /// - **top-k mode**: the full pre-filter top-k, every row tagged with
-    ///   [`QuerySpec::keeps`], because single-node semantics take the
-    ///   *global* k nearest first and filter second — the coordinator
-    ///   must do the same.
-    pub fn query_str_sharded(&self, text: &str) -> Result<ShardQueryAnswers, DbError> {
-        let spec = QuerySpec::parse(text, &self.taxonomy)?;
-        let (rows, kept_total) = if spec.k.is_some() {
-            let (answers, _, _) = self.answers(&spec.variance, spec.k, None, usize::MAX);
-            let rows: Vec<ShardQueryRow> = answers
-                .into_iter()
-                .map(|answer| {
-                    let keep = self
-                        .catalog
-                        .get(answer.key.video)
-                        .is_some_and(|meta| spec.keeps(meta));
-                    ShardQueryRow { answer, keep }
-                })
-                .collect();
-            let kept_total = rows.iter().filter(|r| r.keep).count();
-            (rows, kept_total)
-        } else {
-            let filter = |meta: &VideoMeta| spec.keeps(meta);
-            let (answers, kept_total, _) = self.answers(
-                &spec.variance,
-                None,
-                spec.filters().then_some(&filter),
-                SHARD_QUERY_ROW_CAP,
-            );
-            let rows = answers
-                .into_iter()
-                .map(|answer| ShardQueryRow { answer, keep: true })
-                .collect();
-            (rows, kept_total)
-        };
-        Ok(ShardQueryAnswers {
-            k: spec.k,
-            limit: spec.limit,
-            rows,
-            kept_total,
-        })
-    }
-
     /// The `k` shots nearest to the query point (α/β ignored), mapped to
     /// their browsing scene nodes. Runs the same selection as
     /// [`Self::query`].
@@ -815,6 +820,179 @@ impl VideoDatabase {
         let swept = db.drop_unanalyzed();
         db.finalize_index(persisted);
         Ok((db, swept))
+    }
+}
+
+/// One per-shard row of a distributed query (see
+/// [`VideoDatabase::query_str_sharded`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ShardQueryRow {
+    /// The answer; `distance` carries full precision for the global merge.
+    pub answer: QueryAnswer,
+    /// Whether the spec's genre/form predicate keeps this row.
+    pub keep: bool,
+}
+
+/// A shard's contribution to a distributed query.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ShardQueryAnswers {
+    /// `Some(k)` when the spec ran in top-k mode.
+    pub k: Option<usize>,
+    /// The spec's `limit`, to be applied globally by the coordinator.
+    pub limit: Option<usize>,
+    /// Rows for the merger (see [`VideoDatabase::query_str_sharded`]).
+    pub rows: Vec<ShardQueryRow>,
+    /// Rows surviving the filter on this shard, pre-limit (exact).
+    pub kept_total: usize,
+}
+
+impl VideoDatabase {
+    /// One shard's contribution to a distributed query (the `xquery` wire
+    /// extra, see [`ShardQueryAnswers::encode`]): the same parse and
+    /// answer walk as [`Self::query_text`], but the `limit` is *not*
+    /// applied — it must run globally, in [`ShardQueryAnswers::merge`]:
+    ///
+    /// - **range mode**: the first [`SHOWN_ANSWERS`] rows the spec's
+    ///   genre/form predicate keeps, nearest first. `kept_total` is the
+    ///   walk's exact kept count; rows past the cap are counted, never
+    ///   built.
+    /// - **top-k mode**: the full pre-filter top-k, every row tagged with
+    ///   [`QuerySpec::keeps`], because single-node semantics take the
+    ///   *global* k nearest first and filter second — the merge must do
+    ///   the same.
+    pub fn query_str_sharded(&self, text: &str) -> Result<ShardQueryAnswers, DbError> {
+        let spec = QuerySpec::parse(text, &self.taxonomy)?;
+        let (rows, kept_total) = if spec.k.is_some() {
+            let (answers, _, _) = self.answers(&spec.variance, spec.k, None, usize::MAX);
+            let rows: Vec<ShardQueryRow> = answers
+                .into_iter()
+                .map(|answer| {
+                    let keep = self
+                        .catalog
+                        .get(answer.key.video)
+                        .is_some_and(|meta| spec.keeps(meta));
+                    ShardQueryRow { answer, keep }
+                })
+                .collect();
+            let kept_total = rows.iter().filter(|r| r.keep).count();
+            (rows, kept_total)
+        } else {
+            let filter = |meta: &VideoMeta| spec.keeps(meta);
+            let (answers, kept_total, _) = self.answers(
+                &spec.variance,
+                None,
+                spec.filters().then_some(&filter),
+                SHOWN_ANSWERS,
+            );
+            let rows = answers
+                .into_iter()
+                .map(|answer| ShardQueryRow { answer, keep: true })
+                .collect();
+            (rows, kept_total)
+        };
+        Ok(ShardQueryAnswers {
+            k: spec.k,
+            limit: spec.limit,
+            rows,
+            kept_total,
+        })
+    }
+}
+
+impl ShardQueryAnswers {
+    /// The `xquery` reply: a `mode=… kept=… k=… limit=…` header, then one
+    /// `row` line per row. `d=`, `ba=` and `oa=` are f64 bit patterns,
+    /// so the merge compares the very distances the shard computed.
+    pub fn encode(&self) -> String {
+        let opt = |v: Option<usize>| v.map_or_else(|| "-".to_string(), |v| v.to_string());
+        let mut out = format!(
+            "mode={} kept={} k={} limit={}\n",
+            if self.k.is_some() { "topk" } else { "range" },
+            self.kept_total,
+            opt(self.k),
+            opt(self.limit),
+        );
+        for row in &self.rows {
+            let a = &row.answer;
+            let _ = writeln!(
+                out,
+                "row v={} s={} d={:016x} ba={:016x} oa={:016x} rep={} keep={} nid={} node={}",
+                a.key.video,
+                a.key.shot,
+                a.distance.to_bits(),
+                a.var_ba.to_bits(),
+                a.var_oa.to_bits(),
+                a.rep_frame,
+                row.keep as u8,
+                a.scene_node,
+                a.scene_name
+            );
+        }
+        out
+    }
+
+    /// Read back what [`Self::encode`] wrote.
+    pub fn decode(text: &str) -> Result<ShardQueryAnswers, String> {
+        let mut lines = text.lines();
+        let head = lines.next().ok_or("empty reply")?;
+        let opt = |key: &str| match field(head, key) {
+            Some("-") => Ok(None),
+            _ => parse_field(head, key).map(Some),
+        };
+        let rows = lines.filter_map(|line| line.strip_prefix("row "));
+        let rows = rows.map(|row| {
+            Ok(ShardQueryRow {
+                answer: QueryAnswer {
+                    key: ShotKey {
+                        video: parse_field(row, "v")?,
+                        shot: parse_field(row, "s")?,
+                    },
+                    distance: parse_bits(row, "d")?,
+                    var_ba: parse_bits(row, "ba")?,
+                    var_oa: parse_bits(row, "oa")?,
+                    scene_node: parse_field(row, "nid")?,
+                    scene_name: parse_field(row, "node")?,
+                    rep_frame: parse_field(row, "rep")?,
+                },
+                keep: parse_field::<u8>(row, "keep")? == 1,
+            })
+        });
+        Ok(ShardQueryAnswers {
+            k: opt("k")?,
+            limit: opt("limit")?,
+            rows: rows.collect::<Result<_, String>>()?,
+            kept_total: parse_field(head, "kept")?,
+        })
+    }
+
+    /// Merge every shard's rows (their video ids already global) into
+    /// what [`VideoDatabase::query_text`] returns on a node holding every
+    /// shard's videos: the first [`SHOWN_ANSWERS`] answers and the count.
+    /// Rows sort by `(distance, key)`, the index's own order. A range
+    /// counts the shards' kept rows, which add because shards hold
+    /// disjoint videos; a top-k ranks first (the global k nearest), then
+    /// filters, then limits, as one node does.
+    pub fn merge(shards: Vec<ShardQueryAnswers>) -> (Vec<QueryAnswer>, usize) {
+        let Some(first) = shards.first() else {
+            return (Vec::new(), 0);
+        };
+        let (k, limit) = (first.k, first.limit.unwrap_or(usize::MAX));
+        let kept_total: usize = shards.iter().map(|s| s.kept_total).sum();
+        let mut rows: Vec<ShardQueryRow> = shards.into_iter().flat_map(|s| s.rows).collect();
+        rows.sort_by(|a, b| {
+            let (a, b) = (&a.answer, &b.answer);
+            a.distance.total_cmp(&b.distance).then(a.key.cmp(&b.key))
+        });
+        let count = match k {
+            Some(k) => {
+                rows.truncate(k);
+                rows.retain(|r| r.keep);
+                rows.len()
+            }
+            None => kept_total,
+        };
+        let answers = rows.into_iter().take(limit.min(SHOWN_ANSWERS));
+        (answers.map(|r| r.answer).collect(), count.min(limit))
     }
 }
 
@@ -1026,11 +1204,11 @@ mod tests {
         assert_eq!(sharded.kept_total, all_kept.len());
 
         // (b) Range with no filter: every row is kept, capped at
-        // SHARD_QUERY_ROW_CAP, and the count is exact.
+        // SHOWN_ANSWERS, and the count is exact.
         let sharded = db.query_str_sharded(wide).unwrap();
         let all = db.query_str(wide).unwrap();
-        assert!(all.len() > SHARD_QUERY_ROW_CAP, "the row cap must bite");
-        assert_eq!(kept(&sharded), all[..SHARD_QUERY_ROW_CAP]);
+        assert!(all.len() > SHOWN_ANSWERS, "the row cap must bite");
+        assert_eq!(kept(&sharded), all[..SHOWN_ANSWERS]);
         assert_eq!(sharded.kept_total, all.len());
 
         // (c) Top-k with a filter: the unfiltered top-k, with `keep` set
@@ -1070,12 +1248,9 @@ mod tests {
             .query_str_sharded(&format!("{wide} genre=comedy"))
             .unwrap();
         let all_comedy = db.query_str(&format!("{wide} genre=comedy")).unwrap();
-        assert!(
-            all_comedy.len() > SHARD_QUERY_ROW_CAP,
-            "the row cap must bite"
-        );
+        assert!(all_comedy.len() > SHOWN_ANSWERS, "the row cap must bite");
         assert!(sharded.rows.iter().all(|r| r.keep));
-        assert_eq!(kept(&sharded), all_comedy[..SHARD_QUERY_ROW_CAP]);
+        assert_eq!(kept(&sharded), all_comedy[..SHOWN_ANSWERS]);
         assert_eq!(sharded.kept_total, all_comedy.len());
 
         // (e) `limit=0`: the coordinator shows nothing, but the shard
@@ -1089,7 +1264,7 @@ mod tests {
             .query_str(&format!("{wide} genre=comedy limit=0"))
             .unwrap()
             .is_empty());
-        assert_eq!(sharded.rows.len(), SHARD_QUERY_ROW_CAP);
+        assert_eq!(sharded.rows.len(), SHOWN_ANSWERS);
         assert_eq!(sharded.kept_total, all_comedy.len());
     }
 

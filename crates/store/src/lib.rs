@@ -39,11 +39,11 @@ pub mod shell;
 pub mod transfer;
 
 pub use backend::{CommitTicket, DbBackend};
-pub use catalog::{Catalog, FormId, GenreId, Taxonomy, VideoMeta};
+pub use catalog::{Catalog, FormId, GenreId, ListRow, Taxonomy, VideoMeta};
 pub use concurrent::ServerStore;
 pub use db::{
-    DbError, QueryAnswer, ShardQueryAnswers, ShardQueryRow, StoredAnalysis, VideoDatabase,
-    SHARD_QUERY_ROW_CAP,
+    DbError, DbStats, QueryAnswer, ShardQueryAnswers, ShardQueryRow, StoredAnalysis, VideoDatabase,
+    SHOWN_ANSWERS,
 };
 pub use journal::{JournalStats, JournaledDatabase};
 pub use query::{ParseError, QuerySpec};

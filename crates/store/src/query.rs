@@ -13,7 +13,8 @@
 //! ```
 //!
 //! Tokens are whitespace-separated `key=value` pairs; `ba` and `oa` are
-//! required, everything else optional.
+//! required, everything else optional. [`field`] reads the same token
+//! shape out of the machine replies shards send the router.
 
 use crate::catalog::{FormId, GenreId, Taxonomy, VideoMeta};
 use vdb_core::index::VarianceQuery;
@@ -180,6 +181,29 @@ impl QuerySpec {
     pub fn filters(&self) -> bool {
         self.genre.is_some() || self.form.is_some()
     }
+}
+
+/// The value of the first `key=value` token of `text` whose key is
+/// exactly `key`: the one reader of the machine replies (`xquery`,
+/// `xlist`, stream open and commit) that carry such tokens.
+pub fn field<'a>(text: &'a str, key: &str) -> Option<&'a str> {
+    text.split_whitespace()
+        .find_map(|tok| tok.strip_prefix(key)?.strip_prefix('='))
+}
+
+/// [`field`], parsed; the error names the missing or malformed key.
+pub(crate) fn parse_field<T: std::str::FromStr>(text: &str, key: &str) -> Result<T, String> {
+    let value = field(text, key).ok_or_else(|| format!("missing {key}="))?;
+    value.parse().map_err(|_| format!("bad {key}={value}"))
+}
+
+/// An `f64` a machine reply carries as its hexadecimal bit pattern, so
+/// it arrives with every bit the sender computed.
+pub(crate) fn parse_bits(text: &str, key: &str) -> Result<f64, String> {
+    let value = field(text, key).ok_or_else(|| format!("missing {key}="))?;
+    u64::from_str_radix(value, 16)
+        .map(f64::from_bits)
+        .map_err(|_| format!("bad {key}={value}"))
 }
 
 fn assign<T>(slot: &mut Option<T>, value: T, key: &str) -> Result<(), ParseError> {

@@ -24,7 +24,8 @@
 //! ```
 
 use crate::backend::DbBackend;
-use crate::db::VideoDatabase;
+use crate::catalog::ListRow;
+use crate::db::{push_answers, VideoDatabase, SHOWN_ANSWERS};
 use crate::journal::JournaledDatabase;
 use crate::session::{find_node, render_node, storyboard, NodeName};
 use std::fmt::Write as _;
@@ -206,28 +207,6 @@ impl Command {
     }
 }
 
-/// How many answer rows a `query` or `explain` reply prints; the walk
-/// builds no more than this.
-const SHOWN_ANSWERS: usize = 10;
-
-/// Append the count line and the shown answers to `out`, the shared
-/// rendering of `query` and `explain`.
-fn push_answers(out: &mut String, count: usize, answers: &[crate::db::QueryAnswer]) {
-    let _ = writeln!(out, "  {count} answers");
-    for a in answers {
-        let _ = writeln!(
-            out,
-            "  video {} shot#{:<3} Var^BA={:6.2} Var^OA={:6.2} -> {} (rep frame {})",
-            a.key.video,
-            a.key.shot + 1,
-            a.var_ba,
-            a.var_oa,
-            a.scene_name,
-            a.rep_frame
-        );
-    }
-}
-
 /// Render the span tree recorded for trace `trace_id` (0: unsampled),
 /// indented for shell output. Used by the `trace` command and by the
 /// server's slow-query log.
@@ -260,23 +239,11 @@ pub fn execute_readonly(db: &VideoDatabase, cmd: &Command) -> Option<String> {
         }
         Command::List => {
             for meta in db.catalog().all() {
-                let _ = writeln!(
-                    out,
-                    "  {:>3}  {:<24} {:>6} frames  {:>5.1}s",
-                    meta.id,
-                    meta.name,
-                    meta.frame_count,
-                    meta.duration_secs()
-                );
+                ListRow::of(meta).render(&mut out);
             }
         }
         Command::Stats => {
-            let s = db.stats();
-            let _ = writeln!(
-                out,
-                "  videos {}  shots {}  frames {}  scene nodes {}  tallest tree {}  index rows {}",
-                s.videos, s.shots, s.frames, s.scene_nodes, s.max_tree_height, s.index_rows
-            );
+            let _ = writeln!(out, "  {}", db.stats());
         }
         Command::Query(text) => match db.query_text(text, SHOWN_ANSWERS) {
             Ok((answers, count, _)) => push_answers(&mut out, count, &answers),

@@ -80,20 +80,6 @@ expect_contains() { # <needle> <label> <<< haystack
     esac
 }
 
-# expect_capped_rows <label> <<< reply: an unlimited query counts every
-# kept match but shows exactly 10 rows.
-expect_capped_rows() {
-    local label="$1" out count rows
-    out="$(cat)"
-    count="$(printf '%s\n' "$out" | sed -n 's/^  \([0-9][0-9]*\) answers$/\1/p')"
-    rows="$(printf '%s\n' "$out" | grep -c '^  video ')" || true
-    if [ -z "$count" ] || [ "$count" -le 10 ] || [ "$rows" != 10 ]; then
-        echo "router_smoke: $label wants a count above 10 and 10 rows, got '$count' and $rows:" >&2
-        echo "$out" >&2
-        exit 1
-    fi
-}
-
 # start_router <run> <addr>: boots vdb-router over both shards, sets
 # ROUTER_PID and RADDR once it reports its bound address.
 start_router() {
@@ -162,8 +148,6 @@ LONG_CLIP="$WORKDIR/long.y4m"
 "$VDBC" "$RADDR" list | expect_contains "routed alpha" "list"
 "$VDBC" "$RADDR" list | expect_contains "routed beta" "list"
 "$VDBC" "$RADDR" query "ba=0.4 oa=14 limit=5" | expect_contains "answers" "query"
-# An unlimited wide query counts every match but shows only 10 rows.
-"$VDBC" "$RADDR" query "ba=0 oa=0 alpha=1000 beta=1000" | expect_capped_rows "wide query"
 # A huge k: the router refuses it with a per-request error (vdbc exits
 # 1 on it), and the connection stays usable.
 huge_k="$("$VDBC" "$RADDR" <<'EOF' || true

@@ -17,6 +17,10 @@
 //! shots with the benchmark's tolerances, and `tree <video> <node>` on
 //! answer nodes, unknown nodes and malformed names.
 //!
+//! The same script's `query` lines also pin the distributed reply: over
+//! the corpus split across 1, 2 and 3 databases, the shards' `xquery`
+//! rows merged and printed equal the whole corpus's reply.
+//!
 //! Regenerate the file only when a reply is meant to change:
 //!
 //! ```bash
@@ -26,8 +30,10 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
+use vdb_store::db::push_answers;
 use vdb_store::shell::{execute_mutation, execute_readonly, Command};
-use vdb_store::VideoDatabase;
+use vdb_store::transfer::ExportedVideo;
+use vdb_store::{ShardQueryAnswers, VideoDatabase};
 use vdb_synth::script::generate;
 use vdb_synth::{build_script, Genre};
 
@@ -211,6 +217,65 @@ fn every_answer_node_opens_and_drills_to_its_shot() {
         rows += 1;
     }
     assert!(rows > 100, "only {rows} answer rows");
+}
+
+/// The router's merge, in process: the corpus split over 1, 2 and 3
+/// databases (video `g` on database `g % n`, moved there the way a
+/// rebalance moves a video), and every `query` line of the script
+/// answered by each as its `xquery` reply — encoded, decoded, mapped back
+/// to whole-corpus ids, merged and printed — equals the whole corpus's
+/// own reply. A line that does not parse never reaches a shard; the
+/// router prints the single node's parse error for it.
+#[test]
+fn sharded_replies_match_the_single_node() {
+    let whole = corpus();
+    let lines = script(&whole);
+    for n in 1..=3 {
+        let mut shards: Vec<VideoDatabase> = (0..n).map(|_| VideoDatabase::new()).collect();
+        let mut gids: Vec<Vec<u64>> = vec![Vec::new(); n];
+        for gid in 0..whole.len() as u64 {
+            let (name, dims, fps, analysis, genres, forms) =
+                ExportedVideo::from_db(&whole, gid).unwrap().into_analysis();
+            let slot = gid as usize % n;
+            let local = shards[slot]
+                .ingest_precomputed(name, dims, fps, analysis, genres, forms)
+                .unwrap();
+            assert_eq!(local, gids[slot].len() as u64);
+            gids[slot].push(gid);
+        }
+        let (mut merged, mut refused) = (0, 0);
+        for line in &lines {
+            let Some(text) = line.strip_prefix("query ") else {
+                continue;
+            };
+            let want = execute_readonly(&whole, &Command::parse(line)).unwrap();
+            let mut replies = Vec::new();
+            for (shard, gids) in shards.iter().zip(&gids) {
+                let Ok(answers) = shard.query_str_sharded(text) else {
+                    break;
+                };
+                let mut decoded = ShardQueryAnswers::decode(&answers.encode()).unwrap();
+                // Debug text, so a NaN distance compares equal to itself.
+                let (sent, got) = (format!("{answers:?}"), format!("{decoded:?}"));
+                assert_eq!(got, sent, "'{line}' did not survive its codec");
+                for row in &mut decoded.rows {
+                    row.answer.key.video = gids[row.answer.key.video as usize];
+                }
+                replies.push(decoded);
+            }
+            if replies.len() < n {
+                assert!(want.starts_with("  query error: "), "'{line}': {want}");
+                refused += 1;
+                continue;
+            }
+            let (answers, count) = ShardQueryAnswers::merge(replies);
+            let mut got = String::new();
+            push_answers(&mut got, count, &answers);
+            assert_eq!(got, want, "'{line}' over {n} shards");
+            merged += 1;
+        }
+        assert_eq!((merged, refused), (34, 1), "over {n} shards");
+    }
 }
 
 #[test]

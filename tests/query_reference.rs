@@ -16,7 +16,7 @@ use std::fmt::Write as _;
 
 use vdb_core::analyzer::VideoAnalyzer;
 use vdb_core::index::ShotKey;
-use vdb_store::db::{QueryAnswer, ShardQueryAnswers, ShardQueryRow, SHARD_QUERY_ROW_CAP};
+use vdb_store::db::{QueryAnswer, ShardQueryAnswers, ShardQueryRow, SHOWN_ANSWERS};
 use vdb_store::shell::{execute_readonly, Command};
 use vdb_store::{QuerySpec, VideoDatabase};
 use vdb_synth::script::generate;
@@ -134,7 +134,7 @@ fn reference_sharded(db: &VideoDatabase, spec: &QuerySpec) -> ShardQueryAnswers 
     let kept_total = rows.iter().filter(|(_, keep)| *keep).count();
     let cap = match spec.k {
         Some(_) => usize::MAX,
-        None => SHARD_QUERY_ROW_CAP,
+        None => SHOWN_ANSWERS,
     };
     let rows = rows
         .into_iter()
@@ -217,7 +217,7 @@ fn every_entry_point_matches_the_reference_walk() {
         }
     }
     assert!(
-        widest_kept > SHOWN.max(SHARD_QUERY_ROW_CAP),
+        widest_kept > SHOWN.max(SHOWN_ANSWERS),
         "some query must keep more rows than a reply shows ({widest_kept})"
     );
 }
