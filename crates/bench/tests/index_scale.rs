@@ -122,14 +122,14 @@ fn one_million_shots_index_vs_scan() {
     );
 
     // Warm both paths once so first-touch effects hit neither timing.
-    idx.query_topk(&queries[0], K);
+    idx.select(&queries[0], Some(K), usize::MAX, None);
     idx.query_topk_scan(&queries[0], K);
 
     let mut probe_us = Vec::with_capacity(PROBES);
     let mut scan_us = Vec::with_capacity(PROBES);
     for q in &queries {
         let t = Instant::now();
-        let fast = idx.query_topk(q, K);
+        let (fast, _, _) = idx.select(q, Some(K), usize::MAX, None);
         probe_us.push(t.elapsed().as_secs_f64() * 1e6);
         let t = Instant::now();
         let slow = idx.query_topk_scan(q, K);

@@ -23,25 +23,27 @@
 //! top-k query is the same walk with no window. Every probe's work is
 //! exact and reported by [`Explain`]:
 //!
-//! * [`bucket`] — the sorted columns and the reads over them (the
+//! * [`table`] — the sorted columns and the reads over them (the
 //!   window, the count pass, the walk, the merge);
-//! * [`planner`] — [`ShotIndex`] itself, the maintained index used by the
-//!   database layer and the experiments: the table, the staged tier, the
-//!   selection every query runs through, and its `core.index.*` metrics.
+//! * [`shot_index`] — [`ShotIndex`] itself, the maintained index used by
+//!   the database layer and the experiments: the table, the staged tier,
+//!   [`ShotIndex::select`] (the one door every query runs through), and
+//!   its `core.index.*` metrics.
 //!
-//! [`ExtendedIndex`] is the §6 per-channel model, kept for the
-//! basic-vs-extended ablation.
+//! [`ExtendedQuery`] is the §6 per-channel model, kept for the
+//! basic-vs-extended ablation: a linear scan that tests each channel
+//! through the basic model's Eqs. 7–8 bounds.
 //!
 //! **Tie-break contract:** every query in this family orders results by
 //! ascending `(distance, ShotKey)` — equal-distance matches come back in
 //! `(video, shot)` order. The property suites pin the index to the
 //! brute-force linear scan under exactly this rule.
 
-pub mod bucket;
-pub mod planner;
+pub mod shot_index;
+pub mod table;
 
-pub use bucket::ProbeStats;
-pub use planner::{Explain, IndexRuntime, ShotIndex};
+pub use shot_index::{Explain, IndexRuntime, ShotIndex};
+pub use table::ProbeStats;
 
 use crate::variance::ShotFeature;
 
@@ -215,7 +217,7 @@ pub struct Match {
     pub distance: f64,
 }
 
-/// One row of the *extended* index (§6's more discriminating model):
+/// One row of the *extended* model (§6's more discriminating model):
 /// per-channel variances instead of channel-averaged ones.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExtendedEntry {
@@ -223,18 +225,6 @@ pub struct ExtendedEntry {
     pub key: ShotKey,
     /// Per-channel feature vector.
     pub feature: crate::variance::ExtendedShotFeature,
-}
-
-impl ExtendedEntry {
-    /// Mean of the per-channel `D^v` values — the index's sort key. (Note:
-    /// this is *not* the basic model's `D^v`, which averages the variances
-    /// before the square root; the per-channel mean is what the α-window
-    /// soundly bounds: if every channel's `D^v` is within α of the query's,
-    /// so is their mean.)
-    pub fn mean_d_v(&self) -> f64 {
-        let d = self.feature.d_v();
-        (d[0] + d[1] + d[2]) / 3.0
-    }
 }
 
 /// An extended query: Eqs. 7–8 applied *per channel* — a shot matches only
@@ -268,21 +258,30 @@ impl ExtendedQuery {
         self
     }
 
-    /// Per-channel Eqs. 7–8.
+    /// Per-channel Eqs. 7–8: each channel's `(D^v, √Var^BA)` must pass
+    /// the basic model's window around the query's same channel.
     pub fn matches(&self, e: &ExtendedEntry) -> bool {
-        let qd = self.feature.d_v();
         let ed = e.feature.d_v();
-        for ch in 0..3 {
-            if (ed[ch] - qd[ch]).abs() > self.alpha {
-                return false;
-            }
-            let qs = self.feature.var_ba[ch].sqrt();
-            let es = e.feature.var_ba[ch].sqrt();
-            if (es - qs).abs() > self.beta {
-                return false;
-            }
-        }
-        true
+        (0..3).all(|ch| {
+            let q = VarianceQuery::new(self.feature.var_ba[ch], self.feature.var_oa[ch])
+                .with_tolerances(self.alpha, self.beta);
+            Window::new(&q).accepts(ed[ch], e.feature.var_ba[ch].sqrt())
+        })
+    }
+
+    /// The linear scan: every row that [`Self::matches`], with its
+    /// [`Self::distance`], in ascending `(distance, key)` order.
+    pub fn scan<'a>(
+        &self,
+        rows: impl IntoIterator<Item = &'a ExtendedEntry>,
+    ) -> Vec<(ExtendedEntry, f64)> {
+        let mut out: Vec<(ExtendedEntry, f64)> = rows
+            .into_iter()
+            .filter(|e| self.matches(e))
+            .map(|e| (*e, self.distance(e)))
+            .collect();
+        out.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.key.cmp(&b.0.key)));
+        out
     }
 
     /// Euclidean distance in the 6-dimensional `(D^v, √Var^BA)` per-channel
@@ -296,60 +295,6 @@ impl ExtendedQuery {
             sum += (e.feature.var_ba[ch].sqrt() - self.feature.var_ba[ch].sqrt()).powi(2);
         }
         sum.sqrt()
-    }
-}
-
-/// The extended index: rows sorted by channel-averaged `D^v` (which bounds
-/// the per-channel window: if every channel's `D^v` is within α of the
-/// query's, so is their mean), then filtered per channel.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ExtendedIndex {
-    entries: Vec<ExtendedEntry>,
-}
-
-impl ExtendedIndex {
-    /// Build from unsorted rows.
-    pub fn build(mut entries: Vec<ExtendedEntry>) -> Self {
-        entries.sort_by(|a, b| a.mean_d_v().total_cmp(&b.mean_d_v()));
-        ExtendedIndex { entries }
-    }
-
-    /// Insert one row.
-    pub fn insert(&mut self, entry: ExtendedEntry) {
-        let pos = self
-            .entries
-            .partition_point(|e| e.mean_d_v() < entry.mean_d_v());
-        self.entries.insert(pos, entry);
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the index has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Range query, nearest first.
-    pub fn query(&self, q: &ExtendedQuery) -> Vec<(ExtendedEntry, f64)> {
-        // Mean D^v is within α whenever all channels are: prune with it.
-        let qd = q.feature.d_v();
-        let mean_qd = (qd[0] + qd[1] + qd[2]) / 3.0;
-        let lo = self
-            .entries
-            .partition_point(|e| e.mean_d_v() < mean_qd - q.alpha);
-        let hi = self
-            .entries
-            .partition_point(|e| e.mean_d_v() <= mean_qd + q.alpha);
-        let mut out: Vec<(ExtendedEntry, f64)> = self.entries[lo..hi]
-            .iter()
-            .filter(|e| q.matches(e))
-            .map(|e| (*e, q.distance(e)))
-            .collect();
-        out.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.key.cmp(&b.0.key)));
-        out
     }
 }
 
@@ -368,6 +313,12 @@ mod tests {
 
     fn build(entries: Vec<IndexEntry>) -> ShotIndex {
         ShotIndex::from_entries(entries)
+    }
+
+    /// Every Eqs. 7–8 match, nearest first: [`ShotIndex::select`]
+    /// keeping every row, uncapped.
+    fn range(idx: &ShotIndex, q: &VarianceQuery) -> Vec<Match> {
+        idx.select(q, None, usize::MAX, None).0
     }
 
     fn keys(matches: &[Match]) -> Vec<ShotKey> {
@@ -397,7 +348,7 @@ mod tests {
         // Query d_v = 2, sqrt_ba = 5, α = 1, β = 1: all three match
         // (d_v in [1,3], sqrt_ba in [4,6]).
         let q = VarianceQuery::new(25.0, 9.0);
-        let m = idx.query(&q);
+        let m = range(&idx, &q);
         assert_eq!(m.len(), 3);
         assert_eq!(m[0].entry.key.shot, 1, "exact match ranks first");
     }
@@ -411,7 +362,7 @@ mod tests {
             entry(1, 1, 100.0, 100.0), // d_v = 0, sqrt_ba = 10
         ]);
         let q = VarianceQuery::new(16.0, 16.0);
-        let m = idx.query(&q);
+        let m = range(&idx, &q);
         assert_eq!(m.len(), 1);
         assert_eq!(m[0].entry.key.shot, 0);
     }
@@ -428,7 +379,7 @@ mod tests {
         for i in 0..40 {
             let q =
                 VarianceQuery::new(f64::from(i), f64::from(40 - i) * 0.5).with_tolerances(1.0, 2.0);
-            let a = idx.query(&q);
+            let a = range(&idx, &q);
             let b = idx.query_scan(&q);
             assert_eq!(keys(&a), keys(&b), "query {i}");
             assert_eq!(keys(&idx.probe_range(&q).0), keys(&b), "query {i}");
@@ -456,7 +407,7 @@ mod tests {
             let want = keys(&idx.query_scan(&q));
             assert_eq!(keys(&idx.probe_range(&q).0), want, "query {i}");
             assert_eq!(
-                keys(&idx.query_topk(&q, 9)),
+                keys(&idx.select(&q, Some(9), usize::MAX, None).0),
                 keys(&idx.query_topk_scan(&q, 9)),
                 "query {i}"
             );
@@ -483,7 +434,7 @@ mod tests {
             ] {
                 let predicate = idx.entries().iter().filter(|e| q.matches(e)).count();
                 assert_eq!(predicate, 0, "{q:?}");
-                assert!(idx.query(&q).is_empty(), "{q:?}");
+                assert!(range(idx, &q).is_empty(), "{q:?}");
                 assert!(idx.query_scan(&q).is_empty(), "{q:?}");
             }
         }
@@ -493,7 +444,7 @@ mod tests {
     fn insert_maintains_order() {
         let mut idx = ShotIndex::new();
         for (ba, oa) in [(9.0, 1.0), (1.0, 9.0), (25.0, 25.0), (49.0, 0.0)] {
-            idx.insert(entry(1, idx.len() as u32, ba, oa));
+            idx.extend(vec![entry(1, idx.len() as u32, ba, oa)]);
         }
         let dvs: Vec<f64> = idx.entries().iter().map(IndexEntry::d_v).collect();
         assert!(dvs.windows(2).all(|w| w[0] <= w[1]), "{dvs:?}");
@@ -514,7 +465,7 @@ mod tests {
     #[test]
     fn empty_index_empty_answers() {
         let idx = ShotIndex::new();
-        assert!(idx.query(&VarianceQuery::new(5.0, 5.0)).is_empty());
+        assert!(range(&idx, &VarianceQuery::new(5.0, 5.0)).is_empty());
         assert!(idx.is_empty());
     }
 
@@ -528,7 +479,7 @@ mod tests {
             var_ba: entries[20].var_ba,
             var_oa: entries[20].var_oa,
         });
-        let m = idx.query(&q);
+        let m = range(&idx, &q);
         assert!(!m.is_empty());
         assert_eq!(m[0].entry.key.shot, 20);
         assert_eq!(m[0].distance, 0.0);
@@ -552,9 +503,12 @@ mod tests {
         let basic_spread = IndexEntry::new(spread.key, spread.feature.collapse());
         assert!((basic_red.d_v() - basic_spread.d_v()).abs() < 1e-9);
 
-        let idx = ExtendedIndex::build(vec![red_only, spread]);
         let q = ExtendedQuery::by_example(red_only.feature);
-        let hits: Vec<u32> = idx.query(&q).into_iter().map(|(e, _)| e.key.shot).collect();
+        let hits: Vec<u32> = q
+            .scan(&[red_only, spread])
+            .into_iter()
+            .map(|(e, _)| e.key.shot)
+            .collect();
         assert_eq!(hits, vec![0], "extended query must exclude the collider");
     }
 
@@ -566,67 +520,34 @@ mod tests {
                 ext_entry(i, [v, v * 0.5, v * 0.25], [v * 0.1, 0.0, v * 0.3])
             })
             .collect();
-        let idx = ExtendedIndex::build(entries.clone());
         let q = ExtendedQuery::by_example(entries[10].feature);
-        let hits = idx.query(&q);
+        let hits = q.scan(&entries);
         assert!(!hits.is_empty());
         assert_eq!(hits[0].0.key.shot, 10);
         assert_eq!(hits[0].1, 0.0);
     }
 
     #[test]
-    fn extended_insert_keeps_order() {
-        let mut idx = ExtendedIndex::default();
-        for i in [5u32, 1, 9, 3] {
-            let v = f64::from(i);
-            idx.insert(ext_entry(i, [v; 3], [0.0; 3]));
-        }
-        assert_eq!(idx.len(), 4);
-        let q = ExtendedQuery::by_example(crate::variance::ExtendedShotFeature {
-            var_ba: [9.0; 3],
-            var_oa: [0.0; 3],
-        })
-        .with_tolerances(100.0, 100.0);
-        let hits = idx.query(&q);
-        assert_eq!(hits[0].0.key.shot, 9);
-        assert!(!idx.is_empty());
+    fn extended_scan_keeps_a_match_at_the_window_edge() {
+        // Every channel's D^v and √Var^BA lie exactly α = β = 1 above the
+        // query's, so the row matches. Its channel-mean D^v
+        // (16.916666666666668) lies just past the query's mean + α
+        // (16.916666666666664), so a prune on the mean would drop it.
+        let sq = |v: [f64; 3]| v.map(|x| x * x);
+        let example = ext_entry(0, sq([9.25, 21.875, 16.625]), [0.0; 3]);
+        let edge = ext_entry(1, sq([10.25, 22.875, 17.625]), [0.0; 3]);
+        let q = ExtendedQuery::by_example(example.feature);
+        assert!(q.matches(&edge));
+        let hits: Vec<u32> = q
+            .scan(&[edge, example])
+            .into_iter()
+            .map(|(e, _)| e.key.shot)
+            .collect();
+        assert_eq!(hits, [0, 1]);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// The extended model never matches more than the basic model would
-        /// on the same per-channel data... is false in general; what *is*
-        /// guaranteed: extended query results all satisfy the per-channel
-        /// predicate, and the index agrees with a full scan.
-        #[test]
-        fn prop_extended_index_equals_scan(
-            rows in prop::collection::vec(
-                ([0.0f64..40.0, 0.0f64..40.0, 0.0f64..40.0],
-                 [0.0f64..40.0, 0.0f64..40.0, 0.0f64..40.0]),
-                0..48,
-            ),
-            qi in 0usize..48,
-        ) {
-            let entries: Vec<ExtendedEntry> = rows
-                .iter()
-                .enumerate()
-                .map(|(i, (ba, oa))| ext_entry(i as u32, *ba, *oa))
-                .collect();
-            let idx = ExtendedIndex::build(entries.clone());
-            let q = match entries.get(qi.min(entries.len().saturating_sub(1))) {
-                Some(e) => ExtendedQuery::by_example(e.feature),
-                None => return Ok(()),
-            };
-            let via_index: Vec<u32> = idx.query(&q).into_iter().map(|(e, _)| e.key.shot).collect();
-            let mut via_scan: Vec<(f64, u32)> = entries
-                .iter()
-                .filter(|e| q.matches(e))
-                .map(|e| (q.distance(e), e.key.shot))
-                .collect();
-            via_scan.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            prop_assert_eq!(via_index, via_scan.into_iter().map(|(_, s)| s).collect::<Vec<_>>());
-        }
 
         /// Every returned match satisfies Eqs. 7–8; every non-returned entry
         /// violates one of them.
@@ -646,14 +567,14 @@ mod tests {
             let idx = build(entries.clone());
             let q = VarianceQuery::new(qba, qoa).with_tolerances(alpha, beta);
             let got: std::collections::HashSet<u32> =
-                idx.query(&q).iter().map(|m| m.entry.key.shot).collect();
+                range(&idx, &q).iter().map(|m| m.entry.key.shot).collect();
             for e in &entries {
                 prop_assert_eq!(got.contains(&e.key.shot), q.matches(e),
                     "entry {:?} vs query {:?}", e, q);
             }
         }
 
-        /// The bucket path, the forced scan, and the Eq. 7–8 predicate
+        /// The index, the forced scan, and the Eq. 7–8 predicate
         /// applied row by row agree on arbitrary data, order included.
         #[test]
         fn prop_three_implementations_agree(
@@ -695,7 +616,7 @@ mod tests {
                 .map(|(i, &(ba, oa))| entry(1, i as u32, ba, oa))
                 .collect();
             let idx = build(entries);
-            let m = idx.query(&VarianceQuery::new(qba, qoa));
+            let m = range(&idx, &VarianceQuery::new(qba, qoa));
             prop_assert!(m.windows(2).all(|w| w[0].distance <= w[1].distance));
         }
     }

@@ -2,12 +2,17 @@
 //! one selection every query runs through.
 //!
 //! [`ShotIndex`] is what the store embeds. Its table holds the finalized
-//! rows in three columns sorted by `(D^v, key)` (see [`super::bucket`]):
+//! rows in three columns sorted by `(D^v, key)` (see [`super::table`]):
 //! a range probe reads exactly the rows of Eq. 7's window, found by two
 //! binary searches, and walks from `D_q^v` for the nearest few; a top-k
 //! probe is the same walk with no window. Nothing is estimated: the
 //! probe timings and the exact work flow into `vdb-obs` under
 //! `core.index.*`, and [`Explain`] reports the work of each request.
+//!
+//! [`ShotIndex::select`] is the one query door. [`ShotIndex::probe_range`]
+//! and [`ShotIndex::probe_topk`] call it uncapped for the timing
+//! harnesses, and [`ShotIndex::query_scan`] / [`ShotIndex::query_topk_scan`]
+//! are the linear scans the suites pin it against.
 //!
 //! Two ingestion modes:
 //!
@@ -21,7 +26,7 @@
 //!   (they are scanned alongside the table), so correctness never
 //!   depends on finalize discipline — only speed does.
 
-use super::bucket::{match_order, Nearest, ProbeStats, Table};
+use super::table::{match_order, Nearest, ProbeStats, Table};
 use super::{IndexEntry, Match, ShotKey, VarianceQuery, Window};
 use std::sync::OnceLock;
 use vdb_obs::{global, global_tracer, Counter, Histogram};
@@ -180,12 +185,6 @@ impl ShotIndex {
         fingerprint_entries(self.table.entries().iter().chain(self.staged.iter()))
     }
 
-    /// Insert one row (merges immediately; prefer [`Self::extend`] for
-    /// batches and [`Self::stage`] for replay).
-    pub fn insert(&mut self, entry: IndexEntry) {
-        self.extend(vec![entry]);
-    }
-
     /// Merge a batch into the table (one refresh). Rows must have finite,
     /// non-negative variances.
     pub fn extend(&mut self, batch: Vec<IndexEntry>) {
@@ -247,32 +246,12 @@ impl ShotIndex {
         obs().refreshes.incr();
     }
 
-    /// Eqs. 7–8 range query. Results sorted by ascending
-    /// `(distance, key)` — identical to [`Self::query_scan`].
-    pub fn query(&self, q: &VarianceQuery) -> Vec<Match> {
-        self.search(q, None).0
-    }
-
-    /// The `k` nearest rows to the query point in `(D^v, √Var^BA)` space
-    /// (α/β ignored). Ties by ascending key.
-    pub fn query_topk(&self, q: &VarianceQuery, k: usize) -> Vec<Match> {
-        self.search(q, Some(k)).0
-    }
-
-    /// The probe with every match returned, sorted by ascending
-    /// `(distance, key)`: [`Self::select`] keeping every row, uncapped.
-    /// `k: None` runs the Eqs. 7–8 range, `Some(k)` the `k` nearest rows;
-    /// the [`Explain`] is the probe's exact work, and the matches are the
-    /// same [`Self::query`] / [`Self::query_topk`] return.
-    pub fn search(&self, q: &VarianceQuery, k: Option<usize>) -> (Vec<Match>, Explain) {
-        let (matches, _, explain) = self.select(q, k, usize::MAX, None);
-        (matches, explain)
-    }
-
-    /// The one selection body behind every query. Returns the first `cap`
-    /// matches whose key `keep` accepts (`None` accepts every key) in
-    /// ascending `(distance, key)` order, the count of every kept match,
-    /// and the [`Explain`] (whose `matches` is the count before `keep`).
+    /// The one door for a variance query. `k: None` runs the Eqs. 7–8
+    /// range, `Some(k)` the `k` nearest rows in `(D^v, √Var^BA)` space
+    /// (α/β ignored). Returns the first `cap` matches whose key `keep`
+    /// accepts (`None` accepts every key) in ascending `(distance, key)`
+    /// order, the count of every kept match, and the [`Explain`] (whose
+    /// `matches` is the count before `keep`).
     ///
     /// **Range** (`k: None`) never collects the match set. Two binary
     /// searches find Eq. 7's window; a count pass tests Eq. 8 on the
@@ -446,17 +425,17 @@ impl ShotIndex {
         nearest.into_sorted()
     }
 
-    /// The range probe with its exact work: [`Self::search`]'s matches
-    /// and `explain.probe`.
+    /// The uncapped range probe with its exact work: every match of
+    /// [`Self::select`] and `explain.probe`.
     pub fn probe_range(&self, q: &VarianceQuery) -> (Vec<Match>, ProbeStats) {
-        let (matches, explain) = self.search(q, None);
+        let (matches, _, explain) = self.select(q, None, usize::MAX, None);
         (matches, explain.probe)
     }
 
-    /// The top-k probe with its exact work: [`Self::search`]'s matches
-    /// and `explain.probe`.
+    /// The uncapped top-k probe with its exact work: every match of
+    /// [`Self::select`] and `explain.probe`.
     pub fn probe_topk(&self, q: &VarianceQuery, k: usize) -> (Vec<Match>, ProbeStats) {
-        let (matches, explain) = self.search(q, Some(k));
+        let (matches, _, explain) = self.select(q, Some(k), usize::MAX, None);
         (matches, explain.probe)
     }
 }
@@ -472,6 +451,13 @@ mod tests {
             var_ba,
             var_oa,
         }
+    }
+
+    /// Every match of a probe and its work: [`ShotIndex::select`] keeping
+    /// every row, uncapped.
+    fn search(idx: &ShotIndex, q: &VarianceQuery, k: Option<usize>) -> (Vec<Match>, Explain) {
+        let (matches, _, explain) = idx.select(q, k, usize::MAX, None);
+        (matches, explain)
     }
 
     fn corpus(n: usize) -> Vec<IndexEntry> {
@@ -495,9 +481,9 @@ mod tests {
             let q = VarianceQuery::new(f64::from(i) * 2.3, f64::from(i) * 1.1)
                 .with_tolerances(2.0, 3.0);
             let keys = |ms: &[Match]| ms.iter().map(|m| m.entry.key).collect::<Vec<_>>();
-            assert_eq!(keys(&idx.query(&q)), keys(&idx.query_scan(&q)));
+            assert_eq!(keys(&search(&idx, &q, None).0), keys(&idx.query_scan(&q)));
             assert_eq!(
-                keys(&idx.query_topk(&q, 7)),
+                keys(&search(&idx, &q, Some(7)).0),
                 keys(&idx.query_topk_scan(&q, 7))
             );
         }
@@ -510,14 +496,17 @@ mod tests {
         idx.stage([entry(999, 0, 10.0, 10.0)]);
         assert_eq!(idx.runtime().refreshes, refreshes, "stage must not rebuild");
         let q = VarianceQuery::new(10.0, 10.0);
-        assert!(idx.query(&q).iter().any(|m| m.entry.key.video == 999));
-        assert!(idx
-            .query_topk(&q, 1)
-            .iter()
-            .any(|m| m.entry.key.video == 999));
+        let found = |idx: &ShotIndex, k| {
+            search(idx, &q, k)
+                .0
+                .iter()
+                .any(|m| m.entry.key.video == 999)
+        };
+        assert!(found(&idx, None));
+        assert!(found(&idx, Some(1)));
         idx.finalize();
         assert_eq!(idx.runtime().refreshes, refreshes + 1);
-        assert!(idx.query(&q).iter().any(|m| m.entry.key.video == 999));
+        assert!(found(&idx, None));
     }
 
     #[test]
@@ -584,8 +573,12 @@ mod tests {
         let mut idx = ShotIndex::from_entries(rows.clone());
         idx.stage([entry(999, 0, 20.0, 5.0)]);
         let q = VarianceQuery::new(20.0, 5.0).with_tolerances(1.0, 1.0);
-        let (matches, ex) = idx.search(&q, None);
-        assert_eq!(matches, idx.query(&q), "explain must not change the query");
+        let (matches, ex) = search(&idx, &q, None);
+        assert_eq!(
+            matches,
+            idx.query_scan(&q),
+            "explain must not change the query"
+        );
         assert_eq!(ex.matches, matches.len());
         assert_eq!(ex.staged_rows, 1);
         assert_eq!(ex.rows, 20_000);
@@ -612,7 +605,7 @@ mod tests {
             assert!(s.contains(key), "summary missing {key}: {s}");
         }
 
-        let (top, tex) = idx.search(&q, Some(5));
+        let (top, tex) = search(&idx, &q, Some(5));
         assert_eq!(tex.matches, 5);
         assert_eq!(tex.probe.candidates, tex.visited);
         assert!(tex.window.0 <= top[4].entry.d_v() && top[4].entry.d_v() <= tex.window.1);
@@ -627,10 +620,10 @@ mod tests {
         let q = VarianceQuery::new(10.0, 5.0);
         let (range, top) = {
             let _entered = root.enter();
-            (idx.search(&q, None).0, idx.search(&q, Some(3)).0)
+            (search(&idx, &q, None).0, search(&idx, &q, Some(3)).0)
         };
-        assert_eq!(range, idx.query(&q));
-        assert_eq!(top, idx.query_topk(&q, 3));
+        assert_eq!(range, idx.query_scan(&q));
+        assert_eq!(top, idx.query_topk_scan(&q, 3));
         let events = tracer.recorder().events_for(root.trace_id);
         assert_eq!(events.len(), 2, "two probes recorded");
         assert!(events.iter().all(|e| e.name == "core.index.probe"));
@@ -641,7 +634,7 @@ mod tests {
         // Unsampled context: nothing recorded.
         let after = tracer.recorder().total_recorded();
         let _entered = vdb_obs::TraceContext::disabled().enter();
-        idx.search(&q, None);
+        search(&idx, &q, None);
         assert_eq!(tracer.recorder().total_recorded(), after);
     }
 
@@ -672,9 +665,9 @@ mod tests {
             .collect()
     }
 
-    /// `select` against `search` → filter → take(cap) on one index, for
-    /// every k, predicate and cap of the grid (the caps include 0, 1 and
-    /// the kept count −1, +0, +1); `search` itself against a brute-force
+    /// `select` against the uncapped [`search`] → filter → take(cap) on
+    /// one index, for every k, predicate and cap of the grid (the caps
+    /// include 0, 1 and the kept count −1, +0, +1); `search` against a brute-force
     /// sort of every row, and its explained work against a brute-force
     /// count of the table's rows (`finalized`; the rest of `rows` is
     /// staged).
@@ -709,7 +702,7 @@ mod tests {
             Some(|key| key.video % 2 == 0),
         ];
         for k in [None, Some(0), Some(3), Some(1usize << 40)] {
-            let (all, ex) = idx.search(q, k);
+            let (all, ex) = search(idx, q, k);
             let want: Vec<Match> = match k {
                 None => brute
                     .iter()
@@ -833,7 +826,7 @@ mod tests {
     }
 
     /// Spread rows far from the edge queries' windows, enough of them
-    /// that a narrow range is planned through the buckets.
+    /// that a narrow range reads a small slice of a large table.
     fn filler_rows(n: usize) -> Vec<IndexEntry> {
         (0..n)
             .map(|i| {
@@ -888,8 +881,8 @@ mod tests {
         // The edges bite: each on-edge point is in, each just-past point
         // out, for every video.
         let idx = ShotIndex::from_entries(edges);
-        let shots: Vec<u32> = idx
-            .query(&VarianceQuery::new(16.0, 4.0))
+        let shots: Vec<u32> = search(&idx, &VarianceQuery::new(16.0, 4.0), None)
+            .0
             .iter()
             .filter(|m| m.entry.key.video == 0)
             .map(|m| m.entry.key.shot)

@@ -21,9 +21,12 @@
 //!    ancestor, shot `i` joins an existing scene or forces creation of a
 //!    new one (three scenarios, reproduced below).
 //! 5. At the end, all parentless nodes are connected to a root.
-//! 6. Every *empty* (internal) node is named `SN_m^{c+1}` after the child
+//! 6. Every *empty* (internal) node is named `SN_m^c` after the child
 //!    whose shot `m` has the longest run of identical `Sign^BA` values, and
-//!    inherits that child's representative frame.
+//!    inherits that child's representative frame. *Note:* the paper puts
+//!    the level one above the named child's; in Figure 6 the named child
+//!    is always the tallest, so we read `c` as one above the *highest*
+//!    child's level, which keeps levels falling along every edge.
 
 use crate::pixel::Rgb;
 use crate::relationship::{shots_related_with_threshold, RELATED_THRESHOLD_PERCENT};
@@ -275,7 +278,7 @@ impl<'a> Builder<'a> {
 
     /// Step 6: name every empty node after the child whose shot has the
     /// longest run of identical `Sign^BA`s; inherit its representative
-    /// frame; level = chosen child's level + 1.
+    /// frame; level = highest child's level + 1.
     fn name_nodes(&mut self, root: NodeId) {
         // Post-order traversal without recursion.
         let mut order = Vec::with_capacity(self.nodes.len());
@@ -289,11 +292,13 @@ impl<'a> Builder<'a> {
             if self.nodes[n].is_leaf() {
                 continue;
             }
-            let mut best: Option<(usize, usize, usize, usize)> = None; // (run_len, neg? shot, level, rep)
+            let mut best: Option<(usize, usize, usize)> = None; // (run_len, shot, rep)
+            let mut level = 0;
             for &ch in &self.nodes[n].children {
                 let m = self.nodes[ch].name_shot;
                 let run = longest_sign_run(self.shot_signs(m)).1;
-                let candidate = (run, m, self.nodes[ch].level, self.nodes[ch].rep_frame);
+                level = level.max(self.nodes[ch].level + 1);
+                let candidate = (run, m, self.nodes[ch].rep_frame);
                 best = Some(match best {
                     None => candidate,
                     Some(cur) => {
@@ -307,10 +312,10 @@ impl<'a> Builder<'a> {
                     }
                 });
             }
-            let (_, m, child_level, rep) =
+            let (_, m, rep) =
                 best.expect("empty internal nodes are never created without children");
             self.nodes[n].name_shot = m;
-            self.nodes[n].level = child_level + 1;
+            self.nodes[n].level = level;
             self.nodes[n].rep_frame = rep;
         }
     }
@@ -523,18 +528,24 @@ impl SceneTree {
                         return Err(format!("shot {s} does not map to its leaf {i}"));
                     }
                 }
-                // Step 6: an internal node takes its name, representative
-                // frame and level (+1) from one of its children — so every
-                // name_shot is a real shot, by induction from the leaves.
+                // Step 6: an internal node takes its name and
+                // representative frame from one of its children — so every
+                // name_shot is a real shot, by induction from the leaves —
+                // and its level is one above its highest child's, so levels
+                // fall by at least one along every edge.
                 None => {
                     let named_after = |c: &NodeId| {
                         let ch = &self.nodes[*c];
-                        n.level.checked_sub(1) == Some(ch.level)
-                            && ch.name_shot == n.name_shot
-                            && ch.rep_frame == n.rep_frame
+                        ch.name_shot == n.name_shot && ch.rep_frame == n.rep_frame
                     };
                     if !n.children.iter().any(named_after) {
                         return Err(format!("internal node {i} not named after a child"));
+                    }
+                    let highest = n.children.iter().map(|&c| self.nodes[c].level).max();
+                    if highest.and_then(|l| l.checked_add(1)) != Some(n.level) {
+                        return Err(format!(
+                            "internal node {i} is not one above its highest child"
+                        ));
                     }
                 }
             }
@@ -819,7 +830,7 @@ mod tests {
         let up = tree.node(leaf).parent.unwrap();
         let top = tree.node(up).parent.unwrap();
         type Edit = fn(&mut Vec<SceneNode>, NodeId, NodeId, NodeId);
-        let edits: [(&str, Edit); 10] = [
+        let edits: [(&str, Edit); 11] = [
             ("empty", |nodes, _, _, _| nodes.clear()),
             ("parent out of range", |nodes, leaf, _, _| {
                 nodes[leaf].parent = Some(999)
@@ -846,6 +857,9 @@ mod tests {
             }),
             ("level not derived from a child", |nodes, _, up, _| {
                 nodes[up].level = usize::MAX
+            }),
+            ("level not above the highest child", |nodes, _, _, top| {
+                nodes[top].level -= 1
             }),
             ("named after no child", |nodes, _, up, _| {
                 nodes[up].name_shot = usize::MAX

@@ -238,11 +238,11 @@ pub struct ModelAblation {
 
 /// Run the basic-vs-extended retrieval ablation on the Table 4 movies.
 pub fn run_model_ablation(exp: &RetrievalExperiment) -> ModelAblation {
-    use vdb_core::index::{ExtendedEntry, ExtendedIndex, ExtendedQuery, ShotKey};
+    use vdb_core::index::{ExtendedEntry, ExtendedQuery, ShotKey};
     use vdb_core::variance::ExtendedShotFeature;
 
     // Extended features computed from the stored per-frame signs.
-    let mut ext_index = ExtendedIndex::default();
+    let mut ext_rows = Vec::new();
     let mut ext_features: Vec<Vec<ExtendedShotFeature>> = Vec::new();
     for (m, (_, analysis)) in exp.movies.iter().enumerate() {
         let mut per_movie = Vec::new();
@@ -251,7 +251,7 @@ pub fn run_model_ablation(exp: &RetrievalExperiment) -> ModelAblation {
                 &analysis.signs_ba[shot.start..=shot.end],
                 &analysis.signs_oa[shot.start..=shot.end],
             );
-            ext_index.insert(ExtendedEntry {
+            ext_rows.push(ExtendedEntry {
                 key: ShotKey {
                     video: m as u64,
                     shot: shot.id as u32,
@@ -286,7 +286,7 @@ pub fn run_model_ablation(exp: &RetrievalExperiment) -> ModelAblation {
         let (_, qshot) = outcome.query;
         let q = ExtendedQuery::by_example(ext_features[0][qshot]);
         let mut answers = Vec::new();
-        for (e, _) in ext_index.query(&q) {
+        for (e, _) in q.scan(&ext_rows) {
             let (mv, sid) = (e.key.video as usize, e.key.shot as usize);
             if (mv, sid) == (0, qshot) {
                 continue;

@@ -388,7 +388,8 @@ impl RetrievalExperiment {
         // answers we keep it — the experiment reports what the model does.
         let q = VarianceQuery::by_example(feature);
         let mut answers = Vec::new();
-        for m in index.query(&q) {
+        // One row more than `k`: the query shot itself is skipped.
+        for m in index.select(&q, None, k.saturating_add(1), None).0 {
             let (mv, sid) = (m.entry.key.video as usize, m.entry.key.shot as usize);
             if (mv, sid) == (0, query_shot.id) {
                 continue; // the query itself

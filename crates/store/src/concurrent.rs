@@ -70,7 +70,6 @@ mod tests {
     use super::*;
     use crate::shell::{execute_mutation, execute_readonly, Command};
     use vdb_core::frame::Video;
-    use vdb_core::index::VarianceQuery;
     use vdb_core::parallel::Parallelism;
     use vdb_synth::script::{generate, ShotSpec, VideoScript};
 
@@ -122,8 +121,8 @@ mod tests {
                 handles.push(std::thread::spawn(move || {
                     let mut total = 0usize;
                     for i in 0..50 {
-                        let q = VarianceQuery::new((r * 7 + i) as f64 % 30.0, 1.0);
-                        total += db.read(|d| d.query(&q).len());
+                        let q = format!("ba={} oa=1", (r * 7 + i) as f64 % 30.0);
+                        total += db.read(|d| d.query_str(&q).unwrap().len());
                     }
                     total
                 }));
@@ -175,8 +174,8 @@ mod tests {
                             let n = len(&db);
                             assert!(n >= last_len, "video count went backwards");
                             last_len = n;
-                            let q = VarianceQuery::new((r * 13 + i) as f64 % 40.0, 2.0);
-                            for ans in db.read(|d| d.query(&q)) {
+                            let q = format!("ba={} oa=2", (r * 13 + i) as f64 % 40.0);
+                            for ans in db.read(|d| d.query_str(&q).unwrap()) {
                                 db.read(|d| {
                                     let analysis = d
                                         .analysis(ans.key.video)

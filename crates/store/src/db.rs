@@ -16,7 +16,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 use vdb_core::analyzer::{AnalyzerConfig, VideoAnalysis};
 use vdb_core::frame::Video;
-use vdb_core::index::planner::fingerprint_entries;
+use vdb_core::index::shot_index::fingerprint_entries;
 use vdb_core::index::{Explain, IndexEntry, ShotIndex, ShotKey, VarianceQuery};
 use vdb_core::pipeline::AnalysisEngine;
 use vdb_core::pixel::Rgb;
@@ -649,14 +649,9 @@ impl VideoDatabase {
         self.analyses.get(&id).ok_or(DbError::UnknownVideo(id))
     }
 
-    /// §4.2 query: matching shots mapped to the largest scenes that share
-    /// their representative frames, nearest first.
-    pub fn query(&self, q: &VarianceQuery) -> Vec<QueryAnswer> {
-        self.answers(q, None, None, usize::MAX).0
-    }
-
     /// Run a textual query (see [`crate::query`] for the syntax), e.g.
-    /// `"ba=0.5 oa=15 genre=comedy form=feature limit=5"`.
+    /// `"ba=0.5 oa=15 genre=comedy form=feature limit=5"`: every answer of
+    /// [`Self::query_text`], nearest first.
     pub fn query_str(&self, text: &str) -> Result<Vec<QueryAnswer>, DbError> {
         self.query_text(text, usize::MAX)
             .map(|(answers, _, _)| answers)
@@ -690,13 +685,6 @@ impl VideoDatabase {
             tspan.attr("answers", count);
         }
         Ok((answers, count, explain))
-    }
-
-    /// The `k` shots nearest to the query point (α/β ignored), mapped to
-    /// their browsing scene nodes. Runs the same selection as
-    /// [`Self::query`].
-    pub fn query_topk(&self, q: &VarianceQuery, k: usize) -> Vec<QueryAnswer> {
-        self.answers(q, Some(k), None, usize::MAX).0
     }
 
     /// The one §4.2 answer walk behind every variance query: the index's
@@ -1083,8 +1071,10 @@ mod tests {
         let id = db.ingest("clip", &sample_video(2), vec![], vec![]).unwrap();
         let a = db.analysis(id).unwrap();
         // Query by example with the first shot's own feature.
-        let q = VarianceQuery::by_example(a.features[0]);
-        let answers = db.query(&q);
+        let f = a.features[0];
+        let answers = db
+            .query_str(&format!("ba={} oa={}", f.var_ba, f.var_oa))
+            .unwrap();
         assert!(!answers.is_empty());
         assert_eq!(answers[0].key.video, id);
         // Every answer's scene node is named after the matching shot.
@@ -1112,15 +1102,13 @@ mod tests {
         // Identical videos: an unscoped query sees both, a scoped one only
         // the comedy.
         let feat = db.analysis(a).unwrap().features[0];
-        let q = VarianceQuery::by_example(feat);
-        let all = db.query(&q);
+        let text = format!("ba={} oa={}", feat.var_ba, feat.var_oa);
+        let all = db.query_str(&text).unwrap();
         assert!(all.iter().any(|x| x.key.video == a));
         assert!(all.iter().any(|x| x.key.video == b));
-        let text = format!(
-            "ba={} oa={} genre=comedy form=feature",
-            feat.var_ba, feat.var_oa
-        );
-        let scoped = db.query_str(&text).unwrap();
+        let scoped = db
+            .query_str(&format!("{text} genre=comedy form=feature"))
+            .unwrap();
         assert!(scoped.iter().all(|x| x.key.video == a));
         assert!(!scoped.is_empty());
     }
@@ -1494,9 +1482,9 @@ mod tests {
 
         // Queries behave identically after reload.
         let feat = db.analysis(id).unwrap().features[0];
-        let q = VarianceQuery::by_example(feat);
-        let before: Vec<ShotKey> = db.query(&q).iter().map(|a| a.key).collect();
-        let after: Vec<ShotKey> = back.query(&q).iter().map(|a| a.key).collect();
+        let q = format!("ba={} oa={}", feat.var_ba, feat.var_oa);
+        let before: Vec<ShotKey> = db.query_str(&q).unwrap().iter().map(|a| a.key).collect();
+        let after: Vec<ShotKey> = back.query_str(&q).unwrap().iter().map(|a| a.key).collect();
         assert_eq!(before, after);
 
         std::fs::remove_dir_all(&dir).unwrap();

@@ -15,8 +15,7 @@
 use crate::catalog::{FormId, GenreId, VideoMeta};
 use crate::codec::{self, Codec, Varint};
 use crate::db::{StoredAnalysis, VideoDatabase, TAG_ANALYSIS, TAG_REMOVE};
-use crate::journal::encode_record;
-use crate::pages::{read_segment, Record, MAGIC};
+use crate::pages::{encode_record, read_segment, Record, MAGIC};
 use crate::session::storyboard;
 use crate::transfer::ExportedVideo;
 use proptest::TestRng;

@@ -26,7 +26,7 @@ use crate::backend::{CommitTicket, DbBackend};
 use crate::catalog::{FormId, GenreId};
 use crate::codec;
 use crate::db::{DbError, VideoDatabase, TAG_ANALYSIS, TAG_META, TAG_REMOVE};
-use crate::pages::{read_segment, MAGIC};
+use crate::pages::{encode_record, read_segment, MAGIC};
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -196,16 +196,6 @@ fn write_error(msg: &str) -> DbError {
     DbError::Segment(crate::pages::SegmentError::Io(std::io::Error::other(
         format!("journal write failed: {msg}"),
     )))
-}
-
-/// Frame one record for the wire: tag + length + payload + checksum.
-pub(crate) fn encode_record(tag: u8, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(1 + 4 + payload.len() + 4);
-    out.push(tag);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&crate::pages::record_checksum(tag, payload).to_le_bytes());
-    out
 }
 
 /// A [`VideoDatabase`] bound to an append-only journal file.
@@ -442,7 +432,6 @@ impl Drop for JournaledDatabase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vdb_core::index::VarianceQuery;
     use vdb_synth::script::{generate, ShotSpec, VideoScript};
 
     fn tmp(tag: &str) -> PathBuf {
@@ -472,7 +461,8 @@ mod tests {
         assert_eq!(j.db().catalog().get(id0).unwrap().name, "first");
         // Queries work after replay.
         let f = j.db().analysis(id0).unwrap().features[0];
-        assert!(!j.db().query(&VarianceQuery::by_example(f)).is_empty());
+        let text = format!("ba={} oa={}", f.var_ba, f.var_oa);
+        assert!(!j.db().query_str(&text).unwrap().is_empty());
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
@@ -829,7 +819,7 @@ mod tests {
         let opened = JournaledDatabase::open(&path, AnalyzerConfig::default()).map(|_| ());
         let loaded = VideoDatabase::load(&path, AnalyzerConfig::default()).map(|_| ());
         for text in [opened, loaded].map(|r| r.unwrap_err().to_string()) {
-            assert!(text.contains("VDBS1") && text.contains("VDBS3"), "{text}");
+            assert!(text.contains("VDBS1") && text.contains("VDBS4"), "{text}");
         }
         assert_eq!(
             std::fs::read(&path).unwrap(),
@@ -839,13 +829,14 @@ mod tests {
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
-    /// A segment of the fixed-width layout (its META row with 8-byte id,
-    /// lengths and frame count) is refused the same way: both openers
-    /// name `VDBS2` and `VDBS3`, and the file keeps its bytes and length.
+    /// A segment of an older binary layout — `VDBS2` (a META row with
+    /// 8-byte id, lengths and frame count) or `VDBS3` (whose scene trees
+    /// may put a node's level below a child's) — is refused the same way:
+    /// both openers name its version and `VDBS4`, and the file keeps its
+    /// bytes and length.
     #[test]
     fn vdbs2_segments_are_refused_and_left_untouched() {
         use crate::codec::Codec;
-        let path = tmp("vdbs2");
         let mut meta = Vec::new();
         0u64.encode(&mut meta);
         3u64.encode(&mut meta);
@@ -856,22 +847,25 @@ mod tests {
         3.0f64.encode(&mut meta);
         80u32.encode(&mut meta);
         60u32.encode(&mut meta);
-        let mut old = b"VDBS2\0".to_vec();
-        old.extend(encode_record(TAG_META, &meta));
-        old.extend_from_slice(&[TAG_ANALYSIS, 0xff, 0xff]);
-        std::fs::write(&path, &old).unwrap();
-        let opened = JournaledDatabase::open(&path, AnalyzerConfig::default()).map(|_| ());
-        let loaded = VideoDatabase::load(&path, AnalyzerConfig::default()).map(|_| ());
-        for text in [opened, loaded].map(|r| r.unwrap_err().to_string()) {
-            assert!(text.contains("VDBS2") && text.contains("VDBS3"), "{text}");
+        for version in ["VDBS2", "VDBS3"] {
+            let path = tmp(version);
+            let mut old = format!("{version}\0").into_bytes();
+            old.extend(encode_record(TAG_META, &meta));
+            old.extend_from_slice(&[TAG_ANALYSIS, 0xff, 0xff]);
+            std::fs::write(&path, &old).unwrap();
+            let opened = JournaledDatabase::open(&path, AnalyzerConfig::default()).map(|_| ());
+            let loaded = VideoDatabase::load(&path, AnalyzerConfig::default()).map(|_| ());
+            for text in [opened, loaded].map(|r| r.unwrap_err().to_string()) {
+                assert!(text.contains(version) && text.contains("VDBS4"), "{text}");
+            }
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), old.len() as u64);
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                old,
+                "the refused file is untouched"
+            );
+            std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
         }
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), old.len() as u64);
-        assert_eq!(
-            std::fs::read(&path).unwrap(),
-            old,
-            "the refused file is untouched"
-        );
-        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     /// The record format's size, pinned exactly: one fixed synthetic

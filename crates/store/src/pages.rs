@@ -3,7 +3,7 @@
 //! A *segment* is a flat byte stream of checksummed, tagged records:
 //!
 //! ```text
-//! magic "VDBS3\0"
+//! magic "VDBS4\0"
 //! repeat: [tag: u8] [len: u32 LE] [payload: len bytes] [checksum: u32 LE]
 //! ```
 //!
@@ -15,17 +15,20 @@
 //! Every payload is [`crate::codec`] binary. The digit in the magic is the
 //! format version, and it changes whenever a payload's layout does:
 //! `VDBS1` segments stored the scene tree and catalog rows as JSON,
-//! `VDBS2` stored ids, lengths and indexes as 8-byte words, and `VDBS3`
-//! stores them as varints. A segment of any version but this build's is
-//! refused, before anything is read or truncated, with an error naming
-//! both versions ([`SegmentError::Version`]).
+//! `VDBS2` stored ids, lengths and indexes as 8-byte words, `VDBS3`
+//! stored them as varints, and `VDBS4` keeps that layout but requires a
+//! scene node's level to be one above its highest child's (a `VDBS3` tree
+//! may fail that check, so it is refused by version, not by a tree
+//! error). A segment of any version but this build's is refused, before
+//! anything is read or truncated, with an error naming both versions
+//! ([`SegmentError::Version`]).
 
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 /// Magic bytes at the start of every segment.
-pub const MAGIC: &[u8; 6] = b"VDBS3\0";
+pub const MAGIC: &[u8; 6] = b"VDBS4\0";
 
 /// One tagged record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,7 +73,7 @@ impl From<io::Error> for SegmentError {
     }
 }
 
-/// The printable part of a segment magic (`VDBS3` for `b"VDBS3\0"`).
+/// The printable part of a segment magic (`VDBS4` for `b"VDBS4\0"`).
 fn magic_name(magic: &[u8]) -> String {
     String::from_utf8_lossy(magic.strip_suffix(b"\0").unwrap_or(magic)).into_owned()
 }
@@ -86,7 +89,7 @@ fn fnv1a(parts: &[&[u8]]) -> u32 {
     h
 }
 
-pub(crate) fn record_checksum(tag: u8, payload: &[u8]) -> u32 {
+fn record_checksum(tag: u8, payload: &[u8]) -> u32 {
     let len = (payload.len() as u32).to_le_bytes();
     fnv1a(&[&[tag], &len, payload])
 }
@@ -113,11 +116,7 @@ impl<W: Write> SegmentWriter<W> {
 
     /// Append one record.
     pub fn append(&mut self, tag: u8, payload: &[u8]) -> Result<(), SegmentError> {
-        self.out.write_all(&[tag])?;
-        self.out.write_all(&(payload.len() as u32).to_le_bytes())?;
-        self.out.write_all(payload)?;
-        self.out
-            .write_all(&record_checksum(tag, payload).to_le_bytes())?;
+        self.out.write_all(&encode_record(tag, payload))?;
         let obs = crate::obs::pages();
         obs.records_written.incr();
         obs.bytes_written.add(1 + 4 + payload.len() as u64 + 4);
@@ -129,6 +128,17 @@ impl<W: Write> SegmentWriter<W> {
         self.out.flush()?;
         Ok(self.out)
     }
+}
+
+/// Frame one record: tag + length + payload + checksum, the bytes
+/// [`SegmentWriter::append`] writes and the journal stages.
+pub(crate) fn encode_record(tag: u8, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(1 + 4 + payload.len() + 4);
+    out.push(tag);
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&record_checksum(tag, payload).to_le_bytes());
+    out
 }
 
 /// Read every valid record of a segment; stops silently at a torn or

@@ -77,7 +77,7 @@ fn main() {
         .collect();
     let index = ShotIndex::from_entries(rows);
     let q = VarianceQuery::by_example(analysis.features[0]);
-    let matches = index.query(&q);
+    let (matches, _, _) = index.select(&q, None, usize::MAX, None);
     println!(
         "query by example of shot#1 -> {} matching shots: {:?}",
         matches.len(),

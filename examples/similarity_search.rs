@@ -48,7 +48,9 @@ fn main() {
         q.var_oa,
         q.d_v()
     );
-    let answers = db.query(&q);
+    let answers = db
+        .query_str(&format!("ba={} oa={}", q.var_ba, q.var_oa))
+        .expect("a well-formed query");
     println!("{} scene nodes suggested:", answers.len());
     for a in answers.iter().take(6) {
         let vid_idx = ids.iter().position(|&i| i == a.key.video).unwrap();

@@ -1,7 +1,6 @@
 //! End-to-end integration: synthetic clip → ingest → analyze → persist →
 //! query → browse, spanning all five crates.
 
-use vdb_core::index::VarianceQuery;
 use vdb_eval::metrics::evaluate_boundaries;
 use vdb_eval::retrieval::{label_for, location_for, movie_script};
 use vdb_store::{find_node, node_view, VideoDatabase};
@@ -46,8 +45,10 @@ fn genre_clip_roundtrip_through_database() {
 
     // Every query answer names a node that browsing can open, and the node
     // plays the answer's shot.
-    let q = VarianceQuery::by_example(analysis.features[0]);
-    let answers = db.query(&q);
+    let f = analysis.features[0];
+    let answers = db
+        .query_str(&format!("ba={} oa={}", f.var_ba, f.var_oa))
+        .unwrap();
     assert!(!answers.is_empty());
     for a in &answers {
         let analysis = db.analysis(a.key.video).unwrap();
@@ -206,7 +207,9 @@ fn production_pipeline_y4m_streaming_journal() {
     // Survives a process restart.
     let journal = JournaledDatabase::open(&db_path, Default::default()).unwrap();
     assert_eq!(journal.db().len(), 1);
-    let q = VarianceQuery::new(0.5, 5.0).with_tolerances(5.0, 5.0);
-    let _ = journal.db().query(&q);
+    let _ = journal
+        .db()
+        .query_str("ba=0.5 oa=5 alpha=5 beta=5")
+        .unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -10,7 +10,7 @@
 //! `(video, shot)` order.
 
 use proptest::prelude::*;
-use vdb_core::index::{IndexEntry, ShotIndex, ShotKey, VarianceQuery};
+use vdb_core::index::{IndexEntry, Match, ShotIndex, ShotKey, VarianceQuery};
 use vdb_core::variance::ShotFeature;
 use vdb_synth::rng::Srng;
 use vdb_synth::Genre;
@@ -120,10 +120,14 @@ fn probe_set(entries: &[IndexEntry], seed: u64) -> Vec<VarianceQuery> {
 
 const GENRES: [Genre; 3] = [Genre::Sitcom, Genre::Sports, Genre::MusicVideo];
 
+fn keys(matches: Vec<Match>) -> Vec<ShotKey> {
+    matches.into_iter().map(|m| m.entry.key).collect()
+}
+
 fn check_corpus(entries: &[IndexEntry], seed: u64, label: &str) {
     let idx = ShotIndex::from_entries(entries.to_vec());
     for (qi, q) in probe_set(entries, seed).into_iter().enumerate() {
-        let got: Vec<ShotKey> = idx.query(&q).into_iter().map(|m| m.entry.key).collect();
+        let got = keys(idx.select(&q, None, usize::MAX, None).0);
         assert_eq!(got, brute_range(entries, &q), "{label} query {qi} (range)");
         let scan: Vec<ShotKey> = idx
             .query_scan(&q)
@@ -132,11 +136,7 @@ fn check_corpus(entries: &[IndexEntry], seed: u64, label: &str) {
             .collect();
         assert_eq!(got, scan, "{label} query {qi} (forced scan)");
         for k in [1usize, 10, 100] {
-            let got: Vec<ShotKey> = idx
-                .query_topk(&q, k)
-                .into_iter()
-                .map(|m| m.entry.key)
-                .collect();
+            let got = keys(idx.select(&q, Some(k), usize::MAX, None).0);
             assert_eq!(
                 got,
                 brute_topk(entries, &q, k),
@@ -218,9 +218,9 @@ proptest! {
         let entries = corpus(genre, n, seed);
         let idx = ShotIndex::from_entries(entries.clone());
         let q = VarianceQuery::new(ba, oa).with_tolerances(alpha, beta);
-        let got: Vec<ShotKey> = idx.query(&q).into_iter().map(|m| m.entry.key).collect();
+        let got = keys(idx.select(&q, None, usize::MAX, None).0);
         prop_assert_eq!(got, brute_range(&entries, &q));
-        let got: Vec<ShotKey> = idx.query_topk(&q, k).into_iter().map(|m| m.entry.key).collect();
+        let got = keys(idx.select(&q, Some(k), usize::MAX, None).0);
         prop_assert_eq!(got, brute_topk(&entries, &q, k));
     }
 }

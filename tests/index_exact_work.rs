@@ -107,7 +107,7 @@ fn explain_counts_the_window_exactly() {
     let entries = corpus_100k();
     let idx = ShotIndex::from_entries(entries.clone());
     for (qi, q) in workload(&entries).into_iter().enumerate() {
-        let (matches, ex) = idx.search(&q, None);
+        let (matches, _, ex) = idx.select(&q, None, usize::MAX, None);
         let candidates = window_rows(&entries, &q);
         assert_eq!(ex.probe.candidates, candidates, "query {qi}: window rows");
         assert_eq!(ex.probe.buckets_touched, usize::from(candidates > 0));
@@ -124,7 +124,7 @@ fn explain_counts_the_window_exactly() {
     // D^v bounds every answer's.
     let q = VarianceQuery::new(4.0, 16.0);
     for k in [1usize, 10, 100, 1_000] {
-        let (matches, ex) = idx.search(&q, Some(k));
+        let (matches, _, ex) = idx.select(&q, Some(k), usize::MAX, None);
         assert_eq!(matches.len(), k, "k={k}");
         assert_eq!(ex.matches, k, "k={k}");
         assert_eq!(ex.probe.candidates, ex.visited, "k={k}");
@@ -150,7 +150,7 @@ fn probes_read_no_more_rows_than_the_scan() {
     let idx = ShotIndex::from_entries(entries.clone());
     for q in workload(&entries) {
         for k in [None, Some(10), Some(1 << 40)] {
-            let (_, ex) = idx.search(&q, k);
+            let (_, _, ex) = idx.select(&q, k, usize::MAX, None);
             assert!(ex.probe.candidates <= idx.len(), "{q:?} k={k:?}: {ex:?}");
         }
     }

@@ -3,7 +3,6 @@
 
 use std::path::PathBuf;
 use vdb_core::analyzer::AnalyzerConfig;
-use vdb_core::index::VarianceQuery;
 use vdb_store::{JournaledDatabase, StreamIngest, VideoDatabase};
 use vdb_synth::script::generate;
 use vdb_synth::{build_script, Genre};
@@ -55,14 +54,16 @@ fn full_database_roundtrip_preserves_all_answers() {
     }
     // Identical answers for a spread of queries.
     for i in 0..12 {
-        let q = VarianceQuery::new(f64::from(i) * 2.5, f64::from(i) * 1.5);
+        let q = format!("ba={} oa={}", f64::from(i) * 2.5, f64::from(i) * 1.5);
         let before: Vec<_> = db
-            .query(&q)
+            .query_str(&q)
+            .unwrap()
             .into_iter()
             .map(|a| (a.key, a.scene_node))
             .collect();
         let after: Vec<_> = restored
-            .query(&q)
+            .query_str(&q)
+            .unwrap()
             .into_iter()
             .map(|a| (a.key, a.scene_node))
             .collect();
@@ -87,16 +88,18 @@ fn saved_index_is_adopted_not_rebuilt() {
     assert!(restored.index().is_finalized());
     assert_eq!(restored.index().entries(), db.index().entries());
     for i in 0..8 {
-        let q = VarianceQuery::new(f64::from(i) * 3.0, f64::from(i) * 2.0);
+        let q = format!("ba={} oa={}", f64::from(i) * 3.0, f64::from(i) * 2.0);
         let keys = |db: &VideoDatabase| {
-            db.query(&q)
+            db.query_str(&q)
+                .unwrap()
                 .into_iter()
                 .map(|a| (a.key, a.scene_node))
                 .collect::<Vec<_>>()
         };
         assert_eq!(keys(&db), keys(&restored), "query {i}");
         let topk = |db: &VideoDatabase| {
-            db.query_topk(&q, 5)
+            db.query_str(&format!("{q} k=5"))
+                .unwrap()
                 .into_iter()
                 .map(|a| a.key)
                 .collect::<Vec<_>>()
@@ -112,7 +115,7 @@ fn saved_index_is_adopted_not_rebuilt() {
 fn compacted_journal_adopts_index_on_reopen() {
     let dir = temp_dir("idx-journal");
     let path = dir.join("db.vdbj");
-    let q = VarianceQuery::new(6.0, 18.0).with_tolerances(3.0, 3.0);
+    let q = "ba=6 oa=18 alpha=3 beta=3";
     let before = {
         let mut j = JournaledDatabase::open(&path, AnalyzerConfig::default()).unwrap();
         for i in 0..3 {
@@ -122,7 +125,8 @@ fn compacted_journal_adopts_index_on_reopen() {
         }
         j.compact().unwrap();
         j.db()
-            .query(&q)
+            .query_str(q)
+            .unwrap()
             .into_iter()
             .map(|a| a.key)
             .collect::<Vec<_>>()
@@ -131,7 +135,13 @@ fn compacted_journal_adopts_index_on_reopen() {
     let runtime = j.db().index().runtime();
     assert_eq!(runtime.adoptions, 1);
     assert_eq!(runtime.refreshes, 0);
-    let after: Vec<_> = j.db().query(&q).into_iter().map(|a| a.key).collect();
+    let after: Vec<_> = j
+        .db()
+        .query_str(q)
+        .unwrap()
+        .into_iter()
+        .map(|a| a.key)
+        .collect();
     assert_eq!(before, after);
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -82,7 +82,7 @@ const LINES: &[&str] = &[
     "explain ba=1.5 oa=1.8 alpha=0.05 beta=1",
     "explain ba=1.5 oa=1.8 alpha=0.05 beta=1 genre=comedy",
     "tree 7 SN_4^1",
-    "tree 0 SN_2^1",
+    "tree 0 SN_2^3",
     "tree 3 SN_8^1",
     "tree 2 SN_9^0",
     "tree 0 SN_99^0",

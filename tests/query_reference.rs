@@ -1,7 +1,7 @@
 //! Query output pinned against an independent reference.
 //!
 //! The reference re-implements the §4.2 answer walk from public APIs
-//! only: the planned index probe (`index().query` / `query_topk`), the
+//! only: the uncapped index probe (`index().select`), the
 //! catalog and [`QuerySpec::keeps`] for the genre/form predicate,
 //! [`SceneTree::largest_scene_for_shot`] and `node().name()` for the
 //! browsing node, then the `limit`. Every entry point that answers a
@@ -61,13 +61,10 @@ fn corpus() -> VideoDatabase {
     db
 }
 
-/// Every match of the planned probe, tagged with the spec's predicate and
+/// Every match of the index probe, tagged with the spec's predicate and
 /// mapped to its largest scene node, nearest first, before any limit.
 fn reference_rows(db: &VideoDatabase, spec: &QuerySpec) -> Vec<(QueryAnswer, bool)> {
-    let matches = match spec.k {
-        None => db.index().query(&spec.variance),
-        Some(k) => db.index().query_topk(&spec.variance, k),
-    };
+    let (matches, _, _) = db.index().select(&spec.variance, spec.k, usize::MAX, None);
     let mut rows = Vec::new();
     for m in matches {
         let Some(meta) = db.catalog().get(m.entry.key.video) else {
@@ -230,7 +227,7 @@ fn typed_queries_match_the_reference_walk() {
     for alpha in [0.5, 1.0, 1000.0] {
         let text = format!("ba={} oa={} alpha={alpha} beta={alpha}", f.var_ba, f.var_oa);
         let spec = QuerySpec::parse(&text, &t).unwrap();
-        assert_eq!(db.query(&spec.variance), reference_answers(&db, &spec));
+        assert_eq!(db.query_str(&text).unwrap(), reference_answers(&db, &spec));
 
         let scoped_text = format!("{text} genre=horror form=feature");
         let scoped = QuerySpec::parse(&scoped_text, &t).unwrap();
@@ -239,10 +236,8 @@ fn typed_queries_match_the_reference_walk() {
         assert_eq!(answers, reference_answers(&db, &scoped));
     }
     for k in [1, 10, 50] {
-        let spec = QuerySpec::parse(&format!("ba={} oa={} k={k}", f.var_ba, f.var_oa), &t).unwrap();
-        assert_eq!(
-            db.query_topk(&spec.variance, k),
-            reference_answers(&db, &spec)
-        );
+        let text = format!("ba={} oa={} k={k}", f.var_ba, f.var_oa);
+        let spec = QuerySpec::parse(&text, &t).unwrap();
+        assert_eq!(db.query_str(&text).unwrap(), reference_answers(&db, &spec));
     }
 }
