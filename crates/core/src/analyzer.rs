@@ -25,9 +25,14 @@ pub struct AnalyzerConfig {
     pub sbd: SbdConfig,
     /// Scene-tree construction parameters.
     pub scene_tree: SceneTreeConfig,
-    /// Worker threads for per-frame feature extraction. The cascade and
-    /// everything after it stay sequential, so the analysis is identical
-    /// for every setting — this knob only changes wall-clock time.
+    /// Threads a batch ([`AnalysisEngine::push_frames`]) extracts frames
+    /// on, the caller included: [`Parallelism::Auto`] (the default) uses
+    /// every CPU this process may run on, `Threads(n)` caps the count and
+    /// `Serial` spawns none. The engine resolves it once, when it is
+    /// built. The cascade and everything after it run on the caller in
+    /// frame order, so the analysis is identical for every setting — this
+    /// knob only changes wall-clock time. Per-frame streaming
+    /// ([`AnalysisEngine::push_frame`]) always runs on the caller.
     pub parallelism: Parallelism,
     /// SIMD instruction set for the extraction kernels. Every level
     /// produces bit-identical features — like [`AnalyzerConfig::parallelism`],
@@ -152,7 +157,12 @@ mod tests {
     #[test]
     fn parallel_config_yields_identical_analysis() {
         let v = two_scene_video();
-        let serial = VideoAnalyzer::new().analyze(&v).unwrap();
+        let serial = VideoAnalyzer::with_config(AnalyzerConfig {
+            parallelism: Parallelism::Serial,
+            ..AnalyzerConfig::default()
+        })
+        .analyze(&v)
+        .unwrap();
         for p in [
             Parallelism::Threads(2),
             Parallelism::Threads(4),

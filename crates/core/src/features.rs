@@ -142,7 +142,16 @@ impl FeatureExtractor {
     /// Create an extractor for an explicit (possibly non-default)
     /// [`AreaLayout`], e.g. one built with
     /// [`AreaLayout::for_frame_with_fraction`].
+    ///
+    /// # Errors
+    /// [`crate::CoreError::NotInSizeSet`] if a side of the TBA grid
+    /// (`w × L`) or of the FOA grid (`h × b`) is not a size-set member, so
+    /// the pyramid could not tile it (checked here once, not per frame);
+    /// [`crate::CoreError::SimdUnavailable`] as for
+    /// [`FeatureExtractor::with_simd`].
     pub fn with_layout(layout: AreaLayout, simd: SimdLevel) -> Result<Self> {
+        check_grid(layout.w, layout.l)?;
+        check_grid(layout.h, layout.b)?;
         let isa = simd.try_resolve()?;
         Ok(FeatureExtractor {
             layout,
@@ -179,11 +188,25 @@ impl FeatureExtractor {
     /// temporary. Bit-identical to [`FeatureExtractor::extract`]; after
     /// warm-up the crop gathers and pyramid reductions allocate nothing
     /// and the only per-frame allocation is the returned signature.
+    ///
+    /// Never fails once the extractor is built: construction checked the
+    /// layout.
     pub fn extract_with(
         &self,
         frame: &FrameBuf,
         scratch: &mut ScratchBuffers,
     ) -> Result<FrameFeatures> {
+        Ok(self.extract_frame(frame, scratch))
+    }
+
+    /// [`FeatureExtractor::extract_with`] without the `Result`: the
+    /// engine's per-frame step, which cannot fail once the layout is
+    /// checked.
+    pub(crate) fn extract_frame(
+        &self,
+        frame: &FrameBuf,
+        scratch: &mut ScratchBuffers,
+    ) -> FrameFeatures {
         debug_assert_eq!(
             frame.dims(),
             (self.layout.frame_width, self.layout.frame_height)
@@ -201,15 +224,18 @@ impl FeatureExtractor {
             self.isa,
             &mut scratch.grids,
             &mut signature,
-        )?;
-        let sign_ba = reduce_line_to_sign_with(&signature, &mut scratch.reduce)?;
-        self.foa_signature(pixels, &mut scratch.grids, &mut scratch.sig_oa)?;
-        let sign_oa = reduce_line_to_sign_with(&scratch.sig_oa, &mut scratch.reduce)?;
-        Ok(FrameFeatures {
-            sign_ba,
-            sign_oa,
+        );
+        self.foa_signature(pixels, &mut scratch.grids, &mut scratch.sig_oa);
+        // `L` and `b` are size-set members (checked at construction), so
+        // both lines reduce to a sign.
+        let sign_of = |line: &[Rgb], reduce: &mut ReduceScratch| {
+            reduce_line_to_sign_with(line, reduce).expect("layout checked at construction")
+        };
+        FrameFeatures {
+            sign_ba: sign_of(&signature, &mut scratch.reduce),
+            sign_oa: sign_of(&scratch.sig_oa, &mut scratch.reduce),
             signature_ba: Signature::new(signature),
-        })
+        }
     }
 
     /// Extract features for every frame of a video.
@@ -228,14 +254,8 @@ impl FeatureExtractor {
     /// frame as `pixels[row·c + w'..][..b']`, and the remaining levels
     /// collapse in place. Bit-identical to `extract_foa_into` +
     /// `reduce_grid_to_signature_into` at every SIMD level.
-    fn foa_signature(
-        &self,
-        pixels: &[Rgb],
-        grids: &mut GridScratch,
-        out: &mut Vec<Rgb>,
-    ) -> Result<()> {
+    fn foa_signature(&self, pixels: &[Rgb], grids: &mut GridScratch, out: &mut Vec<Rgb>) {
         let lay = &self.layout;
-        check_grid(lay.h, lay.b)?;
         let (c, x0, width) = (lay.frame_width as usize, lay.w_raw, lay.b_raw);
         let row = |t: usize| &pixels[self.foa_rows[t] * c + x0..][..width];
         out.clear();
@@ -243,7 +263,7 @@ impl FeatureExtractor {
         if lay.h == 1 {
             let line = row(0);
             out.extend(self.foa_cols.iter().map(|&u| line[u]));
-            return Ok(());
+            return;
         }
         let out_rows = (lay.h - 3) / 2;
         grow_pixels(&mut grids.a, out_rows * width);
@@ -259,11 +279,11 @@ impl FeatureExtractor {
         let line =
             kernels::collapse_grid_to_row(&mut grids.a, &mut grids.b, out_rows, width, self.isa);
         out.extend(self.foa_cols.iter().map(|&u| line[u]));
-        Ok(())
     }
 }
 
-/// Both grid sides must be size-set members for the pyramid to tile them.
+/// Both grid sides must be size-set members for the pyramid to tile them
+/// (and the signature, one grid row long, to reduce to a sign).
 fn check_grid(rows: usize, cols: usize) -> Result<()> {
     for len in [rows, cols] {
         if !in_size_set(len) {
@@ -290,16 +310,15 @@ fn fused_crop_signature(
     isa: ResolvedIsa,
     grids: &mut GridScratch,
     out: &mut Vec<Rgb>,
-) -> Result<()> {
+) {
     debug_assert_eq!(table.len(), rows * cols);
-    check_grid(rows, cols)?;
     out.clear();
     ensure_capacity(out, cols);
     if rows == 1 {
         // The grid already is a single line: the signature is the gather.
         out.resize(cols, Rgb::BLACK);
         kernels::gather_pixels(pixels, table, &mut out[..]);
-        return Ok(());
+        return;
     }
     let out_rows = (rows - 3) / 2;
     for slot in grids.ring.iter_mut() {
@@ -335,7 +354,6 @@ fn fused_crop_signature(
         cols,
         isa,
     ));
-    Ok(())
 }
 
 /// Convenience: build the extractor from the video itself and run it.
@@ -481,6 +499,24 @@ mod tests {
     }
 
     #[test]
+    fn layout_outside_the_size_set_is_refused_at_construction() {
+        // A hand-built layout whose TBA height is no size-set member is
+        // refused when the extractor is built, not on its first frame.
+        let mut layout = AreaLayout::for_frame(160, 120).unwrap();
+        layout.w = 12;
+        assert!(matches!(
+            FeatureExtractor::with_layout(layout, SimdLevel::Auto),
+            Err(CoreError::NotInSizeSet { len: 12 })
+        ));
+        let mut layout = AreaLayout::for_frame(160, 120).unwrap();
+        layout.b = 12;
+        assert!(matches!(
+            FeatureExtractor::with_layout(layout, SimdLevel::Auto),
+            Err(CoreError::NotInSizeSet { len: 12 })
+        ));
+    }
+
+    #[test]
     fn deterministic_extraction() {
         let frame = FrameBuf::from_fn(80, 60, |x, y| {
             Rgb::new((x * 3) as u8, (y * 5) as u8, ((x + y) * 2) as u8)
@@ -544,8 +580,7 @@ mod tests {
                 let ex = FeatureExtractor::with_layout(layout, level).unwrap();
                 let mut grids = GridScratch::default();
                 let mut sig = Vec::new();
-                ex.foa_signature(frame.pixels(), &mut grids, &mut sig)
-                    .unwrap();
+                ex.foa_signature(frame.pixels(), &mut grids, &mut sig);
                 assert_eq!(sig, expected, "{w}x{h} at {level}");
             }
         }

@@ -7,9 +7,10 @@
 //!
 //! ```text
 //!            frames ──► feature extraction ──► SBD cascade ──► shot assembly
-//!                       (parallel shards,      (sequential,     │
-//!                        per-worker scratch)    decide_pair)    ▼
-//!            VideoAnalysis ◄── index features ◄── scene tree ◄── shots
+//!                       (caller + helpers,     (caller, in      │
+//!                        one cursor, each      frame order,     ▼
+//!                        with its own scratch)  as frames ready) scene tree
+//!            VideoAnalysis ◄── index features ◄──────────────────┘
 //! ```
 //!
 //! * [`crate::analyzer::VideoAnalyzer`] is a thin batch driver: one
@@ -17,24 +18,30 @@
 //! * streaming callers (the store's `StreamIngest`) own an engine and call
 //!   [`AnalysisEngine::push_frame`] / [`AnalysisEngine::push_frames`] as
 //!   frames arrive, then [`AnalysisEngine::finish`];
-//! * [`crate::parallel`] is the sharded feature-extraction front-end the
-//!   engine calls — it never touches the cascade.
+//! * `push_frames` is one ordered pipeline for every thread count: the
+//!   config's [`crate::parallel::Parallelism`] (resolved once, when the
+//!   engine is built) sets how many scoped helper threads extract beside
+//!   the caller, and the caller runs the cascade on frame `i` as soon as
+//!   frames `0..=i` are extracted ([`crate::parallel`] holds the hand-off).
+//!   With no helpers the same loop is the serial path.
 //!
 //! Batch, streaming, and parallel results are therefore equal **by
 //! construction** (they run the same code on the same features).
 //!
-//! The engine owns a [`ScratchBuffers`] arena so the serial hot path
-//! performs no per-frame heap allocation in extraction or pyramid
-//! reduction after warm-up (see [`crate::pyramid::reduction_allocs`]); the
-//! arena survives [`AnalysisEngine::finish`] and is reused across clips,
+//! The engine owns one [`ScratchBuffers`] arena per thread it extracts on
+//! (the caller's and each helper's), so after warm-up extraction and
+//! pyramid reduction perform no per-frame heap allocation on any thread
+//! (see [`crate::pyramid::reduction_allocs`]); the arenas survive
+//! [`AnalysisEngine::finish`] and are reused across batches and clips,
 //! even clips of different dimensions.
 
 use crate::analyzer::{AnalyzerConfig, VideoAnalysis};
 use crate::error::{CoreError, Result};
 use crate::features::{FeatureExtractor, FrameFeatures, ScratchBuffers};
 use crate::frame::{FrameBuf, Video};
-use crate::parallel::extract_features_reusing;
+use crate::parallel::HandOff;
 use crate::pixel::Rgb;
+use crate::pyramid::{charge_reduction_allocs, reduction_allocs};
 use crate::sbd::{CameraTrackingDetector, SbdStats, Segmentation, StageDecision};
 use crate::scenetree::build_scene_tree_with_config;
 use crate::shot::Shot;
@@ -218,6 +225,11 @@ pub struct AnalysisEngine {
     extractor: Option<FeatureExtractor>,
     dims: Option<(u32, u32)>,
     scratch: ScratchBuffers,
+    /// The config's thread count, caller included, resolved once.
+    threads: usize,
+    /// One arena per helper thread `push_frames` has spawned so far;
+    /// grown on demand up to `threads − 1`.
+    helpers: Vec<ScratchBuffers>,
     state: CascadeState,
     obs: Option<PipelineMetrics>,
 }
@@ -256,6 +268,8 @@ impl AnalysisEngine {
             extractor: None,
             dims: None,
             scratch: ScratchBuffers::default(),
+            threads: config.parallelism.effective_threads(),
+            helpers: Vec::new(),
             state: CascadeState::default(),
             obs,
         }
@@ -294,7 +308,7 @@ impl AnalysisEngine {
             self.extractor
                 .as_ref()
                 .expect("created above")
-                .extract_with(frame, &mut self.scratch)?
+                .extract_frame(frame, &mut self.scratch)
         };
         if let Some(obs) = &self.obs {
             obs.frames.incr();
@@ -303,16 +317,26 @@ impl AnalysisEngine {
         Ok(self.state.push(&self.detector, features))
     }
 
-    /// Consume a batch of frames: features are extracted up front (sharded
-    /// per the config's [`crate::parallel::Parallelism`]), then fed through
-    /// the sequential cascade in order. Equivalent to calling
+    /// Consume a batch of frames. Equivalent to calling
     /// [`AnalysisEngine::push_frame`] once per frame, only faster.
     ///
-    /// On error nothing is consumed: the cascade only ever sees a batch
-    /// whose every frame extracted successfully.
+    /// One ordered pipeline for every thread count: up to `threads − 1`
+    /// scoped helpers (never more than the batch has frames after the
+    /// first) and the calling thread extract frames, each with its own
+    /// engine-owned arena, claiming indices from one cursor; the calling
+    /// thread also runs the cascade on frame `i` as soon as frames `0..=i`
+    /// are extracted, and parks when it has nothing to claim or cascade.
+    /// With no helpers this is the serial loop.
     ///
-    /// Opens `core.pipeline.extract` and `core.pipeline.cascade` trace
-    /// spans (inert, one branch per stage, outside a sampled trace).
+    /// On error nothing is consumed: every check (dimensions, layout)
+    /// runs before the first frame is extracted, and extraction itself
+    /// cannot fail.
+    ///
+    /// Runs under a `core.pipeline.extract` trace span (and the
+    /// `extract_us` histogram) until every frame is claimed, with the
+    /// cascade keeping pace inside it, then under `core.pipeline.cascade`
+    /// (`cascade_us`) while it cascades the frames still in flight. The
+    /// spans are inert, one branch per stage, outside a sampled trace.
     pub fn push_frames(&mut self, frames: &[FrameBuf]) -> Result<Vec<PushOutcome>> {
         let Some(first) = frames.first() else {
             return Ok(Vec::new());
@@ -323,25 +347,60 @@ impl AnalysisEngine {
             self.check_dims(frame, i)?;
         }
         let extractor = self.extractor.as_ref().expect("created above");
-        let threads = self.config.parallelism.effective_threads();
+        let spawn = (frames.len() - 1).min(self.threads - 1);
+        if self.helpers.len() < spawn {
+            self.helpers.resize_with(spawn, ScratchBuffers::default);
+        }
+        let helpers = &mut self.helpers[..spawn];
+        // The caller starts on frame 0 and helper `k` on frame `k`.
+        let hand_off = HandOff::new(frames.len(), helpers.len() + 1);
+        let mut outcomes = Vec::with_capacity(frames.len());
         let tracer = global_tracer();
-        let features = {
-            let mut tspan = tracer.span("core.pipeline.extract");
-            if tspan.is_recording() {
-                tspan.attr("frames", frames.len());
+        let (state, detector, scratch) = (&mut self.state, &self.detector, &mut self.scratch);
+        let mut cascade = |features| state.push(detector, features);
+        let helper_allocs = std::thread::scope(|s| {
+            let helpers: Vec<_> = helpers
+                .iter_mut()
+                .zip(1..)
+                .map(|(scratch, first)| {
+                    let hand_off = &hand_off;
+                    s.spawn(move || {
+                        let before = reduction_allocs();
+                        hand_off.help(first, |i| extractor.extract_frame(&frames[i], scratch));
+                        reduction_allocs() - before
+                    })
+                })
+                .collect();
+            {
+                let mut tspan = tracer.span("core.pipeline.extract");
+                if tspan.is_recording() {
+                    tspan.attr("frames", frames.len());
+                }
+                let _span = self.obs.as_ref().map(|o| o.extract_us.start());
+                let mut next = Some(0);
+                while let Some(i) = next {
+                    hand_off.put(i, extractor.extract_frame(&frames[i], scratch));
+                    while let Some(features) = hand_off.take(outcomes.len()) {
+                        outcomes.push(cascade(features));
+                    }
+                    next = hand_off.claim();
+                }
             }
-            let _span = self.obs.as_ref().map(|o| o.extract_us.start());
-            extract_features_reusing(extractor, frames, threads, &mut self.scratch)?
-        };
+            let _tspan = tracer.span("core.pipeline.cascade");
+            let _span = self.obs.as_ref().map(|o| o.cascade_us.start());
+            for i in outcomes.len()..frames.len() {
+                outcomes.push(cascade(hand_off.wait(i)));
+            }
+            helpers
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .sum::<u64>()
+        });
+        charge_reduction_allocs(helper_allocs);
         if let Some(obs) = &self.obs {
             obs.frames.add(frames.len() as u64);
         }
-        let _tspan = tracer.span("core.pipeline.cascade");
-        let _span = self.obs.as_ref().map(|o| o.cascade_us.start());
-        Ok(features
-            .into_iter()
-            .map(|f| self.state.push(&self.detector, f))
-            .collect())
+        Ok(outcomes)
     }
 
     /// Close the clip: finalize the last shot, build the scene tree and
@@ -451,7 +510,7 @@ impl AnalysisEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pyramid::reduction_allocs;
+    use crate::parallel::Parallelism;
     use proptest::prelude::*;
     use vdb_obs::TraceContext;
 
@@ -527,7 +586,7 @@ mod tests {
 
         for threads in [1usize, 2, 4] {
             let mut batched = AnalysisEngine::new(AnalyzerConfig {
-                parallelism: crate::parallel::Parallelism::Threads(threads),
+                parallelism: Parallelism::Threads(threads),
                 ..AnalyzerConfig::default()
             });
             // Uneven batches (an empty one too), crossing shot boundaries.
@@ -603,6 +662,73 @@ mod tests {
             before,
             "warm batch analysis must not allocate in the pyramid reductions"
         );
+    }
+
+    #[test]
+    fn warm_helper_threads_reduce_without_allocating() {
+        // Each helper extracts at least one frame of every batch with its
+        // own engine-owned arena and reports its allocations to the
+        // caller: a cold three-thread engine warms three arenas, and after
+        // that one warm batch no thread allocates again.
+        let video = Video::new(clip((160, 120), &[(1, 4), (2, 4)]), 3.0).unwrap();
+        let threads = |n| {
+            AnalysisEngine::new(AnalyzerConfig {
+                parallelism: Parallelism::Threads(n),
+                ..AnalyzerConfig::default()
+            })
+        };
+        let before = reduction_allocs();
+        threads(1).analyze(&video).unwrap();
+        let one_arena = reduction_allocs() - before;
+        assert!(one_arena > 0, "a cold arena must grow");
+
+        let mut engine = threads(3);
+        let before = reduction_allocs();
+        engine.analyze(&video).unwrap();
+        assert_eq!(reduction_allocs() - before, 3 * one_arena);
+        let before = reduction_allocs();
+        for _ in 0..3 {
+            engine.analyze(&video).unwrap();
+        }
+        assert_eq!(
+            reduction_allocs(),
+            before,
+            "warm helper threads must not allocate in the pyramid reductions"
+        );
+    }
+
+    #[test]
+    fn every_batch_size_and_thread_count_equals_push_frame() {
+        // Batches of 0, 1, 2, 3 and 37 frames (37 crosses two shot
+        // boundaries) on 1, 2, 3 and 8 threads, so some batches have more
+        // helpers than frames.
+        let frames = clip((80, 60), &[(1, 12), (2, 13), (3, 12)]);
+        for n in [0usize, 1, 2, 3, 37] {
+            let batch = &frames[..n];
+            let mut reference = AnalysisEngine::default();
+            let expected: Vec<PushOutcome> = batch
+                .iter()
+                .map(|f| reference.push_frame(f).unwrap())
+                .collect();
+            let expected_analysis = reference.finish().ok();
+            for threads in [1usize, 2, 3, 8] {
+                let registry = Registry::new();
+                let config = AnalyzerConfig {
+                    parallelism: Parallelism::Threads(threads),
+                    ..AnalyzerConfig::default()
+                };
+                let mut engine = AnalysisEngine::with_registry(config, &registry);
+                let label = format!("{n} frames on {threads} threads");
+                assert_eq!(engine.push_frames(batch).unwrap(), expected, "{label}");
+                assert_eq!(engine.frame_count(), n, "{label}");
+                assert_eq!(
+                    registry.snapshot().counter("core.pipeline.frames"),
+                    Some(n as u64),
+                    "{label}"
+                );
+                assert_eq!(engine.finish().ok(), expected_analysis, "{label}");
+            }
+        }
     }
 
     #[test]

@@ -37,13 +37,21 @@ thread_local! {
     static REDUCTION_ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Allocations performed by this thread's pyramid reductions so far.
+/// Allocations performed by this thread's pyramid reductions so far,
+/// including those of the helper threads a batch
+/// ([`crate::pipeline::AnalysisEngine::push_frames`]) ran on its behalf.
 ///
 /// Strictly increasing; compare two readings to count the allocations in
-/// between. Thread-local, so concurrent tests and parallel extraction
-/// workers never perturb each other's readings.
+/// between. Thread-local, so concurrent tests never perturb each other's
+/// readings.
 pub fn reduction_allocs() -> u64 {
     REDUCTION_ALLOCS.with(Cell::get)
+}
+
+/// Add `n` allocations to this thread's counter: a batch charges its
+/// caller with what its helper threads reported.
+pub(crate) fn charge_reduction_allocs(n: u64) {
+    REDUCTION_ALLOCS.with(|c| c.set(c.get() + n));
 }
 
 /// Make sure `buf` can hold `cap` pixels without reallocating mid-loop,
@@ -52,7 +60,7 @@ pub fn reduction_allocs() -> u64 {
 /// observes every reduction-related buffer.
 pub(crate) fn ensure_capacity(buf: &mut Vec<Rgb>, cap: usize) {
     if buf.capacity() < cap {
-        REDUCTION_ALLOCS.with(|c| c.set(c.get() + 1));
+        charge_reduction_allocs(1);
         buf.reserve(cap - buf.len());
     }
 }

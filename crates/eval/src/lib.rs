@@ -91,7 +91,10 @@ mod tests {
     fn children_can_spawn_grandchildren() {
         let clips = build_corpus(Scale::Fraction(0.02), CORPUS_DIMS, 5);
         let clips = &clips[..3];
-        let serial = VideoAnalyzer::new();
+        let serial = VideoAnalyzer::with_config(AnalyzerConfig {
+            parallelism: Parallelism::Serial,
+            ..AnalyzerConfig::default()
+        });
         let threaded = VideoAnalyzer::with_config(AnalyzerConfig {
             parallelism: Parallelism::Threads(2),
             ..AnalyzerConfig::default()

@@ -206,7 +206,11 @@ mod tests {
             parallelism: Parallelism::Threads(4),
             ..AnalyzerConfig::default()
         };
-        let mut all = stores("serial", AnalyzerConfig::default());
+        let serial = AnalyzerConfig {
+            parallelism: Parallelism::Serial,
+            ..AnalyzerConfig::default()
+        };
+        let mut all = stores("serial", serial);
         all.extend(stores("parallel", parallel));
         let mut stored = Vec::new();
         for (db, path) in all {

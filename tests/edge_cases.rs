@@ -7,9 +7,8 @@
 use vdb_core::analyzer::{AnalyzerConfig, VideoAnalyzer};
 use vdb_core::error::CoreError;
 use vdb_core::features::FeatureExtractor;
-use vdb_core::features::ScratchBuffers;
 use vdb_core::frame::{FrameBuf, Video};
-use vdb_core::parallel::{extract_features_reusing, Parallelism};
+use vdb_core::parallel::Parallelism;
 use vdb_core::pipeline::AnalysisEngine;
 use vdb_core::pixel::Rgb;
 use vdb_store::{ServerStore, VideoDatabase};
@@ -140,16 +139,17 @@ fn mixed_dimension_frames_rejected_without_consuming() {
 
 #[test]
 fn parallel_extraction_on_empty_and_tiny_inputs() {
-    let ex = FeatureExtractor::new(80, 60).unwrap();
-    // More workers than frames (including zero frames) must not panic or
-    // deadlock, and must match the serial result.
-    assert!(
-        extract_features_reusing(&ex, &[], 8, &mut ScratchBuffers::default())
-            .unwrap()
-            .is_empty()
-    );
+    // More threads than frames (including zero frames) must not panic or
+    // deadlock, and must match the frame-at-a-time result.
+    let mut engine = AnalysisEngine::new(parallel_cfg(8));
+    assert!(engine.push_frames(&[]).unwrap().is_empty());
     let frames = vec![FrameBuf::filled(80, 60, Rgb::gray(5)); 2];
-    let out = extract_features_reusing(&ex, &frames, 8, &mut ScratchBuffers::default()).unwrap();
-    assert_eq!(out.len(), 2);
-    assert_eq!(out[0], ex.extract(&frames[0]).unwrap());
+    let outcomes = engine.push_frames(&frames).unwrap();
+    let mut one_at_a_time = AnalysisEngine::new(parallel_cfg(1));
+    let expected: Vec<_> = frames
+        .iter()
+        .map(|f| one_at_a_time.push_frame(f).unwrap())
+        .collect();
+    assert_eq!(outcomes, expected);
+    assert_eq!(engine.finish().unwrap(), one_at_a_time.finish().unwrap());
 }

@@ -12,8 +12,8 @@
 //! and features).
 
 use proptest::prelude::*;
-use vdb_core::analyzer::{AnalyzerConfig, VideoAnalyzer};
-use vdb_core::frame::FrameBuf;
+use vdb_core::analyzer::{AnalyzerConfig, VideoAnalysis, VideoAnalyzer};
+use vdb_core::frame::{FrameBuf, Video};
 use vdb_core::parallel::Parallelism;
 use vdb_core::pipeline::AnalysisEngine;
 use vdb_synth::script::generate;
@@ -23,7 +23,7 @@ const GENRES: [Genre; 3] = [Genre::Sitcom, Genre::Sports, Genre::Commercials];
 const SIZES: [(u32, u32); 2] = [(80, 60), (160, 120)];
 const THREADS: [usize; 3] = [1, 2, 4];
 
-fn clip(genre: Genre, dims: (u32, u32), seed: u64) -> (Vec<FrameBuf>, vdb_core::frame::Video) {
+fn clip(genre: Genre, dims: (u32, u32), seed: u64) -> (Vec<FrameBuf>, Video) {
     let script = build_script(genre, 8, Some(6.0), dims, seed);
     let video = generate(&script).video;
     (video.frames().to_vec(), video)
@@ -36,6 +36,17 @@ fn config(threads: usize) -> AnalyzerConfig {
     }
 }
 
+/// The reference every path is held to: the batch analyzer on the
+/// calling thread alone.
+fn serial_reference(video: &Video) -> VideoAnalysis {
+    VideoAnalyzer::with_config(AnalyzerConfig {
+        parallelism: Parallelism::Serial,
+        ..AnalyzerConfig::default()
+    })
+    .analyze(video)
+    .unwrap()
+}
+
 /// The full grid: 3 genres × 2 frame sizes × serial reference, then every
 /// thread count through every implementation.
 #[test]
@@ -44,7 +55,7 @@ fn all_paths_agree_across_genres_sizes_and_threads() {
         for (si, &dims) in SIZES.iter().enumerate() {
             let seed = 1000 + (gi * SIZES.len() + si) as u64;
             let (frames, video) = clip(genre, dims, seed);
-            let reference = VideoAnalyzer::new().analyze(&video).unwrap();
+            let reference = serial_reference(&video);
             assert!(
                 reference.shots().len() >= 2,
                 "{genre} {dims:?}: degenerate clip, test has no power"
@@ -99,7 +110,7 @@ proptest! {
         chunk in 1usize..13,
     ) {
         let (frames, video) = clip(GENRES[genre_idx], (80, 60), seed);
-        let reference = VideoAnalyzer::new().analyze(&video).unwrap();
+        let reference = serial_reference(&video);
 
         let mut s = AnalysisEngine::new(config(threads));
         // Chunk width varies per case; a width ≥ len is one big batch.
